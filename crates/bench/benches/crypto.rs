@@ -1,8 +1,10 @@
 //! Microbenchmarks for the cryptographic substrate: hashing, signing,
 //! combining, and verifying in both QC formats.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use marlin_crypto::{sha256, KeyStore, QcFormat};
+use marlin_types::{Batch, Block, Justify, Qc, Transaction, View};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha256");
@@ -13,6 +15,38 @@ fn bench_sha256(c: &mut Criterion) {
             b.iter(|| sha256(data));
         });
     }
+    g.finish();
+}
+
+/// Block identity at the paper's headline point: one id over a 400-tx
+/// batch of 150-byte requests, which every replica computes once per
+/// block (the leader at construction, followers inside decode). Read it
+/// against `sha256/65536`: the id hashes 66 KB, so it should cost about
+/// what one hash of that many contiguous bytes does.
+fn bench_block_id(c: &mut Criterion) {
+    let mut g = c.benchmark_group("block_id");
+    let batch: Batch = (0..400u64)
+        .map(|i| Transaction::new(i, 7, Bytes::from(vec![i as u8; 150]), 0))
+        .collect();
+    let genesis = Block::genesis();
+    let justify = Justify::One(Qc::genesis(genesis.id()));
+    g.throughput(Throughput::Bytes(400 * 150));
+    g.bench_with_input(
+        BenchmarkId::from_parameter("400x150B"),
+        &batch,
+        |b, batch| {
+            b.iter(|| {
+                Block::new_normal(
+                    genesis.id(),
+                    genesis.view(),
+                    View(1),
+                    genesis.height().next(),
+                    batch.clone(),
+                    justify,
+                )
+            });
+        },
+    );
     g.finish();
 }
 
@@ -96,6 +130,7 @@ fn bench_combine_verify_qc(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256,
+    bench_block_id,
     bench_sign_verify,
     bench_batch_verify,
     bench_combine_verify_qc

@@ -12,7 +12,7 @@
 use marlin_bench::report::{bytes, ktps, ms, JsonReport, Table};
 use marlin_bench::{figures, vc, Effort};
 use marlin_core::ProtocolKind;
-use marlin_crypto::QcFormat;
+use marlin_crypto::{sha256_backend, QcFormat};
 use marlin_simnet::{run_scenario_with_telemetry, Scenario, SimConfig};
 use marlin_telemetry::{Note, SharedSink, Trace};
 
@@ -41,7 +41,10 @@ fn main() {
     let all = wanted.contains(&"all");
     let run = |name: &str| all || wanted.contains(&name);
 
-    println!("# marlin-bft evaluation (effort: {effort:?})\n");
+    println!(
+        "# marlin-bft evaluation (effort: {effort:?}, sha256 backend: {})\n",
+        sha256_backend()
+    );
     let t0 = std::time::Instant::now();
     let mut rep = JsonReport::new(if full { "full" } else { "quick" });
 

@@ -19,6 +19,11 @@
 //!
 //! The hash functions are real: [`sha256`] is a from-scratch SHA-256
 //! (tested against NIST vectors) and [`hmac_sha256`] is RFC 2104 HMAC.
+//! SHA-256 runs on the CPU's SHA extensions where it has them and on a
+//! portable scalar loop elsewhere, with identical output;
+//! [`sha256_backend`] reports which. Calling into the hardware kernel
+//! is the crate's single `unsafe` block (hence `deny`, not `forbid`,
+//! below).
 //!
 //! # Example
 //!
@@ -38,7 +43,7 @@
 //! assert!(store.verify_combined(msg, &qc_sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;
@@ -53,6 +58,6 @@ pub use cost::{CostModel, CryptoOp};
 pub use digest::Digest;
 pub use hmac::hmac_sha256;
 pub use keys::{KeyStore, ReplicaIndex, SecretKey, Signer};
-pub use sha256::{sha256, Sha256};
+pub use sha256::{sha256, sha256_backend, Sha256};
 pub use sig::{SigError, Signature, SIGNATURE_LEN};
 pub use threshold::{CombinedSig, PartialSig, QcFormat, SignerBitmap, THRESHOLD_SIG_LEN};

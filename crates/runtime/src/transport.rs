@@ -23,8 +23,7 @@
 //! construction (timeouts, fetch/catch-up retries).
 
 use marlin_types::ReplicaId;
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -102,6 +101,35 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Least room [`FrameBuffer::read_from`] offers one socket read. Small
+/// enough that multi-frame bursts regularly split across reads,
+/// exercising the reassembly path.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Writes `payload` to `out` as one wire frame without first joining
+/// header and payload in a buffer of their own: a vectored write hands
+/// the kernel both, and whatever a short write leaves over is retried
+/// from where it stopped, so the stream carries every header and payload
+/// byte exactly once, in order.
+fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let header = (payload.len() as u32).to_le_bytes();
+    let mut sent = 0;
+    while sent < header.len() + payload.len() {
+        let wrote = if sent < header.len() {
+            out.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)])
+        } else {
+            out.write(&payload[sent - header.len()..])
+        };
+        match wrote {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Streaming frame reassembly over an untrusted byte stream.
 ///
 /// Feed it whatever the socket returns — a partial header, half a
@@ -109,9 +137,21 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// A length prefix over [`MAX_FRAME_LEN`] poisons the stream (the peer
 /// is malicious or corrupt; there is no way to resynchronize a
 /// length-framed stream after a bad length).
+///
+/// The bytes live in one contiguous buffer between a read cursor
+/// (`head`) and a write cursor (`tail`): arriving bytes are copied (or
+/// read from the socket) in at `tail`, a complete frame is copied out
+/// from `head` as one slice, and consumed space is reclaimed for free
+/// when the buffer drains, or by moving the unconsumed bytes down once
+/// the consumed prefix is at least as long as they are, so every byte is
+/// moved at most once on average.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    buf: VecDeque<u8>,
+    /// `buf[head..tail]` is the unconsumed stream; `buf[tail..]` is
+    /// initialised spare room.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
     poisoned: bool,
 }
 
@@ -138,12 +178,42 @@ impl FrameBuffer {
 
     /// Appends freshly-read bytes.
     pub fn push(&mut self, chunk: &[u8]) {
-        self.buf.extend(chunk);
+        self.spare(chunk.len())[..chunk.len()].copy_from_slice(chunk);
+        self.tail += chunk.len();
+    }
+
+    /// Appends whatever one `read` on `src` returns, read straight into
+    /// the buffer. Returns the byte count (`0` at end of stream).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the error of `src.read`; nothing is appended then.
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        let n = src.read(self.spare(READ_CHUNK))?;
+        self.tail += n;
+        Ok(n)
+    }
+
+    /// Room for at least `want` more bytes at `tail`.
+    fn spare(&mut self, want: usize) -> &mut [u8] {
+        if self.buf.len() - self.tail < want {
+            let live = self.tail - self.head;
+            if self.head >= live {
+                self.buf.copy_within(self.head..self.tail, 0);
+                self.head = 0;
+                self.tail = live;
+            }
+            if self.buf.len() - self.tail < want {
+                let grown = (self.tail + want).max(2 * self.buf.len());
+                self.buf.resize(grown, 0);
+            }
+        }
+        &mut self.buf[self.tail..]
     }
 
     /// Bytes currently buffered (for backpressure accounting).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.tail - self.head
     }
 
     /// Pops the next complete frame payload, if one is buffered.
@@ -156,23 +226,24 @@ impl FrameBuffer {
         if self.poisoned {
             return Err(FrameTooLarge { len: 0 });
         }
-        if self.buf.len() < 4 {
+        let live = &self.buf[self.head..self.tail];
+        let Some((header, rest)) = live.split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let mut len_bytes = [0u8; 4];
-        for (i, b) in self.buf.iter().take(4).enumerate() {
-            len_bytes[i] = *b;
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
+        };
+        let len = u32::from_le_bytes(*header) as usize;
         if len > MAX_FRAME_LEN {
             self.poisoned = true;
             return Err(FrameTooLarge { len });
         }
-        if self.buf.len() < 4 + len {
+        let Some(payload) = rest.get(..len) else {
             return Ok(None);
+        };
+        let payload = payload.to_vec();
+        self.head += 4 + len;
+        if self.head == self.tail {
+            self.head = 0;
+            self.tail = 0;
         }
-        self.buf.drain(..4);
-        let payload: Vec<u8> = self.buf.drain(..len).collect();
         Ok(Some(payload))
     }
 }
@@ -288,10 +359,6 @@ impl Transport for ChannelTransport {
 }
 
 // ----------------------------------------------------------- TCP mesh --
-
-/// Socket read granularity. Small enough that multi-frame bursts
-/// regularly split across reads, exercising the reassembly path.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// First re-dial delay after a failed dial; doubles per consecutive
 /// failure up to [`DIAL_BACKOFF_CAP`], resets on a successful dial.
@@ -468,13 +535,11 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<TcpShared>) {
     }
     let _exit = ExitNote(&shared, peer);
     let mut frames = FrameBuffer::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
     loop {
-        let n = match stream.read(&mut chunk) {
+        match frames.read_from(&mut stream) {
             Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        frames.push(&chunk[..n]);
+            Ok(_) => {}
+        }
         loop {
             match frames.next_frame() {
                 Ok(Some(payload)) => {
@@ -506,10 +571,9 @@ impl Transport for TcpTransport {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(io::Error::new(io::ErrorKind::NotConnected, "closed"));
         }
-        let wire = frame(frame_payload);
         let mut slot = self.shared.conns[to.index()].lock().expect("conn lock");
         if let Some(conn) = slot.stream.as_mut() {
-            if conn.write_all(&wire).is_ok() {
+            if write_frame(conn, frame_payload).is_ok() {
                 return Ok(());
             }
             // Stale connection (peer died and maybe came back): fall
@@ -527,7 +591,7 @@ impl Transport for TcpTransport {
             Ok(mut conn) => {
                 slot.failures = 0;
                 slot.retry_at = None;
-                conn.write_all(&wire)?;
+                write_frame(&mut conn, frame_payload)?;
                 slot.stream = Some(conn);
                 self.shared.emit(&format!("dialed replica {}", to.0));
                 Ok(())
@@ -597,48 +661,182 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn frame_buffer_reassembles_adversarial_chunking() {
-        let payloads: Vec<Vec<u8>> = vec![
-            b"first".to_vec(),
-            Vec::new(),
-            vec![0xAB; 3000],
-            b"x".to_vec(),
-        ];
-        let mut stream = Vec::new();
-        for p in &payloads {
-            stream.extend_from_slice(&frame(p));
+    /// A reader that hands out a byte stream in pieces of prescribed
+    /// sizes (cycled), like a socket returning short reads.
+    struct ChunkedReader<'a> {
+        stream: &'a [u8],
+        sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+    }
+
+    impl Read for ChunkedReader<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let size = *self.sizes.next().expect("cycle of a non-empty list");
+            let n = size.min(out.len()).min(self.stream.len());
+            let (now, later) = self.stream.split_at(n);
+            out[..n].copy_from_slice(now);
+            self.stream = later;
+            Ok(n)
         }
-        // Feed the stream in pathological chunk sizes: 1 byte at a
-        // time, then 3, then 7, ... covering splits inside the length
-        // prefix, inside payloads, and across frame boundaries.
-        for step in [1usize, 3, 7, 16, 1024, usize::MAX] {
-            let mut fb = FrameBuffer::new();
-            let mut got = Vec::new();
-            let mut off = 0;
-            while off < stream.len() {
-                let end = off.saturating_add(step).min(stream.len());
-                fb.push(&stream[off..end]);
-                off = end;
-                while let Some(p) = fb.next_frame().expect("well-formed stream") {
-                    got.push(p);
+    }
+
+    /// Delivers `stream` to a fresh [`FrameBuffer`] in pieces of the
+    /// given sizes (cycled), through `read_from` or through `push`, and
+    /// drains complete frames after every piece. Checks `buffered()`
+    /// against an independent count at every step, so a cursor that
+    /// goes wrong across a compaction or a growth is caught where it
+    /// happens.
+    fn reassemble(
+        stream: &[u8],
+        sizes: &[usize],
+        via_read: bool,
+    ) -> (FrameBuffer, Vec<Vec<u8>>, Option<FrameTooLarge>) {
+        let mut fb = FrameBuffer::new();
+        let mut frames = Vec::new();
+        let mut reader = ChunkedReader {
+            stream,
+            sizes: sizes.iter().cycle(),
+        };
+        let mut piece = vec![0u8; *sizes.iter().max().expect("a non-empty list")];
+        let mut consumed = 0;
+        while !reader.stream.is_empty() {
+            if via_read {
+                fb.read_from(&mut reader).expect("a slice reads");
+            } else {
+                let n = reader.read(&mut piece).expect("a slice reads");
+                fb.push(&piece[..n]);
+            }
+            let fed = stream.len() - reader.stream.len();
+            assert_eq!(fb.buffered(), fed - consumed);
+            loop {
+                match fb.next_frame() {
+                    Ok(Some(payload)) => {
+                        consumed += 4 + payload.len();
+                        frames.push(payload);
+                        assert_eq!(fb.buffered(), fed - consumed);
+                    }
+                    Ok(None) => break,
+                    Err(e) => return (fb, frames, Some(e)),
                 }
             }
-            assert_eq!(got, payloads, "chunk step {step}");
-            assert_eq!(fb.buffered(), 0);
+        }
+        (fb, frames, None)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any sequence of frames (empty ones, ones larger than a socket
+        /// read), cut into any sequence of reads down to single bytes,
+        /// comes out frame for frame; an oversized length prefix after
+        /// them poisons the stream for good.
+        #[test]
+        fn frame_buffer_reassembles_any_chunking(
+            lens in prop::collection::vec(
+                prop_oneof![Just(0usize), 1usize..=200, 200usize..=5000, 60_000usize..=140_000],
+                0..10,
+            ),
+            sizes in prop::collection::vec(
+                prop_oneof![Just(1usize), 1usize..=16, 17usize..=5000, 60_000usize..=70_000],
+                1..8,
+            ),
+            via_read in any::<bool>(),
+            poison in any::<bool>(),
+        ) {
+            let payloads: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| (0..len).map(|j| (i * 131 + j) as u8).collect())
+                .collect();
+            let mut stream: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+            if poison {
+                stream.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+                stream.extend_from_slice(b"junk");
+            }
+            let (mut fb, got, err) = reassemble(&stream, &sizes, via_read);
+            prop_assert_eq!(got, payloads);
+            if poison {
+                prop_assert_eq!(err, Some(FrameTooLarge { len: MAX_FRAME_LEN + 1 }));
+                // Poisoned: even a now-valid prefix cannot resynchronize.
+                fb.push(&frame(b"valid"));
+                prop_assert!(fb.next_frame().is_err());
+            } else {
+                prop_assert_eq!(err, None);
+                prop_assert_eq!(fb.buffered(), 0);
+            }
         }
     }
 
     #[test]
-    fn frame_buffer_rejects_oversized_length_and_poisons() {
-        let mut fb = FrameBuffer::new();
-        fb.push(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
-        fb.push(b"junk");
-        assert!(fb.next_frame().is_err());
-        // Poisoned: even a now-valid prefix cannot resynchronize.
-        fb.push(&frame(b"valid"));
-        assert!(fb.next_frame().is_err());
+    fn frame_buffer_accepts_exactly_the_maximum_frame() {
+        // The largest legal frame between a small and an empty one, its
+        // length prefix split across 1-byte reads.
+        let payloads = vec![b"first".to_vec(), vec![0xAB; MAX_FRAME_LEN], Vec::new()];
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+        let sizes = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 65_536, 7, 1 << 20];
+        for via_read in [false, true] {
+            let (fb, got, err) = reassemble(&stream, &sizes, via_read);
+            assert_eq!(err, None);
+            assert!(got == payloads, "frames differ (via_read={via_read})");
+            assert_eq!(fb.buffered(), 0);
+        }
+    }
+
+    /// A writer that accepts at most `k` bytes per call, across the
+    /// slices of a vectored write, and reports `Interrupted` before
+    /// every other call.
+    struct Trickle {
+        out: Vec<u8>,
+        k: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let before = self.out.len();
+            for buf in bufs {
+                let room = self.k - (self.out.len() - before);
+                self.out.extend_from_slice(&buf[..room.min(buf.len())]);
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_survives_partial_writes_untorn() {
+        // Short writes that end inside the header, at its end, and
+        // inside the payload: the stream must still be exactly the
+        // frames, nothing repeated and nothing missing.
+        let payloads: [&[u8]; 5] = [b"", b"x", b"abc", b"hello, world", &[0x5A; 300]];
+        let expected: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+        for k in 1..=12 {
+            let mut sink = Trickle {
+                out: Vec::new(),
+                k,
+                calls: 0,
+            };
+            for p in payloads {
+                write_frame(&mut sink, p).unwrap();
+            }
+            assert_eq!(sink.out, expected, "{k} bytes per write");
+        }
+        // A writer that accepts nothing is an error, not a spin.
+        let mut full: &mut [u8] = &mut [0u8; 2];
+        let err = write_frame(&mut full, b"abc").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

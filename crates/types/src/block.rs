@@ -1,9 +1,10 @@
 //! Blocks — the paper's `b = [pl, pview, view, height, op, justify]`.
 
 use crate::ids::{Height, View};
+use crate::preimage::Preimage;
 use crate::qc::{Phase, Qc, QcSeed};
 use crate::transaction::Batch;
-use marlin_crypto::{Digest, KeyStore, Sha256};
+use marlin_crypto::{Digest, KeyStore};
 use std::fmt;
 
 /// Identifies a block by the SHA-256 digest of its contents.
@@ -111,21 +112,11 @@ impl Justify {
         self.iter().map(Qc::authenticator_count).sum()
     }
 
-    fn hash_into(&self, h: &mut Sha256) {
-        match self {
-            Justify::None => h.update(&[0u8]),
-            Justify::One(qc) => {
-                h.update(&[1u8]);
-                h.update(qc.signing_bytes());
-                h.update(qc.sig().agg().as_bytes());
-            }
-            Justify::Two(qc, vc) => {
-                h.update(&[2u8]);
-                for q in [qc, vc] {
-                    h.update(q.signing_bytes());
-                    h.update(q.sig().agg().as_bytes());
-                }
-            }
+    fn hash_into(&self, p: &mut Preimage) {
+        p.put(&[self.iter().count() as u8]);
+        for qc in self.iter() {
+            p.put(qc.signing_bytes());
+            p.put(qc.sig().agg().as_bytes());
         }
     }
 }
@@ -292,27 +283,25 @@ impl Block {
         b
     }
 
+    /// SHA-256 over `"marlin.block.v2"`, the header fields, the
+    /// length-prefixed transaction list and the justify. v1 hashed
+    /// payloads without their lengths, which let two different
+    /// transaction lists share one id.
     fn compute_id(&self) -> BlockId {
-        let mut h = Sha256::new();
-        h.update(b"marlin.block.v1");
+        let mut p = Preimage::new(b"marlin.block.v2");
         match self.parent {
             ParentLink::Hash(id) => {
-                h.update(&[1u8]);
-                h.update(id.digest().as_bytes());
+                p.put(&[1u8]);
+                p.put(id.digest().as_bytes());
             }
-            ParentLink::Nil => h.update(&[0u8]),
+            ParentLink::Nil => p.put(&[0u8]),
         }
-        h.update(&self.pview.0.to_le_bytes());
-        h.update(&self.view.0.to_le_bytes());
-        h.update(&self.height.0.to_le_bytes());
-        h.update(&(self.payload.len() as u64).to_le_bytes());
-        for tx in self.payload.iter() {
-            h.update(&tx.id.to_le_bytes());
-            h.update(&tx.client.to_le_bytes());
-            h.update(&tx.payload);
-        }
-        self.justify.hash_into(&mut h);
-        BlockId::from_digest(h.finalize())
+        p.put(&self.pview.0.to_le_bytes());
+        p.put(&self.view.0.to_le_bytes());
+        p.put(&self.height.0.to_le_bytes());
+        p.put_transactions(self.payload.transactions());
+        self.justify.hash_into(&mut p);
+        BlockId::from_digest(p.finish())
     }
 
     /// The block's id.
@@ -499,6 +488,51 @@ mod tests {
         assert_eq!(
             child_of(&g, 1, Batch::new(vec![t1])).id(),
             child_of(&g, 1, Batch::new(vec![t2])).id()
+        );
+    }
+
+    #[test]
+    fn id_is_unambiguous_across_payload_boundaries() {
+        // The equivocation v1 ids allowed: same header, same
+        // transaction count, and the bytes `c ‖ d ‖ Y ‖ e ‖ f` moved
+        // from the tail of tx 1's payload plus tx 2's fixed fields (`a`)
+        // into tx 2's fixed fields plus the head of its payload (`b`).
+        let (c, d, e, f) = (0x1122_3344_5566_7788u64, 7u32, 0x99AAu64, 3u32);
+        let cat = |parts: &[&[u8]]| Bytes::from(parts.concat());
+        let a = vec![
+            Transaction::new(
+                1,
+                0,
+                cat(&[b"X", &c.to_le_bytes(), &d.to_le_bytes(), b"YY"]),
+                0,
+            ),
+            Transaction::new(e, f, cat(&[b"Z"]), 0),
+        ];
+        let b = vec![
+            Transaction::new(1, 0, cat(&[b"X"]), 0),
+            Transaction::new(
+                c,
+                d,
+                cat(&[b"YY", &e.to_le_bytes(), &f.to_le_bytes(), b"Z"]),
+                0,
+            ),
+        ];
+        // The construction is the colliding one: without payload
+        // lengths the two lists are one byte stream.
+        let v1_stream = |txs: &[Transaction]| -> Vec<u8> {
+            txs.iter()
+                .flat_map(|t| {
+                    [&t.id.to_le_bytes()[..], &t.client.to_le_bytes(), &t.payload].concat()
+                })
+                .collect()
+        };
+        assert_eq!(v1_stream(&a), v1_stream(&b));
+        assert_ne!(a, b);
+
+        let g = Block::genesis();
+        assert_ne!(
+            child_of(&g, 1, Batch::new(a)).id(),
+            child_of(&g, 1, Batch::new(b)).id()
         );
     }
 

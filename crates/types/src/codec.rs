@@ -977,6 +977,62 @@ mod tests {
     }
 
     #[test]
+    fn block_ids_survive_the_wire() {
+        // A decoder recomputes every id from the decoded fields, so a
+        // sender and a receiver that disagreed on the id preimage would
+        // vote for different blocks. Normal, virtual and shadow (payload
+        // shared on the wire) blocks, payloads from empty to larger than
+        // the id hasher's staging buffer, one- and two-QC justifies.
+        let g = Block::genesis();
+        let qc = Qc::genesis(g.id());
+        let payload = Batch::new(vec![tx(1, 150), tx(2, 0), tx(3, 9000), tx(4, 1)]);
+        let normal = Block::new_normal(
+            g.id(),
+            g.view(),
+            View(3),
+            g.height().next(),
+            payload.clone(),
+            Justify::One(qc),
+        );
+        let virt = Block::new_virtual(
+            g.view(),
+            View(3),
+            g.height().plus(2),
+            payload,
+            Justify::Two(qc, qc),
+        );
+        let empty = Block::new_normal(
+            normal.id(),
+            normal.view(),
+            View(3),
+            normal.height().next(),
+            Batch::empty(),
+            Justify::None,
+        );
+        for blocks in [vec![normal.clone()], vec![empty], vec![normal, virt]] {
+            let ids: Vec<BlockId> = blocks.iter().map(Block::id).collect();
+            let msg = Message::new(
+                ReplicaId(0),
+                View(3),
+                MsgBody::Proposal(Proposal {
+                    phase: Phase::PrePrepare,
+                    blocks,
+                    justify: Justify::One(qc),
+                    vc_proof: Vec::new(),
+                }),
+            );
+            for shadow in [false, true] {
+                let dec = decode_message(&encode_message(&msg, shadow)).unwrap();
+                let MsgBody::Proposal(p) = &dec.body else {
+                    panic!("decoded a different message class");
+                };
+                let got: Vec<BlockId> = p.blocks.iter().map(Block::id).collect();
+                assert_eq!(got, ids, "shadow={shadow}");
+            }
+        }
+    }
+
+    #[test]
     fn shadow_proposal_round_trip_preserves_blocks() {
         let g = Block::genesis();
         let payload = Batch::new(vec![tx(1, 150)]);

@@ -35,6 +35,7 @@ mod block;
 pub mod codec;
 mod ids;
 mod message;
+mod preimage;
 mod qc;
 pub mod rank;
 mod transaction;

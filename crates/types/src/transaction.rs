@@ -1,7 +1,8 @@
 //! Client operations and batches.
 
+use crate::preimage::Preimage;
 use bytes::Bytes;
-use marlin_crypto::{Digest, Sha256};
+use marlin_crypto::Digest;
 use std::fmt;
 use std::sync::Arc;
 
@@ -205,23 +206,12 @@ impl Batch {
     }
 
     /// Content digest for digest-addressed dissemination (see
-    /// [`BatchId`] for what it covers and why).
-    ///
-    /// Each variable-length payload is hashed behind its own length
-    /// prefix: without it, the byte boundary between one transaction's
-    /// payload and the next transaction's fixed fields is ambiguous,
-    /// and two distinct batches could collide on the same digest.
+    /// [`BatchId`] for what it covers and why): SHA-256 over
+    /// `"marlin.batch.v1"` and the length-prefixed transaction list.
     pub fn digest(&self) -> BatchId {
-        let mut h = Sha256::new();
-        h.update(b"marlin.batch.v1");
-        h.update(&(self.txs.len() as u64).to_le_bytes());
-        for tx in self.txs.iter() {
-            h.update(&tx.id.to_le_bytes());
-            h.update(&tx.client.to_le_bytes());
-            h.update(&(tx.payload.len() as u32).to_le_bytes());
-            h.update(&tx.payload);
-        }
-        BatchId::from_digest(h.finalize())
+        let mut p = Preimage::new(b"marlin.batch.v1");
+        p.put_transactions(&self.txs);
+        BatchId::from_digest(p.finish())
     }
 }
 

@@ -207,10 +207,11 @@ fn main() {
 
     println!(
         "n = 4 (f = 1) over loopback TCP, {TX_BYTES}-byte txs, ~{:.0} ktx/s offered, \
-{}s measured after {}ms warmup — real threads, real sockets, real clocks\n",
+{}s measured after {}ms warmup — real threads, real sockets, real clocks, sha256 backend {}\n",
         TXS_PER_TICK as f64 / TICK.as_secs_f64() / 1e3,
         MEASURE.as_secs(),
         WARMUP.as_millis(),
+        marlin_bft::crypto::sha256_backend(),
     );
     println!(
         "{:<20} {:>10} {:>11} {:>10} {:>8} {:>8}",
