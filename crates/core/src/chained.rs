@@ -1251,34 +1251,7 @@ impl Chained {
             }
             Event::Recovered => self.on_recovered(&mut out),
         }
-        // A new snapshot anchor pruned the committed prefix this step:
-        // let the journal fold away history below the same horizon so
-        // long-lived nodes bound journal disk alongside block residency.
-        if let Some(horizon) = self.base.take_journal_gc() {
-            if let Some(j) = self.journal.as_mut() {
-                let _ = j.gc_below(horizon);
-            }
-        }
-        // Report the step's write-ahead journal IO (appends, bytes,
-        // modeled latency). Reported, and charged to the journal lane
-        // only when `charge_journal` opts in: folding the modeled cost
-        // into the default schedule would perturb the deterministic
-        // timings the fault-injection campaign pins by fingerprint.
-        if let Some(j) = self.journal.as_mut() {
-            let io = j.take_io();
-            if io.appends > 0 {
-                if self.base.cfg.charge_journal {
-                    out.cpu_ns += io.cost_ns;
-                    out.journal_ns += io.cost_ns;
-                }
-                out.actions.push(Action::Note(Note::JournalWrite {
-                    appends: io.appends,
-                    bytes: io.bytes,
-                    cost_ns: io.cost_ns,
-                }));
-            }
-        }
-        self.base.finish(out)
+        self.base.finish(self.journal.as_mut(), out)
     }
 }
 

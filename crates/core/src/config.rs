@@ -1,6 +1,15 @@
 //! Replica configuration.
 
+use crate::chained::{ChainedHotStuff, ChainedMarlin};
+use crate::hotstuff::HotStuff;
+use crate::jolteon::Jolteon;
+use crate::journal::SafetyJournal;
+use crate::marlin::Marlin;
+use crate::marlin_four_phase::MarlinFourPhase;
+use crate::two_phase_insecure::TwoPhaseInsecure;
+use crate::util::Protocol;
 use marlin_crypto::{CostModel, KeyStore, QcFormat};
+use marlin_storage::SnapshotStore;
 use marlin_types::ReplicaId;
 use std::sync::Arc;
 
@@ -36,6 +45,53 @@ impl ProtocolKind {
             ProtocolKind::TwoPhaseInsecure => "two-phase-insecure",
             ProtocolKind::MarlinFourPhase => "marlin-four-phase",
         }
+    }
+}
+
+/// Constructs a boxed replica of `kind` — the one place that knows
+/// which protocol supports which durability feature.
+///
+/// With a `journal`, Marlin and the chained protocols write-ahead
+/// journal their safety state to it, and `recovered` additionally
+/// rebuilds that state from the journal's replay (amnesia-safe
+/// restart; feed [`crate::Event::Recovered`] afterwards). `snapshots`
+/// attaches durable sync-anchor storage, which only Marlin uses: it is
+/// the only protocol that initiates sync runs today. The remaining
+/// protocols have no durable state: they drop both handles and restart
+/// stateless.
+pub fn build_replica(
+    kind: ProtocolKind,
+    config: Config,
+    journal: Option<SafetyJournal>,
+    recovered: bool,
+    snapshots: Option<SnapshotStore>,
+) -> Box<dyn Protocol> {
+    match kind {
+        ProtocolKind::Marlin => {
+            let core = match journal {
+                Some(j) if recovered => Marlin::recover(config, j),
+                Some(j) => Marlin::with_journal(config, j),
+                None => Marlin::new(config),
+            };
+            Box::new(match snapshots {
+                Some(s) => core.with_snapshots(s),
+                None => core,
+            })
+        }
+        ProtocolKind::ChainedMarlin => match journal {
+            Some(j) if recovered => Box::new(ChainedMarlin::recover(config, j)),
+            Some(j) => Box::new(ChainedMarlin::with_journal(config, j)),
+            None => Box::new(ChainedMarlin::new(config)),
+        },
+        ProtocolKind::ChainedHotStuff => match journal {
+            Some(j) if recovered => Box::new(ChainedHotStuff::recover(config, j)),
+            Some(j) => Box::new(ChainedHotStuff::with_journal(config, j)),
+            None => Box::new(ChainedHotStuff::new(config)),
+        },
+        ProtocolKind::HotStuff => Box::new(HotStuff::new(config)),
+        ProtocolKind::Jolteon => Box::new(Jolteon::new(config)),
+        ProtocolKind::TwoPhaseInsecure => Box::new(TwoPhaseInsecure::new(config)),
+        ProtocolKind::MarlinFourPhase => Box::new(MarlinFourPhase::new(config)),
     }
 }
 

@@ -6,14 +6,8 @@
 //! the test advances the virtual clock — making protocol logic easy to
 //! drive deterministically.
 
-use crate::chained::{ChainedHotStuff, ChainedMarlin};
-use crate::config::{Config, ProtocolKind};
+use crate::config::{build_replica, Config, ProtocolKind};
 use crate::events::{Action, Event, Note};
-use crate::hotstuff::HotStuff;
-use crate::jolteon::Jolteon;
-use crate::marlin::Marlin;
-use crate::marlin_four_phase::MarlinFourPhase;
-use crate::two_phase_insecure::TwoPhaseInsecure;
 use crate::util::Protocol;
 use bytes::Bytes;
 use marlin_telemetry::TelemetrySink;
@@ -54,17 +48,10 @@ impl Ord for TimerEntry {
     }
 }
 
-/// Constructs a boxed protocol instance of the given kind.
+/// Constructs a boxed protocol instance of the given kind with no
+/// durable state (see [`build_replica`] for the journal-backed forms).
 pub fn build_protocol(kind: ProtocolKind, config: Config) -> Box<dyn Protocol> {
-    match kind {
-        ProtocolKind::Marlin => Box::new(Marlin::new(config)),
-        ProtocolKind::HotStuff => Box::new(HotStuff::new(config)),
-        ProtocolKind::ChainedMarlin => Box::new(ChainedMarlin::new(config)),
-        ProtocolKind::ChainedHotStuff => Box::new(ChainedHotStuff::new(config)),
-        ProtocolKind::Jolteon => Box::new(Jolteon::new(config)),
-        ProtocolKind::TwoPhaseInsecure => Box::new(TwoPhaseInsecure::new(config)),
-        ProtocolKind::MarlinFourPhase => Box::new(MarlinFourPhase::new(config)),
-    }
+    build_replica(kind, config, None, false, None)
 }
 
 /// An in-process cluster of `n` replicas with instant delivery.

@@ -1,5 +1,5 @@
 //! Basic (non-chained) three-phase HotStuff (PODC 2019), the paper's
-//! baseline.
+//! baseline — as a rule set over the shared [`Replica`] skeleton.
 //!
 //! Normal case per view/height: **prepare → pre-commit → commit**, each
 //! phase one leader broadcast plus a quorum of votes combined into a
@@ -16,17 +16,10 @@
 //! three-phase lock guarantees `n − f` replicas hold the corresponding
 //! `prepareQC`, so the leader's snapshot always contains it.
 
-use crate::config::Config;
-use crate::events::{Action, Event, Note, StepOutput};
-use crate::util::{Base, Protocol};
-use crate::votes::VoteCollector;
-use marlin_types::rank::{block_rank_gt, qc_rank_cmp, qc_rank_ge};
-use marlin_types::{
-    Block, BlockId, BlockMeta, BlockStore, Decide, Justify, Message, MsgBody, Phase, Proposal, Qc,
-    QcSeed, ReplicaId, View, ViewChange, Vote,
-};
-use std::cmp::Ordering;
-use std::collections::HashMap;
+use crate::events::StepOutput;
+use crate::replica::{extends, Adopt, Core, Next, Replica, Rules};
+use marlin_types::rank::qc_rank_ge;
+use marlin_types::{Block, Justify, Phase, Proposal, ReplicaId, VcCert, View, ViewChange};
 
 /// A replica running basic HotStuff.
 ///
@@ -40,594 +33,74 @@ use std::collections::HashMap;
 /// cluster.run_until_idle();
 /// assert_eq!(cluster.total_committed_txs(0u32.into()), 20);
 /// ```
+pub type HotStuff = Replica<HotStuffRules>;
+
+/// HotStuff's rule set.
 #[derive(Clone, Debug)]
-pub struct HotStuff {
-    base: Base,
-    /// Last voted block (one vote per rank, as in Marlin).
-    lb: BlockMeta,
-    /// `lockedQC` — the `precommitQC` received in a COMMIT message.
-    locked_qc: Option<Qc>,
-    /// `prepareQC` — the highest prepare certificate known; reported in
-    /// NEW-VIEW messages.
-    high_qc: Qc,
-    votes: VoteCollector,
-    in_flight: Option<BlockId>,
-    vc_msgs: HashMap<View, HashMap<ReplicaId, ViewChange>>,
-    vc_done: HashMap<View, bool>,
+pub struct HotStuffRules;
+
+/// The safeNode check shared by HotStuff and the insecure two-phase
+/// strawman: a well-formed child of a `prepareQC` that ranks at least
+/// as high as the lock.
+pub(crate) fn safe_node(core: &mut Core<()>, block: &Block, p: &Proposal) -> bool {
+    let Justify::One(qc) = p.justify else {
+        return false;
+    };
+    qc.phase() == Phase::Prepare
+        && extends(block, &qc)
+        && qc_rank_ge(&qc, core.locked_qc.as_ref())
+        && core.base.crypto.verify_qc(&qc)
 }
 
-impl HotStuff {
-    /// Creates a replica in the pre-start state.
-    pub fn new(config: Config) -> Self {
-        HotStuff {
-            base: Base::new(config),
-            lb: BlockMeta::genesis(),
-            locked_qc: None,
-            high_qc: Qc::genesis(BlockId::GENESIS),
-            votes: VoteCollector::new(),
-            in_flight: None,
-            vc_msgs: HashMap::new(),
-            vc_done: HashMap::new(),
-        }
-    }
-
-    /// The current lock, if any.
-    pub fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
-
-    /// The highest known `prepareQC`.
-    pub fn high_qc(&self) -> &Qc {
-        &self.high_qc
-    }
-
-    fn cfg(&self) -> &Config {
-        &self.base.cfg
-    }
-
-    fn raise_lock(&mut self, qc: &Qc) {
-        let higher = match &self.locked_qc {
-            None => true,
-            Some(cur) => qc_rank_cmp(qc, cur) == Ordering::Greater,
-        };
-        if higher {
-            self.locked_qc = Some(*qc);
-        }
-    }
-
-    fn raise_high(&mut self, qc: &Qc) {
-        if qc_rank_cmp(qc, &self.high_qc) == Ordering::Greater {
-            self.high_qc = *qc;
-        }
-    }
-
-    fn enter_view(&mut self, view: View, out: &mut StepOutput) {
-        self.votes.clear();
-        self.in_flight = None;
-        let drained = self.base.enter_view(view, out);
-        self.vc_msgs.retain(|v, _| *v >= view);
-        for msg in drained {
-            let sub = self.on_event(Event::Message(msg));
-            out.merge(sub);
-        }
-    }
-
-    fn start_view_change(&mut self, target: View, out: &mut StepOutput) {
-        out.actions.push(Action::Note(Note::ViewChangeStarted {
-            from_view: self.base.cview,
-        }));
-        self.enter_view(target, out);
-        let parsig = self
-            .base
-            .crypto
-            .sign_seed(&ViewChange::happy_seed(&self.lb, target));
-        out.actions.push(Action::Send {
-            to: self.cfg().leader_of(target),
-            message: Message::new(
-                self.cfg().id,
-                target,
-                MsgBody::ViewChange(ViewChange {
-                    last_voted: self.lb,
-                    high_qc: Justify::One(self.high_qc),
-                    parsig,
-                    cert: None,
-                }),
-            ),
-        });
-    }
-
-    fn propose(&mut self, out: &mut StepOutput) {
-        let view = self.base.cview;
-        if self.in_flight.is_some() {
-            return;
-        }
-        // Wait for the new-view decision before extending a QC from an
-        // older view (a premature proposal could miss a higher QC).
-        let ready = self.high_qc.is_genesis()
-            || self.high_qc.view() == view
-            || self.vc_done.get(&view).copied().unwrap_or(false);
-        if !ready {
-            return;
-        }
-        let qc = self.high_qc;
-        let batch = self.base.take_batch();
-        let block = Block::new_normal(
-            qc.block(),
-            qc.block_view(),
-            view,
-            qc.height().next(),
-            batch,
-            Justify::One(qc),
-        );
-        self.base.store_block(&block);
-        self.in_flight = Some(block.id());
-        out.actions.push(Action::Note(Note::Proposed {
-            view,
-            height: block.height(),
-            phase: Phase::Prepare,
-        }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Proposal(Proposal {
-                    phase: Phase::Prepare,
-                    blocks: vec![block],
-                    justify: Justify::One(qc),
-                    vc_proof: Vec::new(),
-                }),
-            ),
-        });
-    }
-
-    fn on_message(&mut self, msg: Message, out: &mut StepOutput) {
-        if self.base.handle_fetch(&msg, out) {
-            return;
-        }
-        if self.base.handle_sync(&msg, out) {
-            return;
-        }
-        if let MsgBody::Decide(d) = &msg.body {
-            self.on_decide(*d, msg.from, out);
-            return;
-        }
-        if msg.view > self.base.cview {
-            self.base.buffer_future(msg);
-            if let Some(target) = self.base.future_view_change_senders(self.cfg().f + 1) {
-                if target > self.base.cview {
-                    self.start_view_change(target, out);
-                }
-            }
-            return;
-        }
-        if msg.view < self.base.cview {
-            return;
-        }
-        match msg.body {
-            MsgBody::Proposal(p) => match p.phase {
-                Phase::Prepare => self.on_prepare(msg.from, msg.view, p, out),
-                // PRE-COMMIT carries the prepareQC; COMMIT carries the
-                // precommitQC.
-                Phase::PreCommit | Phase::Commit => {
-                    self.on_phase_broadcast(msg.from, msg.view, p, out)
-                }
-                Phase::PrePrepare => {}
-            },
-            MsgBody::Vote(v) => self.on_vote(v, out),
-            MsgBody::ViewChange(vc) => self.on_view_change(msg.from, msg.view, vc, out),
-            _ => {}
-        }
-    }
-
-    /// Replica handling of a PREPARE proposal (the safeNode check).
-    fn on_prepare(&mut self, from: ReplicaId, view: View, p: Proposal, out: &mut StepOutput) {
-        if from != self.cfg().leader_of(view) || p.blocks.len() != 1 {
-            return;
-        }
-        let block = &p.blocks[0];
-        let Justify::One(qc) = p.justify else { return };
-        let valid = block.view() == view
-            && block_rank_gt(&block.meta(), &self.lb)
-            && qc.phase() == Phase::Prepare
-            && block.parent_id() == Some(qc.block())
-            && block.height() == qc.height().next()
-            && block.pview() == qc.block_view()
-            && qc_rank_ge(&qc, self.locked_qc.as_ref())
-            && self.base.crypto.verify_qc(&qc);
-        if !valid {
-            return;
-        }
-        self.base.store_block(block);
-        let seed = block.vote_seed(Phase::Prepare, view);
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        self.lb = block.meta();
-        self.base.progress_timer(out);
-    }
-
-    /// Replica handling of PRE-COMMIT (prepareQC) and COMMIT
-    /// (precommitQC) broadcasts.
-    fn on_phase_broadcast(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        p: Proposal,
-        out: &mut StepOutput,
-    ) {
-        if from != self.cfg().leader_of(view) {
-            return;
-        }
-        let Justify::One(qc) = p.justify else { return };
-        let expected_qc_phase = match p.phase {
-            Phase::PreCommit => Phase::Prepare,
-            Phase::Commit => Phase::PreCommit,
-            _ => return,
-        };
-        if qc.phase() != expected_qc_phase || qc.view() != view || !self.base.crypto.verify_qc(&qc)
-        {
-            return;
-        }
-        let seed = QcSeed {
-            phase: p.phase,
-            ..*qc.seed()
-        };
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        match p.phase {
-            // Receiving the prepareQC: record it as highQC.
-            Phase::PreCommit => self.raise_high(&qc),
-            // Receiving the precommitQC: become locked.
-            Phase::Commit => self.raise_lock(&qc),
-            _ => {}
-        }
-        self.base.progress_timer(out);
-    }
-
-    /// Leader vote handling: prepare → precommit → commit QCs.
-    fn on_vote(&mut self, v: Vote, out: &mut StepOutput) {
-        if v.seed.view != self.base.cview || Some(v.seed.block) != self.in_flight {
-            return;
-        }
-        let quorum = self.cfg().quorum();
-        let Some(qc) =
-            crate::votes::add_vote_noted(&mut self.votes, &v, quorum, &mut self.base.crypto, out)
-        else {
-            return;
-        };
-        out.actions.push(Action::Note(Note::QcFormed {
-            phase: qc.phase(),
-            view: qc.view(),
-            height: qc.height(),
-        }));
-        let view = self.base.cview;
-        match qc.phase() {
-            Phase::Prepare => {
-                self.raise_high(&qc);
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        view,
-                        MsgBody::Proposal(Proposal {
-                            phase: Phase::PreCommit,
-                            blocks: Vec::new(),
-                            justify: Justify::One(qc),
-                            vc_proof: Vec::new(),
-                        }),
-                    ),
-                });
-            }
-            Phase::PreCommit => {
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        view,
-                        MsgBody::Proposal(Proposal {
-                            phase: Phase::Commit,
-                            blocks: Vec::new(),
-                            justify: Justify::One(qc),
-                            vc_proof: Vec::new(),
-                        }),
-                    ),
-                });
-            }
-            Phase::Commit => {
-                self.in_flight = None;
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        view,
-                        MsgBody::Decide(Decide { commit_qc: qc }),
-                    ),
-                });
-                if self.base.mempool.is_empty() {
-                    out.actions.push(Action::SetHeartbeat {
-                        delay_ns: self.base.cfg.base_timeout_ns / 4,
-                    });
-                } else {
-                    self.propose(out);
-                }
-            }
-            Phase::PrePrepare => {}
-        }
-    }
-
-    fn on_decide(&mut self, d: Decide, from: ReplicaId, out: &mut StepOutput) {
-        let qc = d.commit_qc;
-        if qc.phase() != Phase::Commit || !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        if qc.view() > self.base.cview {
-            self.enter_view(qc.view(), out);
-        }
-        self.base.try_commit(qc, from, out);
-    }
-
-    /// New-leader handling of NEW-VIEW messages: extend the highest
-    /// reported `prepareQC` (linear view change).
-    fn on_view_change(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        vc: ViewChange,
-        out: &mut StepOutput,
-    ) {
-        if !self.cfg().is_leader(view) || self.vc_done.get(&view).copied().unwrap_or(false) {
-            return;
-        }
-        let msgs = self.vc_msgs.entry(view).or_default();
-        msgs.insert(from, vc);
-        if msgs.len() < self.cfg().quorum() {
-            return;
-        }
-        self.vc_done.insert(view, true);
-        let msgs = self.vc_msgs.get(&view).expect("exists").clone();
-        let mut best: Option<Qc> = None;
-        for m in msgs.values() {
-            if let Some(qc) = m.high_qc.qc() {
-                if qc.phase() == Phase::Prepare
-                    && self.base.crypto.verify_qc(qc)
-                    && best
-                        .as_ref()
-                        .is_none_or(|b| qc_rank_cmp(qc, b) == Ordering::Greater)
-                {
-                    best = Some(*qc);
-                }
-            }
-        }
-        if let Some(qc) = best {
-            self.raise_high(&qc);
-            self.propose(out);
-        }
-    }
+/// The new-view gate shared by HotStuff and the strawman: a leader
+/// extends a QC from an older view only after the new-view decision (a
+/// premature proposal could miss a higher QC).
+pub(crate) fn licence_after_decision(
+    core: &Core<()>,
+    view: View,
+    fresh: bool,
+) -> Option<Vec<VcCert>> {
+    (fresh || core.rounds.get(&view).is_some_and(|r| r.decided)).then(Vec::new)
 }
 
-impl Protocol for HotStuff {
-    fn config(&self) -> &Config {
-        &self.base.cfg
+impl Rules for HotStuffRules {
+    type Round = ();
+
+    const NAME: &'static str = "hotstuff";
+
+    /// safeNode; a prepare vote raises nothing.
+    fn vote_rule(core: &mut Core<()>, _view: View, block: &Block, p: &Proposal) -> Option<Adopt> {
+        safe_node(core, block, p).then_some(Adopt::Nothing)
     }
 
-    fn current_view(&self) -> View {
-        self.base.cview
-    }
-
-    fn store(&self) -> &BlockStore {
-        &self.base.store
-    }
-
-    fn mempool_len(&self) -> usize {
-        self.base.mempool.len()
-    }
-
-    fn maintain_crypto(&mut self, max_verified: usize) -> crate::CryptoCacheStats {
-        self.base.maintain_crypto(max_verified)
-    }
-
-    fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
-
-    fn name(&self) -> &'static str {
-        "hotstuff"
-    }
-
-    fn on_event(&mut self, event: Event) -> StepOutput {
-        let mut out = StepOutput::empty();
-        match event {
-            Event::Start => {
-                // Idempotent: a replica that already joined a view
-                // (e.g. via a commit certificate that arrived before
-                // its start event) must not regress.
-                if self.base.cview == View::GENESIS {
-                    self.enter_view(View(1), &mut out);
-                    if self.cfg().is_leader(View(1)) {
-                        self.propose(&mut out);
-                    }
-                }
-            }
-            Event::Message(msg) => self.on_message(msg, &mut out),
-            Event::Timeout { view } => {
-                if view == self.base.cview {
-                    self.start_view_change(view.next(), &mut out);
-                }
-            }
-            Event::NewTransactions(txs) => {
-                self.base.add_transactions(txs, &mut out);
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    self.propose(&mut out);
-                }
-            }
-            Event::Heartbeat => {
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    if self.base.mempool.is_empty() {
-                        out.actions.push(Action::SetHeartbeat {
-                            delay_ns: self.base.cfg.base_timeout_ns / 4,
-                        });
-                    }
-                    self.propose(&mut out);
-                }
-            }
-            Event::Recovered => {
-                // Pre-crash timers died with the process: re-arm the view
-                // timer so the replica can time out of a stale view.
-                out.actions.push(Action::SetTimer {
-                    view: self.base.cview,
-                    delay_ns: self.base.pacemaker.delay_for(self.base.cview),
-                });
-            }
+    /// `PRE-COMMIT` carries the `prepareQC` (recorded as `highQC`);
+    /// `COMMIT` carries the `precommitQC` (the replica becomes locked).
+    fn broadcast_rule(broadcast: Phase, carried: Phase) -> Option<Adopt> {
+        match (broadcast, carried) {
+            (Phase::PreCommit, Phase::Prepare) => Some(Adopt::High),
+            (Phase::Commit, Phase::PreCommit) => Some(Adopt::Lock),
+            _ => None,
         }
-        self.base.finish(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::harness::Cluster;
-    use crate::ProtocolKind;
-
-    const P0: ReplicaId = ReplicaId(0);
-    const P1: ReplicaId = ReplicaId(1);
-    const P2: ReplicaId = ReplicaId(2);
-
-    #[test]
-    fn normal_case_commits() {
-        let mut cl = Cluster::new(ProtocolKind::HotStuff, Config::for_test(4, 1), 1);
-        cl.submit_to(P1, 40, 150);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 40);
     }
 
-    #[test]
-    fn three_phases_per_block() {
-        let mut cl = Cluster::new(ProtocolKind::HotStuff, Config::for_test(4, 1), 2);
-        cl.submit_to(P1, 5, 0);
-        cl.run_until_idle();
-        // For the tx-carrying block there must be Prepare, PreCommit and
-        // Commit QCs at the leader.
-        let phases: Vec<Phase> = cl
-            .notes()
-            .iter()
-            .filter_map(|(p, n)| match n {
-                Note::QcFormed { phase, .. } if *p == P1 => Some(*phase),
-                _ => None,
-            })
-            .collect();
-        assert!(phases.contains(&Phase::Prepare));
-        assert!(phases.contains(&Phase::PreCommit));
-        assert!(phases.contains(&Phase::Commit));
+    fn prepare_qc_phase(_core: &Core<()>) -> Phase {
+        Phase::PreCommit
     }
 
-    #[test]
-    fn leader_crash_view_change_recovers() {
-        let mut cl = Cluster::new(ProtocolKind::HotStuff, Config::for_test(4, 1), 3);
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        cl.crash(P1);
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
+    /// Extend the highest reported `prepareQC` (linear view change).
+    fn on_new_view(
+        core: &mut Core<()>,
+        _view: View,
+        msgs: Vec<(ReplicaId, ViewChange)>,
+        _out: &mut StepOutput,
+    ) -> Next {
+        match core.adopt_highest_reported(&msgs, true) {
+            Some(_) => Next::Propose,
+            None => Next::Idle,
         }
-        cl.run_until_idle();
-        cl.submit_to(P2, 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 20);
     }
 
-    #[test]
-    fn unsafe_snapshot_is_harmless_for_three_phases() {
-        // The HotStuff analogue of Figure 2a: hide the newest block's
-        // COMMIT phase from two replicas, then view change without the
-        // informed replica's NEW-VIEW. With a three-phase rule nothing
-        // is locked prematurely and the view change proceeds.
-        let mut cl = Cluster::new(ProtocolKind::HotStuff, Config::for_test(4, 1), 4);
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        let committed = cl.committed_height(P0);
-
-        // Suppress the next block's PreCommit/Commit broadcasts to all
-        // but p0, then crash the leader: only p0 knows the prepareQC.
-        let contested = committed as u64 + 1;
-        cl.set_filter(Box::new(move |_f, to, msg: &Message| match &msg.body {
-            MsgBody::Proposal(p) if matches!(p.phase, Phase::PreCommit | Phase::Commit) => {
-                !(p.justify.qc().is_some_and(|qc| qc.height().0 == contested) && to != P0)
-            }
-            _ => true,
-        }));
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        let stale_block = cl.committed_blocks(P0).last().expect("committed").clone();
-        cl.crash(P1);
-        // Unsafe snapshot: drop p0's NEW-VIEW; the crashed leader's slot
-        // is filled by a crafted Byzantine NEW-VIEW claiming the stale
-        // prepareQC (the Figure 2a adversary).
-        cl.set_filter(Box::new(|from, _to, msg: &Message| {
-            !(from == P0 && matches!(msg.body, MsgBody::ViewChange(_)))
-        }));
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
-        }
-        cl.run_until_idle();
-        let cfg = Config::for_test(4, 1);
-        let qc_seed = stale_block.vote_seed(Phase::Prepare, View(1));
-        let partials: Vec<_> = (0..3)
-            .map(|i| cfg.keys.signer(i).sign_partial(&qc_seed.signing_bytes()))
-            .collect();
-        let stale_qc = Qc::combine(
-            qc_seed,
-            &partials,
-            &cfg.keys,
-            marlin_crypto::QcFormat::Threshold,
-        )
-        .unwrap();
-        let lb = stale_block.meta();
-        let parsig = cfg
-            .keys
-            .signer(1)
-            .sign_partial(&ViewChange::happy_seed(&lb, View(2)).signing_bytes());
-        cl.inject(
-            P2,
-            Message::new(
-                P1,
-                View(2),
-                MsgBody::ViewChange(ViewChange {
-                    last_voted: lb,
-                    high_qc: Justify::One(stale_qc),
-                    parsig,
-                    cert: None,
-                }),
-            ),
-        );
-        // The new leader proposes from the stale prepareQC; p0 is not
-        // locked (it never saw a precommitQC), so it accepts and the
-        // protocol stays live — the three-phase rule makes the unsafe
-        // snapshot harmless.
-        cl.clear_filter();
-        cl.submit_to(P2, 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert!(cl.total_committed_txs(P2) >= 20);
+    fn proposal_licence(core: &mut Core<()>, view: View, fresh: bool) -> Option<Vec<VcCert>> {
+        licence_after_decision(core, view, fresh)
     }
 }

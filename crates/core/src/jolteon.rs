@@ -1,5 +1,6 @@
 //! A Jolteon/Fast-HotStuff-style baseline: a **two-phase normal case**
-//! bought with a **quadratic view change**.
+//! bought with a **quadratic view change** — as a rule set over the
+//! shared [`Replica`] skeleton.
 //!
 //! The normal case matches Marlin's (prepare + commit, replicas lock on
 //! the `prepareQC`). The view change is PBFT-like: each replica's
@@ -12,210 +13,65 @@
 //! Fast-HotStuff, and what Marlin's replica-voted pre-prepare phase
 //! removes.
 
-use crate::config::Config;
-use crate::events::{Action, Event, Note, StepOutput};
-use crate::util::{Base, Protocol};
-use crate::votes::VoteCollector;
-use marlin_types::rank::{block_rank_gt, qc_rank_cmp, qc_rank_ge};
-use marlin_types::{
-    Block, BlockId, BlockMeta, BlockStore, Decide, Justify, Message, MsgBody, Phase, Proposal, Qc,
-    ReplicaId, VcCert, View, ViewChange, Vote,
-};
+use crate::events::StepOutput;
+use crate::replica::{extends, Adopt, Core, Next, Replica, Rules};
+use marlin_crypto::Signature;
+use marlin_types::rank::{qc_rank_cmp, qc_rank_ge};
+use marlin_types::{Block, Justify, Phase, Proposal, Qc, ReplicaId, VcCert, View, ViewChange};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// A replica running the Jolteon-style baseline.
+pub type Jolteon = Replica<JolteonRules>;
+
+/// The Jolteon-style rule set.
 #[derive(Clone, Debug)]
-pub struct Jolteon {
-    base: Base,
-    lb: BlockMeta,
-    locked_qc: Option<Qc>,
-    high_qc: Qc,
-    votes: VoteCollector,
-    in_flight: Option<BlockId>,
-    vc_msgs: HashMap<View, HashMap<ReplicaId, ViewChange>>,
-    vc_done: HashMap<View, bool>,
-    /// Views whose first proposal must carry the quadratic proof.
-    proof_for_view: HashMap<View, Vec<VcCert>>,
+pub struct JolteonRules;
+
+/// Per-view leader state: the quadratic proof the view's first
+/// proposal must carry, once the new-view decision assembled it.
+#[derive(Clone, Debug, Default)]
+pub struct ProofRound {
+    proof: Option<Vec<VcCert>>,
 }
 
-impl Jolteon {
-    /// Creates a replica in the pre-start state.
-    pub fn new(config: Config) -> Self {
-        Jolteon {
-            base: Base::new(config),
-            lb: BlockMeta::genesis(),
-            locked_qc: None,
-            high_qc: Qc::genesis(BlockId::GENESIS),
-            votes: VoteCollector::new(),
-            in_flight: None,
-            vc_msgs: HashMap::new(),
-            vc_done: HashMap::new(),
-            proof_for_view: HashMap::new(),
+/// Verifies a quadratic new-view proof: `n − f` valid certificates
+/// from distinct replicas, none claiming a QC above `qc`.
+fn verify_vc_proof(core: &mut Core<ProofRound>, view: View, qc: &Qc, proof: &[VcCert]) -> bool {
+    let mut seen = std::collections::HashSet::new();
+    let mut valid = 0usize;
+    for cert in proof {
+        if !seen.insert(cert.from) {
+            continue;
         }
+        if !core.base.crypto.verify_vc_cert(view, cert) {
+            continue;
+        }
+        if qc_rank_cmp(&cert.high_qc, qc) == Ordering::Greater {
+            return false; // the leader ignored a higher QC
+        }
+        valid += 1;
     }
+    valid >= core.cfg().quorum()
+}
 
-    /// The current lock, if any.
-    pub fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
+impl Rules for JolteonRules {
+    type Round = ProofRound;
 
-    fn cfg(&self) -> &Config {
-        &self.base.cfg
-    }
+    const NAME: &'static str = "jolteon";
 
-    fn raise_lock(&mut self, qc: &Qc) {
-        let higher = match &self.locked_qc {
-            None => true,
-            Some(cur) => qc_rank_cmp(qc, cur) == Ordering::Greater,
+    fn vote_rule(
+        core: &mut Core<ProofRound>,
+        view: View,
+        block: &Block,
+        p: &Proposal,
+    ) -> Option<Adopt> {
+        let Justify::One(qc) = p.justify else {
+            return None;
         };
-        if higher {
-            self.locked_qc = Some(*qc);
-        }
-    }
-
-    fn raise_high(&mut self, qc: &Qc) {
-        if qc_rank_cmp(qc, &self.high_qc) == Ordering::Greater {
-            self.high_qc = *qc;
-        }
-    }
-
-    fn enter_view(&mut self, view: View, out: &mut StepOutput) {
-        self.votes.clear();
-        self.in_flight = None;
-        let drained = self.base.enter_view(view, out);
-        self.vc_msgs.retain(|v, _| *v >= view);
-        self.proof_for_view.retain(|v, _| *v >= view);
-        for msg in drained {
-            let sub = self.on_event(Event::Message(msg));
-            out.merge(sub);
-        }
-    }
-
-    fn start_view_change(&mut self, target: View, out: &mut StepOutput) {
-        out.actions.push(Action::Note(Note::ViewChangeStarted {
-            from_view: self.base.cview,
-        }));
-        self.enter_view(target, out);
-        let parsig = self
-            .base
-            .crypto
-            .sign_seed(&ViewChange::happy_seed(&self.lb, target));
-        // The quadratic-proof certificate: a conventional signature over
-        // our highQC claim for the target view.
-        let cert_bytes = VcCert::signing_bytes(self.cfg().id, target, &self.high_qc);
-        let cert = self.base.crypto.sign_bytes(&cert_bytes);
-        out.actions.push(Action::Send {
-            to: self.cfg().leader_of(target),
-            message: Message::new(
-                self.cfg().id,
-                target,
-                MsgBody::ViewChange(ViewChange {
-                    last_voted: self.lb,
-                    high_qc: Justify::One(self.high_qc),
-                    parsig,
-                    cert: Some(cert),
-                }),
-            ),
-        });
-    }
-
-    fn propose(&mut self, out: &mut StepOutput) {
-        let view = self.base.cview;
-        if self.in_flight.is_some() {
-            return;
-        }
-        // A cross-view justify needs the quadratic proof, which only
-        // exists once the new-view decision has been made.
-        let ready = self.high_qc.is_genesis()
-            || self.high_qc.view() == view
-            || self.proof_for_view.contains_key(&view);
-        if !ready {
-            return;
-        }
-        let qc = self.high_qc;
-        let batch = self.base.take_batch();
-        let block = Block::new_normal(
-            qc.block(),
-            qc.block_view(),
-            view,
-            qc.height().next(),
-            batch,
-            Justify::One(qc),
-        );
-        self.base.store_block(&block);
-        self.in_flight = Some(block.id());
-        out.actions.push(Action::Note(Note::Proposed {
-            view,
-            height: block.height(),
-            phase: Phase::Prepare,
-        }));
-        let vc_proof = self.proof_for_view.remove(&view).unwrap_or_default();
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Proposal(Proposal {
-                    phase: Phase::Prepare,
-                    blocks: vec![block],
-                    justify: Justify::One(qc),
-                    vc_proof,
-                }),
-            ),
-        });
-    }
-
-    fn on_message(&mut self, msg: Message, out: &mut StepOutput) {
-        if self.base.handle_fetch(&msg, out) {
-            return;
-        }
-        if self.base.handle_sync(&msg, out) {
-            return;
-        }
-        if let MsgBody::Decide(d) = &msg.body {
-            self.on_decide(*d, msg.from, out);
-            return;
-        }
-        if msg.view > self.base.cview {
-            self.base.buffer_future(msg);
-            if let Some(target) = self.base.future_view_change_senders(self.cfg().f + 1) {
-                if target > self.base.cview {
-                    self.start_view_change(target, out);
-                }
-            }
-            return;
-        }
-        if msg.view < self.base.cview {
-            return;
-        }
-        match msg.body {
-            MsgBody::Proposal(p) if p.phase == Phase::Prepare => {
-                self.on_prepare(msg.from, msg.view, p, out)
-            }
-            MsgBody::Proposal(p) if p.phase == Phase::Commit => {
-                self.on_commit(msg.from, msg.view, p, out)
-            }
-            MsgBody::Vote(v) => self.on_vote(v, out),
-            MsgBody::ViewChange(vc) => self.on_view_change(msg.from, msg.view, vc, out),
-            _ => {}
-        }
-    }
-
-    fn on_prepare(&mut self, from: ReplicaId, view: View, p: Proposal, out: &mut StepOutput) {
-        if from != self.cfg().leader_of(view) || p.blocks.len() != 1 {
-            return;
-        }
-        let block = &p.blocks[0];
-        let Justify::One(qc) = p.justify else { return };
-        let structural = block.view() == view
-            && block_rank_gt(&block.meta(), &self.lb)
-            && qc.phase() == Phase::Prepare
-            && block.parent_id() == Some(qc.block())
-            && block.height() == qc.height().next()
-            && block.pview() == qc.block_view()
-            && self.base.crypto.verify_qc(&qc);
+        let structural =
+            qc.phase() == Phase::Prepare && extends(block, &qc) && core.base.crypto.verify_qc(&qc);
         if !structural {
-            return;
+            return None;
         }
         // Within a view the justify is the in-view chain: the lock rank
         // check suffices. Across a view change the leader must present a
@@ -223,178 +79,50 @@ impl Jolteon {
         // which unlocks any replica (the PBFT-style rule); verifying the
         // bundle is the O(n) per-replica / O(n²) total cost.
         let safe = if qc.is_genesis() || qc.view() == view {
-            qc_rank_ge(&qc, self.locked_qc.as_ref())
+            qc_rank_ge(&qc, core.locked_qc.as_ref())
         } else {
-            self.verify_vc_proof(view, &qc, &p.vc_proof)
+            verify_vc_proof(core, view, &qc, &p.vc_proof)
         };
-        if !safe {
-            return;
-        }
-        self.base.store_block(block);
-        let seed = block.vote_seed(Phase::Prepare, view);
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        self.lb = block.meta();
-        self.raise_high(&qc);
-        self.raise_lock(&qc);
-        self.base.progress_timer(out);
+        safe.then_some(Adopt::Both)
     }
 
-    /// Verifies a quadratic new-view proof: `n − f` valid certificates
-    /// from distinct replicas, none claiming a QC above `qc`.
-    fn verify_vc_proof(&mut self, view: View, qc: &Qc, proof: &[VcCert]) -> bool {
-        let mut seen = std::collections::HashSet::new();
-        let mut valid = 0usize;
-        for cert in proof {
-            if !seen.insert(cert.from) {
-                continue;
-            }
-            if !self.base.crypto.verify_vc_cert(view, cert) {
-                continue;
-            }
-            if qc_rank_cmp(&cert.high_qc, qc) == Ordering::Greater {
-                return false; // the leader ignored a higher QC
-            }
-            valid += 1;
-        }
-        valid >= self.cfg().quorum()
+    fn broadcast_rule(broadcast: Phase, carried: Phase) -> Option<Adopt> {
+        (broadcast == Phase::Commit && carried == Phase::Prepare).then_some(Adopt::Both)
     }
 
-    fn on_commit(&mut self, from: ReplicaId, view: View, p: Proposal, out: &mut StepOutput) {
-        if from != self.cfg().leader_of(view) {
-            return;
-        }
-        let Justify::One(qc) = p.justify else { return };
-        if qc.phase() != Phase::Prepare || qc.view() != view || !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        let seed = marlin_types::QcSeed {
-            phase: Phase::Commit,
-            ..*qc.seed()
-        };
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        self.raise_high(&qc);
-        self.raise_lock(&qc);
-        self.base.progress_timer(out);
+    /// The quadratic-proof certificate: a conventional signature over
+    /// our `highQC` claim for the target view.
+    fn view_change_cert(core: &mut Core<ProofRound>, target: View) -> Option<Signature> {
+        let high_qc = *core.high_qc.qc()?;
+        let cert_bytes = VcCert::signing_bytes(core.cfg().id, target, &high_qc);
+        Some(core.base.crypto.sign_bytes(&cert_bytes))
     }
 
-    fn on_vote(&mut self, v: Vote, out: &mut StepOutput) {
-        if v.seed.view != self.base.cview || Some(v.seed.block) != self.in_flight {
-            return;
-        }
-        let quorum = self.cfg().quorum();
-        let Some(qc) =
-            crate::votes::add_vote_noted(&mut self.votes, &v, quorum, &mut self.base.crypto, out)
-        else {
-            return;
-        };
-        out.actions.push(Action::Note(Note::QcFormed {
-            phase: qc.phase(),
-            view: qc.view(),
-            height: qc.height(),
-        }));
-        match qc.phase() {
-            Phase::Prepare => {
-                self.raise_high(&qc);
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        self.base.cview,
-                        MsgBody::Proposal(Proposal {
-                            phase: Phase::Commit,
-                            blocks: Vec::new(),
-                            justify: Justify::One(qc),
-                            vc_proof: Vec::new(),
-                        }),
-                    ),
-                });
-            }
-            Phase::Commit => {
-                self.in_flight = None;
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        self.base.cview,
-                        MsgBody::Decide(Decide { commit_qc: qc }),
-                    ),
-                });
-                if self.base.mempool.is_empty() {
-                    out.actions.push(Action::SetHeartbeat {
-                        delay_ns: self.base.cfg.base_timeout_ns / 4,
-                    });
-                } else {
-                    self.propose(out);
-                }
-            }
-            _ => {}
-        }
+    /// Only certificate-carrying messages are usable in the proof.
+    fn usable_view_change(vc: &ViewChange) -> bool {
+        vc.cert.is_some()
     }
 
-    fn on_decide(&mut self, d: Decide, from: ReplicaId, out: &mut StepOutput) {
-        let qc = d.commit_qc;
-        if qc.phase() != Phase::Commit || !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        if qc.view() > self.base.cview {
-            self.enter_view(qc.view(), out);
-        }
-        self.base.try_commit(qc, from, out);
-    }
-
-    fn on_view_change(
-        &mut self,
-        from: ReplicaId,
+    /// Bundle the quorum's certificates (in sender order) and extend
+    /// the highest certified QC.
+    fn on_new_view(
+        core: &mut Core<ProofRound>,
         view: View,
-        vc: ViewChange,
-        out: &mut StepOutput,
-    ) {
-        if !self.cfg().is_leader(view) || self.vc_done.get(&view).copied().unwrap_or(false) {
-            return;
-        }
-        // Only certificate-carrying messages are usable in the proof.
-        if vc.cert.is_none() {
-            return;
-        }
-        let msgs = self.vc_msgs.entry(view).or_default();
-        msgs.insert(from, vc);
-        if msgs.len() < self.cfg().quorum() {
-            return;
-        }
-        self.vc_done.insert(view, true);
-        let msgs = self.vc_msgs.get(&view).expect("exists").clone();
+        msgs: Vec<(ReplicaId, ViewChange)>,
+        _out: &mut StepOutput,
+    ) -> Next {
         let mut certs = Vec::with_capacity(msgs.len());
         let mut best: Option<Qc> = None;
         for (sender, m) in &msgs {
-            let Some(qc) = m.high_qc.qc() else { continue };
+            let (Some(qc), Some(sig)) = (m.high_qc.qc(), m.cert) else {
+                continue;
+            };
             let cert = VcCert {
                 from: *sender,
                 high_qc: *qc,
-                sig: m.cert.expect("filtered above"),
+                sig,
             };
-            if !self.base.crypto.verify_vc_cert(view, &cert) {
+            if !core.base.crypto.verify_vc_cert(view, &cert) {
                 continue;
             }
             if best
@@ -405,200 +133,23 @@ impl Jolteon {
             }
             certs.push(cert);
         }
-        if certs.len() < self.cfg().quorum() {
-            return;
-        }
-        if let Some(qc) = best {
-            self.raise_high(&qc);
-            self.proof_for_view.insert(view, certs);
-            self.propose(out);
-        }
-    }
-}
-
-impl Protocol for Jolteon {
-    fn config(&self) -> &Config {
-        &self.base.cfg
+        let Some(qc) = best.filter(|_| certs.len() >= core.cfg().quorum()) else {
+            return Next::Idle;
+        };
+        core.raise_high(&qc);
+        core.round_mut(view).ext.proof = Some(certs);
+        Next::Propose
     }
 
-    fn current_view(&self) -> View {
-        self.base.cview
-    }
-
-    fn store(&self) -> &BlockStore {
-        &self.base.store
-    }
-
-    fn mempool_len(&self) -> usize {
-        self.base.mempool.len()
-    }
-
-    fn maintain_crypto(&mut self, max_verified: usize) -> crate::CryptoCacheStats {
-        self.base.maintain_crypto(max_verified)
-    }
-
-    fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
-
-    fn name(&self) -> &'static str {
-        "jolteon"
-    }
-
-    fn on_event(&mut self, event: Event) -> StepOutput {
-        let mut out = StepOutput::empty();
-        match event {
-            Event::Start => {
-                // Idempotent: a replica that already joined a view
-                // (e.g. via a commit certificate that arrived before
-                // its start event) must not regress.
-                if self.base.cview == View::GENESIS {
-                    self.enter_view(View(1), &mut out);
-                    if self.cfg().is_leader(View(1)) {
-                        self.propose(&mut out);
-                    }
-                }
-            }
-            Event::Message(msg) => self.on_message(msg, &mut out),
-            Event::Timeout { view } => {
-                if view == self.base.cview {
-                    self.start_view_change(view.next(), &mut out);
-                }
-            }
-            Event::NewTransactions(txs) => {
-                self.base.add_transactions(txs, &mut out);
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    self.propose(&mut out);
-                }
-            }
-            Event::Heartbeat => {
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    if self.base.mempool.is_empty() {
-                        out.actions.push(Action::SetHeartbeat {
-                            delay_ns: self.base.cfg.base_timeout_ns / 4,
-                        });
-                    }
-                    self.propose(&mut out);
-                }
-            }
-            Event::Recovered => {
-                // Pre-crash timers died with the process: re-arm the view
-                // timer so the replica can time out of a stale view.
-                out.actions.push(Action::SetTimer {
-                    view: self.base.cview,
-                    delay_ns: self.base.pacemaker.delay_for(self.base.cview),
-                });
-            }
-        }
-        self.base.finish(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::harness::Cluster;
-    use crate::ProtocolKind;
-
-    const P0: ReplicaId = ReplicaId(0);
-    const P1: ReplicaId = ReplicaId(1);
-    const P2: ReplicaId = ReplicaId(2);
-
-    #[test]
-    fn normal_case_commits() {
-        let mut cl = Cluster::new(ProtocolKind::Jolteon, Config::for_test(4, 1), 1);
-        cl.submit_to(P1, 30, 150);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 30);
-    }
-
-    #[test]
-    fn view_change_carries_quadratic_proof() {
-        let mut cl = Cluster::new(ProtocolKind::Jolteon, Config::for_test(4, 1), 2);
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        cl.crash(P1);
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
-        }
-        cl.run_until_idle();
-        cl.submit_to(P2, 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 20);
-    }
-
-    #[test]
-    fn unsafe_snapshot_unlocked_by_proof() {
-        // The scenario that stalls the insecure two-phase protocol: a
-        // replica locked on a hidden QC. Jolteon's proof convinces it to
-        // unlock, so liveness is preserved (at quadratic cost).
-        let mut cl = Cluster::new(ProtocolKind::Jolteon, Config::for_test(4, 1), 3);
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        let contested = cl.committed_height(P0) as u64 + 1;
-        cl.set_filter(Box::new(move |_f, to, msg: &Message| match &msg.body {
-            MsgBody::Proposal(p) if p.phase == Phase::Prepare => {
-                !(p.blocks.first().is_some_and(|b| b.height().0 == contested) && to == P2)
-            }
-            MsgBody::Proposal(p) if p.phase == Phase::Commit => {
-                p.justify.qc().is_none_or(|qc| qc.height().0 != contested) || to == P0
-            }
-            _ => true,
-        }));
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        let stale_block = cl.committed_blocks(P0).last().expect("committed").clone();
-        cl.crash(P1);
-        // Unsafe snapshot: p0's (locked) VIEW-CHANGE never reaches p2;
-        // the crashed leader's slot is filled by a crafted Byzantine
-        // certificate claiming the stale QC.
-        cl.set_filter(Box::new(|from, _to, msg: &Message| {
-            !(from == P0 && matches!(msg.body, MsgBody::ViewChange(_)))
-        }));
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
-        }
-        cl.run_until_idle();
-        let cfg = Config::for_test(4, 1);
-        let qc_seed = stale_block.vote_seed(Phase::Prepare, View(1));
-        let partials: Vec<_> = (0..3)
-            .map(|i| cfg.keys.signer(i).sign_partial(&qc_seed.signing_bytes()))
-            .collect();
-        let stale_qc = Qc::combine(
-            qc_seed,
-            &partials,
-            &cfg.keys,
-            marlin_crypto::QcFormat::Threshold,
-        )
-        .unwrap();
-        let lb = stale_block.meta();
-        let parsig = cfg
-            .keys
-            .signer(1)
-            .sign_partial(&ViewChange::happy_seed(&lb, View(2)).signing_bytes());
-        let cert_bytes = VcCert::signing_bytes(P1, View(2), &stale_qc);
-        let cert = cfg.keys.signer(1).sign(&cert_bytes);
-        cl.inject(
-            P2,
-            Message::new(
-                P1,
-                View(2),
-                MsgBody::ViewChange(ViewChange {
-                    last_voted: lb,
-                    high_qc: Justify::One(stale_qc),
-                    parsig,
-                    cert: Some(cert),
-                }),
-            ),
-        );
-        // p2's proposal extends the lower QC but carries proof of a
-        // quorum's certificates — p0 unlocks and votes; progress resumes.
-        cl.clear_filter();
-        cl.submit_to(P2, 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert!(cl.total_committed_txs(P2) >= 20);
+    /// A cross-view justify needs the quadratic proof, which only
+    /// exists once the new-view decision has been made; the view's
+    /// first proposal carries it.
+    fn proposal_licence(
+        core: &mut Core<ProofRound>,
+        view: View,
+        fresh: bool,
+    ) -> Option<Vec<VcCert>> {
+        let proof = core.rounds.get_mut(&view).and_then(|r| r.ext.proof.take());
+        (fresh || proof.is_some()).then(|| proof.unwrap_or_default())
     }
 }

@@ -9,15 +9,22 @@
 //! `marlin-node`), under the in-process [`harness`] used by tests, and
 //! under the benchmark drivers.
 //!
-//! Protocols provided:
+//! Protocols provided. The five non-chained protocols are one replica
+//! skeleton ([`Replica`]: pacemaker, vote collection, write-ahead
+//! journal, view-change collection, the event loop) instantiated with
+//! five *rule sets* — each module below holds only what its protocol
+//! decides for itself (DESIGN.md §18 has the full rule table):
 //!
-//! | module | protocol | normal case | view change |
-//! |--------|----------|-------------|-------------|
-//! | [`marlin`] | **Marlin** (the paper's contribution) | 2 phases | 2 (happy) or 3 phases, linear |
-//! | [`hotstuff`] | basic HotStuff | 3 phases | 3 phases, linear |
-//! | [`chained`] | chained (pipelined) Marlin & HotStuff | 1 proposal/round | as base protocol |
-//! | [`jolteon`] | Jolteon-style two-phase baseline | 2 phases | 2 phases, **quadratic** |
-//! | [`two_phase_insecure`] | the strawman of Section IV-B | 2 phases | loses liveness (kept for the Fig. 2 demonstrations) |
+//! | module | protocol | phase ladder | lock raised on | view change: the leader's decision and the cross-view vote predicate |
+//! |--------|----------|--------------|----------------|------|
+//! | [`marlin`] | **Marlin** (the paper's contribution) | prepare → commit | `prepareQC` | happy path (unanimous `lb`) or replica-voted pre-prepare with virtual/shadow blocks, Cases V1–V3 / R1–R3; 2 or 3 phases, linear |
+//! | [`hotstuff`] | basic HotStuff | prepare → pre-commit → commit | `precommitQC` | extend the highest `prepareQC`; safeNode; 3 phases, linear |
+//! | [`jolteon`] | Jolteon-style two-phase baseline | prepare → commit | `prepareQC` | extend the highest certified QC, proving it with `n − f` certificates; 2 phases, **quadratic** |
+//! | [`two_phase_insecure`] | the strawman of Section IV-B | prepare → commit | `prepareQC` | extend the highest QC seen, no unlocking — loses liveness (kept for the Fig. 2 demonstrations) |
+//! | [`marlin_four_phase`] | the "half-baked" design of Section IV-D (ablation) | prepare → commit; recovery block prepare → pre-commit → commit | `prepareQC` / `precommitQC` | NACK-and-restart pre-prepare without virtual blocks; 4 phases, linear |
+//! | [`chained`] | chained (pipelined) Marlin & HotStuff | 1 proposal/round, two-/three-chain commit | as base protocol | as base protocol (its own state machine) |
+//!
+//! [`build_replica`] constructs any of them from a [`ProtocolKind`].
 //!
 //! # Example
 //!
@@ -46,15 +53,17 @@ pub mod marlin;
 pub mod marlin_four_phase;
 mod pacemaker;
 mod payload;
+mod replica;
 mod sync;
 pub mod two_phase_insecure;
 mod util;
 mod votes;
 
-pub use config::{Config, ProtocolKind};
+pub use config::{build_replica, Config, ProtocolKind};
 pub use crypto_ctx::{CryptoCacheStats, CryptoCtx};
 pub use events::{Action, Event, Note, StepOutput, VcCase};
 pub use journal::{JournalIo, JournalRecord, SafetyJournal, SafetySnapshot};
 pub use pacemaker::Pacemaker;
+pub use replica::Replica;
 pub use util::Protocol;
 pub use votes::VoteCollector;

@@ -1,5 +1,6 @@
 //! The Marlin protocol (Section V of the paper): two-phase normal case,
-//! two- or three-phase linear view change.
+//! two- or three-phase linear view change — as a rule set over the
+//! shared [`Replica`] skeleton.
 //!
 //! ## Normal case (Figure 6/7)
 //!
@@ -24,53 +25,29 @@
 //! leader cases V1/V2/V3 (virtual and shadow blocks) and replicas answer
 //! under cases R1/R2/R3; the resulting `pre-prepareQC` unlocks any
 //! locked replica with linear communication.
+//!
+//! ## Marlin-only rules
+//!
+//! Beyond the paper's cases, this rule set is the only one that runs
+//! with a write-ahead journal ([`Marlin::with_journal`] /
+//! [`Marlin::recover`]), solicits `CATCH-UP` on recovery, hands deep
+//! commit lag to the sync engine, and proposes digests when
+//! `Config::dissemination` is on. None of that is Marlin-specific in
+//! principle; each is a hook the skeleton could absorb for every
+//! protocol (DESIGN.md §18).
 
 use crate::config::Config;
-use crate::events::{Action, Event, Note, StepOutput, VcCase};
+use crate::events::{Action, Note, StepOutput, VcCase};
 use crate::journal::SafetyJournal;
-use crate::util::{Base, Protocol};
-use crate::votes::VoteCollector;
+use crate::replica::{child_of, extends, Adopt, Core, DigestEvent, Next, Replica, Rules};
 use marlin_storage::SnapshotStore;
 use marlin_types::rank::{block_rank_gt, highest_block, qc_rank_cmp, qc_rank_ge};
 use marlin_types::{
-    Block, BlockId, BlockKind, BlockMeta, BlockStore, Decide, Justify, Message, MsgBody, Phase,
-    Proposal, Qc, ReplicaId, View, ViewChange, Vote,
+    BatchId, Block, BlockId, BlockKind, BlockMeta, Justify, Message, MsgBody, Phase, Proposal, Qc,
+    ReplicaId, View, ViewChange, Vote,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// A digest proposal parked while its batch is fetched.
-#[derive(Clone, Debug)]
-struct PendingDigest {
-    /// The proposing leader (and first fetch target).
-    from: ReplicaId,
-    /// View of the proposal; stale entries are purged on view entry.
-    view: View,
-    /// The proposal's justify, replayed once the batch resolves.
-    justify: Justify,
-    /// The fetch was already fanned out to all replicas after the
-    /// proposer answered `None` — don't broadcast again per response.
-    fanned_out: bool,
-}
-
-/// Per-view leader state for the view-change pre-prepare phase.
-#[derive(Clone, Debug, Default)]
-struct VcRound {
-    /// Received `VIEW-CHANGE` messages, one per sender.
-    msgs: HashMap<ReplicaId, ViewChange>,
-    /// Set once the leader has acted on a quorum.
-    decided: bool,
-    /// Blocks proposed in the pre-prepare phase (normal first).
-    candidates: Vec<BlockId>,
-    /// A `prepareQC` attached by a Case R2 voter, validating the
-    /// virtual candidate's parent.
-    virtual_vc: Option<Qc>,
-    /// A pre-prepareQC for the virtual candidate formed before its
-    /// validating `vc` arrived.
-    stashed_virtual_qc: Option<Qc>,
-    /// Set once the leader moved on to the prepare phase.
-    advanced: bool,
-}
 
 /// A replica running Marlin.
 ///
@@ -85,65 +62,55 @@ struct VcRound {
 /// // Replica 1 leads view 1; replica 0 just arms its timer.
 /// assert!(!out.actions.is_empty());
 /// ```
+pub type Marlin = Replica<MarlinRules>;
+
+/// A digest proposal parked while its batch is fetched.
 #[derive(Clone, Debug)]
-pub struct Marlin {
-    base: Base,
-    /// Metadata of the last block voted in a prepare phase (`lb`).
-    lb: BlockMeta,
-    /// The lock (`lockedQC`); `None` until the first lock.
-    locked_qc: Option<Qc>,
-    /// `highQC` — what this replica reports in `VIEW-CHANGE` messages.
-    high_qc: Justify,
-    /// Leader: vote shares per seed.
-    votes: VoteCollector,
-    /// Leader: the block currently going through prepare/commit.
-    in_flight: Option<BlockId>,
-    /// Leader: view-change rounds by view.
-    vc_rounds: HashMap<View, VcRound>,
-    /// Highest view each peer attested in a `CATCH-UP` response. With
-    /// linear view changes a lagging replica never overhears
-    /// `VIEW-CHANGE` traffic (it flows only to the new leader), so
-    /// rejoining after a crash needs explicit view attestations: once
-    /// `f + 1` distinct peers claim views above ours, at least one of
-    /// them is honest and that view is safe to join.
-    peer_views: HashMap<ReplicaId, View>,
-    /// A broadcast `CATCH-UP` request is awaiting its first response
-    /// (drives the catch-up round-trip telemetry).
-    catch_up_outstanding: bool,
-    /// Digest proposals whose batch is still being fetched, replayed
-    /// when the `PAYLOAD-RESPONSE` arrives. Bounded: one per digest,
-    /// and entries for views we have left are purged on view entry.
-    pending_digests: HashMap<marlin_types::BatchId, PendingDigest>,
-    /// Write-ahead safety journal; `None` runs without durability.
-    journal: Option<SafetyJournal>,
+struct PendingDigest {
+    /// The proposing leader (and first fetch target).
+    from: ReplicaId,
+    /// The proposal's justify, replayed once the batch resolves.
+    justify: Justify,
+    /// The fetch was already fanned out to all replicas after the
+    /// proposer answered `None` — don't broadcast again per response.
+    fanned_out: bool,
 }
 
-impl Marlin {
-    /// Creates a replica in the pre-start state; feed [`Event::Start`].
-    pub fn new(config: Config) -> Self {
-        let base = Base::new(config);
-        let genesis_qc = Qc::genesis(BlockId::GENESIS);
-        Marlin {
-            base,
-            lb: BlockMeta::genesis(),
-            locked_qc: None,
-            high_qc: Justify::One(genesis_qc),
-            votes: VoteCollector::new(),
-            in_flight: None,
-            vc_rounds: HashMap::new(),
-            peer_views: HashMap::new(),
-            catch_up_outstanding: false,
-            pending_digests: HashMap::new(),
-            journal: None,
-        }
-    }
+/// Per-view state: the leader's view-change pre-prepare phase, and the
+/// digest proposals a replica parked in the view.
+#[derive(Clone, Debug, Default)]
+pub struct MarlinRound {
+    /// Blocks proposed in the pre-prepare phase (normal first).
+    candidates: Vec<BlockId>,
+    /// A `prepareQC` attached by a Case R2 voter, validating the
+    /// virtual candidate's parent.
+    virtual_vc: Option<Qc>,
+    /// A pre-prepareQC for the virtual candidate formed before its
+    /// validating `vc` arrived.
+    stashed_virtual_qc: Option<Qc>,
+    /// Set once the leader moved on to the prepare phase.
+    advanced: bool,
+    /// Digest proposals whose batch is still being fetched, replayed
+    /// when the `PAYLOAD-RESPONSE` arrives. Bounded: one per digest,
+    /// and — like the rest of the round — purged on leaving the view:
+    /// those fetches will never be replayed, and their slots must not
+    /// crowd out future ones.
+    pending_digests: HashMap<BatchId, PendingDigest>,
+}
 
+/// Marlin's rule set.
+#[derive(Clone, Debug)]
+pub struct MarlinRules;
+
+type MarlinCore = Core<MarlinRound>;
+
+impl Marlin {
     /// Creates a replica that write-ahead journals every safety-state
     /// transition (view entries, `lb`, lock and `highQC` raises) to
     /// `journal` *before* the corresponding vote can leave the replica.
     pub fn with_journal(config: Config, journal: SafetyJournal) -> Self {
         let mut replica = Marlin::new(config);
-        replica.journal = Some(journal);
+        replica.core.journal = Some(journal);
         replica
     }
 
@@ -151,18 +118,18 @@ impl Marlin {
     /// durable journal (amnesia-safe restart): it resumes in the
     /// journaled view with the journaled `lb`, lock and `highQC`, so it
     /// cannot re-vote in a slot it voted in before the crash. Feed
-    /// [`Event::Recovered`] to re-arm timers and solicit commits formed
-    /// while the replica was down.
+    /// [`crate::Event::Recovered`] to re-arm timers and solicit commits
+    /// formed while the replica was down.
     pub fn recover(config: Config, journal: SafetyJournal) -> Self {
         let snapshot = *journal.state();
         let mut replica = Marlin::with_journal(config, journal);
-        replica.lb = snapshot.last_voted;
-        replica.locked_qc = snapshot.locked_qc;
+        replica.core.lb = snapshot.last_voted;
+        replica.core.locked_qc = snapshot.locked_qc;
         if !matches!(snapshot.high_qc, Justify::None) {
-            replica.high_qc = snapshot.high_qc;
+            replica.core.high_qc = snapshot.high_qc;
         }
         if snapshot.view > View::GENESIS {
-            replica.base.cview = snapshot.view;
+            replica.core.base.cview = snapshot.view;
         }
         replica
     }
@@ -175,264 +142,57 @@ impl Marlin {
     /// for crash recovery.
     #[must_use]
     pub fn with_snapshots(mut self, snapshots: SnapshotStore) -> Self {
-        self.base.attach_snapshot_store(snapshots);
+        self.core.base.attach_snapshot_store(snapshots);
         self
     }
+}
 
-    /// The attached safety journal, if any.
-    pub fn journal(&self) -> Option<&SafetyJournal> {
-        self.journal.as_ref()
+/// Block metadata reconstructed from a QC (rank_boost is only needed
+/// on the left of `block_rank_gt`, so `false` is conservative here).
+fn meta_of_qc(qc: &Qc) -> BlockMeta {
+    BlockMeta {
+        id: qc.block(),
+        view: qc.block_view(),
+        height: qc.height(),
+        pview: qc.pview(),
+        kind: qc.block_kind(),
+        rank_boost: false,
     }
+}
 
-    /// Whether a catch-up sync run is currently in progress.
-    pub fn sync_active(&self) -> bool {
-        self.base.sync_active()
-    }
+/// Whether `(pre, vc)` is a consistent pair: a pre-prepareQC over a
+/// virtual block together with the `prepareQC` for its parent slot.
+fn pair_ok(pre: &Qc, vc: &Qc) -> bool {
+    pre.block_kind() == BlockKind::Virtual
+        && vc.phase() == Phase::Prepare
+        && vc.view() == pre.pview()
+        && vc.height() == pre.height().prev()
+}
 
-    /// The current lock, if any.
-    pub fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
+/// Finds the `vc` accompanying a virtual `lb` in any view-change
+/// message's `(qc, vc)` pair, for parent resolution.
+fn find_virtual_vc(lb: &BlockMeta, msgs: &[(ReplicaId, ViewChange)]) -> Option<Qc> {
+    msgs.iter().find_map(|(_, m)| match m.high_qc {
+        Justify::Two(pre, vc) if pre.block() == lb.id => Some(vc),
+        _ => None,
+    })
+}
 
-    /// The replica's `highQC`.
-    pub fn high_qc(&self) -> &Justify {
-        &self.high_qc
-    }
-
-    /// Metadata of the last voted block.
-    pub fn last_voted(&self) -> &BlockMeta {
-        &self.lb
-    }
-
-    // ------------------------------------------------------- helpers --
-
-    fn cfg(&self) -> &Config {
-        &self.base.cfg
-    }
-
-    fn quorum(&self) -> usize {
-        self.base.cfg.quorum()
-    }
-
-    /// Block metadata reconstructed from a QC (rank_boost is only needed
-    /// on the left of `block_rank_gt`, so `false` is conservative here).
-    fn meta_of_qc(qc: &Qc) -> BlockMeta {
-        BlockMeta {
-            id: qc.block(),
-            view: qc.block_view(),
-            height: qc.height(),
-            pview: qc.pview(),
-            kind: qc.block_kind(),
-            rank_boost: false,
-        }
-    }
-
-    /// Adds a vote share, with first-share telemetry
-    /// (see [`crate::votes::add_vote_noted`]).
-    fn add_vote(&mut self, v: &Vote, out: &mut StepOutput) -> Option<Qc> {
-        crate::votes::add_vote_noted(
-            &mut self.votes,
-            v,
-            self.base.cfg.quorum(),
-            &mut self.base.crypto,
-            out,
-        )
-    }
-
-    /// Raises the lock to `qc` if it outranks the current lock.
-    fn raise_lock(&mut self, qc: &Qc) {
-        let higher = match &self.locked_qc {
-            None => true,
-            Some(cur) => qc_rank_cmp(qc, cur) == Ordering::Greater,
-        };
-        if higher {
-            self.locked_qc = Some(*qc);
-        }
-    }
-
-    /// Write-ahead check for votes that change no block-level safety
-    /// state (pre-prepare votes, view-change shares): the current view
-    /// must be durable. Returns `false` — abstain — when the journal
-    /// cannot be written; abstention is always safe.
-    fn journal_view_durable(&mut self, view: View, phase: Phase, out: &mut StepOutput) -> bool {
-        match self.journal.as_mut() {
-            None => true,
-            Some(j) => match j.log_view(view) {
-                Ok(()) => true,
-                Err(_) => {
-                    out.actions.push(Action::Note(Note::VoteWithheld { phase }));
-                    false
-                }
-            },
-        }
-    }
-
-    /// Enters `view` and reprocesses any buffered messages.
-    fn enter_view(&mut self, view: View, out: &mut StepOutput) {
-        self.votes.clear();
-        self.in_flight = None;
-        // Durable before actionable: a replica recovering from its
-        // journal must not re-enter an older view. Failure here is
-        // tolerated (view regression costs liveness, not safety — votes
-        // are guarded by the separately-journaled `lb` and lock).
-        if let Some(j) = self.journal.as_mut() {
-            let _ = j.log_view(view);
-        }
-        let drained = self.base.enter_view(view, out);
-        self.vc_rounds.retain(|v, _| *v >= view);
-        // Fetches for digests proposed in views we just left will never
-        // be replayed; their slots must not crowd out future fetches.
-        self.pending_digests.retain(|_, p| p.view >= view);
-        // View entry is also a retransmission opportunity for sealed
-        // batches whose availability quorum stalled in the old view.
-        self.base.payload_tick(out);
-        for msg in drained {
-            let sub = self.on_event(Event::Message(msg));
-            out.merge(sub);
-        }
-    }
-
-    /// Times out of the current view and joins the view change for
-    /// `target` (normally `cview + 1`).
-    fn start_view_change(&mut self, target: View, out: &mut StepOutput) {
-        out.actions.push(Action::Note(Note::ViewChangeStarted {
-            from_view: self.base.cview,
-        }));
-        self.enter_view(target, out);
-        let parsig = self
-            .base
-            .crypto
-            .sign_seed(&ViewChange::happy_seed(&self.lb, target));
-        let msg = Message::new(
-            self.cfg().id,
-            target,
-            MsgBody::ViewChange(ViewChange {
-                last_voted: self.lb,
-                high_qc: self.high_qc,
-                parsig,
-                cert: None,
-            }),
-        );
-        // The happy-path share inside a VIEW-CHANGE is combinable into a
-        // prepareQC for `lb`, so it is write-ahead journaled like any
-        // other vote: the target view must be durable before it is sent.
-        if !self.journal_view_durable(target, Phase::Prepare, out) {
-            return;
-        }
-        out.actions.push(Action::Send {
-            to: self.cfg().leader_of(target),
-            message: msg,
-        });
-    }
-
-    /// Leader: proposes per the normal-case rules (N1/N2).
-    ///
-    /// A leader may only propose once it holds a justify that is valid
-    /// for the current view (the genesis QC, a prepareQC formed in this
-    /// view — including the happy-path view-change QC — or a fresh
-    /// pre-prepareQC). Proposing earlier (e.g. when client transactions
-    /// arrive before the view change completes) would be rejected by
-    /// every replica and stall the view.
-    fn propose(&mut self, out: &mut StepOutput) {
-        let view = self.base.cview;
-        debug_assert!(self.cfg().is_leader(view));
-        if self.in_flight.is_some() {
-            return;
-        }
-        if let Some(qc) = self.high_qc.qc() {
-            if !qc.is_genesis() && qc.view() != view {
-                return; // the view change has not completed yet
-            }
-        }
-        let (block, justify) = match self.high_qc {
-            Justify::One(qc) if qc.phase() == Phase::Prepare => {
-                // Case N1 with dissemination: propose a digest the
-                // availability quorum already holds, not the batch.
-                if self.base.cfg.dissemination {
-                    self.base.seal_payloads(out);
-                    if self.propose_digest(qc, out) {
-                        return;
-                    }
-                    if self.base.payloads.has_work() {
-                        // Sealed batches are still collecting acks;
-                        // proposing their transactions inline now would
-                        // double-spend the batch. The quorum ack
-                        // re-triggers this proposal — and the heartbeat
-                        // keeps the payload tick (retransmit, expiry)
-                        // running so lost pushes cannot leave the
-                        // leader silent until the view times out.
-                        out.actions.push(Action::SetHeartbeat {
-                            delay_ns: self.base.cfg.base_timeout_ns / 4,
-                        });
-                        return;
-                    }
-                }
-                // Case N1: extend the block of highQC.
-                let batch = self.base.take_batch();
-                let block = Block::new_normal(
-                    qc.block(),
-                    qc.block_view(),
-                    view,
-                    qc.height().next(),
-                    batch,
-                    Justify::One(qc),
-                );
-                self.base.store_block(&block);
-                (block, self.high_qc)
-            }
-            Justify::One(pre) | Justify::Two(pre, _) => {
-                // Case N2: re-broadcast the pre-prepared block.
-                let Some(block) = self.base.store.get(&pre.block()).cloned() else {
-                    debug_assert!(false, "leader lost its own pre-prepared block");
-                    return;
-                };
-                (block, self.high_qc)
-            }
-            Justify::None => return,
-        };
-        self.in_flight = Some(block.id());
-        out.actions.push(Action::Note(Note::Proposed {
-            view,
-            height: block.height(),
-            phase: Phase::Prepare,
-        }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Proposal(Proposal {
-                    phase: Phase::Prepare,
-                    blocks: vec![block],
-                    justify,
-                    vc_proof: Vec::new(),
-                }),
-            ),
-        });
-    }
-
+impl MarlinRules {
     /// Leader: proposes the next quorum-acked digest (Case N1 with
     /// dissemination on). The full block is reconstructed and stored
     /// locally — only the broadcast shrinks to digest size. Returns
     /// `false` when no digest is ready.
-    fn propose_digest(&mut self, qc: Qc, out: &mut StepOutput) -> bool {
-        let view = self.base.cview;
-        let Some(digest) = self.base.pop_ready_payload() else {
+    fn propose_ready_digest(core: &mut MarlinCore, qc: Qc, out: &mut StepOutput) -> bool {
+        let view = core.base.cview;
+        let Some(digest) = core.base.payloads.pop_ready() else {
             return false;
         };
-        let batch = self
-            .base
-            .payload_batch(&digest)
-            .expect("ready digests are pinned in the payload store");
-        let block = Block::new_normal(
-            qc.block(),
-            qc.block_view(),
-            view,
-            qc.height().next(),
-            batch,
-            Justify::One(qc),
-        );
-        self.base.store_block(&block);
-        self.in_flight = Some(block.id());
+        let batch = core.base.payloads.batch(&digest).cloned();
+        let batch = batch.expect("ready digests are pinned in the payload store");
+        let block = child_of(&qc, view, batch, Justify::One(qc));
+        core.base.store_block(&block);
+        core.in_flight = Some(block.id());
         out.actions.push(Action::Note(Note::Proposed {
             view,
             height: block.height(),
@@ -440,7 +200,7 @@ impl Marlin {
         }));
         out.actions.push(Action::Broadcast {
             message: Message::new(
-                self.cfg().id,
+                core.cfg().id,
                 view,
                 MsgBody::DigestProposal {
                     digest,
@@ -451,619 +211,61 @@ impl Marlin {
         true
     }
 
-    /// Keeps the heartbeat armed while this replica has sealed batches
-    /// in flight, so the payload plane's retransmit/expiry clock keeps
-    /// ticking. Leaders get heartbeats from the proposal path anyway;
-    /// this covers non-leaders, whose seals would otherwise never age
-    /// (and a lost push would wedge their dissemination window until
-    /// the next time they lead). No-op without dissemination:
-    /// `has_work` is only ever true once batches are sealed.
-    fn arm_payload_heartbeat(&mut self, out: &mut StepOutput) {
-        if self.base.payloads.has_work() {
-            out.actions.push(Action::SetHeartbeat {
-                delay_ns: self.base.cfg.base_timeout_ns / 4,
-            });
-        }
-    }
-
     /// Replica: resolves a digest proposal into the full block (the
-    /// batch was pushed ahead of the proposal) and runs the normal
-    /// Case N1 validation. A digest we cannot resolve is fetched from
-    /// the proposer and the proposal replayed on response.
-    fn on_digest_proposal(
-        &mut self,
+    /// batch was pushed ahead of the proposal) for the normal Case N1
+    /// validation. A digest we cannot resolve is fetched from the
+    /// proposer and the proposal replayed on response.
+    fn resolve_digest(
+        core: &mut MarlinCore,
         from: ReplicaId,
         view: View,
-        digest: marlin_types::BatchId,
+        digest: BatchId,
         justify: Justify,
         out: &mut StepOutput,
-    ) {
-        if from != self.cfg().leader_of(view) {
-            return;
+    ) -> Option<(ReplicaId, View, Proposal)> {
+        if from != core.cfg().leader_of(view) {
+            return None;
         }
-        let Some(batch) = self.base.payload_batch(&digest) else {
-            if self.pending_digests.len() < 32 {
-                self.pending_digests.insert(
-                    digest,
-                    PendingDigest {
-                        from,
-                        view,
-                        justify,
-                        fanned_out: false,
-                    },
-                );
-                self.base.request_payload(digest, from, out);
+        let Some(batch) = core.base.payloads.batch(&digest).cloned() else {
+            let pending = &mut core.round_mut(view).ext.pending_digests;
+            if pending.len() < 32 {
+                let parked = PendingDigest {
+                    from,
+                    justify,
+                    fanned_out: false,
+                };
+                pending.insert(digest, parked);
+                core.base.request_payload(digest, from, out);
             }
-            return;
+            return None;
         };
-        let Justify::One(qc) = justify else { return };
-        let block = Block::new_normal(
-            qc.block(),
-            qc.block_view(),
-            view,
-            qc.height().next(),
-            batch,
+        let Justify::One(qc) = justify else {
+            return None;
+        };
+        let proposal = Proposal {
+            phase: Phase::Prepare,
+            blocks: vec![child_of(&qc, view, batch, justify)],
             justify,
-        );
-        // The leader loops its own broadcast back through this path;
-        // `on_prepare_proposal` applies the full N1 rank/justify rules.
-        self.on_prepare_proposal(
-            from,
-            view,
-            Proposal {
-                phase: Phase::Prepare,
-                blocks: vec![block],
-                justify,
-                vc_proof: Vec::new(),
-            },
-            out,
-        );
-    }
-
-    // ------------------------------------------------- message paths --
-
-    fn on_message(&mut self, msg: Message, out: &mut StepOutput) {
-        if self.base.handle_fetch(&msg, out) {
-            return;
-        }
-        // Sync traffic (snapshot/range requests and responses) is
-        // view-independent on both the serving and the fetching side.
-        if self.base.handle_sync(&msg, out) {
-            return;
-        }
-        // Payload-plane traffic (push/ack/fetch) is view-independent:
-        // batches outlive the view they were sealed in.
-        match self.base.handle_payload(&msg, out) {
-            crate::payload::PayloadOutcome::NotPayload => {}
-            crate::payload::PayloadOutcome::Consumed => return,
-            crate::payload::PayloadOutcome::QuorumReached => {
-                // A digest became proposable; an idle leader proposes.
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    self.propose(out);
-                }
-                return;
-            }
-            crate::payload::PayloadOutcome::Resolved(digest) => {
-                if let Some(p) = self.pending_digests.remove(&digest) {
-                    if p.view == self.base.cview {
-                        self.on_digest_proposal(p.from, p.view, digest, p.justify, out);
-                    }
-                }
-                return;
-            }
-            crate::payload::PayloadOutcome::Unavailable(digest) => {
-                // The fetch target no longer holds the batch (evicted,
-                // or crashed and restarted). The proposer is not the
-                // only replica that can serve it — every member of the
-                // availability quorum stored the push — so fan the
-                // fetch out to all replicas once instead of wedging
-                // this digest (and, at 32 wedged entries, the whole
-                // fallback path) until the view changes.
-                if let Some(p) = self.pending_digests.get_mut(&digest) {
-                    if p.view == self.base.cview && !p.fanned_out {
-                        p.fanned_out = true;
-                        self.base.broadcast_payload_request(digest, out);
-                    }
-                }
-                return;
-            }
-        }
-        // Decides are valid whenever the commitQC verifies.
-        if let MsgBody::Decide(d) = &msg.body {
-            self.on_decide(*d, msg.from, out);
-            return;
-        }
-        // Catch-up (crash recovery) messages are likewise
-        // view-independent: a recovering replica may be views behind.
-        if let MsgBody::CatchUpRequest { last_committed } = &msg.body {
-            if msg.from == self.cfg().id {
-                return; // our own broadcast, looped back
-            }
-            // Always answer: even with no newer commit to serve, the
-            // response header carries our current view, which is the
-            // attestation a recovering replica needs to resynchronize
-            // (commits may have stopped precisely because it was down).
-            let commit_qc = self
-                .base
-                .latest_commit_qc
-                .filter(|qc| qc.height() > *last_committed);
-            out.actions.push(Action::Note(Note::CatchUpServed {
-                view: self.base.cview,
-                newer: commit_qc.is_some(),
-            }));
-            out.actions.push(Action::Send {
-                to: msg.from,
-                message: Message::new(
-                    self.cfg().id,
-                    self.base.cview,
-                    MsgBody::CatchUpResponse { commit_qc },
-                ),
-            });
-            return;
-        }
-        if let MsgBody::CatchUpResponse { commit_qc } = &msg.body {
-            // The first response closes the catch-up round trip.
-            if self.catch_up_outstanding {
-                self.catch_up_outstanding = false;
-                out.actions.push(Action::Note(Note::CatchUpCompleted {
-                    view: self.base.cview,
-                }));
-            }
-            // A served commit certificate is handled exactly like a
-            // DECIDE: verify, sync views, commit (fetching blocks).
-            if let Some(qc) = commit_qc {
-                self.on_decide(Decide { commit_qc: *qc }, msg.from, out);
-            }
-            self.note_peer_view(msg.from, msg.view, out);
-            return;
-        }
-        if msg.view > self.base.cview {
-            self.base.buffer_future(msg);
-            // f+1 join rule: if a quorum minority is already view
-            // changing above us, join them without waiting for our timer.
-            if let Some(target) = self.base.future_view_change_senders(self.cfg().f + 1) {
-                if target > self.base.cview {
-                    self.start_view_change(target, out);
-                }
-            }
-            return;
-        }
-        if msg.view < self.base.cview {
-            return; // stale
-        }
-        match msg.body {
-            MsgBody::Proposal(p) => match p.phase {
-                Phase::Prepare => self.on_prepare_proposal(msg.from, msg.view, p, out),
-                Phase::Commit => self.on_commit_proposal(msg.from, msg.view, p, out),
-                Phase::PrePrepare => self.on_pre_prepare_proposal(msg.from, msg.view, p, out),
-                Phase::PreCommit => {} // not part of Marlin
-            },
-            MsgBody::Vote(v) => match v.seed.phase {
-                Phase::Prepare => self.on_prepare_vote(v, out),
-                Phase::Commit => self.on_commit_vote(v, out),
-                Phase::PrePrepare => self.on_pre_prepare_vote(v, out),
-                Phase::PreCommit => {}
-            },
-            MsgBody::ViewChange(vc) => self.on_view_change(msg.from, msg.view, vc, out),
-            MsgBody::DigestProposal { digest, justify } => {
-                self.on_digest_proposal(msg.from, msg.view, digest, justify, out)
-            }
-            MsgBody::Decide(_)
-            | MsgBody::FetchRequest { .. }
-            | MsgBody::FetchResponse { .. }
-            | MsgBody::CatchUpRequest { .. }
-            | MsgBody::CatchUpResponse { .. }
-            | MsgBody::SnapshotRequest
-            | MsgBody::SnapshotResponse { .. }
-            | MsgBody::BlockRangeRequest { .. }
-            | MsgBody::BlockRangeResponse { .. }
-            | MsgBody::PayloadPush { .. }
-            | MsgBody::PayloadAck { .. }
-            | MsgBody::PayloadRequest { .. }
-            | MsgBody::PayloadResponse { .. } => {
-                unreachable!("handled above")
-            }
-        }
-    }
-
-    /// Replica handling of a normal-case `PREPARE` proposal (Cases N1/N2).
-    fn on_prepare_proposal(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        p: Proposal,
-        out: &mut StepOutput,
-    ) {
-        if from != self.cfg().leader_of(view) || p.blocks.len() != 1 {
-            return;
-        }
-        let block = &p.blocks[0];
-        if block.view() != view {
-            return;
-        }
-        // The proposal must outrank the last voted block.
-        if !block_rank_gt(&block.meta(), &self.lb) {
-            return;
-        }
-        let Some(qc) = p.justify.qc().copied() else {
-            return;
+            vc_proof: Vec::new(),
         };
-        if !self.base.crypto.verify_justify(&p.justify) {
-            return;
-        }
-
-        let mut locked_attachment = None;
-        let valid = match (&p.justify, qc.phase()) {
-            // Case N1: justify is the prepareQC of the parent.
-            (Justify::One(_), Phase::Prepare) => {
-                block.parent_id() == Some(qc.block())
-                    && block.height() == qc.height().next()
-                    && block.pview() == qc.block_view()
-                    && (qc.is_genesis() || qc.view() == view)
-                    && qc_rank_ge(&qc, self.locked_qc.as_ref())
-            }
-            // Case N2: justify is a pre-prepareQC for this very block.
-            (justify, Phase::PrePrepare) => {
-                let base_ok = block.id() == qc.block()
-                    && qc.view() == view
-                    && qc_rank_ge(&qc, self.locked_qc.as_ref());
-                match justify {
-                    Justify::One(_) => base_ok && qc.block_kind() == BlockKind::Normal,
-                    Justify::Two(_, vc) => {
-                        let ok = base_ok
-                            && qc.block_kind() == BlockKind::Virtual
-                            && vc.phase() == Phase::Prepare
-                            && vc.view() == qc.pview()
-                            && vc.height() == qc.height().prev();
-                        if ok {
-                            locked_attachment = Some(*vc);
-                        }
-                        ok
-                    }
-                    Justify::None => false,
-                }
-            }
-            _ => false,
-        };
-        if !valid {
-            return;
-        }
-
-        self.base.store_block(block);
-        if let Some(vc) = locked_attachment {
-            self.base
-                .store
-                .resolve_virtual_parent(block.id(), vc.block());
-        }
-        // Write-ahead voting: every safety delta this vote implies (the
-        // new `lb`, the justify as `highQC`, any lock raise) must be
-        // durable before the vote can reach the wire. On a failed append
-        // the replica abstains, and its in-memory state must not outrun
-        // the journal either.
-        if let Some(j) = self.journal.as_mut() {
-            let mut res = j.log_last_voted(&block.meta());
-            if res.is_ok() {
-                res = j.log_high_qc(&p.justify);
-            }
-            if res.is_ok() {
-                if let (Justify::One(jqc), Phase::Prepare) = (&p.justify, qc.phase()) {
-                    res = j.log_lock(jqc);
-                }
-            }
-            if res.is_err() {
-                out.actions.push(Action::Note(Note::VoteWithheld {
-                    phase: Phase::Prepare,
-                }));
-                return;
-            }
-        }
-        let seed = block.vote_seed(Phase::Prepare, view);
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        self.lb = block.meta();
-        self.high_qc = p.justify;
-        if let (Justify::One(jqc), Phase::Prepare) = (&p.justify, qc.phase()) {
-            self.raise_lock(jqc);
-        }
-        // A valid proposal is progress: keep the view timer fresh.
-        self.base.progress_timer(out);
+        Some((from, view, proposal))
     }
 
-    /// Leader handling of prepare votes → forms the `prepareQC`.
-    fn on_prepare_vote(&mut self, v: Vote, out: &mut StepOutput) {
-        if v.seed.view != self.base.cview || Some(v.seed.block) != self.in_flight {
-            return;
-        }
-        if let Some(qc) = self.add_vote(&v, out) {
-            out.actions.push(Action::Note(Note::QcFormed {
-                phase: Phase::Prepare,
-                view: qc.view(),
-                height: qc.height(),
-            }));
-            self.high_qc = Justify::One(qc);
-            out.actions.push(Action::Broadcast {
-                message: Message::new(
-                    self.cfg().id,
-                    self.base.cview,
-                    MsgBody::Proposal(Proposal {
-                        phase: Phase::Commit,
-                        blocks: Vec::new(),
-                        justify: Justify::One(qc),
-                        vc_proof: Vec::new(),
-                    }),
-                ),
-            });
-        }
-    }
-
-    /// Replica handling of a `COMMIT` broadcast (carrying a `prepareQC`).
-    fn on_commit_proposal(
-        &mut self,
-        from: ReplicaId,
+    /// The leader's unhappy-path pre-prepare proposal (Cases V1/V2/V3).
+    /// Returns the blocks to propose; empty if nothing valid was
+    /// reported (the next timeout retries).
+    fn pre_prepare_blocks(
+        core: &mut MarlinCore,
         view: View,
-        p: Proposal,
+        msgs: &[(ReplicaId, ViewChange)],
         out: &mut StepOutput,
-    ) {
-        if from != self.cfg().leader_of(view) {
-            return;
-        }
-        let Justify::One(qc) = p.justify else { return };
-        if qc.phase() != Phase::Prepare || qc.view() != view {
-            return;
-        }
-        if !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        // Write-ahead: the lock raise implied by this commit vote must
-        // be durable before the vote is emitted.
-        if let Some(j) = self.journal.as_mut() {
-            let mut res = j.log_high_qc(&Justify::One(qc));
-            if res.is_ok() {
-                res = j.log_lock(&qc);
-            }
-            if res.is_err() {
-                out.actions.push(Action::Note(Note::VoteWithheld {
-                    phase: Phase::Commit,
-                }));
-                return;
-            }
-        }
-        let seed = marlin_types::QcSeed {
-            phase: Phase::Commit,
-            ..*qc.seed()
-        };
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        self.high_qc = Justify::One(qc);
-        self.raise_lock(&qc);
-        self.base.progress_timer(out);
-    }
-
-    /// Leader handling of commit votes → forms the `commitQC`, decides,
-    /// and proposes the next block.
-    fn on_commit_vote(&mut self, v: Vote, out: &mut StepOutput) {
-        if v.seed.view != self.base.cview || Some(v.seed.block) != self.in_flight {
-            return;
-        }
-        if let Some(qc) = self.add_vote(&v, out) {
-            out.actions.push(Action::Note(Note::QcFormed {
-                phase: Phase::Commit,
-                view: qc.view(),
-                height: qc.height(),
-            }));
-            self.in_flight = None;
-            out.actions.push(Action::Broadcast {
-                message: Message::new(
-                    self.cfg().id,
-                    self.base.cview,
-                    MsgBody::Decide(Decide { commit_qc: qc }),
-                ),
-            });
-            // Next proposal: highQC is the prepareQC for the decided
-            // block, so Case N1 extends it. Pace empty proposals.
-            if self.base.work_pending() {
-                self.propose(out);
-            } else {
-                out.actions.push(Action::SetHeartbeat {
-                    delay_ns: self.base.cfg.base_timeout_ns / 4,
-                });
-            }
-        }
-    }
-
-    /// Anyone handling a `commitQC` dissemination.
-    fn on_decide(&mut self, d: Decide, from: ReplicaId, out: &mut StepOutput) {
-        let qc = d.commit_qc;
-        if qc.phase() != Phase::Commit || !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        // A commitQC from a future view is also a view-synchronisation
-        // signal: join that view (without a VIEW-CHANGE — we missed it).
-        if qc.view() > self.base.cview {
-            self.enter_view(qc.view(), out);
-        }
-        // Deep lag goes through the sync engine (snapshot + ranged
-        // fetch) rather than the one-block-at-a-time commit path.
-        if self.base.maybe_start_sync(&qc, out) {
-            return;
-        }
-        self.base.try_commit(qc, from, out);
-    }
-
-    // --------------------------------------------------- view change --
-
-    fn on_timeout(&mut self, view: View, out: &mut StepOutput) {
-        if view != self.base.cview {
-            return; // stale timer
-        }
-        self.start_view_change(view.next(), out);
-    }
-
-    /// Handles rejoin after a crash: re-arms the view timer (any
-    /// pre-crash timer is dead), asks peers for commit certificates
-    /// formed while this replica was down, and — when it leads the
-    /// current view with a snapshot usable without crash-lost blocks —
-    /// re-proposes.
-    fn on_recovered(&mut self, out: &mut StepOutput) {
-        let view = self.base.cview;
-        out.actions.push(Action::SetTimer {
-            view,
-            delay_ns: self.base.pacemaker.delay_for(view),
-        });
-        let last_committed = self
-            .base
-            .store
-            .get(&self.base.store.last_committed())
-            .map(|b| b.height())
-            .unwrap_or_default();
-        self.catch_up_outstanding = true;
-        out.actions
-            .push(Action::Note(Note::CatchUpRequested { view }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::CatchUpRequest { last_committed },
-            ),
-        });
-        // Case N1 needs only the QC's metadata; Case N2 would need the
-        // pre-prepared block itself, which did not survive the crash.
-        if self.cfg().is_leader(view)
-            && matches!(&self.high_qc, Justify::One(qc) if qc.phase() == Phase::Prepare)
-        {
-            self.propose(out);
-        }
-    }
-
-    /// Records a peer's attested view and joins the highest view that
-    /// `f + 1` distinct peers have reached, if it is above ours.
-    ///
-    /// Taking the `(f + 1)`-th highest claim bounds the jump to a view
-    /// some *honest* replica actually entered — up to `f` Byzantine
-    /// responders can inflate their own claims but cannot drag us past
-    /// every honest peer. This closes the post-crash resynchronization
-    /// gap: with linear view changes there is no overheard
-    /// `VIEW-CHANGE` traffic to trigger the f+1 join rule, so a
-    /// recovered replica would otherwise trail its peers' timer backoff
-    /// forever.
-    fn note_peer_view(&mut self, from: ReplicaId, view: View, out: &mut StepOutput) {
-        if from == self.cfg().id {
-            return;
-        }
-        let slot = self.peer_views.entry(from).or_default();
-        *slot = (*slot).max(view);
-        let mut above: Vec<View> = self
-            .peer_views
-            .values()
-            .copied()
-            .filter(|v| *v > self.base.cview)
-            .collect();
-        if above.len() <= self.cfg().f {
-            return;
-        }
-        above.sort_unstable_by(|a, b| b.cmp(a));
-        let target = above[self.cfg().f];
-        self.start_view_change(target, out);
-    }
-
-    /// New leader: collect `VIEW-CHANGE` messages for `view`.
-    fn on_view_change(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        vc: ViewChange,
-        out: &mut StepOutput,
-    ) {
-        if !self.cfg().is_leader(view) {
-            return;
-        }
-        let quorum = self.quorum();
-        let round = self.vc_rounds.entry(view).or_default();
-        if round.decided {
-            return;
-        }
-        round.msgs.insert(from, vc);
-        if round.msgs.len() < quorum {
-            return;
-        }
-        round.decided = true;
-        // Move the collected messages out instead of deep-cloning the
-        // map (`decided` above keeps later arrivals from re-entering).
-        // Sorting by sender makes the leader's case analysis independent
-        // of HashMap iteration order.
-        let mut msgs: Vec<(ReplicaId, ViewChange)> =
-            std::mem::take(&mut round.msgs).into_iter().collect();
-        msgs.sort_unstable_by_key(|(id, _)| *id);
-        self.run_pre_prepare(view, msgs, out);
-    }
-
-    /// The leader's pre-prepare decision (happy path or Cases V1/V2/V3).
-    fn run_pre_prepare(
-        &mut self,
-        view: View,
-        msgs: Vec<(ReplicaId, ViewChange)>,
-        out: &mut StepOutput,
-    ) {
-        // Happy path: unanimous last-voted block.
-        let first_lb = msgs[0].1.last_voted;
-        if msgs.iter().all(|(_, m)| m.last_voted.id == first_lb.id) {
-            let seed = ViewChange::happy_seed(&first_lb, view);
-            let valid: Vec<_> = msgs
-                .iter()
-                .filter(|(_, m)| self.base.crypto.verify_partial(&seed, &m.parsig))
-                .map(|(_, m)| m.parsig)
-                .collect();
-            // If the unanimous lb is a virtual block, its parent must
-            // stay resolvable: extending it is only safe when some
-            // view-change message carried the resolving `vc`. With no
-            // such vc in the snapshot the happy path would propose a
-            // block whose virtual parent no replica can ever resolve —
-            // fall through to the unhappy pre-prepare path instead.
-            let resolving_vc = Self::find_virtual_vc(&first_lb, &msgs);
-            let resolvable = first_lb.kind != BlockKind::Virtual || resolving_vc.is_some();
-            if valid.len() >= self.quorum() && resolvable {
-                if let Some(qc) = self.base.crypto.combine(seed, &valid) {
-                    out.actions.push(Action::Note(Note::HappyPathVc { view }));
-                    if let (BlockKind::Virtual, Some(vc)) = (first_lb.kind, resolving_vc) {
-                        self.base
-                            .store
-                            .resolve_virtual_parent(first_lb.id, vc.block());
-                    }
-                    self.high_qc = Justify::One(qc);
-                    self.propose(out);
-                    return;
-                }
-            }
-        }
-
-        // Unhappy path: find the highest-ranked QC(s) across all justify
-        // fields (verifying each — this is the leader's O(n) pairing /
+    ) -> Vec<Block> {
+        // Find the highest-ranked QC(s) across all justify fields
+        // (verifying each — this is the leader's O(n) pairing /
         // O(n²) conventional-verification cost from Table I).
         let mut qcs: Vec<(Qc, Option<Qc>)> = Vec::new();
-        for (_, m) in &msgs {
-            if !self.base.crypto.verify_justify(&m.high_qc) {
+        for (_, m) in msgs {
+            if !core.base.crypto.verify_justify(&m.high_qc) {
                 continue;
             }
             match m.high_qc {
@@ -1080,11 +282,7 @@ impl Marlin {
                     // Apply the pairing rule replicas enforce
                     // (`pair_ok`): a mismatched pair would yield a
                     // proposal every honest replica rejects.
-                    let pair_ok = pre.block_kind() == BlockKind::Virtual
-                        && vc.phase() == Phase::Prepare
-                        && vc.view() == pre.pview()
-                        && vc.height() == pre.height().prev();
-                    if pair_ok {
+                    if pair_ok(&pre, &vc) {
                         qcs.push((pre, Some(vc)));
                     }
                     qcs.push((vc, None));
@@ -1092,15 +290,9 @@ impl Marlin {
                 Justify::None => {}
             }
         }
-        if qcs.is_empty() {
-            return; // nothing valid; the next timeout retries
-        }
-        let top_rank = qcs
-            .iter()
-            .map(|(qc, _)| qc)
-            .max_by(|a, b| qc_rank_cmp(a, b))
-            .copied()
-            .expect("nonempty");
+        let Some(top_rank) = qcs.iter().map(|(qc, _)| *qc).max_by(qc_rank_cmp) else {
+            return Vec::new();
+        };
         let top: Vec<(Qc, Option<Qc>)> = qcs
             .iter()
             .filter(|(qc, _)| qc_rank_cmp(qc, &top_rank) == Ordering::Equal)
@@ -1109,29 +301,18 @@ impl Marlin {
         let metas: Vec<BlockMeta> = msgs.iter().map(|(_, m)| m.last_voted).collect();
         let bv = *highest_block(metas.iter()).expect("quorum is nonempty");
 
-        let batch = self.base.take_batch();
-        let round = self.vc_rounds.entry(view).or_default();
-        round.candidates.clear();
-        let mut blocks: Vec<Block> = Vec::new();
-
+        let batch = core.base.take_batch();
+        let mut note = |case| {
+            out.actions
+                .push(Action::Note(Note::UnhappyPathVc { view, case }))
+        };
         let (first, first_vc) = top[0];
         if first.phase() == Phase::Prepare {
             let qc = first;
-            let parent_meta = Self::meta_of_qc(&qc);
-            if block_rank_gt(&bv, &parent_meta) {
+            let b1 = child_of(&qc, view, batch.clone(), Justify::One(qc));
+            if block_rank_gt(&bv, &meta_of_qc(&qc)) {
                 // Case V1: normal + virtual shadow blocks.
-                out.actions.push(Action::Note(Note::UnhappyPathVc {
-                    view,
-                    case: VcCase::V1,
-                }));
-                let b1 = Block::new_normal(
-                    qc.block(),
-                    qc.block_view(),
-                    view,
-                    qc.height().next(),
-                    batch.clone(),
-                    Justify::One(qc),
-                );
+                note(VcCase::V1);
                 let b2 = Block::new_virtual(
                     qc.block_view(),
                     view,
@@ -1139,36 +320,15 @@ impl Marlin {
                     batch,
                     Justify::One(qc),
                 );
-                blocks.push(b1);
-                blocks.push(b2);
+                vec![b1, b2]
             } else {
                 // Case V2 with a prepareQC: certain-safe snapshot.
-                out.actions.push(Action::Note(Note::UnhappyPathVc {
-                    view,
-                    case: VcCase::V2,
-                }));
-                let b = Block::new_normal(
-                    qc.block(),
-                    qc.block_view(),
-                    view,
-                    qc.height().next(),
-                    batch,
-                    Justify::One(qc),
-                );
-                blocks.push(b);
+                note(VcCase::V2);
+                vec![b1]
             }
-        } else if top
-            .iter()
-            .map(|(qc, _)| qc.block())
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-            == 1
-        {
+        } else if top.iter().all(|(qc, _)| qc.block() == first.block()) {
             // Case V2 with a single pre-prepareQC.
-            out.actions.push(Action::Note(Note::UnhappyPathVc {
-                view,
-                case: VcCase::V2,
-            }));
+            note(VcCase::V2);
             // All top entries certify the same block; the resolving vc
             // may ride on any of them, not necessarily the first.
             let vc_any = first_vc.or_else(|| top.iter().find_map(|(_, vc)| *vc));
@@ -1176,21 +336,11 @@ impl Marlin {
                 (BlockKind::Virtual, Some(vc)) => Justify::Two(first, vc),
                 _ => Justify::One(first),
             };
-            let b = Block::new_normal(
-                first.block(),
-                first.block_view(),
-                view,
-                first.height().next(),
-                batch,
-                justify,
-            );
-            blocks.push(b);
+            vec![child_of(&first, view, batch, justify)]
         } else {
             // Case V3: two pre-prepareQCs of equal rank (normal+virtual).
-            out.actions.push(Action::Note(Note::UnhappyPathVc {
-                view,
-                case: VcCase::V3,
-            }));
+            note(VcCase::V3);
+            let mut blocks = Vec::new();
             let normal = top
                 .iter()
                 .find(|(qc, _)| qc.block_kind() == BlockKind::Normal);
@@ -1198,74 +348,149 @@ impl Marlin {
                 .iter()
                 .find(|(qc, _)| qc.block_kind() == BlockKind::Virtual);
             if let Some((qc1, _)) = normal {
-                blocks.push(Block::new_normal(
-                    qc1.block(),
-                    qc1.block_view(),
-                    view,
-                    qc1.height().next(),
-                    batch.clone(),
-                    Justify::One(*qc1),
-                ));
+                blocks.push(child_of(qc1, view, batch.clone(), Justify::One(*qc1)));
             }
             if let Some((qc2, Some(vc))) = virt {
-                blocks.push(Block::new_normal(
-                    qc2.block(),
-                    qc2.block_view(),
-                    view,
-                    qc2.height().next(),
-                    batch,
-                    Justify::Two(*qc2, *vc),
-                ));
+                blocks.push(child_of(qc2, view, batch, Justify::Two(*qc2, *vc)));
             }
-            if blocks.is_empty() {
-                return;
+            blocks
+        }
+    }
+}
+
+impl Rules for MarlinRules {
+    type Round = MarlinRound;
+
+    const NAME: &'static str = "marlin";
+
+    /// Cases N1/N2.
+    fn vote_rule(core: &mut MarlinCore, view: View, block: &Block, p: &Proposal) -> Option<Adopt> {
+        let qc = p.justify.qc().copied()?;
+        if !core.base.crypto.verify_justify(&p.justify) {
+            return None;
+        }
+        let lock = core.locked_qc.as_ref();
+        match (&p.justify, qc.phase()) {
+            // Case N1: justify is the prepareQC of the parent.
+            (Justify::One(_), Phase::Prepare) => (extends(block, &qc)
+                && (qc.is_genesis() || qc.view() == view)
+                && qc_rank_ge(&qc, lock))
+            .then_some(Adopt::Both),
+            // Case N2: justify is a pre-prepareQC for this very block.
+            (justify, Phase::PrePrepare) => {
+                if block.id() != qc.block() || qc.view() != view || !qc_rank_ge(&qc, lock) {
+                    return None;
+                }
+                match justify {
+                    Justify::One(_) if qc.block_kind() == BlockKind::Normal => {}
+                    Justify::Two(_, vc) if pair_ok(&qc, vc) => {
+                        core.base
+                            .store
+                            .resolve_virtual_parent(block.id(), vc.block());
+                    }
+                    _ => return None,
+                }
+                Some(Adopt::High)
+            }
+            _ => None,
+        }
+    }
+
+    /// Two phases: the `COMMIT` broadcast carries the `prepareQC`, and
+    /// voting for it locks on it.
+    fn broadcast_rule(broadcast: Phase, carried: Phase) -> Option<Adopt> {
+        (broadcast == Phase::Commit && carried == Phase::Prepare).then_some(Adopt::Both)
+    }
+
+    /// Marlin's `highQC` is the justify of its latest vote (possibly a
+    /// `(pre-prepareQC, vc)` pair), not a running maximum.
+    fn adopt_high(core: &mut MarlinCore, justify: Justify) {
+        core.high_qc = justify;
+    }
+
+    /// The leader's pre-prepare decision (happy path or Cases V1/V2/V3).
+    fn on_new_view(
+        core: &mut MarlinCore,
+        view: View,
+        msgs: Vec<(ReplicaId, ViewChange)>,
+        out: &mut StepOutput,
+    ) -> Next {
+        // Happy path: unanimous last-voted block.
+        let first_lb = msgs[0].1.last_voted;
+        if msgs.iter().all(|(_, m)| m.last_voted.id == first_lb.id) {
+            let seed = ViewChange::happy_seed(&first_lb, view);
+            let valid: Vec<_> = msgs
+                .iter()
+                .filter(|(_, m)| core.base.crypto.verify_partial(&seed, &m.parsig))
+                .map(|(_, m)| m.parsig)
+                .collect();
+            // If the unanimous lb is a virtual block, its parent must
+            // stay resolvable: extending it is only safe when some
+            // view-change message carried the resolving `vc`. With no
+            // such vc in the snapshot the happy path would propose a
+            // block whose virtual parent no replica can ever resolve —
+            // fall through to the unhappy pre-prepare path instead.
+            let resolving_vc = find_virtual_vc(&first_lb, &msgs);
+            let resolvable = first_lb.kind != BlockKind::Virtual || resolving_vc.is_some();
+            if valid.len() >= core.cfg().quorum() && resolvable {
+                if let Some(qc) = core.base.crypto.combine(seed, &valid) {
+                    out.actions.push(Action::Note(Note::HappyPathVc { view }));
+                    if let (BlockKind::Virtual, Some(vc)) = (first_lb.kind, resolving_vc) {
+                        core.base
+                            .store
+                            .resolve_virtual_parent(first_lb.id, vc.block());
+                    }
+                    core.high_qc = Justify::One(qc);
+                    return Next::Propose;
+                }
             }
         }
 
+        let blocks = Self::pre_prepare_blocks(core, view, &msgs, out);
+        if blocks.is_empty() {
+            return Next::Idle;
+        }
         for b in &blocks {
-            self.base.store_block(b);
+            core.base.store_block(b);
             if let Justify::Two(pre, vc) = b.justify() {
                 // Make the virtual grandparent resolvable.
-                self.base
+                core.base
                     .store
                     .resolve_virtual_parent(pre.block(), vc.block());
             }
-            let round = self.vc_rounds.entry(view).or_default();
-            round.candidates.push(b.id());
         }
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Proposal(Proposal {
-                    phase: Phase::PrePrepare,
-                    blocks,
-                    justify: Justify::None,
-                    vc_proof: Vec::new(),
-                }),
-            ),
-        });
+        core.round_mut(view).ext.candidates = blocks.iter().map(Block::id).collect();
+        core.broadcast_proposal(
+            Proposal {
+                phase: Phase::PrePrepare,
+                blocks,
+                justify: Justify::None,
+                vc_proof: Vec::new(),
+            },
+            out,
+        );
+        Next::Idle
     }
 
-    /// Finds the `vc` accompanying a virtual `lb` in any view-change
-    /// message's `(qc, vc)` pair, for parent resolution.
-    fn find_virtual_vc(lb: &BlockMeta, msgs: &[(ReplicaId, ViewChange)]) -> Option<Qc> {
-        msgs.iter().find_map(|(_, m)| match m.high_qc {
-            Justify::Two(pre, vc) if pre.block() == lb.id => Some(vc),
-            Justify::One(qc) if qc.block() == lb.id && qc.phase() == Phase::Prepare => None,
-            _ => None,
-        })
+    /// Case N2: `highQC` is a fresh pre-prepareQC (alone or paired
+    /// with its `vc`) — re-broadcast the block it certifies.
+    fn reproposed_block(core: &MarlinCore) -> Option<BlockId> {
+        match core.high_qc {
+            Justify::One(qc) if qc.phase() == Phase::Prepare => None,
+            Justify::One(pre) | Justify::Two(pre, _) => Some(pre.block()),
+            Justify::None => None,
+        }
     }
 
     /// Replica handling of a `PRE-PREPARE` proposal (Cases R1/R2/R3).
-    fn on_pre_prepare_proposal(
-        &mut self,
+    fn on_pre_prepare(
+        core: &mut MarlinCore,
         from: ReplicaId,
         view: View,
         p: Proposal,
         out: &mut StepOutput,
     ) {
-        if from != self.cfg().leader_of(view) || p.blocks.is_empty() || p.blocks.len() > 2 {
+        if from != core.cfg().leader_of(view) || p.blocks.is_empty() || p.blocks.len() > 2 {
             return;
         }
         let mut progressed = false;
@@ -1281,16 +506,12 @@ impl Marlin {
             if qc.view() >= view {
                 continue;
             }
-            if !self.base.crypto.verify_justify(&justify) {
+            if !core.base.crypto.verify_justify(&justify) {
                 continue;
             }
             // Structural validity.
             let structural = match block.kind() {
-                BlockKind::Normal => {
-                    block.parent_id() == Some(qc.block())
-                        && block.height() == qc.height().next()
-                        && block.pview() == qc.block_view()
-                }
+                BlockKind::Normal => extends(block, &qc),
                 BlockKind::Virtual => {
                     qc.phase() == Phase::Prepare
                         && block.height() == qc.height().plus(2)
@@ -1303,81 +524,59 @@ impl Marlin {
             }
             // (qc, vc) pairs must be internally consistent.
             if let Justify::Two(pre, vc) = &justify {
-                let pair_ok = pre.block_kind() == BlockKind::Virtual
-                    && vc.phase() == Phase::Prepare
-                    && vc.view() == pre.pview()
-                    && vc.height() == pre.height().prev();
-                if !pair_ok {
+                if !pair_ok(pre, vc) {
                     continue;
                 }
-                self.base
+                core.base
                     .store
                     .resolve_virtual_parent(pre.block(), vc.block());
             }
 
             // Voting cases.
-            let mut attach = None;
-            let r1 = qc_rank_ge(&qc, self.locked_qc.as_ref());
+            let lock = core.locked_qc.as_ref();
+            let r1 = qc_rank_ge(&qc, lock);
             let r2 = !r1
                 && block.kind() == BlockKind::Virtual
                 && qc.phase() == Phase::Prepare
-                && self
-                    .locked_qc
-                    .as_ref()
-                    .is_some_and(|l| l.view() == qc.view() && l.height() == qc.height().next());
+                && lock.is_some_and(|l| l.view() == qc.view() && l.height() == qc.height().next());
             let r3 = !r1
                 && !r2
                 && qc.phase() == Phase::PrePrepare
-                && self
-                    .locked_qc
-                    .as_ref()
-                    .is_some_and(|l| l.block() == qc.block());
-            if r2 {
-                attach = self.locked_qc;
-            }
+                && lock.is_some_and(|l| l.block() == qc.block());
             if !(r1 || r2 || r3) {
                 continue;
             }
+            // Case R2 attaches the lock so the leader can validate the
+            // virtual block's parent.
+            let attach = core.locked_qc.filter(|_| r2);
             // Write-ahead: a pre-prepare vote changes no block-level
             // safety state, but the view it is cast in must be durable.
-            if !self.journal_view_durable(view, Phase::PrePrepare, out) {
+            if !core.journal_view_durable(view, Phase::PrePrepare, out) {
                 continue;
             }
 
-            self.base.store_block(block);
+            core.base.store_block(block);
             let seed = block.vote_seed(Phase::PrePrepare, view);
-            let parsig = self.base.crypto.sign_seed(&seed);
-            out.actions.push(Action::Send {
-                to: from,
-                message: Message::new(
-                    self.cfg().id,
-                    view,
-                    MsgBody::Vote(Vote {
-                        seed,
-                        parsig,
-                        locked_qc: attach,
-                    }),
-                ),
-            });
+            core.send_vote(from, seed, attach, out);
             progressed = true;
         }
         if progressed {
-            self.base.progress_timer(out);
+            core.base.progress_timer(out);
         }
     }
 
     /// Leader handling of pre-prepare votes → forms the `pre-prepareQC`
     /// and advances to the prepare phase.
-    fn on_pre_prepare_vote(&mut self, v: Vote, out: &mut StepOutput) {
-        let view = self.base.cview;
-        if v.seed.view != view || !self.cfg().is_leader(view) {
-            return;
+    fn on_pre_prepare_vote(core: &mut MarlinCore, v: Vote, out: &mut StepOutput) -> Next {
+        let view = core.base.cview;
+        if !core.cfg().is_leader(view) {
+            return Next::Idle;
         }
-        let Some(round) = self.vc_rounds.get_mut(&view) else {
-            return;
+        let Some(round) = core.rounds.get(&view).map(|r| &r.ext) else {
+            return Next::Idle;
         };
         if round.advanced || !round.candidates.contains(&v.seed.block) {
-            return;
+            return Next::Idle;
         }
         // Record a validating prepareQC from a Case R2 voter. Only a
         // vc that resolves this round's *virtual candidate* counts: it
@@ -1390,164 +589,148 @@ impl Marlin {
             let virt = round
                 .candidates
                 .iter()
-                .find_map(|id| self.base.store.get(id).filter(|b| b.is_virtual()))
+                .find_map(|id| core.base.store.get(id).filter(|b| b.is_virtual()))
                 .map(|b| (b.pview(), b.height()));
             if let Some((pview, height)) = virt {
                 let fits = vc.phase() == Phase::Prepare
                     && vc.view() == pview
                     && vc.height() == height.prev()
-                    && self.base.crypto.verify_qc(&vc);
+                    && core.base.crypto.verify_qc(&vc);
                 if fits {
-                    let round = self.vc_rounds.get_mut(&view).expect("exists");
-                    round.virtual_vc = Some(vc);
+                    core.round_mut(view).ext.virtual_vc = Some(vc);
                 }
             }
         }
-        if let Some(qc) = self.add_vote(&v, out) {
-            out.actions.push(Action::Note(Note::QcFormed {
-                phase: Phase::PrePrepare,
-                view: qc.view(),
-                height: qc.height(),
-            }));
-            let round = self.vc_rounds.get_mut(&view).expect("exists");
-            match qc.block_kind() {
-                BlockKind::Normal => {
-                    round.advanced = true;
-                    self.high_qc = Justify::One(qc);
-                    self.propose(out);
+        let formed = core.add_vote(&v, out);
+        let round = &mut core.round_mut(view).ext;
+        let high = match formed {
+            Some(qc) if qc.block_kind() == BlockKind::Normal => Justify::One(qc),
+            Some(qc) => match round.virtual_vc {
+                Some(vc) => Justify::Two(qc, vc),
+                None => {
+                    // Wait for a vc or for the normal candidate's QC.
+                    round.stashed_virtual_qc = Some(qc);
+                    return Next::Idle;
                 }
-                BlockKind::Virtual => match round.virtual_vc {
-                    Some(vc) => {
-                        round.advanced = true;
-                        self.base
-                            .store
-                            .resolve_virtual_parent(qc.block(), vc.block());
-                        self.high_qc = Justify::Two(qc, vc);
-                        self.propose(out);
-                    }
-                    None => {
-                        // Wait for a vc or for the normal candidate's QC.
-                        round.stashed_virtual_qc = Some(qc);
-                    }
-                },
-            }
-        } else if let Some(round) = self.vc_rounds.get_mut(&view) {
+            },
             // A stashed virtual QC becomes usable once a vc arrives.
-            if !round.advanced {
-                if let (Some(pre), Some(vc)) = (round.stashed_virtual_qc, round.virtual_vc) {
-                    round.advanced = true;
-                    self.base
-                        .store
-                        .resolve_virtual_parent(pre.block(), vc.block());
-                    self.high_qc = Justify::Two(pre, vc);
-                    self.propose(out);
-                }
-            }
+            None => match (round.stashed_virtual_qc, round.virtual_vc) {
+                (Some(pre), Some(vc)) => Justify::Two(pre, vc),
+                _ => return Next::Idle,
+            },
+        };
+        round.advanced = true;
+        if let Justify::Two(pre, vc) = high {
+            core.base
+                .store
+                .resolve_virtual_parent(pre.block(), vc.block());
         }
-    }
-}
-
-impl Protocol for Marlin {
-    fn config(&self) -> &Config {
-        &self.base.cfg
+        core.high_qc = high;
+        Next::Propose
     }
 
-    fn current_view(&self) -> View {
-        self.base.cview
+    fn on_new_transactions(core: &mut MarlinCore, out: &mut StepOutput) {
+        // Push freshly admitted payloads ahead of leadership:
+        // dissemination overlaps with whatever is in flight.
+        core.base.seal_payloads(out);
     }
 
-    fn store(&self) -> &BlockStore {
-        &self.base.store
+    /// Case N1 with dissemination: propose a digest the availability
+    /// quorum already holds, not the batch.
+    fn propose_digest(core: &mut MarlinCore, qc: Qc, out: &mut StepOutput) -> bool {
+        if !core.base.cfg.dissemination {
+            return false;
+        }
+        core.base.seal_payloads(out);
+        if Self::propose_ready_digest(core, qc, out) {
+            return true;
+        }
+        if core.base.payloads.has_work() {
+            // Sealed batches are still collecting acks; proposing their
+            // transactions inline now would double-spend the batch. The
+            // quorum ack re-triggers this proposal — and the heartbeat
+            // keeps the payload tick (retransmit, expiry) running so
+            // lost pushes cannot leave the leader silent until the view
+            // times out.
+            out.actions.push(Action::SetHeartbeat {
+                delay_ns: core.base.cfg.base_timeout_ns / 4,
+            });
+            return true;
+        }
+        false
     }
 
-    fn mempool_len(&self) -> usize {
-        self.base.mempool.len()
-    }
-
-    fn maintain_crypto(&mut self, max_verified: usize) -> crate::CryptoCacheStats {
-        self.base.maintain_crypto(max_verified)
-    }
-
-    fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
-
-    fn name(&self) -> &'static str {
-        "marlin"
-    }
-
-    fn on_event(&mut self, event: Event) -> StepOutput {
-        let mut out = StepOutput::empty();
+    fn on_digest(
+        core: &mut MarlinCore,
+        event: DigestEvent,
+        out: &mut StepOutput,
+    ) -> Option<(ReplicaId, View, Proposal)> {
+        // Parked proposals are always for the current view.
+        let cview = core.base.cview;
+        fn parked(core: &mut MarlinCore) -> Option<&mut HashMap<BatchId, PendingDigest>> {
+            let round = core.rounds.get_mut(&core.base.cview)?;
+            Some(&mut round.ext.pending_digests)
+        }
         match event {
-            Event::Start => {
-                // Idempotent: a replica that already joined a view
-                // (e.g. via a commit certificate that arrived before
-                // its start event) must not regress.
-                if self.base.cview == View::GENESIS {
-                    self.enter_view(View(1), &mut out);
-                    if self.cfg().is_leader(View(1)) {
-                        self.propose(&mut out);
-                    }
-                }
+            DigestEvent::Proposed {
+                from,
+                view,
+                digest,
+                justify,
+            } => Self::resolve_digest(core, from, view, digest, justify, out),
+            DigestEvent::Fetched(digest) => {
+                let p = parked(core)?.remove(&digest)?;
+                Self::resolve_digest(core, p.from, cview, digest, p.justify, out)
             }
-            Event::Message(msg) => self.on_message(msg, &mut out),
-            Event::Timeout { view } => self.on_timeout(view, &mut out),
-            Event::NewTransactions(txs) => {
-                self.base.add_transactions(txs, &mut out);
-                // Push freshly admitted payloads ahead of leadership:
-                // dissemination overlaps with whatever is in flight.
-                self.base.seal_payloads(&mut out);
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    self.propose(&mut out);
+            DigestEvent::Unavailable(digest) => {
+                // The fetch target no longer holds the batch (evicted,
+                // or crashed and restarted). The proposer is not the
+                // only replica that can serve it — every member of the
+                // availability quorum stored the push — so fan the
+                // fetch out to all replicas once instead of wedging
+                // this digest (and, at 32 wedged entries, the whole
+                // fallback path) until the view changes.
+                let p = parked(core)?.get_mut(&digest)?;
+                if !p.fanned_out {
+                    p.fanned_out = true;
+                    core.base.broadcast_payload_request(digest, out);
                 }
-                self.arm_payload_heartbeat(&mut out);
-            }
-            Event::Heartbeat => {
-                // Drive the sync engine first: deadlines, re-dispatch,
-                // re-arm (no-op without an active run).
-                self.base.sync_tick(&mut out);
-                // Then the payload plane's retransmit/expiry clock, so
-                // stalled seals are re-pushed and eventually abandoned.
-                self.base.payload_tick(&mut out);
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    if !self.base.work_pending() {
-                        out.actions.push(Action::SetHeartbeat {
-                            delay_ns: self.base.cfg.base_timeout_ns / 4,
-                        });
-                    }
-                    self.propose(&mut out);
-                }
-                self.arm_payload_heartbeat(&mut out);
-            }
-            Event::Recovered => self.on_recovered(&mut out),
-        }
-        // A new snapshot anchor pruned the committed prefix this step:
-        // let the journal fold away history below the same horizon so
-        // long-lived nodes bound journal disk alongside block residency.
-        if let Some(horizon) = self.base.take_journal_gc() {
-            if let Some(j) = self.journal.as_mut() {
-                let _ = j.gc_below(horizon);
+                None
             }
         }
-        // Report the step's write-ahead journal IO (appends, bytes,
-        // modeled latency). Reported, and charged to the journal lane
-        // only when `charge_journal` opts in: folding the modeled cost
-        // into the default schedule would perturb the deterministic
-        // timings the fault-injection campaign pins by fingerprint.
-        if let Some(j) = self.journal.as_mut() {
-            let io = j.take_io();
-            if io.appends > 0 {
-                if self.base.cfg.charge_journal {
-                    out.cpu_ns += io.cost_ns;
-                    out.journal_ns += io.cost_ns;
-                }
-                out.actions.push(Action::Note(Note::JournalWrite {
-                    appends: io.appends,
-                    bytes: io.bytes,
-                    cost_ns: io.cost_ns,
-                }));
-            }
+    }
+
+    fn on_lagging_commit(core: &mut MarlinCore, qc: &Qc, out: &mut StepOutput) -> bool {
+        core.base.maybe_start_sync(qc, out)
+    }
+
+    /// Asks peers for commit certificates formed while this replica
+    /// was down, and — when it leads the current view with a snapshot
+    /// usable without crash-lost blocks — re-proposes.
+    fn on_recovered(core: &mut MarlinCore, out: &mut StepOutput) -> Next {
+        let view = core.base.cview;
+        let store = &core.base.store;
+        let last_committed = store
+            .get(&store.last_committed())
+            .map(|b| b.height())
+            .unwrap_or_default();
+        core.catch_up_outstanding = true;
+        out.actions
+            .push(Action::Note(Note::CatchUpRequested { view }));
+        out.actions.push(Action::Broadcast {
+            message: Message::new(
+                core.cfg().id,
+                view,
+                MsgBody::CatchUpRequest { last_committed },
+            ),
+        });
+        // Case N1 needs only the QC's metadata; Case N2 would need the
+        // pre-prepared block itself, which did not survive the crash.
+        let plain = matches!(core.high_qc, Justify::One(qc) if qc.phase() == Phase::Prepare);
+        if core.cfg().is_leader(view) && plain {
+            Next::Propose
+        } else {
+            Next::Idle
         }
-        self.base.finish(out)
     }
 }

@@ -1,6 +1,6 @@
 //! The paper's "half-baked attempt" (Section IV-D), implemented as an
 //! ablation: Marlin's replica-voted pre-prepare phase **without virtual
-//! blocks**.
+//! blocks** — as a rule set over the shared [`Replica`] skeleton.
 //!
 //! The new leader broadcasts a single pre-prepare proposal extending its
 //! highest `prepareQC`. A replica locked on a *higher* `prepareQC`
@@ -18,237 +18,140 @@
 //! measured (`eval -- ablate-four-phase`); its normal case is identical
 //! to Marlin's.
 
-use crate::config::Config;
-use crate::events::{Action, Event, Note, StepOutput, VcCase};
-use crate::util::{Base, Protocol};
-use crate::votes::VoteCollector;
-use marlin_types::rank::{block_rank_gt, qc_rank_cmp, qc_rank_ge};
+use crate::events::{Action, Note, StepOutput, VcCase};
+use crate::replica::{child_of, extends, Adopt, Core, Next, Replica, Rules};
+use marlin_types::rank::{qc_rank_cmp, qc_rank_ge};
 use marlin_types::{
-    Block, BlockId, BlockMeta, BlockStore, Decide, Justify, Message, MsgBody, Phase, Proposal, Qc,
-    QcSeed, ReplicaId, View, ViewChange, Vote,
+    Block, BlockId, Justify, Phase, Proposal, Qc, ReplicaId, View, ViewChange, Vote,
 };
 use std::cmp::Ordering;
-use std::collections::HashMap;
+
+/// A replica running the four-phase ablation protocol.
+pub type MarlinFourPhase = Replica<FourPhaseRules>;
+
+/// The four-phase ablation's rule set.
+#[derive(Clone, Debug)]
+pub struct FourPhaseRules;
 
 /// Per-view leader state for the NACK-and-restart pre-prepare phase.
 #[derive(Clone, Debug, Default)]
-struct VcRound {
-    msgs: HashMap<ReplicaId, ViewChange>,
-    decided: bool,
+pub struct NackRound {
     /// The block currently proposed in pre-prepare.
     candidate: Option<BlockId>,
-    /// Set once a pre-prepareQC formed and the leader moved on.
+    /// Set once a pre-prepareQC formed and the leader moved on; the
+    /// candidate is then the in-flight *recovery block*.
     advanced: bool,
 }
 
-/// A replica running the four-phase ablation protocol.
-#[derive(Clone, Debug)]
-pub struct MarlinFourPhase {
-    base: Base,
-    lb: BlockMeta,
-    locked_qc: Option<Qc>,
-    /// Highest known `prepareQC` (reported in view changes).
-    high_qc: Qc,
-    votes: VoteCollector,
-    in_flight: Option<BlockId>,
-    /// Whether the in-flight block is the post-view-change recovery
-    /// block (which must run the long three-phase commit).
-    recovering: bool,
-    vc_rounds: HashMap<View, VcRound>,
+/// View-change pre-prepare proposal extending `qc`.
+fn propose_pre_prepare(core: &mut Core<NackRound>, qc: Qc, out: &mut StepOutput) {
+    let view = core.base.cview;
+    let batch = core.base.take_batch();
+    let block = child_of(&qc, view, batch, Justify::One(qc));
+    core.base.store_block(&block);
+    core.round_mut(view).ext.candidate = Some(block.id());
+    out.actions.push(Action::Note(Note::Proposed {
+        view,
+        height: block.height(),
+        phase: Phase::PrePrepare,
+    }));
+    core.broadcast_proposal(
+        Proposal {
+            phase: Phase::PrePrepare,
+            blocks: vec![block],
+            justify: Justify::One(qc),
+            vc_proof: Vec::new(),
+        },
+        out,
+    );
 }
 
-impl MarlinFourPhase {
-    /// Creates a replica in the pre-start state.
-    pub fn new(config: Config) -> Self {
-        MarlinFourPhase {
-            base: Base::new(config),
-            lb: BlockMeta::genesis(),
-            locked_qc: None,
-            high_qc: Qc::genesis(BlockId::GENESIS),
-            votes: VoteCollector::new(),
-            in_flight: None,
-            recovering: false,
-            vc_rounds: HashMap::new(),
-        }
-    }
+impl Rules for FourPhaseRules {
+    type Round = NackRound;
 
-    /// The current lock, if any.
-    pub fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
+    const NAME: &'static str = "marlin-four-phase";
 
-    fn cfg(&self) -> &Config {
-        &self.base.cfg
-    }
-
-    fn raise_lock(&mut self, qc: &Qc) {
-        let higher = match &self.locked_qc {
-            None => true,
-            Some(cur) => qc_rank_cmp(qc, cur) == Ordering::Greater,
+    fn vote_rule(
+        core: &mut Core<NackRound>,
+        view: View,
+        block: &Block,
+        p: &Proposal,
+    ) -> Option<Adopt> {
+        let Justify::One(qc) = p.justify else {
+            return None;
         };
-        if higher {
-            self.locked_qc = Some(*qc);
+        if !core.base.crypto.verify_qc(&qc) {
+            return None;
         }
-    }
-
-    fn raise_high(&mut self, qc: &Qc) {
-        if qc_rank_cmp(qc, &self.high_qc) == Ordering::Greater {
-            self.high_qc = *qc;
-        }
-    }
-
-    fn enter_view(&mut self, view: View, out: &mut StepOutput) {
-        self.votes.clear();
-        self.in_flight = None;
-        self.recovering = false;
-        let drained = self.base.enter_view(view, out);
-        self.vc_rounds.retain(|v, _| *v >= view);
-        for msg in drained {
-            let sub = self.on_event(Event::Message(msg));
-            out.merge(sub);
-        }
-    }
-
-    fn start_view_change(&mut self, target: View, out: &mut StepOutput) {
-        out.actions.push(Action::Note(Note::ViewChangeStarted {
-            from_view: self.base.cview,
-        }));
-        self.enter_view(target, out);
-        let parsig = self
-            .base
-            .crypto
-            .sign_seed(&ViewChange::happy_seed(&self.lb, target));
-        out.actions.push(Action::Send {
-            to: self.cfg().leader_of(target),
-            message: Message::new(
-                self.cfg().id,
-                target,
-                MsgBody::ViewChange(ViewChange {
-                    last_voted: self.lb,
-                    high_qc: Justify::One(self.high_qc),
-                    parsig,
-                    cert: None,
-                }),
-            ),
-        });
-    }
-
-    /// Normal-case proposal (identical to Marlin's Case N1).
-    fn propose(&mut self, out: &mut StepOutput) {
-        let view = self.base.cview;
-        if self.in_flight.is_some() {
-            return;
-        }
-        let qc = self.high_qc;
-        if !qc.is_genesis() && qc.view() != view {
-            return; // view change not complete yet
-        }
-        let batch = self.base.take_batch();
-        let block = Block::new_normal(
-            qc.block(),
-            qc.block_view(),
-            view,
-            qc.height().next(),
-            batch,
-            Justify::One(qc),
-        );
-        self.base.store_block(&block);
-        self.in_flight = Some(block.id());
-        self.recovering = false;
-        out.actions.push(Action::Note(Note::Proposed {
-            view,
-            height: block.height(),
-            phase: Phase::Prepare,
-        }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Proposal(Proposal {
-                    phase: Phase::Prepare,
-                    blocks: vec![block],
-                    justify: Justify::One(qc),
-                    vc_proof: Vec::new(),
-                }),
-            ),
-        });
-    }
-
-    /// View-change pre-prepare proposal extending `qc`.
-    fn propose_pre_prepare(&mut self, qc: Qc, out: &mut StepOutput) {
-        let view = self.base.cview;
-        let batch = self.base.take_batch();
-        let block = Block::new_normal(
-            qc.block(),
-            qc.block_view(),
-            view,
-            qc.height().next(),
-            batch,
-            Justify::One(qc),
-        );
-        self.base.store_block(&block);
-        let round = self.vc_rounds.entry(view).or_default();
-        round.candidate = Some(block.id());
-        out.actions.push(Action::Note(Note::Proposed {
-            view,
-            height: block.height(),
-            phase: Phase::PrePrepare,
-        }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Proposal(Proposal {
-                    phase: Phase::PrePrepare,
-                    blocks: vec![block],
-                    justify: Justify::One(qc),
-                    vc_proof: Vec::new(),
-                }),
-            ),
-        });
-    }
-
-    fn on_message(&mut self, msg: Message, out: &mut StepOutput) {
-        if self.base.handle_fetch(&msg, out) {
-            return;
-        }
-        if self.base.handle_sync(&msg, out) {
-            return;
-        }
-        if let MsgBody::Decide(d) = &msg.body {
-            self.on_decide(*d, msg.from, out);
-            return;
-        }
-        if msg.view > self.base.cview {
-            self.base.buffer_future(msg);
-            if let Some(target) = self.base.future_view_change_senders(self.cfg().f + 1) {
-                if target > self.base.cview {
-                    self.start_view_change(target, out);
-                }
+        let ranks = qc_rank_ge(&qc, core.locked_qc.as_ref());
+        match qc.phase() {
+            // Normal case (Marlin N1).
+            Phase::Prepare => {
+                (extends(block, &qc) && (qc.is_genesis() || qc.view() == view) && ranks)
+                    .then_some(Adopt::Both)
             }
-            return;
+            // Recovery case: the fresh pre-prepareQC certifies this
+            // very block.
+            Phase::PrePrepare => {
+                (block.id() == qc.block() && qc.view() == view && ranks).then_some(Adopt::Nothing)
+            }
+            _ => None,
         }
-        if msg.view < self.base.cview {
-            return;
+    }
+
+    /// `PRE-COMMIT` (recovery path) carries the `prepareQC`; `COMMIT`
+    /// carries a `prepareQC` (short path) or `precommitQC` (recovery
+    /// path).
+    fn broadcast_rule(broadcast: Phase, carried: Phase) -> Option<Adopt> {
+        match (broadcast, carried) {
+            (Phase::PreCommit, Phase::Prepare) => Some(Adopt::High),
+            (Phase::Commit, Phase::Prepare) => Some(Adopt::Both),
+            (Phase::Commit, Phase::PreCommit) => Some(Adopt::Lock),
+            _ => None,
         }
-        match msg.body {
-            MsgBody::Proposal(p) => match p.phase {
-                Phase::PrePrepare => self.on_pre_prepare(msg.from, msg.view, p, out),
-                Phase::Prepare => self.on_prepare(msg.from, msg.view, p, out),
-                Phase::PreCommit | Phase::Commit => {
-                    self.on_phase_broadcast(msg.from, msg.view, p, out)
-                }
-            },
-            MsgBody::Vote(v) => self.on_vote(v, out),
-            MsgBody::ViewChange(vc) => self.on_view_change(msg.from, msg.view, vc, out),
-            _ => {}
+    }
+
+    /// Recovery blocks take the long path (pre-commit); normal blocks
+    /// go straight to commit.
+    fn prepare_qc_phase(core: &Core<NackRound>) -> Phase {
+        let recovering = core
+            .rounds
+            .get(&core.base.cview)
+            .is_some_and(|r| r.ext.advanced && r.ext.candidate == core.in_flight);
+        if recovering {
+            Phase::PreCommit
+        } else {
+            Phase::Commit
         }
+    }
+
+    /// Pre-prepare the highest reported `prepareQC`.
+    fn on_new_view(
+        core: &mut Core<NackRound>,
+        view: View,
+        msgs: Vec<(ReplicaId, ViewChange)>,
+        out: &mut StepOutput,
+    ) -> Next {
+        if let Some(qc) = core.adopt_highest_reported(&msgs, true) {
+            out.actions.push(Action::Note(Note::UnhappyPathVc {
+                view,
+                case: VcCase::V2,
+            }));
+            propose_pre_prepare(core, qc, out);
+        }
+        Next::Idle
     }
 
     /// Replica: vote for the pre-prepare candidate, or NACK with a
     /// higher lock.
-    fn on_pre_prepare(&mut self, from: ReplicaId, view: View, p: Proposal, out: &mut StepOutput) {
-        if from != self.cfg().leader_of(view) || p.blocks.len() != 1 {
+    fn on_pre_prepare(
+        core: &mut Core<NackRound>,
+        from: ReplicaId,
+        view: View,
+        p: Proposal,
+        out: &mut StepOutput,
+    ) {
+        if from != core.cfg().leader_of(view) || p.blocks.len() != 1 {
             return;
         }
         let block = &p.blocks[0];
@@ -256,536 +159,67 @@ impl MarlinFourPhase {
         let structural = block.view() == view
             && qc.phase() == Phase::Prepare
             && qc.view() < view
-            && block.parent_id() == Some(qc.block())
-            && block.height() == qc.height().next()
-            && block.pview() == qc.block_view()
-            && self.base.crypto.verify_qc(&qc);
+            && extends(block, &qc)
+            && core.base.crypto.verify_qc(&qc);
         if !structural {
             return;
         }
         let seed = block.vote_seed(Phase::PrePrepare, view);
-        if qc_rank_ge(&qc, self.locked_qc.as_ref()) {
+        if qc_rank_ge(&qc, core.locked_qc.as_ref()) {
             // "Yes" — contribute to the pre-prepareQC.
-            self.base.store_block(block);
-            let parsig = self.base.crypto.sign_seed(&seed);
-            out.actions.push(Action::Send {
-                to: from,
-                message: Message::new(
-                    self.cfg().id,
-                    view,
-                    MsgBody::Vote(Vote {
-                        seed,
-                        parsig,
-                        locked_qc: None,
-                    }),
-                ),
-            });
+            core.base.store_block(block);
+            core.send_vote(from, seed, None, out);
         } else {
             // NACK: report the higher prepareQC so the leader restarts.
-            let parsig = self.base.crypto.sign_seed(&seed);
-            out.actions.push(Action::Send {
-                to: from,
-                message: Message::new(
-                    self.cfg().id,
-                    view,
-                    MsgBody::Vote(Vote {
-                        seed,
-                        parsig,
-                        locked_qc: self.locked_qc,
-                    }),
-                ),
-            });
+            core.send_vote(from, seed, core.locked_qc, out);
         }
-        self.base.progress_timer(out);
+        core.base.progress_timer(out);
     }
 
-    /// Replica: the recovery block's PREPARE (justify is the fresh
-    /// pre-prepareQC).
-    fn on_prepare(&mut self, from: ReplicaId, view: View, p: Proposal, out: &mut StepOutput) {
-        if from != self.cfg().leader_of(view) || p.blocks.len() != 1 {
-            return;
+    /// Leader: a NACK restarts the pre-prepare phase from the higher QC
+    /// ("Case 2" of the half-baked design); a quorum of yes-votes forms
+    /// the pre-prepareQC and starts the recovery block's long ladder.
+    fn on_pre_prepare_vote(core: &mut Core<NackRound>, v: Vote, out: &mut StepOutput) -> Next {
+        let view = core.base.cview;
+        if !core.cfg().is_leader(view) {
+            return Next::Idle;
         }
-        let block = &p.blocks[0];
-        if block.view() != view || !block_rank_gt(&block.meta(), &self.lb) {
-            return;
-        }
-        let Justify::One(qc) = p.justify else { return };
-        if !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        let valid = match qc.phase() {
-            // Normal case (Marlin N1).
-            Phase::Prepare => {
-                block.parent_id() == Some(qc.block())
-                    && block.height() == qc.height().next()
-                    && block.pview() == qc.block_view()
-                    && (qc.is_genesis() || qc.view() == view)
-                    && qc_rank_ge(&qc, self.locked_qc.as_ref())
+        if let Some(higher) = v.locked_qc {
+            let restart = !core.round_mut(view).ext.advanced
+                && higher.phase() == Phase::Prepare
+                && core
+                    .high_qc
+                    .qc()
+                    .is_none_or(|cur| qc_rank_cmp(&higher, cur) == Ordering::Greater)
+                && core.base.crypto.verify_qc(&higher);
+            if restart {
+                core.raise_high(&higher);
+                core.votes.clear();
+                propose_pre_prepare(core, higher, out);
+                return Next::Idle;
             }
-            // Recovery case: the pre-prepareQC certifies this block.
-            Phase::PrePrepare => {
-                block.id() == qc.block()
-                    && qc.view() == view
-                    && qc_rank_ge(&qc, self.locked_qc.as_ref())
-            }
-            _ => false,
+        }
+        let round = &core.round_mut(view).ext;
+        if round.advanced || round.candidate != Some(v.seed.block) {
+            return Next::Idle;
+        }
+        let Some(qc) = core.add_vote(&v, out) else {
+            return Next::Idle;
         };
-        if !valid {
-            return;
-        }
-        self.base.store_block(block);
-        let seed = block.vote_seed(Phase::Prepare, view);
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        self.lb = block.meta();
-        if qc.phase() == Phase::Prepare {
-            self.raise_high(&qc);
-            self.raise_lock(&qc);
-        }
-        self.base.progress_timer(out);
-    }
-
-    /// Replica: PRE-COMMIT (recovery path) and COMMIT broadcasts.
-    fn on_phase_broadcast(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        p: Proposal,
-        out: &mut StepOutput,
-    ) {
-        if from != self.cfg().leader_of(view) {
-            return;
-        }
-        let Justify::One(qc) = p.justify else { return };
-        let ok = match p.phase {
-            // Recovery path: PRE-COMMIT carries the prepareQC.
-            Phase::PreCommit => qc.phase() == Phase::Prepare,
-            // COMMIT carries a prepareQC (short path) or precommitQC
-            // (recovery path).
-            Phase::Commit => matches!(qc.phase(), Phase::Prepare | Phase::PreCommit),
-            _ => false,
+        core.round_mut(view).ext.advanced = true;
+        core.in_flight = Some(qc.block());
+        let Some(block) = core.base.store.get(&qc.block()).cloned() else {
+            return Next::Idle;
         };
-        if !ok || qc.view() != view || !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        let seed = QcSeed {
-            phase: p.phase,
-            ..*qc.seed()
-        };
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        match (p.phase, qc.phase()) {
-            (Phase::PreCommit, _) => self.raise_high(&qc),
-            (Phase::Commit, Phase::Prepare) => {
-                self.raise_high(&qc);
-                self.raise_lock(&qc);
-            }
-            (Phase::Commit, _) => self.raise_lock(&qc),
-            _ => {}
-        }
-        self.base.progress_timer(out);
-    }
-
-    /// Leader: vote aggregation for all phases.
-    fn on_vote(&mut self, v: Vote, out: &mut StepOutput) {
-        let view = self.base.cview;
-        if v.seed.view != view || !self.cfg().is_leader(view) {
-            return;
-        }
-        // A NACK restarts the pre-prepare phase from the higher QC
-        // ("Case 2" of the half-baked design).
-        if v.seed.phase == Phase::PrePrepare {
-            if let Some(higher) = v.locked_qc {
-                let round = self.vc_rounds.entry(view).or_default();
-                if !round.advanced
-                    && higher.phase() == Phase::Prepare
-                    && qc_rank_cmp(&higher, &self.high_qc) == Ordering::Greater
-                    && self.base.crypto.verify_qc(&higher)
-                {
-                    self.raise_high(&higher);
-                    self.votes.clear();
-                    self.propose_pre_prepare(higher, out);
-                    return;
-                }
-            }
-            let round = self.vc_rounds.entry(view).or_default();
-            if round.advanced || round.candidate != Some(v.seed.block) {
-                return;
-            }
-        } else if Some(v.seed.block) != self.in_flight {
-            return;
-        }
-        let quorum = self.cfg().quorum();
-        let Some(qc) =
-            crate::votes::add_vote_noted(&mut self.votes, &v, quorum, &mut self.base.crypto, out)
-        else {
-            return;
-        };
-        out.actions.push(Action::Note(Note::QcFormed {
-            phase: qc.phase(),
-            view: qc.view(),
-            height: qc.height(),
-        }));
-        match qc.phase() {
-            Phase::PrePrepare => {
-                let round = self.vc_rounds.entry(view).or_default();
-                round.advanced = true;
-                self.in_flight = Some(qc.block());
-                self.recovering = true;
-                let Some(block) = self.base.store.get(&qc.block()).cloned() else {
-                    return;
-                };
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        view,
-                        MsgBody::Proposal(Proposal {
-                            phase: Phase::Prepare,
-                            blocks: vec![block],
-                            justify: Justify::One(qc),
-                            vc_proof: Vec::new(),
-                        }),
-                    ),
-                });
-            }
-            Phase::Prepare => {
-                self.raise_high(&qc);
-                // Recovery blocks take the long path (pre-commit);
-                // normal blocks go straight to commit.
-                let phase = if self.recovering {
-                    Phase::PreCommit
-                } else {
-                    Phase::Commit
-                };
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        view,
-                        MsgBody::Proposal(Proposal {
-                            phase,
-                            blocks: Vec::new(),
-                            justify: Justify::One(qc),
-                            vc_proof: Vec::new(),
-                        }),
-                    ),
-                });
-            }
-            Phase::PreCommit => {
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        view,
-                        MsgBody::Proposal(Proposal {
-                            phase: Phase::Commit,
-                            blocks: Vec::new(),
-                            justify: Justify::One(qc),
-                            vc_proof: Vec::new(),
-                        }),
-                    ),
-                });
-            }
-            Phase::Commit => {
-                self.in_flight = None;
-                self.recovering = false;
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        view,
-                        MsgBody::Decide(Decide { commit_qc: qc }),
-                    ),
-                });
-                if self.base.mempool.is_empty() {
-                    out.actions.push(Action::SetHeartbeat {
-                        delay_ns: self.base.cfg.base_timeout_ns / 4,
-                    });
-                } else {
-                    self.propose(out);
-                }
-            }
-        }
-    }
-
-    fn on_decide(&mut self, d: Decide, from: ReplicaId, out: &mut StepOutput) {
-        let qc = d.commit_qc;
-        if qc.phase() != Phase::Commit || !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        if qc.view() > self.base.cview {
-            self.enter_view(qc.view(), out);
-        }
-        self.base.try_commit(qc, from, out);
-    }
-
-    fn on_view_change(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        vc: ViewChange,
-        out: &mut StepOutput,
-    ) {
-        if !self.cfg().is_leader(view) {
-            return;
-        }
-        let quorum = self.cfg().quorum();
-        let round = self.vc_rounds.entry(view).or_default();
-        if round.decided {
-            return;
-        }
-        round.msgs.insert(from, vc);
-        if round.msgs.len() < quorum {
-            return;
-        }
-        round.decided = true;
-        let msgs = round.msgs.clone();
-        let mut best: Option<Qc> = None;
-        for m in msgs.values() {
-            if let Some(qc) = m.high_qc.qc() {
-                if qc.phase() == Phase::Prepare
-                    && self.base.crypto.verify_qc(qc)
-                    && best
-                        .as_ref()
-                        .is_none_or(|b| qc_rank_cmp(qc, b) == Ordering::Greater)
-                {
-                    best = Some(*qc);
-                }
-            }
-        }
-        if let Some(qc) = best {
-            out.actions.push(Action::Note(Note::UnhappyPathVc {
-                view,
-                case: VcCase::V2,
-            }));
-            self.raise_high(&qc);
-            self.propose_pre_prepare(qc, out);
-        }
-    }
-}
-
-impl Protocol for MarlinFourPhase {
-    fn config(&self) -> &Config {
-        &self.base.cfg
-    }
-
-    fn current_view(&self) -> View {
-        self.base.cview
-    }
-
-    fn store(&self) -> &BlockStore {
-        &self.base.store
-    }
-
-    fn mempool_len(&self) -> usize {
-        self.base.mempool.len()
-    }
-
-    fn maintain_crypto(&mut self, max_verified: usize) -> crate::CryptoCacheStats {
-        self.base.maintain_crypto(max_verified)
-    }
-
-    fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
-
-    fn name(&self) -> &'static str {
-        "marlin-four-phase"
-    }
-
-    fn on_event(&mut self, event: Event) -> StepOutput {
-        let mut out = StepOutput::empty();
-        match event {
-            Event::Start => {
-                if self.base.cview == View::GENESIS {
-                    self.enter_view(View(1), &mut out);
-                    if self.cfg().is_leader(View(1)) {
-                        self.propose(&mut out);
-                    }
-                }
-            }
-            Event::Message(msg) => self.on_message(msg, &mut out),
-            Event::Timeout { view } => {
-                if view == self.base.cview {
-                    self.start_view_change(view.next(), &mut out);
-                }
-            }
-            Event::NewTransactions(txs) => {
-                self.base.add_transactions(txs, &mut out);
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    self.propose(&mut out);
-                }
-            }
-            Event::Heartbeat => {
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    if self.base.mempool.is_empty() {
-                        out.actions.push(Action::SetHeartbeat {
-                            delay_ns: self.base.cfg.base_timeout_ns / 4,
-                        });
-                    }
-                    self.propose(&mut out);
-                }
-            }
-            Event::Recovered => {
-                // Pre-crash timers died with the process: re-arm the view
-                // timer so the replica can time out of a stale view.
-                out.actions.push(Action::SetTimer {
-                    view: self.base.cview,
-                    delay_ns: self.base.pacemaker.delay_for(self.base.cview),
-                });
-            }
-        }
-        self.base.finish(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::harness::Cluster;
-    use crate::ProtocolKind;
-
-    const P0: ReplicaId = ReplicaId(0);
-    const P1: ReplicaId = ReplicaId(1);
-    const P2: ReplicaId = ReplicaId(2);
-
-    #[test]
-    fn normal_case_commits() {
-        let mut cl = Cluster::new(ProtocolKind::MarlinFourPhase, Config::for_test(4, 1), 1);
-        cl.submit_to(P1, 30, 150);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 30);
-    }
-
-    #[test]
-    fn view_change_takes_four_phases() {
-        let mut cl = Cluster::new(ProtocolKind::MarlinFourPhase, Config::for_test(4, 1), 2);
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        cl.crash(P1);
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
-        }
-        cl.run_until_idle();
-        // The recovery block forms all four QCs.
-        let phases: Vec<Phase> = cl
-            .notes()
-            .iter()
-            .filter_map(|(p, n)| match n {
-                Note::QcFormed {
-                    phase,
-                    view: View(2),
-                    ..
-                } if *p == P2 => Some(*phase),
-                _ => None,
-            })
-            .collect();
-        assert!(phases.contains(&Phase::PrePrepare), "phases: {phases:?}");
-        assert!(phases.contains(&Phase::Prepare));
-        assert!(phases.contains(&Phase::PreCommit));
-        assert!(phases.contains(&Phase::Commit));
-        // Progress continues.
-        cl.submit_to(P2, 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 20);
-    }
-
-    #[test]
-    fn nack_restart_unlocks_hidden_qc() {
-        // The Fig. 2 situation: p0 locked on a hidden prepareQC. The
-        // four-phase leader proposes from the stale QC, p0 NACKs with
-        // its lock, and the leader restarts from it — liveness holds,
-        // at the cost of the extra round trips.
-        let mut cl = Cluster::new(ProtocolKind::MarlinFourPhase, Config::for_test(4, 1), 3);
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        let contested = cl.committed_height(P0) as u64 + 1;
-        cl.set_filter(Box::new(move |_f, to, msg: &Message| match &msg.body {
-            MsgBody::Proposal(p) if p.phase == Phase::Prepare => {
-                !(p.blocks.first().is_some_and(|b| b.height().0 == contested) && to == P2)
-            }
-            MsgBody::Proposal(p) if p.phase == Phase::Commit => {
-                p.justify.qc().is_none_or(|qc| qc.height().0 != contested) || to == P0
-            }
-            _ => true,
-        }));
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        cl.crash(P1);
-        // Unsafe snapshot: p0's VIEW-CHANGE never reaches the leader.
-        cl.set_filter(Box::new(|from, _to, msg: &Message| {
-            !(from == P0 && matches!(msg.body, MsgBody::ViewChange(_)))
-        }));
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
-        }
-        cl.run_until_idle();
-        cl.clear_filter();
-        // Inject a stale Byzantine VIEW-CHANGE to complete the quorum.
-        let cfg = Config::for_test(4, 1);
-        let stale = cl.committed_blocks(P0).last().expect("committed").clone();
-        let seed = stale.vote_seed(Phase::Prepare, View(1));
-        let partials: Vec<_> = (0..3)
-            .map(|i| cfg.keys.signer(i).sign_partial(&seed.signing_bytes()))
-            .collect();
-        let stale_qc = Qc::combine(
-            seed,
-            &partials,
-            &cfg.keys,
-            marlin_crypto::QcFormat::Threshold,
-        )
-        .unwrap();
-        let parsig = cfg
-            .keys
-            .signer(1)
-            .sign_partial(&ViewChange::happy_seed(&stale.meta(), View(2)).signing_bytes());
-        cl.inject(
-            P2,
-            Message::new(
-                ReplicaId(1),
-                View(2),
-                MsgBody::ViewChange(ViewChange {
-                    last_voted: stale.meta(),
-                    high_qc: Justify::One(stale_qc),
-                    parsig,
-                    cert: None,
-                }),
-            ),
+        core.broadcast_proposal(
+            Proposal {
+                phase: Phase::Prepare,
+                blocks: vec![block],
+                justify: Justify::One(qc),
+                vc_proof: Vec::new(),
+            },
+            out,
         );
-        cl.run_until_idle();
-        // The NACK-restart recovered the contested block.
-        cl.assert_consistent();
-        assert!(
-            cl.committed_blocks(P0)
-                .iter()
-                .any(|b| b.height().0 == contested),
-            "contested block not recovered; heights: {:?}",
-            cl.committed_blocks(P0)
-                .iter()
-                .map(|b| b.height().0)
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(cl.total_committed_txs(P0), 20);
+        Next::Idle
     }
 }

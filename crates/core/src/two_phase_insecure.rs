@@ -1,4 +1,5 @@
-//! The **insecure** two-phase HotStuff strawman of Section IV-B.
+//! The **insecure** two-phase HotStuff strawman of Section IV-B — as a
+//! rule set over the shared [`Replica`] skeleton.
 //!
 //! Identical to Marlin's normal case (two phases, replicas lock on the
 //! `prepareQC` they receive), but its view change simply lets the new
@@ -13,464 +14,49 @@
 //! that failure (`figure2b_insecure_two_phase_stalls`) and demonstrate
 //! what Marlin fixes. **Never use it for anything but demonstrations.**
 
-use crate::config::Config;
-use crate::events::{Action, Event, Note, StepOutput};
-use crate::util::{Base, Protocol};
-use crate::votes::VoteCollector;
-use marlin_types::rank::{block_rank_gt, qc_rank_cmp, qc_rank_ge};
-use marlin_types::{
-    Block, BlockId, BlockMeta, BlockStore, Decide, Justify, Message, MsgBody, Phase, Proposal, Qc,
-    ReplicaId, View, ViewChange, Vote,
-};
-use std::cmp::Ordering;
-use std::collections::HashMap;
+use crate::events::StepOutput;
+use crate::hotstuff::{licence_after_decision, safe_node};
+use crate::replica::{Adopt, Core, Next, Replica, Rules};
+use marlin_types::{Block, Phase, Proposal, ReplicaId, VcCert, View, ViewChange};
 
 /// A replica running the insecure two-phase strawman.
+pub type TwoPhaseInsecure = Replica<TwoPhaseInsecureRules>;
+
+/// The strawman's rule set.
 #[derive(Clone, Debug)]
-pub struct TwoPhaseInsecure {
-    base: Base,
-    lb: BlockMeta,
-    locked_qc: Option<Qc>,
-    high_qc: Qc,
-    votes: VoteCollector,
-    in_flight: Option<BlockId>,
-    vc_msgs: HashMap<View, HashMap<ReplicaId, ViewChange>>,
-    vc_done: HashMap<View, bool>,
-}
+pub struct TwoPhaseInsecureRules;
 
-impl TwoPhaseInsecure {
-    /// Creates a replica in the pre-start state.
-    pub fn new(config: Config) -> Self {
-        TwoPhaseInsecure {
-            base: Base::new(config),
-            lb: BlockMeta::genesis(),
-            locked_qc: None,
-            high_qc: Qc::genesis(BlockId::GENESIS),
-            votes: VoteCollector::new(),
-            in_flight: None,
-            vc_msgs: HashMap::new(),
-            vc_done: HashMap::new(),
+impl Rules for TwoPhaseInsecureRules {
+    type Round = ();
+
+    const NAME: &'static str = "two-phase-insecure";
+
+    /// The insecure rule: extend any prepareQC whose rank is at least
+    /// the local lock — the leader need not prove its snapshot is
+    /// safe, and a replica locked higher simply refuses.
+    fn vote_rule(core: &mut Core<()>, _view: View, block: &Block, p: &Proposal) -> Option<Adopt> {
+        safe_node(core, block, p).then_some(Adopt::Both)
+    }
+
+    fn broadcast_rule(broadcast: Phase, carried: Phase) -> Option<Adopt> {
+        (broadcast == Phase::Commit && carried == Phase::Prepare).then_some(Adopt::Both)
+    }
+
+    /// Pick the highest QC in the snapshot — which may miss the most
+    /// recent one (the unsafe-snapshot flaw).
+    fn on_new_view(
+        core: &mut Core<()>,
+        _view: View,
+        msgs: Vec<(ReplicaId, ViewChange)>,
+        _out: &mut StepOutput,
+    ) -> Next {
+        match core.adopt_highest_reported(&msgs, false) {
+            Some(_) => Next::Propose,
+            None => Next::Idle,
         }
     }
 
-    /// The current lock, if any.
-    pub fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
-
-    fn cfg(&self) -> &Config {
-        &self.base.cfg
-    }
-
-    fn raise_lock(&mut self, qc: &Qc) {
-        let higher = match &self.locked_qc {
-            None => true,
-            Some(cur) => qc_rank_cmp(qc, cur) == Ordering::Greater,
-        };
-        if higher {
-            self.locked_qc = Some(*qc);
-        }
-    }
-
-    fn raise_high(&mut self, qc: &Qc) {
-        if qc_rank_cmp(qc, &self.high_qc) == Ordering::Greater {
-            self.high_qc = *qc;
-        }
-    }
-
-    fn enter_view(&mut self, view: View, out: &mut StepOutput) {
-        self.votes.clear();
-        self.in_flight = None;
-        let drained = self.base.enter_view(view, out);
-        self.vc_msgs.retain(|v, _| *v >= view);
-        for msg in drained {
-            let sub = self.on_event(Event::Message(msg));
-            out.merge(sub);
-        }
-    }
-
-    fn start_view_change(&mut self, target: View, out: &mut StepOutput) {
-        out.actions.push(Action::Note(Note::ViewChangeStarted {
-            from_view: self.base.cview,
-        }));
-        self.enter_view(target, out);
-        let parsig = self
-            .base
-            .crypto
-            .sign_seed(&ViewChange::happy_seed(&self.lb, target));
-        out.actions.push(Action::Send {
-            to: self.cfg().leader_of(target),
-            message: Message::new(
-                self.cfg().id,
-                target,
-                MsgBody::ViewChange(ViewChange {
-                    last_voted: self.lb,
-                    high_qc: Justify::One(self.high_qc),
-                    parsig,
-                    cert: None,
-                }),
-            ),
-        });
-    }
-
-    fn propose(&mut self, out: &mut StepOutput) {
-        let view = self.base.cview;
-        if self.in_flight.is_some() {
-            return;
-        }
-        // Wait for the new-view decision before extending a QC from an
-        // older view (a premature proposal could miss a higher QC).
-        let ready = self.high_qc.is_genesis()
-            || self.high_qc.view() == view
-            || self.vc_done.get(&view).copied().unwrap_or(false);
-        if !ready {
-            return;
-        }
-        let qc = self.high_qc;
-        let batch = self.base.take_batch();
-        let block = Block::new_normal(
-            qc.block(),
-            qc.block_view(),
-            view,
-            qc.height().next(),
-            batch,
-            Justify::One(qc),
-        );
-        self.base.store_block(&block);
-        self.in_flight = Some(block.id());
-        out.actions.push(Action::Note(Note::Proposed {
-            view,
-            height: block.height(),
-            phase: Phase::Prepare,
-        }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Proposal(Proposal {
-                    phase: Phase::Prepare,
-                    blocks: vec![block],
-                    justify: Justify::One(qc),
-                    vc_proof: Vec::new(),
-                }),
-            ),
-        });
-    }
-
-    fn on_message(&mut self, msg: Message, out: &mut StepOutput) {
-        if self.base.handle_fetch(&msg, out) {
-            return;
-        }
-        if self.base.handle_sync(&msg, out) {
-            return;
-        }
-        if let MsgBody::Decide(d) = &msg.body {
-            self.on_decide(*d, msg.from, out);
-            return;
-        }
-        if msg.view > self.base.cview {
-            self.base.buffer_future(msg);
-            if let Some(target) = self.base.future_view_change_senders(self.cfg().f + 1) {
-                if target > self.base.cview {
-                    self.start_view_change(target, out);
-                }
-            }
-            return;
-        }
-        if msg.view < self.base.cview {
-            return;
-        }
-        match msg.body {
-            MsgBody::Proposal(p) if p.phase == Phase::Prepare => {
-                self.on_prepare(msg.from, msg.view, p, out)
-            }
-            MsgBody::Proposal(p) if p.phase == Phase::Commit => {
-                self.on_commit(msg.from, msg.view, p, out)
-            }
-            MsgBody::Vote(v) => self.on_vote(v, out),
-            MsgBody::ViewChange(vc) => self.on_view_change(msg.from, msg.view, vc, out),
-            _ => {}
-        }
-    }
-
-    fn on_prepare(&mut self, from: ReplicaId, view: View, p: Proposal, out: &mut StepOutput) {
-        if from != self.cfg().leader_of(view) || p.blocks.len() != 1 {
-            return;
-        }
-        let block = &p.blocks[0];
-        let Justify::One(qc) = p.justify else { return };
-        // The insecure rule: extend any prepareQC whose rank is at least
-        // the local lock — the leader need not prove its snapshot is
-        // safe, and a replica locked higher simply refuses.
-        let valid = block.view() == view
-            && block_rank_gt(&block.meta(), &self.lb)
-            && qc.phase() == Phase::Prepare
-            && block.parent_id() == Some(qc.block())
-            && block.height() == qc.height().next()
-            && block.pview() == qc.block_view()
-            && qc_rank_ge(&qc, self.locked_qc.as_ref())
-            && self.base.crypto.verify_qc(&qc);
-        if !valid {
-            return;
-        }
-        self.base.store_block(block);
-        let seed = block.vote_seed(Phase::Prepare, view);
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        self.lb = block.meta();
-        self.raise_high(&qc);
-        self.raise_lock(&qc);
-        self.base.progress_timer(out);
-    }
-
-    fn on_commit(&mut self, from: ReplicaId, view: View, p: Proposal, out: &mut StepOutput) {
-        if from != self.cfg().leader_of(view) {
-            return;
-        }
-        let Justify::One(qc) = p.justify else { return };
-        if qc.phase() != Phase::Prepare || qc.view() != view || !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        let seed = marlin_types::QcSeed {
-            phase: Phase::Commit,
-            ..*qc.seed()
-        };
-        let parsig = self.base.crypto.sign_seed(&seed);
-        out.actions.push(Action::Send {
-            to: from,
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::Vote(Vote {
-                    seed,
-                    parsig,
-                    locked_qc: None,
-                }),
-            ),
-        });
-        self.raise_high(&qc);
-        self.raise_lock(&qc);
-        self.base.progress_timer(out);
-    }
-
-    fn on_vote(&mut self, v: Vote, out: &mut StepOutput) {
-        if v.seed.view != self.base.cview || Some(v.seed.block) != self.in_flight {
-            return;
-        }
-        let quorum = self.cfg().quorum();
-        let Some(qc) =
-            crate::votes::add_vote_noted(&mut self.votes, &v, quorum, &mut self.base.crypto, out)
-        else {
-            return;
-        };
-        out.actions.push(Action::Note(Note::QcFormed {
-            phase: qc.phase(),
-            view: qc.view(),
-            height: qc.height(),
-        }));
-        match qc.phase() {
-            Phase::Prepare => {
-                self.raise_high(&qc);
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        self.base.cview,
-                        MsgBody::Proposal(Proposal {
-                            phase: Phase::Commit,
-                            blocks: Vec::new(),
-                            justify: Justify::One(qc),
-                            vc_proof: Vec::new(),
-                        }),
-                    ),
-                });
-            }
-            Phase::Commit => {
-                self.in_flight = None;
-                out.actions.push(Action::Broadcast {
-                    message: Message::new(
-                        self.cfg().id,
-                        self.base.cview,
-                        MsgBody::Decide(Decide { commit_qc: qc }),
-                    ),
-                });
-                if self.base.mempool.is_empty() {
-                    out.actions.push(Action::SetHeartbeat {
-                        delay_ns: self.base.cfg.base_timeout_ns / 4,
-                    });
-                } else {
-                    self.propose(out);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_decide(&mut self, d: Decide, from: ReplicaId, out: &mut StepOutput) {
-        let qc = d.commit_qc;
-        if qc.phase() != Phase::Commit || !self.base.crypto.verify_qc(&qc) {
-            return;
-        }
-        if qc.view() > self.base.cview {
-            self.enter_view(qc.view(), out);
-        }
-        self.base.try_commit(qc, from, out);
-    }
-
-    fn on_view_change(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        vc: ViewChange,
-        out: &mut StepOutput,
-    ) {
-        if !self.cfg().is_leader(view) || self.vc_done.get(&view).copied().unwrap_or(false) {
-            return;
-        }
-        let msgs = self.vc_msgs.entry(view).or_default();
-        msgs.insert(from, vc);
-        if msgs.len() < self.cfg().quorum() {
-            return;
-        }
-        self.vc_done.insert(view, true);
-        // Pick the highest prepareQC in the snapshot — which may miss
-        // the most recent one (the unsafe-snapshot flaw).
-        let msgs = self.vc_msgs.get(&view).expect("exists").clone();
-        let mut best: Option<Qc> = None;
-        for m in msgs.values() {
-            if let Some(qc) = m.high_qc.qc() {
-                if self.base.crypto.verify_qc(qc)
-                    && best
-                        .as_ref()
-                        .is_none_or(|b| qc_rank_cmp(qc, b) == Ordering::Greater)
-                {
-                    best = Some(*qc);
-                }
-            }
-        }
-        if let Some(qc) = best {
-            self.raise_high(&qc);
-            self.propose(out);
-        }
-    }
-}
-
-impl Protocol for TwoPhaseInsecure {
-    fn config(&self) -> &Config {
-        &self.base.cfg
-    }
-
-    fn current_view(&self) -> View {
-        self.base.cview
-    }
-
-    fn store(&self) -> &BlockStore {
-        &self.base.store
-    }
-
-    fn mempool_len(&self) -> usize {
-        self.base.mempool.len()
-    }
-
-    fn maintain_crypto(&mut self, max_verified: usize) -> crate::CryptoCacheStats {
-        self.base.maintain_crypto(max_verified)
-    }
-
-    fn locked_qc(&self) -> Option<&Qc> {
-        self.locked_qc.as_ref()
-    }
-
-    fn name(&self) -> &'static str {
-        "two-phase-insecure"
-    }
-
-    fn on_event(&mut self, event: Event) -> StepOutput {
-        let mut out = StepOutput::empty();
-        match event {
-            Event::Start => {
-                // Idempotent: a replica that already joined a view
-                // (e.g. via a commit certificate that arrived before
-                // its start event) must not regress.
-                if self.base.cview == View::GENESIS {
-                    self.enter_view(View(1), &mut out);
-                    if self.cfg().is_leader(View(1)) {
-                        self.propose(&mut out);
-                    }
-                }
-            }
-            Event::Message(msg) => self.on_message(msg, &mut out),
-            Event::Timeout { view } => {
-                if view == self.base.cview {
-                    self.start_view_change(view.next(), &mut out);
-                }
-            }
-            Event::NewTransactions(txs) => {
-                self.base.add_transactions(txs, &mut out);
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    self.propose(&mut out);
-                }
-            }
-            Event::Heartbeat => {
-                if self.cfg().is_leader(self.base.cview) && self.in_flight.is_none() {
-                    if self.base.mempool.is_empty() {
-                        out.actions.push(Action::SetHeartbeat {
-                            delay_ns: self.base.cfg.base_timeout_ns / 4,
-                        });
-                    }
-                    self.propose(&mut out);
-                }
-            }
-            Event::Recovered => {
-                // Pre-crash timers died with the process: re-arm the view
-                // timer so the replica can time out of a stale view.
-                out.actions.push(Action::SetTimer {
-                    view: self.base.cview,
-                    delay_ns: self.base.pacemaker.delay_for(self.base.cview),
-                });
-            }
-        }
-        self.base.finish(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::harness::Cluster;
-    use crate::ProtocolKind;
-
-    #[test]
-    fn failure_free_operation_works() {
-        let mut cl = Cluster::new(ProtocolKind::TwoPhaseInsecure, Config::for_test(4, 1), 1);
-        cl.submit_to(ReplicaId(1), 25, 150);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(ReplicaId(0)), 25);
-    }
-
-    #[test]
-    fn survives_view_change_with_safe_snapshot() {
-        let mut cl = Cluster::new(ProtocolKind::TwoPhaseInsecure, Config::for_test(4, 1), 2);
-        cl.submit_to(ReplicaId(1), 10, 0);
-        cl.run_until_idle();
-        cl.crash(ReplicaId(1));
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
-        }
-        cl.run_until_idle();
-        cl.submit_to(ReplicaId(2), 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(ReplicaId(0)), 20);
+    fn proposal_licence(core: &mut Core<()>, view: View, fresh: bool) -> Option<Vec<VcCert>> {
+        licence_after_decision(core, view, fresh)
     }
 }

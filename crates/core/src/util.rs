@@ -4,6 +4,7 @@
 use crate::config::Config;
 use crate::crypto_ctx::{CryptoCacheStats, CryptoCtx};
 use crate::events::{Action, Event, Note, StepOutput};
+use crate::journal::SafetyJournal;
 use crate::pacemaker::Pacemaker;
 use crate::payload::{PayloadOutcome, PayloadPlane};
 use marlin_mempool::{Mempool, MempoolConfig};
@@ -143,8 +144,8 @@ pub(crate) struct Base {
     /// scores); inert unless `cfg.sync_snapshot_interval > 0`.
     pub(crate) sync: crate::sync::SyncState,
     /// Sync horizon the safety journal should GC below: set when a
-    /// snapshot anchor prunes the committed prefix, drained by the
-    /// protocol's journal plumbing after the step.
+    /// snapshot anchor prunes the committed prefix, drained by
+    /// [`Base::finish`] after the step.
     pub(crate) journal_gc_due: Option<marlin_types::Height>,
 }
 
@@ -175,12 +176,6 @@ impl Base {
         }
     }
 
-    /// Takes the pending journal-GC horizon, if an anchor set one since
-    /// the last call.
-    pub fn take_journal_gc(&mut self) -> Option<marlin_types::Height> {
-        self.journal_gc_due.take()
-    }
-
     /// Re-arms the current view's failure timer after protocol progress.
     ///
     /// In rotating-leader mode this is a no-op: the rotation timer is
@@ -196,10 +191,42 @@ impl Base {
         });
     }
 
-    /// Finishes a step: moves the crypto charge into `out`, attributed
-    /// to the crypto lane (everything a `CryptoCtx` charges is
-    /// cryptographic work).
-    pub fn finish(&mut self, mut out: StepOutput) -> StepOutput {
+    /// Finishes a step: settles the replica's `journal` (if it keeps
+    /// one), then moves the crypto charge into `out`, attributed to the
+    /// crypto lane (everything a `CryptoCtx` charges is cryptographic
+    /// work).
+    pub fn finish(
+        &mut self,
+        journal: Option<&mut SafetyJournal>,
+        mut out: StepOutput,
+    ) -> StepOutput {
+        // A new snapshot anchor pruned the committed prefix this step:
+        // let the journal fold away history below the same horizon so
+        // long-lived nodes bound journal disk alongside block residency.
+        let gc_due = self.journal_gc_due.take();
+        if let Some(j) = journal {
+            if let Some(horizon) = gc_due {
+                let _ = j.gc_below(horizon);
+            }
+            // Report the step's write-ahead journal IO (appends, bytes,
+            // modeled latency). Reported, and charged to the journal
+            // lane only when `charge_journal` opts in: folding the
+            // modeled cost into the default schedule would perturb the
+            // deterministic timings the fault-injection campaign pins
+            // by fingerprint.
+            let io = j.take_io();
+            if io.appends > 0 {
+                if self.cfg.charge_journal {
+                    out.cpu_ns += io.cost_ns;
+                    out.journal_ns += io.cost_ns;
+                }
+                out.actions.push(Action::Note(Note::JournalWrite {
+                    appends: io.appends,
+                    bytes: io.bytes,
+                    cost_ns: io.cost_ns,
+                }));
+            }
+        }
         let crypto_ns = self.crypto.take_charge();
         out.cpu_ns += crypto_ns;
         out.crypto_ns += crypto_ns;
@@ -361,16 +388,6 @@ impl Base {
             }));
             self.mempool.requeue(batch.into_iter().collect());
         }
-    }
-
-    /// The batch behind a proposed digest, if resident.
-    pub fn payload_batch(&self, digest: &BatchId) -> Option<Batch> {
-        self.payloads.batch(digest).cloned()
-    }
-
-    /// The next quorum-acked digest to propose, if any.
-    pub fn pop_ready_payload(&mut self) -> Option<BatchId> {
-        self.payloads.pop_ready()
     }
 
     /// Requests a missing payload batch from `source` (the proposer).

@@ -1,7 +1,8 @@
 //! The replica host: a protocol plus its durable block log.
 
-use marlin_core::marlin::Marlin;
-use marlin_core::{Action, Config, Event, Protocol, SafetyJournal, StepOutput};
+use marlin_core::{
+    build_replica, Action, Config, Event, Protocol, ProtocolKind, SafetyJournal, StepOutput,
+};
 
 use marlin_storage::{KvStore, MemDisk, SharedDisk, StoreConfig};
 use marlin_types::{codec, Block, BlockStore, Message, MsgBody, ReplicaId, View};
@@ -43,7 +44,10 @@ impl ReplicaHost {
     /// so a crash can never lead to an equivocating restart.
     pub fn durable(cfg: Config, disk: SharedDisk, persist: bool) -> Self {
         let journal = SafetyJournal::open(disk).expect("fresh safety journal");
-        ReplicaHost::new(Box::new(Marlin::with_journal(cfg, journal)), persist)
+        ReplicaHost::new(
+            build_replica(ProtocolKind::Marlin, cfg, Some(journal), false, None),
+            persist,
+        )
     }
 
     /// Rebuilds a crashed [`ReplicaHost::durable`] replica from its
@@ -52,7 +56,10 @@ impl ReplicaHost {
     /// the restarted replica casts.
     pub fn recover(cfg: Config, disk: SharedDisk, persist: bool) -> Self {
         let journal = SafetyJournal::open(disk).expect("safety journal replay");
-        ReplicaHost::new(Box::new(Marlin::recover(cfg, journal)), persist)
+        ReplicaHost::new(
+            build_replica(ProtocolKind::Marlin, cfg, Some(journal), true, None),
+            persist,
+        )
     }
 
     /// Read access to the block log database.

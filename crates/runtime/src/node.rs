@@ -27,11 +27,9 @@
 
 use crate::channel::{metered_sync_channel, LaneMeter, MeteredReceiver, MeteredSender};
 use crate::transport::Transport;
-use marlin_core::chained::{ChainedHotStuff, ChainedMarlin};
-use marlin_core::harness::build_protocol;
-use marlin_core::marlin::Marlin;
 use marlin_core::{
-    Action, Config, CryptoCtx, Event, Protocol, ProtocolKind, SafetyJournal, StepOutput,
+    build_replica, Action, Config, CryptoCtx, Event, Protocol, ProtocolKind, SafetyJournal,
+    StepOutput,
 };
 use marlin_storage::{SharedDisk, SnapshotStore};
 use marlin_telemetry::{
@@ -328,10 +326,10 @@ impl NodeHandle {
     }
 }
 
-/// Builds the consensus core a node drives — the same constructors the
+/// Builds the consensus core a node drives — the same constructor the
 /// simnet scenarios use, so runtime and simulation run byte-identical
 /// state machines.
-fn build_replica(
+fn build_core(
     kind: ProtocolKind,
     cfg: Config,
     journal_disk: Option<SharedDisk>,
@@ -339,34 +337,13 @@ fn build_replica(
 ) -> Box<dyn Protocol> {
     // Block sync persists its snapshot anchors next to the journal on
     // the same disk.
-    let snapshot_disk = journal_disk
+    let snapshots = journal_disk
         .clone()
-        .filter(|_| cfg.sync_snapshot_interval > 0);
+        .filter(|_| cfg.sync_snapshot_interval > 0)
+        .map(|disk| SnapshotStore::open(disk).expect("snapshot store opens"));
     let journal = journal_disk.map(|disk| SafetyJournal::open(disk).expect("journal opens"));
-    match (kind, journal) {
-        (ProtocolKind::Marlin, Some(j)) => {
-            let core = match bootstrap {
-                Bootstrap::Fresh => Marlin::with_journal(cfg, j),
-                Bootstrap::Recovered => Marlin::recover(cfg, j),
-            };
-            match snapshot_disk {
-                Some(disk) => Box::new(
-                    core.with_snapshots(SnapshotStore::open(disk).expect("snapshot store opens")),
-                ),
-                None => Box::new(core),
-            }
-        }
-        (ProtocolKind::ChainedMarlin, Some(j)) => match bootstrap {
-            Bootstrap::Fresh => Box::new(ChainedMarlin::with_journal(cfg, j)),
-            Bootstrap::Recovered => Box::new(ChainedMarlin::recover(cfg, j)),
-        },
-        (ProtocolKind::ChainedHotStuff, Some(j)) => match bootstrap {
-            Bootstrap::Fresh => Box::new(ChainedHotStuff::with_journal(cfg, j)),
-            Bootstrap::Recovered => Box::new(ChainedHotStuff::recover(cfg, j)),
-        },
-        // Protocols without journal support run stateless-restart.
-        (kind, _) => build_protocol(kind, cfg),
-    }
+    let recovered = bootstrap == Bootstrap::Recovered;
+    build_replica(kind, cfg, journal, recovered, snapshots)
 }
 
 /// Spawns a replica's threads.
@@ -760,7 +737,7 @@ fn consensus_loop(
     } = node_cfg;
     // The protocol is built *on* the consensus thread and never leaves
     // it; only frames and events cross thread boundaries.
-    let mut protocol = build_replica(kind, config, journal_disk, bootstrap);
+    let mut protocol = build_core(kind, config, journal_disk, bootstrap);
     let mut ctx = DriverCtx {
         timer_tx,
         transport,

@@ -16,10 +16,7 @@ use crate::byzantine::{Behavior, ByzantineReplica};
 use crate::invariants::{Invariants, Violation};
 use crate::sim::{LinkFault, Partition, RecoveryMode, SimConfig, SimNet};
 use crate::MsgClass;
-use marlin_core::chained::{ChainedHotStuff, ChainedMarlin};
-use marlin_core::harness::build_protocol;
-use marlin_core::marlin::Marlin;
-use marlin_core::{Config, Protocol, ProtocolKind, SafetyJournal};
+use marlin_core::{build_replica, Config, Protocol, ProtocolKind, SafetyJournal};
 use marlin_storage::{Disk, SharedDisk, SnapshotStore};
 use marlin_telemetry::TelemetrySink;
 use marlin_types::{ReplicaId, View};
@@ -503,43 +500,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// Whether `kind` supports write-ahead journaling and journal-replay
-/// recovery.
-fn journaled_kind(kind: ProtocolKind) -> bool {
-    matches!(
-        kind,
-        ProtocolKind::Marlin | ProtocolKind::ChainedMarlin | ProtocolKind::ChainedHotStuff
-    )
-}
-
-/// Constructs a journal-backed replica of `kind`; with `replay`, safety
-/// state is reconstructed from the journal (`FromDisk` recovery).
-fn build_journaled(
-    kind: ProtocolKind,
-    cfg: Config,
-    journal: SafetyJournal,
-    replay: bool,
-    snapshots: Option<SnapshotStore>,
-) -> Box<dyn Protocol> {
-    match (kind, replay) {
-        (ProtocolKind::Marlin, false) => Box::new(match snapshots {
-            Some(s) => Marlin::with_journal(cfg, journal).with_snapshots(s),
-            None => Marlin::with_journal(cfg, journal),
-        }),
-        (ProtocolKind::Marlin, true) => Box::new(match snapshots {
-            Some(s) => Marlin::recover(cfg, journal).with_snapshots(s),
-            None => Marlin::recover(cfg, journal),
-        }),
-        (ProtocolKind::ChainedMarlin, false) => Box::new(ChainedMarlin::with_journal(cfg, journal)),
-        (ProtocolKind::ChainedMarlin, true) => Box::new(ChainedMarlin::recover(cfg, journal)),
-        (ProtocolKind::ChainedHotStuff, false) => {
-            Box::new(ChainedHotStuff::with_journal(cfg, journal))
-        }
-        (ProtocolKind::ChainedHotStuff, true) => Box::new(ChainedHotStuff::recover(cfg, journal)),
-        _ => unreachable!("journaled_kind gated"),
-    }
-}
-
 /// Runs one `(protocol, scenario, seed)` cell on a 4-replica LAN
 /// cluster with the global invariant checker attached.
 pub fn run_scenario(kind: ProtocolKind, scenario: &Scenario, seed: u64) -> ScenarioOutcome {
@@ -571,10 +531,10 @@ fn run_scenario_inner(
     cfg.sync_lag_threshold = scenario.sync_lag_threshold;
     cfg.mempool_capacity = scenario.mempool_capacity;
     // Snapshot anchors persist on the same per-replica durable disk as
-    // the safety journal; only Marlin initiates sync runs today.
-    let snaps_for = |kind: ProtocolKind, disk: &SharedDisk| {
-        (kind == ProtocolKind::Marlin && scenario.sync_snapshot_interval > 0)
-            .then(|| SnapshotStore::open(disk.clone()).expect("snapshot store"))
+    // the safety journal.
+    let sync_interval = scenario.sync_snapshot_interval;
+    let snaps_for = move |disk: &SharedDisk| {
+        (sync_interval > 0).then(|| SnapshotStore::open(disk.clone()).expect("snapshot store"))
     };
 
     // Shared behavior handles: one per replica that is ever Byzantine,
@@ -590,10 +550,10 @@ fn run_scenario_inner(
     }
     let byzantine: Vec<ReplicaId> = handles.keys().copied().collect();
 
-    // Scenarios that exercise durability run every journal-capable
-    // replica with a write-ahead safety journal on a per-replica
-    // durable disk; all other scenarios are bit-identical to the
-    // journal-free setup.
+    // Scenarios that exercise durability hand every replica a
+    // write-ahead safety journal on a per-replica durable disk (which
+    // `build_replica` attaches for the journal-capable protocols); all
+    // other scenarios are bit-identical to the journal-free setup.
     let with_disks =
         scenario.recovery_mode != RecoveryMode::WithMemory || !scenario.disk_tears.is_empty();
     let disks: Vec<SharedDisk> = (0..n).map(|_| SharedDisk::new()).collect();
@@ -601,17 +561,12 @@ fn run_scenario_inner(
     let replicas: Vec<Box<dyn Protocol>> = (0..n)
         .map(|i| {
             let id = ReplicaId(i as u32);
-            let inner = if with_disks && journaled_kind(kind) {
+            let inner = if with_disks {
                 let journal = SafetyJournal::open(disks[i].clone()).expect("fresh journal");
-                build_journaled(
-                    kind,
-                    cfg.with_id(id),
-                    journal,
-                    false,
-                    snaps_for(kind, &disks[i]),
-                )
+                let snaps = snaps_for(&disks[i]);
+                build_replica(kind, cfg.with_id(id), Some(journal), false, snaps)
             } else {
-                build_protocol(kind, cfg.with_id(id))
+                build_replica(kind, cfg.with_id(id), None, false, None)
             };
             match handles.get(&id) {
                 Some(h) => Box::new(ByzantineReplica::with_shared(inner, Arc::clone(h)))
@@ -644,7 +599,6 @@ fn run_scenario_inner(
     if with_disks {
         let rcfg = cfg.clone();
         let mode = scenario.recovery_mode;
-        let sync_interval = scenario.sync_snapshot_interval;
         sim.configure_recovery(
             mode,
             disks.clone(),
@@ -652,15 +606,15 @@ fn run_scenario_inner(
                 // Journal-backed restart is a feature of Marlin and the
                 // chained protocols; other protocols rejoin with fresh
                 // (amnesiac) state.
-                if journaled_kind(kind) {
-                    let journal = SafetyJournal::open(disk.clone()).expect("journal replay");
-                    let replay = mode == RecoveryMode::FromDisk;
-                    let snaps = (kind == ProtocolKind::Marlin && sync_interval > 0)
-                        .then(|| SnapshotStore::open(disk).expect("snapshot store"));
-                    build_journaled(kind, rcfg.with_id(id), journal, replay, snaps)
-                } else {
-                    build_protocol(kind, rcfg.with_id(id))
-                }
+                let journal = SafetyJournal::open(disk.clone()).expect("journal replay");
+                let replay = mode == RecoveryMode::FromDisk;
+                build_replica(
+                    kind,
+                    rcfg.with_id(id),
+                    Some(journal),
+                    replay,
+                    snaps_for(&disk),
+                )
             }),
         );
         for &(replica, at_ns, keep_bytes) in &scenario.disk_tears {

@@ -637,3 +637,91 @@ fn cold_start_joins_from_snapshot_anchor_not_genesis() {
         );
     }
 }
+
+/// Every protocol, in the column order of `tests/golden/campaign.tsv`.
+const ALL_PROTOCOLS: [ProtocolKind; 7] = [
+    ProtocolKind::Marlin,
+    ProtocolKind::MarlinFourPhase,
+    ProtocolKind::HotStuff,
+    ProtocolKind::Jolteon,
+    ProtocolKind::TwoPhaseInsecure,
+    ProtocolKind::ChainedMarlin,
+    ProtocolKind::ChainedHotStuff,
+];
+
+/// Recomputes the campaign table: one `(preset, protocol, seed)` row
+/// per cell with its verdict, fingerprint and committed chain length.
+fn campaign_table() -> String {
+    let journaled = [
+        ProtocolKind::Marlin,
+        ProtocolKind::ChainedMarlin,
+        ProtocolKind::ChainedHotStuff,
+    ];
+    let mut grids: Vec<(Scenario, &[ProtocolKind])> = Vec::new();
+    for s in Scenario::all_presets() {
+        grids.push((s, &ALL_PROTOCOLS));
+    }
+    for s in Scenario::restart_presets() {
+        grids.push((s, &journaled));
+    }
+    for s in Scenario::chained_restart_presets() {
+        grids.push((s, &CHAINED_PROTOCOLS));
+    }
+    let mut table = String::from("preset\tprotocol\tseed\tverdict\tfingerprint\tcommitted\n");
+    for (scenario, kinds) in &grids {
+        for &kind in *kinds {
+            for seed in SEEDS {
+                let out = run_scenario(kind, scenario, seed);
+                table.push_str(&format!(
+                    "{}\t{kind:?}\t{seed}\t{}\t{:016x}\t{}\n",
+                    scenario.name,
+                    out.verdict(),
+                    out.fingerprint,
+                    out.committed
+                ));
+            }
+        }
+    }
+    table
+}
+
+#[test]
+fn campaign_matches_golden_table() {
+    // The equivalence oracle for refactors of the protocol cores: every
+    // preset × all seven protocols × three seeds, plus the restart
+    // cells of the journaled protocols, must reproduce the committed
+    // table byte for byte. A deliberate behaviour change re-blesses it
+    // by copying the recomputed table (path printed below) over
+    // `tests/golden/campaign.tsv`.
+    let golden = include_str!("golden/campaign.tsv");
+    let actual = campaign_table();
+    if actual == golden {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("campaign.actual.tsv");
+    std::fs::write(&path, &actual).expect("write recomputed table");
+    let key = |row: &str| row.splitn(4, '\t').take(3).collect::<Vec<_>>().join("\t");
+    let golden_rows: std::collections::BTreeMap<String, &str> =
+        golden.lines().map(|r| (key(r), r)).collect();
+    let mut differing = 0usize;
+    for row in actual.lines().skip(1) {
+        match golden_rows.get(&key(row)) {
+            Some(g) if *g == row => {}
+            Some(g) => {
+                differing += 1;
+                eprintln!("cell differs:\n  golden {g}\n  actual {row}");
+            }
+            None => {
+                differing += 1;
+                eprintln!("cell missing from golden table:\n  actual {row}");
+            }
+        }
+    }
+    panic!(
+        "{differing} of {} campaign cells differ from tests/golden/campaign.tsv \
+         ({} golden rows); recomputed table written to {}",
+        actual.lines().count() - 1,
+        golden.lines().count().saturating_sub(1),
+        path.display()
+    );
+}
