@@ -1,8 +1,8 @@
 //! Metered bounded channels: backpressure accounting for the runtime's
 //! inter-thread lanes.
 //!
-//! Every queue between two replica threads (ingress → decode, decode →
-//! consensus, consensus → timer, consensus → journal) is a potential
+//! Every queue between two replica threads (ingress → consensus,
+//! consensus → timer, consensus → journal) is a potential
 //! backpressure point, and `std::sync::mpsc` exposes no queue
 //! introspection at all. A [`LaneMeter`] reconstructs the observable
 //! state from the outside: enqueue/dequeue counters (their difference
@@ -261,14 +261,14 @@ mod tests {
     #[test]
     fn sampled_depth_lands_in_the_gauge() {
         let reg = Registry::new();
-        let meter = LaneMeter::new(&reg, "ingress");
+        let meter = LaneMeter::new(&reg, "consensus");
         let (tx, _rx) = metered_sync_channel::<u32>(8, meter.clone());
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         tx.send(3).unwrap();
         meter.sample_depth();
         assert_eq!(
-            reg.gauge_with("runtime_channel_depth", &[("lane", "ingress")])
+            reg.gauge_with("runtime_channel_depth", &[("lane", "consensus")])
                 .get(),
             3
         );

@@ -67,8 +67,6 @@ pub struct ClusterConfig {
     pub batch_size: usize,
     /// Base view timeout (real time).
     pub base_timeout: Duration,
-    /// Decode worker threads per replica.
-    pub decode_workers: usize,
     /// Shadow-block wire optimisation.
     pub shadow_blocks: bool,
     /// Snapshot anchor cadence in blocks; `0` disables block sync,
@@ -76,10 +74,8 @@ pub struct ClusterConfig {
     pub sync_snapshot_interval: u64,
     /// Committed-height gap that triggers a ranged sync run.
     pub sync_lag_threshold: u64,
-    /// Depth of each node's decode → consensus event queue.
+    /// Depth of each node's ingress → consensus event queue.
     pub event_queue_depth: usize,
-    /// Depth of each node's ingress → decode raw-frame queue.
-    pub raw_queue_depth: usize,
     /// Per-replica mempool capacity; `0` = legacy unbounded queue.
     pub mempool_capacity: usize,
     /// Fee threshold of the mempool priority lane; `0` = off.
@@ -129,12 +125,10 @@ impl ClusterConfig {
             journal: JournalMode::Memory,
             batch_size: 64,
             base_timeout: Duration::from_secs(1),
-            decode_workers: 2,
             shadow_blocks: true,
             sync_snapshot_interval: 0,
             sync_lag_threshold: 64,
             event_queue_depth: DEFAULT_QUEUE_DEPTH,
-            raw_queue_depth: DEFAULT_QUEUE_DEPTH,
             mempool_capacity: 0,
             priority_fee_threshold: 0,
             dissemination: false,
@@ -302,10 +296,8 @@ impl RuntimeCluster {
         let mut node_cfg = NodeConfig::new(self.base.with_id(id), self.cfg.kind);
         node_cfg.bootstrap = bootstrap;
         node_cfg.journal_disk = self.disks[id.index()].clone();
-        node_cfg.decode_workers = self.cfg.decode_workers;
         node_cfg.shadow_blocks = self.cfg.shadow_blocks;
         node_cfg.event_queue_depth = self.cfg.event_queue_depth;
-        node_cfg.raw_queue_depth = self.cfg.raw_queue_depth;
         if let Some(o) = &self.cfg.observability {
             // Registries and flight rings persist per slot, so a
             // recovered replica keeps its pre-kill metrics and autopsy
@@ -363,16 +355,13 @@ impl RuntimeCluster {
             }
         };
         let now = self.clock.now_ns();
+        // One zero payload per call; each transaction holds a reference.
+        let payload = Bytes::from(vec![0u8; payload_len]);
         let txs: Vec<Transaction> = (0..count)
             .map(|_| {
                 let id = self.next_tx_id;
                 self.next_tx_id += 1;
-                Transaction::new(
-                    id,
-                    Transaction::LOCAL_CLIENT,
-                    Bytes::from(vec![0u8; payload_len]),
-                    now,
-                )
+                Transaction::new(id, Transaction::LOCAL_CLIENT, payload.clone(), now)
             })
             .collect();
         if let Some(node) = &self.nodes[target] {

@@ -9,7 +9,7 @@
 //! [`ProxyDisk`]: every operation is shipped to the writer over a
 //! channel and the caller blocks on the `io::Result` ack. The blocking
 //! ack *is* the durability barrier — vote emission cannot outrun the
-//! write — while other replica threads (ingress, decode, timers) keep
+//! write — while other replica threads (ingress, timers) keep
 //! running.
 
 use crate::channel::LaneMeter;

@@ -9,8 +9,8 @@
 //! Each replica is a small constellation of threads over bounded
 //! channels:
 //!
-//! - **ingress** pulls length-framed messages off the transport,
-//! - **decode workers** verify framing and deserialize in parallel,
+//! - **ingress** pulls length-framed messages off the transport and
+//!   deserializes them, in arrival order, into slices of the frame,
 //! - **timer** arms view/heartbeat deadlines (latest-wins, like simnet),
 //! - **consensus** owns the protocol state machine and steps it,
 //! - **journal writer** (per replica, optional) owns the real disk;

@@ -3,10 +3,9 @@
 //! Thread topology per replica (all channels bounded):
 //!
 //! ```text
-//!   transport.recv ──► ingress ──raw frames──► decode workers (×k)
-//!                                                    │ Event::Message
-//!   timer thread ──Timeout/Heartbeat──► event channel ┤
-//!   NodeHandle::submit ──NewTransactions──────────────┘
+//!   transport.recv ──► ingress: decode_message ──Event::Message──┐
+//!   timer thread ──Timeout/Heartbeat──► event channel ───────────┤
+//!   NodeHandle::submit ──NewTransactions─────────────────────────┘
 //!                                                    ▼
 //!                                             consensus driver
 //!                      owns Box<dyn Protocol>, dispatches actions:
@@ -24,6 +23,13 @@
 //! locally by `step`, so the egress path never loops a frame back to
 //! its sender; the timer thread keeps simnet's latest-wins semantics by
 //! holding a single slot per timer kind.
+//!
+//! Ordering: one thread takes frames off the transport, decodes each
+//! and queues it for the consensus thread — the only thread hop between
+//! `Transport::recv` and `Protocol::step` — so the frames of one peer
+//! reach `step` in the order that peer sent them: per-peer FIFO from
+//! socket to step. Frames of different peers interleave arbitrarily. A
+//! decoded message's payloads are slices of the frame it arrived in.
 
 use crate::channel::{metered_sync_channel, LaneMeter, MeteredReceiver, MeteredSender};
 use crate::transport::Transport;
@@ -46,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Default depth of the raw-frame and event queues.
+/// Default depth of the event queue.
 pub const DEFAULT_QUEUE_DEPTH: usize = 8192;
 
 /// Cadence at which the sampler thread copies lane depths into their
@@ -96,37 +102,31 @@ pub struct NodeConfig {
     /// Disk to journal on (`None` = run without a safety journal; only
     /// Marlin and the chained variants support journaling).
     pub journal_disk: Option<SharedDisk>,
-    /// Ingress decode worker threads.
-    pub decode_workers: usize,
     /// Encode proposals with the shadow-block wire optimisation.
     pub shadow_blocks: bool,
     /// Call `maintain_crypto` (and report cache telemetry) every this
     /// many consensus events. The crypto cache self-bounds regardless;
     /// this only controls telemetry cadence.
     pub maintain_every: u64,
-    /// Depth of the decode → consensus event queue.
+    /// Depth of the ingress → consensus event queue.
     pub event_queue_depth: usize,
-    /// Depth of the ingress → decode raw-frame queue.
-    pub raw_queue_depth: usize,
     /// Live-observability plane (registry, flight recorder, scrape
     /// endpoint); `None` runs bare.
     pub observability: Option<NodeObservability>,
 }
 
 impl NodeConfig {
-    /// Defaults around `config`/`kind`: fresh start, no journal, two
-    /// decode workers, shadow blocks on, no observability plane.
+    /// Defaults around `config`/`kind`: fresh start, no journal, shadow
+    /// blocks on, no observability plane.
     pub fn new(config: Config, kind: ProtocolKind) -> Self {
         NodeConfig {
             config,
             kind,
             bootstrap: Bootstrap::Fresh,
             journal_disk: None,
-            decode_workers: 2,
             shadow_blocks: true,
             maintain_every: 4096,
             event_queue_depth: DEFAULT_QUEUE_DEPTH,
-            raw_queue_depth: DEFAULT_QUEUE_DEPTH,
             observability: None,
         }
     }
@@ -307,7 +307,7 @@ impl NodeHandle {
         }
         let _ = event_tx.send(Input::Stop);
         // Drop our event sender so the consensus thread's final drain
-        // terminates once the decode workers exit.
+        // terminates once the ingress and timer threads exit.
         drop(event_tx);
         sampler_stop.store(true, Ordering::Release);
         for t in threads {
@@ -365,25 +365,15 @@ pub fn spawn_node(
 
     // One meter per inter-thread lane. Without a registry the meters
     // still count (detached handles), so the send paths stay uniform.
-    let (ingress_meter, consensus_meter, timer_meter) = match &obs {
-        Some(o) => (
-            LaneMeter::new(&o.registry, "ingress"),
-            LaneMeter::new(&o.registry, "consensus"),
-            LaneMeter::new(&o.registry, "timer"),
-        ),
-        None => (
-            LaneMeter::detached(),
-            LaneMeter::detached(),
-            LaneMeter::detached(),
-        ),
+    let lane = |name| match &obs {
+        Some(o) => LaneMeter::new(&o.registry, name),
+        None => LaneMeter::detached(),
     };
+    let (consensus_meter, timer_meter) = (lane("consensus"), lane("timer"));
 
     let (event_tx, event_rx) =
         metered_sync_channel::<Input>(node_cfg.event_queue_depth.max(1), consensus_meter.clone());
     let (timer_tx, timer_rx) = channel::<TimerCmd>();
-    let (raw_tx, raw_rx) =
-        metered_sync_channel::<Vec<u8>>(node_cfg.raw_queue_depth.max(1), ingress_meter.clone());
-    let raw_rx = Arc::new(Mutex::new(raw_rx));
 
     // Transport connection lifecycle lands in the flight ring.
     if let Some(flight) = obs.as_ref().and_then(|o| o.flight.clone()) {
@@ -428,52 +418,31 @@ pub fn spawn_node(
 
     let mut threads = Vec::new();
 
-    // Ingress: socket/channel frames → raw frame queue.
+    // Ingress: transport frames → decoded events, in arrival order and
+    // off the consensus thread.
     {
         let transport = Arc::clone(&transport);
+        let event_tx = event_tx.clone();
+        let status = Arc::clone(&status);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("ingress-{}", id.0))
                 .spawn(move || {
                     while let Ok(frame) = transport.recv() {
-                        if raw_tx.send(frame).is_err() {
-                            return;
+                        match decode_message(&frame) {
+                            Ok(msg) => {
+                                if event_tx.send(Input::Event(Event::Message(msg))).is_err() {
+                                    return;
+                                }
+                            }
+                            Err(_) => {
+                                status.decode_errors.fetch_add(1, Ordering::AcqRel);
+                                decode_errors_ctr.inc();
+                            }
                         }
                     }
                 })
                 .expect("spawn ingress"),
-        );
-    }
-
-    // Decode workers: raw frames → events. Decoding (which includes
-    // signature-bearing structures) runs off the consensus thread.
-    for w in 0..node_cfg.decode_workers.max(1) {
-        let raw_rx = Arc::clone(&raw_rx);
-        let event_tx = event_tx.clone();
-        let status = Arc::clone(&status);
-        let decode_errors_ctr = decode_errors_ctr.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("decode-{}-{w}", id.0))
-                .spawn(move || loop {
-                    let frame = {
-                        let guard = raw_rx.lock().expect("raw queue lock");
-                        guard.recv()
-                    };
-                    let Ok(frame) = frame else { return };
-                    match decode_message(&frame) {
-                        Ok(msg) => {
-                            if event_tx.send(Input::Event(Event::Message(msg))).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            status.decode_errors.fetch_add(1, Ordering::AcqRel);
-                            decode_errors_ctr.inc();
-                        }
-                    }
-                })
-                .expect("spawn decode worker"),
         );
     }
 
@@ -513,7 +482,6 @@ pub fn spawn_node(
     if obs.is_some() {
         let stop = Arc::clone(&sampler_stop);
         let lanes: Vec<LaneMeter> = [
-            Some(ingress_meter),
             Some(consensus_meter),
             Some(timer_meter.clone()),
             obs.as_ref().and_then(|o| o.journal_meter.clone()),

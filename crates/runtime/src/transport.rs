@@ -22,11 +22,12 @@
 //! dropped, exactly like a lossy network. Consensus tolerates loss by
 //! construction (timeouts, fetch/catch-up retries).
 
+use bytes::Bytes;
 use marlin_types::ReplicaId;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -61,9 +62,10 @@ pub trait Transport: Send + Sync {
     /// loss, not a fatal condition.
     fn send(&self, to: ReplicaId, frame: &[u8]) -> io::Result<()>;
 
-    /// Blocks for the next frame from any peer. Returns `Err` once the
-    /// transport is closed and drained.
-    fn recv(&self) -> Result<Vec<u8>, TransportClosed>;
+    /// Blocks for the next frame from any peer: frames of one peer in
+    /// the order it sent them. Returns `Err` once the transport is
+    /// closed and drained.
+    fn recv(&self) -> Result<Bytes, TransportClosed>;
 
     /// Unblocks receivers and tears down connections. Idempotent.
     fn close(&self);
@@ -101,10 +103,12 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Least room [`FrameBuffer::read_from`] offers one socket read. Small
-/// enough that multi-frame bursts regularly split across reads,
-/// exercising the reassembly path.
-const READ_CHUNK: usize = 64 * 1024;
+/// Most bytes [`FrameBuffer::read_from`] takes into the staging buffer
+/// per socket read: room for dozens of votes, yet small enough that
+/// bursts regularly split across reads. A longer frame cannot arrive in
+/// one read; the rest of it is read into an allocation of its own, so
+/// at most this much of it is ever copied.
+const READ_CHUNK: usize = 8 * 1024;
 
 /// Writes `payload` to `out` as one wire frame without first joining
 /// header and payload in a buffer of their own: a vectored write hands
@@ -133,26 +137,39 @@ fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Streaming frame reassembly over an untrusted byte stream.
 ///
 /// Feed it whatever the socket returns — a partial header, half a
-/// frame, three frames glued together — and pull complete payloads out.
-/// A length prefix over [`MAX_FRAME_LEN`] poisons the stream (the peer
-/// is malicious or corrupt; there is no way to resynchronize a
+/// frame, three frames glued together — and pull complete payloads out,
+/// each a [`Bytes`] of its own that later reads never touch. A length
+/// prefix over [`MAX_FRAME_LEN`] poisons the stream (the peer is
+/// malicious or corrupt; there is no way to resynchronize a
 /// length-framed stream after a bad length).
 ///
-/// The bytes live in one contiguous buffer between a read cursor
-/// (`head`) and a write cursor (`tail`): arriving bytes are copied (or
-/// read from the socket) in at `tail`, a complete frame is copied out
-/// from `head` as one slice, and consumed space is reclaimed for free
-/// when the buffer drains, or by moving the unconsumed bytes down once
-/// the consumed prefix is at least as long as they are, so every byte is
-/// moved at most once on average.
+/// Headers and short frames pass through one contiguous staging buffer:
+/// bytes arrive at `tail`, a complete frame is copied out from `head`,
+/// and consumed space is reclaimed when the buffer drains, or by moving
+/// the unconsumed bytes down once the consumed prefix is at least as
+/// long as they are. A frame longer than [`READ_CHUNK`] leaves staging
+/// once its header is known: what has arrived of it moves into an
+/// allocation of exactly its length, the socket is read straight into
+/// the rest, and that allocation *is* the frame handed out — a block's
+/// payload is written once, by the kernel, and not copied again.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    /// `buf[head..tail]` is the unconsumed stream; `buf[tail..]` is
-    /// initialised spare room.
+    /// `buf[head..tail]` is the unconsumed stream (after `own`, if
+    /// any); `buf[tail..]` is initialised spare room.
     buf: Vec<u8>,
     head: usize,
     tail: usize,
+    /// A long frame in its own allocation. It precedes everything in
+    /// `buf`, and while it is incomplete `buf` is empty.
+    own: Option<OwnFrame>,
     poisoned: bool,
+}
+
+/// A whole payload's allocation; `data[filled..]` is still zeroes.
+#[derive(Debug)]
+struct OwnFrame {
+    data: Vec<u8>,
+    filled: usize,
 }
 
 /// A frame length prefix exceeded [`MAX_FRAME_LEN`].
@@ -177,9 +194,10 @@ impl FrameBuffer {
     }
 
     /// Appends freshly-read bytes.
-    pub fn push(&mut self, chunk: &[u8]) {
-        self.spare(chunk.len())[..chunk.len()].copy_from_slice(chunk);
-        self.tail += chunk.len();
+    pub fn push(&mut self, mut chunk: &[u8]) {
+        while !chunk.is_empty() {
+            self.read_from(&mut chunk).expect("a slice reads");
+        }
     }
 
     /// Appends whatever one `read` on `src` returns, read straight into
@@ -189,7 +207,14 @@ impl FrameBuffer {
     ///
     /// Propagates the error of `src.read`; nothing is appended then.
     pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
-        let n = src.read(self.spare(READ_CHUNK))?;
+        self.open_own();
+        if let Some(own) = self.own.as_mut().filter(|own| own.filled < own.data.len()) {
+            // Never past the frame's end: what follows it is a header.
+            let n = src.read(&mut own.data[own.filled..])?;
+            own.filled += n;
+            return Ok(n);
+        }
+        let n = src.read(&mut self.spare(READ_CHUNK)[..READ_CHUNK])?;
         self.tail += n;
         Ok(n)
     }
@@ -211,9 +236,33 @@ impl FrameBuffer {
         &mut self.buf[self.tail..]
     }
 
+    /// The claimed payload length of the frame at `head`, once its
+    /// header is buffered, and the payload bytes buffered after it.
+    fn front(&self) -> Option<(usize, &[u8])> {
+        let (header, rest) = self.buf[self.head..self.tail].split_first_chunk::<4>()?;
+        Some((u32::from_le_bytes(*header) as usize, rest))
+    }
+
+    /// Gives the incomplete frame at `head` an allocation of its own if
+    /// it is longer than one read (and legal, and the slot is free).
+    fn open_own(&mut self) {
+        let Some((len, arrived)) = self.front().filter(|_| self.own.is_none()) else {
+            return;
+        };
+        if len <= READ_CHUNK || len > MAX_FRAME_LEN || arrived.len() >= len {
+            return;
+        }
+        let filled = arrived.len();
+        let mut data = vec![0u8; len];
+        data[..filled].copy_from_slice(arrived);
+        self.own = Some(OwnFrame { data, filled });
+        (self.head, self.tail) = (0, 0);
+    }
+
     /// Bytes currently buffered (for backpressure accounting).
     pub fn buffered(&self) -> usize {
-        self.tail - self.head
+        let own = self.own.as_ref().map_or(0, |own| 4 + own.filled);
+        own + self.tail - self.head
     }
 
     /// Pops the next complete frame payload, if one is buffered.
@@ -222,23 +271,25 @@ impl FrameBuffer {
     ///
     /// [`FrameTooLarge`] once a length prefix exceeds the ceiling; the
     /// stream is poisoned and every later call returns the same error.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameTooLarge> {
+    pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameTooLarge> {
         if self.poisoned {
             return Err(FrameTooLarge { len: 0 });
         }
-        let live = &self.buf[self.head..self.tail];
-        let Some((header, rest)) = live.split_first_chunk::<4>() else {
+        if self.own.is_some() {
+            let whole = self.own.take_if(|own| own.filled == own.data.len());
+            return Ok(whole.map(|own| Bytes::from(own.data)));
+        }
+        let Some((len, arrived)) = self.front() else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(*header) as usize;
         if len > MAX_FRAME_LEN {
             self.poisoned = true;
             return Err(FrameTooLarge { len });
         }
-        let Some(payload) = rest.get(..len) else {
+        let Some(payload) = arrived.get(..len) else {
             return Ok(None);
         };
-        let payload = payload.to_vec();
+        let payload = Bytes::copy_from_slice(payload);
         self.head += 4 + len;
         if self.head == self.tail {
             self.head = 0;
@@ -248,19 +299,27 @@ impl FrameBuffer {
     }
 }
 
+/// The next frame of `inbox`, unless the endpoint has been closed.
+/// Zero-length frames are the close sentinel (a real frame always
+/// carries at least a message header).
+fn recv_open(inbox: &Mutex<Receiver<Bytes>>, closed: &AtomicBool) -> Option<Bytes> {
+    let frame = inbox.lock().expect("inbox lock").recv().ok()?;
+    (!frame.is_empty() && !closed.load(Ordering::Acquire)).then_some(frame)
+}
+
 // ------------------------------------------------------- channel mesh --
 
 /// Sender slots shared by a channel mesh: slot `i` holds the inbox
 /// sender of replica `i` (`None` while that replica is down), so a
 /// recovered replica can reinstall a fresh inbox and peers pick it up
 /// on their next send.
-type ChannelSlots = Arc<Vec<Mutex<Option<SyncSender<Vec<u8>>>>>>;
+type ChannelSlots = Arc<Vec<Mutex<Option<SyncSender<Bytes>>>>>;
 
 /// An in-process mesh endpoint (see [`ChannelMesh::new`]).
 pub struct ChannelTransport {
     id: ReplicaId,
     slots: ChannelSlots,
-    inbox: Mutex<Receiver<Vec<u8>>>,
+    inbox: Mutex<Receiver<Bytes>>,
     closed: AtomicBool,
 }
 
@@ -312,25 +371,14 @@ impl Transport for ChannelTransport {
             .cloned();
         match sender {
             Some(tx) => tx
-                .send(frame.to_vec())
+                .send(Bytes::copy_from_slice(frame))
                 .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer inbox gone")),
             None => Err(io::Error::new(io::ErrorKind::NotConnected, "peer down")),
         }
     }
 
-    fn recv(&self) -> Result<Vec<u8>, TransportClosed> {
-        let frame = self
-            .inbox
-            .lock()
-            .expect("inbox lock")
-            .recv()
-            .map_err(|_| TransportClosed)?;
-        // Zero-length frames are the close sentinel (a real frame
-        // always carries at least a message header).
-        if self.closed.load(Ordering::Acquire) || frame.is_empty() {
-            return Err(TransportClosed);
-        }
-        Ok(frame)
+    fn recv(&self) -> Result<Bytes, TransportClosed> {
+        recv_open(&self.inbox, &self.closed).ok_or(TransportClosed)
     }
 
     fn peers_connected(&self) -> usize {
@@ -351,9 +399,7 @@ impl Transport for ChannelTransport {
             .expect("slot lock")
             .take();
         if let Some(tx) = tx {
-            match tx.try_send(Vec::new()) {
-                Ok(()) | Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {}
-            }
+            let _ = tx.try_send(Bytes::new());
         }
     }
 }
@@ -388,7 +434,7 @@ struct TcpShared {
     /// Outbound connection per peer, dialed lazily with capped
     /// exponential backoff after failures.
     conns: Vec<Mutex<PeerConn>>,
-    inbox_tx: SyncSender<Vec<u8>>,
+    inbox_tx: SyncSender<Bytes>,
     closed: AtomicBool,
     /// Connection-lifecycle observer (flight recorder breadcrumbs).
     event_hook: Mutex<Option<TransportEventFn>>,
@@ -415,7 +461,7 @@ impl TcpShared {
 /// A localhost-TCP mesh endpoint (see [`TcpMesh::new`]).
 pub struct TcpTransport {
     shared: Arc<TcpShared>,
-    inbox: Mutex<Receiver<Vec<u8>>>,
+    inbox: Mutex<Receiver<Bytes>>,
     local_addr: SocketAddr,
 }
 
@@ -614,17 +660,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn recv(&self) -> Result<Vec<u8>, TransportClosed> {
-        let frame = self
-            .inbox
-            .lock()
-            .expect("inbox lock")
-            .recv()
-            .map_err(|_| TransportClosed)?;
-        if self.shared.closed.load(Ordering::Acquire) || frame.is_empty() {
-            return Err(TransportClosed);
-        }
-        Ok(frame)
+    fn recv(&self) -> Result<Bytes, TransportClosed> {
+        recv_open(&self.inbox, &self.shared.closed).ok_or(TransportClosed)
     }
 
     fn peers_connected(&self) -> usize {
@@ -647,9 +684,7 @@ impl Transport for TcpTransport {
         // Unblock the acceptor with a throwaway connection to ourselves
         // and the receiver with a sentinel frame; drop outbound conns.
         let _ = TcpStream::connect(self.local_addr);
-        match self.shared.inbox_tx.try_send(Vec::new()) {
-            Ok(()) | Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {}
-        }
+        let _ = self.shared.inbox_tx.try_send(Bytes::new());
         for slot in self.shared.conns.iter() {
             if let Some(conn) = slot.lock().expect("conn lock").stream.take() {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
@@ -686,12 +721,14 @@ mod tests {
     /// drains complete frames after every piece. Checks `buffered()`
     /// against an independent count at every step, so a cursor that
     /// goes wrong across a compaction or a growth is caught where it
-    /// happens.
+    /// happens. The frames returned are the handles `next_frame` gave
+    /// out, held while every later piece reused and compacted the buffer;
+    /// one that filled an allocation of its own must *be* it, not a copy.
     fn reassemble(
         stream: &[u8],
         sizes: &[usize],
         via_read: bool,
-    ) -> (FrameBuffer, Vec<Vec<u8>>, Option<FrameTooLarge>) {
+    ) -> (FrameBuffer, Vec<Bytes>, Option<FrameTooLarge>) {
         let mut fb = FrameBuffer::new();
         let mut frames = Vec::new();
         let mut reader = ChunkedReader {
@@ -710,8 +747,10 @@ mod tests {
             let fed = stream.len() - reader.stream.len();
             assert_eq!(fb.buffered(), fed - consumed);
             loop {
+                let own = fb.own.as_ref().map(|own| own.data.as_ptr());
                 match fb.next_frame() {
                     Ok(Some(payload)) => {
+                        assert!(own.is_none_or(|own| own == payload.as_ptr()));
                         consumed += 4 + payload.len();
                         frames.push(payload);
                         assert_eq!(fb.buffered(), fed - consumed);
@@ -734,7 +773,7 @@ mod tests {
         #[test]
         fn frame_buffer_reassembles_any_chunking(
             lens in prop::collection::vec(
-                prop_oneof![Just(0usize), 1usize..=200, 200usize..=5000, 60_000usize..=140_000],
+                prop_oneof![Just(0usize), 1usize..=200, 200usize..=20_000, 60_000usize..=140_000],
                 0..10,
             ),
             sizes in prop::collection::vec(
@@ -852,7 +891,7 @@ mod tests {
                 v.sort();
                 v
             },
-            vec![b"hello".to_vec(), b"world".to_vec()]
+            vec![Bytes::from_static(b"hello"), Bytes::from_static(b"world")]
         );
         transports[1].close();
         assert_eq!(transports[1].recv(), Err(TransportClosed));
@@ -864,9 +903,9 @@ mod tests {
     fn tcp_mesh_round_trip() {
         let (_mesh, transports) = TcpMesh::new(2).unwrap();
         transports[0].send(ReplicaId(1), b"over tcp").unwrap();
-        assert_eq!(transports[1].recv().unwrap(), b"over tcp");
+        assert_eq!(&transports[1].recv().unwrap()[..], b"over tcp");
         transports[1].send(ReplicaId(0), b"and back").unwrap();
-        assert_eq!(transports[0].recv().unwrap(), b"and back");
+        assert_eq!(&transports[0].recv().unwrap()[..], b"and back");
         for t in &transports {
             t.close();
         }
@@ -906,7 +945,7 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        assert_eq!(revived.recv().unwrap(), b"back");
+        assert_eq!(&revived.recv().unwrap()[..], b"back");
         transports[0].close();
         revived.close();
     }
@@ -920,7 +959,7 @@ mod tests {
         let revived = mesh.rejoin(ReplicaId(1)).unwrap();
         // The old outbound conn on node 0 is stale; send() re-dials.
         transports[0].send(ReplicaId(1), b"welcome back").unwrap();
-        assert_eq!(revived.recv().unwrap(), b"welcome back");
+        assert_eq!(&revived.recv().unwrap()[..], b"welcome back");
         transports[0].close();
         revived.close();
     }

@@ -121,13 +121,20 @@ fn scrape_under_load_is_valid_and_consensus_agrees() {
     let text = snapshot.to_prometheus();
     for needle in [
         "runtime_channel_enqueued_total{lane=\"consensus\"}",
-        "runtime_channel_depth{lane=\"ingress\"}",
+        "runtime_channel_depth{lane=\"consensus\"}",
+        "runtime_channel_depth{lane=\"timer\"}",
         "consensus_current_view",
         "consensus_commit_height",
         "consensus_committed_txs_total",
     ] {
         assert!(text.contains(needle), "missing {needle} in:\n{text}");
     }
+    // Ingress decodes on its own thread and feeds the consensus lane
+    // directly: there is no ingress queue to meter.
+    assert!(
+        !text.contains("lane=\"ingress\""),
+        "ingress lane in:\n{text}"
+    );
     // QC formation is leader-side; it must show up on *some* replica.
     assert!(
         (0..4).any(|i| {
@@ -143,7 +150,7 @@ fn scrape_under_load_is_valid_and_consensus_agrees() {
 }
 
 /// Satellite (c), attribution half: with a deliberately tiny event
-/// queue the decode→consensus lane must be the one reporting stalls —
+/// queue the ingress→consensus lane must be the one reporting stalls —
 /// the backpressure shows up *named*, not as a silent throughput dip.
 #[test]
 fn consensus_lane_stalls_attribute_backpressure() {

@@ -57,7 +57,7 @@ pub struct Health {
     pub peers_connected: u64,
     /// Peers in the static mesh (n - 1).
     pub peers_total: u64,
-    /// Undecodable frames seen by the decode workers.
+    /// Undecodable frames seen by the ingress thread.
     pub decode_errors: u64,
     /// Sends dropped at the transport.
     pub send_drops: u64,

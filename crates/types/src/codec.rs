@@ -100,16 +100,20 @@ pub fn encode_message(msg: &Message, shadow: bool) -> Bytes {
 /// oversized (see [`MAX_FRAME_LEN`]), or has trailing bytes. Never
 /// panics and never allocates more than the input length can back, on
 /// any byte string.
-pub fn decode_message(bytes: &[u8]) -> Result<Message> {
-    if bytes.len() > MAX_FRAME_LEN {
+///
+/// Every non-empty transaction payload of the result is a slice of
+/// `frame`, not a copy: nothing is allocated per transaction, and the
+/// message keeps `frame`'s storage alive while any payload of it lives.
+pub fn decode_message(frame: &Bytes) -> Result<Message> {
+    if frame.len() > MAX_FRAME_LEN {
         return Err(DecodeError::FieldTooLarge {
             what: "frame",
-            len: bytes.len(),
+            len: frame.len(),
             max: MAX_FRAME_LEN,
         });
     }
-    let mut buf = bytes;
-    let msg = get_message(&mut buf)?;
+    let mut buf = &frame[..];
+    let msg = get_message(frame, &mut buf)?;
     if !buf.is_empty() {
         return Err(DecodeError::TrailingBytes(buf.len()));
     }
@@ -459,12 +463,12 @@ fn get_digest(buf: &mut &[u8]) -> Result<Digest> {
     Ok(Digest::from_bytes(bytes))
 }
 
-fn get_message(buf: &mut &[u8]) -> Result<Message> {
+fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
     let from = ReplicaId(get_u32(buf)?);
     let view = View(get_u64(buf)?);
     let tag = get_u8(buf)?;
     let body = match tag {
-        0 => MsgBody::Proposal(get_proposal(buf)?),
+        0 => MsgBody::Proposal(get_proposal(frame, buf)?),
         1 => MsgBody::Vote(get_vote(buf)?),
         2 => MsgBody::ViewChange(get_view_change(buf)?),
         3 => MsgBody::Decide(Decide {
@@ -474,7 +478,7 @@ fn get_message(buf: &mut &[u8]) -> Result<Message> {
             block: BlockId::from_digest(get_digest(buf)?),
         },
         5 => {
-            let block = get_block(buf, None)?;
+            let block = get_block(frame, buf, None)?;
             let has_parent = get_u8(buf)?;
             let digest = get_digest(buf)?;
             let virtual_parent = match has_parent {
@@ -512,7 +516,7 @@ fn get_message(buf: &mut &[u8]) -> Result<Message> {
             snapshot: match get_u8(buf)? {
                 0 => None,
                 1 => {
-                    let block = get_block(buf, None)?;
+                    let block = get_block(frame, buf, None)?;
                     let qc = get_qc(buf)?;
                     Some((block, qc))
                 }
@@ -536,7 +540,7 @@ fn get_message(buf: &mut &[u8]) -> Result<Message> {
             let count = bounded_count(buf, count, BLOCK_MIN_WIRE_LEN, "BlockRangeResponse.blocks")?;
             let mut blocks = Vec::with_capacity(count);
             for _ in 0..count {
-                blocks.push(get_block(buf, None)?);
+                blocks.push(get_block(frame, buf, None)?);
             }
             MsgBody::BlockRangeResponse {
                 from_height,
@@ -545,7 +549,7 @@ fn get_message(buf: &mut &[u8]) -> Result<Message> {
         }
         12 => MsgBody::PayloadPush {
             digest: BatchId::from_digest(get_digest(buf)?),
-            batch: get_batch(buf)?,
+            batch: get_batch(frame, buf)?,
         },
         13 => MsgBody::PayloadAck {
             digest: BatchId::from_digest(get_digest(buf)?),
@@ -557,7 +561,7 @@ fn get_message(buf: &mut &[u8]) -> Result<Message> {
             digest: BatchId::from_digest(get_digest(buf)?),
             batch: match get_u8(buf)? {
                 0 => None,
-                1 => Some(get_batch(buf)?),
+                1 => Some(get_batch(frame, buf)?),
                 t => {
                     return Err(DecodeError::BadTag {
                         what: "PayloadResponse.batch",
@@ -580,7 +584,7 @@ fn get_message(buf: &mut &[u8]) -> Result<Message> {
     Ok(Message { from, view, body })
 }
 
-fn get_proposal(buf: &mut &[u8]) -> Result<Proposal> {
+fn get_proposal(frame: &Bytes, buf: &mut &[u8]) -> Result<Proposal> {
     let phase = get_phase(buf)?;
     let count_byte = get_u8(buf)?;
     let dedup = count_byte & 0x80 != 0;
@@ -593,15 +597,8 @@ fn get_proposal(buf: &mut &[u8]) -> Result<Proposal> {
     }
     let mut blocks: Vec<Block> = Vec::with_capacity(count);
     for i in 0..count {
-        let borrowed = if dedup && i == 1 {
-            Some(blocks[0].clone())
-        } else {
-            None
-        };
-        blocks.push(get_block(
-            buf,
-            borrowed.as_ref().map(Block::payload).cloned(),
-        )?);
+        let shared = (dedup && i == 1).then(|| blocks[0].payload().clone());
+        blocks.push(get_block(frame, buf, shared)?);
     }
     let justify = get_justify(buf)?;
     let proof_len = get_u16(buf)? as usize;
@@ -677,7 +674,7 @@ fn get_view_change(buf: &mut &[u8]) -> Result<ViewChange> {
 
 /// `shared_payload` carries the first shadow block's batch when decoding
 /// the payload-less second block of a deduplicated proposal.
-fn get_block(buf: &mut &[u8], shared_payload: Option<Batch>) -> Result<Block> {
+fn get_block(frame: &Bytes, buf: &mut &[u8], shared_payload: Option<Batch>) -> Result<Block> {
     let parent_tag = get_u8(buf)?;
     let parent_digest = get_digest(buf)?;
     let pview = View(get_u64(buf)?);
@@ -686,7 +683,7 @@ fn get_block(buf: &mut &[u8], shared_payload: Option<Batch>) -> Result<Block> {
     let justify = get_justify(buf)?;
     let payload = match shared_payload {
         Some(p) => p,
-        None => get_batch(buf)?,
+        None => get_batch(frame, buf)?,
     };
     let block = match parent_tag {
         1 => Block::new_normal(
@@ -714,7 +711,8 @@ fn get_block(buf: &mut &[u8], shared_payload: Option<Batch>) -> Result<Block> {
     Ok(block)
 }
 
-fn get_batch(buf: &mut &[u8]) -> Result<Batch> {
+/// Payloads come out as slices of `frame`, which `buf` must be walking.
+fn get_batch(frame: &Bytes, buf: &mut &[u8]) -> Result<Batch> {
     let count = get_u32(buf)? as usize;
     let count = bounded_count(buf, count, Transaction::HEADER_LEN, "Batch.count")?;
     let mut txs = Vec::with_capacity(count);
@@ -724,7 +722,7 @@ fn get_batch(buf: &mut &[u8]) -> Result<Batch> {
         let len = get_u32(buf)? as usize;
         let submitted_at_ns = get_u64(buf)?;
         need(buf, len)?;
-        let payload = Bytes::copy_from_slice(&buf[..len]);
+        let payload = frame.slice_ref(&buf[..len]);
         buf.advance(len);
         txs.push(Transaction::new(id, client, payload, submitted_at_ns));
     }
@@ -781,7 +779,13 @@ pub fn get_qc(buf: &mut &[u8]) -> Result<Qc> {
 ///
 /// Returns a [`DecodeError`] on a truncated or malformed buffer.
 pub fn get_block_full(buf: &mut &[u8]) -> Result<Block> {
-    get_block(buf, None)
+    // Stored bytes have no refcounted frame behind them: copy them into
+    // one, once, and decode that like any wire frame.
+    let frame = Bytes::copy_from_slice(buf);
+    let mut rest = &frame[..];
+    let block = get_block(&frame, &mut rest, None);
+    buf.advance(frame.len() - rest.len());
+    block
 }
 
 fn get_seed(buf: &mut &[u8]) -> Result<QcSeed> {
@@ -1280,7 +1284,7 @@ mod tests {
         let count_at = 13 + 32;
         enc[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_message(&enc),
+            decode_message(&enc.into()),
             Err(DecodeError::FieldTooLarge { .. })
         ));
     }
@@ -1312,7 +1316,7 @@ mod tests {
         for body in bodies {
             let enc = encode_message(&Message::new(ReplicaId(1), View(3), body), false);
             for cut in 0..enc.len() {
-                let _ = decode_message(&enc[..cut]);
+                let _ = decode_message(&enc.slice(..cut));
             }
             for _ in 0..256 {
                 let mut mutated = enc.to_vec();
@@ -1321,7 +1325,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let at = (rng >> 33) as usize % mutated.len();
                 mutated[at] ^= (rng >> 17) as u8 | 1;
-                let _ = decode_message(&mutated);
+                let _ = decode_message(&mutated.into());
             }
         }
     }
@@ -1343,7 +1347,7 @@ mod tests {
         enc[count_at] = 0xff;
         enc[count_at + 1] = 0xff;
         assert!(matches!(
-            decode_message(&enc),
+            decode_message(&enc.into()),
             Err(DecodeError::FieldTooLarge { .. })
         ));
     }
@@ -1378,7 +1382,7 @@ mod tests {
         );
         let enc = encode_message(&msg, false);
         for cut in [0, 1, 12, 13, 20, enc.len() - 1] {
-            assert!(decode_message(&enc[..cut]).is_err(), "cut={cut}");
+            assert!(decode_message(&enc.slice(..cut)).is_err(), "cut={cut}");
         }
     }
 
@@ -1394,7 +1398,7 @@ mod tests {
         let mut enc = encode_message(&msg, false).to_vec();
         enc[12] = 99; // body tag
         assert_eq!(
-            decode_message(&enc),
+            decode_message(&enc.into()),
             Err(DecodeError::BadTag {
                 what: "MsgBody",
                 tag: 99
@@ -1413,6 +1417,9 @@ mod tests {
         );
         let mut enc = encode_message(&msg, false).to_vec();
         enc.push(0);
-        assert_eq!(decode_message(&enc), Err(DecodeError::TrailingBytes(1)));
+        assert_eq!(
+            decode_message(&enc.into()),
+            Err(DecodeError::TrailingBytes(1))
+        );
     }
 }

@@ -20,7 +20,8 @@ pub struct Transaction {
     pub id: u64,
     /// Submitting client.
     pub client: u32,
-    /// Operation payload.
+    /// Operation payload. Decoded off the wire it is a slice of the
+    /// frame it arrived in, and keeps that frame alive (DESIGN.md §17.3).
     pub payload: Bytes,
     /// Simulation time (ns) at which the client submitted the operation;
     /// used for end-to-end latency measurement. Not part of the signed
@@ -57,12 +58,7 @@ impl Transaction {
 
     /// A zero-payload transaction (the paper's "no-op request").
     pub fn no_op(id: u64, client: u32, submitted_at_ns: u64) -> Self {
-        Transaction {
-            id,
-            client,
-            payload: Bytes::new(),
-            submitted_at_ns,
-        }
+        Transaction::new(id, client, Bytes::new(), submitted_at_ns)
     }
 
     /// Bytes this transaction occupies on the wire.

@@ -2,7 +2,9 @@
 //! as hostile. Arbitrary byte strings, bit-flipped and truncated valid
 //! frames, and hand-crafted length bombs must all return a clean
 //! `DecodeError` — no panic, and no allocation sized beyond what the
-//! received bytes can back ([`MAX_FRAME_LEN`] at the outside).
+//! received bytes can back ([`MAX_FRAME_LEN`] at the outside). Every
+//! input is decoded both as a `Bytes` of its own and as a slice at a
+//! non-zero offset of a larger one, which is how payloads see a frame.
 
 use bytes::Bytes;
 use marlin_crypto::sha256;
@@ -78,13 +80,26 @@ fn sync_frames() -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Decodes `bytes` as a frame of its own and as a slice at a non-zero
+/// offset of a larger buffer (with bytes after it, too) — the decoder
+/// must never look outside the view it was given, so both must agree.
+fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
+    let whole = decode_message(&Bytes::copy_from_slice(bytes));
+    let mut outer = vec![0xA5u8; 7];
+    outer.extend_from_slice(bytes);
+    outer.extend_from_slice(&[0x5A; 5]);
+    let embedded = decode_message(&Bytes::from(outer).slice(7..7 + bytes.len()));
+    assert_eq!(whole, embedded);
+    whole
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Arbitrary garbage never panics.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_message(&bytes);
+        let _ = decode(&bytes);
     }
 
     /// Corrupting any one byte of any sync-message frame never panics;
@@ -97,10 +112,10 @@ proptest! {
         cut in any::<usize>(),
     ) {
         let mut frame = sync_frames().swap_remove(which);
-        let _ = decode_message(&frame[..cut % (frame.len() + 1)]);
+        let _ = decode(&frame[..cut % (frame.len() + 1)]);
         let pos = pos % frame.len();
         frame[pos] ^= 1 << bit;
-        let _ = decode_message(&frame);
+        let _ = decode(&frame);
     }
 
     /// Corrupting any one byte of a valid frame never panics; flipped
@@ -110,20 +125,20 @@ proptest! {
         let mut frame = sample_frame();
         let pos = pos % frame.len();
         frame[pos] ^= 1 << bit;
-        let _ = decode_message(&frame);
+        let _ = decode(&frame);
     }
 
     /// Truncating a valid frame at any point never panics.
     #[test]
     fn truncated_valid_frames_never_panic(cut in any::<usize>()) {
         let frame = sample_frame();
-        let _ = decode_message(&frame[..cut % (frame.len() + 1)]);
+        let _ = decode(&frame[..cut % (frame.len() + 1)]);
     }
 }
 
 #[test]
 fn oversized_frame_rejected_before_decoding() {
-    let bytes = vec![0u8; MAX_FRAME_LEN + 1];
+    let bytes = Bytes::from(vec![0u8; MAX_FRAME_LEN + 1]);
     assert_eq!(
         decode_message(&bytes),
         Err(DecodeError::FieldTooLarge {
@@ -150,7 +165,7 @@ fn batch_count_bomb_rejected() {
     frame.extend_from_slice(&2u64.to_le_bytes()); // height
     frame.push(0); // Justify::None
     frame.extend_from_slice(&u32::MAX.to_le_bytes()); // tx count bomb
-    match decode_message(&frame) {
+    match decode(&frame) {
         Err(DecodeError::FieldTooLarge { what, len, .. }) => {
             assert_eq!(what, "Batch.count");
             assert_eq!(len, u32::MAX as usize);
@@ -171,7 +186,7 @@ fn vc_proof_count_bomb_rejected() {
     frame.push(0); // zero blocks
     frame.push(0); // Justify::None
     frame.extend_from_slice(&u16::MAX.to_le_bytes()); // vc_proof bomb
-    match decode_message(&frame) {
+    match decode(&frame) {
         Err(DecodeError::FieldTooLarge { what, len, .. }) => {
             assert_eq!(what, "Proposal.vc_proof");
             assert_eq!(len, u16::MAX as usize);
@@ -191,7 +206,7 @@ fn block_range_count_bomb_rejected() {
     frame.push(11); // BlockRangeResponse
     frame.extend_from_slice(&3u64.to_le_bytes()); // from_height
     frame.extend_from_slice(&u16::MAX.to_le_bytes()); // block count bomb
-    match decode_message(&frame) {
+    match decode(&frame) {
         Err(DecodeError::FieldTooLarge { what, len, .. }) => {
             assert_eq!(what, "BlockRangeResponse.blocks");
             assert_eq!(len, u16::MAX as usize);
@@ -204,10 +219,10 @@ fn block_range_count_bomb_rejected() {
 #[test]
 fn sample_frame_still_round_trips() {
     let frame = sample_frame();
-    let msg = decode_message(&frame).expect("valid frame decodes");
+    let msg = decode(&frame).expect("valid frame decodes");
     assert_eq!(encode_message(&msg, false).to_vec(), frame);
     for frame in sync_frames() {
-        let msg = decode_message(&frame).expect("valid sync frame decodes");
+        let msg = decode(&frame).expect("valid sync frame decodes");
         assert_eq!(encode_message(&msg, false).to_vec(), frame);
     }
 }

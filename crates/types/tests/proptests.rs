@@ -262,7 +262,7 @@ proptest! {
         let encoded = encode_message(&msg, false);
         let cut = ((encoded.len() as f64) * frac) as usize;
         if cut < encoded.len() {
-            prop_assert!(decode_message(&encoded[..cut]).is_err());
+            prop_assert!(decode_message(&encoded.slice(..cut)).is_err());
         }
     }
 

@@ -1,7 +1,8 @@
-//! Property tests for the zero-copy fan-out invariants: batch clones
+//! Property tests for the zero-copy invariants. Fan-out: batch clones
 //! are refcount bumps, the shadow-block wire model matches the real
 //! codec byte for byte, and decoding a shadow pair reconstructs a
-//! shared payload allocation rather than two copies.
+//! shared payload allocation rather than two copies. Receive: every
+//! payload a decode yields is a slice of the frame it was given.
 
 use bytes::Bytes;
 use marlin_types::codec::{decode_message, encode_message};
@@ -10,6 +11,7 @@ use marlin_types::{
     View,
 };
 use proptest::prelude::*;
+use std::ops::Range;
 
 prop_compose! {
     fn arb_tx()(
@@ -55,8 +57,129 @@ fn shadow_proposal(payload: Batch, view: u64) -> Message {
     Message::new(ReplicaId(0), View(view), MsgBody::Proposal(prop))
 }
 
+/// Every batch a message carries, in wire order (a shadow pair's one
+/// batch twice).
+fn batches(msg: &Message) -> Vec<&Batch> {
+    match &msg.body {
+        MsgBody::Proposal(p) => p.blocks.iter().map(Block::payload).collect(),
+        MsgBody::FetchResponse { block, .. } => vec![block.payload()],
+        MsgBody::SnapshotResponse {
+            snapshot: Some((block, _)),
+        } => vec![block.payload()],
+        MsgBody::BlockRangeResponse { blocks, .. } => blocks.iter().map(Block::payload).collect(),
+        MsgBody::PayloadPush { batch, .. } => vec![batch],
+        MsgBody::PayloadResponse {
+            batch: Some(batch), ..
+        } => vec![batch],
+        _ => Vec::new(),
+    }
+}
+
+/// Every message shape that carries transactions, around `payload`:
+/// normal and virtual blocks, a shadow pair, and bare batches.
+fn carriers(payload: Batch, view: u64) -> Vec<Message> {
+    let shadow = shadow_proposal(payload.clone(), view);
+    let MsgBody::Proposal(p) = &shadow.body else {
+        unreachable!()
+    };
+    let (normal, virt) = (p.blocks[0].clone(), p.blocks[1].clone());
+    let bodies = vec![
+        MsgBody::Proposal(Proposal {
+            phase: Phase::Prepare,
+            blocks: vec![normal.clone()],
+            justify: Justify::None,
+            vc_proof: Vec::new(),
+        }),
+        MsgBody::FetchResponse {
+            block: virt.clone(),
+            virtual_parent: Some(normal.id()),
+        },
+        MsgBody::SnapshotResponse {
+            snapshot: Some((normal.clone(), Qc::genesis(normal.id()))),
+        },
+        MsgBody::BlockRangeResponse {
+            from_height: normal.height(),
+            blocks: vec![normal, virt],
+        },
+        MsgBody::PayloadPush {
+            digest: payload.digest(),
+            batch: payload.clone(),
+        },
+        MsgBody::PayloadResponse {
+            digest: payload.digest(),
+            batch: Some(payload),
+        },
+    ];
+    let mut out = vec![shadow];
+    out.extend(
+        bodies
+            .into_iter()
+            .map(|body| Message::new(ReplicaId(1), View(view), body)),
+    );
+    out
+}
+
+fn span(bytes: &[u8]) -> Range<usize> {
+    let range = bytes.as_ptr_range();
+    range.start as usize..range.end as usize
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Decoding copies no payload: whatever carries the batch, shadowed
+    /// or not, wherever the frame sits in a larger buffer, every decoded
+    /// non-empty payload is a view into the frame (its address range
+    /// inside the frame's, its storage the frame's), laid out in wire
+    /// order without overlap; decoding again shares the same bytes; and
+    /// the result equals what was encoded, block ids included.
+    #[test]
+    fn decoded_payloads_are_slices_of_the_frame(
+        payload in arb_batch(),
+        view in 2u64..40,
+        shadow in any::<bool>(),
+        lead in 0usize..64,
+    ) {
+        for msg in carriers(payload, view) {
+            let wire = encode_message(&msg, shadow);
+            let mut outer = vec![0xEEu8; lead];
+            outer.extend_from_slice(&wire);
+            outer.extend_from_slice(&[0xEE; 3]);
+            let frame = Bytes::from(outer).slice(lead..lead + wire.len());
+            let decodes = [0; 3].map(|_| decode_message(&frame).unwrap());
+            let spans = decodes.each_ref().map(|decoded| {
+                batches(decoded)
+                    .into_iter()
+                    .flatten()
+                    .filter(|tx| !tx.payload.is_empty())
+                    .map(|tx| {
+                        assert!(Bytes::ptr_eq(&tx.payload, &frame));
+                        span(&tx.payload)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            // Inside the frame, one after another in wire order (a
+            // shadow block repeats its twin's), and the same bytes on
+            // every decode.
+            let mut end = span(&frame).start;
+            let mut seen = Vec::new();
+            for at in &spans[0] {
+                if !seen.contains(at) {
+                    prop_assert!(end <= at.start && at.end <= span(&frame).end);
+                    end = at.end;
+                    seen.push(at.clone());
+                }
+            }
+            prop_assert!(spans[1] == spans[0] && spans[2] == spans[0]);
+            prop_assert_eq!(&decodes[0], &msg);
+            if let (MsgBody::Proposal(got), MsgBody::Proposal(sent)) = (&decodes[0].body, &msg.body) {
+                for (got, sent) in got.blocks.iter().zip(&sent.blocks) {
+                    prop_assert_eq!(got.id(), sent.id());
+                    prop_assert_eq!(got.kind(), sent.kind());
+                }
+            }
+        }
+    }
 
     /// Cloning a batch shares the backing allocation (`Arc::ptr_eq`) —
     /// what makes per-recipient broadcast cost O(1) — and the clone is
