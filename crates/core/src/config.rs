@@ -1,12 +1,13 @@
 //! Replica configuration.
 
-use crate::chained::{ChainedHotStuff, ChainedMarlin};
-use crate::hotstuff::HotStuff;
-use crate::jolteon::Jolteon;
+use crate::chained::{ChainedHotStuffRules, ChainedMarlinRules};
+use crate::hotstuff::HotStuffRules;
+use crate::jolteon::JolteonRules;
 use crate::journal::SafetyJournal;
-use crate::marlin::Marlin;
-use crate::marlin_four_phase::MarlinFourPhase;
-use crate::two_phase_insecure::TwoPhaseInsecure;
+use crate::marlin::MarlinRules;
+use crate::marlin_four_phase::FourPhaseRules;
+use crate::replica::{Replica, Rules};
+use crate::two_phase_insecure::TwoPhaseInsecureRules;
 use crate::util::Protocol;
 use marlin_crypto::{CostModel, KeyStore, QcFormat};
 use marlin_storage::SnapshotStore;
@@ -48,17 +49,15 @@ impl ProtocolKind {
     }
 }
 
-/// Constructs a boxed replica of `kind` — the one place that knows
-/// which protocol supports which durability feature.
+/// Constructs a boxed replica of `kind`.
 ///
-/// With a `journal`, Marlin and the chained protocols write-ahead
-/// journal their safety state to it, and `recovered` additionally
+/// With a `journal`, the replica — of every kind — write-ahead
+/// journals its safety state to it, and `recovered` additionally
 /// rebuilds that state from the journal's replay (amnesia-safe
 /// restart; feed [`crate::Event::Recovered`] afterwards). `snapshots`
 /// attaches durable sync-anchor storage, which only Marlin uses: it is
-/// the only protocol that initiates sync runs today. The remaining
-/// protocols have no durable state: they drop both handles and restart
-/// stateless.
+/// the only protocol that initiates sync runs today, so the other
+/// kinds drop that handle.
 pub fn build_replica(
     kind: ProtocolKind,
     config: Config,
@@ -66,32 +65,39 @@ pub fn build_replica(
     recovered: bool,
     snapshots: Option<SnapshotStore>,
 ) -> Box<dyn Protocol> {
+    fn build<R: Rules>(
+        config: Config,
+        journal: Option<SafetyJournal>,
+        recovered: bool,
+    ) -> Replica<R> {
+        match journal {
+            Some(j) if recovered => Replica::recover(config, j),
+            Some(j) => Replica::with_journal(config, j),
+            None => Replica::new(config),
+        }
+    }
     match kind {
         ProtocolKind::Marlin => {
-            let core = match journal {
-                Some(j) if recovered => Marlin::recover(config, j),
-                Some(j) => Marlin::with_journal(config, j),
-                None => Marlin::new(config),
-            };
+            let replica = build::<MarlinRules>(config, journal, recovered);
             Box::new(match snapshots {
-                Some(s) => core.with_snapshots(s),
-                None => core,
+                Some(s) => replica.with_snapshots(s),
+                None => replica,
             })
         }
-        ProtocolKind::ChainedMarlin => match journal {
-            Some(j) if recovered => Box::new(ChainedMarlin::recover(config, j)),
-            Some(j) => Box::new(ChainedMarlin::with_journal(config, j)),
-            None => Box::new(ChainedMarlin::new(config)),
-        },
-        ProtocolKind::ChainedHotStuff => match journal {
-            Some(j) if recovered => Box::new(ChainedHotStuff::recover(config, j)),
-            Some(j) => Box::new(ChainedHotStuff::with_journal(config, j)),
-            None => Box::new(ChainedHotStuff::new(config)),
-        },
-        ProtocolKind::HotStuff => Box::new(HotStuff::new(config)),
-        ProtocolKind::Jolteon => Box::new(Jolteon::new(config)),
-        ProtocolKind::TwoPhaseInsecure => Box::new(TwoPhaseInsecure::new(config)),
-        ProtocolKind::MarlinFourPhase => Box::new(MarlinFourPhase::new(config)),
+        ProtocolKind::HotStuff => Box::new(build::<HotStuffRules>(config, journal, recovered)),
+        ProtocolKind::ChainedMarlin => {
+            Box::new(build::<ChainedMarlinRules>(config, journal, recovered))
+        }
+        ProtocolKind::ChainedHotStuff => {
+            Box::new(build::<ChainedHotStuffRules>(config, journal, recovered))
+        }
+        ProtocolKind::Jolteon => Box::new(build::<JolteonRules>(config, journal, recovered)),
+        ProtocolKind::TwoPhaseInsecure => {
+            Box::new(build::<TwoPhaseInsecureRules>(config, journal, recovered))
+        }
+        ProtocolKind::MarlinFourPhase => {
+            Box::new(build::<FourPhaseRules>(config, journal, recovered))
+        }
     }
 }
 

@@ -19,7 +19,7 @@
 use crate::events::StepOutput;
 use crate::replica::{extends, Adopt, Core, Next, Replica, Rules};
 use marlin_types::rank::qc_rank_ge;
-use marlin_types::{Block, Justify, Phase, Proposal, ReplicaId, VcCert, View, ViewChange};
+use marlin_types::{Block, Justify, Phase, Proposal, Qc, ReplicaId, VcCert, View, ViewChange};
 
 /// A replica running basic HotStuff.
 ///
@@ -83,8 +83,8 @@ impl Rules for HotStuffRules {
         }
     }
 
-    fn prepare_qc_phase(_core: &Core<()>) -> Phase {
-        Phase::PreCommit
+    fn on_prepare_qc(_core: &Core<()>, _qc: &Qc, _out: &mut StepOutput) -> Option<Phase> {
+        Some(Phase::PreCommit)
     }
 
     /// Extend the highest reported `prepareQC` (linear view change).

@@ -46,14 +46,13 @@
 //! intact generation. Recovery picks the newest generation with intact
 //! records and deletes empty or fully-torn stragglers.
 
-use crate::events::{Action, Note};
 use bytes::{BufMut, BytesMut};
 use marlin_storage::{Disk, IoCostModel, SharedDisk, Wal};
 use marlin_types::codec::{
     get_block_meta, get_justify, get_qc, put_block_meta, put_justify, put_qc,
 };
 use marlin_types::rank::{block_rank_gt, qc_rank_cmp};
-use marlin_types::{BlockMeta, Height, Justify, Phase, Qc, View};
+use marlin_types::{BlockMeta, Height, Justify, Qc, View};
 use std::cmp::Ordering;
 use std::io;
 
@@ -529,27 +528,6 @@ fn min_opt(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
-/// Journals a vote and pushes the vote action, or abstains: the
-/// write-ahead voting rule as a helper. Returns `true` if the vote was
-/// journaled and pushed; on journal failure pushes a
-/// [`Note::VoteWithheld`] instead and returns `false`.
-pub fn journal_vote_or_abstain(
-    journal: Option<&mut SafetyJournal>,
-    meta: &BlockMeta,
-    phase: Phase,
-    vote: Action,
-    out: &mut Vec<Action>,
-) -> bool {
-    if let Some(journal) = journal {
-        if journal.log_last_voted(meta).is_err() {
-            out.push(Action::Note(Note::VoteWithheld { phase }));
-            return false;
-        }
-    }
-    out.push(vote);
-    true
-}
-
 fn gen_file(gen: u64) -> String {
     format!("{JOURNAL_FILE}.{gen}")
 }
@@ -557,7 +535,7 @@ fn gen_file(gen: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marlin_types::{BlockId, BlockKind, Height, QcSeed};
+    use marlin_types::{BlockId, BlockKind, Phase, QcSeed};
 
     fn meta(view: u64, height: u64, rank_boost: bool) -> BlockMeta {
         BlockMeta {
@@ -830,36 +808,5 @@ mod tests {
             .filter(|f| f.starts_with(JOURNAL_FILE))
             .collect();
         assert_eq!(journal_files.len(), 1, "{journal_files:?}");
-    }
-
-    #[test]
-    fn vote_helper_abstains_on_journal_failure() {
-        let disk = SharedDisk::new();
-        let mut j = SafetyJournal::open(disk.clone()).unwrap();
-        let vote = Action::Note(Note::HappyPathVc { view: View(1) }); // stand-in action
-        let mut out = Vec::new();
-        assert!(journal_vote_or_abstain(
-            Some(&mut j),
-            &meta(1, 1, false),
-            Phase::Prepare,
-            vote.clone(),
-            &mut out
-        ));
-        assert_eq!(out.len(), 1);
-        disk.tear_next_write_after(0);
-        let mut out2 = Vec::new();
-        assert!(!journal_vote_or_abstain(
-            Some(&mut j),
-            &meta(2, 2, false),
-            Phase::Commit,
-            vote,
-            &mut out2
-        ));
-        assert!(matches!(
-            out2[0],
-            Action::Note(Note::VoteWithheld {
-                phase: Phase::Commit
-            })
-        ));
     }
 }

@@ -9,11 +9,12 @@
 //! `marlin-node`), under the in-process [`harness`] used by tests, and
 //! under the benchmark drivers.
 //!
-//! Protocols provided. The five non-chained protocols are one replica
-//! skeleton ([`Replica`]: pacemaker, vote collection, write-ahead
-//! journal, view-change collection, the event loop) instantiated with
-//! five *rule sets* — each module below holds only what its protocol
-//! decides for itself (DESIGN.md §18 has the full rule table):
+//! Protocols provided. All seven are one replica skeleton ([`Replica`]:
+//! pacemaker, vote collection, write-ahead journal, view-change
+//! collection, the event loop — the crate's only `impl Protocol`)
+//! instantiated with seven *rule sets* — each module below holds only
+//! what its protocol decides for itself (DESIGN.md §18 has the full
+//! rule table):
 //!
 //! | module | protocol | phase ladder | lock raised on | view change: the leader's decision and the cross-view vote predicate |
 //! |--------|----------|--------------|----------------|------|
@@ -22,9 +23,10 @@
 //! | [`jolteon`] | Jolteon-style two-phase baseline | prepare → commit | `prepareQC` | extend the highest certified QC, proving it with `n − f` certificates; 2 phases, **quadratic** |
 //! | [`two_phase_insecure`] | the strawman of Section IV-B | prepare → commit | `prepareQC` | extend the highest QC seen, no unlocking — loses liveness (kept for the Fig. 2 demonstrations) |
 //! | [`marlin_four_phase`] | the "half-baked" design of Section IV-D (ablation) | prepare → commit; recovery block prepare → pre-commit → commit | `prepareQC` / `precommitQC` | NACK-and-restart pre-prepare without virtual blocks; 4 phases, linear |
-//! | [`chained`] | chained (pipelined) Marlin & HotStuff | 1 proposal/round, two-/three-chain commit | as base protocol | as base protocol (its own state machine) |
+//! | [`chained`] | chained (pipelined) Marlin & HotStuff | one rung: the `prepareQC` closes the round and rides the next proposal; two-/three-chain commit | `prepareQC` (the justify) / the certificate one direct link below it | chained Marlin: Marlin's, by delegation to its rule set; chained HotStuff: extend the highest `prepareQC`, safeNode |
 //!
-//! [`build_replica`] constructs any of them from a [`ProtocolKind`].
+//! [`build_replica`] constructs any of them from a [`ProtocolKind`],
+//! with or without a write-ahead [`SafetyJournal`].
 //!
 //! # Example
 //!

@@ -28,17 +28,17 @@
 //!
 //! ## Marlin-only rules
 //!
-//! Beyond the paper's cases, this rule set is the only one that runs
-//! with a write-ahead journal ([`Marlin::with_journal`] /
-//! [`Marlin::recover`]), solicits `CATCH-UP` on recovery, hands deep
-//! commit lag to the sync engine, and proposes digests when
-//! `Config::dissemination` is on. None of that is Marlin-specific in
-//! principle; each is a hook the skeleton could absorb for every
-//! protocol (DESIGN.md §18).
+//! Beyond the paper's cases, this rule set is the only one that hands
+//! deep commit lag to the sync engine (and keeps durable snapshot
+//! anchors, [`Marlin::with_snapshots`]) and proposes digests when
+//! `Config::dissemination` is on; it shares soliciting `CATCH-UP` on
+//! recovery with the chained rule sets only. None of that is
+//! Marlin-specific in principle; DESIGN.md §18 records why each is
+//! still a rule rather than the skeleton's. The view change below is
+//! also chained Marlin's: [`crate::chained::ChainedMarlinRules`]
+//! delegates to it.
 
-use crate::config::Config;
 use crate::events::{Action, Note, StepOutput, VcCase};
-use crate::journal::SafetyJournal;
 use crate::replica::{child_of, extends, Adopt, Core, DigestEvent, Next, Replica, Rules};
 use marlin_storage::SnapshotStore;
 use marlin_types::rank::{block_rank_gt, highest_block, qc_rank_cmp, qc_rank_ge};
@@ -105,40 +105,11 @@ pub struct MarlinRules;
 type MarlinCore = Core<MarlinRound>;
 
 impl Marlin {
-    /// Creates a replica that write-ahead journals every safety-state
-    /// transition (view entries, `lb`, lock and `highQC` raises) to
-    /// `journal` *before* the corresponding vote can leave the replica.
-    pub fn with_journal(config: Config, journal: SafetyJournal) -> Self {
-        let mut replica = Marlin::new(config);
-        replica.core.journal = Some(journal);
-        replica
-    }
-
-    /// Creates a replica whose safety state is reconstructed from a
-    /// durable journal (amnesia-safe restart): it resumes in the
-    /// journaled view with the journaled `lb`, lock and `highQC`, so it
-    /// cannot re-vote in a slot it voted in before the crash. Feed
-    /// [`crate::Event::Recovered`] to re-arm timers and solicit commits
-    /// formed while the replica was down.
-    pub fn recover(config: Config, journal: SafetyJournal) -> Self {
-        let snapshot = *journal.state();
-        let mut replica = Marlin::with_journal(config, journal);
-        replica.core.lb = snapshot.last_voted;
-        replica.core.locked_qc = snapshot.locked_qc;
-        if !matches!(snapshot.high_qc, Justify::None) {
-            replica.core.high_qc = snapshot.high_qc;
-        }
-        if snapshot.view > View::GENESIS {
-            replica.core.base.cview = snapshot.view;
-        }
-        replica
-    }
-
     /// Attaches durable snapshot-anchor storage: the replica records
     /// its periodic sync anchors there and, on construction, installs
     /// the persisted anchor if it is ahead of the journal-rebuilt tip
     /// (a cold or long-crashed replica rejoins from the anchor instead
-    /// of replaying the whole chain). Chain with [`Marlin::recover`]
+    /// of replaying the whole chain). Chain with [`Replica::recover`]
     /// for crash recovery.
     #[must_use]
     pub fn with_snapshots(mut self, snapshots: SnapshotStore) -> Self {
@@ -549,15 +520,11 @@ impl Rules for MarlinRules {
             // Case R2 attaches the lock so the leader can validate the
             // virtual block's parent.
             let attach = core.locked_qc.filter(|_| r2);
-            // Write-ahead: a pre-prepare vote changes no block-level
-            // safety state, but the view it is cast in must be durable.
-            if !core.journal_view_durable(view, Phase::PrePrepare, out) {
+            let seed = block.vote_seed(Phase::PrePrepare, view);
+            if !core.cast_pre_prepare_vote(from, seed, attach, out) {
                 continue;
             }
-
             core.base.store_block(block);
-            let seed = block.vote_seed(Phase::PrePrepare, view);
-            core.send_vote(from, seed, attach, out);
             progressed = true;
         }
         if progressed {
@@ -704,33 +671,7 @@ impl Rules for MarlinRules {
         core.base.maybe_start_sync(qc, out)
     }
 
-    /// Asks peers for commit certificates formed while this replica
-    /// was down, and — when it leads the current view with a snapshot
-    /// usable without crash-lost blocks — re-proposes.
     fn on_recovered(core: &mut MarlinCore, out: &mut StepOutput) -> Next {
-        let view = core.base.cview;
-        let store = &core.base.store;
-        let last_committed = store
-            .get(&store.last_committed())
-            .map(|b| b.height())
-            .unwrap_or_default();
-        core.catch_up_outstanding = true;
-        out.actions
-            .push(Action::Note(Note::CatchUpRequested { view }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                core.cfg().id,
-                view,
-                MsgBody::CatchUpRequest { last_committed },
-            ),
-        });
-        // Case N1 needs only the QC's metadata; Case N2 would need the
-        // pre-prepared block itself, which did not survive the crash.
-        let plain = matches!(core.high_qc, Justify::One(qc) if qc.phase() == Phase::Prepare);
-        if core.cfg().is_leader(view) && plain {
-            Next::Propose
-        } else {
-            Next::Idle
-        }
+        core.solicit_catch_up(out)
     }
 }

@@ -113,16 +113,16 @@ impl Rules for FourPhaseRules {
 
     /// Recovery blocks take the long path (pre-commit); normal blocks
     /// go straight to commit.
-    fn prepare_qc_phase(core: &Core<NackRound>) -> Phase {
+    fn on_prepare_qc(core: &Core<NackRound>, _qc: &Qc, _out: &mut StepOutput) -> Option<Phase> {
         let recovering = core
             .rounds
             .get(&core.base.cview)
             .is_some_and(|r| r.ext.advanced && r.ext.candidate == core.in_flight);
-        if recovering {
+        Some(if recovering {
             Phase::PreCommit
         } else {
             Phase::Commit
-        }
+        })
     }
 
     /// Pre-prepare the highest reported `prepareQC`.
@@ -165,13 +165,15 @@ impl Rules for FourPhaseRules {
             return;
         }
         let seed = block.vote_seed(Phase::PrePrepare, view);
-        if qc_rank_ge(&qc, core.locked_qc.as_ref()) {
-            // "Yes" — contribute to the pre-prepareQC.
+        // "Yes" contributes to the pre-prepareQC; a NACK reports the
+        // higher prepareQC so the leader restarts.
+        let yes = qc_rank_ge(&qc, core.locked_qc.as_ref());
+        let nack = core.locked_qc.filter(|_| !yes);
+        if !core.cast_pre_prepare_vote(from, seed, nack, out) {
+            return;
+        }
+        if yes {
             core.base.store_block(block);
-            core.send_vote(from, seed, None, out);
-        } else {
-            // NACK: report the higher prepareQC so the leader restarts.
-            core.send_vote(from, seed, core.locked_qc, out);
         }
         core.base.progress_timer(out);
     }

@@ -1,15 +1,16 @@
-//! One replica skeleton for the non-chained protocol family.
+//! One replica skeleton for the whole protocol family.
 //!
-//! Marlin, basic HotStuff, the Jolteon-style baseline and the two
-//! ablations (insecure two-phase, four-phase) share everything except a
-//! handful of rules: the vote-safety predicate, where the lock and
-//! `highQC` are raised, the phase ladder, and the shape of the
-//! view-change proof. [`Replica`] owns the shared machine — the
-//! pacemaker and message buffering ([`Base`]), `lb` / `lockedQC` /
-//! `highQC`, vote collection, the optional write-ahead journal, per-view
-//! `VIEW-CHANGE` collection, and the event loop — and is statically
-//! generic over a [`Rules`] implementation holding only what is the
-//! protocol's own (DESIGN.md §18 tabulates the five rule sets).
+//! Marlin, basic HotStuff, the Jolteon-style baseline, the two
+//! ablations (insecure two-phase, four-phase) and the two chained
+//! (pipelined) protocols share everything except a handful of rules:
+//! the vote-safety predicate, where the lock and `highQC` are raised,
+//! the phase ladder, the commit rule, and the shape of the view-change
+//! proof. [`Replica`] owns the shared machine — the pacemaker and
+//! message buffering ([`Base`]), `lb` / `lockedQC` / `highQC`, vote
+//! collection, the optional write-ahead journal, per-view `VIEW-CHANGE`
+//! collection, and the event loop — and is statically generic over a
+//! [`Rules`] implementation holding only what is the protocol's own
+//! (DESIGN.md §18 tabulates the seven rule sets).
 //!
 //! Rules never call back into the skeleton: a hook that wants the
 //! leader to propose returns [`Next::Propose`].
@@ -41,9 +42,10 @@ pub enum Next {
 }
 
 /// Which safety state a vote raises to the justify it was cast on:
-/// `highQC` to the justify itself, the lock to its QC. The raise is
-/// journaled before the vote is emitted and applied after (write-ahead
-/// voting).
+/// `highQC` to the justify itself, the lock to the QC
+/// [`Rules::lock_target`] names (the justify's own, unless the rule set
+/// locks deeper in the chain). The raise is journaled before the vote
+/// is emitted and applied after (write-ahead voting).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Adopt {
     /// The vote raises nothing.
@@ -118,6 +120,11 @@ pub struct Core<X> {
     /// A broadcast `CATCH-UP` request is awaiting its first response
     /// (drives the catch-up round-trip telemetry).
     pub(crate) catch_up_outstanding: bool,
+    /// Consecutive heartbeats on which this replica, as an idle leader,
+    /// had nothing to propose; paces keep-alive blocks
+    /// ([`Rules::IDLE_BEATS_PER_BLOCK`]). Deliberately not per-view: a
+    /// quiet period spans views.
+    idle_beats: u32,
     /// Write-ahead safety journal; `None` runs without durability.
     pub(crate) journal: Option<SafetyJournal>,
 }
@@ -134,6 +141,7 @@ impl<X: Default> Core<X> {
             rounds: HashMap::new(),
             peer_views: HashMap::new(),
             catch_up_outstanding: false,
+            idle_beats: 0,
             journal: None,
         }
     }
@@ -180,8 +188,10 @@ impl<X: Default> Core<X> {
     }
 
     /// Signs `seed` and sends the vote to `to`, attaching `locked_qc`
-    /// (Marlin's Case R2 / the four-phase NACK).
-    pub(crate) fn send_vote(
+    /// (Marlin's Case R2 / the four-phase NACK). Private: a rule set can
+    /// only put a vote on the wire through [`Core::cast_vote`] or
+    /// [`Core::cast_pre_prepare_vote`], which journal first.
+    fn send_vote(
         &mut self,
         to: ReplicaId,
         seed: QcSeed,
@@ -211,16 +221,29 @@ impl<X: Default> Core<X> {
         });
     }
 
+    /// Casts a pre-prepare vote (or NACK) for `seed`, attaching
+    /// `locked_qc`. Write-ahead: such a vote changes no block-level
+    /// safety state, but the view it is cast in must be durable.
+    /// Returns whether the vote was sent.
+    pub(crate) fn cast_pre_prepare_vote(
+        &mut self,
+        to: ReplicaId,
+        seed: QcSeed,
+        locked_qc: Option<Qc>,
+        out: &mut StepOutput,
+    ) -> bool {
+        let durable = self.journal_view_durable(seed.view, Phase::PrePrepare, out);
+        if durable {
+            self.send_vote(to, seed, locked_qc, out);
+        }
+        durable
+    }
+
     /// Write-ahead check for votes that change no block-level safety
     /// state (pre-prepare votes, view-change shares): the current view
     /// must be durable. Returns `false` — abstain — when the journal
     /// cannot be written; abstention is always safe.
-    pub(crate) fn journal_view_durable(
-        &mut self,
-        view: View,
-        phase: Phase,
-        out: &mut StepOutput,
-    ) -> bool {
+    fn journal_view_durable(&mut self, view: View, phase: Phase, out: &mut StepOutput) -> bool {
         match self.journal.as_mut() {
             None => true,
             Some(j) => match j.log_view(view) {
@@ -250,12 +273,13 @@ impl<X: Default> Core<X> {
         let high = matches!(adopt, Adopt::High | Adopt::Both).then_some(justify);
         let lock = justify
             .qc()
-            .filter(|_| matches!(adopt, Adopt::Lock | Adopt::Both));
+            .filter(|_| matches!(adopt, Adopt::Lock | Adopt::Both))
+            .and_then(|qc| R::lock_target(self, qc));
         if let Some(j) = self.journal.as_mut() {
             let res = voted
                 .map_or(Ok(()), |meta| j.log_last_voted(&meta))
                 .and_then(|()| high.map_or(Ok(()), |h| j.log_high_qc(&h)))
-                .and_then(|()| lock.map_or(Ok(()), |l| j.log_lock(l)));
+                .and_then(|()| lock.as_ref().map_or(Ok(()), |l| j.log_lock(l)));
             if res.is_err() {
                 let phase = seed.phase;
                 out.actions.push(Action::Note(Note::VoteWithheld { phase }));
@@ -270,8 +294,9 @@ impl<X: Default> Core<X> {
             R::adopt_high(self, high);
         }
         if let Some(lock) = lock {
-            self.raise_lock(lock);
+            self.raise_lock(&lock);
         }
+        R::after_vote(self, &justify, to, out);
         // A valid proposal is progress: keep the view timer fresh.
         self.base.progress_timer(out);
     }
@@ -301,6 +326,37 @@ impl<X: Default> Core<X> {
             self.raise_high(qc);
         }
         best
+    }
+
+    /// [`Rules::on_recovered`] for the rule sets that solicit catch-up:
+    /// asks peers for commit certificates formed while this replica
+    /// was down, and — when it leads the current view with a snapshot
+    /// usable without crash-lost blocks — re-proposes.
+    pub(crate) fn solicit_catch_up(&mut self, out: &mut StepOutput) -> Next {
+        let view = self.base.cview;
+        let store = &self.base.store;
+        let last_committed = store
+            .get(&store.last_committed())
+            .map(|b| b.height())
+            .unwrap_or_default();
+        self.catch_up_outstanding = true;
+        out.actions
+            .push(Action::Note(Note::CatchUpRequested { view }));
+        out.actions.push(Action::Broadcast {
+            message: Message::new(
+                self.cfg().id,
+                view,
+                MsgBody::CatchUpRequest { last_committed },
+            ),
+        });
+        // Case N1 needs only the QC's metadata; Case N2 would need the
+        // pre-prepared block itself, which did not survive the crash.
+        let plain = matches!(self.high_qc, Justify::One(qc) if qc.phase() == Phase::Prepare);
+        if self.cfg().is_leader(view) && plain {
+            Next::Propose
+        } else {
+            Next::Idle
+        }
     }
 }
 
@@ -334,6 +390,22 @@ pub trait Rules: Clone + Debug {
     /// Protocol name, e.g. `"marlin"`.
     const NAME: &'static str;
 
+    /// The phase whose QC commits a block — the top rung of the ladder.
+    /// Votes for rungs above it are not collected, and it is the one
+    /// phase a `CATCH-UP` response may serve or carry. `Prepare` for
+    /// the chained protocols, whose commit certificate is the
+    /// `prepareQC` that completed the k-chain.
+    const COMMIT_CERT: Phase = Phase::Commit;
+
+    /// Idle pacing: a leader with nothing to propose keeps its
+    /// heartbeat armed and emits one keep-alive block per this many
+    /// idle beats.
+    const IDLE_BEATS_PER_BLOCK: u32 = 1;
+
+    /// Idle pacing: the heartbeat armed when a round closes with
+    /// nothing to propose is the base timeout divided by this.
+    const CLOSED_ROUND_BEAT: u64 = 4;
+
     /// The vote-safety predicate for a `PREPARE` proposal of `block`
     /// (already checked: sent by the leader of `view`, built in `view`,
     /// outranking `lb`). Verifies the justify and returns what voting
@@ -352,9 +424,28 @@ pub trait Rules: Clone + Debug {
 
     /// The phase ladder, leader side: the phase a freshly formed
     /// `prepareQC` is broadcast in (`COMMIT` for a two-phase commit,
-    /// `PRE-COMMIT` for a three-phase one).
-    fn prepare_qc_phase(_core: &Core<Self::Round>) -> Phase {
-        Phase::Commit
+    /// `PRE-COMMIT` for a three-phase one). `None` when the `prepareQC`
+    /// climbs no further rung: it closes the round and travels as the
+    /// next proposal's justify (chained).
+    fn on_prepare_qc(_core: &Core<Self::Round>, _qc: &Qc, _out: &mut StepOutput) -> Option<Phase> {
+        Some(Phase::Commit)
+    }
+
+    /// The QC a lock-raising vote on `justify` locks on: the justify
+    /// itself, or a certificate deeper in its chain (three-chain).
+    fn lock_target(_core: &Core<Self::Round>, justify: &Qc) -> Option<Qc> {
+        Some(*justify)
+    }
+
+    /// A vote on `justify` was just sent to `leader` and its raises
+    /// applied: the chained commit rule runs here, between the vote and
+    /// the view-timer refresh.
+    fn after_vote(
+        _core: &mut Core<Self::Round>,
+        _justify: &Justify,
+        _leader: ReplicaId,
+        _out: &mut StepOutput,
+    ) {
     }
 
     /// Records `justify` as `highQC`. The default keeps the highest
@@ -373,6 +464,15 @@ pub trait Rules: Clone + Debug {
     /// Whether a `VIEW-CHANGE` counts towards the leader's quorum.
     fn usable_view_change(_vc: &ViewChange) -> bool {
         true
+    }
+
+    /// Whether a message from a view above ours proves that view
+    /// started, so the replica enters it instead of buffering. A
+    /// commit certificate is such a proof for every rule set (see
+    /// `on_commit_cert`); this hook is for protocols that have no
+    /// `DECIDE` to synchronise on.
+    fn proves_view(_core: &mut Core<Self::Round>, _msg: &Message) -> bool {
+        false
     }
 
     /// The new leader's decision on `n − f` `VIEW-CHANGE` messages for
@@ -418,6 +518,13 @@ pub trait Rules: Clone + Debug {
         Next::Idle
     }
 
+    /// Idle pacing: whether certified-but-uncommitted payload is still
+    /// in flight behind the block `qc` certifies, so the leader must
+    /// keep proposing even with nothing new to propose.
+    fn tail_open(_core: &Core<Self::Round>, _qc: &Qc) -> bool {
+        false
+    }
+
     /// Transactions were admitted to the mempool.
     fn on_new_transactions(_core: &mut Core<Self::Round>, _out: &mut StepOutput) {}
 
@@ -439,8 +546,8 @@ pub trait Rules: Clone + Debug {
         None
     }
 
-    /// A verified `commitQC` is about to be committed; returns `true`
-    /// if a catch-up sync run consumed it instead.
+    /// A verified commit certificate is about to be committed; returns
+    /// `true` if a catch-up sync run consumed it instead.
     fn on_lagging_commit(_core: &mut Core<Self::Round>, _qc: &Qc, _out: &mut StepOutput) -> bool {
         false
     }
@@ -452,7 +559,7 @@ pub trait Rules: Clone + Debug {
     }
 }
 
-/// A replica of the non-chained family running rule set `R`.
+/// A replica running rule set `R`.
 #[derive(Clone, Debug)]
 pub struct Replica<R: Rules> {
     pub(crate) core: Core<R::Round>,
@@ -464,6 +571,35 @@ impl<R: Rules> Replica<R> {
         Replica {
             core: Core::new(config),
         }
+    }
+
+    /// Creates a replica that write-ahead journals every safety-state
+    /// transition (view entries, `lb`, lock and `highQC` raises) to
+    /// `journal` *before* the corresponding vote can leave the replica.
+    pub fn with_journal(config: Config, journal: SafetyJournal) -> Self {
+        let mut replica = Self::new(config);
+        replica.core.journal = Some(journal);
+        replica
+    }
+
+    /// Creates a replica whose safety state is reconstructed from a
+    /// durable journal (amnesia-safe restart): it resumes in the
+    /// journaled view with the journaled `lb`, lock and `highQC`, so it
+    /// cannot re-vote in a slot it voted in before the crash. Feed
+    /// [`Event::Recovered`] to re-arm timers (and, for the rule sets
+    /// that do, solicit commits formed while the replica was down).
+    pub fn recover(config: Config, journal: SafetyJournal) -> Self {
+        let snapshot = *journal.state();
+        let mut replica = Self::with_journal(config, journal);
+        replica.core.lb = snapshot.last_voted;
+        replica.core.locked_qc = snapshot.locked_qc;
+        if !matches!(snapshot.high_qc, Justify::None) {
+            replica.core.high_qc = snapshot.high_qc;
+        }
+        if snapshot.view > View::GENESIS {
+            replica.core.base.cview = snapshot.view;
+        }
+        replica
     }
 
     /// The attached safety journal, if any.
@@ -498,6 +634,22 @@ impl<R: Rules> Replica<R> {
     fn follow(&mut self, next: Next, out: &mut StepOutput) {
         if next == Next::Propose {
             self.propose(out);
+        }
+    }
+
+    /// The in-flight block reached the top of its ladder with `qc`: the
+    /// leader starts the next round at once while there is something to
+    /// propose — or, pipelined, certified payload still short of its
+    /// commit — and otherwise paces empty proposals with a heartbeat.
+    fn close_round(&mut self, qc: &Qc, out: &mut StepOutput) {
+        let core = &mut self.core;
+        core.in_flight = None;
+        if core.base.work_pending() || R::tail_open(core, qc) {
+            self.propose(out);
+        } else {
+            out.actions.push(Action::SetHeartbeat {
+                delay_ns: core.base.cfg.base_timeout_ns / R::CLOSED_ROUND_BEAT,
+            });
         }
     }
 
@@ -583,9 +735,10 @@ impl<R: Rules> Replica<R> {
         };
         let justify = core.high_qc;
         let block = if let Some(id) = R::reproposed_block(core) {
-            // Case N2: re-broadcast the pre-prepared block.
+            // Case N2: re-broadcast the pre-prepared block. (Only a
+            // leader recovered from its journal can lack it: the
+            // pre-prepareQC is durable, the block tree is not.)
             let Some(block) = core.base.store.get(&id).cloned() else {
-                debug_assert!(false, "leader lost its own pre-prepared block");
                 return;
             };
             block
@@ -646,9 +799,12 @@ impl<R: Rules> Replica<R> {
                 return self.on_digest(DigestEvent::Unavailable(digest), out);
             }
         }
-        // Decides are valid whenever the commitQC verifies.
-        if let MsgBody::Decide(d) = &msg.body {
-            self.on_decide(*d, msg.from, out);
+        // Decides are valid whenever the commitQC verifies (a DECIDE
+        // carries a `commitQC` by definition, whatever `COMMIT_CERT` is).
+        if let MsgBody::Decide(Decide { commit_qc }) = &msg.body {
+            if commit_qc.phase() == Phase::Commit {
+                self.on_commit_cert(*commit_qc, msg.from, out);
+            }
             return;
         }
         // Catch-up (crash recovery) messages are likewise
@@ -668,12 +824,16 @@ impl<R: Rules> Replica<R> {
             // A served commit certificate is handled exactly like a
             // DECIDE: verify, sync views, commit (fetching blocks).
             if let Some(qc) = commit_qc {
-                self.on_decide(Decide { commit_qc: *qc }, msg.from, out);
+                self.on_commit_cert(*qc, msg.from, out);
             }
             self.note_peer_view(msg.from, msg.view, out);
             return;
         }
         if msg.view > self.core.base.cview {
+            if R::proves_view(&mut self.core, &msg) {
+                self.enter_view(msg.view, out);
+                return self.on_message(msg, out);
+            }
             self.core.base.buffer_future(msg);
             // f+1 join rule: if a quorum minority is already view
             // changing above us, join them without waiting for our timer.
@@ -773,8 +933,9 @@ impl<R: Rules> Replica<R> {
     }
 
     /// Leader vote handling: each quorum forms the phase's QC and moves
-    /// the in-flight block one rung up the ladder; the `commitQC`
-    /// decides it and starts the next block.
+    /// the in-flight block one rung up the ladder; the top rung closes
+    /// the round (a `commitQC` is disseminated first) and starts the
+    /// next block.
     fn on_vote(&mut self, v: Vote, out: &mut StepOutput) {
         let core = &mut self.core;
         if v.seed.view != core.base.cview {
@@ -784,7 +945,7 @@ impl<R: Rules> Replica<R> {
             let next = R::on_pre_prepare_vote(core, v, out);
             return self.follow(next, out);
         }
-        if Some(v.seed.block) != core.in_flight {
+        if v.seed.phase > R::COMMIT_CERT || Some(v.seed.block) != core.in_flight {
             return;
         }
         let Some(qc) = core.add_vote(&v, out) else {
@@ -793,11 +954,13 @@ impl<R: Rules> Replica<R> {
         let phase = match qc.phase() {
             Phase::Prepare => {
                 R::adopt_high(core, Justify::One(qc));
-                R::prepare_qc_phase(core)
+                match R::on_prepare_qc(core, &qc, out) {
+                    Some(phase) => phase,
+                    None => return self.close_round(&qc, out),
+                }
             }
             Phase::PreCommit => Phase::Commit,
             Phase::Commit => {
-                core.in_flight = None;
                 out.actions.push(Action::Broadcast {
                     message: Message::new(
                         core.cfg().id,
@@ -806,15 +969,8 @@ impl<R: Rules> Replica<R> {
                     ),
                 });
                 // Next proposal: highQC is the prepareQC for the decided
-                // block, so Case N1 extends it. Pace empty proposals.
-                if core.base.work_pending() {
-                    self.propose(out);
-                } else {
-                    out.actions.push(Action::SetHeartbeat {
-                        delay_ns: core.base.cfg.base_timeout_ns / 4,
-                    });
-                }
-                return;
+                // block, so Case N1 extends it.
+                return self.close_round(&qc, out);
             }
             Phase::PrePrepare => unreachable!("routed to the rules above"),
         };
@@ -829,13 +985,13 @@ impl<R: Rules> Replica<R> {
         );
     }
 
-    /// Anyone handling a `commitQC` dissemination.
-    fn on_decide(&mut self, d: Decide, from: ReplicaId, out: &mut StepOutput) {
-        let qc = d.commit_qc;
-        if qc.phase() != Phase::Commit || !self.core.base.crypto.verify_qc(&qc) {
+    /// Anyone handling a disseminated or served commit certificate.
+    fn on_commit_cert(&mut self, qc: Qc, from: ReplicaId, out: &mut StepOutput) {
+        if qc.is_genesis() || qc.phase() != R::COMMIT_CERT || !self.core.base.crypto.verify_qc(&qc)
+        {
             return;
         }
-        // A commitQC from a future view is also a view-synchronisation
+        // A certificate from a future view is also a view-synchronisation
         // signal: join that view (without a VIEW-CHANGE — we missed it).
         if qc.view() > self.core.base.cview {
             self.enter_view(qc.view(), out);
@@ -1006,6 +1162,7 @@ impl<R: Rules> Protocol for Replica<R> {
                 self.core.base.add_transactions(txs, &mut out);
                 R::on_new_transactions(&mut self.core, &mut out);
                 if self.idle_leader() {
+                    self.core.idle_beats = 0;
                     self.propose(&mut out);
                 }
                 // Keep the heartbeat armed while this replica has sealed
@@ -1028,10 +1185,28 @@ impl<R: Rules> Protocol for Replica<R> {
                 // stalled seals are re-pushed and eventually abandoned.
                 self.core.base.payload_tick(&mut out);
                 if self.idle_leader() {
-                    if !self.core.base.work_pending() {
+                    let core = &mut self.core;
+                    if core.base.work_pending()
+                        || core.high_qc.qc().is_some_and(|qc| R::tail_open(core, qc))
+                    {
+                        // Real work (or an open pipeline tail): propose
+                        // now. The rounds drive themselves from here,
+                        // no re-arm needed.
+                        core.idle_beats = 0;
+                        self.propose(&mut out);
+                    } else {
+                        // Idle: keep the heartbeat armed so transactions
+                        // arriving later are picked up promptly, but
+                        // emit a keep-alive block only every
+                        // `IDLE_BEATS_PER_BLOCK`th beat — a pipelined
+                        // leader proposing on every one would spam
+                        // empty blocks 4× per base timeout.
+                        core.idle_beats = core.idle_beats.wrapping_add(1);
                         out.actions.push(heartbeat.clone());
+                        if core.idle_beats.is_multiple_of(R::IDLE_BEATS_PER_BLOCK) {
+                            self.propose(&mut out);
+                        }
                     }
-                    self.propose(&mut out);
                 }
                 if self.core.base.payloads.has_work() {
                     out.actions.push(heartbeat);
@@ -1056,6 +1231,7 @@ impl<R: Rules> Protocol for Replica<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chained::{ChainedHotStuffRules, ChainedMarlinRules};
     use crate::hotstuff::HotStuffRules;
     use crate::jolteon::JolteonRules;
     use crate::marlin::MarlinRules;
@@ -1119,5 +1295,7 @@ mod tests {
         led_views_leave_no_state_behind::<JolteonRules>();
         led_views_leave_no_state_behind::<TwoPhaseInsecureRules>();
         led_views_leave_no_state_behind::<FourPhaseRules>();
+        led_views_leave_no_state_behind::<ChainedMarlinRules>();
+        led_views_leave_no_state_behind::<ChainedHotStuffRules>();
     }
 }

@@ -1,27 +1,57 @@
-//! The non-chained family, table-driven: one schedule per behaviour,
-//! parameterised by [`ProtocolKind`], asserting what the five rule sets
-//! over the shared replica skeleton have in common and the few things
-//! they may differ in (phase ladder, view-change shape, how a replica
-//! locked on a hidden QC is unlocked).
+//! The protocol family, table-driven: one schedule per behaviour,
+//! parameterised by [`ProtocolKind`], asserting what the seven rule
+//! sets over the shared replica skeleton have in common and the few
+//! things they may differ in (phase ladder, commit rule, view-change
+//! shape, how a replica locked on a hidden QC is unlocked, which
+//! certificate commits).
+//!
+//! That the leader's view-change decision is handed its quorum in
+//! sender order is pinned on the wire for Jolteon here
+//! (`leader_crash_view_change_recovers`) and for basic and chained
+//! Marlin by `view_change_regressions.rs`
+//! (`leader_decision_ignores_arrival_order_and_unpaired_virtual_qcs`).
 
-use marlin_core::{harness::Cluster, Config, Note, ProtocolKind};
+use marlin_core::harness::{build_protocol, Cluster};
+use marlin_core::{
+    build_replica, Action, Config, Event, Note, Protocol, ProtocolKind, SafetyJournal, StepOutput,
+};
 use marlin_crypto::QcFormat;
+use marlin_storage::SharedDisk;
 use marlin_telemetry::{SharedSink, TelemetrySink};
 use marlin_types::{
-    Justify, Message, MsgBody, MsgClass, Phase, Qc, ReplicaId, VcCert, View, ViewChange,
+    Batch, Block, BlockId, Decide, Height, Justify, Message, MsgBody, MsgClass, Phase, Proposal,
+    Qc, ReplicaId, VcCert, View, ViewChange, Vote,
 };
 use std::sync::{Arc, Mutex};
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
 const P2: ReplicaId = ReplicaId(2);
+const P3: ReplicaId = ReplicaId(3);
 
-const FAMILY: [ProtocolKind; 5] = [
+/// The non-chained rule sets: every block climbs its own phase ladder.
+const LADDERED: [ProtocolKind; 5] = [
     ProtocolKind::Marlin,
     ProtocolKind::HotStuff,
     ProtocolKind::Jolteon,
     ProtocolKind::TwoPhaseInsecure,
     ProtocolKind::MarlinFourPhase,
+];
+
+/// The chained rule sets, with the depth of their k-chain commit rule.
+const CHAINED: [(ProtocolKind, usize); 2] = [
+    (ProtocolKind::ChainedMarlin, 2),
+    (ProtocolKind::ChainedHotStuff, 3),
+];
+
+const FAMILY: [ProtocolKind; 7] = [
+    ProtocolKind::Marlin,
+    ProtocolKind::HotStuff,
+    ProtocolKind::Jolteon,
+    ProtocolKind::TwoPhaseInsecure,
+    ProtocolKind::MarlinFourPhase,
+    ProtocolKind::ChainedMarlin,
+    ProtocolKind::ChainedHotStuff,
 ];
 
 fn cluster(kind: ProtocolKind) -> Cluster {
@@ -57,7 +87,9 @@ fn normal_case_commits() {
 #[test]
 fn phases_per_block() {
     // HotStuff forms Prepare, PreCommit and Commit QCs for every block;
-    // the rest of the family commits in two phases.
+    // the rest of the family commits in two phases. A chained leader
+    // forms one QC per block and reports the later phase points it
+    // represents for the ancestors: the same two or three phases.
     for kind in FAMILY {
         let mut cl = cluster(kind);
         cl.submit_to(P1, 5, 0);
@@ -67,7 +99,7 @@ fn phases_per_block() {
         assert!(phases.contains(&Phase::Commit), "{kind:?}");
         assert_eq!(
             phases.contains(&Phase::PreCommit),
-            kind == ProtocolKind::HotStuff,
+            matches!(kind, ProtocolKind::HotStuff | ProtocolKind::ChainedHotStuff),
             "{kind:?}: {phases:?}"
         );
         assert!(!phases.contains(&Phase::PrePrepare), "{kind:?}");
@@ -93,7 +125,7 @@ fn messages_per_block_differ_only_by_the_extra_round() {
     // = 15 message copies (the perf ledger's `core.msgs_per_block`),
     // and HotStuff's third phase adds exactly one broadcast + vote
     // round: 21 (`twin.hotstuff.msgs_per_block`).
-    for kind in FAMILY {
+    for kind in LADDERED {
         let mut cl = cluster(kind);
         let sent = SharedSink::new(Sent::default());
         cl.set_telemetry(Box::new(sent.clone()));
@@ -110,6 +142,38 @@ fn messages_per_block_differ_only_by_the_extra_round() {
             15
         };
         assert_eq!(sent.with(|s| s.0), expected * blocks, "{kind:?}");
+    }
+}
+
+#[test]
+fn chained_rounds_are_one_broadcast_and_commit_k_rounds_late() {
+    // The pipelined normal case, pinned: every block costs exactly one
+    // broadcast and one vote round (2 × 3 copies at n = 4, self-copies
+    // excluded), and a block commits at the replicas once the k-th
+    // proposal after it arrives (its justify completes the k-chain) —
+    // the leader closes its own tail, so the last k rounds are empty.
+    for (kind, depth) in CHAINED {
+        let mut cl = cluster(kind);
+        let sent = SharedSink::new(Sent::default());
+        cl.set_telemetry(Box::new(sent.clone()));
+        let proposed = |cl: &Cluster| {
+            cl.notes()
+                .iter()
+                .filter(|(_, n)| matches!(n, Note::Proposed { .. }))
+                .count()
+        };
+        let (rounds_before, committed_before) = (proposed(&cl), cl.committed_height(P0));
+        cl.submit_to(P1, 10, 150);
+        cl.run_until_idle();
+        assert_eq!(cl.total_committed_txs(P0), 10, "{kind:?}");
+        let rounds = proposed(&cl) - rounds_before;
+        assert_eq!(rounds, 1 + depth, "{kind:?}: payload block + tail");
+        assert_eq!(sent.with(|s| s.0), 6 * rounds as u64, "{kind:?}");
+        // Everything up to the payload block is committed; the `depth`
+        // tail blocks behind it are certified, not committed.
+        let all_rounds = proposed(&cl);
+        assert_eq!(cl.committed_height(P0), all_rounds - depth, "{kind:?}");
+        assert!(cl.committed_height(P0) > committed_before, "{kind:?}");
     }
 }
 
@@ -178,9 +242,10 @@ fn leader_crash_view_change_recovers() {
     }
 }
 
-/// A `prepareQC` for `block` as three replicas of view 1 would form it.
-fn stale_prepare_qc(cfg: &Config, block: &marlin_types::Block) -> Qc {
-    let seed = block.vote_seed(Phase::Prepare, View(1));
+/// A certificate of `phase` for `block`, formed in view 1 by the first
+/// three replicas.
+fn craft_qc(cfg: &Config, block: &Block, phase: Phase) -> Qc {
+    let seed = block.vote_seed(phase, View(1));
     let partials: Vec<_> = (0..3)
         .map(|i| cfg.keys.signer(i).sign_partial(&seed.signing_bytes()))
         .collect();
@@ -219,7 +284,7 @@ fn unsafe_snapshot(kind: ProtocolKind, hide: Hide, with_cert: bool) -> (Cluster,
     }
     cl.run_until_idle();
     let cfg = Config::for_test(4, 1);
-    let stale_qc = stale_prepare_qc(&cfg, &stale_block);
+    let stale_qc = craft_qc(&cfg, &stale_block, Phase::Prepare);
     let lb = stale_block.meta();
     let parsig = cfg
         .keys
@@ -310,4 +375,218 @@ fn unsafe_snapshot_does_not_wedge_the_honest_baselines() {
         cl.assert_consistent();
         assert!(cl.total_committed_txs(P2) >= 20, "{kind:?}");
     }
+}
+
+// ------------------------------------------------ which QC commits --
+
+/// The height-1 block the view-1 leader p1 would propose first.
+fn first_block() -> Block {
+    Block::new_normal(
+        BlockId::GENESIS,
+        View::GENESIS,
+        View(1),
+        Height(1),
+        Batch::empty(),
+        Justify::One(Qc::genesis(BlockId::GENESIS)),
+    )
+}
+
+fn proposal(phase: Phase, blocks: Vec<Block>, justify: Justify) -> MsgBody {
+    MsgBody::Proposal(Proposal {
+        phase,
+        blocks,
+        justify,
+        vc_proof: Vec::new(),
+    })
+}
+
+/// A started replica `id` of `kind` that has voted for [`first_block`]
+/// in view 1 (so the block is in its tree, uncommitted).
+fn voter_holding_first_block(kind: ProtocolKind, cfg: &Config, id: ReplicaId) -> Box<dyn Protocol> {
+    let block = first_block();
+    let mut rep = build_protocol(kind, cfg.with_id(id));
+    rep.on_event(Event::Start);
+    let justify = *block.justify();
+    let out = rep.on_event(Event::Message(Message::new(
+        P1,
+        View(1),
+        proposal(Phase::Prepare, vec![block], justify),
+    )));
+    assert_eq!(votes(&out).len(), 1, "{kind:?}: no prepare vote");
+    rep
+}
+
+fn votes(out: &StepOutput) -> Vec<&Vote> {
+    out.actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send { message, .. } => match &message.body {
+                MsgBody::Vote(v) => Some(v),
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect()
+}
+
+/// Whether the step committed, fetched or sent anything at all.
+fn acted(out: &StepOutput) -> bool {
+    out.actions
+        .iter()
+        .any(|a| !matches!(a, Action::Note(_) | Action::SetTimer { .. }))
+}
+
+#[test]
+fn only_the_rule_sets_commit_certificate_commits() {
+    // Exactly one QC phase commits per rule set: `Commit` on a ladder,
+    // `Prepare` (the QC completing the k-chain — DESIGN.md §11.2's
+    // "certification, not commitment" caveat) in a pipeline. Handed the
+    // other one — validly signed, for a block it holds — a replica
+    // commits nothing and asks for nothing; and a DECIDE is a
+    // `commitQC` dissemination, which a pipeline never has.
+    let cfg = Config::for_test(4, 1);
+    let block = first_block();
+    let prepare_qc = craft_qc(&cfg, &block, Phase::Prepare);
+    let commit_qc = craft_qc(&cfg, &block, Phase::Commit);
+    let serve = |qc: Qc| {
+        let body = MsgBody::CatchUpResponse {
+            commit_qc: Some(qc),
+        };
+        Event::Message(Message::new(P2, View(1), body))
+    };
+    let decide = |commit_qc: Qc| {
+        let body = MsgBody::Decide(Decide { commit_qc });
+        Event::Message(Message::new(P2, View(1), body))
+    };
+    for kind in FAMILY {
+        let chained = CHAINED.iter().any(|(k, _)| *k == kind);
+        let (accepted, refused) = if chained {
+            (prepare_qc, commit_qc)
+        } else {
+            (commit_qc, prepare_qc)
+        };
+        let mut rep = voter_holding_first_block(kind, &cfg, P0);
+        for event in [serve(refused), decide(refused)] {
+            let out = rep.on_event(event);
+            assert!(!acted(&out), "{kind:?}: {:?}", out.actions);
+        }
+        if chained {
+            let out = rep.on_event(decide(accepted));
+            assert!(!acted(&out), "{kind:?} took a DECIDE: {:?}", out.actions);
+        }
+        assert_eq!(rep.store().last_committed(), BlockId::GENESIS, "{kind:?}");
+        // The control: the rule set's own certificate does commit.
+        let out = rep.on_event(serve(accepted));
+        assert_eq!(out.committed_blocks().count(), 1, "{kind:?}");
+        assert_eq!(rep.store().last_committed(), block.id(), "{kind:?}");
+    }
+}
+
+#[test]
+fn a_pipeline_has_no_rungs_above_prepare() {
+    // One broadcast per round: a chained replica does not vote on
+    // `PRE-COMMIT` / `COMMIT` broadcasts, and a chained leader does not
+    // collect votes of those phases — not even a validly signed quorum
+    // of them for its in-flight block.
+    let cfg = Config::for_test(4, 1);
+    let block = first_block();
+    let prepare_qc = craft_qc(&cfg, &block, Phase::Prepare);
+    for (kind, _) in CHAINED {
+        let mut rep = voter_holding_first_block(kind, &cfg, P0);
+        for phase in [Phase::PreCommit, Phase::Commit] {
+            let body = proposal(phase, Vec::new(), Justify::One(prepare_qc));
+            let out = rep.on_event(Event::Message(Message::new(P1, View(1), body)));
+            assert!(out.actions.is_empty(), "{kind:?}: {:?}", out.actions);
+        }
+
+        // The leader: its start-up proposal is `first_block`, in flight.
+        let mut leader = build_protocol(kind, cfg.with_id(P1));
+        let out = leader.on_event(Event::Start);
+        assert!(out.actions.iter().any(|a| matches!(
+            a,
+            Action::Broadcast { message }
+                if matches!(&message.body, MsgBody::Proposal(p) if p.blocks[0].id() == block.id())
+        )));
+        for phase in [Phase::PreCommit, Phase::Commit, Phase::Prepare] {
+            let seed = block.vote_seed(phase, View(1));
+            let mut formed = Vec::new();
+            for from in [P0, P2, P3] {
+                let vote = Vote {
+                    seed,
+                    parsig: cfg
+                        .keys
+                        .signer(from.index())
+                        .sign_partial(&seed.signing_bytes()),
+                    locked_qc: None,
+                };
+                let msg = Message::new(from, View(1), MsgBody::Vote(vote));
+                let out = leader.on_event(Event::Message(msg));
+                formed.extend(out.notes().filter_map(|n| match n {
+                    Note::QcFormed { phase, .. } => Some(*phase),
+                    _ => None,
+                }));
+                assert!(
+                    phase == Phase::Prepare || out.actions.is_empty(),
+                    "{kind:?} acted on a {phase:?} vote: {:?}",
+                    out.actions
+                );
+            }
+            // The control: the same quorum of prepare votes certifies.
+            let expected: &[Phase] = if phase == Phase::Prepare {
+                &[Phase::Prepare]
+            } else {
+                &[]
+            };
+            assert_eq!(formed, expected, "{kind:?} {phase:?}");
+        }
+    }
+}
+
+// ------------------------------------------- write-ahead pre-prepare --
+
+#[test]
+fn four_phase_pre_prepare_vote_is_write_ahead() {
+    // Every kind runs on a journal now, and no rule set can put a vote
+    // on the wire around it: the four-phase pre-prepare vote goes
+    // through the same view-durability check as Marlin's. The replica
+    // enters view 1 while its disk tears (tolerated on view entry), so
+    // the view is still not durable when the PRE-PREPARE arrives on a
+    // disk that tears again: the vote is withheld, and goes out once
+    // the disk has healed.
+    let cfg = Config::for_test(4, 1);
+    let disk = SharedDisk::new();
+    let journal = SafetyJournal::open(disk.clone()).expect("fresh journal");
+    let kind = ProtocolKind::MarlinFourPhase;
+    let mut rep = build_replica(kind, cfg.with_id(P0), Some(journal), false, None);
+    disk.tear_next_write_after(0);
+    rep.on_event(Event::Start);
+
+    let block = first_block();
+    let justify = *block.justify();
+    let pre_prepare = Message::new(
+        P1,
+        View(1),
+        proposal(Phase::PrePrepare, vec![block], justify),
+    );
+    disk.tear_next_write_after(0);
+    let out = rep.on_event(Event::Message(pre_prepare.clone()));
+    assert!(votes(&out).is_empty(), "the vote outran the journal");
+    let withheld: Vec<_> = out
+        .notes()
+        .filter(|n| matches!(n, Note::VoteWithheld { .. }))
+        .collect();
+    assert!(
+        matches!(
+            withheld[..],
+            [Note::VoteWithheld {
+                phase: Phase::PrePrepare
+            }]
+        ),
+        "{withheld:?}"
+    );
+
+    let out = rep.on_event(Event::Message(pre_prepare));
+    let sent = votes(&out);
+    assert_eq!(sent.len(), 1, "abstention must be transient");
+    assert_eq!(sent[0].seed.phase, Phase::PrePrepare);
 }

@@ -28,8 +28,15 @@ fn craft_qc(cfg: &Config, seed: QcSeed) -> Qc {
 /// recovers.
 #[test]
 fn case_v3_two_equal_rank_pre_prepare_qcs() {
+    // Basic and chained Marlin run the same view change.
+    for kind in [ProtocolKind::Marlin, ProtocolKind::ChainedMarlin] {
+        case_v3(kind);
+    }
+}
+
+fn case_v3(kind: ProtocolKind) {
     let cfg = Config::for_test(4, 1);
-    let mut cl = Cluster::new(ProtocolKind::Marlin, cfg.clone(), 11);
+    let mut cl = Cluster::new(kind, cfg.clone(), 11);
     cl.submit_to(P1, 10, 0);
     cl.run_until_idle();
     let b_old = cl.committed_blocks(P0).last().expect("committed").clone();
@@ -132,7 +139,7 @@ fn case_v3_two_equal_rank_pre_prepare_qcs() {
                     ..
                 }
             )),
-        "expected Case V3; notes: {:?}",
+        "{kind:?}: expected Case V3; notes: {:?}",
         cl.notes()
             .iter()
             .filter(|(_, n)| matches!(n, Note::UnhappyPathVc { .. } | Note::HappyPathVc { .. }))
@@ -144,13 +151,13 @@ fn case_v3_two_equal_rank_pre_prepare_qcs() {
     cl.assert_consistent();
     assert!(
         cl.total_committed_txs(P0) >= 20,
-        "no recovery after Case V3"
+        "{kind:?}: no recovery after Case V3"
     );
     // One of the two crafted candidates was committed.
     let chain: Vec<_> = cl.committed_blocks(P0).iter().map(Block::id).collect();
     assert!(
         chain.contains(&normal_cand.id()) || chain.contains(&virtual_cand.id()),
-        "neither V3 candidate committed"
+        "{kind:?}: neither V3 candidate committed"
     );
 }
 

@@ -1,7 +1,10 @@
 //! Regression tests for Byzantine-wedgeable view-change edge cases.
 //!
 //! Each test reconstructs the exact adversarial snapshot that used to
-//! wedge (or mislead) the leader, and fails against the pre-fix code:
+//! wedge (or mislead) the leader, and fails against the pre-fix code.
+//! Both run for basic and for chained Marlin — one view change, two
+//! phase ladders (the chained leader used to carry its own copy, which
+//! had missed the second fix):
 //!
 //! * a Case R2 lock attachment must *resolve the round's virtual
 //!   candidate* — the leader used to latch whichever valid `prepareQC`
@@ -10,18 +13,28 @@
 //! * the happy path over a unanimous *virtual* `lb` must fall back to
 //!   the unhappy pre-prepare when no view-change message carries the
 //!   resolving `vc` — the leader used to propose a block whose virtual
-//!   parent no replica could ever resolve.
+//!   parent no replica could ever resolve;
+//! * the leader's decision must not depend on the order its quorum
+//!   arrived in — the chained leader used to read it in `HashMap`
+//!   order and, when an unpaired virtual `pre-prepareQC` came first,
+//!   extend that instead of the honest `(pre-prepareQC, vc)` pair.
 
-use marlin_core::{harness::Cluster, Config, Note, ProtocolKind, VcCase};
+use marlin_core::harness::{build_protocol, Cluster};
+use marlin_core::{Action, Config, Event, Note, ProtocolKind, VcCase};
 use marlin_crypto::QcFormat;
+use marlin_types::codec::encode_message;
 use marlin_types::{
-    Batch, Block, Justify, Message, MsgBody, Phase, Qc, QcSeed, ReplicaId, View, ViewChange, Vote,
+    Batch, Block, BlockId, BlockMeta, Height, Justify, Message, MsgBody, Phase, Qc, QcSeed,
+    ReplicaId, View, ViewChange, Vote,
 };
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
 const P2: ReplicaId = ReplicaId(2);
 const P3: ReplicaId = ReplicaId(3);
+
+/// Every protocol whose view change is Marlin's.
+const MARLIN_VIEW_CHANGE: [ProtocolKind; 2] = [ProtocolKind::Marlin, ProtocolKind::ChainedMarlin];
 
 /// Signs a quorum certificate over `seed` with the first three keys.
 fn craft_qc(cfg: &Config, seed: QcSeed) -> Qc {
@@ -40,8 +53,14 @@ fn craft_qc(cfg: &Config, seed: QcSeed) -> Qc {
 /// view.
 #[test]
 fn r2_lock_attachment_must_resolve_the_virtual_candidate() {
+    for kind in MARLIN_VIEW_CHANGE {
+        r2_lock_attachment_must_resolve(kind);
+    }
+}
+
+fn r2_lock_attachment_must_resolve(kind: ProtocolKind) {
     let cfg = Config::for_test(4, 1);
-    let mut cl = Cluster::new(ProtocolKind::Marlin, cfg.clone(), 17);
+    let mut cl = Cluster::new(kind, cfg.clone(), 17);
     cl.submit_to(P1, 10, 0);
     cl.run_until_idle();
     let b_old = cl.committed_blocks(P0).last().expect("committed").clone();
@@ -151,7 +170,7 @@ fn r2_lock_attachment_must_resolve_the_virtual_candidate() {
                     case: VcCase::V1,
                 }
             )),
-        "expected Case V1 in view 3"
+        "{kind:?}: expected Case V1 in view 3"
     );
 
     // ---- The attack: a decoy attachment, then the genuine one. ----
@@ -184,7 +203,7 @@ fn r2_lock_attachment_must_resolve_the_virtual_candidate() {
     let chain: Vec<_> = cl.committed_blocks(P0).iter().map(Block::id).collect();
     assert!(
         chain.contains(&ghost.id()) && chain.contains(&b2.id()),
-        "virtual candidate never committed — the decoy attachment wedged the view"
+        "{kind:?}: virtual candidate never committed — the decoy attachment wedged the view"
     );
 
     // And the system keeps committing afterwards.
@@ -194,7 +213,7 @@ fn r2_lock_attachment_must_resolve_the_virtual_candidate() {
     cl.assert_consistent();
     assert!(
         cl.total_committed_txs(P0) >= 20,
-        "no post-recovery progress"
+        "{kind:?}: no post-recovery progress"
     );
 }
 
@@ -205,8 +224,14 @@ fn r2_lock_attachment_must_resolve_the_virtual_candidate() {
 /// pre-prepare and the cluster recovers.
 #[test]
 fn happy_path_requires_resolvable_virtual_lb() {
+    for kind in MARLIN_VIEW_CHANGE {
+        happy_path_requires_resolvable(kind);
+    }
+}
+
+fn happy_path_requires_resolvable(kind: ProtocolKind) {
     let cfg = Config::for_test(4, 1);
-    let mut cl = Cluster::new(ProtocolKind::Marlin, cfg.clone(), 18);
+    let mut cl = Cluster::new(kind, cfg.clone(), 18);
     cl.submit_to(P1, 10, 0);
     cl.run_until_idle();
     let b_old = cl.committed_blocks(P0).last().expect("committed").clone();
@@ -264,13 +289,13 @@ fn happy_path_requires_resolvable_virtual_lb() {
         !cl.notes()
             .iter()
             .any(|(p, n)| *p == P3 && matches!(n, Note::HappyPathVc { view: View(3) })),
-        "leader took the happy path over an unresolvable virtual lb"
+        "{kind:?}: leader took the happy path over an unresolvable virtual lb"
     );
     assert!(
         cl.notes()
             .iter()
             .any(|(p, n)| *p == P3 && matches!(n, Note::UnhappyPathVc { view: View(3), .. })),
-        "leader never ran the unhappy pre-prepare fallback"
+        "{kind:?}: leader never ran the unhappy pre-prepare fallback"
     );
 
     // The fallback recovered the system: new transactions commit.
@@ -280,6 +305,117 @@ fn happy_path_requires_resolvable_virtual_lb() {
     cl.assert_consistent();
     assert!(
         cl.total_committed_txs(P0) >= 20,
-        "no progress after the virtual-lb view change"
+        "{kind:?}: no progress after the virtual-lb view change"
+    );
+}
+
+/// Two honest replicas report the `(pre-prepareQC, vc)` pair over a
+/// virtual block; a third reports the same `pre-prepareQC` *unpaired*
+/// — unusable, since nobody could resolve the virtual parent of a block
+/// extending it. Whatever order the three arrive in, the leader must
+/// broadcast the same bytes: one candidate extending the pair.
+#[test]
+fn leader_decision_ignores_arrival_order_and_unpaired_virtual_qcs() {
+    for kind in MARLIN_VIEW_CHANGE {
+        arrival_order_is_irrelevant(kind);
+    }
+}
+
+fn arrival_order_is_irrelevant(kind: ProtocolKind) {
+    let cfg = Config::for_test(4, 1);
+    // The aftermath of an unhappy view 2: its virtual candidate (parent
+    // slot: `contested`, certified in view 1 by `vc`) earned `pre`.
+    let genesis = Qc::genesis(BlockId::GENESIS);
+    let b_old = Block::new_normal(
+        BlockId::GENESIS,
+        View::GENESIS,
+        View(1),
+        Height(1),
+        Batch::empty(),
+        Justify::One(genesis),
+    );
+    let qc_old = craft_qc(&cfg, b_old.vote_seed(Phase::Prepare, View(1)));
+    let contested = Block::new_normal(
+        b_old.id(),
+        View(1),
+        View(1),
+        Height(2),
+        Batch::empty(),
+        Justify::One(qc_old),
+    );
+    let vc = craft_qc(&cfg, contested.vote_seed(Phase::Prepare, View(1)));
+    let virt = Block::new_virtual(
+        View(1),
+        View(2),
+        Height(3),
+        Batch::empty(),
+        Justify::One(qc_old),
+    );
+    let pre = craft_qc(&cfg, virt.vote_seed(Phase::PrePrepare, View(2)));
+
+    let report = |from: ReplicaId, high_qc: Justify, last_voted: BlockMeta| {
+        Message::new(
+            from,
+            View(3),
+            MsgBody::ViewChange(ViewChange {
+                last_voted,
+                high_qc,
+                parsig: cfg.keys.signer(from.index()).sign_partial(b"unused"),
+                cert: None,
+            }),
+        )
+    };
+    let quorum = [
+        report(P0, Justify::Two(pre, vc), virt.meta()),
+        report(P1, Justify::Two(pre, vc), virt.meta()),
+        report(P2, Justify::One(pre), b_old.meta()),
+    ];
+
+    let mut proposals = Vec::new();
+    for order in [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ] {
+        // A fresh view-3 leader, stepped with `on_event` so its own
+        // VIEW-CHANGE is not looped back: the quorum is exactly the
+        // three reports, in this order.
+        let mut leader = build_protocol(kind, cfg.with_id(P3));
+        leader.on_event(Event::Start);
+        leader.on_event(Event::Timeout { view: View(1) });
+        leader.on_event(Event::Timeout { view: View(2) });
+        assert_eq!(leader.current_view(), View(3));
+        let mut broadcasts = Vec::new();
+        for i in order {
+            let out = leader.on_event(Event::Message(quorum[i].clone()));
+            broadcasts.extend(out.actions.into_iter().filter_map(|a| match a {
+                Action::Broadcast { message } => Some(message),
+                _ => None,
+            }));
+        }
+        let [message] = broadcasts.as_slice() else {
+            panic!("{kind:?} {order:?}: expected one broadcast, got {broadcasts:?}");
+        };
+        let MsgBody::Proposal(p) = &message.body else {
+            panic!("{kind:?} {order:?}: not a proposal: {message:?}");
+        };
+        assert_eq!(p.phase, Phase::PrePrepare, "{kind:?} {order:?}");
+        let [candidate] = p.blocks.as_slice() else {
+            panic!("{kind:?} {order:?}: expected one candidate: {:?}", p.blocks);
+        };
+        assert_eq!(
+            *candidate.justify(),
+            Justify::Two(pre, vc),
+            "{kind:?} {order:?}: the leader extended the unpaired virtual pre-prepareQC"
+        );
+        assert_eq!(candidate.parent_id(), Some(virt.id()), "{kind:?} {order:?}");
+        proposals.push(encode_message(message, false));
+    }
+    assert!(
+        proposals.windows(2).all(|w| w[0] == w[1]),
+        "{kind:?}: the PRE-PREPARE proposal depends on VIEW-CHANGE arrival order"
     );
 }

@@ -551,9 +551,9 @@ fn run_scenario_inner(
     let byzantine: Vec<ReplicaId> = handles.keys().copied().collect();
 
     // Scenarios that exercise durability hand every replica a
-    // write-ahead safety journal on a per-replica durable disk (which
-    // `build_replica` attaches for the journal-capable protocols); all
-    // other scenarios are bit-identical to the journal-free setup.
+    // write-ahead safety journal on a per-replica durable disk (every
+    // protocol journals); all other scenarios are bit-identical to the
+    // journal-free setup.
     let with_disks =
         scenario.recovery_mode != RecoveryMode::WithMemory || !scenario.disk_tears.is_empty();
     let disks: Vec<SharedDisk> = (0..n).map(|_| SharedDisk::new()).collect();
@@ -603,9 +603,9 @@ fn run_scenario_inner(
             mode,
             disks.clone(),
             Box::new(move |id, disk| {
-                // Journal-backed restart is a feature of Marlin and the
-                // chained protocols; other protocols rejoin with fresh
-                // (amnesiac) state.
+                // Every protocol restarts on its journal: replayed
+                // into the safety state under `FromDisk`, wiped before
+                // the rebuild under `Amnesia`.
                 let journal = SafetyJournal::open(disk.clone()).expect("journal replay");
                 let replay = mode == RecoveryMode::FromDisk;
                 build_replica(

@@ -125,7 +125,8 @@ fn main() {
     );
 
     // The durability contrast: one crash-restart schedule, three
-    // recovery modes, Marlin only (the journal is a Marlin feature).
+    // recovery modes. Marlin only here; every kind journals, and the
+    // other kinds' restart cells are in `tests/golden/campaign.tsv`.
     let mut restart = CampaignReport::new();
     for scenario in Scenario::restart_presets() {
         for seed in seeds {

@@ -514,6 +514,29 @@ fn chained_restart_amnesia_forks_but_journal_replay_does_not() {
 }
 
 #[test]
+fn journaled_restart_never_forks_for_any_protocol() {
+    // Every protocol journals, so the durability contrast is not a
+    // Marlin (or chained) privilege: on the restart schedule whose
+    // amnesiac variant forks, no replay-from-disk and no in-memory
+    // recovery cell of any kind may record a safety violation.
+    for mode in [RecoveryMode::FromDisk, RecoveryMode::WithMemory] {
+        let scenario = Scenario::restart_fork(mode);
+        for kind in ALL_PROTOCOLS {
+            for seed in SEEDS {
+                let out = run_scenario(kind, &scenario, seed);
+                assert_ne!(
+                    out.verdict(),
+                    "SAFETY",
+                    "{kind:?} under {} (seed {seed}): {:?}",
+                    scenario.name,
+                    out.violations
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn identical_seeds_give_identical_verdicts() {
     // Determinism across repeated runs: same cell, same fingerprint,
     // same verdict — for a safety-clean cell and for a wedged one.
@@ -652,20 +675,28 @@ const ALL_PROTOCOLS: [ProtocolKind; 7] = [
 /// Recomputes the campaign table: one `(preset, protocol, seed)` row
 /// per cell with its verdict, fingerprint and committed chain length.
 fn campaign_table() -> String {
-    let journaled = [
+    // Every kind runs the restart cells; they are two groups only
+    // because the table grows by appending (the second group is the
+    // kinds that got a journal later).
+    let journaled_first = [
         ProtocolKind::Marlin,
         ProtocolKind::ChainedMarlin,
         ProtocolKind::ChainedHotStuff,
     ];
+    let mut journaled_since = ALL_PROTOCOLS.to_vec();
+    journaled_since.retain(|k| !journaled_first.contains(k));
     let mut grids: Vec<(Scenario, &[ProtocolKind])> = Vec::new();
     for s in Scenario::all_presets() {
         grids.push((s, &ALL_PROTOCOLS));
     }
     for s in Scenario::restart_presets() {
-        grids.push((s, &journaled));
+        grids.push((s, &journaled_first));
     }
     for s in Scenario::chained_restart_presets() {
         grids.push((s, &CHAINED_PROTOCOLS));
+    }
+    for s in Scenario::restart_presets() {
+        grids.push((s, &journaled_since));
     }
     let mut table = String::from("preset\tprotocol\tseed\tverdict\tfingerprint\tcommitted\n");
     for (scenario, kinds) in &grids {
@@ -689,7 +720,7 @@ fn campaign_table() -> String {
 fn campaign_matches_golden_table() {
     // The equivalence oracle for refactors of the protocol cores: every
     // preset × all seven protocols × three seeds, plus the restart
-    // cells of the journaled protocols, must reproduce the committed
+    // cells (every protocol journals), must reproduce the committed
     // table byte for byte. A deliberate behaviour change re-blesses it
     // by copying the recomputed table (path printed below) over
     // `tests/golden/campaign.tsv`.
