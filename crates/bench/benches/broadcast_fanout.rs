@@ -76,7 +76,7 @@ fn bench_fanout(c: &mut Criterion) {
             BenchmarkId::from_parameter(protocol.name()),
             &cfg,
             |b, cfg| {
-                b.iter(|| marlin_node::run_experiment(cfg));
+                b.iter(|| marlin_simnet::run_experiment(cfg));
             },
         );
     }

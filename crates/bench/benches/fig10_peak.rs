@@ -36,7 +36,7 @@ fn bench_peak(c: &mut Criterion) {
             BenchmarkId::from_parameter(protocol.name()),
             &cfg,
             |b, cfg| {
-                b.iter(|| marlin_node::run_experiment(cfg));
+                b.iter(|| marlin_simnet::run_experiment(cfg));
             },
         );
     }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use marlin_bench::{figures, Effort};
 use marlin_core::ProtocolKind;
-use marlin_node::run_experiment;
+use marlin_simnet::run_experiment;
 
 fn bench_tvl_point(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig10_tvl_point");

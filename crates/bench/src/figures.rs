@@ -3,8 +3,7 @@
 use crate::Effort;
 use marlin_core::ProtocolKind;
 use marlin_crypto::QcFormat;
-use marlin_node::{run_experiment, ExperimentConfig, Metrics, SweepPoint};
-use marlin_simnet::SimConfig;
+use marlin_simnet::{run_experiment, ExperimentConfig, Metrics, SimConfig, SweepPoint};
 use marlin_types::ReplicaId;
 
 /// Builds the paper-testbed experiment configuration for one protocol
@@ -40,7 +39,7 @@ pub fn rate_ladder(f: usize, effort: Effort) -> Vec<u64> {
 /// fault level.
 pub fn throughput_vs_latency(protocol: ProtocolKind, f: usize, effort: Effort) -> Vec<SweepPoint> {
     let cfg = paper_config(protocol, f, effort);
-    marlin_node::sweep_peak_throughput(&cfg, &rate_ladder(f, effort))
+    marlin_simnet::sweep_peak_throughput(&cfg, &rate_ladder(f, effort))
 }
 
 /// Fig. 10g: peak throughput — the highest measured committed rate over
@@ -189,7 +188,7 @@ pub fn ablate_batch_crypto(f: usize, effort: Effort) -> (Metrics, Metrics) {
         ],
     };
     let peak = |cfg: &ExperimentConfig| {
-        marlin_node::sweep_peak_throughput(cfg, &rates)
+        marlin_simnet::sweep_peak_throughput(cfg, &rates)
             .into_iter()
             .map(|p| p.metrics)
             .max_by(|a, b| a.throughput_tps.total_cmp(&b.throughput_tps))
@@ -249,7 +248,7 @@ pub fn overload_contrast(f: usize, effort: Effort, bounded: bool) -> OverloadPoi
     } else {
         paper_config(ProtocolKind::Marlin, f, effort)
     };
-    let points = marlin_node::sweep_peak_throughput(&cfg, &rate_ladder(f, effort));
+    let points = marlin_simnet::sweep_peak_throughput(&cfg, &rate_ladder(f, effort));
     let best = points
         .into_iter()
         .max_by(|a, b| {

@@ -5,9 +5,9 @@
 //! machine**: it consumes [`Event`]s (messages, timeouts, new
 //! transactions) and emits [`Action`]s (sends, broadcasts, commits,
 //! timer resets) plus a simulated CPU cost. The same state machines run
-//! under the discrete-event network simulator (`marlin-simnet` via
-//! `marlin-node`), under the in-process [`harness`] used by tests, and
-//! under the benchmark drivers.
+//! under the discrete-event network simulator (`marlin-simnet`), under
+//! the in-process [`harness`] used by tests, under the threaded
+//! wall-clock runtime (`marlin-runtime`), and under the benchmark drivers.
 //!
 //! Protocols provided. All seven are one replica skeleton ([`Replica`]:
 //! pacemaker, vote collection, write-ahead journal, view-change

@@ -1,12 +1,10 @@
 //! Full experiment assembly: the paper's testbed in one call.
 
-use crate::host::ReplicaHost;
+use crate::sim::{CommitObserver, SimConfig, SimNet};
 use crate::stats::{Metrics, Stats};
-use marlin_core::harness::build_protocol;
-use marlin_core::{Config, Protocol, ProtocolKind};
+use crate::MsgClass;
+use marlin_core::{Config, ProtocolKind};
 use marlin_crypto::{CostModel, KeyStore, QcFormat};
-use marlin_simnet::CommitObserver;
-use marlin_simnet::{SimConfig, SimNet};
 use marlin_telemetry::TelemetrySink;
 use marlin_types::ReplicaId;
 use std::sync::{Arc, Mutex};
@@ -56,16 +54,9 @@ pub struct ExperimentConfig {
     pub crypto_workers: usize,
     /// Per-replica mempool capacity; `0` = legacy unbounded queue.
     pub mempool_capacity: usize,
-    /// Fee threshold for the mempool priority lane; `0` = off.
-    pub priority_fee_threshold: u8,
     /// Decoupled digest dissemination (batches pushed ahead of
     /// proposals; proposals carry digests). Marlin only; off = legacy.
     pub dissemination: bool,
-    /// Max payload batches sealed but not yet proposed (dissemination
-    /// pipelining depth). Two fills the push pipe; deeper windows seal
-    /// batches long before their proposal slot, which only adds queueing
-    /// latency and displaces measured-window capacity under overload.
-    pub dissemination_window: usize,
 }
 
 impl ExperimentConfig {
@@ -92,9 +83,7 @@ impl ExperimentConfig {
             batch_verify: true,
             crypto_workers: 4,
             mempool_capacity: 0,
-            priority_fee_threshold: 0,
             dissemination: false,
-            dissemination_window: 2,
         }
     }
 
@@ -119,30 +108,29 @@ impl ExperimentConfig {
             rotation_interval_ns: self.rotation_interval_ns,
             batch_verify: self.batch_verify,
             crypto_workers: self.crypto_workers,
-            // The storage host charges persisted-commit IO to the
-            // journal lane itself; the protocol's own journal notes
-            // stay report-only, as before.
+            // The simulator charges persisted-commit IO to the journal
+            // lane itself; the protocol's own journal notes stay
+            // report-only, as before.
             charge_journal: false,
             sync_snapshot_interval: 0,
             sync_range_size: 16,
             sync_lag_threshold: 64,
             mempool_capacity: self.mempool_capacity,
-            priority_fee_threshold: self.priority_fee_threshold,
+            priority_fee_threshold: 0,
             dissemination: self.dissemination,
-            dissemination_window: self.dissemination_window,
+            // Two fills the push pipe; deeper windows only add queueing
+            // latency (see `Config::dissemination_window`).
+            dissemination_window: 2,
         }
     }
 
-    /// Builds the simulation (replicas wrapped with storage hosts).
+    /// Builds the simulation (with the durable block log charged when
+    /// `storage` is set).
     pub fn build(&self) -> SimNet {
-        let cfg = self.replica_config();
-        let replicas: Vec<Box<dyn Protocol>> = (0..self.n())
-            .map(|i| {
-                let inner = build_protocol(self.protocol, cfg.with_id(ReplicaId(i as u32)));
-                Box::new(ReplicaHost::new(inner, self.storage)) as Box<dyn Protocol>
-            })
-            .collect();
-        let mut sim = SimNet::with_replicas(replicas, self.net.clone());
+        let mut sim = SimNet::new(self.protocol, self.replica_config(), self.net.clone());
+        if self.storage {
+            sim.charge_block_log();
+        }
         for (replica, at) in &self.crashes {
             sim.schedule_crash(*replica, *at);
         }
@@ -257,14 +245,9 @@ fn run_inner(
     let notes = sim.notes().to_vec();
     let proposal_wire_bytes = sim
         .accounting()
-        .class(marlin_simnet::MsgClass::Proposal(
-            marlin_types::Phase::Prepare,
-        ))
+        .class(MsgClass::Proposal(marlin_types::Phase::Prepare))
         .bytes;
-    let payload_wire_bytes = sim
-        .accounting()
-        .class(marlin_simnet::MsgClass::Payload)
-        .bytes;
+    let payload_wire_bytes = sim.accounting().class(MsgClass::Payload).bytes;
     drop(sim.take_observer());
     let sink = sim.take_telemetry();
     let stats = Arc::try_unwrap(stats)
@@ -313,4 +296,28 @@ pub fn sweep_peak_throughput(base: &ExperimentConfig, rates: &[u64]) -> Vec<Swee
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Invariants;
+
+    /// Storage is charged by the simulator, not by a `Protocol` wrapper
+    /// around each replica — a wrapper that forgot to forward
+    /// `locked_qc` once showed every checker a lock-free cluster.
+    #[test]
+    fn storage_on_replicas_show_their_locks_to_the_invariant_checker() {
+        let cfg = ExperimentConfig::paper(ProtocolKind::Marlin, 1);
+        assert!(cfg.storage);
+        let reference = reference_replica(&cfg);
+        let mut sim = cfg.build();
+        let checker = Invariants::new(&[], 0);
+        sim.set_invariant_checker(Box::new(checker.clone()));
+        sim.schedule_client_batch(ReplicaId(1), 0, 100, cfg.payload_len);
+        sim.run_until(2_000_000_000);
+        assert!(sim.committed_txs(reference) > 0, "nothing committed");
+        assert!(sim.replica(reference).locked_qc().is_some());
+        assert_eq!(checker.finish(), []);
+    }
 }

@@ -23,6 +23,19 @@
 //! Determinism: given the same configuration and seed, a simulation is
 //! bit-for-bit reproducible.
 //!
+//! Two drivers assemble whole runs on top of [`SimNet`]: [`run_scenario`]
+//! is a fault run (a [`Scenario`]'s crash, partition, link-fault and
+//! Byzantine schedule under the [`Invariants`] checker, judged into a
+//! [`ScenarioOutcome`]; [`CampaignReport`] tabulates them), and
+//! [`run_experiment`] is a load run — the paper's testbed (Section VI)
+//! in one call: [`ExperimentConfig`] sets open- or closed-loop clients,
+//! crash schedules, rotation, the paper's network parameters and the
+//! durable block log (each committed block is charged a database write,
+//! with checkpointing every 5000 blocks — the paper's setup), [`Stats`]
+//! measures end-to-end latency and throughput as a [`CommitObserver`],
+//! and [`sweep_peak_throughput`] is the rate sweep behind the
+//! peak-throughput figures.
+//!
 //! # Example
 //!
 //! ```
@@ -34,18 +47,36 @@
 //! sim.run_until(2_000_000_000); // two simulated seconds
 //! assert!(sim.committed_txs(0u32.into()) >= 100);
 //! ```
+//!
+//! ```
+//! use marlin_core::ProtocolKind;
+//! use marlin_simnet::{run_experiment, ExperimentConfig};
+//!
+//! let mut cfg = ExperimentConfig::paper(ProtocolKind::Marlin, 1);
+//! cfg.duration_ns = 2_000_000_000; // short run for the doc test
+//! cfg.rate_tps = 2_000;
+//! let metrics = run_experiment(&cfg);
+//! assert!(metrics.committed_txs > 0);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod accounting;
+mod block_log;
 mod byzantine;
+mod experiment;
 mod invariants;
 mod scenario;
 mod sim;
+mod stats;
 
 pub use accounting::{Accounting, MsgClass};
 pub use byzantine::{Behavior, ByzantineReplica};
+pub use experiment::{
+    run_experiment, run_experiment_with_telemetry, sweep_peak_throughput, ExperimentConfig,
+    SweepPoint,
+};
 pub use invariants::{Invariants, Violation};
 pub use scenario::{
     run_scenario, run_scenario_with_telemetry, BehaviorPhase, Scenario, ScenarioOutcome,
@@ -54,3 +85,4 @@ pub use sim::{
     CommitObserver, InvariantChecker, LinkFault, Partition, RebuildFn, RecoveryMode, SimConfig,
     SimNet,
 };
+pub use stats::{CampaignReport, Metrics, Stats};

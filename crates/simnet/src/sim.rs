@@ -1,7 +1,7 @@
 //! The discrete-event simulation core.
 
 use crate::accounting::{Accounting, MsgClass};
-use bytes_len::wire_len_of;
+use crate::block_log::BlockLogCost;
 use marlin_core::harness::build_protocol;
 use marlin_core::{Action, Config, Event, Note, Protocol, ProtocolKind};
 use marlin_storage::SharedDisk;
@@ -255,27 +255,18 @@ impl Ord for Entry {
     }
 }
 
-mod bytes_len {
-    use marlin_types::Message;
-
-    /// Wire length of a message under the configured shadow setting.
-    pub fn wire_len_of(msg: &Message, shadow: bool) -> usize {
-        msg.wire_len(shadow)
-    }
-
-    /// Debug cross-check: the modeled wire length must equal the length
-    /// of the real codec's encoding, byte for byte. Encoded once per
-    /// broadcast and shared — this is the simulator's stand-in for the
-    /// encode-once transmission a production sender would do.
-    #[cfg(debug_assertions)]
-    pub fn validate_wire(msg: &Message, shadow: bool, len: usize) {
-        let encoded: bytes::Bytes = marlin_types::codec::encode_message(msg, shadow);
-        debug_assert_eq!(
-            encoded.len(),
-            len,
-            "modeled wire_len diverges from the codec for {msg:?}"
-        );
-    }
+/// Debug cross-check: the modeled wire length must equal the length of
+/// the real codec's encoding, byte for byte. Encoded once per broadcast
+/// and shared — this is the simulator's stand-in for the encode-once
+/// transmission a production sender would do.
+#[cfg(debug_assertions)]
+fn validate_wire(msg: &Message, shadow: bool, len: usize) {
+    let encoded: bytes::Bytes = marlin_types::codec::encode_message(msg, shadow);
+    debug_assert_eq!(
+        encoded.len(),
+        len,
+        "modeled wire_len diverges from the codec for {msg:?}"
+    );
 }
 
 /// Message filter: return `false` to drop `msg` on the `from → to` link.
@@ -347,6 +338,9 @@ pub struct SimNet {
     /// Per-replica durable disks; empty unless recovery is configured.
     disks: Vec<SharedDisk>,
     rebuild: Option<RebuildFn>,
+    /// Per-replica block-log write costs; empty unless
+    /// [`SimNet::charge_block_log`] turned them on.
+    block_logs: Vec<BlockLogCost>,
     /// Telemetry sink: notes and transmitted messages are forwarded
     /// here, stamped with simulated time.
     telemetry: Option<Box<dyn TelemetrySink>>,
@@ -362,7 +356,7 @@ impl SimNet {
     }
 
     /// Builds a simulation over pre-constructed replicas (e.g. protocol
-    /// instances wrapped with storage by `marlin-node`).
+    /// instances wrapped in a [`crate::ByzantineReplica`]).
     pub fn with_replicas(replicas: Vec<Box<dyn Protocol>>, sim: SimConfig) -> Self {
         let n = replicas.len();
         let rng = StdRng::seed_from_u64(sim.seed);
@@ -398,6 +392,7 @@ impl SimNet {
             recovery_mode: RecoveryMode::default(),
             disks: Vec::new(),
             rebuild: None,
+            block_logs: Vec::new(),
             telemetry: None,
         };
         for i in 0..n {
@@ -419,6 +414,14 @@ impl SimNet {
         self.telemetry.take()
     }
 
+    /// From here on every committed block is written to its replica's
+    /// durable block log (the paper "writes data into the database
+    /// rather than into memory", Section VI): the simulated write time
+    /// is charged to the committing step's journal lane.
+    pub fn charge_block_log(&mut self) {
+        self.block_logs = vec![BlockLogCost::default(); self.replicas.len()];
+    }
+
     /// Installs a commit observer (replacing any previous one).
     pub fn set_observer(&mut self, observer: Box<dyn CommitObserver>) {
         self.observer = Some(observer);
@@ -433,11 +436,6 @@ impl SimNet {
     /// event (replacing any previous one).
     pub fn set_invariant_checker(&mut self, checker: Box<dyn InvariantChecker>) {
         self.checker = Some(checker);
-    }
-
-    /// Removes and returns the invariant checker.
-    pub fn take_invariant_checker(&mut self) -> Option<Box<dyn InvariantChecker>> {
-        self.checker.take()
     }
 
     /// Adds a timed network partition window.
@@ -591,21 +589,6 @@ impl SimNet {
             self.maybe_maintain_crypto();
         }
         self.now_ns = self.now_ns.max(deadline_ns);
-    }
-
-    /// Runs until no events remain (useful with `drop_rate = 0` and all
-    /// clients done; protocols keep heartbeats armed, so prefer
-    /// [`SimNet::run_until`] for time-bounded runs).
-    pub fn run_for_events(&mut self, max_events: u64) {
-        let target = self.events_processed + max_events;
-        while self.events_processed < target {
-            let Some(entry) = self.heap.pop() else { break };
-            self.now_ns = self.now_ns.max(entry.at_ns);
-            self.events_processed += 1;
-            self.dispatch_entry(entry);
-            self.run_checker();
-            self.maybe_maintain_crypto();
-        }
     }
 
     /// Bounded crypto-cache maintenance: every
@@ -770,7 +753,21 @@ impl SimNet {
         // logic, so later steps' verification overlaps earlier ones.
         let idx = id.index();
         let start = self.now_ns.max(self.lanes[idx].consensus_free);
-        let out = self.replicas[idx].step(event);
+        let mut out = self.replicas[idx].step(event);
+        if let Some(log) = self.block_logs.get_mut(idx) {
+            let io_ns: u64 = out
+                .actions
+                .iter()
+                .map(|action| match action {
+                    Action::Commit { blocks } => log.commit(blocks),
+                    _ => 0,
+                })
+                .sum();
+            // Durable writes run on the journal/IO lane; keep the
+            // scalar total consistent with the lane split.
+            out.cpu_ns += io_ns;
+            out.journal_ns += io_ns;
+        }
         let consensus_ns = out.consensus_ns();
         let done = {
             let lanes = &mut self.lanes[idx];
@@ -843,9 +840,9 @@ impl SimNet {
                 // in debug builds, the shared reference encoding) is
                 // computed here, not per recipient. Each recipient then
                 // costs a batch refcount bump plus the network model.
-                let len = wire_len_of(&message, self.cfg.shadow_blocks);
+                let len = message.wire_len(self.cfg.shadow_blocks);
                 #[cfg(debug_assertions)]
-                bytes_len::validate_wire(&message, self.cfg.shadow_blocks, len);
+                validate_wire(&message, self.cfg.shadow_blocks, len);
                 for i in 0..self.replicas.len() {
                     let to = ReplicaId(i as u32);
                     if to != from {
@@ -899,7 +896,7 @@ impl SimNet {
         if self.crashed[from.index()] {
             return;
         }
-        let len = wire_len_of(&msg, self.cfg.shadow_blocks);
+        let len = msg.wire_len(self.cfg.shadow_blocks);
         self.transmit_prepared(from, to, msg, len, at_ns);
     }
 

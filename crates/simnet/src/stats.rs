@@ -1,14 +1,13 @@
 //! Latency and throughput measurement, and fault-campaign reporting.
 
+use crate::scenario::ScenarioOutcome;
+use crate::sim::CommitObserver;
 use marlin_core::Note;
-use marlin_simnet::{CommitObserver, ScenarioOutcome};
+// The histogram lives in `marlin-telemetry` so every latency-like
+// series in the workspace shares one bucket layout.
+use marlin_telemetry::{Histogram, LatencySummary};
 use marlin_types::{Block, ReplicaId};
 use std::collections::HashSet;
-
-// The histogram lives in `marlin-telemetry` now so every latency-like
-// series in the workspace shares one bucket layout; re-exported under
-// the historical name for existing callers.
-pub use marlin_telemetry::{Histogram as LatencyHistogram, LatencySummary};
 
 /// Commit observer measuring throughput and end-to-end latency at a
 /// reference replica.
@@ -30,13 +29,11 @@ pub struct Stats {
     reference: ReplicaId,
     client_leg_ns: u64,
     warmup_until_ns: u64,
-    histogram: LatencyHistogram,
+    histogram: Histogram,
     committed_txs: u64,
     total_observed_txs: u64,
     committed_blocks: u64,
     skew_clamped: u64,
-    first_commit_ns: Option<u64>,
-    last_commit_ns: u64,
     /// Transaction ids already counted: a transaction committed twice
     /// (a client resubmission landing in two leaders' batches) is
     /// *goodput* only once — the second commit is recorded under
@@ -53,13 +50,11 @@ impl Stats {
             reference,
             client_leg_ns,
             warmup_until_ns,
-            histogram: LatencyHistogram::new(),
+            histogram: Histogram::new(),
             committed_txs: 0,
             total_observed_txs: 0,
             committed_blocks: 0,
             skew_clamped: 0,
-            first_commit_ns: None,
-            last_commit_ns: 0,
             seen_ids: HashSet::new(),
             duplicate_txs: 0,
         }
@@ -120,8 +115,6 @@ impl CommitObserver for Stats {
         if replica != self.reference {
             return;
         }
-        self.first_commit_ns.get_or_insert(now_ns);
-        self.last_commit_ns = now_ns;
         for block in blocks {
             self.committed_blocks += 1;
             for tx in block.payload().iter() {
@@ -286,28 +279,6 @@ mod tests {
     use bytes::Bytes;
     use marlin_types::{Batch, Block, Justify, Qc, Transaction, View};
 
-    #[test]
-    fn histogram_mean_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        for ms in [1u64, 2, 4, 8, 100] {
-            h.record(ms * 1_000_000);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean_ns(), 23 * 1_000_000);
-        assert!(h.quantile_ns(0.5) >= 2_000_000);
-        assert!(h.quantile_ns(1.0) >= 100_000_000);
-        assert_eq!(h.max_ns(), 100_000_000);
-        let s = h.summary();
-        assert!(s.p99_ms >= s.p50_ms);
-    }
-
-    #[test]
-    fn empty_histogram_is_zero() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.mean_ns(), 0);
-        assert_eq!(h.quantile_ns(0.99), 0);
-    }
-
     fn block_with_txs(times: &[u64]) -> Block {
         let g = Block::genesis();
         let txs: Vec<Transaction> = times
@@ -338,6 +309,7 @@ mod tests {
         assert!((m.throughput_tps - 2.0).abs() < 1e-9);
         // Latency includes the two 40ms client legs.
         assert!(m.latency.mean_ms >= 80.0);
+        assert!(m.latency.p99_ms >= m.latency.p50_ms);
     }
 
     #[test]

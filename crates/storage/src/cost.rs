@@ -10,31 +10,17 @@ pub struct IoCostModel {
     pub wal_write_base_ns: u64,
     /// Per-byte cost of writing a segment during flush/compaction.
     pub segment_write_ns_per_byte: u64,
-    /// Per-byte cost of reads that miss the memtable.
-    pub read_ns_per_byte: u64,
     /// Fixed cost of a durability sync.
     pub sync_ns: u64,
 }
 
 impl IoCostModel {
-    /// Free I/O (protocol-logic tests).
-    pub fn zero() -> Self {
-        IoCostModel {
-            wal_write_ns_per_byte: 0,
-            wal_write_base_ns: 0,
-            segment_write_ns_per_byte: 0,
-            read_ns_per_byte: 0,
-            sync_ns: 0,
-        }
-    }
-
     /// An NVMe-class device: ~2 GB/s sequential writes, ~10 µs sync.
-    pub fn ssd() -> Self {
+    pub const fn ssd() -> Self {
         IoCostModel {
             wal_write_ns_per_byte: 1,
             wal_write_base_ns: 2_000,
             segment_write_ns_per_byte: 1,
-            read_ns_per_byte: 1,
             sync_ns: 10_000,
         }
     }
@@ -48,30 +34,11 @@ impl IoCostModel {
     pub fn segment_write(&self, len: usize) -> u64 {
         self.segment_write_ns_per_byte * len as u64
     }
-
-    /// Cost of reading `len` bytes from disk.
-    pub fn read(&self, len: usize) -> u64 {
-        self.read_ns_per_byte * len as u64
-    }
-}
-
-impl Default for IoCostModel {
-    fn default() -> Self {
-        Self::ssd()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_is_free() {
-        let m = IoCostModel::zero();
-        assert_eq!(m.wal_append(1000), 0);
-        assert_eq!(m.segment_write(1000), 0);
-        assert_eq!(m.read(1000), 0);
-    }
 
     #[test]
     fn ssd_scales_with_size() {

@@ -5,7 +5,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// A minimal filesystem interface for the store's files.
+/// A minimal filesystem interface: a flat namespace of named files.
 ///
 /// Implementations must make `sync` a durability point: data written
 /// before a successful `sync` survives a crash; unsynced data may be
@@ -52,7 +52,7 @@ impl MemDisk {
     }
 
     /// Simulates a crash: all state reverts to the last synced state.
-    /// Returns the reverted disk (use with [`crate::KvStore::open`] to
+    /// Returns the reverted disk (replay a [`crate::Wal`] from it to
     /// test recovery).
     pub fn crash(self) -> MemDisk {
         MemDisk {

@@ -1,37 +1,39 @@
-//! A log-structured key-value store — the reproduction's stand-in for
-//! the LevelDB instance the paper's evaluation writes committed state
-//! to ("our implementation writes data into the database rather than
-//! into memory and we run checkpointing in the backend", Section VI).
+//! Durable-storage primitives: what stands behind the safety journal,
+//! the state snapshots and the threaded runtime's files, plus the I/O
+//! price list the simulator charges from.
 //!
-//! Architecture (a deliberately compact LSM):
+//! * a [`Disk`] is a flat namespace of named files with a `sync`
+//!   durability point: [`MemDisk`] adds *fault injection* (a write torn
+//!   at a byte boundary, a crash that reverts to the last sync) so crash
+//!   recovery can be property-tested, [`SharedDisk`] is the clonable
+//!   handle a replica and its crash schedule both hold, [`FileDisk`] is
+//!   the real filesystem;
+//! * a [`Wal`] is an append-only record log with per-record CRCs whose
+//!   replay discards a torn or corrupt tail — the framing under
+//!   `marlin-core`'s write-before-vote safety journal and under the
+//!   generational, torn-write-tolerant [`SnapshotStore`];
+//! * an [`IoCostModel`] prices appends, segment writes and syncs in
+//!   simulated nanoseconds.
 //!
-//! * a **write-ahead log** ([`Wal`]) makes every acknowledged write
-//!   durable before it is applied;
-//! * an in-memory **memtable** ([`MemTable`]) absorbs writes;
-//! * on flush, the memtable becomes an immutable sorted **segment**
-//!   ([`Segment`]); reads consult the memtable, then segments
-//!   newest-first;
-//! * **compaction** merges segments; [`KvStore::checkpoint`] (the
-//!   paper's every-5000-blocks garbage collection) flushes, compacts to
-//!   one segment, and truncates the log.
-//!
-//! Storage is parameterised over a [`Disk`] so the test suite can run
-//! against an in-memory disk with *fault injection* (torn writes at a
-//! byte boundary) to property-test crash recovery, while examples can
-//! use the real filesystem via [`FileDisk`]. An [`IoCostModel`] charges
-//! simulated nanoseconds per operation so the discrete-event simulation
-//! feels database pressure the way the paper's testbed does.
+//! The paper's testbed "writes data into the database rather than into
+//! memory and we run checkpointing in the backend" (Section VI). No
+//! LevelDB stand-in lives here: nothing ever reads a committed block
+//! back, so `marlin-simnet` models that database as the *write-cost
+//! schedule* of one (WAL append per block, memtable flush, compaction,
+//! checkpoint every 5000 blocks) priced by [`IoCostModel`], and stores
+//! no bytes.
 //!
 //! # Example
 //!
 //! ```
-//! use marlin_storage::{KvStore, MemDisk, StoreConfig};
+//! use marlin_storage::{Disk, MemDisk, Wal};
 //!
-//! let mut db = KvStore::open(MemDisk::new(), StoreConfig::default()).unwrap();
-//! db.put(b"height/1".to_vec(), b"block-one".to_vec()).unwrap();
-//! assert_eq!(db.get(b"height/1").unwrap().as_deref(), Some(&b"block-one"[..]));
-//! db.checkpoint().unwrap();
-//! assert_eq!(db.get(b"height/1").unwrap().as_deref(), Some(&b"block-one"[..]));
+//! let mut disk = MemDisk::new();
+//! Wal::append_named(&mut disk, "journal", b"voted view 7").unwrap();
+//! disk.sync().unwrap();
+//! Wal::append_named(&mut disk, "journal", b"never synced").unwrap();
+//! let disk = disk.crash(); // power loss: back to the last sync
+//! assert_eq!(Wal::replay_named(&disk, "journal").unwrap(), vec![b"voted view 7".to_vec()]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,17 +42,11 @@
 mod cost;
 mod crc;
 mod disk;
-mod memtable;
-mod segment;
 mod snapshot;
-mod store;
 mod wal;
 
 pub use cost::IoCostModel;
 pub use crc::crc32;
 pub use disk::{Disk, FileDisk, MemDisk, SharedDisk};
-pub use memtable::MemTable;
-pub use segment::Segment;
 pub use snapshot::{SnapshotStore, SNAPSHOT_FILE};
-pub use store::{KvStore, StoreConfig, StoreError};
 pub use wal::Wal;

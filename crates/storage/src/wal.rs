@@ -4,9 +4,6 @@ use crate::crc::crc32;
 use crate::disk::Disk;
 use std::io;
 
-/// Name of the log file on the disk.
-pub const WAL_FILE: &str = "wal";
-
 /// An append-only record log with per-record CRCs.
 ///
 /// Record format: `len: u32 | crc: u32 | payload`. Replay stops at the
@@ -16,20 +13,9 @@ pub const WAL_FILE: &str = "wal";
 pub struct Wal;
 
 impl Wal {
-    /// Appends one record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates disk errors; on error the tail may be torn (recovery
-    /// will discard it).
-    pub fn append<D: Disk>(disk: &mut D, payload: &[u8]) -> io::Result<()> {
-        Self::append_named(disk, WAL_FILE, payload)
-    }
-
-    /// Appends one record to a log under `name` — the same record
-    /// format as [`Wal::append`], but on a caller-chosen file so
-    /// several logs (e.g. the KV store's WAL and a consensus safety
-    /// journal) can share one disk.
+    /// Appends one record to the log under `name` — a caller-chosen
+    /// file, so several logs (e.g. a consensus safety journal and a
+    /// snapshot generation) can share one disk.
     ///
     /// # Errors
     ///
@@ -47,17 +33,9 @@ impl Wal {
         disk.append(name, &rec)
     }
 
-    /// Replays all intact records, oldest first. A missing log yields an
-    /// empty list; a corrupt/torn tail is silently discarded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates disk read errors other than "not found".
-    pub fn replay<D: Disk>(disk: &D) -> io::Result<Vec<Vec<u8>>> {
-        Self::replay_named(disk, WAL_FILE)
-    }
-
-    /// Replays the log under `name` (see [`Wal::replay`]).
+    /// Replays all intact records of the log under `name`, oldest
+    /// first. A missing log yields an empty list; a corrupt/torn tail
+    /// is silently discarded.
     ///
     /// # Errors
     ///
@@ -105,15 +83,6 @@ impl Wal {
         Ok((records, pos == data.len()))
     }
 
-    /// Truncates the log (after a successful memtable flush).
-    ///
-    /// # Errors
-    ///
-    /// Propagates disk errors.
-    pub fn reset<D: Disk>(disk: &mut D) -> io::Result<()> {
-        disk.remove(WAL_FILE)
-    }
-
     /// Truncates the log under `name`.
     ///
     /// # Errors
@@ -121,11 +90,6 @@ impl Wal {
     /// Propagates disk errors.
     pub fn reset_named<D: Disk + ?Sized>(disk: &mut D, name: &str) -> io::Result<()> {
         disk.remove(name)
-    }
-
-    /// Current log size in bytes (0 if absent).
-    pub fn size<D: Disk>(disk: &D) -> usize {
-        disk.read_file(WAL_FILE).map(|d| d.len()).unwrap_or(0)
     }
 
     /// Size in bytes of the log under `name` (0 if absent).
@@ -139,68 +103,73 @@ mod tests {
     use super::*;
     use crate::disk::MemDisk;
 
+    const LOG: &str = "wal";
+
     #[test]
     fn append_replay_round_trip() {
         let mut d = MemDisk::new();
-        Wal::append(&mut d, b"one").unwrap();
-        Wal::append(&mut d, b"two").unwrap();
-        Wal::append(&mut d, b"").unwrap();
+        Wal::append_named(&mut d, LOG, b"one").unwrap();
+        Wal::append_named(&mut d, LOG, b"two").unwrap();
+        Wal::append_named(&mut d, LOG, b"").unwrap();
         assert_eq!(
-            Wal::replay(&d).unwrap(),
+            Wal::replay_named(&d, LOG).unwrap(),
             vec![b"one".to_vec(), b"two".to_vec(), vec![]]
         );
     }
 
     #[test]
     fn replay_of_missing_log_is_empty() {
-        assert!(Wal::replay(&MemDisk::new()).unwrap().is_empty());
+        assert!(Wal::replay_named(&MemDisk::new(), LOG).unwrap().is_empty());
     }
 
     #[test]
     fn torn_tail_is_discarded() {
         let mut d = MemDisk::new();
-        Wal::append(&mut d, b"intact").unwrap();
+        Wal::append_named(&mut d, LOG, b"intact").unwrap();
         d.tear_next_write_after(5); // header is 8 bytes: record torn
-        let _ = Wal::append(&mut d, b"lost");
-        assert_eq!(Wal::replay(&d).unwrap(), vec![b"intact".to_vec()]);
+        let _ = Wal::append_named(&mut d, LOG, b"lost");
+        assert_eq!(
+            Wal::replay_named(&d, LOG).unwrap(),
+            vec![b"intact".to_vec()]
+        );
     }
 
     #[test]
     fn corrupt_record_stops_replay() {
         let mut d = MemDisk::new();
-        Wal::append(&mut d, b"first").unwrap();
-        Wal::append(&mut d, b"second").unwrap();
+        Wal::append_named(&mut d, LOG, b"first").unwrap();
+        Wal::append_named(&mut d, LOG, b"second").unwrap();
         // Flip a payload byte of the second record.
-        let mut raw = d.read_file(WAL_FILE).unwrap();
+        let mut raw = d.read_file(LOG).unwrap();
         let idx = raw.len() - 1;
         raw[idx] ^= 0xFF;
-        d.write_file(WAL_FILE, &raw).unwrap();
-        assert_eq!(Wal::replay(&d).unwrap(), vec![b"first".to_vec()]);
+        d.write_file(LOG, &raw).unwrap();
+        assert_eq!(Wal::replay_named(&d, LOG).unwrap(), vec![b"first".to_vec()]);
     }
 
     #[test]
     fn named_logs_are_independent() {
         let mut d = MemDisk::new();
-        Wal::append(&mut d, b"kv").unwrap();
+        Wal::append_named(&mut d, LOG, b"kv").unwrap();
         Wal::append_named(&mut d, "safety", b"lock").unwrap();
         Wal::append_named(&mut d, "safety", b"vote").unwrap();
-        assert_eq!(Wal::replay(&d).unwrap(), vec![b"kv".to_vec()]);
+        assert_eq!(Wal::replay_named(&d, LOG).unwrap(), vec![b"kv".to_vec()]);
         assert_eq!(
             Wal::replay_named(&d, "safety").unwrap(),
             vec![b"lock".to_vec(), b"vote".to_vec()]
         );
         Wal::reset_named(&mut d, "safety").unwrap();
         assert_eq!(Wal::size_named(&d, "safety"), 0);
-        assert!(Wal::size(&d) > 0);
+        assert!(Wal::size_named(&d, LOG) > 0);
     }
 
     #[test]
     fn reset_truncates() {
         let mut d = MemDisk::new();
-        Wal::append(&mut d, b"x").unwrap();
-        assert!(Wal::size(&d) > 0);
-        Wal::reset(&mut d).unwrap();
-        assert_eq!(Wal::size(&d), 0);
-        assert!(Wal::replay(&d).unwrap().is_empty());
+        Wal::append_named(&mut d, LOG, b"x").unwrap();
+        assert!(Wal::size_named(&d, LOG) > 0);
+        Wal::reset_named(&mut d, LOG).unwrap();
+        assert_eq!(Wal::size_named(&d, LOG), 0);
+        assert!(Wal::replay_named(&d, LOG).unwrap().is_empty());
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The workspace previously measured its claims through three
 //! disconnected channels (simnet traffic accounting, a lone latency
-//! histogram in `marlin-node`, and the raw [`Note`] stream). This crate
-//! unifies them:
+//! histogram in the experiment driver, and the raw [`Note`] stream).
+//! This crate unifies them:
 //!
 //! * [`Registry`] — a lock-cheap metrics registry of labeled
 //!   [`Counter`]s, [`Gauge`]s, and log-scale [`Histogram`]s, with

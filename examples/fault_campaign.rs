@@ -42,8 +42,7 @@
 //! pipelined runs get their own snapshot artifact.
 
 use marlin_bft::core::ProtocolKind;
-use marlin_bft::node::CampaignReport;
-use marlin_bft::simnet::{run_scenario, run_scenario_with_telemetry, Scenario};
+use marlin_bft::simnet::{run_scenario, run_scenario_with_telemetry, CampaignReport, Scenario};
 use marlin_bft::telemetry::{Registry, RegistryRecorder, SharedSink};
 
 fn main() {

@@ -12,7 +12,7 @@
 //! machine-readable report to `PATH`.
 
 use marlin_bft::core::ProtocolKind;
-use marlin_bft::node::{run_experiment, run_experiment_with_telemetry, ExperimentConfig};
+use marlin_bft::simnet::{run_experiment, run_experiment_with_telemetry, ExperimentConfig};
 use marlin_bft::telemetry::{json_str, Decomposition, SharedSink, Trace};
 use std::fmt::Write as _;
 

@@ -25,11 +25,12 @@
 //! all four replicas are checked for agreement at the end of each run.
 
 use marlin_bft::core::ProtocolKind;
-use marlin_bft::node::{run_experiment_with_telemetry, ExperimentConfig, Stats};
 use marlin_bft::runtime::{
     ClusterConfig, CommitObserverFn, ObservabilityConfig, RuntimeCluster, TransportKind,
 };
-use marlin_bft::simnet::{CommitObserver, SimConfig};
+use marlin_bft::simnet::{
+    run_experiment_with_telemetry, CommitObserver, ExperimentConfig, SimConfig, Stats,
+};
 use marlin_bft::telemetry::{json_str, Decomposition, SharedSink, Trace};
 use marlin_bft::types::ReplicaId;
 use std::fmt::Write as _;
@@ -79,7 +80,7 @@ impl Opts {
 
 struct RaceResult {
     protocol: ProtocolKind,
-    metrics: marlin_bft::node::Metrics,
+    metrics: marlin_bft::simnet::Metrics,
     decomposition: Decomposition,
     modeled: Decomposition,
     shortest_prefix: usize,

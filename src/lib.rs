@@ -14,10 +14,12 @@
 //!   messages, the wire codec, and the block tree;
 //! * [`core`] — the protocol state machines (Marlin and all baselines)
 //!   plus an in-process test harness;
-//! * [`simnet`] — the deterministic discrete-event network simulator;
-//! * [`storage`] — the log-structured KV store (LevelDB stand-in);
-//! * [`node`] — replica runtime, workload generation, and the
-//!   experiment driver;
+//! * [`simnet`] — the deterministic discrete-event network simulator,
+//!   its fault-scenario driver, and the experiment driver (workload
+//!   generation, the database write-cost schedule, latency/throughput
+//!   measurement);
+//! * [`storage`] — the disk abstraction, CRC-framed write-ahead log,
+//!   snapshots, and the I/O cost model;
 //! * [`runtime`] — the threaded wall-clock runtime: channel/TCP
 //!   transports, journal-writer threads, and multi-core cluster
 //!   harness driving the same state machines;
@@ -45,7 +47,6 @@
 
 pub use marlin_core as core;
 pub use marlin_crypto as crypto;
-pub use marlin_node as node;
 pub use marlin_runtime as runtime;
 pub use marlin_simnet as simnet;
 pub use marlin_storage as storage;

@@ -7,8 +7,9 @@
 
 use marlin_bft::core::{Config, ProtocolKind};
 use marlin_bft::crypto::CostModel;
-use marlin_bft::node::{run_experiment, run_experiment_with_telemetry, ExperimentConfig};
-use marlin_bft::simnet::{SimConfig, SimNet};
+use marlin_bft::simnet::{
+    run_experiment, run_experiment_with_telemetry, ExperimentConfig, SimConfig, SimNet,
+};
 use marlin_bft::telemetry::{
     Decomposition, Registry, RegistryRecorder, SharedSink, SnapshotValue, Trace,
 };

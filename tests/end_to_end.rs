@@ -3,7 +3,7 @@
 //! benchmark harness uses it.
 
 use marlin_bft::core::ProtocolKind;
-use marlin_bft::node::{run_experiment, ExperimentConfig};
+use marlin_bft::simnet::{run_experiment, ExperimentConfig};
 use marlin_bft::types::ReplicaId;
 
 fn short(protocol: ProtocolKind) -> ExperimentConfig {

@@ -5,7 +5,7 @@
 //! egress per committed transaction is digest-sized, not payload-sized.
 
 use marlin_bft::core::ProtocolKind;
-use marlin_bft::node::{run_experiment, ExperimentConfig, Metrics};
+use marlin_bft::simnet::{run_experiment, ExperimentConfig, Metrics};
 
 /// The paper-testbed experiment at tier-1 scale.
 fn config(rate_tps: u64, bounded: bool, duration_ns: u64, warmup_ns: u64) -> ExperimentConfig {

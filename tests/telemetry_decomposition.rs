@@ -3,7 +3,7 @@
 //! commits after 2 QC phases, HotStuff after 3.
 
 use marlin_bft::core::ProtocolKind;
-use marlin_bft::node::{run_experiment_with_telemetry, ExperimentConfig};
+use marlin_bft::simnet::{run_experiment_with_telemetry, ExperimentConfig};
 use marlin_bft::telemetry::{Decomposition, SharedSink, Trace};
 
 fn decompose(protocol: ProtocolKind) -> Decomposition {

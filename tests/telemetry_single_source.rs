@@ -4,8 +4,7 @@
 //! identical totals — the single-source-of-truth invariant.
 
 use marlin_bft::core::{Config, ProtocolKind};
-use marlin_bft::node::Stats;
-use marlin_bft::simnet::{CommitObserver, SimConfig, SimNet};
+use marlin_bft::simnet::{CommitObserver, SimConfig, SimNet, Stats};
 use marlin_bft::telemetry::{Registry, RegistryRecorder, SnapshotValue};
 use marlin_bft::types::{Block, ReplicaId};
 use std::sync::{Arc, Mutex};
