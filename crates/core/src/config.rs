@@ -130,9 +130,6 @@ pub struct Config {
     pub batch_size: usize,
     /// Base view timeout in simulated nanoseconds.
     pub base_timeout_ns: u64,
-    /// Exponential backoff cap: timeout doubles per consecutive failed
-    /// view up to `base << max_backoff_exp`.
-    pub max_backoff_exp: u32,
     /// Rotating-leader mode (the paper's Section VI "performance under
     /// failures" experiment): when set, a leader voluntarily hands over
     /// after this many simulated nanoseconds even without failures.
@@ -145,19 +142,11 @@ pub struct Config {
     /// independent crypto charges over this many lanes. `1` reproduces
     /// the historical single-lane timing exactly.
     pub crypto_workers: usize,
-    /// Charge the write-ahead journal's modeled IO latency to the step
-    /// (on the journal lane) instead of only reporting it as a note.
-    /// Off by default: folding IO into the schedule perturbs the
-    /// deterministic timings the fault campaign pins.
-    pub charge_journal: bool,
     /// Record a self-certifying snapshot anchor (and prune committed
     /// prefixes one interval behind it) every this many commits.
     /// `0` disables block sync + snapshots entirely, which keeps every
     /// pre-existing deterministic fingerprint bit-identical.
     pub sync_snapshot_interval: u64,
-    /// Blocks per ranged sync request when a lagging replica fetches
-    /// the committed chain from its peers.
-    pub sync_range_size: u64,
     /// Commit-height gap beyond which a replica stops trying to commit
     /// block-by-block and starts a ranged sync instead.
     pub sync_lag_threshold: u64,
@@ -178,12 +167,6 @@ pub struct Config {
     /// acknowledged holding the batch. Off by default; when off, the
     /// normal case proposes whole blocks exactly as before.
     pub dissemination: bool,
-    /// Maximum sealed batches in flight (pushed, awaiting their
-    /// availability quorum or proposal) per replica. Two keeps the
-    /// push pipe full without building a deep sealed backlog: batches
-    /// sealed long before their proposal slot age in the payload store
-    /// and inflate end-to-end latency under overload.
-    pub dissemination_window: usize,
 }
 
 impl Config {
@@ -199,18 +182,14 @@ impl Config {
             qc_format: QcFormat::Threshold,
             batch_size: 100,
             base_timeout_ns: 100_000_000,
-            max_backoff_exp: 6,
             rotation_interval_ns: None,
             batch_verify: false,
             crypto_workers: 1,
-            charge_journal: false,
             sync_snapshot_interval: 0,
-            sync_range_size: 16,
             sync_lag_threshold: 64,
             mempool_capacity: 0,
             priority_fee_threshold: 0,
             dissemination: false,
-            dissemination_window: 2,
         }
     }
 

@@ -4,6 +4,10 @@
 use crate::config::Config;
 use marlin_types::View;
 
+/// Exponential backoff cap: a view's timeout doubles per consecutive
+/// failed view up to `base << MAX_BACKOFF_EXP`.
+const MAX_BACKOFF_EXP: u32 = 6;
+
 /// Computes view-timer delays.
 ///
 /// * In the default mode, a view's timer is the base timeout doubled for
@@ -16,7 +20,6 @@ use marlin_types::View;
 #[derive(Clone, Debug)]
 pub struct Pacemaker {
     base_ns: u64,
-    max_backoff_exp: u32,
     rotation_ns: Option<u64>,
     /// The highest view in which progress (a commit) was observed.
     last_progress_view: View,
@@ -27,7 +30,6 @@ impl Pacemaker {
     pub fn new(config: &Config) -> Self {
         Pacemaker {
             base_ns: config.base_timeout_ns,
-            max_backoff_exp: config.max_backoff_exp,
             rotation_ns: config.rotation_interval_ns,
             last_progress_view: View::GENESIS,
         }
@@ -44,7 +46,7 @@ impl Pacemaker {
     /// The timer delay for `view`.
     pub fn delay_for(&self, view: View) -> u64 {
         let failed_views = view.gap(self.last_progress_view).saturating_sub(1);
-        let exp = (failed_views as u32).min(self.max_backoff_exp);
+        let exp = (failed_views as u32).min(MAX_BACKOFF_EXP);
         let backoff = self.base_ns << exp;
         match self.rotation_ns {
             // Rotation fires at the fixed interval while progressing, but
@@ -68,7 +70,6 @@ mod tests {
     fn pm(rotation: Option<u64>) -> Pacemaker {
         let mut cfg = Config::for_test(4, 1);
         cfg.base_timeout_ns = 100;
-        cfg.max_backoff_exp = 3;
         cfg.rotation_interval_ns = rotation;
         Pacemaker::new(&cfg)
     }
@@ -81,8 +82,10 @@ mod tests {
         assert_eq!(p.delay_for(View(7)), 200);
         assert_eq!(p.delay_for(View(8)), 400);
         assert_eq!(p.delay_for(View(9)), 800);
-        // Capped at base << 3.
-        assert_eq!(p.delay_for(View(20)), 800);
+        // Capped at base << MAX_BACKOFF_EXP.
+        assert_eq!(p.delay_for(View(11)), 100 << 5);
+        assert_eq!(p.delay_for(View(12)), 100 << MAX_BACKOFF_EXP);
+        assert_eq!(p.delay_for(View(20)), 100 << MAX_BACKOFF_EXP);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   (if the gap exceeds one snapshot interval) it broadcasts a
 //!   [`MsgBody::SnapshotRequest`] and verifies the returned anchor with
 //!   one QC check, then it splits the remaining gap into
-//!   `sync_range_size` chunks and pipelines
+//!   `SYNC_RANGE_SIZE`-block chunks and pipelines
 //!   [`MsgBody::BlockRangeRequest`]s across all peers.
 //! * **Certified-prefix verification.** Fetched blocks are staged, not
 //!   applied. Once every chunk is in, the run walks **top-down from the
@@ -53,6 +53,10 @@ use marlin_storage::SnapshotStore;
 use marlin_types::codec::{get_block_full, get_qc, put_block_full, put_qc};
 use marlin_types::{Block, BlockId, BlockStore, Height, Message, MsgBody, Phase, Qc, ReplicaId};
 use std::collections::{BTreeMap, HashMap};
+
+/// Blocks per ranged sync request when a lagging replica fetches the
+/// committed chain from its peers.
+const SYNC_RANGE_SIZE: u64 = 16;
 
 /// Hard cap on blocks served per range response, whatever the request
 /// asked for (an untrusted peer must not make us assemble a huge
@@ -150,11 +154,10 @@ fn tip_of(store: &BlockStore) -> u64 {
     (store.committed_offset() + store.committed_chain().len() - 1) as u64
 }
 
-fn push_chunks(chunks: &mut Vec<Chunk>, lo: u64, hi: u64, range: u64) {
-    let range = range.max(1);
+fn push_chunks(chunks: &mut Vec<Chunk>, lo: u64, hi: u64) {
     let mut h = lo;
     while h <= hi {
-        let to = (h + range - 1).min(hi);
+        let to = (h + SYNC_RANGE_SIZE - 1).min(hi);
         chunks.push(Chunk {
             from: h,
             to,
@@ -260,12 +263,7 @@ impl Base {
                 let old = run.target.height().0;
                 run.target = *qc;
                 if !run.awaiting_snapshot {
-                    push_chunks(
-                        &mut run.chunks,
-                        old + 1,
-                        qc.height().0,
-                        self.cfg.sync_range_size,
-                    );
+                    push_chunks(&mut run.chunks, old + 1, qc.height().0);
                 }
             }
             self.raise_latest_commit_qc(qc);
@@ -292,12 +290,7 @@ impl Base {
                 message: Message::new(self.cfg.id, self.cview, MsgBody::SnapshotRequest),
             });
         } else {
-            push_chunks(
-                &mut run.chunks,
-                tip + 1,
-                qc.height().0,
-                self.cfg.sync_range_size,
-            );
+            push_chunks(&mut run.chunks, tip + 1, qc.height().0);
         }
         out.actions.push(Action::Note(Note::SyncStarted {
             from: Height(tip),
@@ -319,7 +312,6 @@ impl Base {
         self.sync.tick += 1;
         let tick = self.sync.tick;
         let tip = tip_of(&self.store);
-        let range = self.cfg.sync_range_size;
         let mut late: Vec<ReplicaId> = Vec::new();
         {
             let run = self.sync.run.as_mut().expect("checked above");
@@ -328,7 +320,7 @@ impl Base {
                 // ranges instead of wedging on the snapshot phase.
                 run.awaiting_snapshot = false;
                 if run.chunks.is_empty() {
-                    push_chunks(&mut run.chunks, tip + 1, run.target.height().0, range);
+                    push_chunks(&mut run.chunks, tip + 1, run.target.height().0);
                 }
             }
             for c in run.chunks.iter_mut() {
@@ -468,7 +460,6 @@ impl Base {
             bytes,
         }));
         let anchor_h = block.height().0;
-        let range = self.cfg.sync_range_size;
         let finished = {
             let run = self.sync.run.as_mut().expect("awaiting implies run");
             run.awaiting_snapshot = false;
@@ -477,7 +468,7 @@ impl Base {
             } else {
                 run.chunks.clear();
                 run.staged.clear();
-                push_chunks(&mut run.chunks, anchor_h + 1, run.target.height().0, range);
+                push_chunks(&mut run.chunks, anchor_h + 1, run.target.height().0);
                 false
             }
         };

@@ -114,6 +114,13 @@ const PRUNE_INTERVAL: u64 = 5_000;
 /// is likely to be lost again.
 const PAYLOAD_BACKOFF_TICKS: u32 = 4;
 
+/// Maximum sealed batches in flight (pushed, awaiting their
+/// availability quorum or proposal) per replica. Two keeps the push
+/// pipe full without building a deep sealed backlog: batches sealed
+/// long before their proposal slot age in the payload store and
+/// inflate end-to-end latency under overload.
+const DISSEMINATION_WINDOW: usize = 2;
+
 /// State common to every replica implementation.
 #[derive(Clone, Debug)]
 pub(crate) struct Base {
@@ -209,17 +216,13 @@ impl Base {
                 let _ = j.gc_below(horizon);
             }
             // Report the step's write-ahead journal IO (appends, bytes,
-            // modeled latency). Reported, and charged to the journal
-            // lane only when `charge_journal` opts in: folding the
-            // modeled cost into the default schedule would perturb the
-            // deterministic timings the fault-injection campaign pins
-            // by fingerprint.
+            // modeled latency). Reported, never charged to the step:
+            // folding the modeled cost into the schedule would perturb
+            // the deterministic timings the fault-injection campaign
+            // pins by fingerprint, and the simulator charges
+            // persisted-commit IO to the journal lane itself.
             let io = j.take_io();
             if io.appends > 0 {
-                if self.cfg.charge_journal {
-                    out.cpu_ns += io.cost_ns;
-                    out.journal_ns += io.cost_ns;
-                }
                 out.actions.push(Action::Note(Note::JournalWrite {
                     appends: io.appends,
                     bytes: io.bytes,
@@ -323,8 +326,7 @@ impl Base {
         if !self.cfg.dissemination || self.payload_backoff > 0 {
             return;
         }
-        while !self.mempool.is_empty() && self.payloads.in_flight() < self.cfg.dissemination_window
-        {
+        while !self.mempool.is_empty() && self.payloads.in_flight() < DISSEMINATION_WINDOW {
             let batch = self.take_batch();
             let digest = batch.digest();
             self.crypto.charge_hash(batch.wire_len());
@@ -355,7 +357,7 @@ impl Base {
     /// transactions requeued at the front of the mempool so the next
     /// seal (or inline proposal) carries them. Ticked from heartbeats
     /// and view entries; without it a lost push would occupy one of
-    /// the `dissemination_window` slots forever and, once every slot
+    /// the `DISSEMINATION_WINDOW` slots forever and, once every slot
     /// wedged, the replica could never seal — or, as leader, propose —
     /// again.
     pub fn payload_tick(&mut self, out: &mut StepOutput) {

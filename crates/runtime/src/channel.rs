@@ -1,11 +1,10 @@
 //! Metered bounded channels: backpressure accounting for the runtime's
 //! inter-thread lanes.
 //!
-//! Every queue between two replica threads (ingress → consensus,
-//! consensus → timer, consensus → journal) is a potential
-//! backpressure point, and `std::sync::mpsc` exposes no queue
-//! introspection at all. A [`LaneMeter`] reconstructs the observable
-//! state from the outside: enqueue/dequeue counters (their difference
+//! The queue between a replica's two threads (ingress → consensus) is
+//! a potential backpressure point, and `std::sync::mpsc` exposes no
+//! queue introspection at all. A [`LaneMeter`] reconstructs the
+//! observable state from the outside: enqueue/dequeue counters (their difference
 //! is the live depth), a blocked-send stall counter, and a
 //! stall-duration histogram. [`MeteredSender`] implements the
 //! *try-then-block* protocol: a `try_send` that hits a full queue falls
@@ -19,8 +18,10 @@
 //! per message.
 
 use marlin_telemetry::{Counter, Gauge, HistogramHandle, Registry};
-use std::sync::mpsc::{sync_channel, Receiver, RecvError, SendError, SyncSender, TrySendError};
-use std::time::Instant;
+use std::sync::mpsc::{
+    sync_channel, Receiver, RecvError, RecvTimeoutError, SendError, SyncSender, TrySendError,
+};
+use std::time::{Duration, Instant};
 
 /// Shared instrumentation for one channel lane.
 ///
@@ -191,6 +192,18 @@ impl<T> MeteredReceiver<T> {
         Ok(value)
     }
 
+    /// Blocks for the next message, at most `timeout`.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError`]: nothing arrived in time, or every sender is
+    /// gone and the queue drained.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        let value = self.rx.recv_timeout(timeout)?;
+        self.meter.note_dequeue();
+        Ok(value)
+    }
+
     /// The lane's meter.
     pub fn meter(&self) -> &LaneMeter {
         &self.meter
@@ -200,7 +213,6 @@ impl<T> MeteredReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn fast_path_counts_without_stalling() {

@@ -6,8 +6,6 @@
 //! machines, same telemetry vocabulary, but actual concurrency — so it
 //! measures, where simnet models.
 
-use crate::channel::LaneMeter;
-use crate::journal::JournalWriter;
 use crate::node::{
     spawn_node, Bootstrap, Clock, CommitObserverFn, NodeConfig, NodeHandle, NodeObservability,
     NodeStatus, DEFAULT_QUEUE_DEPTH,
@@ -15,7 +13,7 @@ use crate::node::{
 use crate::transport::{ChannelMesh, TcpMesh, Transport};
 use bytes::Bytes;
 use marlin_core::{Config, ProtocolKind};
-use marlin_storage::{FileDisk, SharedDisk};
+use marlin_storage::SharedDisk;
 use marlin_telemetry::{
     install_panic_dump, register_panic_dump, FlightKind, FlightRecorder, Registry, SharedSink,
     TelemetrySink, Trace, DEFAULT_FLIGHT_CAPACITY,
@@ -45,8 +43,9 @@ pub enum JournalMode {
     /// Shared in-memory disks (fast, survives kill/recover within the
     /// process).
     Memory,
-    /// Real files under `<dir>/node-<i>/`, written by a dedicated
-    /// journal-writer thread per replica.
+    /// Real files under `<dir>/node-<i>/`. Differs from `Memory` only in
+    /// which disk sits inside the replica's `SharedDisk`: either way the
+    /// consensus thread writes its own journal, inside `Protocol::step`.
     Files(PathBuf),
 }
 
@@ -67,8 +66,6 @@ pub struct ClusterConfig {
     pub batch_size: usize,
     /// Base view timeout (real time).
     pub base_timeout: Duration,
-    /// Shadow-block wire optimisation.
-    pub shadow_blocks: bool,
     /// Snapshot anchor cadence in blocks; `0` disables block sync,
     /// snapshots, and committed-prefix pruning (Marlin only).
     pub sync_snapshot_interval: u64,
@@ -125,7 +122,6 @@ impl ClusterConfig {
             journal: JournalMode::Memory,
             batch_size: 64,
             base_timeout: Duration::from_secs(1),
-            shadow_blocks: true,
             sync_snapshot_interval: 0,
             sync_lag_threshold: 64,
             event_queue_depth: DEFAULT_QUEUE_DEPTH,
@@ -152,10 +148,8 @@ pub struct RuntimeCluster {
     nodes: Vec<Option<NodeHandle>>,
     statuses: Vec<Arc<NodeStatus>>,
     disks: Vec<Option<SharedDisk>>,
-    writers: Vec<Option<JournalWriter>>,
     registries: Vec<Registry>,
     flights: Vec<Option<FlightRecorder>>,
-    journal_meters: Vec<Option<LaneMeter>>,
     next_tx_id: u64,
 }
 
@@ -181,8 +175,6 @@ impl RuntimeCluster {
             c
         };
 
-        // Per-node observability state comes first: the journal-writer
-        // lane meters below register into these registries.
         let registries: Vec<Registry> = match &cfg.observability {
             Some(_) => (0..cfg.n).map(|_| Registry::new()).collect(),
             None => Vec::new(),
@@ -212,30 +204,12 @@ impl RuntimeCluster {
         }
 
         let mut disks: Vec<Option<SharedDisk>> = Vec::with_capacity(cfg.n);
-        let mut writers: Vec<Option<JournalWriter>> = Vec::with_capacity(cfg.n);
-        let mut journal_meters: Vec<Option<LaneMeter>> = Vec::with_capacity(cfg.n);
         for i in 0..cfg.n {
             match &cfg.journal {
-                JournalMode::None => {
-                    disks.push(None);
-                    writers.push(None);
-                    journal_meters.push(None);
-                }
-                JournalMode::Memory => {
-                    disks.push(Some(SharedDisk::new()));
-                    writers.push(None);
-                    journal_meters.push(None);
-                }
+                JournalMode::None => disks.push(None),
+                JournalMode::Memory => disks.push(Some(SharedDisk::new())),
                 JournalMode::Files(dir) => {
-                    let disk = FileDisk::open(dir.join(format!("node-{i}")))?;
-                    let meter = registries.get(i).map(|r| LaneMeter::new(r, "journal"));
-                    let (proxy, writer) = match meter.clone() {
-                        Some(m) => JournalWriter::spawn_metered(Box::new(disk), &format!("{i}"), m),
-                        None => JournalWriter::spawn(Box::new(disk), &format!("{i}")),
-                    };
-                    disks.push(Some(proxy));
-                    writers.push(Some(writer));
-                    journal_meters.push(meter);
+                    disks.push(Some(SharedDisk::open_dir(dir.join(format!("node-{i}")))?));
                 }
             }
         }
@@ -265,10 +239,8 @@ impl RuntimeCluster {
             nodes: Vec::with_capacity(cfg.n),
             statuses: Vec::with_capacity(cfg.n),
             disks,
-            writers,
             registries,
             flights,
-            journal_meters,
             next_tx_id: 0,
             cfg,
         };
@@ -296,7 +268,6 @@ impl RuntimeCluster {
         let mut node_cfg = NodeConfig::new(self.base.with_id(id), self.cfg.kind);
         node_cfg.bootstrap = bootstrap;
         node_cfg.journal_disk = self.disks[id.index()].clone();
-        node_cfg.shadow_blocks = self.cfg.shadow_blocks;
         node_cfg.event_queue_depth = self.cfg.event_queue_depth;
         if let Some(o) = &self.cfg.observability {
             // Registries and flight rings persist per slot, so a
@@ -307,7 +278,6 @@ impl RuntimeCluster {
                 flight: self.flights[id.index()].clone(),
                 scrape: o.scrape,
                 flight_dir: o.flight_dir.clone(),
-                journal_meter: self.journal_meters[id.index()].clone(),
             });
         }
         let sink: Box<dyn TelemetrySink + Send> = Box::new(self.trace.clone());
@@ -524,11 +494,6 @@ impl RuntimeCluster {
             if let Some(node) = node.take() {
                 node.stop();
             }
-        }
-        // Journal writers exit once their proxy disks drop.
-        self.disks.clear();
-        for writer in self.writers.drain(..).flatten() {
-            writer.join();
         }
         let trace = self.trace.with(std::mem::take);
         ClusterReport {

@@ -6,15 +6,17 @@
 //! `marlin-core` — byte-for-byte, no protocol logic duplicated — on
 //! real threads, real clocks, and (optionally) real sockets and files.
 //!
-//! Each replica is a small constellation of threads over bounded
-//! channels:
+//! Beside the transport's own threads, each replica is two threads
+//! and one bounded channel between them:
 //!
 //! - **ingress** pulls length-framed messages off the transport and
 //!   deserializes them, in arrival order, into slices of the frame,
-//! - **timer** arms view/heartbeat deadlines (latest-wins, like simnet),
-//! - **consensus** owns the protocol state machine and steps it,
-//! - **journal writer** (per replica, optional) owns the real disk;
-//!   vote emission blocks on its ack, preserving write-before-vote.
+//! - **consensus** owns the protocol state machine and steps it, writes
+//!   its safety journal itself (program order is write-before-vote) and
+//!   keeps its own view/heartbeat deadlines (latest-wins, like simnet;
+//!   a due timer fires before the next queued event);
+//! - with observability on, a **sampler** copies queue depths into
+//!   their gauges.
 //!
 //! [`transport::Transport`] abstracts the wire: an in-process channel
 //! mesh for soak tests and a localhost-TCP mesh whose streaming frame

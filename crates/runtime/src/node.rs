@@ -1,27 +1,32 @@
-//! One replica as a set of threads around an unchanged sans-io core.
+//! One replica as two threads around an unchanged sans-io core.
 //!
-//! Thread topology per replica (all channels bounded):
+//! Thread topology per replica (the one channel is bounded):
 //!
 //! ```text
 //!   transport.recv ──► ingress: decode_message ──Event::Message──┐
-//!   timer thread ──Timeout/Heartbeat──► event channel ───────────┤
-//!   NodeHandle::submit ──NewTransactions─────────────────────────┘
+//!   NodeHandle::submit ──NewTransactions─────────────────────────┤
 //!                                                    ▼
 //!                                             consensus driver
-//!                      owns Box<dyn Protocol>, dispatches actions:
-//!    Send/Broadcast → transport   SetTimer/SetHeartbeat → timer thread
+//!       owns Box<dyn Protocol> and its Timers, dispatches actions:
+//!    Send/Broadcast → transport   SetTimer/SetHeartbeat → Timers slots
 //!    Commit → commit log + observer          Note → telemetry sink
+//!    a due timer ──Timeout/Heartbeat──► the next step, ahead of the queue
 //!
-//!   journal writes leave the consensus thread synchronously through
-//!   the SafetyJournal → SharedDisk(ProxyDisk) → journal-writer thread
-//!   round trip, so vote emission still blocks on the journal ack.
+//!   journal writes are direct calls on the consensus thread, inside
+//!   step: SafetyJournal → SharedDisk → the disk. Program order is the
+//!   write-before-vote barrier.
 //! ```
+//!
+//! The consensus thread *is* the replica: it writes its own journal
+//! and keeps its own timers. The voter blocks on the journal write and
+//! a timer only ever wakes the voter, so a thread for either is a
+//! relay whose hand-off costs more than its work (DESIGN.md §13.1).
 //!
 //! The consensus state machine is exactly the one simnet drives: the
 //! runtime only supplies real IO, real clocks, and real threads around
 //! `Protocol::step`. Broadcast actions have already been applied
 //! locally by `step`, so the egress path never loops a frame back to
-//! its sender; the timer thread keeps simnet's latest-wins semantics by
+//! its sender; [`Timers`] keeps simnet's latest-wins semantics by
 //! holding a single slot per timer kind.
 //!
 //! Ordering: one thread takes frames off the transport, decodes each
@@ -32,6 +37,7 @@
 //! decoded message's payloads are slices of the frame it arrived in.
 
 use crate::channel::{metered_sync_channel, LaneMeter, MeteredReceiver, MeteredSender};
+use crate::journal::MeteredDisk;
 use crate::transport::Transport;
 use marlin_core::{
     build_replica, Action, Config, CryptoCtx, Event, Protocol, ProtocolKind, SafetyJournal,
@@ -47,13 +53,26 @@ use marlin_types::{Block, BlockId, MsgClass, ReplicaId, Transaction, View};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Default depth of the event queue.
 pub const DEFAULT_QUEUE_DEPTH: usize = 8192;
+
+/// Call `maintain_crypto` (and report cache telemetry) every this many
+/// consensus events. The crypto cache self-bounds regardless; this only
+/// controls telemetry cadence.
+const MAINTAIN_EVERY: u64 = 4096;
+
+/// How long the consensus loop waits for input when no timer is armed
+/// (then it looks again; a running replica always has its view timer).
+const IDLE_WAIT: Duration = Duration::from_secs(3600);
+
+/// Proposals are encoded with the shadow-block wire optimisation. (The
+/// wire ablation is simnet's `SimConfig::shadow_blocks`.)
+const SHADOW_BLOCKS: bool = true;
 
 /// Cadence at which the sampler thread copies lane depths into their
 /// exported gauges.
@@ -102,12 +121,6 @@ pub struct NodeConfig {
     /// Disk to journal on (`None` = run without a safety journal; only
     /// Marlin and the chained variants support journaling).
     pub journal_disk: Option<SharedDisk>,
-    /// Encode proposals with the shadow-block wire optimisation.
-    pub shadow_blocks: bool,
-    /// Call `maintain_crypto` (and report cache telemetry) every this
-    /// many consensus events. The crypto cache self-bounds regardless;
-    /// this only controls telemetry cadence.
-    pub maintain_every: u64,
     /// Depth of the ingress → consensus event queue.
     pub event_queue_depth: usize,
     /// Live-observability plane (registry, flight recorder, scrape
@@ -116,16 +129,14 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Defaults around `config`/`kind`: fresh start, no journal, shadow
-    /// blocks on, no observability plane.
+    /// Defaults around `config`/`kind`: fresh start, no journal, no
+    /// observability plane.
     pub fn new(config: Config, kind: ProtocolKind) -> Self {
         NodeConfig {
             config,
             kind,
             bootstrap: Bootstrap::Fresh,
             journal_disk: None,
-            shadow_blocks: true,
-            maintain_every: 4096,
             event_queue_depth: DEFAULT_QUEUE_DEPTH,
             observability: None,
         }
@@ -135,12 +146,12 @@ impl NodeConfig {
 /// The per-node observability plane handed to [`spawn_node`].
 ///
 /// With this attached, the node folds its telemetry into `registry`
-/// (consensus notes via [`RegistryRecorder`], lane backpressure via
-/// [`LaneMeter`], promoted error counters, view/commit gauges), mirrors
-/// notes into `flight` for post-mortem dumps, and — with `scrape` on —
-/// serves `/metrics`, `/metrics.json`, `/health`, and `/debug/flight`
-/// over a loopback HTTP listener that never touches the consensus
-/// thread.
+/// (consensus notes via [`RegistryRecorder`], lane backpressure and the
+/// journal's disk-call time via [`LaneMeter`], promoted error counters,
+/// view/commit gauges), mirrors notes into `flight` for post-mortem
+/// dumps, and — with `scrape` on — serves `/metrics`, `/metrics.json`,
+/// `/health`, and `/debug/flight` over a loopback HTTP listener that
+/// never touches the consensus thread.
 #[derive(Clone, Debug)]
 pub struct NodeObservability {
     /// The node's metrics registry.
@@ -153,21 +164,17 @@ pub struct NodeObservability {
     /// Directory the flight ring is dumped to on [`NodeHandle::stop`]
     /// (and by the panic hook, if installed).
     pub flight_dir: Option<PathBuf>,
-    /// Meter of the consensus → journal-writer lane, when the journal
-    /// runs on a writer thread; its depth is the `/health` journal lag.
-    pub journal_meter: Option<LaneMeter>,
 }
 
 impl NodeObservability {
     /// An observability plane on `registry`: scrape on, no flight
-    /// recorder, no journal meter.
+    /// recorder.
     pub fn new(registry: Registry) -> Self {
         NodeObservability {
             registry,
             flight: None,
             scrape: true,
             flight_dir: None,
-            journal_meter: None,
         }
     }
 }
@@ -227,10 +234,33 @@ enum Input {
     Stop,
 }
 
-enum TimerCmd {
-    ArmView { view: View, delay: Duration },
-    ArmHeartbeat { delay: Duration },
-    Stop,
+/// The replica's two timers, one latest-wins slot each: arming assigns
+/// the slot, so a superseded deadline can never fire — simnet's
+/// latest-seq-wins rule. Clock-free: the consensus loop passes every
+/// instant in, takes a due timer before the next queued event (a busy
+/// queue cannot starve a view change), and drops the timers at
+/// `Input::Stop` (nothing fires afterwards).
+#[derive(Debug, Default)]
+struct Timers {
+    view: Option<(Instant, View)>,
+    heartbeat: Option<Instant>,
+}
+
+impl Timers {
+    /// Takes a timer due at `now`, the view timer ahead of the heartbeat.
+    fn pop_due(&mut self, now: Instant) -> Option<Event> {
+        if self.view.is_some_and(|(deadline, _)| deadline <= now) {
+            return self.view.take().map(|(_, view)| Event::Timeout { view });
+        }
+        let due = self.heartbeat.take_if(|deadline| *deadline <= now);
+        due.map(|_| Event::Heartbeat)
+    }
+
+    /// The earlier armed deadline: how long the loop may wait.
+    fn next_deadline(&self) -> Option<Instant> {
+        let view = self.view.map(|(deadline, _)| deadline);
+        view.into_iter().chain(self.heartbeat).min()
+    }
 }
 
 /// A per-commit callback (reference-replica statistics, tests).
@@ -241,8 +271,6 @@ pub struct NodeHandle {
     id: ReplicaId,
     status: Arc<NodeStatus>,
     event_tx: MeteredSender<Input>,
-    timer_tx: Sender<TimerCmd>,
-    timer_meter: LaneMeter,
     transport: Arc<dyn Transport>,
     threads: Vec<JoinHandle<()>>,
     sampler_stop: Arc<AtomicBool>,
@@ -279,21 +307,19 @@ impl NodeHandle {
             .send(Input::Event(Event::NewTransactions(txs)));
     }
 
-    /// Stops the node: closes the transport, halts timers, drains and
-    /// joins every thread. Returns the status handle for post-mortem
-    /// inspection. Abrupt by design — also used to "kill" a replica
-    /// mid-run; durability must come from the journal, not the
-    /// shutdown. If a flight recorder (and dump directory) is attached,
-    /// the ring — ending in a `FATAL node stopped` marker — is written
-    /// out before the handle is released, so a "killed" node always
-    /// leaves an autopsy.
+    /// Stops the node: closes the transport, drains and joins every
+    /// thread (the consensus thread drops its timers on `Stop`). Returns
+    /// the status handle for post-mortem inspection. Abrupt by design —
+    /// also used to "kill" a replica mid-run; durability must come from
+    /// the journal, not the shutdown. If a flight recorder (and dump
+    /// directory) is attached, the ring — ending in a `FATAL node
+    /// stopped` marker — is written out before the handle is released,
+    /// so a "killed" node always leaves an autopsy.
     pub fn stop(self) -> Arc<NodeStatus> {
         let NodeHandle {
             id,
             status,
             event_tx,
-            timer_tx,
-            timer_meter,
             transport,
             threads,
             sampler_stop,
@@ -302,12 +328,9 @@ impl NodeHandle {
             flight_dir,
         } = self;
         transport.close();
-        if timer_tx.send(TimerCmd::Stop).is_ok() {
-            timer_meter.note_enqueue();
-        }
         let _ = event_tx.send(Input::Stop);
         // Drop our event sender so the consensus thread's final drain
-        // terminates once the ingress and timer threads exit.
+        // terminates once the ingress thread exits.
         drop(event_tx);
         sampler_stop.store(true, Ordering::Release);
         for t in threads {
@@ -363,17 +386,31 @@ pub fn spawn_node(
     let status = Arc::new(NodeStatus::default());
     let obs = node_cfg.observability.take();
 
-    // One meter per inter-thread lane. Without a registry the meters
-    // still count (detached handles), so the send paths stay uniform.
-    let lane = |name| match &obs {
-        Some(o) => LaneMeter::new(&o.registry, name),
+    // The meter of the one inter-thread lane. Without a registry it
+    // still counts (a detached handle), so the send path stays uniform.
+    let consensus_meter = match &obs {
+        Some(o) => LaneMeter::new(&o.registry, "consensus"),
         None => LaneMeter::detached(),
     };
-    let (consensus_meter, timer_meter) = (lane("consensus"), lane("timer"));
 
     let (event_tx, event_rx) =
         metered_sync_channel::<Input>(node_cfg.event_queue_depth.max(1), consensus_meter.clone());
-    let (timer_tx, timer_rx) = channel::<TimerCmd>();
+
+    // With a registry, a stopwatch goes between the journal and its
+    // disk: the `journal` lane is the time the voter spends in disk
+    // calls, its depth (0 or 1) a call in progress. The journal's handle
+    // is then a boxed backend, so fault injection (`crash`, `wipe`,
+    // `tear_next_write_after`) only works through the caller's own
+    // handle to the unwrapped disk.
+    let journal_meter = obs.as_ref().and_then(|o| {
+        let inner = node_cfg.journal_disk.take()?;
+        let meter = LaneMeter::new(&o.registry, "journal");
+        node_cfg.journal_disk = Some(SharedDisk::from_disk(Box::new(MeteredDisk {
+            inner,
+            meter: meter.clone(),
+        })));
+        Some(meter)
+    });
 
     // Transport connection lifecycle lands in the flight ring.
     if let Some(flight) = obs.as_ref().and_then(|o| o.flight.clone()) {
@@ -401,8 +438,7 @@ pub fn spawn_node(
             .as_ref()
             .map(|o| o.registry.gauge("consensus_commit_height"))
             .unwrap_or_default(),
-        timer: timer_meter.clone(),
-        journal: obs.as_ref().and_then(|o| o.journal_meter.clone()),
+        journal: journal_meter.clone(),
     };
 
     // Compose the telemetry fan-out: registry fold + flight mirror +
@@ -446,30 +482,16 @@ pub fn spawn_node(
         );
     }
 
-    // Timer thread: latest-wins view timer + heartbeat slots.
-    {
-        let event_tx = event_tx.clone();
-        let timer_meter = timer_meter.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("timer-{}", id.0))
-                .spawn(move || timer_loop(timer_rx, event_tx, timer_meter))
-                .expect("spawn timer"),
-        );
-    }
-
     // Consensus driver.
     {
         let status = Arc::clone(&status);
         let transport = Arc::clone(&transport);
-        let timer_tx = timer_tx.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("consensus-{}", id.0))
                 .spawn(move || {
                     consensus_loop(
-                        node_cfg, event_rx, timer_tx, transport, clock, sink, observer, status,
-                        meters,
+                        node_cfg, event_rx, transport, clock, sink, observer, status, meters,
                     )
                 })
                 .expect("spawn consensus"),
@@ -481,14 +503,10 @@ pub fn spawn_node(
     let sampler_stop = Arc::new(AtomicBool::new(false));
     if obs.is_some() {
         let stop = Arc::clone(&sampler_stop);
-        let lanes: Vec<LaneMeter> = [
-            Some(consensus_meter),
-            Some(timer_meter.clone()),
-            obs.as_ref().and_then(|o| o.journal_meter.clone()),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
+        let lanes: Vec<LaneMeter> = [Some(consensus_meter), journal_meter.clone()]
+            .into_iter()
+            .flatten()
+            .collect();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("sample-{}", id.0))
@@ -514,7 +532,7 @@ pub fn spawn_node(
             Arc::clone(&transport),
             clock,
             &o.registry,
-            o.journal_meter.clone(),
+            journal_meter.clone(),
         );
         ScrapeServer::start(o.registry.clone(), health, o.flight.clone())
             .expect("bind scrape server")
@@ -524,8 +542,6 @@ pub fn spawn_node(
         id,
         status,
         event_tx,
-        timer_tx,
-        timer_meter,
         transport,
         threads,
         sampler_stop,
@@ -568,65 +584,6 @@ fn health_fn(
     })
 }
 
-fn timer_loop(rx: Receiver<TimerCmd>, event_tx: MeteredSender<Input>, meter: LaneMeter) {
-    let mut view_slot: Option<(Instant, View)> = None;
-    let mut hb_slot: Option<Instant> = None;
-    loop {
-        let now = Instant::now();
-        // Fire whatever is due. Arming a timer replaced the slot, so a
-        // stale early timer can never fire: exactly simnet's
-        // latest-seq-wins rule, expressed as slot overwrite.
-        if let Some((deadline, view)) = view_slot {
-            if deadline <= now {
-                view_slot = None;
-                if event_tx
-                    .send(Input::Event(Event::Timeout { view }))
-                    .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-        }
-        if let Some(deadline) = hb_slot {
-            if deadline <= now {
-                hb_slot = None;
-                if event_tx.send(Input::Event(Event::Heartbeat)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        }
-        let next = match (view_slot.map(|(d, _)| d), hb_slot) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        };
-        let cmd = match next {
-            Some(deadline) => match rx.recv_timeout(deadline.saturating_duration_since(now)) {
-                Ok(cmd) => Some(cmd),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            },
-            None => match rx.recv() {
-                Ok(cmd) => Some(cmd),
-                Err(_) => return,
-            },
-        };
-        meter.note_dequeue();
-        match cmd {
-            Some(TimerCmd::ArmView { view, delay }) => {
-                view_slot = Some((Instant::now() + delay, view));
-            }
-            Some(TimerCmd::ArmHeartbeat { delay }) => {
-                hb_slot = Some(Instant::now() + delay);
-            }
-            Some(TimerCmd::Stop) | None => return,
-        }
-    }
-}
-
 /// Registry handles the consensus driver updates inline (all
 /// `Arc`-backed atomics; detached and inert when the node runs without
 /// a registry).
@@ -634,11 +591,9 @@ struct DriverMeters {
     send_drops: Counter,
     view: Gauge,
     commit_height: Gauge,
-    timer: LaneMeter,
-    /// The consensus → journal lane meter, when the journal runs behind
-    /// a metered writer thread. Its cumulative stall time is read
-    /// before/after each protocol step to attribute the step's
-    /// durability-barrier wait to the journal lane.
+    /// The journal lane meter, when the journal's disk is metered. The
+    /// growth of its cumulative stall time across a protocol step is
+    /// that step's durability-barrier wait.
     journal: Option<LaneMeter>,
 }
 
@@ -649,7 +604,8 @@ impl DriverMeters {
 }
 
 /// Measured wall-clock cost of one protocol step, split between the
-/// journal ack wait and everything that ran on the consensus thread.
+/// journal's disk calls and everything else that ran on the consensus
+/// thread.
 #[derive(Clone, Copy)]
 struct StepTiming {
     wall_ns: u64,
@@ -658,8 +614,8 @@ struct StepTiming {
 
 /// Runs one step under the wall clock: total step time comes from a
 /// monotonic stopwatch, and the journal share is the growth of the
-/// journal lane's measured ack wait across the step (the proxy disk is
-/// only ever called from inside `step` on this thread).
+/// journal lane's measured call time across the step (the metered disk
+/// is only ever called from inside `step` on this thread).
 fn timed_step(
     protocol: &mut Box<dyn Protocol>,
     meters: &DriverMeters,
@@ -686,7 +642,6 @@ fn timed_step(
 fn consensus_loop(
     node_cfg: NodeConfig,
     event_rx: MeteredReceiver<Input>,
-    timer_tx: Sender<TimerCmd>,
     transport: Arc<dyn Transport>,
     clock: Clock,
     mut sink: Option<Box<dyn TelemetrySink + Send>>,
@@ -699,21 +654,18 @@ fn consensus_loop(
         kind,
         bootstrap,
         journal_disk,
-        shadow_blocks,
-        maintain_every,
         ..
     } = node_cfg;
     // The protocol is built *on* the consensus thread and never leaves
     // it; only frames and events cross thread boundaries.
     let mut protocol = build_core(kind, config, journal_disk, bootstrap);
     let mut ctx = DriverCtx {
-        timer_tx,
+        timers: Timers::default(),
         transport,
         clock,
         sink: sink.as_deref_mut(),
         observer: observer.as_mut(),
         status: &status,
-        shadow_blocks,
         meters: &meters,
     };
 
@@ -725,46 +677,53 @@ fn consensus_loop(
     }
 
     let mut events: u64 = 0;
-    let mut stopping = false;
-    while let Ok(input) = event_rx.recv() {
-        match input {
-            Input::Stop => stopping = true,
-            Input::Event(_) if stopping => {}
-            Input::Event(event) => {
-                let (out, timing) = timed_step(&mut protocol, &meters, event);
-                ctx.dispatch(protocol.as_ref(), out, timing);
-                events += 1;
-                if maintain_every > 0 && events.is_multiple_of(maintain_every) {
-                    let stats = protocol.maintain_crypto(CryptoCtx::VERIFIED_CACHE_TARGET);
-                    if let Some(sink) = ctx.sink.as_deref_mut() {
-                        sink.crypto_cache(
-                            ctx.clock.now_ns(),
-                            protocol.id(),
-                            stats.seed_hits,
-                            stats.seed_misses,
-                            stats.verified_qcs as u64,
-                        );
-                    }
+    loop {
+        // A due timer goes ahead of the queue; otherwise wait for the
+        // next input, no longer than until the earlier deadline.
+        let now = Instant::now();
+        let event = match ctx.timers.pop_due(now) {
+            Some(event) => event,
+            None => {
+                let wait = ctx.timers.next_deadline().map_or(IDLE_WAIT, |deadline| {
+                    deadline.saturating_duration_since(now)
+                });
+                match event_rx.recv_timeout(wait) {
+                    Ok(Input::Event(event)) => event,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Ok(Input::Stop) | Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-        }
-        if stopping {
-            // Keep draining so blocked producers can exit; the loop
-            // ends when every sender is gone.
-            continue;
+        };
+        let (out, timing) = timed_step(&mut protocol, &meters, event);
+        ctx.dispatch(protocol.as_ref(), out, timing);
+        events += 1;
+        if events.is_multiple_of(MAINTAIN_EVERY) {
+            let stats = protocol.maintain_crypto(CryptoCtx::VERIFIED_CACHE_TARGET);
+            if let Some(sink) = ctx.sink.as_deref_mut() {
+                sink.crypto_cache(
+                    ctx.clock.now_ns(),
+                    protocol.id(),
+                    stats.seed_hits,
+                    stats.seed_misses,
+                    stats.verified_qcs as u64,
+                );
+            }
         }
     }
+    // Stopped: no step and no timer from here on. Keep draining so
+    // blocked producers can exit; the loop ends when every sender is
+    // gone.
+    while event_rx.recv().is_ok() {}
 }
 
 /// Borrowed dispatch context: applies a `StepOutput` to the real world.
 struct DriverCtx<'a> {
-    timer_tx: Sender<TimerCmd>,
+    timers: Timers,
     transport: Arc<dyn Transport>,
     clock: Clock,
     sink: Option<&'a mut (dyn TelemetrySink + Send + 'static)>,
     observer: Option<&'a mut CommitObserverFn>,
     status: &'a Arc<NodeStatus>,
-    shadow_blocks: bool,
     meters: &'a DriverMeters,
 }
 
@@ -774,7 +733,7 @@ impl DriverCtx<'_> {
         let at_ns = self.clock.now_ns();
         if let Some(sink) = self.sink.as_deref_mut() {
             // Measured lane charges, unlike simnet's modeled ones: the
-            // journal share is the durability-barrier wait the proxy
+            // journal share is the durability-barrier wait the metered
             // disk clocked inside this step, and the rest of the step's
             // wall time ran on the consensus thread (protocol logic
             // plus its inline crypto). The step's own modeled crypto
@@ -786,7 +745,7 @@ impl DriverCtx<'_> {
             match action {
                 Action::Send { to, message } => {
                     debug_assert_ne!(to, id, "self-sends are resolved by step()");
-                    let frame = encode_message(&message, self.shadow_blocks);
+                    let frame = encode_message(&message, SHADOW_BLOCKS);
                     if let Some(sink) = self.sink.as_deref_mut() {
                         sink.message_sent(
                             at_ns,
@@ -804,7 +763,7 @@ impl DriverCtx<'_> {
                 Action::Broadcast { message } => {
                     // `step` already applied the broadcast locally:
                     // encode once, fan out to everyone else.
-                    let frame = encode_message(&message, self.shadow_blocks);
+                    let frame = encode_message(&message, SHADOW_BLOCKS);
                     let class = MsgClass::of(&message);
                     let auth = message.authenticator_count() as u64;
                     for i in 0..self.transport.n() {
@@ -841,21 +800,12 @@ impl DriverCtx<'_> {
                     }
                 }
                 Action::SetTimer { view, delay_ns } => {
-                    let sent = self.timer_tx.send(TimerCmd::ArmView {
-                        view,
-                        delay: Duration::from_nanos(delay_ns),
-                    });
-                    if sent.is_ok() {
-                        self.meters.timer.note_enqueue();
-                    }
+                    let deadline = Instant::now() + Duration::from_nanos(delay_ns);
+                    self.timers.view = Some((deadline, view));
                 }
                 Action::SetHeartbeat { delay_ns } => {
-                    let sent = self.timer_tx.send(TimerCmd::ArmHeartbeat {
-                        delay: Duration::from_nanos(delay_ns),
-                    });
-                    if sent.is_ok() {
-                        self.meters.timer.note_enqueue();
-                    }
+                    let deadline = Instant::now() + Duration::from_nanos(delay_ns);
+                    self.timers.heartbeat = Some(deadline);
                 }
                 Action::Note(note) => {
                     if let Some(sink) = self.sink.as_deref_mut() {
@@ -867,5 +817,91 @@ impl DriverCtx<'_> {
         let view = protocol.current_view().0;
         self.status.view.store(view, Ordering::Release);
         self.meters.view.set(view as i64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::ChannelMesh;
+    use marlin_telemetry::{Note, SharedSink, Trace};
+
+    /// `pop_due`, comparable (`Event` is not): the view of a `Timeout`,
+    /// 0 for a `Heartbeat`.
+    fn pop(timers: &mut Timers, now: Instant) -> Option<u64> {
+        timers.pop_due(now).map(|event| match event {
+            Event::Timeout { view } => view.0,
+            Event::Heartbeat => 0,
+            other => panic!("timers yield only timer events, got {other:?}"),
+        })
+    }
+
+    #[test]
+    fn timers_are_latest_wins_slots_and_the_view_timer_fires_first() {
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        let mut timers = Timers::default();
+        assert_eq!(timers.next_deadline(), None);
+        timers.view = Some((at(1), View(1)));
+        timers.view = Some((at(3), View(2)));
+        // Between the two deadlines the first arming is due and the
+        // second is not: nothing fires. The parent's timer thread could
+        // not guarantee this — a `Timeout` it had already queued stayed
+        // queued when a proposal behind it re-armed the timer.
+        assert_eq!(pop(&mut timers, at(2)), None);
+        assert_eq!(pop(&mut timers, at(3)), Some(2));
+        assert_eq!(timers.next_deadline(), None, "a popped slot is empty");
+
+        timers.heartbeat = Some(at(5));
+        assert_eq!(timers.next_deadline(), Some(at(5)));
+        timers.view = Some((at(8), View(3)));
+        assert_eq!(timers.next_deadline(), Some(at(5)), "the earlier slot");
+        timers.heartbeat = Some(at(9));
+        assert_eq!(timers.next_deadline(), Some(at(8)), "the earlier slot");
+        // Both due: the view timer first, the heartbeat on the next
+        // call, then nothing until something is armed again.
+        assert_eq!(pop(&mut timers, at(10)), Some(3));
+        assert_eq!(timers.next_deadline(), Some(at(9)));
+        assert_eq!(pop(&mut timers, at(10)), Some(0));
+        assert_eq!(pop(&mut timers, at(1_000)), None);
+        assert_eq!(timers.next_deadline(), None);
+        timers.view = Some((at(20), View(4)));
+        assert_eq!(pop(&mut timers, at(20)), Some(4));
+    }
+
+    /// A lone replica of an n = 4 mesh hears from no one, so only its
+    /// own view timer can move it: fired from the consensus loop's
+    /// bounded wait, not earlier than armed, and never after `stop`.
+    #[test]
+    fn lone_replica_times_out_of_view_one_on_schedule_and_stops_promptly() {
+        const BASE_TIMEOUT: Duration = Duration::from_millis(40);
+        let (_mesh, mut ends) = ChannelMesh::new(4);
+        let mut config = Config::for_test(4, 1);
+        config.base_timeout_ns = BASE_TIMEOUT.as_nanos() as u64;
+        let trace = SharedSink::new(Trace::new());
+        let node = spawn_node(
+            NodeConfig::new(config, ProtocolKind::Marlin),
+            Arc::new(ends.remove(0)),
+            Clock::start(),
+            Some(Box::new(trace.clone())),
+            None,
+        );
+        let status = node.status();
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while status.view() < View(2) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // View 2's timer (80 ms) is armed now; stopping drops it.
+        let stopping = Instant::now();
+        node.stop();
+        assert!(stopping.elapsed() < Duration::from_secs(1), "stop hung");
+        let events = trace.with(|t| std::mem::take(&mut t.events));
+        std::thread::sleep(BASE_TIMEOUT * 3);
+        assert!(trace.with(|t| t.events.is_empty()), "a note after stop");
+
+        let left_view_one = Note::ViewChangeStarted { from_view: View(1) };
+        let left = events.iter().find(|e| e.note == left_view_one);
+        let at = Duration::from_nanos(left.expect("view 1 timed out within a second").at_ns);
+        assert!(at >= BASE_TIMEOUT, "timer fired early, {at:?} after spawn");
     }
 }

@@ -104,23 +104,14 @@ impl ExperimentConfig {
             qc_format: self.qc_format,
             batch_size: self.batch_size,
             base_timeout_ns: self.base_timeout_ns,
-            max_backoff_exp: 6,
             rotation_interval_ns: self.rotation_interval_ns,
             batch_verify: self.batch_verify,
             crypto_workers: self.crypto_workers,
-            // The simulator charges persisted-commit IO to the journal
-            // lane itself; the protocol's own journal notes stay
-            // report-only, as before.
-            charge_journal: false,
             sync_snapshot_interval: 0,
-            sync_range_size: 16,
             sync_lag_threshold: 64,
             mempool_capacity: self.mempool_capacity,
             priority_fee_threshold: 0,
             dissemination: self.dissemination,
-            // Two fills the push pipe; deeper windows only add queueing
-            // latency (see `Config::dissemination_window`).
-            dissemination_window: 2,
         }
     }
 

@@ -125,7 +125,7 @@ impl Disk for MemDisk {
 
 /// The storage behind a [`SharedDisk`] handle: the default in-memory
 /// fault-injectable disk, or any boxed [`Disk`] (a [`FileDisk`], a
-/// runtime journal-writer proxy, ...). Keeping the enum private lets
+/// timing decorator, ...). Keeping the enum private lets
 /// `SharedDisk` stay the one concrete type the safety journal needs
 /// while the actual backend varies between simulation and deployment.
 enum SharedBackend {
@@ -188,7 +188,7 @@ impl SharedDisk {
         SharedDisk::default()
     }
 
-    /// Wraps an arbitrary disk (a [`FileDisk`], a writer-thread proxy,
+    /// Wraps an arbitrary disk (a [`FileDisk`], a timing decorator,
     /// ...) behind a shared cloneable handle.
     pub fn from_disk(disk: Box<dyn Disk + Send>) -> Self {
         SharedDisk(Arc::new(Mutex::new(SharedBackend::Boxed(disk))))

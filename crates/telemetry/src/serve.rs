@@ -50,8 +50,8 @@ pub struct Health {
     pub committed_txs: u64,
     /// `"idle"` or `"syncing"`.
     pub sync_state: &'static str,
-    /// Journal-writer queue depth (operations accepted but not yet
-    /// acknowledged durable).
+    /// Journal operations in progress: 1 while the consensus thread is
+    /// inside a disk call, 0 otherwise.
     pub journal_lag: u64,
     /// Peers with a live connection right now.
     pub peers_connected: u64,

@@ -21,7 +21,7 @@
 //! * [`storage`] — the disk abstraction, CRC-framed write-ahead log,
 //!   snapshots, and the I/O cost model;
 //! * [`runtime`] — the threaded wall-clock runtime: channel/TCP
-//!   transports, journal-writer threads, and multi-core cluster
+//!   transports, two threads per replica, and multi-core cluster
 //!   harness driving the same state machines;
 //! * [`telemetry`] — metrics registry, structured consensus tracing,
 //!   exporters, and the commit-latency decomposition.
