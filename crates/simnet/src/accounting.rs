@@ -1,7 +1,6 @@
 //! Byte, message, and authenticator accounting — the paper's complexity
 //! metrics (Section III), measured rather than claimed.
 
-use marlin_types::Message;
 use std::collections::BTreeMap;
 
 pub use marlin_types::MsgClass;
@@ -32,12 +31,13 @@ impl Accounting {
         Accounting::default()
     }
 
-    /// Charges one transmitted message.
-    pub fn record(&mut self, msg: &Message, wire_len: usize) {
-        let entry = self.per_class.entry(MsgClass::of(msg)).or_default();
+    /// Charges one transmitted message of `class`: its wire bytes and the
+    /// authenticators it carries.
+    pub fn record(&mut self, class: MsgClass, bytes: usize, authenticators: usize) {
+        let entry = self.per_class.entry(class).or_default();
         entry.messages += 1;
-        entry.bytes += wire_len as u64;
-        entry.authenticators += msg.authenticator_count() as u64;
+        entry.bytes += bytes as u64;
+        entry.authenticators += authenticators as u64;
     }
 
     /// Total counters across all classes.
@@ -89,7 +89,7 @@ impl Accounting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marlin_types::{BlockId, Height, MsgBody, Phase, ReplicaId, View};
+    use marlin_types::{BlockId, Height, Message, MsgBody, Phase, ReplicaId, View};
 
     fn fetch_msg() -> Message {
         Message::new(
@@ -104,9 +104,8 @@ mod tests {
     #[test]
     fn record_accumulates() {
         let mut acc = Accounting::new();
-        let msg = fetch_msg();
-        acc.record(&msg, 45);
-        acc.record(&msg, 45);
+        acc.record(MsgClass::Fetch, 45, 0);
+        acc.record(MsgClass::Fetch, 45, 0);
         let total = acc.total();
         assert_eq!(total.messages, 2);
         assert_eq!(total.bytes, 90);
@@ -118,7 +117,7 @@ mod tests {
     #[test]
     fn view_change_window_filters_classes() {
         let mut acc = Accounting::new();
-        acc.record(&fetch_msg(), 10);
+        acc.record(MsgClass::Fetch, 10, 0);
         assert_eq!(acc.view_change_total().messages, 0);
         assert!(MsgClass::ViewChange.is_view_change());
         assert!(MsgClass::Proposal(Phase::PrePrepare).is_view_change());
@@ -129,7 +128,7 @@ mod tests {
     #[test]
     fn reset_clears() {
         let mut acc = Accounting::new();
-        acc.record(&fetch_msg(), 10);
+        acc.record(MsgClass::Fetch, 10, 0);
         acc.reset();
         assert_eq!(acc.total(), Counters::default());
     }
@@ -147,17 +146,14 @@ mod tests {
                 last_committed: Height(0),
             },
         );
-        acc.record(&req, 64);
+        acc.record(MsgClass::of(&req), 64, req.authenticator_count());
         assert_eq!(MsgClass::of(&req), MsgClass::CatchUp);
         assert!(MsgClass::CatchUp.is_recovery());
         assert!(!MsgClass::CatchUp.is_view_change());
 
         // A catch-up response carries a commitQC (one threshold
-        // authenticator); simulate the charge directly.
-        acc.per_class
-            .entry(MsgClass::CatchUp)
-            .or_default()
-            .authenticators += 1;
+        // authenticator).
+        acc.record(MsgClass::CatchUp, 176, 1);
 
         assert_eq!(acc.view_change_total().authenticators, 0);
         assert_eq!(acc.protocol_total().authenticators, 0);
@@ -165,10 +161,10 @@ mod tests {
         assert_eq!(acc.total().authenticators, 1);
 
         // Plain fetch traffic still counts toward the protocol total.
-        acc.record(&fetch_msg(), 45);
+        acc.record(MsgClass::of(&fetch_msg()), 45, 0);
         assert_eq!(acc.protocol_total().messages, 1);
-        assert_eq!(acc.total().messages, 2);
-        assert_eq!(acc.class(MsgClass::CatchUp).messages, 1);
+        assert_eq!(acc.total().messages, 3);
+        assert_eq!(acc.class(MsgClass::CatchUp).messages, 2);
         assert_eq!(acc.class(MsgClass::Fetch).messages, 1);
     }
 

@@ -255,20 +255,6 @@ impl Ord for Entry {
     }
 }
 
-/// Debug cross-check: the modeled wire length must equal the length of
-/// the real codec's encoding, byte for byte. Encoded once per broadcast
-/// and shared — this is the simulator's stand-in for the encode-once
-/// transmission a production sender would do.
-#[cfg(debug_assertions)]
-fn validate_wire(msg: &Message, shadow: bool, len: usize) {
-    let encoded: bytes::Bytes = marlin_types::codec::encode_message(msg, shadow);
-    debug_assert_eq!(
-        encoded.len(),
-        len,
-        "modeled wire_len diverges from the codec for {msg:?}"
-    );
-}
-
 /// Message filter: return `false` to drop `msg` on the `from → to` link.
 pub type FilterFn = Box<dyn FnMut(ReplicaId, ReplicaId, &Message) -> bool>;
 
@@ -829,24 +815,19 @@ impl SimNet {
             Action::Send { to, message } => {
                 debug_assert_ne!(to, from, "self-sends are resolved by step()");
                 self.observe_vote(from, &message);
-                self.transmit(from, to, message, at_ns);
+                let cost = self.wire_cost(&message);
+                self.transmit(from, to, message, cost, at_ns);
             }
             Action::Broadcast { message } => {
-                if self.crashed[from.index()] {
-                    return;
-                }
                 self.observe_vote(from, &message);
-                // Per-broadcast work happens once: the wire length (and,
-                // in debug builds, the shared reference encoding) is
-                // computed here, not per recipient. Each recipient then
-                // costs a batch refcount bump plus the network model.
-                let len = message.wire_len(self.cfg.shadow_blocks);
-                #[cfg(debug_assertions)]
-                validate_wire(&message, self.cfg.shadow_blocks, len);
+                // Per-broadcast work happens once: the message is measured
+                // here, not per recipient. Each recipient then costs a
+                // batch refcount bump plus the network model.
+                let cost = self.wire_cost(&message);
                 for i in 0..self.replicas.len() {
                     let to = ReplicaId(i as u32);
                     if to != from {
-                        self.transmit_prepared(from, to, message.clone(), len, at_ns);
+                        self.transmit(from, to, message.clone(), cost, at_ns);
                     }
                 }
             }
@@ -890,44 +871,41 @@ impl SimNet {
         }
     }
 
-    /// Applies the network model to one point-to-point transmission,
-    /// computing the message's wire length first.
-    fn transmit(&mut self, from: ReplicaId, to: ReplicaId, msg: Message, at_ns: u64) {
-        if self.crashed[from.index()] {
-            return;
-        }
-        let len = msg.wire_len(self.cfg.shadow_blocks);
-        self.transmit_prepared(from, to, msg, len, at_ns);
+    /// Bytes (shadow optimisation as configured) and authenticators one
+    /// copy of `msg` is charged; measured once per `Send`/`Broadcast`.
+    fn wire_cost(&self, msg: &Message) -> (usize, usize) {
+        (
+            msg.wire_len(self.cfg.shadow_blocks),
+            msg.authenticator_count(),
+        )
     }
 
-    /// Applies the network model to one transmission whose wire length
-    /// `len` the caller already computed (once per broadcast). The crash
-    /// check also lives with the caller.
-    fn transmit_prepared(
+    /// Applies the network model to one copy of a message whose
+    /// [`SimNet::wire_cost`] the caller measured. A crashed sender
+    /// transmits nothing.
+    fn transmit(
         &mut self,
         from: ReplicaId,
         to: ReplicaId,
         msg: Message,
-        len: usize,
+        (len, auths): (usize, usize),
         at_ns: u64,
     ) {
+        if self.crashed[from.index()] {
+            return;
+        }
         if let Some(filter) = self.filter.as_mut() {
             if !filter(from, to, &msg) {
                 return;
             }
         }
         // Single source of truth: telemetry sees exactly what the
-        // traffic accounting charges — same site, same semantics
-        // (counted per destination copy, after filters, before loss).
-        self.accounting.record(&msg, len);
+        // traffic accounting charges — same site, same values (counted
+        // per destination copy, after filters, before loss).
+        let class = MsgClass::of(&msg);
+        self.accounting.record(class, len, auths);
         if let Some(sink) = self.telemetry.as_mut() {
-            sink.message_sent(
-                at_ns,
-                from,
-                MsgClass::of(&msg),
-                len as u64,
-                msg.authenticator_count() as u64,
-            );
+            sink.message_sent(at_ns, from, class, len as u64, auths as u64);
         }
         if self.partitions.iter().any(|p| p.blocks(at_ns, from, to)) {
             return;

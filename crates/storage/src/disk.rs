@@ -62,11 +62,6 @@ impl MemDisk {
         }
     }
 
-    /// Total live bytes (for size assertions).
-    pub fn total_bytes(&self) -> usize {
-        self.live.values().map(Vec::len).sum()
-    }
-
     fn take_tear(&mut self, len: usize) -> (usize, bool) {
         match self.tear_after.take() {
             Some(limit) if limit < len => (limit, true),
@@ -231,20 +226,6 @@ impl SharedDisk {
     pub fn tear_next_write_after(&self, bytes: usize) {
         if let SharedBackend::Mem(disk) = &mut *self.inner() {
             disk.tear_next_write_after(bytes);
-        }
-    }
-
-    /// Total live bytes (for size assertions). For non-memory backends
-    /// this sums the lengths of the listed files.
-    pub fn total_bytes(&self) -> usize {
-        match &*self.inner() {
-            SharedBackend::Mem(disk) => disk.total_bytes(),
-            SharedBackend::Boxed(disk) => disk
-                .list()
-                .unwrap_or_default()
-                .iter()
-                .map(|name| disk.read_file(name).map(|d| d.len()).unwrap_or(0))
-                .sum(),
         }
     }
 }
@@ -419,7 +400,6 @@ mod tests {
         b.write_file("j", b"on real files").unwrap();
         b.sync().unwrap();
         assert_eq!(a.read_file("j").unwrap(), b"on real files");
-        assert!(a.total_bytes() >= b"on real files".len());
         // Fault injection is memory-only: these must not disturb files.
         a.crash();
         a.tear_next_write_after(1);

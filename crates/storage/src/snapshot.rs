@@ -37,8 +37,6 @@ pub struct SnapshotStore {
     gen: u64,
     /// The newest intact snapshot payload, if any.
     latest: Option<Vec<u8>>,
-    /// Total framed bytes written through this handle (telemetry).
-    bytes_written: u64,
 }
 
 impl SnapshotStore {
@@ -89,18 +87,12 @@ impl SnapshotStore {
             disk,
             gen,
             latest: chosen.map(|(_, payload)| payload),
-            bytes_written: 0,
         })
     }
 
     /// The newest intact snapshot payload, if any was ever saved.
     pub fn latest(&self) -> Option<&[u8]> {
         self.latest.as_deref()
-    }
-
-    /// Total framed bytes durably written through this handle.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
     }
 
     /// Durably saves `payload` as a new snapshot generation, then
@@ -128,9 +120,7 @@ impl SnapshotStore {
         }
         self.gen = next;
         self.latest = Some(payload.to_vec());
-        let framed = payload.len() + 8;
-        self.bytes_written += framed as u64;
-        Ok(framed)
+        Ok(payload.len() + 8)
     }
 }
 
@@ -191,7 +181,6 @@ mod tests {
             .collect();
         // Current + previous-generation fallback, never more.
         assert!(snap_files.len() <= 2, "{snap_files:?}");
-        assert!(store.bytes_written() > 0);
     }
 
     #[test]

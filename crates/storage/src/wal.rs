@@ -82,20 +82,6 @@ impl Wal {
         }
         Ok((records, pos == data.len()))
     }
-
-    /// Truncates the log under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates disk errors.
-    pub fn reset_named<D: Disk + ?Sized>(disk: &mut D, name: &str) -> io::Result<()> {
-        disk.remove(name)
-    }
-
-    /// Size in bytes of the log under `name` (0 if absent).
-    pub fn size_named<D: Disk + ?Sized>(disk: &D, name: &str) -> usize {
-        disk.read_file(name).map(|d| d.len()).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -158,18 +144,5 @@ mod tests {
             Wal::replay_named(&d, "safety").unwrap(),
             vec![b"lock".to_vec(), b"vote".to_vec()]
         );
-        Wal::reset_named(&mut d, "safety").unwrap();
-        assert_eq!(Wal::size_named(&d, "safety"), 0);
-        assert!(Wal::size_named(&d, LOG) > 0);
-    }
-
-    #[test]
-    fn reset_truncates() {
-        let mut d = MemDisk::new();
-        Wal::append_named(&mut d, LOG, b"x").unwrap();
-        assert!(Wal::size_named(&d, LOG) > 0);
-        Wal::reset_named(&mut d, LOG).unwrap();
-        assert_eq!(Wal::size_named(&d, LOG), 0);
-        assert!(Wal::replay_named(&d, LOG).unwrap().is_empty());
     }
 }

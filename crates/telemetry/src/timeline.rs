@@ -246,6 +246,31 @@ impl Decomposition {
     /// Labels appear in the same first-encounter order as
     /// [`Decomposition::segments`].
     pub fn lane_breakdown(&self) -> Vec<LaneBreakdown> {
+        // Charges sorted by time once, with running per-lane sums: a
+        // window's charges are then the difference of two prefix sums
+        // found by binary search, not a scan of every charge.
+        let mut charges: Vec<&ChargeEvent> = self.charges.iter().collect();
+        charges.sort_unstable_by_key(|c| c.at_ns);
+        let mut prefix = vec![[0u64; 3]];
+        for c in &charges {
+            let [crypto, journal, consensus] = prefix[prefix.len() - 1];
+            prefix.push([
+                crypto + c.crypto_ns,
+                journal + c.journal_ns,
+                consensus + c.consensus_ns,
+            ]);
+        }
+        // Lane totals over every charge stamped at or before `t`.
+        let upto = |t: u64| prefix[charges.partition_point(|c| c.at_ns <= t)];
+        self.lanes_per_segment(|start, end| {
+            let (lo, hi) = (upto(start), upto(end));
+            [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]]
+        })
+    }
+
+    /// Sums, per segment label, each complete block's window `(start,
+    /// end]` and its `[crypto, journal, consensus]` `charged(start, end)`.
+    fn lanes_per_segment(&self, charged: impl Fn(u64, u64) -> [u64; 3]) -> Vec<LaneBreakdown> {
         let mut order: Vec<String> = Vec::new();
         let mut by_label: BTreeMap<String, LaneBreakdown> = BTreeMap::new();
         for b in self.complete_blocks() {
@@ -256,13 +281,10 @@ impl Decomposition {
                 let entry = by_label.entry(label.clone()).or_default();
                 entry.label = label;
                 entry.window_ns += end - start;
-                for c in &self.charges {
-                    if c.at_ns > start && c.at_ns <= end {
-                        entry.crypto_ns += c.crypto_ns;
-                        entry.journal_ns += c.journal_ns;
-                        entry.consensus_ns += c.consensus_ns;
-                    }
-                }
+                let [crypto, journal, consensus] = charged(start, end);
+                entry.crypto_ns += crypto;
+                entry.journal_ns += journal;
+                entry.consensus_ns += consensus;
             }
         }
         order
@@ -581,6 +603,85 @@ mod tests {
             .unwrap();
         assert_eq!(prep.crypto_ns, 100_000);
         assert_eq!(prep.wire_ns, 0);
+    }
+
+    /// The blocks × charges loop `lane_breakdown` replaced — every
+    /// window scans every charge — kept as the reference it must match.
+    fn quadratic_lane_breakdown(d: &Decomposition) -> Vec<LaneBreakdown> {
+        d.lanes_per_segment(|start, end| {
+            let mut sum = [0; 3];
+            for c in &d.charges {
+                if c.at_ns > start && c.at_ns <= end {
+                    sum[0] += c.crypto_ns;
+                    sum[1] += c.journal_ns;
+                    sum[2] += c.consensus_ns;
+                }
+            }
+            sum
+        })
+    }
+
+    #[test]
+    fn lane_breakdown_matches_the_quadratic_reference() {
+        // 200 pipelined blocks (overlapping windows, empty segments,
+        // skipped out-of-order votes, some uncommitted); 5,000 unsorted
+        // charges, a third on window boundaries, the rest on a coarse
+        // clock that makes equal timestamps common.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut d = Decomposition::default();
+        for h in 0..200u64 {
+            let proposed = h * 50 + next(40);
+            let mut t = proposed;
+            let mut phases = Vec::new();
+            let ladder = [Phase::Prepare, Phase::PreCommit, Phase::Commit];
+            for &phase in &ladder[..2 + next(2) as usize] {
+                let first_vote_ns = match next(6) {
+                    0 => None,
+                    1 => Some(t.saturating_sub(3)),
+                    _ => Some(t + next(30)),
+                };
+                t = t.max(first_vote_ns.unwrap_or(t)) + next(60);
+                phases.push(PhasePoint {
+                    phase,
+                    first_vote_ns,
+                    qc_ns: t,
+                });
+            }
+            d.blocks.push(BlockTimeline {
+                height: Height(h),
+                proposed_ns: Some(proposed),
+                phases,
+                committed_ns: (next(10) > 0).then(|| t + next(80)),
+            });
+        }
+        let boundaries: Vec<u64> = d
+            .blocks
+            .iter()
+            .flat_map(segment_windows)
+            .flat_map(|(_, start, end)| [start, end])
+            .collect();
+        for i in 0..5_000u32 {
+            let at_ns = if i % 3 == 0 {
+                boundaries[next(boundaries.len() as u64) as usize]
+            } else {
+                next(2_000) * 5
+            };
+            d.charges.push(ChargeEvent {
+                at_ns,
+                replica: ReplicaId(i % 4),
+                crypto_ns: next(1_000),
+                journal_ns: next(100),
+                consensus_ns: next(500),
+            });
+        }
+        assert!(d.complete_blocks().count() > 150);
+        assert_eq!(d.lane_breakdown(), quadratic_lane_breakdown(&d));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Blocks — the paper's `b = [pl, pview, view, height, op, justify]`.
 
+use crate::codec;
 use crate::ids::{Height, View};
 use crate::preimage::Preimage;
 use crate::qc::{Phase, Qc, QcSeed};
@@ -102,16 +103,6 @@ impl Justify {
         self.iter().all(|qc| qc.verify(keys))
     }
 
-    /// Total wire bytes of the carried certificates plus a 1-byte tag.
-    pub fn wire_len(&self) -> usize {
-        1 + self.iter().map(Qc::wire_len).sum::<usize>()
-    }
-
-    /// Total authenticators carried, under the paper's metric.
-    pub fn authenticator_count(&self) -> usize {
-        self.iter().map(Qc::authenticator_count).sum()
-    }
-
     fn hash_into(&self, p: &mut Preimage) {
         p.put(&[self.iter().count() as u8]);
         for qc in self.iter() {
@@ -177,9 +168,6 @@ impl BlockMeta {
             rank_boost: false,
         }
     }
-
-    /// Bytes this metadata occupies on the wire.
-    pub const WIRE_LEN: usize = 32 + 8 + 8 + 8 + 1 + 1;
 }
 
 /// A block in the tree of blocks.
@@ -395,16 +383,10 @@ impl Block {
         }
     }
 
-    /// Wire bytes of the block, counting its full payload.
+    /// Wire bytes of the block, counting its full payload (a *shadow*
+    /// block, Section IV-D, is this minus `payload().wire_len()`).
     pub fn wire_len(&self) -> usize {
-        self.header_wire_len() + self.payload.wire_len()
-    }
-
-    /// Wire bytes excluding the payload — the size of a *shadow* block
-    /// that references another proposal's operations (Section IV-D).
-    pub fn header_wire_len(&self) -> usize {
-        // parent(1+32) + pview(8) + view(8) + height(8) + justify
-        33 + 24 + self.justify.wire_len()
+        codec::measure(|w| codec::put_block_full(w, self)).bytes
     }
 }
 
@@ -549,8 +531,10 @@ mod tests {
         let g = Block::genesis();
         let tx = Transaction::new(1, 0, Bytes::from(vec![0u8; 150]), 0);
         let b = child_of(&g, 1, Batch::new(vec![tx]));
-        assert!(b.header_wire_len() < b.wire_len());
-        assert_eq!(b.wire_len() - b.header_wire_len(), b.payload().wire_len());
+        let header = b.wire_len() - b.payload().wire_len();
+        // parent(1+32) + pview/view/height(24) + justify(1 + genesis QC)
+        assert_eq!(header, 33 + 24 + 1 + 66 + 96);
+        assert!(header < b.wire_len());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Compact binary wire codec.
 //!
-//! Every encoding is the exact length reported by the corresponding
-//! `wire_len` method — the network simulator's bandwidth model charges
-//! `wire_len` bytes, and the round-trip property tests in this module
-//! pin the two together. Combined signatures are padded to their modeled
-//! format size (a real 96-byte BLS signature or `t × 64` bytes of ECDSA
-//! signatures carry more entropy than our simulated aggregates, so the
-//! encoder pads with zeros to keep byte counts faithful).
+//! The `put_*` functions are the one description of the wire layout: a
+//! [`BytesMut`] sink gets the bytes, a private meter counts the bytes and
+//! authenticators every `wire_len`/`authenticator_count` reports. Combined
+//! signatures are padded to their modeled format size (a real 96-byte BLS
+//! signature or `t × 64` bytes of ECDSA signatures carry more entropy than
+//! our simulated aggregates, so the encoder pads with zeros to keep byte
+//! counts faithful).
 
 use crate::block::{Block, BlockId, BlockKind, BlockMeta, Justify, ParentLink};
 use crate::ids::{Height, ReplicaId, View};
@@ -28,11 +28,6 @@ use std::fmt;
 /// bytes each is ~5.6 MiB un-shadowed) while bounding what one frame
 /// can make a replica allocate.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
-
-/// Minimum wire bytes a serialized [`Block`] can occupy: parent tag +
-/// digest (33), pview/view/height (24), justify tag (1), empty batch
-/// count (4). Used to bound untrusted block counts before allocation.
-const BLOCK_MIN_WIRE_LEN: usize = 33 + 24 + 1 + 4;
 
 /// Errors produced by [`decode_message`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,11 +79,6 @@ type Result<T> = std::result::Result<T, DecodeError>;
 pub fn encode_message(msg: &Message, shadow: bool) -> Bytes {
     let mut buf = BytesMut::with_capacity(msg.wire_len(shadow));
     put_message(&mut buf, msg, shadow);
-    debug_assert_eq!(
-        buf.len(),
-        msg.wire_len(shadow),
-        "wire_len mismatch for {msg}"
-    );
     buf.freeze()
 }
 
@@ -122,7 +112,66 @@ pub fn decode_message(frame: &Bytes) -> Result<Message> {
 
 // ---------------------------------------------------------------- put --
 
-fn put_message(buf: &mut BytesMut, msg: &Message, shadow: bool) {
+/// A sink the encoder writes into: raw bytes, plus two hooks whose
+/// defaults are what a writer does and which a counting sink overrides.
+/// Every `put_*` is generic over it and monomorphised, so writing a
+/// [`BytesMut`] costs what it did before the meter shared the encoder.
+pub trait Wire: BufMut {
+    /// Writes a transaction batch (count prefix, then each transaction).
+    fn batch(&mut self, batch: &Batch) {
+        self.put_u32_le(batch.len() as u32);
+        for tx in batch.iter() {
+            self.put_u64_le(tx.id);
+            self.put_u32_le(tx.client);
+            self.put_u32_le(tx.payload.len() as u32);
+            self.put_u64_le(tx.submitted_at_ns);
+            self.put_slice(&tx.payload);
+        }
+    }
+
+    /// Notes that `n` authenticators (the paper's metric, Section III)
+    /// were just written.
+    fn authenticators(&mut self, _n: usize) {}
+}
+
+impl Wire for BytesMut {}
+
+/// The counting sink: what the encoder would write, without writing it.
+#[derive(Default)]
+pub(crate) struct Meter {
+    pub(crate) bytes: usize,
+    pub(crate) authenticators: usize,
+}
+
+impl BufMut for Meter {
+    fn put_slice(&mut self, slice: &[u8]) {
+        self.bytes += slice.len();
+    }
+
+    fn put_bytes(&mut self, _val: u8, count: usize) {
+        self.bytes += count;
+    }
+}
+
+impl Wire for Meter {
+    /// A batch's memoised length — the one cache of the wire layout.
+    fn batch(&mut self, batch: &Batch) {
+        self.bytes += batch.wire_len();
+    }
+
+    fn authenticators(&mut self, n: usize) {
+        self.authenticators += n;
+    }
+}
+
+/// Runs `put` into a fresh [`Meter`].
+pub(crate) fn measure(put: impl FnOnce(&mut Meter)) -> Meter {
+    let mut meter = Meter::default();
+    put(&mut meter);
+    meter
+}
+
+pub(crate) fn put_message<W: Wire>(buf: &mut W, msg: &Message, shadow: bool) {
     buf.put_u32_le(msg.from.0);
     buf.put_u64_le(msg.view.0);
     match &msg.body {
@@ -213,7 +262,7 @@ fn put_message(buf: &mut BytesMut, msg: &Message, shadow: bool) {
         MsgBody::PayloadPush { digest, batch } => {
             buf.put_u8(12);
             put_digest(buf, &digest.digest());
-            put_batch(buf, batch);
+            buf.batch(batch);
         }
         MsgBody::PayloadAck { digest } => {
             buf.put_u8(13);
@@ -230,7 +279,7 @@ fn put_message(buf: &mut BytesMut, msg: &Message, shadow: bool) {
                 None => buf.put_u8(0),
                 Some(b) => {
                     buf.put_u8(1);
-                    put_batch(buf, b);
+                    buf.batch(b);
                 }
             }
         }
@@ -242,7 +291,7 @@ fn put_message(buf: &mut BytesMut, msg: &Message, shadow: bool) {
     }
 }
 
-fn put_proposal(buf: &mut BytesMut, p: &Proposal, shadow: bool) {
+fn put_proposal<W: Wire>(buf: &mut W, p: &Proposal, shadow: bool) {
     put_phase(buf, p.phase);
     let dedup = shadow && p.blocks.len() == 2 && p.blocks[0].payload() == p.blocks[1].payload();
     let count_byte = p.blocks.len() as u8 | if dedup { 0x80 } else { 0 };
@@ -256,10 +305,11 @@ fn put_proposal(buf: &mut BytesMut, p: &Proposal, shadow: bool) {
         buf.put_u32_le(cert.from.0);
         put_qc(buf, &cert.high_qc);
         buf.put_slice(&cert.sig.to_bytes());
+        buf.authenticators(1);
     }
 }
 
-fn put_vote(buf: &mut BytesMut, v: &Vote) {
+fn put_vote<W: Wire>(buf: &mut W, v: &Vote) {
     put_seed(buf, &v.seed);
     put_parsig(buf, &v.parsig);
     match &v.locked_qc {
@@ -271,7 +321,7 @@ fn put_vote(buf: &mut BytesMut, v: &Vote) {
     }
 }
 
-fn put_view_change(buf: &mut BytesMut, vc: &ViewChange) {
+fn put_view_change<W: Wire>(buf: &mut W, vc: &ViewChange) {
     put_block_meta(buf, &vc.last_voted);
     put_justify(buf, &vc.high_qc);
     put_parsig(buf, &vc.parsig);
@@ -280,11 +330,12 @@ fn put_view_change(buf: &mut BytesMut, vc: &ViewChange) {
         Some(sig) => {
             buf.put_u8(1);
             buf.put_slice(&sig.to_bytes());
+            buf.authenticators(1);
         }
     }
 }
 
-fn put_block(buf: &mut BytesMut, b: &Block, with_payload: bool) {
+fn put_block<W: Wire>(buf: &mut W, b: &Block, with_payload: bool) {
     match b.parent() {
         ParentLink::Hash(id) => {
             buf.put_u8(1);
@@ -300,25 +351,14 @@ fn put_block(buf: &mut BytesMut, b: &Block, with_payload: bool) {
     buf.put_u64_le(b.height().0);
     put_justify(buf, b.justify());
     if with_payload {
-        put_batch(buf, b.payload());
+        buf.batch(b.payload());
     }
 }
 
-fn put_batch(buf: &mut BytesMut, batch: &Batch) {
-    buf.put_u32_le(batch.len() as u32);
-    for tx in batch.iter() {
-        buf.put_u64_le(tx.id);
-        buf.put_u32_le(tx.client);
-        buf.put_u32_le(tx.payload.len() as u32);
-        buf.put_u64_le(tx.submitted_at_ns);
-        buf.put_slice(&tx.payload);
-    }
-}
-
-/// Serializes a [`BlockMeta`] (fixed [`BlockMeta::WIRE_LEN`] bytes).
-/// Public so durable-state layers (e.g. the consensus safety journal)
-/// can reuse the wire encoding for their record payloads.
-pub fn put_block_meta(buf: &mut BytesMut, m: &BlockMeta) {
+/// Serializes a [`BlockMeta`] (a fixed 58 bytes). Public so
+/// durable-state layers (e.g. the consensus safety journal) can reuse
+/// the wire encoding for their record payloads.
+pub fn put_block_meta<W: Wire>(buf: &mut W, m: &BlockMeta) {
     put_digest(buf, &m.id.digest());
     buf.put_u64_le(m.view.0);
     buf.put_u64_le(m.height.0);
@@ -329,7 +369,7 @@ pub fn put_block_meta(buf: &mut BytesMut, m: &BlockMeta) {
 
 /// Serializes a [`Justify`] (1 tag byte plus its QCs). Public for
 /// durable-state record payloads.
-pub fn put_justify(buf: &mut BytesMut, j: &Justify) {
+pub fn put_justify<W: Wire>(buf: &mut W, j: &Justify) {
     match j {
         Justify::None => buf.put_u8(0),
         Justify::One(qc) => {
@@ -344,20 +384,21 @@ pub fn put_justify(buf: &mut BytesMut, j: &Justify) {
     }
 }
 
-/// Serializes a [`Qc`] in its wire form ([`Qc::wire_len`] bytes).
-/// Public for durable-state record payloads.
-pub fn put_qc(buf: &mut BytesMut, qc: &Qc) {
+/// Serializes a [`Qc`] ([`Qc::wire_len`] bytes carrying
+/// [`Qc::authenticator_count`]). Public for durable-state records.
+pub fn put_qc<W: Wire>(buf: &mut W, qc: &Qc) {
     put_seed(buf, qc.seed());
     put_combined_sig(buf, qc.sig());
+    buf.authenticators(qc.authenticator_count());
 }
 
 /// Serializes a full [`Block`] (payload included) in its wire form.
 /// Public for durable-state record payloads (snapshot anchors).
-pub fn put_block_full(buf: &mut BytesMut, b: &Block) {
+pub fn put_block_full<W: Wire>(buf: &mut W, b: &Block) {
     put_block(buf, b, true);
 }
 
-fn put_seed(buf: &mut BytesMut, s: &QcSeed) {
+fn put_seed<W: Wire>(buf: &mut W, s: &QcSeed) {
     put_phase(buf, s.phase);
     buf.put_u64_le(s.view.0);
     put_digest(buf, &s.block.digest());
@@ -367,7 +408,7 @@ fn put_seed(buf: &mut BytesMut, s: &QcSeed) {
     put_kind(buf, s.block_kind);
 }
 
-fn put_combined_sig(buf: &mut BytesMut, sig: &CombinedSig) {
+fn put_combined_sig<W: Wire>(buf: &mut W, sig: &CombinedSig) {
     let total = sig.wire_len();
     match sig.format() {
         QcFormat::SigGroup => buf.put_u8(0),
@@ -379,14 +420,15 @@ fn put_combined_sig(buf: &mut BytesMut, sig: &CombinedSig) {
     buf.put_bytes(0, total - CombinedSig::MIN_WIRE_LEN);
 }
 
-fn put_parsig(buf: &mut BytesMut, p: &PartialSig) {
+fn put_parsig<W: Wire>(buf: &mut W, p: &PartialSig) {
     buf.put_u64_le(p.signer() as u64);
     put_digest(buf, &p.tag());
     // Pad the 32-byte tag to a conventional 64-byte signature.
     buf.put_bytes(0, PartialSig::WIRE_LEN - 8 - 32);
+    buf.authenticators(1);
 }
 
-fn put_phase(buf: &mut BytesMut, p: Phase) {
+fn put_phase<W: Wire>(buf: &mut W, p: Phase) {
     buf.put_u8(match p {
         Phase::PrePrepare => 0,
         Phase::Prepare => 1,
@@ -395,14 +437,14 @@ fn put_phase(buf: &mut BytesMut, p: Phase) {
     });
 }
 
-fn put_kind(buf: &mut BytesMut, k: BlockKind) {
+fn put_kind<W: Wire>(buf: &mut W, k: BlockKind) {
     buf.put_u8(match k {
         BlockKind::Normal => 0,
         BlockKind::Virtual => 1,
     });
 }
 
-fn put_digest(buf: &mut BytesMut, d: &Digest) {
+fn put_digest<W: Wire>(buf: &mut W, d: &Digest) {
     buf.put_slice(d.as_bytes());
 }
 
@@ -535,9 +577,10 @@ fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
         11 => {
             let from_height = Height(get_u64(buf)?);
             let count = get_u16(buf)? as usize;
-            // A block occupies at least its fixed header, a justify tag,
-            // and an empty batch count.
-            let count = bounded_count(buf, count, BLOCK_MIN_WIRE_LEN, "BlockRangeResponse.blocks")?;
+            // A block occupies at least what genesis does: its fixed
+            // header, an empty justify and an empty batch.
+            let min = Block::genesis().wire_len();
+            let count = bounded_count(buf, count, min, "BlockRangeResponse.blocks")?;
             let mut blocks = Vec::with_capacity(count);
             for _ in 0..count {
                 blocks.push(get_block(frame, buf, None)?);

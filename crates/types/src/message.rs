@@ -7,6 +7,7 @@
 //! protocols and the block-synchronisation layer need.
 
 use crate::block::{Block, BlockId, BlockMeta, Justify};
+use crate::codec;
 use crate::ids::{Height, ReplicaId, View};
 use crate::qc::{Phase, Qc, QcSeed};
 use crate::transaction::{Batch, BatchId};
@@ -30,19 +31,18 @@ impl Message {
         Message { from, view, body }
     }
 
-    /// Bytes this message occupies on the wire. With `shadow` enabled,
+    /// Bytes the encoder writes for this message. With `shadow` enabled,
     /// the second block of a two-proposal `PRE-PREPARE` is charged only
     /// its header (the shadow-block optimisation of Section IV-D).
     pub fn wire_len(&self, shadow: bool) -> usize {
-        // from(4) + view(8) + body tag(1)
-        13 + self.body.wire_len(shadow)
+        codec::measure(|w| codec::put_message(w, self, shadow)).bytes
     }
 
-    /// Authenticators this message carries, under the paper's metric
-    /// (Section III): each partial signature or conventional signature is
-    /// one authenticator; QCs count per their format.
+    /// Authenticators the encoder writes for this message, under the
+    /// paper's metric (Section III): each partial or conventional
+    /// signature is one authenticator; QCs count per their format.
     pub fn authenticator_count(&self) -> usize {
-        self.body.authenticator_count()
+        codec::measure(|w| codec::put_message(w, self, false)).authenticators
     }
 }
 
@@ -156,68 +156,6 @@ pub enum MsgBody {
     },
 }
 
-impl MsgBody {
-    fn wire_len(&self, shadow: bool) -> usize {
-        match self {
-            MsgBody::Proposal(p) => p.wire_len(shadow),
-            MsgBody::Vote(v) => v.wire_len(),
-            MsgBody::ViewChange(vc) => vc.wire_len(),
-            MsgBody::Decide(d) => d.wire_len(),
-            MsgBody::FetchRequest { .. } => 32,
-            MsgBody::FetchResponse { block, .. } => block.wire_len() + 33,
-            MsgBody::CatchUpRequest { .. } => 8,
-            MsgBody::CatchUpResponse { commit_qc } => {
-                1 + commit_qc.as_ref().map_or(0, Qc::wire_len)
-            }
-            MsgBody::SnapshotRequest => 0,
-            MsgBody::SnapshotResponse { snapshot } => {
-                1 + snapshot
-                    .as_ref()
-                    .map_or(0, |(b, qc)| b.wire_len() + qc.wire_len())
-            }
-            MsgBody::BlockRangeRequest { .. } => 16,
-            MsgBody::BlockRangeResponse { blocks, .. } => {
-                8 + 2 + blocks.iter().map(Block::wire_len).sum::<usize>()
-            }
-            MsgBody::PayloadPush { batch, .. } => 32 + batch.wire_len(),
-            MsgBody::PayloadAck { .. } | MsgBody::PayloadRequest { .. } => 32,
-            MsgBody::PayloadResponse { batch, .. } => {
-                32 + 1 + batch.as_ref().map_or(0, Batch::wire_len)
-            }
-            MsgBody::DigestProposal { justify, .. } => 32 + justify.wire_len(),
-        }
-    }
-
-    fn authenticator_count(&self) -> usize {
-        match self {
-            MsgBody::Proposal(p) => p.authenticator_count(),
-            MsgBody::Vote(v) => v.authenticator_count(),
-            MsgBody::ViewChange(vc) => vc.authenticator_count(),
-            MsgBody::Decide(d) => d.commit_qc.authenticator_count(),
-            MsgBody::FetchRequest { .. } => 0,
-            MsgBody::FetchResponse { block, .. } => block.justify().authenticator_count(),
-            MsgBody::CatchUpRequest { .. } => 0,
-            MsgBody::CatchUpResponse { commit_qc } => {
-                commit_qc.as_ref().map_or(0, Qc::authenticator_count)
-            }
-            MsgBody::SnapshotRequest => 0,
-            MsgBody::SnapshotResponse { snapshot } => snapshot.as_ref().map_or(0, |(b, qc)| {
-                b.justify().authenticator_count() + qc.authenticator_count()
-            }),
-            MsgBody::BlockRangeRequest { .. } => 0,
-            MsgBody::BlockRangeResponse { blocks, .. } => blocks
-                .iter()
-                .map(|b| b.justify().authenticator_count())
-                .sum(),
-            MsgBody::PayloadPush { .. }
-            | MsgBody::PayloadAck { .. }
-            | MsgBody::PayloadRequest { .. }
-            | MsgBody::PayloadResponse { .. } => 0,
-            MsgBody::DigestProposal { justify, .. } => justify.authenticator_count(),
-        }
-    }
-}
-
 /// A leader's proposal broadcast.
 ///
 /// * Normal-case `PREPARE`: one block, `justify` per Case N1/N2.
@@ -240,39 +178,6 @@ pub struct Proposal {
     pub vc_proof: Vec<VcCert>,
 }
 
-impl Proposal {
-    fn wire_len(&self, shadow: bool) -> usize {
-        let mut len = 1 + 1; // phase + block count
-        let dedup = shadow
-            && self.blocks.len() == 2
-            && self.blocks[0].payload() == self.blocks[1].payload();
-        for (i, b) in self.blocks.iter().enumerate() {
-            len += if dedup && i == 1 {
-                b.header_wire_len()
-            } else {
-                b.wire_len()
-            };
-        }
-        len += self.justify.wire_len();
-        len += 2 + self.vc_proof.iter().map(VcCert::wire_len).sum::<usize>();
-        len
-    }
-
-    fn authenticator_count(&self) -> usize {
-        self.justify.authenticator_count()
-            + self
-                .blocks
-                .iter()
-                .map(|b| b.justify().authenticator_count())
-                .sum::<usize>()
-            + self
-                .vc_proof
-                .iter()
-                .map(VcCert::authenticator_count)
-                .sum::<usize>()
-    }
-}
-
 /// A replica's vote: the seed it signed plus the partial signature.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Vote {
@@ -283,18 +188,6 @@ pub struct Vote {
     /// Case R2 of the view change: the voter attaches its `lockedQC`
     /// (the `prepareQC` for the virtual block's parent).
     pub locked_qc: Option<Qc>,
-}
-
-impl Vote {
-    fn wire_len(&self) -> usize {
-        // seed: phase(1)+view(8)+block(32)+height(8)+block_view(8)
-        //       +pview(8)+kind(1) = 66
-        66 + PartialSig::WIRE_LEN + 1 + self.locked_qc.as_ref().map_or(0, Qc::wire_len)
-    }
-
-    fn authenticator_count(&self) -> usize {
-        1 + self.locked_qc.as_ref().map_or(0, Qc::authenticator_count)
-    }
 }
 
 /// A `VIEW-CHANGE` message: the replica's last voted block (as compact
@@ -332,22 +225,7 @@ impl ViewChange {
             block_kind: last_voted.kind,
         }
     }
-
-    fn wire_len(&self) -> usize {
-        BlockMeta::WIRE_LEN
-            + self.high_qc.wire_len()
-            + PartialSig::WIRE_LEN
-            + 1
-            + self.cert.map_or(0, |_| crate::message::SIGNATURE_WIRE_LEN)
-    }
-
-    fn authenticator_count(&self) -> usize {
-        1 + self.high_qc.authenticator_count() + usize::from(self.cert.is_some())
-    }
 }
-
-/// Wire length of a conventional signature inside a message.
-pub(crate) const SIGNATURE_WIRE_LEN: usize = marlin_crypto::SIGNATURE_LEN;
 
 /// Coarse classification of messages for per-category traffic
 /// breakdowns (the paper's Section III complexity metrics) and
@@ -447,12 +325,6 @@ pub struct Decide {
     pub commit_qc: Qc,
 }
 
-impl Decide {
-    fn wire_len(&self) -> usize {
-        self.commit_qc.wire_len()
-    }
-}
-
 /// One entry of a Jolteon/Fast-HotStuff-style quadratic view-change
 /// proof: a conventionally signed statement of a replica's `highQC` for
 /// the new view.
@@ -475,14 +347,6 @@ impl VcCert {
         h.update(&view.0.to_le_bytes());
         h.update(high_qc.signing_bytes());
         h.finalize().into_bytes()
-    }
-
-    fn wire_len(&self) -> usize {
-        4 + self.high_qc.wire_len() + marlin_crypto::SIGNATURE_LEN
-    }
-
-    fn authenticator_count(&self) -> usize {
-        1 + self.high_qc.authenticator_count()
     }
 }
 
@@ -605,12 +469,14 @@ mod tests {
             parsig: keys.signer(0).sign_partial(&seed.signing_bytes()),
             locked_qc: None,
         };
-        assert_eq!(vote.authenticator_count(), 1);
+        let auths =
+            |v: Vote| Message::new(ReplicaId(0), View(1), MsgBody::Vote(v)).authenticator_count();
+        assert_eq!(auths(vote.clone()), 1);
         let with_lock = Vote {
             locked_qc: Some(Qc::genesis(g.id())),
             ..vote
         };
-        assert_eq!(with_lock.authenticator_count(), 1);
+        assert_eq!(auths(with_lock), 1);
     }
 
     #[test]

@@ -225,9 +225,7 @@ impl Qc {
     /// Bytes this certificate occupies on the wire (seed metadata plus
     /// the format-dependent signature size).
     pub fn wire_len(&self) -> usize {
-        // phase(1) + view(8) + block(32) + height(8) + block_view(8)
-        // + pview(8) + kind(1) + signature
-        66 + self.sig.wire_len()
+        crate::codec::measure(|w| crate::codec::put_qc(w, self)).bytes
     }
 
     /// Authenticators this certificate counts as under the paper's

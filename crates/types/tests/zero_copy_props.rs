@@ -209,8 +209,7 @@ proptest! {
         prop_assert_eq!(with.len(), msg.wire_len(true));
         prop_assert_eq!(without.len(), msg.wire_len(false));
         let MsgBody::Proposal(p) = &msg.body else { unreachable!() };
-        let payload_bytes = p.blocks[1].wire_len() - p.blocks[1].header_wire_len();
-        prop_assert_eq!(without.len() - with.len(), payload_bytes);
+        prop_assert_eq!(without.len() - with.len(), p.blocks[1].payload().wire_len());
         prop_assert_eq!(&decode_message(&with).unwrap(), &msg);
         prop_assert_eq!(&decode_message(&without).unwrap(), &msg);
     }
