@@ -1,10 +1,19 @@
-//! Protocol state-machine throughput on the instant-delivery harness:
-//! the pure-CPU cost of consensus, with network and crypto delays
-//! stripped away. Compares all protocols on identical workloads.
+//! Protocol state-machine throughput on the simulator's zero-latency
+//! profile: the pure-CPU cost of consensus, with network and crypto
+//! delays stripped away. Compares all protocols on identical workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use marlin_core::{harness::Cluster, Config, ProtocolKind};
-use marlin_types::ReplicaId;
+use marlin_core::{Config, ProtocolKind};
+use marlin_simnet::{SimConfig, SimNet};
+use marlin_types::{ReplicaId, View};
+
+/// A started four-replica cluster of `kind`, its start-up traffic
+/// drained.
+fn instant(kind: ProtocolKind) -> SimNet {
+    let mut sim = SimNet::new(kind, Config::for_test(4, 1), SimConfig::instant());
+    sim.run_until_idle();
+    sim
+}
 
 fn bench_commit_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("commit_100_txs");
@@ -21,11 +30,11 @@ fn bench_commit_throughput(c: &mut Criterion) {
             &kind,
             |b, &kind| {
                 b.iter_batched(
-                    || Cluster::new(kind, Config::for_test(4, 1), 1),
-                    |mut cl| {
-                        cl.submit_to(ReplicaId(1), 100, 150);
-                        cl.run_until_idle();
-                        cl
+                    || instant(kind),
+                    |mut sim| {
+                        sim.schedule_client_batch(ReplicaId(1), sim.now_ns(), 100, 150);
+                        sim.run_until_idle();
+                        sim
                     },
                     criterion::BatchSize::SmallInput,
                 );
@@ -48,18 +57,22 @@ fn bench_view_change(c: &mut Criterion) {
             |b, &kind| {
                 b.iter_batched(
                     || {
-                        let mut cl = Cluster::new(kind, Config::for_test(4, 1), 2);
-                        cl.submit_to(ReplicaId(1), 10, 0);
-                        cl.run_until_idle();
-                        cl.crash(ReplicaId(1));
-                        cl
+                        let mut sim = instant(kind);
+                        sim.schedule_client_batch(ReplicaId(1), sim.now_ns(), 10, 0);
+                        sim.run_until_idle();
+                        sim.crash(ReplicaId(1));
+                        sim
                     },
-                    |mut cl| {
-                        while cl.min_view() < 2u64.into() {
-                            assert!(cl.fire_next_timer());
+                    |mut sim| {
+                        let live = [0, 2, 3].map(ReplicaId);
+                        while live
+                            .iter()
+                            .any(|&id| sim.replica(id).current_view() < View(2))
+                        {
+                            assert!(sim.fire_next_timer());
                         }
-                        cl.run_until_idle();
-                        cl
+                        sim.run_until_idle();
+                        sim
                     },
                     criterion::BatchSize::SmallInput,
                 );

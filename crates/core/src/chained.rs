@@ -325,213 +325,3 @@ impl Rules for ChainedHotStuffRules {
         core.solicit_catch_up(out)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::harness::Cluster;
-    use crate::{Config, ProtocolKind};
-
-    const P0: ReplicaId = ReplicaId(0);
-    const P1: ReplicaId = ReplicaId(1);
-    const P2: ReplicaId = ReplicaId(2);
-
-    fn run_pipeline(kind: ProtocolKind, seed: u64) -> Cluster {
-        let mut cl = Cluster::new(kind, Config::for_test(4, 1), seed);
-        cl.submit_to(P1, 250, 0); // several batches worth
-                                  // No timer scaffolding: the leader itself closes the pipeline
-                                  // tail with empty blocks once the mempool drains (see
-                                  // `on_vote`), so message delivery alone commits everything.
-        cl.run_until_idle();
-        cl
-    }
-
-    #[test]
-    fn chained_marlin_commits_pipeline() {
-        let cl = run_pipeline(ProtocolKind::ChainedMarlin, 1);
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 250);
-    }
-
-    #[test]
-    fn chained_hotstuff_commits_pipeline() {
-        let cl = run_pipeline(ProtocolKind::ChainedHotStuff, 2);
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 250);
-    }
-
-    #[test]
-    fn chained_marlin_commits_with_two_chain_latency() {
-        // A single batch needs exactly one successor QC to commit: the
-        // leader's own tail-closing block finalizes it without any
-        // timer firing.
-        let mut cl = Cluster::new(ProtocolKind::ChainedMarlin, Config::for_test(4, 1), 3);
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 10);
-    }
-
-    /// Regression (pipeline-tail liveness gap): an idle chained cluster
-    /// must commit the tail of a burst from message delivery alone.
-    /// Before the fix the leader parked the last in-flight blocks
-    /// behind a heartbeat, so `run_until_idle()` (which never fires
-    /// timers) left the burst partially uncommitted and tests had to
-    /// close the pipeline with manual heartbeats.
-    #[test]
-    fn chained_pipeline_tail_closes_without_timers() {
-        for kind in [ProtocolKind::ChainedMarlin, ProtocolKind::ChainedHotStuff] {
-            let mut cl = Cluster::new(kind, Config::for_test(4, 1), 9);
-            cl.submit_to(P1, 120, 0);
-            cl.run_until_idle();
-            cl.assert_consistent();
-            assert_eq!(
-                cl.total_committed_txs(P0),
-                120,
-                "{kind:?}: pipeline tail not closed without timers"
-            );
-        }
-    }
-
-    /// Regression (idle empty-block spam): once the pipeline has closed
-    /// and the mempool is empty, the leader used to propose a fresh
-    /// empty block on *every* heartbeat — four keep-alive blocks per
-    /// base timeout, forever. Now it re-arms the heartbeat cheaply and
-    /// emits a keep-alive block only every `IDLE_BEATS_PER_BLOCK`th
-    /// beat, so a sustained quiet period produces a bounded trickle.
-    #[test]
-    fn idle_heartbeats_do_not_spam_empty_blocks() {
-        for kind in [ProtocolKind::ChainedMarlin, ProtocolKind::ChainedHotStuff] {
-            let mut cl = Cluster::new(kind, Config::for_test(4, 1), 11);
-            cl.submit_to(P1, 40, 0);
-            cl.run_until_idle();
-            assert_eq!(cl.total_committed_txs(P0), 40);
-
-            // A long quiet period: every fired timer is a leader
-            // heartbeat (payload commits keep re-arming the view timers
-            // before they can expire).
-            let before = cl.committed_height(P0);
-            let fires = 32;
-            for _ in 0..fires {
-                assert!(cl.fire_next_timer(), "{kind:?}: heartbeat chain broke");
-            }
-            cl.run_until_idle();
-            let idle_blocks = cl.committed_height(P0) - before;
-            // Before the fix every beat proposed, committing ~one empty
-            // block per fire (~32 here). Gated, at most every 4th idle
-            // beat proposes; the commit rule trails by a block or two.
-            assert!(
-                idle_blocks <= fires / 4 + 2,
-                "{kind:?}: {idle_blocks} empty blocks from {fires} idle heartbeats"
-            );
-            // ...but the trickle must not dry up entirely: keep-alive
-            // blocks still flow, so view timers stay quenched.
-            assert!(
-                idle_blocks >= 2,
-                "{kind:?}: idle keep-alive stalled ({idle_blocks} blocks)"
-            );
-            assert_eq!(
-                cl.min_view(),
-                View(1),
-                "{kind:?}: idle period lost the view"
-            );
-        }
-    }
-
-    /// Regression (post-quiet liveness): a burst arriving after a long
-    /// idle stretch must commit from message delivery alone — the
-    /// heartbeat gating above must not strand fresh transactions behind
-    /// the idle-beat counter.
-    #[test]
-    fn load_after_quiet_period_commits_without_timers() {
-        for kind in [ProtocolKind::ChainedMarlin, ProtocolKind::ChainedHotStuff] {
-            let mut cl = Cluster::new(kind, Config::for_test(4, 1), 12);
-            cl.submit_to(P1, 30, 0);
-            cl.run_until_idle();
-            for _ in 0..13 {
-                assert!(cl.fire_next_timer());
-            }
-            cl.run_until_idle();
-            // New load lands while the leader sits in the gated-idle
-            // state: `NewTransactions` proposes immediately.
-            cl.submit_to(P1, 30, 0);
-            cl.run_until_idle();
-            cl.assert_consistent();
-            assert_eq!(
-                cl.total_committed_txs(P0),
-                60,
-                "{kind:?}: post-quiet burst stranded"
-            );
-        }
-    }
-
-    #[test]
-    fn chained_marlin_view_change_recovers() {
-        let mut cl = Cluster::new(ProtocolKind::ChainedMarlin, Config::for_test(4, 1), 4);
-        cl.submit_to(P1, 50, 0);
-        cl.run_until_idle();
-        cl.crash(P1);
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
-        }
-        cl.run_until_idle();
-        cl.submit_to(P2, 50, 0);
-        cl.run_until_idle();
-        for _ in 0..8 {
-            cl.fire_next_timer();
-        }
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 100);
-    }
-
-    #[test]
-    fn chained_hotstuff_view_change_recovers() {
-        let mut cl = Cluster::new(ProtocolKind::ChainedHotStuff, Config::for_test(4, 1), 5);
-        cl.submit_to(P1, 50, 0);
-        cl.run_until_idle();
-        // Close the pipeline before crashing: an uncertified tip block
-        // would otherwise be orphaned by HotStuff's new-view (its QC
-        // never traveled), which is faithful but not what this test is
-        // about.
-        while cl.total_committed_txs(P0) < 50 {
-            assert!(cl.fire_next_timer());
-            cl.run_until_idle();
-        }
-        cl.crash(P1);
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
-        }
-        cl.run_until_idle();
-        cl.submit_to(P2, 50, 0);
-        cl.run_until_idle();
-        for _ in 0..10 {
-            cl.fire_next_timer();
-        }
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 100);
-    }
-
-    #[test]
-    fn three_chain_commits_one_block_later_than_two_chain() {
-        // Both rules commit the whole burst (the leader closes its own
-        // tail), but the three-chain rule needs exactly one more
-        // tail-closing block to do it.
-        let mut marlin = Cluster::new(ProtocolKind::ChainedMarlin, Config::for_test(4, 1), 6);
-        let mut hotstuff = Cluster::new(ProtocolKind::ChainedHotStuff, Config::for_test(4, 1), 6);
-        marlin.submit_to(P1, 30, 0);
-        hotstuff.submit_to(P1, 30, 0);
-        marlin.run_until_idle();
-        hotstuff.run_until_idle();
-        assert_eq!(marlin.total_committed_txs(P0), 30);
-        assert_eq!(hotstuff.total_committed_txs(P0), 30);
-        let proposals = |cl: &Cluster| {
-            cl.notes()
-                .iter()
-                .filter(|(_, n)| matches!(n, Note::Proposed { .. }))
-                .count()
-        };
-        assert_eq!(proposals(&hotstuff), proposals(&marlin) + 1);
-    }
-}

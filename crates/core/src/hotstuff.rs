@@ -26,12 +26,13 @@ use marlin_types::{Block, Justify, Phase, Proposal, Qc, ReplicaId, VcCert, View,
 /// # Example
 ///
 /// ```
-/// use marlin_core::{harness::Cluster, Config, ProtocolKind};
+/// use marlin_core::{Config, ProtocolKind};
+/// use marlin_simnet::{SimConfig, SimNet};
 ///
-/// let mut cluster = Cluster::new(ProtocolKind::HotStuff, Config::for_test(4, 1), 3);
-/// cluster.submit_to(1u32.into(), 20, 0);
-/// cluster.run_until_idle();
-/// assert_eq!(cluster.total_committed_txs(0u32.into()), 20);
+/// let mut sim = SimNet::new(ProtocolKind::HotStuff, Config::for_test(4, 1), SimConfig::instant());
+/// sim.schedule_client_batch(1u32.into(), 0, 20, 0);
+/// sim.run_until_idle();
+/// assert_eq!(sim.committed_txs(0u32.into()), 20);
 /// ```
 pub type HotStuff = Replica<HotStuffRules>;
 

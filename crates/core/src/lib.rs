@@ -5,8 +5,8 @@
 //! machine**: it consumes [`Event`]s (messages, timeouts, new
 //! transactions) and emits [`Action`]s (sends, broadcasts, commits,
 //! timer resets) plus a simulated CPU cost. The same state machines run
-//! under the discrete-event network simulator (`marlin-simnet`), under
-//! the in-process [`harness`] used by tests, under the threaded
+//! under the discrete-event network simulator (`marlin-simnet`, whose
+//! zero-latency profile drives the tests), under the threaded
 //! wall-clock runtime (`marlin-runtime`), and under the benchmark drivers.
 //!
 //! Protocols provided. All seven are one replica skeleton ([`Replica`]:
@@ -31,13 +31,14 @@
 //! # Example
 //!
 //! ```
-//! use marlin_core::{harness::Cluster, Config, ProtocolKind};
+//! use marlin_core::{Config, ProtocolKind};
+//! use marlin_simnet::{SimConfig, SimNet};
 //!
 //! // Four replicas running Marlin over an instantly-delivering network.
-//! let mut cluster = Cluster::new(ProtocolKind::Marlin, Config::for_test(4, 1), 42);
-//! cluster.submit_transactions(100);
-//! cluster.run_until_idle();
-//! assert!(cluster.committed_height(0u32.into()) > 0);
+//! let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), SimConfig::instant());
+//! sim.schedule_client_batch(1u32.into(), 0, 100, 0);
+//! sim.run_until_idle();
+//! assert!(sim.committed_blocks(0u32.into()) > 0);
 //! ```
 
 #![forbid(unsafe_code)]

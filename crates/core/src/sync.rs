@@ -39,7 +39,9 @@
 //!   its demerit count rises and it is banned for exponentially longer
 //!   (capped). Its chunks return to the pending pool and are re-issued
 //!   to other peers; if every peer is banned, bans are ignored rather
-//!   than wedging the node.
+//!   than wedging the node. Once every peer has answered one chunk
+//!   short — all pruned it — the run is abandoned instead, and the next
+//!   commit certificate starts a fresh one.
 //!
 //! The engine is driven by the same clockless [`Action::SetHeartbeat`]
 //! tick the idle-leader path uses: while a run is active the replica
@@ -119,6 +121,8 @@ struct Chunk {
     from: u64,
     to: u64,
     state: ChunkState,
+    /// Peers that answered this chunk short (each had pruned it).
+    short: Vec<ReplicaId>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,16 +166,10 @@ fn push_chunks(chunks: &mut Vec<Chunk>, lo: u64, hi: u64) {
             from: h,
             to,
             state: ChunkState::Pending,
+            short: Vec::new(),
         });
         h = to + 1;
     }
-}
-
-/// What a range response did to the run (computed under the run borrow,
-/// acted on after it ends).
-enum RangeOutcome {
-    Bad,
-    Staged { complete: bool },
 }
 
 impl Base {
@@ -490,59 +488,58 @@ impl Base {
         blocks: &[Block],
         out: &mut StepOutput,
     ) {
-        let outcome = {
-            let Some(run) = self.sync.run.as_mut() else {
-                return;
-            };
-            if run.awaiting_snapshot {
-                return;
-            }
-            let Some(idx) = run.chunks.iter().position(|c| {
-                c.from == lo && matches!(c.state, ChunkState::InFlight { peer, .. } if peer == from)
-            }) else {
-                // Late, duplicate, or unsolicited response.
-                return;
-            };
-            let expect = run.chunks[idx].to - run.chunks[idx].from + 1;
-            let shaped = blocks.len() as u64 == expect
-                && blocks
-                    .iter()
-                    .enumerate()
-                    .all(|(i, b)| b.height().0 == lo + i as u64);
-            if shaped {
-                for b in blocks {
-                    run.staged.insert(b.height().0, b.clone());
-                }
-                run.chunks[idx].state = ChunkState::Done { peer: from };
-                RangeOutcome::Staged {
-                    complete: run
-                        .chunks
-                        .iter()
-                        .all(|c| matches!(c.state, ChunkState::Done { .. })),
-                }
-            } else {
-                run.chunks[idx].state = ChunkState::Pending;
-                RangeOutcome::Bad
-            }
+        let n = self.cfg.n;
+        let Some(run) = self.sync.run.as_mut().filter(|run| !run.awaiting_snapshot) else {
+            return;
         };
-        match outcome {
-            RangeOutcome::Bad => {
-                self.demote(from, out);
+        let Some(chunk) = run.chunks.iter_mut().find(|c| {
+            c.from == lo && matches!(c.state, ChunkState::InFlight { peer, .. } if peer == from)
+        }) else {
+            // Late, duplicate, or unsolicited response.
+            return;
+        };
+        let shaped = blocks.len() as u64 == chunk.to - chunk.from + 1
+            && blocks
+                .iter()
+                .enumerate()
+                .all(|(i, b)| b.height().0 == lo + i as u64);
+        if !shaped {
+            chunk.state = ChunkState::Pending;
+            if !chunk.short.contains(&from) {
+                chunk.short.push(from);
+            }
+            let unservable = chunk.short.len() + 1 >= n;
+            self.demote(from, out);
+            if unservable {
+                // No peer holds the chunk any more, so no retry can
+                // succeed: drop the run and let the next commit
+                // certificate restart it with a fresh snapshot decision.
+                self.sync.run = None;
+                out.actions
+                    .push(Action::Note(Note::SyncAbandoned { from: Height(lo) }));
+            } else {
                 self.dispatch(out);
             }
-            RangeOutcome::Staged { complete } => {
-                let total: usize = blocks.iter().map(Block::wire_len).sum();
-                self.crypto.charge_hash(total);
-                out.actions.push(Action::Note(Note::SyncRangeFetched {
-                    from: Height(lo),
-                    count: blocks.len(),
-                }));
-                if complete {
-                    self.finish_run(out);
-                } else {
-                    self.dispatch(out);
-                }
-            }
+            return;
+        }
+        chunk.state = ChunkState::Done { peer: from };
+        for b in blocks {
+            run.staged.insert(b.height().0, b.clone());
+        }
+        let complete = run
+            .chunks
+            .iter()
+            .all(|c| matches!(c.state, ChunkState::Done { .. }));
+        let total: usize = blocks.iter().map(Block::wire_len).sum();
+        self.crypto.charge_hash(total);
+        out.actions.push(Action::Note(Note::SyncRangeFetched {
+            from: Height(lo),
+            count: blocks.len(),
+        }));
+        if complete {
+            self.finish_run(out);
+        } else {
+            self.dispatch(out);
         }
     }
 
@@ -710,16 +707,19 @@ impl Base {
             let mut chosen = None;
             for k in 0..eligible.len() {
                 let cand = eligible[(rotation + k) % eligible.len()];
-                if inflight.get(&cand).copied().unwrap_or(0) < MAX_INFLIGHT_PER_PEER {
+                if inflight.get(&cand).copied().unwrap_or(0) < MAX_INFLIGHT_PER_PEER
+                    && !c.short.contains(&cand)
+                {
                     chosen = Some(cand);
                     rotation = (rotation + k + 1) % eligible.len();
                     break;
                 }
             }
             let Some(peer) = chosen else {
-                // Every eligible peer is saturated; the rest of the
-                // pool waits for completions or the next tick.
-                break;
+                // Every eligible peer is saturated or has already
+                // answered this chunk short; it waits for completions
+                // or the next tick.
+                continue;
             };
             *inflight.entry(peer).or_default() += 1;
             c.state = ChunkState::InFlight {

@@ -11,11 +11,14 @@
 //! Marlin by `view_change_regressions.rs`
 //! (`leader_decision_ignores_arrival_order_and_unpaired_virtual_qcs`).
 
-use marlin_core::harness::{build_protocol, Cluster};
+mod support;
+
+use marlin_core::harness::build_protocol;
 use marlin_core::{
     build_replica, Action, Config, Event, Note, Protocol, ProtocolKind, SafetyJournal, StepOutput,
 };
 use marlin_crypto::QcFormat;
+use marlin_simnet::{Invariants, SimNet};
 use marlin_storage::SharedDisk;
 use marlin_telemetry::{SharedSink, TelemetrySink};
 use marlin_types::{
@@ -23,6 +26,7 @@ use marlin_types::{
     Qc, ReplicaId, VcCert, View, ViewChange, Vote,
 };
 use std::sync::{Arc, Mutex};
+use support::{assert_safe, instant, min_view, submit, Ledger};
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
@@ -54,15 +58,15 @@ const FAMILY: [ProtocolKind; 7] = [
     ProtocolKind::ChainedHotStuff,
 ];
 
-fn cluster(kind: ProtocolKind) -> Cluster {
-    Cluster::new(kind, Config::for_test(4, 1), 1)
+fn cluster(kind: ProtocolKind, byzantine: &[ReplicaId]) -> (SimNet, Ledger, Invariants) {
+    instant(kind, Config::for_test(4, 1), byzantine)
 }
 
 /// Phases of the QCs `leader` formed, optionally restricted to `view`.
-fn qc_phases(cl: &Cluster, leader: ReplicaId, in_view: Option<View>) -> Vec<Phase> {
-    cl.notes()
+fn qc_phases(sim: &SimNet, leader: ReplicaId, in_view: Option<View>) -> Vec<Phase> {
+    sim.notes()
         .iter()
-        .filter_map(|(p, n)| match n {
+        .filter_map(|(_, p, n)| match n {
             Note::QcFormed { phase, view, .. }
                 if *p == leader && in_view.is_none_or(|v| v == *view) =>
             {
@@ -76,11 +80,11 @@ fn qc_phases(cl: &Cluster, leader: ReplicaId, in_view: Option<View>) -> Vec<Phas
 #[test]
 fn normal_case_commits() {
     for kind in FAMILY {
-        let mut cl = cluster(kind);
-        cl.submit_to(P1, 40, 150);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 40, "{kind:?}");
+        let (mut sim, _, inv) = cluster(kind, &[]);
+        submit(&mut sim, P1, 40, 150);
+        sim.run_until_idle();
+        assert_safe(&inv);
+        assert_eq!(sim.committed_txs(P0), 40, "{kind:?}");
     }
 }
 
@@ -91,10 +95,10 @@ fn phases_per_block() {
     // forms one QC per block and reports the later phase points it
     // represents for the ancestors: the same two or three phases.
     for kind in FAMILY {
-        let mut cl = cluster(kind);
-        cl.submit_to(P1, 5, 0);
-        cl.run_until_idle();
-        let phases = qc_phases(&cl, P1, None);
+        let (mut sim, _, _) = cluster(kind, &[]);
+        submit(&mut sim, P1, 5, 0);
+        sim.run_until_idle();
+        let phases = qc_phases(&sim, P1, None);
         assert!(phases.contains(&Phase::Prepare), "{kind:?}");
         assert!(phases.contains(&Phase::Commit), "{kind:?}");
         assert_eq!(
@@ -126,15 +130,15 @@ fn messages_per_block_differ_only_by_the_extra_round() {
     // and HotStuff's third phase adds exactly one broadcast + vote
     // round: 21 (`twin.hotstuff.msgs_per_block`).
     for kind in LADDERED {
-        let mut cl = cluster(kind);
+        let (mut sim, _, _) = cluster(kind, &[]);
         let sent = SharedSink::new(Sent::default());
-        cl.set_telemetry(Box::new(sent.clone()));
-        let before = cl.committed_height(P0);
+        sim.set_telemetry(Box::new(sent.clone()));
+        let before = sim.committed_blocks(P0);
         for _ in 0..5 {
-            cl.submit_to(P1, 10, 150);
-            cl.run_until_idle();
+            submit(&mut sim, P1, 10, 150);
+            sim.run_until_idle();
         }
-        let blocks = (cl.committed_height(P0) - before) as u64;
+        let blocks = sim.committed_blocks(P0) - before;
         assert!(blocks >= 5, "{kind:?}");
         let expected = if kind == ProtocolKind::HotStuff {
             21
@@ -153,38 +157,42 @@ fn chained_rounds_are_one_broadcast_and_commit_k_rounds_late() {
     // proposal after it arrives (its justify completes the k-chain) —
     // the leader closes its own tail, so the last k rounds are empty.
     for (kind, depth) in CHAINED {
-        let mut cl = cluster(kind);
+        let (mut sim, _, _) = cluster(kind, &[]);
         let sent = SharedSink::new(Sent::default());
-        cl.set_telemetry(Box::new(sent.clone()));
-        let proposed = |cl: &Cluster| {
-            cl.notes()
+        sim.set_telemetry(Box::new(sent.clone()));
+        let proposed = |sim: &SimNet| {
+            sim.notes()
                 .iter()
-                .filter(|(_, n)| matches!(n, Note::Proposed { .. }))
+                .filter(|(_, _, n)| matches!(n, Note::Proposed { .. }))
                 .count()
         };
-        let (rounds_before, committed_before) = (proposed(&cl), cl.committed_height(P0));
-        cl.submit_to(P1, 10, 150);
-        cl.run_until_idle();
-        assert_eq!(cl.total_committed_txs(P0), 10, "{kind:?}");
-        let rounds = proposed(&cl) - rounds_before;
+        let (rounds_before, committed_before) = (proposed(&sim), sim.committed_blocks(P0));
+        submit(&mut sim, P1, 10, 150);
+        sim.run_until_idle();
+        assert_eq!(sim.committed_txs(P0), 10, "{kind:?}");
+        let rounds = proposed(&sim) - rounds_before;
         assert_eq!(rounds, 1 + depth, "{kind:?}: payload block + tail");
         assert_eq!(sent.with(|s| s.0), 6 * rounds as u64, "{kind:?}");
         // Everything up to the payload block is committed; the `depth`
         // tail blocks behind it are certified, not committed.
-        let all_rounds = proposed(&cl);
-        assert_eq!(cl.committed_height(P0), all_rounds - depth, "{kind:?}");
-        assert!(cl.committed_height(P0) > committed_before, "{kind:?}");
+        let all_rounds = proposed(&sim);
+        assert_eq!(
+            sim.committed_blocks(P0),
+            (all_rounds - depth) as u64,
+            "{kind:?}"
+        );
+        assert!(sim.committed_blocks(P0) > committed_before, "{kind:?}");
     }
 }
 
 #[test]
 fn leader_crash_view_change_recovers() {
     for kind in FAMILY {
-        let mut cl = cluster(kind);
+        let (mut sim, _, inv) = cluster(kind, &[]);
         // Every transmitted new-view PREPARE proposal's proof bundle.
         let proofs: Arc<Mutex<Vec<Vec<VcCert>>>> = Arc::default();
         let seen = Arc::clone(&proofs);
-        cl.set_filter(Box::new(move |_from, _to, msg: &Message| {
+        sim.set_filter(Box::new(move |_from, _to, msg: &Message| {
             if let MsgBody::Proposal(p) = &msg.body {
                 if p.phase == Phase::Prepare && !p.vc_proof.is_empty() {
                     seen.lock().unwrap().push(p.vc_proof.clone());
@@ -192,15 +200,15 @@ fn leader_crash_view_change_recovers() {
             }
             true
         }));
-        cl.submit_to(P1, 10, 0);
-        cl.run_until_idle();
-        cl.crash(P1);
-        while cl.min_view() < View(2) {
-            assert!(cl.fire_next_timer());
+        submit(&mut sim, P1, 10, 0);
+        sim.run_until_idle();
+        sim.crash(P1);
+        while min_view(&sim) < View(2) {
+            assert!(sim.fire_next_timer());
         }
-        cl.run_until_idle();
+        sim.run_until_idle();
 
-        let vc_phases = qc_phases(&cl, P2, Some(View(2)));
+        let vc_phases = qc_phases(&sim, P2, Some(View(2)));
         let proofs = proofs.lock().unwrap().clone();
         match kind {
             // The four-phase recovery block forms all four QCs.
@@ -235,10 +243,10 @@ fn leader_crash_view_change_recovers() {
         }
 
         // Progress continues under the new leader.
-        cl.submit_to(P2, 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert_eq!(cl.total_committed_txs(P0), 20, "{kind:?}");
+        submit(&mut sim, P2, 10, 0);
+        sim.run_until_idle();
+        assert_safe(&inv);
+        assert_eq!(sim.committed_txs(P0), 20, "{kind:?}");
     }
 }
 
@@ -263,26 +271,32 @@ type Hide = fn(u64, ReplicaId, &Message) -> bool;
 /// view-change quorum *without* p0's VIEW-CHANGE — the crashed leader's
 /// slot is filled by a crafted Byzantine VIEW-CHANGE claiming the stale
 /// QC (with a Jolteon certificate when `with_cert`). Returns the
-/// cluster, filters cleared, and the contested height.
-fn unsafe_snapshot(kind: ProtocolKind, hide: Hide, with_cert: bool) -> (Cluster, u64) {
-    let mut cl = cluster(kind);
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    let contested = cl.committed_height(P0) as u64 + 1;
-    cl.set_filter(Box::new(move |_f, to, msg: &Message| {
+/// simulation, filters cleared, its ledger and checker, and the
+/// contested height.
+fn unsafe_snapshot(
+    kind: ProtocolKind,
+    hide: Hide,
+    with_cert: bool,
+) -> (SimNet, Ledger, Invariants, u64) {
+    // p1 is the Byzantine replica whose stale VIEW-CHANGE is forged.
+    let (mut sim, ledger, inv) = cluster(kind, &[P1]);
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    let contested = sim.committed_blocks(P0) + 1;
+    sim.set_filter(Box::new(move |_f, to, msg: &Message| {
         hide(contested, to, msg)
     }));
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    let stale_block = cl.committed_blocks(P0).last().expect("committed").clone();
-    cl.crash(P1);
-    cl.set_filter(Box::new(|from, _to, msg: &Message| {
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    let stale_block = ledger.blocks(P0).last().expect("committed").clone();
+    sim.crash(P1);
+    sim.set_filter(Box::new(|from, _to, msg: &Message| {
         !(from == P0 && matches!(msg.body, MsgBody::ViewChange(_)))
     }));
-    while cl.min_view() < View(2) {
-        assert!(cl.fire_next_timer());
+    while min_view(&sim) < View(2) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
+    sim.run_until_idle();
     let cfg = Config::for_test(4, 1);
     let stale_qc = craft_qc(&cfg, &stale_block, Phase::Prepare);
     let lb = stale_block.meta();
@@ -295,9 +309,9 @@ fn unsafe_snapshot(kind: ProtocolKind, hide: Hide, with_cert: bool) -> (Cluster,
             .signer(1)
             .sign(&VcCert::signing_bytes(P1, View(2), &stale_qc))
     });
-    cl.inject(
+    sim.inject(
         P2,
-        Message::new(
+        Event::Message(Message::new(
             P1,
             View(2),
             MsgBody::ViewChange(ViewChange {
@@ -306,11 +320,11 @@ fn unsafe_snapshot(kind: ProtocolKind, hide: Hide, with_cert: bool) -> (Cluster,
                 parsig,
                 cert,
             }),
-        ),
+        )),
     );
-    cl.clear_filter();
-    cl.run_until_idle();
-    (cl, contested)
+    sim.clear_filter();
+    sim.run_until_idle();
+    (sim, ledger, inv, contested)
 }
 
 /// Three-phase hiding: the contested block's PRE-COMMIT and COMMIT
@@ -355,25 +369,24 @@ fn unsafe_snapshot_does_not_wedge_the_honest_baselines() {
         (ProtocolKind::MarlinFourPhase, hide_lock, false),
     ];
     for (kind, hide, with_cert) in cells {
-        let (mut cl, contested) = unsafe_snapshot(kind, hide, with_cert);
-        cl.assert_consistent();
+        let (mut sim, ledger, inv, contested) = unsafe_snapshot(kind, hide, with_cert);
+        assert_safe(&inv);
         if kind == ProtocolKind::MarlinFourPhase {
             assert!(
-                cl.committed_blocks(P0)
-                    .iter()
-                    .any(|b| b.height().0 == contested),
+                ledger.blocks(P0).iter().any(|b| b.height().0 == contested),
                 "contested block not recovered; heights: {:?}",
-                cl.committed_blocks(P0)
+                ledger
+                    .blocks(P0)
                     .iter()
                     .map(|b| b.height().0)
                     .collect::<Vec<_>>()
             );
-            assert_eq!(cl.total_committed_txs(P0), 20);
+            assert_eq!(sim.committed_txs(P0), 20);
         }
-        cl.submit_to(P2, 10, 0);
-        cl.run_until_idle();
-        cl.assert_consistent();
-        assert!(cl.total_committed_txs(P2) >= 20, "{kind:?}");
+        submit(&mut sim, P2, 10, 0);
+        sim.run_until_idle();
+        assert_safe(&inv);
+        assert!(sim.committed_txs(P2) >= 20, "{kind:?}");
     }
 }
 

@@ -4,8 +4,8 @@
 //! `journal_props.rs`, but with the journal fed by a live replica
 //! instead of a synthetic append schedule.
 //!
-//! The victim replica runs journal-backed inside a 4-replica harness
-//! cluster. At random points its disk tears the next write (so the
+//! The victim replica runs journal-backed inside a 4-replica cluster on
+//! the simulator's zero-latency profile. At random points its disk tears the next write (so the
 //! write-ahead rule withholds a vote), and at random points it crashes:
 //! the disk drops its unsynced tail, the journal reopens, and the
 //! replayed [`SafetySnapshot`] must satisfy
@@ -22,17 +22,22 @@
 //!
 //! The restarted replica rejoins the pipeline (with uncommitted
 //! in-flight ancestors still live on the other three) and the cluster
-//! must stay consistent and keep committing.
+//! must stay consistent and keep committing — and the restarted voter
+//! must never vote twice in one slot (the invariant checker's
+//! `DoubleVote`, the property the write-ahead journal exists for).
+
+mod support;
 
 use std::cmp::Ordering;
 
 use marlin_core::chained::{ChainedHotStuff, ChainedMarlin};
-use marlin_core::harness::Cluster;
 use marlin_core::{Config, Protocol, SafetyJournal, SafetySnapshot};
+use marlin_simnet::SimNet;
 use marlin_storage::SharedDisk;
 use marlin_types::rank::{block_rank_gt, qc_rank_cmp};
 use marlin_types::{Justify, ReplicaId, View};
 use proptest::prelude::*;
+use support::{assert_safe, instant_with, max_view, submit};
 
 /// SplitMix64, as in `journal_props.rs`: one `u64` seed drives the
 /// whole schedule.
@@ -60,20 +65,20 @@ fn boxed_fresh(hotstuff: bool, cfg: Config) -> Box<dyn Protocol> {
 /// disk, asserts the bracketing invariants against the previous replay,
 /// and restarts the victim from the replayed snapshot.
 fn crash_restart_check(
-    cl: &mut Cluster,
+    sim: &mut SimNet,
     disk: &SharedDisk,
     victim: ReplicaId,
     hotstuff: bool,
     last_replayed: &mut Option<SafetySnapshot>,
 ) {
-    cl.crash(victim);
+    sim.crash(victim);
     disk.crash();
     let journal = SafetyJournal::open(disk.clone()).expect("reopen journal after crash");
     let replayed = *journal.state();
 
     // No invention: the journal only ever saw state the replica acted
     // on, so replay cannot exceed any view the cluster reached.
-    let max_view = cl.max_view();
+    let max_view = max_view(sim);
     assert!(
         replayed.view <= max_view,
         "replayed view {:?} exceeds the cluster's max view {max_view:?}",
@@ -142,7 +147,7 @@ fn crash_restart_check(
         }
         Box::new(rep)
     };
-    cl.restart(victim, rebuilt);
+    sim.restart(victim, rebuilt);
     *last_replayed = Some(replayed);
 }
 
@@ -156,65 +161,71 @@ fn run_schedule(seed: u64, rounds: usize, hotstuff: bool) {
     let victim = ReplicaId(3);
     let disk = SharedDisk::new();
     let mut seed_journal = Some(SafetyJournal::open(disk.clone()).expect("open fresh journal"));
-    let mut cl = Cluster::from_builder(Config::for_test(n, 1), seed, |id, cfg| {
-        if id == victim {
-            let journal = seed_journal.take().expect("victim built once");
-            if hotstuff {
-                Box::new(ChainedHotStuff::with_journal(cfg, journal))
+    let config = Config::for_test(n, 1);
+    let replicas = (0..n as u32)
+        .map(ReplicaId)
+        .map(|id| -> Box<dyn Protocol> {
+            let cfg = config.with_id(id);
+            if id == victim {
+                let journal = seed_journal.take().expect("victim built once");
+                if hotstuff {
+                    Box::new(ChainedHotStuff::with_journal(cfg, journal))
+                } else {
+                    Box::new(ChainedMarlin::with_journal(cfg, journal))
+                }
             } else {
-                Box::new(ChainedMarlin::with_journal(cfg, journal))
+                boxed_fresh(hotstuff, cfg)
             }
-        } else {
-            boxed_fresh(hotstuff, cfg)
-        }
-    });
+        })
+        .collect();
+    let (mut sim, _, inv) = instant_with(replicas, &[]);
     let mut last_replayed: Option<SafetySnapshot> = None;
 
     for _ in 0..rounds {
-        let view = cl.max_view();
+        let view = max_view(&sim);
         let leader = ReplicaId::leader_of(view, n);
-        cl.submit_to(leader, 1 + (rng.next() % 5) as usize, 32);
-        cl.run_until_idle();
+        submit(&mut sim, leader, 1 + (rng.next() % 5) as usize, 32);
+        sim.run_until_idle();
         for _ in 0..rng.next() % 3 {
-            cl.fire_next_timer();
-            cl.run_until_idle();
+            sim.fire_next_timer();
+            sim.run_until_idle();
         }
         match rng.next() % 8 {
             // Arm a torn write: the victim's next append keeps only a
             // prefix and errors, so the write-ahead rule withholds that
             // vote (the other three keep the pipeline moving).
             0 | 1 => disk.tear_next_write_after((rng.next() % 48) as usize),
-            2 if !cl.is_crashed(victim) => {
-                crash_restart_check(&mut cl, &disk, victim, hotstuff, &mut last_replayed);
+            2 if !sim.is_crashed(victim) => {
+                crash_restart_check(&mut sim, &disk, victim, hotstuff, &mut last_replayed);
             }
             _ => {}
         }
-        cl.assert_consistent();
+        assert_safe(&inv);
     }
-    crash_restart_check(&mut cl, &disk, victim, hotstuff, &mut last_replayed);
-    cl.assert_consistent();
+    crash_restart_check(&mut sim, &disk, victim, hotstuff, &mut last_replayed);
+    assert_safe(&inv);
 
     // Healing: with all four replicas live again, commits must resume.
     let probe = ReplicaId(0);
-    let before = cl.committed_height(probe);
+    let before = sim.committed_blocks(probe);
     let mut fires = 0;
-    while cl.committed_height(probe) <= before {
-        let v = cl.max_view();
-        cl.submit_to(ReplicaId::leader_of(v, n), 3, 16);
-        cl.run_until_idle();
-        if cl.committed_height(probe) > before {
+    while sim.committed_blocks(probe) <= before {
+        let v = max_view(&sim);
+        submit(&mut sim, ReplicaId::leader_of(v, n), 3, 16);
+        sim.run_until_idle();
+        if sim.committed_blocks(probe) > before {
             break;
         }
         assert!(
-            cl.fire_next_timer(),
+            sim.fire_next_timer(),
             "seed={seed}: no timers left while stalled"
         );
-        cl.run_until_idle();
+        sim.run_until_idle();
         fires += 1;
         assert!(fires < 300, "seed={seed}: liveness lost after healing");
     }
-    cl.assert_consistent();
-    assert!(cl.max_view() >= View(1));
+    assert_safe(&inv);
+    assert!(max_view(&sim) >= View(1));
 }
 
 proptest! {

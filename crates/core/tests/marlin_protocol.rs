@@ -1,117 +1,121 @@
-//! End-to-end protocol tests for Marlin on the in-process harness,
-//! including reconstructions of the paper's Figure 2 view-change
-//! snapshot scenarios.
+//! End-to-end protocol tests for Marlin on the simulator's zero-latency
+//! profile, including reconstructions of the paper's Figure 2
+//! view-change snapshot scenarios.
+
+mod support;
 
 use marlin_core::ProtocolKind;
-use marlin_core::{harness::Cluster, Config, Note, VcCase};
+use marlin_core::{Config, Event, Note, VcCase};
 use marlin_crypto::QcFormat;
+use marlin_simnet::{Invariants, SimNet};
 use marlin_types::{Message, MsgBody, Phase, Qc, ReplicaId, View, ViewChange};
+use support::{assert_safe, instant, max_view, min_view, submit, Ledger};
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
 const P2: ReplicaId = ReplicaId(2);
 const P3: ReplicaId = ReplicaId(3);
 
-fn marlin_cluster(n: usize, f: usize, seed: u64) -> Cluster {
-    Cluster::new(ProtocolKind::Marlin, Config::for_test(n, f), seed)
+fn marlin_cluster(n: usize, f: usize) -> (SimNet, Ledger, Invariants) {
+    instant(ProtocolKind::Marlin, Config::for_test(n, f), &[])
 }
 
 #[test]
 fn normal_case_commits_transactions() {
-    let mut cl = marlin_cluster(4, 1, 1);
-    cl.submit_to(P1, 50, 150); // view-1 leader
-    cl.run_until_idle();
-    cl.assert_consistent();
+    let (mut sim, _, inv) = marlin_cluster(4, 1);
+    submit(&mut sim, P1, 50, 150); // view-1 leader
+    sim.run_until_idle();
+    assert_safe(&inv);
     for p in [P0, P1, P2, P3] {
-        assert_eq!(cl.total_committed_txs(p), 50, "{p}");
+        assert_eq!(sim.committed_txs(p), 50, "{p}");
     }
 }
 
 #[test]
 fn multiple_batches_commit_sequentially() {
-    let mut cl = marlin_cluster(4, 1, 2);
+    let (mut sim, _, inv) = marlin_cluster(4, 1);
     for _ in 0..5 {
-        cl.submit_to(P1, 20, 0);
-        cl.run_until_idle();
+        submit(&mut sim, P1, 20, 0);
+        sim.run_until_idle();
     }
-    cl.assert_consistent();
-    assert_eq!(cl.total_committed_txs(P0), 100);
+    assert_safe(&inv);
+    assert_eq!(sim.committed_txs(P0), 100);
     // Still in view 1 — no spurious view changes under instant delivery.
-    assert_eq!(cl.max_view(), View(1));
+    assert_eq!(max_view(&sim), View(1));
 }
 
 #[test]
 fn larger_cluster_commits() {
-    let mut cl = Cluster::new(ProtocolKind::Marlin, Config::for_test(7, 2), 3);
-    cl.submit_to(P1, 30, 150);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, Config::for_test(7, 2), &[]);
+    submit(&mut sim, P1, 30, 150);
+    sim.run_until_idle();
+    assert_safe(&inv);
     for i in 0..7u32 {
-        assert_eq!(cl.total_committed_txs(ReplicaId(i)), 30);
+        assert_eq!(sim.committed_txs(ReplicaId(i)), 30);
     }
 }
 
 #[test]
 fn heartbeat_produces_empty_blocks() {
-    let mut cl = marlin_cluster(4, 1, 4);
-    let before = cl.committed_height(P0);
+    let (mut sim, _, inv) = marlin_cluster(4, 1);
+    let before = sim.committed_blocks(P0);
     // Fire a few heartbeats (they pace empty proposals).
     for _ in 0..6 {
-        cl.fire_next_timer();
+        sim.fire_next_timer();
     }
-    assert!(cl.committed_height(P0) > before);
-    cl.assert_consistent();
+    assert!(sim.committed_blocks(P0) > before);
+    assert_safe(&inv);
 }
 
 #[test]
 fn leader_crash_triggers_happy_path_view_change() {
-    let mut cl = marlin_cluster(4, 1, 5);
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    assert_eq!(cl.total_committed_txs(P0), 10);
+    let (mut sim, _, inv) = marlin_cluster(4, 1);
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    assert_eq!(sim.committed_txs(P0), 10);
 
-    cl.crash(P1);
+    sim.crash(P1);
     // Replicas time out of view 1 and elect p2 (leader of view 2). All
     // correct replicas share the same last-voted block, so the leader
     // takes the happy path.
-    while cl.min_view() < View(2) {
-        assert!(cl.fire_next_timer(), "ran out of timers");
+    while min_view(&sim) < View(2) {
+        assert!(sim.fire_next_timer(), "ran out of timers");
     }
-    cl.run_until_idle();
+    sim.run_until_idle();
     assert!(
-        cl.notes()
+        sim.notes()
             .iter()
-            .any(|(p, n)| *p == P2 && matches!(n, Note::HappyPathVc { view: View(2) })),
+            .any(|(_, p, n)| *p == P2 && matches!(n, Note::HappyPathVc { view: View(2) })),
         "expected a happy-path view change at p2; notes: {:?}",
-        cl.notes()
+        sim.notes()
     );
 
     // The new leader makes progress.
-    cl.submit_to(P2, 15, 0);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    submit(&mut sim, P2, 15, 0);
+    sim.run_until_idle();
+    assert_safe(&inv);
     for p in [P0, P2, P3] {
-        assert_eq!(cl.total_committed_txs(p), 25, "{p}");
+        assert_eq!(sim.committed_txs(p), 25, "{p}");
     }
 }
 
 #[test]
 fn consecutive_leader_crashes_are_survived() {
-    let mut cl = marlin_cluster(7, 2, 6);
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
+    let (mut sim, _, inv) = marlin_cluster(7, 2);
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
 
     // Crash the leaders of views 1 and 2.
-    cl.crash(P1);
-    cl.crash(P2);
-    while cl.min_view() < View(3) {
-        assert!(cl.fire_next_timer());
+    sim.crash(P1);
+    sim.crash(P2);
+    while min_view(&sim) < View(3) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
-    cl.submit_to(P3, 10, 0);
-    cl.run_until_idle();
-    cl.assert_consistent();
-    assert_eq!(cl.total_committed_txs(P0), 20);
+    sim.run_until_idle();
+    submit(&mut sim, P3, 10, 0);
+    sim.run_until_idle();
+    assert_safe(&inv);
+    assert_eq!(sim.committed_txs(P0), 20);
 }
 
 /// Builds the paper's Figure 2 situation: the decided-but-hidden block.
@@ -120,26 +124,27 @@ fn consecutive_leader_crashes_are_survived() {
 /// `contested_height` has a `prepareQC` known only to p0 (p0 is locked
 /// on it), p2/p3 voted for it but never saw its QC, and the view-1
 /// leader p1 has crashed.
-fn build_figure2_scenario(insecure: bool) -> (Cluster, u64) {
+fn build_figure2_scenario(insecure: bool) -> (SimNet, Ledger, Invariants, u64) {
     let kind = if insecure {
         ProtocolKind::TwoPhaseInsecure
     } else {
         ProtocolKind::Marlin
     };
-    let mut cl = Cluster::new(kind, Config::for_test(4, 1), 7);
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
+    // p1 is the Byzantine replica whose stale VIEW-CHANGE the tests forge.
+    let (mut sim, ledger, inv) = instant(kind, Config::for_test(4, 1), &[P1]);
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
     assert_eq!(
-        cl.total_committed_txs(P0),
+        sim.committed_txs(P0),
         10,
         "{kind:?} failed in the failure-free phase"
     );
-    let committed = cl.committed_height(P0) as u64;
+    let committed = sim.committed_blocks(P0);
     let contested = committed + 1;
 
     // The PREPARE proposal for the contested block reaches p0 and p3
     // but not p2; the COMMIT (carrying its prepareQC) reaches only p0.
-    cl.set_filter(Box::new(move |_from, to, msg: &Message| match &msg.body {
+    sim.set_filter(Box::new(move |_from, to, msg: &Message| match &msg.body {
         MsgBody::Proposal(p) if p.phase == Phase::Prepare => {
             !(p.blocks.first().is_some_and(|b| b.height().0 == contested) && to == P2)
         }
@@ -152,16 +157,16 @@ fn build_figure2_scenario(insecure: bool) -> (Cluster, u64) {
         }
         _ => true,
     }));
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    cl.crash(P1);
-    (cl, contested)
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    sim.crash(P1);
+    (sim, ledger, inv, contested)
 }
 
 /// Crafts the Byzantine stale VIEW-CHANGE of Figure 2 (the faulty
 /// replica hides the contested QC and reports an old last-voted block).
-fn stale_view_change(cl: &Cluster, cfg: &Config, from: ReplicaId, view: View) -> Message {
-    let stale_block = cl.committed_blocks(P0).last().expect("committed").clone();
+fn stale_view_change(ledger: &Ledger, cfg: &Config, from: ReplicaId, view: View) -> Message {
+    let stale_block = ledger.blocks(P0).last().expect("committed").clone();
     let lb = stale_block.meta();
     let qc_seed = stale_block.vote_seed(Phase::Prepare, View(1));
     let partials: Vec<_> = (0..3)
@@ -190,25 +195,28 @@ fn stale_view_change(cl: &Cluster, cfg: &Config, from: ReplicaId, view: View) ->
 #[test]
 fn figure2c_unsafe_snapshot_case_v1_recovers() {
     let cfg = Config::for_test(4, 1);
-    let (mut cl, contested) = build_figure2_scenario(false);
+    let (mut sim, ledger, inv, contested) = build_figure2_scenario(false);
 
     // Drop p0's VIEW-CHANGE messages (the unsafe snapshot) but keep all
     // other traffic flowing.
-    cl.set_filter(Box::new(|from, _to, msg: &Message| {
+    sim.set_filter(Box::new(|from, _to, msg: &Message| {
         !(from == P0 && matches!(msg.body, MsgBody::ViewChange(_)))
     }));
 
-    while cl.min_view() < View(2) {
-        assert!(cl.fire_next_timer());
+    while min_view(&sim) < View(2) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
+    sim.run_until_idle();
     // p2 (view-2 leader) has only 2 view-change messages; inject the
     // Byzantine stale one to complete its (unsafe) snapshot.
-    cl.inject(P2, stale_view_change(&cl, &cfg, P1, View(2)));
+    sim.inject(
+        P2,
+        Event::Message(stale_view_change(&ledger, &cfg, P1, View(2))),
+    );
 
     // Case V1 must have run, and the contested block must commit.
     assert!(
-        cl.notes().iter().any(|(p, n)| {
+        sim.notes().iter().any(|(_, p, n)| {
             *p == P2
                 && matches!(
                     n,
@@ -219,21 +227,21 @@ fn figure2c_unsafe_snapshot_case_v1_recovers() {
                 )
         }),
         "expected Case V1; notes: {:?}",
-        cl.notes()
+        sim.notes()
     );
-    cl.assert_consistent();
+    assert_safe(&inv);
     for p in [P0, P2, P3] {
-        let chain = cl.committed_blocks(p);
+        let chain = ledger.blocks(p);
         assert!(
             chain.iter().any(|b| b.height().0 == contested),
             "{p} did not commit the contested block; chain heights: {:?}",
             chain.iter().map(|b| b.height().0).collect::<Vec<_>>()
         );
-        assert_eq!(cl.total_committed_txs(p), 20, "{p}");
+        assert_eq!(sim.committed_txs(p), 20, "{p}");
     }
     // The virtual block itself is part of the committed chain.
-    assert!(cl
-        .committed_blocks(P0)
+    assert!(ledger
+        .blocks(P0)
         .iter()
         .any(|b| b.is_virtual() && b.height().0 == contested + 1));
 }
@@ -245,10 +253,10 @@ fn figure2c_unsafe_snapshot_case_v1_recovers() {
 #[test]
 fn figure2b_insecure_two_phase_stalls() {
     let cfg = Config::for_test(4, 1);
-    let (mut cl, contested) = build_figure2_scenario(true);
-    let committed_before = cl.committed_height(P0);
+    let (mut sim, ledger, _, contested) = build_figure2_scenario(true);
+    let committed_before = sim.committed_blocks(P0);
 
-    cl.set_filter(Box::new(|from, _to, msg: &Message| {
+    sim.set_filter(Box::new(|from, _to, msg: &Message| {
         !(from == P0 && matches!(msg.body, MsgBody::ViewChange(_)))
     }));
     // Views 2 (leader p2) and 3 (leader p3) both receive unsafe
@@ -259,24 +267,24 @@ fn figure2b_insecure_two_phase_stalls() {
     // leader with an unsafe snapshot is stuck, which Marlin fixes
     // *within* the same view; see figure2c.)
     for target in [2u64, 3] {
-        while cl.min_view() < View(target) {
-            assert!(cl.fire_next_timer());
+        while min_view(&sim) < View(target) {
+            assert!(sim.fire_next_timer());
         }
-        cl.run_until_idle();
+        sim.run_until_idle();
         let leader = ReplicaId::leader_of(View(target), 4);
-        cl.inject(leader, stale_view_change(&cl, &cfg, P1, View(target)));
+        sim.inject(
+            leader,
+            Event::Message(stale_view_change(&ledger, &cfg, P1, View(target))),
+        );
         // The leader proposes from the stale QC; p0 rejects, the quorum
         // is missed, nothing commits.
         for p in [P2, P3] {
             assert_eq!(
-                cl.committed_height(p),
+                sim.committed_blocks(p),
                 committed_before,
                 "{p} made progress in view {target} despite the unsafe snapshot"
             );
-            assert!(!cl
-                .committed_blocks(p)
-                .iter()
-                .any(|b| b.height().0 == contested));
+            assert!(!ledger.blocks(p).iter().any(|b| b.height().0 == contested));
         }
     }
 }
@@ -286,21 +294,24 @@ fn figure2b_insecure_two_phase_stalls() {
 #[test]
 fn figure2_safe_snapshot_case_v2() {
     let cfg = Config::for_test(4, 1);
-    let (mut cl, contested) = build_figure2_scenario(false);
+    let (mut sim, ledger, inv, contested) = build_figure2_scenario(false);
 
     // p3's VIEW-CHANGE is hidden instead of p0's: the snapshot includes
     // p0's prepareQC for the contested block (safe snapshot).
-    cl.set_filter(Box::new(|from, _to, msg: &Message| {
+    sim.set_filter(Box::new(|from, _to, msg: &Message| {
         !(from == P3 && matches!(msg.body, MsgBody::ViewChange(_)))
     }));
-    while cl.min_view() < View(2) {
-        assert!(cl.fire_next_timer());
+    while min_view(&sim) < View(2) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
-    cl.inject(P2, stale_view_change(&cl, &cfg, P1, View(2)));
+    sim.run_until_idle();
+    sim.inject(
+        P2,
+        Event::Message(stale_view_change(&ledger, &cfg, P1, View(2))),
+    );
 
     assert!(
-        cl.notes().iter().any(|(p, n)| {
+        sim.notes().iter().any(|(_, p, n)| {
             *p == P2
                 && matches!(
                     n,
@@ -311,19 +322,16 @@ fn figure2_safe_snapshot_case_v2() {
                 )
         }),
         "expected Case V2; notes: {:?}",
-        cl.notes()
+        sim.notes()
     );
-    cl.assert_consistent();
+    assert_safe(&inv);
     for p in [P0, P2, P3] {
-        assert!(cl
-            .committed_blocks(p)
-            .iter()
-            .any(|b| b.height().0 == contested));
-        assert_eq!(cl.total_committed_txs(p), 20, "{p}");
+        assert!(ledger.blocks(p).iter().any(|b| b.height().0 == contested));
+        assert_eq!(sim.committed_txs(p), 20, "{p}");
     }
     // Case V2 extends the contested block with a normal block: no
     // virtual block in the chain.
-    assert!(!cl.committed_blocks(P0).iter().any(|b| b.is_virtual()));
+    assert!(!ledger.blocks(P0).iter().any(|b| b.is_virtual()));
 }
 
 /// After recovery through a view change, the protocol keeps committing
@@ -331,34 +339,37 @@ fn figure2_safe_snapshot_case_v2() {
 #[test]
 fn progress_continues_after_unhappy_view_change() {
     let cfg = Config::for_test(4, 1);
-    let (mut cl, _) = build_figure2_scenario(false);
-    cl.set_filter(Box::new(|from, _to, msg: &Message| {
+    let (mut sim, ledger, inv, _) = build_figure2_scenario(false);
+    sim.set_filter(Box::new(|from, _to, msg: &Message| {
         !(from == P0 && matches!(msg.body, MsgBody::ViewChange(_)))
     }));
-    while cl.min_view() < View(2) {
-        assert!(cl.fire_next_timer());
+    while min_view(&sim) < View(2) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
-    cl.inject(P2, stale_view_change(&cl, &cfg, P1, View(2)));
-    cl.clear_filter();
+    sim.run_until_idle();
+    sim.inject(
+        P2,
+        Event::Message(stale_view_change(&ledger, &cfg, P1, View(2))),
+    );
+    sim.clear_filter();
 
-    cl.submit_to(P2, 30, 150);
-    cl.run_until_idle();
-    cl.assert_consistent();
-    assert_eq!(cl.total_committed_txs(P0), 50);
-    assert_eq!(cl.max_view(), View(2));
+    submit(&mut sim, P2, 30, 150);
+    sim.run_until_idle();
+    assert_safe(&inv);
+    assert_eq!(sim.committed_txs(P0), 50);
+    assert_eq!(max_view(&sim), View(2));
 }
 
 /// Locked state is tracked correctly: after a commit, replicas are
 /// locked on the newest prepareQC.
 #[test]
 fn replicas_lock_on_latest_prepare_qc() {
-    let mut cl = marlin_cluster(4, 1, 9);
-    cl.submit_to(P1, 5, 0);
-    cl.run_until_idle();
-    let height = cl.committed_height(P0) as u64;
+    let (mut sim, _, _) = marlin_cluster(4, 1);
+    submit(&mut sim, P1, 5, 0);
+    sim.run_until_idle();
+    let height = sim.committed_blocks(P0);
     for p in [P0, P2, P3] {
-        let view = cl.replica(p).current_view();
+        let view = sim.replica(p).current_view();
         assert_eq!(view, View(1));
     }
     assert!(height >= 2);
@@ -370,31 +381,31 @@ fn replicas_lock_on_latest_prepare_qc() {
 fn rotating_leader_mode_rotates_and_commits() {
     let mut cfg = Config::for_test(4, 1);
     cfg.rotation_interval_ns = Some(50_000_000);
-    let mut cl = Cluster::new(ProtocolKind::Marlin, cfg, 10);
+    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
     for round in 0..6 {
         // Wait for every replica to converge on one view, then submit to
         // its leader (clients of a real deployment resubmit after a
         // rotation; here we submit only to in-view leaders).
-        while cl.min_view() < cl.max_view() {
-            assert!(cl.fire_next_timer(), "no timers at round {round}");
+        while min_view(&sim) < max_view(&sim) {
+            assert!(sim.fire_next_timer(), "no timers at round {round}");
         }
-        let v = cl.max_view();
-        cl.submit_to(ReplicaId::leader_of(v, 4), 10, 0);
-        cl.run_until_idle();
+        let v = max_view(&sim);
+        submit(&mut sim, ReplicaId::leader_of(v, 4), 10, 0);
+        sim.run_until_idle();
         // Fire rotation timers to move to the next view.
-        while cl.min_view() <= v {
-            assert!(cl.fire_next_timer(), "no timers at round {round}");
+        while min_view(&sim) <= v {
+            assert!(sim.fire_next_timer(), "no timers at round {round}");
         }
-        cl.run_until_idle();
+        sim.run_until_idle();
     }
-    cl.assert_consistent();
-    assert!(cl.max_view() >= View(6));
-    assert_eq!(cl.total_committed_txs(P0), 60);
+    assert_safe(&inv);
+    assert!(max_view(&sim) >= View(6));
+    assert_eq!(sim.committed_txs(P0), 60);
     // Rotations under no failures take the happy path.
-    let happy = cl
+    let happy = sim
         .notes()
         .iter()
-        .filter(|(_, n)| matches!(n, Note::HappyPathVc { .. }))
+        .filter(|(_, _, n)| matches!(n, Note::HappyPathVc { .. }))
         .count();
     assert!(happy >= 5, "expected happy-path rotations, got {happy}");
 }
@@ -402,16 +413,16 @@ fn rotating_leader_mode_rotates_and_commits() {
 /// A replica that missed everything catches up through fetch.
 #[test]
 fn lagging_replica_catches_up_via_fetch() {
-    let mut cl = marlin_cluster(4, 1, 11);
+    let (mut sim, _, inv) = marlin_cluster(4, 1);
     // p3 is partitioned from proposals/commits (but not Decide).
-    cl.set_filter(Box::new(|_from, to, msg: &Message| {
+    sim.set_filter(Box::new(|_from, to, msg: &Message| {
         !(to == P3 && matches!(&msg.body, MsgBody::Proposal(_)))
     }));
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    assert_safe(&inv);
     // p3 saw only Decide messages, fetched the blocks, and committed.
-    assert_eq!(cl.total_committed_txs(P3), 10);
+    assert_eq!(sim.committed_txs(P3), 10);
 }
 
 /// Post-crash view resynchronization (the f+1 attestation rule): with
@@ -472,7 +483,7 @@ fn dissemination_commits_via_digest_proposals() {
 
     let mut cfg = Config::for_test(4, 1);
     cfg.dissemination = true;
-    let mut cl = Cluster::new(ProtocolKind::Marlin, cfg, 21);
+    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
 
     let digest_proposals = Arc::new(AtomicUsize::new(0));
     let full_prepare_proposals = Arc::new(AtomicUsize::new(0));
@@ -480,7 +491,7 @@ fn dissemination_commits_via_digest_proposals() {
         Arc::clone(&digest_proposals),
         Arc::clone(&full_prepare_proposals),
     );
-    cl.set_filter(Box::new(move |_from, _to, msg: &Message| {
+    sim.set_filter(Box::new(move |_from, _to, msg: &Message| {
         match &msg.body {
             MsgBody::DigestProposal { .. } => {
                 d.fetch_add(1, Ordering::Relaxed);
@@ -496,11 +507,11 @@ fn dissemination_commits_via_digest_proposals() {
         true // observe only, drop nothing
     }));
 
-    cl.submit_to(P1, 60, 150);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    submit(&mut sim, P1, 60, 150);
+    sim.run_until_idle();
+    assert_safe(&inv);
     for replica in [P0, P1, P2, P3] {
-        assert_eq!(cl.total_committed_txs(replica), 60, "{replica}");
+        assert_eq!(sim.committed_txs(replica), 60, "{replica}");
     }
     assert!(
         digest_proposals.load(Ordering::Relaxed) > 0,
@@ -512,15 +523,15 @@ fn dissemination_commits_via_digest_proposals() {
         "no full-batch prepare proposal should cross the wire"
     );
     // The payload plane reported its lifecycle: pushes and ack quorums.
-    let pushed = cl
+    let pushed = sim
         .notes()
         .iter()
-        .filter(|(_, n)| matches!(n, Note::PayloadPushed { .. }))
+        .filter(|(_, _, n)| matches!(n, Note::PayloadPushed { .. }))
         .count();
-    let quorums = cl
+    let quorums = sim
         .notes()
         .iter()
-        .filter(|(_, n)| matches!(n, Note::PayloadQuorum { .. }))
+        .filter(|(_, _, n)| matches!(n, Note::PayloadQuorum { .. }))
         .count();
     assert!(pushed > 0, "expected PayloadPushed notes");
     assert!(quorums > 0, "expected PayloadQuorum notes");
@@ -533,25 +544,25 @@ fn dissemination_commits_via_digest_proposals() {
 fn dissemination_fetch_fallback_recovers_missing_payload() {
     let mut cfg = Config::for_test(4, 1);
     cfg.dissemination = true;
-    let mut cl = Cluster::new(ProtocolKind::Marlin, cfg, 22);
+    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
 
     // p3 never receives the payload push; acks from p0/p1/p2 (plus the
     // leader's own) still clear the availability quorum of n - f = 3.
-    cl.set_filter(Box::new(|_from, to, msg: &Message| {
+    sim.set_filter(Box::new(|_from, to, msg: &Message| {
         !(to == P3 && matches!(&msg.body, MsgBody::PayloadPush { .. }))
     }));
-    cl.submit_to(P1, 40, 150);
-    cl.run_until_idle();
-    cl.clear_filter();
-    cl.run_until_idle();
-    cl.assert_consistent();
+    submit(&mut sim, P1, 40, 150);
+    sim.run_until_idle();
+    sim.clear_filter();
+    sim.run_until_idle();
+    assert_safe(&inv);
     for replica in [P0, P1, P2, P3] {
-        assert_eq!(cl.total_committed_txs(replica), 40, "{replica}");
+        assert_eq!(sim.committed_txs(replica), 40, "{replica}");
     }
     assert!(
-        cl.notes()
+        sim.notes()
             .iter()
-            .any(|(id, n)| *id == P3 && matches!(n, Note::PayloadFetched { .. })),
+            .any(|(_, id, n)| *id == P3 && matches!(n, Note::PayloadFetched { .. })),
         "p3 should have fetched the missing batch by digest"
     );
 }
@@ -565,28 +576,28 @@ fn dissemination_fetch_fallback_recovers_missing_payload() {
 fn lost_payload_pushes_do_not_wedge_the_leader() {
     let mut cfg = Config::for_test(4, 1);
     cfg.dissemination = true;
-    let mut cl = Cluster::new(ProtocolKind::Marlin, cfg, 23);
+    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
 
     // Every push is lost; the leader's self-ack alone can never reach
     // the n - f = 3 availability quorum.
-    cl.set_filter(Box::new(|_from, _to, msg: &Message| {
+    sim.set_filter(Box::new(|_from, _to, msg: &Message| {
         !matches!(&msg.body, MsgBody::PayloadPush { .. })
     }));
-    cl.submit_to(P1, 40, 150);
-    cl.run_until_idle();
+    submit(&mut sim, P1, 40, 150);
+    sim.run_until_idle();
     // Nothing can commit while the seal occupies its window slot.
-    assert_eq!(cl.total_committed_txs(P1), 0);
+    assert_eq!(sim.committed_txs(P1), 0);
     // Heartbeats age the seal to expiry, then the inline path takes over.
-    cl.run_until(1_000_000_000);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    sim.run_until(1_000_000_000);
+    sim.run_until_idle();
+    assert_safe(&inv);
     for replica in [P0, P1, P2, P3] {
-        assert_eq!(cl.total_committed_txs(replica), 40, "{replica}");
+        assert_eq!(sim.committed_txs(replica), 40, "{replica}");
     }
     assert!(
-        cl.notes()
+        sim.notes()
             .iter()
-            .any(|(id, n)| *id == P1 && matches!(n, Note::PayloadExpired { .. })),
+            .any(|(_, id, n)| *id == P1 && matches!(n, Note::PayloadExpired { .. })),
         "the unacked seal should have been expired"
     );
 }
@@ -602,36 +613,36 @@ fn transient_push_loss_is_healed_by_retransmission() {
 
     let mut cfg = Config::for_test(4, 1);
     cfg.dissemination = true;
-    let mut cl = Cluster::new(ProtocolKind::Marlin, cfg, 24);
+    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
 
     // Drop exactly the first push fan-out (one broadcast = 3 sends).
     let dropped = Arc::new(AtomicUsize::new(0));
     let d = Arc::clone(&dropped);
-    cl.set_filter(Box::new(move |_from, _to, msg: &Message| {
+    sim.set_filter(Box::new(move |_from, _to, msg: &Message| {
         if matches!(&msg.body, MsgBody::PayloadPush { .. }) {
             return d.fetch_add(1, Ordering::Relaxed) >= 3;
         }
         true
     }));
-    cl.submit_to(P1, 40, 150);
-    cl.run_until_idle();
-    assert_eq!(cl.total_committed_txs(P1), 0, "first fan-out was lost");
-    cl.run_until(1_000_000_000);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    submit(&mut sim, P1, 40, 150);
+    sim.run_until_idle();
+    assert_eq!(sim.committed_txs(P1), 0, "first fan-out was lost");
+    sim.run_until(1_000_000_000);
+    sim.run_until_idle();
+    assert_safe(&inv);
     for replica in [P0, P1, P2, P3] {
-        assert_eq!(cl.total_committed_txs(replica), 40, "{replica}");
+        assert_eq!(sim.committed_txs(replica), 40, "{replica}");
     }
     assert!(
-        cl.notes()
+        sim.notes()
             .iter()
-            .any(|(_, n)| matches!(n, Note::PayloadQuorum { .. })),
+            .any(|(_, _, n)| matches!(n, Note::PayloadQuorum { .. })),
         "the re-push should have completed the availability quorum"
     );
     assert!(
-        !cl.notes()
+        !sim.notes()
             .iter()
-            .any(|(_, n)| matches!(n, Note::PayloadExpired { .. })),
+            .any(|(_, _, n)| matches!(n, Note::PayloadExpired { .. })),
         "a healed seal must not expire"
     );
 }

@@ -1,12 +1,15 @@
 //! Scenario tests for the rarer view-change cases: leader Case V3 (two
 //! `pre-prepareQC`s of equal rank) and the chained-mode unhappy path.
 
-use marlin_core::{harness::Cluster, Config, Note, ProtocolKind, VcCase};
+mod support;
+
+use marlin_core::{Config, Event, Note, ProtocolKind, VcCase};
 use marlin_crypto::QcFormat;
 use marlin_types::{
     Batch, Block, BlockKind, Justify, Message, MsgBody, Phase, Qc, QcSeed, ReplicaId, View,
     ViewChange,
 };
+use support::{assert_safe, instant, min_view, submit};
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
@@ -36,10 +39,12 @@ fn case_v3_two_equal_rank_pre_prepare_qcs() {
 
 fn case_v3(kind: ProtocolKind) {
     let cfg = Config::for_test(4, 1);
-    let mut cl = Cluster::new(kind, cfg.clone(), 11);
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    let b_old = cl.committed_blocks(P0).last().expect("committed").clone();
+    // p1 "was" the Byzantine view-2 leader; the crafted blocks and
+    // snapshot are forged in its name.
+    let (mut sim, ledger, inv) = instant(kind, cfg.clone(), &[P1]);
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    let b_old = ledger.blocks(P0).last().expect("committed").clone();
 
     // ---- Craft the aftermath of a failed view-2 view change. ----
     let qc_old = craft_qc(&cfg, b_old.vote_seed(Phase::Prepare, View(1)));
@@ -77,16 +82,16 @@ fn case_v3(kind: ProtocolKind) {
     for block in [&contested, &normal_cand, &virtual_cand] {
         for to in [P0, P1, P2, P3] {
             let virtual_parent = block.is_virtual().then(|| contested.id());
-            cl.inject(
+            sim.inject(
                 to,
-                Message::new(
+                Event::Message(Message::new(
                     P1,
                     View(1),
                     MsgBody::FetchResponse {
                         block: block.clone(),
                         virtual_parent,
                     },
-                ),
+                )),
             );
         }
     }
@@ -94,19 +99,19 @@ fn case_v3(kind: ProtocolKind) {
     // ---- Drive everyone to view 3 with no view-2 progress. ----
     // The view-1 leader crashes (it "was" the Byzantine leader whose
     // failed view-2 view change produced the two pre-prepareQCs).
-    cl.crash(P1);
+    sim.crash(P1);
     // Drop all view-2 traffic (so nobody locks beyond view 1) and every
     // honest view-3 VIEW-CHANGE (the crafted snapshot replaces them).
-    cl.set_filter(Box::new(|_from, _to, msg: &Message| match &msg.body {
+    sim.set_filter(Box::new(|_from, _to, msg: &Message| match &msg.body {
         MsgBody::Proposal(_) if msg.view == View(2) => false,
         MsgBody::ViewChange(_) if msg.view == View(2) => false,
         MsgBody::ViewChange(_) if msg.view == View(3) => false,
         _ => true,
     }));
-    while cl.min_view() < View(3) {
-        assert!(cl.fire_next_timer());
+    while min_view(&sim) < View(3) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
+    sim.run_until_idle();
 
     // ---- Deliver the crafted snapshot to the view-3 leader (p3). ----
     let vc_msg = |from: ReplicaId, high_qc: Justify, lb: &Block| {
@@ -121,17 +126,24 @@ fn case_v3(kind: ProtocolKind) {
             }),
         )
     };
-    cl.clear_filter();
-    cl.inject(
+    sim.clear_filter();
+    sim.inject(
         P3,
-        vc_msg(P0, Justify::Two(pre_virtual, vc_contested), &virtual_cand),
+        Event::Message(vc_msg(
+            P0,
+            Justify::Two(pre_virtual, vc_contested),
+            &virtual_cand,
+        )),
     );
-    cl.inject(P3, vc_msg(P1, Justify::One(pre_normal), &normal_cand));
-    cl.inject(P3, vc_msg(P2, Justify::One(qc_old), &b_old));
+    sim.inject(
+        P3,
+        Event::Message(vc_msg(P1, Justify::One(pre_normal), &normal_cand)),
+    );
+    sim.inject(P3, Event::Message(vc_msg(P2, Justify::One(qc_old), &b_old)));
 
     // Case V3 ran, and the cluster commits again.
     assert!(
-        cl.notes().iter().any(|(p, n)| *p == P3
+        sim.notes().iter().any(|(_, p, n)| *p == P3
             && matches!(
                 n,
                 Note::UnhappyPathVc {
@@ -140,21 +152,21 @@ fn case_v3(kind: ProtocolKind) {
                 }
             )),
         "{kind:?}: expected Case V3; notes: {:?}",
-        cl.notes()
+        sim.notes()
             .iter()
-            .filter(|(_, n)| matches!(n, Note::UnhappyPathVc { .. } | Note::HappyPathVc { .. }))
+            .filter(|(_, _, n)| matches!(n, Note::UnhappyPathVc { .. } | Note::HappyPathVc { .. }))
             .collect::<Vec<_>>()
     );
-    cl.assert_consistent();
-    cl.submit_to(P3, 10, 0);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    assert_safe(&inv);
+    submit(&mut sim, P3, 10, 0);
+    sim.run_until_idle();
+    assert_safe(&inv);
     assert!(
-        cl.total_committed_txs(P0) >= 20,
+        sim.committed_txs(P0) >= 20,
         "{kind:?}: no recovery after Case V3"
     );
     // One of the two crafted candidates was committed.
-    let chain: Vec<_> = cl.committed_blocks(P0).iter().map(Block::id).collect();
+    let chain: Vec<_> = ledger.blocks(P0).iter().map(Block::id).collect();
     assert!(
         chain.contains(&normal_cand.id()) || chain.contains(&virtual_cand.id()),
         "{kind:?}: neither V3 candidate committed"
@@ -165,24 +177,19 @@ fn case_v3(kind: ProtocolKind) {
 /// pre-prepare phase; the pipeline then resumes.
 #[test]
 fn chained_marlin_unhappy_view_change() {
-    let mut cl = Cluster::new(ProtocolKind::ChainedMarlin, Config::for_test(4, 1), 12);
-    cl.submit_to(P1, 40, 0);
-    cl.run_until_idle();
+    let (mut sim, ledger, inv) = instant(ProtocolKind::ChainedMarlin, Config::for_test(4, 1), &[]);
+    submit(&mut sim, P1, 40, 0);
+    sim.run_until_idle();
     // Close the pipeline so there is committed state.
-    while cl.total_committed_txs(P0) < 40 {
-        assert!(cl.fire_next_timer());
-        cl.run_until_idle();
+    while sim.committed_txs(P0) < 40 {
+        assert!(sim.fire_next_timer());
+        sim.run_until_idle();
     }
-    let committed_before = cl.committed_height(P0);
+    let committed_before = sim.committed_blocks(P0);
 
     // The next proposal reaches only p0; replicas' lb now diverge.
-    let marker_height = cl
-        .committed_blocks(P0)
-        .last()
-        .expect("committed")
-        .height()
-        .0;
-    cl.set_filter(Box::new(move |_f, to, msg: &Message| match &msg.body {
+    let marker_height = ledger.blocks(P0).last().expect("committed").height().0;
+    sim.set_filter(Box::new(move |_f, to, msg: &Message| match &msg.body {
         MsgBody::Proposal(p) if p.phase == Phase::Prepare => {
             !(p.blocks
                 .first()
@@ -191,60 +198,60 @@ fn chained_marlin_unhappy_view_change() {
         }
         _ => true,
     }));
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    cl.crash(P1);
-    cl.clear_filter();
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    sim.crash(P1);
+    sim.clear_filter();
 
-    while cl.min_view() < View(2) {
-        assert!(cl.fire_next_timer());
+    while min_view(&sim) < View(2) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
+    sim.run_until_idle();
     // Happy path is impossible (lbs diverge): either V1 or V2 ran.
     assert!(
-        cl.notes()
+        sim.notes()
             .iter()
-            .any(|(_, n)| matches!(n, Note::UnhappyPathVc { .. })),
+            .any(|(_, _, n)| matches!(n, Note::UnhappyPathVc { .. })),
         "expected an unhappy-path view change"
     );
     // The pipeline resumes and commits new blocks.
-    cl.submit_to(P2, 20, 0);
-    cl.run_until_idle();
+    submit(&mut sim, P2, 20, 0);
+    sim.run_until_idle();
     for _ in 0..8 {
-        cl.fire_next_timer();
-        cl.run_until_idle();
+        sim.fire_next_timer();
+        sim.run_until_idle();
     }
-    cl.assert_consistent();
-    assert!(cl.committed_height(P0) > committed_before);
-    assert!(cl.total_committed_txs(P0) >= 60);
+    assert_safe(&inv);
+    assert!(sim.committed_blocks(P0) > committed_before);
+    assert!(sim.committed_txs(P0) >= 60);
 }
 
 /// The happy path also works in chained mode (unanimous lb after a
 /// clean crash).
 #[test]
 fn chained_marlin_happy_view_change() {
-    let mut cl = Cluster::new(ProtocolKind::ChainedMarlin, Config::for_test(4, 1), 13);
-    cl.submit_to(P1, 20, 0);
-    cl.run_until_idle();
-    while cl.total_committed_txs(P0) < 20 {
-        assert!(cl.fire_next_timer());
-        cl.run_until_idle();
+    let (mut sim, _, inv) = instant(ProtocolKind::ChainedMarlin, Config::for_test(4, 1), &[]);
+    submit(&mut sim, P1, 20, 0);
+    sim.run_until_idle();
+    while sim.committed_txs(P0) < 20 {
+        assert!(sim.fire_next_timer());
+        sim.run_until_idle();
     }
-    cl.crash(P1);
-    while cl.min_view() < View(2) {
-        assert!(cl.fire_next_timer());
+    sim.crash(P1);
+    while min_view(&sim) < View(2) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
-    assert!(cl
+    sim.run_until_idle();
+    assert!(sim
         .notes()
         .iter()
-        .any(|(_, n)| matches!(n, Note::HappyPathVc { view: View(2) })));
-    cl.submit_to(P2, 20, 0);
-    cl.run_until_idle();
+        .any(|(_, _, n)| matches!(n, Note::HappyPathVc { view: View(2) })));
+    submit(&mut sim, P2, 20, 0);
+    sim.run_until_idle();
     for _ in 0..8 {
-        cl.fire_next_timer();
-        cl.run_until_idle();
+        sim.fire_next_timer();
+        sim.run_until_idle();
     }
-    cl.assert_consistent();
-    assert_eq!(cl.total_committed_txs(P0), 40);
+    assert_safe(&inv);
+    assert_eq!(sim.committed_txs(P0), 40);
 }

@@ -19,7 +19,9 @@
 //!   order and, when an unpaired virtual `pre-prepareQC` came first,
 //!   extend that instead of the honest `(pre-prepareQC, vc)` pair.
 
-use marlin_core::harness::{build_protocol, Cluster};
+mod support;
+
+use marlin_core::harness::build_protocol;
 use marlin_core::{Action, Config, Event, Note, ProtocolKind, VcCase};
 use marlin_crypto::QcFormat;
 use marlin_types::codec::encode_message;
@@ -27,6 +29,7 @@ use marlin_types::{
     Batch, Block, BlockId, BlockMeta, Height, Justify, Message, MsgBody, Phase, Qc, QcSeed,
     ReplicaId, View, ViewChange, Vote,
 };
+use support::{assert_safe, instant, min_view, submit};
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
@@ -60,10 +63,12 @@ fn r2_lock_attachment_must_resolve_the_virtual_candidate() {
 
 fn r2_lock_attachment_must_resolve(kind: ProtocolKind) {
     let cfg = Config::for_test(4, 1);
-    let mut cl = Cluster::new(kind, cfg.clone(), 17);
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    let b_old = cl.committed_blocks(P0).last().expect("committed").clone();
+    // p1 is the Byzantine replica: the crafted blocks and its decoy
+    // attachment are forged in its name.
+    let (mut sim, ledger, inv) = instant(kind, cfg.clone(), &[P1]);
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    let b_old = ledger.blocks(P0).last().expect("committed").clone();
     let h = b_old.height();
 
     // ---- Craft the aftermath of a contested view 2. ----
@@ -112,36 +117,36 @@ fn r2_lock_attachment_must_resolve(kind: ProtocolKind) {
     // Hand every live replica the crafted blocks (as if block sync ran).
     for block in [&contested, &ghost] {
         for to in [P0, P2, P3] {
-            cl.inject(
+            sim.inject(
                 to,
-                Message::new(
+                Event::Message(Message::new(
                     P1,
                     View(1),
                     MsgBody::FetchResponse {
                         block: block.clone(),
                         virtual_parent: None,
                     },
-                ),
+                )),
             );
         }
     }
 
     // ---- Drive everyone to view 3 with no view-2 progress. ----
-    cl.crash(P1);
+    sim.crash(P1);
     // Drop view-2 traffic, every real VIEW-CHANGE (the crafted snapshot
     // replaces them), and all pre-prepare votes for the *normal* view-3
     // candidate — so the round must advance through the virtual one.
     let b1_id = b1.id();
-    cl.set_filter(Box::new(move |_from, _to, msg: &Message| match &msg.body {
+    sim.set_filter(Box::new(move |_from, _to, msg: &Message| match &msg.body {
         MsgBody::Proposal(_) if msg.view == View(2) => false,
         MsgBody::ViewChange(_) if msg.view >= View(2) => false,
         MsgBody::Vote(v) if v.seed.phase == Phase::PrePrepare && v.seed.block == b1_id => false,
         _ => true,
     }));
-    while cl.min_view() < View(3) {
-        assert!(cl.fire_next_timer());
+    while min_view(&sim) < View(3) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
+    sim.run_until_idle();
 
     // ---- The crafted view-3 snapshot (injected from p3 replaces the
     // leader's own real VIEW-CHANGE in the round). ----
@@ -157,12 +162,15 @@ fn r2_lock_attachment_must_resolve(kind: ProtocolKind) {
             }),
         )
     };
-    cl.inject(P3, vc_msg(P3, Justify::One(vc_contested), &ghost));
-    cl.inject(P3, vc_msg(P0, Justify::One(qc_old), &b_old));
-    cl.inject(P3, vc_msg(P2, Justify::One(qc_old), &b_old));
-    cl.run_until_idle();
+    sim.inject(
+        P3,
+        Event::Message(vc_msg(P3, Justify::One(vc_contested), &ghost)),
+    );
+    sim.inject(P3, Event::Message(vc_msg(P0, Justify::One(qc_old), &b_old)));
+    sim.inject(P3, Event::Message(vc_msg(P2, Justify::One(qc_old), &b_old)));
+    sim.run_until_idle();
     assert!(
-        cl.notes().iter().any(|(p, n)| *p == P3
+        sim.notes().iter().any(|(_, p, n)| *p == P3
             && matches!(
                 n,
                 Note::UnhappyPathVc {
@@ -192,27 +200,27 @@ fn r2_lock_attachment_must_resolve(kind: ProtocolKind) {
             }),
         )
     };
-    cl.inject(P3, r2_vote(P1, qc_old));
-    cl.inject(P3, r2_vote(P0, vc_ghost));
-    cl.run_until_idle();
+    sim.inject(P3, Event::Message(r2_vote(P1, qc_old)));
+    sim.inject(P3, Event::Message(r2_vote(P0, vc_ghost)));
+    sim.run_until_idle();
 
     // The round advanced through the *virtual* candidate with the
     // correct pair: the contested chain (incl. the resolved virtual
     // block) is committed on every live replica.
-    cl.assert_consistent();
-    let chain: Vec<_> = cl.committed_blocks(P0).iter().map(Block::id).collect();
+    assert_safe(&inv);
+    let chain: Vec<_> = ledger.blocks(P0).iter().map(Block::id).collect();
     assert!(
         chain.contains(&ghost.id()) && chain.contains(&b2.id()),
         "{kind:?}: virtual candidate never committed — the decoy attachment wedged the view"
     );
 
     // And the system keeps committing afterwards.
-    cl.clear_filter();
-    cl.submit_to(P3, 10, 0);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    sim.clear_filter();
+    submit(&mut sim, P3, 10, 0);
+    sim.run_until_idle();
+    assert_safe(&inv);
     assert!(
-        cl.total_committed_txs(P0) >= 20,
+        sim.committed_txs(P0) >= 20,
         "{kind:?}: no post-recovery progress"
     );
 }
@@ -231,10 +239,10 @@ fn happy_path_requires_resolvable_virtual_lb() {
 
 fn happy_path_requires_resolvable(kind: ProtocolKind) {
     let cfg = Config::for_test(4, 1);
-    let mut cl = Cluster::new(kind, cfg.clone(), 18);
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    let b_old = cl.committed_blocks(P0).last().expect("committed").clone();
+    let (mut sim, ledger, inv) = instant(kind, cfg.clone(), &[]);
+    submit(&mut sim, P1, 10, 0);
+    sim.run_until_idle();
+    let b_old = ledger.blocks(P0).last().expect("committed").clone();
     let h = b_old.height();
 
     let qc_old = craft_qc(&cfg, b_old.vote_seed(Phase::Prepare, View(1)));
@@ -249,17 +257,17 @@ fn happy_path_requires_resolvable(kind: ProtocolKind) {
         Justify::One(qc_old),
     );
 
-    cl.crash(P1);
-    cl.set_filter(Box::new(|_from, _to, msg: &Message| {
+    sim.crash(P1);
+    sim.set_filter(Box::new(|_from, _to, msg: &Message| {
         !matches!(&msg.body,
             MsgBody::Proposal(_) if msg.view == View(2))
             && !matches!(&msg.body,
                 MsgBody::ViewChange(_) if msg.view >= View(2))
     }));
-    while cl.min_view() < View(3) {
-        assert!(cl.fire_next_timer());
+    while min_view(&sim) < View(3) {
+        assert!(sim.fire_next_timer());
     }
-    cl.run_until_idle();
+    sim.run_until_idle();
 
     // Unanimous virtual lb with *valid* happy-path signatures — the
     // happy path is cryptographically available, just unsafe.
@@ -279,32 +287,32 @@ fn happy_path_requires_resolvable(kind: ProtocolKind) {
             }),
         )
     };
-    cl.inject(P3, vc_msg(P3));
-    cl.inject(P3, vc_msg(P0));
-    cl.inject(P3, vc_msg(P2));
-    cl.run_until_idle();
+    sim.inject(P3, Event::Message(vc_msg(P3)));
+    sim.inject(P3, Event::Message(vc_msg(P0)));
+    sim.inject(P3, Event::Message(vc_msg(P2)));
+    sim.run_until_idle();
 
     // The leader refused the happy path and ran the unhappy pre-prepare.
     assert!(
-        !cl.notes()
+        !sim.notes()
             .iter()
-            .any(|(p, n)| *p == P3 && matches!(n, Note::HappyPathVc { view: View(3) })),
+            .any(|(_, p, n)| *p == P3 && matches!(n, Note::HappyPathVc { view: View(3) })),
         "{kind:?}: leader took the happy path over an unresolvable virtual lb"
     );
     assert!(
-        cl.notes()
+        sim.notes()
             .iter()
-            .any(|(p, n)| *p == P3 && matches!(n, Note::UnhappyPathVc { view: View(3), .. })),
+            .any(|(_, p, n)| *p == P3 && matches!(n, Note::UnhappyPathVc { view: View(3), .. })),
         "{kind:?}: leader never ran the unhappy pre-prepare fallback"
     );
 
     // The fallback recovered the system: new transactions commit.
-    cl.clear_filter();
-    cl.submit_to(P3, 10, 0);
-    cl.run_until_idle();
-    cl.assert_consistent();
+    sim.clear_filter();
+    submit(&mut sim, P3, 10, 0);
+    sim.run_until_idle();
+    assert_safe(&inv);
     assert!(
-        cl.total_committed_txs(P0) >= 20,
+        sim.committed_txs(P0) >= 20,
         "{kind:?}: no progress after the virtual-lb view change"
     );
 }

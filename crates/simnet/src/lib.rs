@@ -21,7 +21,9 @@
 //!   metrics), with a resettable measurement window for Table I.
 //!
 //! Determinism: given the same configuration and seed, a simulation is
-//! bit-for-bit reproducible.
+//! bit-for-bit reproducible. [`SimConfig::instant`] turns the network
+//! model off: every test steps replicas through it one input at a time
+//! ([`SimNet::run_until_idle`], [`SimNet::fire_next_timer`]).
 //!
 //! Two drivers assemble whole runs on top of [`SimNet`]: [`run_scenario`]
 //! is a fault run (a [`Scenario`]'s crash, partition, link-fault and

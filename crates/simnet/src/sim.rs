@@ -191,6 +191,19 @@ impl SimConfig {
             clients: 0,
         }
     }
+
+    /// Zero latency, no bandwidth model, no loss, full (non-shadow) wire
+    /// lengths: what tests step one input at a time, with
+    /// [`SimNet::run_until_idle`] and [`SimNet::fire_next_timer`].
+    pub fn instant() -> Self {
+        SimConfig {
+            one_way_latency_ns: 0,
+            jitter_ns: 0,
+            bandwidth_bps: 0,
+            shadow_blocks: false,
+            ..Self::lan()
+        }
+    }
 }
 
 /// Heap entry kinds.
@@ -203,7 +216,7 @@ impl SimConfig {
 enum Ev {
     Deliver {
         to: ReplicaId,
-        msg: Message,
+        event: Event,
     },
     ViewTimer {
         replica: ReplicaId,
@@ -539,6 +552,24 @@ impl SimNet {
         self.crashed[id.index()]
     }
 
+    /// Crashes `id` now: it is silent until restarted, and its disk (if
+    /// recovery is configured) loses every unsynced write.
+    pub fn crash(&mut self, id: ReplicaId) {
+        self.crashed[id.index()] = true;
+        if let Some(disk) = self.disks.get(id.index()) {
+            disk.crash();
+        }
+    }
+
+    /// Brings `id` back up now as `replica`, handing it [`Event::Start`]
+    /// (a journal-recovered machine ignores it) and [`Event::Recovered`].
+    pub fn restart(&mut self, id: ReplicaId, replica: Box<dyn Protocol>) {
+        self.replicas[id.index()] = replica;
+        self.crashed[id.index()] = false;
+        self.step_replica(id, Event::Start);
+        self.step_replica(id, Event::Recovered);
+    }
+
     /// Schedules `count` client transactions with `payload_len`-byte
     /// payloads to arrive at `to` at `at_ns`. Client→replica latency is
     /// assumed already included in `at_ns`; transaction timestamps are
@@ -563,18 +594,51 @@ impl SimNet {
     /// Runs the simulation until the clock reaches `deadline_ns` (events
     /// at exactly the deadline are processed).
     pub fn run_until(&mut self, deadline_ns: u64) {
-        while let Some(top) = self.heap.peek() {
-            if top.at_ns > deadline_ns {
-                break;
-            }
+        while self.heap.peek().is_some_and(|top| top.at_ns <= deadline_ns) {
             let entry = self.heap.pop().expect("peeked");
-            self.now_ns = self.now_ns.max(entry.at_ns);
-            self.events_processed += 1;
-            self.dispatch_entry(entry);
-            self.run_checker();
-            self.maybe_maintain_crypto();
+            self.process(entry);
         }
         self.now_ns = self.now_ns.max(deadline_ns);
+    }
+
+    /// Processes every event due by now except timers, which stay
+    /// armed; the clock does not move. Under [`SimConfig::instant`]
+    /// that is everything the last input caused.
+    pub fn run_until_idle(&mut self) {
+        let mut timers = Vec::new();
+        while self.heap.peek().is_some_and(|top| top.at_ns <= self.now_ns) {
+            let entry = self.heap.pop().expect("peeked");
+            if self.timer_armed(&entry.ev).is_some() {
+                timers.push(entry);
+            } else {
+                self.process(entry);
+            }
+        }
+        self.heap.extend(timers);
+    }
+
+    /// Fires the earliest armed timer (superseded ones are dropped, other
+    /// events before it processed), then runs until idle: timers due at
+    /// the same instant stay armed. `false` when no timer is armed.
+    pub fn fire_next_timer(&mut self) -> bool {
+        while let Some(entry) = self.heap.pop() {
+            let timer = self.timer_armed(&entry.ev);
+            if timer == Some(false) {
+                continue;
+            }
+            self.process(entry);
+            if timer.is_some() {
+                self.run_until_idle();
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Delivers `event` to `to` now, then runs until idle.
+    pub fn inject(&mut self, to: ReplicaId, event: Event) {
+        self.push(self.now_ns, Ev::Deliver { to, event });
+        self.run_until_idle();
     }
 
     /// Bounded crypto-cache maintenance: every
@@ -615,23 +679,41 @@ impl SimNet {
         });
     }
 
+    /// Every entry point's path through an event: clock, dispatch,
+    /// invariant check, cache maintenance.
+    fn process(&mut self, entry: Entry) {
+        self.now_ns = self.now_ns.max(entry.at_ns);
+        self.events_processed += 1;
+        self.dispatch_entry(entry);
+        self.run_checker();
+        self.maybe_maintain_crypto();
+    }
+
+    /// `None` for a non-timer event; for a timer, whether it is still
+    /// armed (its replica is up and no later arm superseded it).
+    fn timer_armed(&self, ev: &Ev) -> Option<bool> {
+        let (replica, live, seq) = match *ev {
+            Ev::ViewTimer { replica, seq, .. } => (replica, &self.live_view_timer, seq),
+            Ev::Heartbeat { replica, seq } => (replica, &self.live_heartbeat, seq),
+            _ => return None,
+        };
+        Some(!self.crashed[replica.index()] && live[replica.index()] == seq)
+    }
+
     fn dispatch_entry(&mut self, entry: Entry) {
+        if self.timer_armed(&entry.ev) == Some(false) {
+            return;
+        }
         match entry.ev {
-            Ev::Deliver { to, msg } => {
+            Ev::Deliver { to, event } => {
                 if !self.crashed[to.index()] {
-                    self.step_replica(to, Event::Message(msg));
+                    self.step_replica(to, event);
                 }
             }
-            Ev::ViewTimer { replica, view, seq } => {
-                if !self.crashed[replica.index()] && self.live_view_timer[replica.index()] == seq {
-                    self.step_replica(replica, Event::Timeout { view });
-                }
+            Ev::ViewTimer { replica, view, .. } => {
+                self.step_replica(replica, Event::Timeout { view });
             }
-            Ev::Heartbeat { replica, seq } => {
-                if !self.crashed[replica.index()] && self.live_heartbeat[replica.index()] == seq {
-                    self.step_replica(replica, Event::Heartbeat);
-                }
-            }
+            Ev::Heartbeat { replica, .. } => self.step_replica(replica, Event::Heartbeat),
             Ev::ClientBatch {
                 to,
                 count,
@@ -665,16 +747,9 @@ impl SimNet {
                     self.step_replica(to, Event::NewTransactions(txs));
                 }
             }
-            Ev::Crash { replica } => {
-                self.crashed[replica.index()] = true;
-                // Unsynced disk writes die with the process.
-                if let Some(disk) = self.disks.get(replica.index()) {
-                    disk.crash();
-                }
-            }
+            Ev::Crash { replica } => self.crash(replica),
             Ev::Recover { replica } => {
                 if self.crashed[replica.index()] {
-                    self.crashed[replica.index()] = false;
                     let rebuilt = match self.recovery_mode {
                         RecoveryMode::WithMemory => None,
                         RecoveryMode::FromDisk | RecoveryMode::Amnesia => {
@@ -689,16 +764,16 @@ impl SimNet {
                             }
                         }
                     };
-                    if let Some(fresh) = rebuilt {
-                        self.replicas[replica.index()] = fresh;
-                        // A rebuilt machine needs its bootstrap (a
-                        // journal-recovered one treats Start as a no-op).
-                        self.step_replica(replica, Event::Start);
-                    }
                     // In every mode the protocol re-arms its own view
                     // timer (and may solicit missed state) — no
                     // synthetic timeout injection.
-                    self.step_replica(replica, Event::Recovered);
+                    match rebuilt {
+                        Some(fresh) => self.restart(replica, fresh),
+                        None => {
+                            self.crashed[replica.index()] = false;
+                            self.step_replica(replica, Event::Recovered);
+                        }
+                    }
                 }
             }
             Ev::TearDisk {
@@ -965,15 +1040,11 @@ impl SimNet {
         };
         let arrive = depart + self.cfg.one_way_latency_ns + jitter + fault_delay_ns;
         for _ in 1..fault_copies {
-            self.push(
-                arrive,
-                Ev::Deliver {
-                    to,
-                    msg: msg.clone(),
-                },
-            );
+            let event = Event::Message(msg.clone());
+            self.push(arrive, Ev::Deliver { to, event });
         }
-        self.push(arrive, Ev::Deliver { to, msg });
+        let event = Event::Message(msg);
+        self.push(arrive, Ev::Deliver { to, event });
     }
 }
 
@@ -1145,6 +1216,45 @@ mod tests {
         }
         sim.run_until(20_000_000_000);
         assert!(sim.committed_txs(ReplicaId(0)) >= 80);
+    }
+
+    #[test]
+    fn instant_profile_steps_one_input_at_a_time() {
+        let cfg = Config::for_test(4, 1);
+        let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::instant());
+        let checker = crate::Invariants::new(&[], u64::MAX);
+        sim.set_invariant_checker(Box::new(checker.clone()));
+        // The start-up block commits; no timer fires, the clock stands.
+        sim.run_until_idle();
+        assert_eq!((sim.now_ns(), checker.committed_len()), (0, 2));
+        // An injected event lands now, and what it causes runs.
+        let tx = Transaction::new(1, 0, bytes::Bytes::new(), 0);
+        sim.inject(ReplicaId(1), Event::NewTransactions(vec![tx]));
+        assert_eq!((sim.now_ns(), checker.committed_len()), (0, 3));
+        // Heartbeats pace empty blocks; each commit re-arms (supersedes)
+        // every view timer.
+        for _ in 0..6 {
+            assert!(sim.fire_next_timer());
+        }
+        assert!(checker.committed_len() > 3);
+        assert!(sim
+            .heap
+            .iter()
+            .any(|e| sim.timer_armed(&e.ev) == Some(false)));
+        // Leader down: the live view timers of p0, p2 and p3 are due at
+        // one instant, after the superseded ones. One fires per call.
+        sim.crash(ReplicaId(1));
+        let moved = |sim: &SimNet| {
+            let views = (0..4).map(|i| sim.replica(ReplicaId(i)).current_view());
+            views.filter(|v| *v > View(1)).count()
+        };
+        assert!(sim.fire_next_timer());
+        let (due, one) = (sim.now_ns(), moved(&sim));
+        assert!(sim.fire_next_timer());
+        assert_eq!((one, sim.now_ns(), moved(&sim)), (1, due, 2));
+        assert!(checker.violations().is_empty());
+        (0..4).for_each(|i| sim.crash(ReplicaId(i)));
+        assert!(!sim.fire_next_timer());
     }
 
     #[test]

@@ -184,6 +184,13 @@ pub enum Note {
         /// The committed height at completion.
         height: Height,
     },
+    /// A sync run gave up: every peer answered one of its chunks short
+    /// (all had pruned it). The next commit certificate starts a fresh
+    /// run, with a fresh snapshot decision.
+    SyncAbandoned {
+        /// First height of the chunk no peer could serve.
+        from: Height,
+    },
     /// Admission outcome of one `NewTransactions` delivery (aggregated
     /// per event, not per transaction).
     MempoolAdmission {
@@ -633,6 +640,7 @@ impl<S: TelemetrySink> TelemetrySink for SharedSink<S> {
 /// | `SyncRangeFetched` | `consensus_sync_ranges_fetched_total` + `consensus_sync_blocks_fetched_total` |
 /// | `SyncPeerDemoted` | `consensus_sync_peer_demotions_total{peer}` |
 /// | `SyncCompleted` | `consensus_sync_completed_total` + `consensus_sync_rejoin_ns` |
+/// | `SyncAbandoned` | `consensus_sync_abandoned_total` |
 /// | `MempoolAdmission` | `consensus_mempool_{admitted,duplicates,rejected,priority}_total` |
 /// | `PayloadPushed` | `consensus_payload_pushed_total` + `consensus_payload_push_bytes_total` |
 /// | `PayloadQuorum` | `consensus_payload_quorum_total` + `consensus_payload_quorum_ns` |
@@ -813,6 +821,9 @@ impl TelemetrySink for RegistryRecorder {
                     self.histogram("consensus_sync_rejoin_ns", &[])
                         .record(at_ns.saturating_sub(t0));
                 }
+            }
+            Note::SyncAbandoned { .. } => {
+                self.counter("consensus_sync_abandoned_total", &[]).inc();
             }
             Note::MempoolAdmission {
                 admitted,
@@ -1083,6 +1094,7 @@ mod tests {
             Note::SyncCompleted {
                 height: Height(500),
             },
+            Note::SyncAbandoned { from: Height(11) },
             Note::MempoolAdmission {
                 admitted: 8,
                 duplicates: 2,
@@ -1126,6 +1138,7 @@ mod tests {
                 | Note::SyncRangeFetched { .. }
                 | Note::SyncPeerDemoted { .. }
                 | Note::SyncCompleted { .. }
+                | Note::SyncAbandoned { .. }
                 | Note::MempoolAdmission { .. }
                 | Note::PayloadPushed { .. }
                 | Note::PayloadQuorum { .. }

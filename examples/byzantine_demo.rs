@@ -8,24 +8,46 @@
 //! cargo run --example byzantine_demo
 //! ```
 
-use marlin_bft::core::{harness::Cluster, Config, Note, ProtocolKind, VcCase};
+use marlin_bft::core::{Config, Event, Note, ProtocolKind, VcCase};
 use marlin_bft::crypto::QcFormat;
-use marlin_bft::types::{Justify, Message, MsgBody, Phase, Qc, ReplicaId, View, ViewChange};
+use marlin_bft::simnet::{CommitObserver, SimConfig, SimNet};
+use marlin_bft::types::{Block, Justify, Message, MsgBody, Phase, Qc, ReplicaId, View, ViewChange};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
 const P2: ReplicaId = ReplicaId(2);
 
+/// Every block each replica commits, in order.
+#[derive(Clone, Default)]
+struct Chains(Rc<RefCell<[Vec<Block>; 4]>>);
+
+impl Chains {
+    fn of(&self, id: ReplicaId) -> Vec<Block> {
+        self.0.borrow()[id.index()].clone()
+    }
+}
+
+impl CommitObserver for Chains {
+    fn on_commit(&mut self, replica: ReplicaId, _now_ns: u64, blocks: &[Block]) {
+        self.0.borrow_mut()[replica.index()].extend_from_slice(blocks);
+    }
+}
+
 /// Builds the decided-but-hidden-block situation: the block at the
 /// returned height has a `prepareQC` that only p0 ever saw (p0 is
 /// locked on it); the view-1 leader p1 then crashes.
-fn build_scenario(kind: ProtocolKind) -> (Cluster, u64) {
-    let mut cl = Cluster::new(kind, Config::for_test(4, 1), 99);
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    let contested = cl.committed_height(P0) as u64 + 1;
+fn build_scenario(kind: ProtocolKind) -> (SimNet, Chains, u64) {
+    let mut sim = SimNet::new(kind, Config::for_test(4, 1), SimConfig::instant());
+    let chains = Chains::default();
+    sim.set_observer(Box::new(chains.clone()));
+    sim.run_until_idle(); // the start-up block
+    sim.schedule_client_batch(P1, sim.now_ns(), 10, 0);
+    sim.run_until_idle();
+    let contested = sim.committed_blocks(P0) + 1;
 
-    cl.set_filter(Box::new(move |_from, to, msg: &Message| match &msg.body {
+    sim.set_filter(Box::new(move |_from, to, msg: &Message| match &msg.body {
         MsgBody::Proposal(p) if p.phase == Phase::Prepare => {
             !(p.blocks.first().is_some_and(|b| b.height().0 == contested) && to == P2)
         }
@@ -35,21 +57,21 @@ fn build_scenario(kind: ProtocolKind) -> (Cluster, u64) {
         }
         _ => true,
     }));
-    cl.submit_to(P1, 10, 0);
-    cl.run_until_idle();
-    cl.crash(P1);
+    sim.schedule_client_batch(P1, sim.now_ns(), 10, 0);
+    sim.run_until_idle();
+    sim.crash(P1);
     // The unsafe snapshot: p0's VIEW-CHANGE (carrying the hidden QC)
     // never reaches the new leader.
-    cl.set_filter(Box::new(|from, _to, msg: &Message| {
+    sim.set_filter(Box::new(|from, _to, msg: &Message| {
         !(from == P0 && matches!(msg.body, MsgBody::ViewChange(_)))
     }));
-    (cl, contested)
+    (sim, chains, contested)
 }
 
 /// The Byzantine replica's stale VIEW-CHANGE: it hides the contested QC
 /// and reports an old last-voted block.
-fn byzantine_view_change(cl: &Cluster, cfg: &Config, view: View) -> Message {
-    let stale = cl.committed_blocks(P0).last().expect("committed").clone();
+fn byzantine_view_change(chains: &Chains, cfg: &Config, view: View) -> Message {
+    let stale = chains.of(P0).last().expect("committed").clone();
     let seed = stale.vote_seed(Phase::Prepare, View(1));
     let partials: Vec<_> = (0..3)
         .map(|i| cfg.keys.signer(i).sign_partial(&seed.signing_bytes()))
@@ -71,20 +93,22 @@ fn byzantine_view_change(cl: &Cluster, cfg: &Config, view: View) -> Message {
     )
 }
 
-fn run(kind: ProtocolKind) -> (usize, bool, bool) {
+fn run(kind: ProtocolKind) -> (u64, bool, bool) {
     let cfg = Config::for_test(4, 1);
-    let (mut cl, contested) = build_scenario(kind);
-    while cl.min_view() < View(2) {
-        assert!(cl.fire_next_timer());
-    }
-    cl.run_until_idle();
-    cl.inject(P2, byzantine_view_change(&cl, &cfg, View(2)));
-    let committed = cl.total_committed_txs(P2);
-    let contested_committed = cl
-        .committed_blocks(P2)
+    let (mut sim, chains, contested) = build_scenario(kind);
+    while [0, 2, 3]
+        .map(ReplicaId)
         .iter()
-        .any(|b| b.height().0 == contested);
-    let used_virtual = cl.notes().iter().any(|(_, n)| {
+        .any(|&id| sim.replica(id).current_view() < View(2))
+    {
+        assert!(sim.fire_next_timer());
+    }
+    sim.run_until_idle();
+    let stale = byzantine_view_change(&chains, &cfg, View(2));
+    sim.inject(P2, Event::Message(stale));
+    let committed = sim.committed_txs(P2);
+    let contested_committed = chains.of(P2).iter().any(|b| b.height().0 == contested);
+    let used_virtual = sim.notes().iter().any(|(_, _, n)| {
         matches!(
             n,
             Note::UnhappyPathVc {

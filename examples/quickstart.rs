@@ -1,5 +1,5 @@
 //! Quickstart: a four-replica Marlin cluster committing transactions
-//! in-process.
+//! in-process, on the simulator's zero-latency profile.
 //!
 //! ```text
 //! cargo run --example quickstart [-- --telemetry PATH]
@@ -11,9 +11,24 @@
 //! extension (validated against the line-format checker before it is
 //! written).
 
-use marlin_bft::core::{harness::Cluster, Config, Note, ProtocolKind};
+use marlin_bft::core::{Config, Note, ProtocolKind};
+use marlin_bft::simnet::{CommitObserver, Invariants, SimConfig, SimNet};
 use marlin_bft::telemetry::{check_prometheus_text, Registry, RegistryRecorder};
-use marlin_bft::types::ReplicaId;
+use marlin_bft::types::{Block, ReplicaId};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// The application end of consensus: every block p0 commits, in order.
+#[derive(Clone, Default)]
+struct Chain(Rc<RefCell<Vec<Block>>>);
+
+impl CommitObserver for Chain {
+    fn on_commit(&mut self, replica: ReplicaId, _now_ns: u64, blocks: &[Block]) {
+        if replica == ReplicaId(0) {
+            self.0.borrow_mut().extend_from_slice(blocks);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -24,25 +39,29 @@ fn main() {
 
     // n = 4 replicas tolerating f = 1 Byzantine fault.
     let config = Config::for_test(4, 1);
-    let mut cluster = Cluster::new(ProtocolKind::Marlin, config, 42);
+    let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::instant());
+    let (chain, invariants) = (Chain::default(), Invariants::new(&[], u64::MAX));
+    sim.set_observer(Box::new(chain.clone()));
+    sim.set_invariant_checker(Box::new(invariants.clone()));
+    sim.run_until_idle(); // the start-up block
     let registry = Registry::new();
     if telemetry_path.is_some() {
-        cluster.set_telemetry(Box::new(RegistryRecorder::new(&registry)));
+        sim.set_telemetry(Box::new(RegistryRecorder::new(&registry)));
     }
 
     println!("submitting 3 batches of 100 transactions to the view-1 leader…");
     for round in 1..=3 {
-        cluster.submit_to(ReplicaId(1), 100, 150);
-        cluster.run_until_idle();
+        sim.schedule_client_batch(ReplicaId(1), sim.now_ns(), 100, 150);
+        sim.run_until_idle();
         println!(
             "  round {round}: every replica has committed {} transactions",
-            cluster.total_committed_txs(ReplicaId(0))
+            sim.committed_txs(ReplicaId(0))
         );
     }
 
-    cluster.assert_consistent();
+    assert_eq!(invariants.violations(), []);
     println!("\ncommitted chain (as seen by p0):");
-    for block in cluster.committed_blocks(ReplicaId(0)) {
+    for block in chain.0.borrow().iter() {
         println!(
             "  height {:>3}  view {}  {:>3} txs  id {}",
             block.height(),
@@ -52,10 +71,10 @@ fn main() {
         );
     }
 
-    let qcs_formed = cluster
+    let qcs_formed = sim
         .notes()
         .iter()
-        .filter(|(_, n)| matches!(n, Note::QcFormed { .. }))
+        .filter(|(_, _, n)| matches!(n, Note::QcFormed { .. }))
         .count();
     println!("\n{qcs_formed} quorum certificates were formed — two per block (prepare + commit):");
     println!("Marlin commits in two phases where HotStuff needs three.");

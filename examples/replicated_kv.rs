@@ -1,15 +1,18 @@
 //! A replicated key-value store on top of the Marlin consensus core:
 //! clients issue SET/DELETE commands, every replica applies committed
-//! blocks in order to its own copy of the state, and reads hit local
-//! state.
+//! blocks in order to its own copy of the state (as the simulator's
+//! commit observer), and reads hit local state.
 //!
 //! ```text
 //! cargo run --example replicated_kv
 //! ```
 
-use marlin_bft::core::{harness::Cluster, Config, ProtocolKind};
+use marlin_bft::core::{Config, Event, ProtocolKind};
+use marlin_bft::simnet::{CommitObserver, Invariants, SimConfig, SimNet};
 use marlin_bft::types::{Block, ReplicaId, Transaction};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// The replicated state machine: a key-value map driven by
 /// `SET key value` / `DEL key` transaction payloads.
@@ -43,8 +46,29 @@ impl KvState {
     }
 }
 
+/// Each replica's copy of the state machine, fed its committed blocks.
+#[derive(Clone, Default)]
+struct Apps(Rc<RefCell<[KvState; 4]>>);
+
+impl CommitObserver for Apps {
+    fn on_commit(&mut self, replica: ReplicaId, _now_ns: u64, blocks: &[Block]) {
+        let app = &mut self.0.borrow_mut()[replica.index()];
+        for block in blocks {
+            app.apply_block(block);
+        }
+    }
+}
+
 fn main() {
-    let mut cluster = Cluster::new(ProtocolKind::Marlin, Config::for_test(4, 1), 7);
+    let mut sim = SimNet::new(
+        ProtocolKind::Marlin,
+        Config::for_test(4, 1),
+        SimConfig::instant(),
+    );
+    let (apps, invariants) = (Apps::default(), Invariants::new(&[], u64::MAX));
+    sim.set_observer(Box::new(apps.clone()));
+    sim.set_invariant_checker(Box::new(invariants.clone()));
+    sim.run_until_idle(); // the start-up block
     let leader = ReplicaId(1);
 
     // Submit a little banking workload through consensus.
@@ -61,18 +85,14 @@ fn main() {
         .enumerate()
         .map(|(i, cmd)| Transaction::new(i as u64 + 1, 0, cmd.as_bytes().to_vec().into(), 0))
         .collect();
-    cluster.inject_transactions(leader, txs);
-    cluster.run_until_idle();
-    cluster.assert_consistent();
+    sim.inject(leader, Event::NewTransactions(txs));
+    sim.run_until_idle();
+    assert_eq!(invariants.violations(), []);
 
-    // Every replica replays its committed chain into its own state
+    // Every replica applied its committed chain to its own state
     // machine — they all converge on the same state.
-    for replica in 0..4u32 {
-        let id = ReplicaId(replica);
-        let mut app = KvState::default();
-        for block in cluster.committed_blocks(id) {
-            app.apply_block(block);
-        }
+    for (replica, app) in apps.0.borrow().iter().enumerate() {
+        let id = ReplicaId(replica as u32);
         println!(
             "{id}: alice={:<4} bob={:<4} carol={:<4} ({} commands applied)",
             app.get("alice").unwrap_or("∅"),

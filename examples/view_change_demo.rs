@@ -80,6 +80,7 @@ fn trace(sim: &SimNet, from_ns: u64) {
             | Note::SyncRangeFetched { .. }
             | Note::SyncPeerDemoted { .. }
             | Note::SyncCompleted { .. }
+            | Note::SyncAbandoned { .. }
             | Note::MempoolAdmission { .. }
             | Note::PayloadPushed { .. }
             | Note::PayloadQuorum { .. }

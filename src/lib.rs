@@ -12,9 +12,9 @@
 //!   the CPU cost model;
 //! * [`types`] — views, blocks, quorum certificates, rank rules,
 //!   messages, the wire codec, and the block tree;
-//! * [`core`] — the protocol state machines (Marlin and all baselines)
-//!   plus an in-process test harness;
-//! * [`simnet`] — the deterministic discrete-event network simulator,
+//! * [`core`] — the protocol state machines (Marlin and all baselines);
+//! * [`simnet`] — the deterministic discrete-event network simulator
+//!   (with a zero-latency profile that drives the tests and examples),
 //!   its fault-scenario driver, and the experiment driver (workload
 //!   generation, the database write-cost schedule, latency/throughput
 //!   measurement);
@@ -29,13 +29,17 @@
 //! ## Quickstart
 //!
 //! ```
-//! use marlin_bft::core::{harness::Cluster, Config, ProtocolKind};
+//! use marlin_bft::core::{Config, ProtocolKind};
+//! use marlin_bft::simnet::{Invariants, SimConfig, SimNet};
 //!
-//! let mut cluster = Cluster::new(ProtocolKind::Marlin, Config::for_test(4, 1), 42);
-//! cluster.submit_transactions(100);
-//! cluster.run_until_idle();
-//! cluster.assert_consistent();
-//! assert_eq!(cluster.total_committed_txs(0u32.into()), 100);
+//! let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), SimConfig::instant());
+//! let invariants = Invariants::new(&[], u64::MAX);
+//! sim.set_invariant_checker(Box::new(invariants.clone()));
+//! sim.run_until_idle(); // the start-up block
+//! sim.schedule_client_batch(1u32.into(), sim.now_ns(), 100, 0);
+//! sim.run_until_idle();
+//! assert!(invariants.violations().is_empty());
+//! assert_eq!(sim.committed_txs(0u32.into()), 100);
 //! ```
 //!
 //! See `examples/` for runnable demonstrations and `crates/bench` for

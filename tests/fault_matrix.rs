@@ -18,7 +18,10 @@
 //!   snapshot adversary, on every seed.
 
 use marlin_bft::core::ProtocolKind;
-use marlin_bft::simnet::{run_scenario, RecoveryMode, Scenario, ScenarioOutcome, Violation};
+use marlin_bft::simnet::{
+    run_scenario, LinkFault, MsgClass, RecoveryMode, Scenario, ScenarioOutcome, Violation,
+};
+use marlin_bft::types::ReplicaId;
 
 const SEEDS: [u64; 3] = [7, 42, 2022];
 const HONEST_QUORUM_PROTOCOLS: [ProtocolKind; 4] = [
@@ -214,11 +217,9 @@ fn matrix_chained_protocols_all_presets() {
     }
 }
 
-/// Asserts the long-lag rejoin contract on one outcome: safe, live,
-/// the crashed replica back at (or within a pipeline's reach of) the
-/// committed tip, and every honest replica's resident block tree
-/// bounded by the snapshot horizon instead of the chain length.
-fn assert_rejoined(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
+/// Safe, live, a deep lag actually created, and the crashed replica
+/// back at (or within a pipeline's reach of) the committed tip.
+fn assert_caught_up(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
     assert_eq!(
         out.safety_violations(),
         0,
@@ -251,6 +252,13 @@ fn assert_rejoined(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
         out.min_honest_tip,
         canonical_tip
     );
+}
+
+/// Asserts the long-lag rejoin contract on one outcome: caught up
+/// ([`assert_caught_up`]), and every honest replica's resident block
+/// tree bounded by the snapshot horizon instead of the chain length.
+fn assert_rejoined(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
+    assert_caught_up(out, scenario, seed);
     // Storage boundedness: the snapshot horizon keeps about two
     // intervals of committed blocks resident (plus uncommitted
     // in-flight forks); the chain itself is several times longer.
@@ -304,6 +312,32 @@ fn byzantine_sync_peer_cannot_block_rejoin() {
     for seed in SEEDS {
         let out = run_scenario(ProtocolKind::Marlin, &scenario, seed);
         assert_rejoined(&out, &scenario, seed);
+    }
+}
+
+#[test]
+fn sync_run_abandons_a_chunk_every_peer_pruned() {
+    // The long-lag schedule, but every sync answer into p3 (snapshot
+    // and range responses) is lost for its first half second back. Its
+    // snapshot phase times out and falls back to ranges from its tip of
+    // 4 s ago, while the trio commits many snapshot intervals past it
+    // inside each 4-tick chunk deadline, pruning as it goes. Once
+    // answers flow, every peer serves those chunks short: the run must
+    // give up, and the next commit certificate restart sync with a
+    // fresh snapshot decision. A run that re-requests such a chunk
+    // forever never rejoins. (Not asserted: the storage bound. The
+    // proposals p3 stores while it waits are uncommitted blocks below
+    // the anchor it then installs, and nothing prunes those.)
+    let mut scenario = Scenario::long_lag_rejoin();
+    scenario.name = "unservable-sync-chunk";
+    scenario.link_faults = vec![LinkFault {
+        dst: Some(ReplicaId(3)),
+        classes: Some(vec![MsgClass::Sync]),
+        ..LinkFault::drop_all(4_000_000_000, 4_500_000_000)
+    }];
+    for seed in SEEDS {
+        let out = run_scenario(ProtocolKind::Marlin, &scenario, seed);
+        assert_caught_up(&out, &scenario, seed);
     }
 }
 

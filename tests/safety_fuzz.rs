@@ -4,12 +4,16 @@
 //! and every baseline. After the network heals, the cluster must resume
 //! committing (liveness after GST, Theorem 2).
 
-use marlin_bft::core::{harness::Cluster, Config, ProtocolKind};
+#[path = "../crates/core/tests/support/mod.rs"]
+mod support;
+
+use marlin_bft::core::{Config, ProtocolKind};
 use marlin_bft::simnet::{
-    run_scenario, Behavior, BehaviorPhase, LinkFault, Partition, RecoveryMode, Scenario,
+    run_scenario, Behavior, BehaviorPhase, LinkFault, Partition, RecoveryMode, Scenario, SimNet,
 };
 use marlin_bft::types::{Message, ReplicaId, View};
 use proptest::prelude::*;
+use support::{assert_safe, instant, max_view, submit};
 
 /// Deterministic per-message drop decision derived from the fuzz seed
 /// and the message identity (stateless, so the filter stays `Fn`).
@@ -27,55 +31,57 @@ fn drops(seed: u64, from: ReplicaId, to: ReplicaId, msg: &Message, rate_pct: u64
 }
 
 fn fuzz_one(kind: ProtocolKind, seed: u64, drop_pct: u64, crash_one: bool, n: usize, f: usize) {
-    let mut cl = Cluster::new(kind, Config::for_test(n, f), seed);
-    cl.set_filter(Box::new(move |from, to, msg: &Message| {
+    // The checker sees every vote before the drop filter does: no
+    // replica may vote twice in one slot, whatever the network loses.
+    let (mut sim, _, inv) = instant(kind, Config::for_test(n, f), &[]);
+    sim.set_filter(Box::new(move |from, to, msg: &Message| {
         !drops(seed, from, to, msg, drop_pct)
     }));
 
     // Chaos phase: traffic, timer fires, and an optional crash.
     for round in 0..6u64 {
-        let view = cl.max_view();
+        let view = max_view(&sim);
         let leader = ReplicaId::leader_of(view, n);
-        cl.submit_to(leader, 10, 50);
-        cl.run_until_idle();
+        submit(&mut sim, leader, 10, 50);
+        sim.run_until_idle();
         // Adversarial scheduling: fire a seed-dependent number of timers.
         for _ in 0..(seed.wrapping_add(round) % 4) {
-            cl.fire_next_timer();
+            sim.fire_next_timer();
         }
-        cl.assert_consistent();
+        assert_safe(&inv);
         if crash_one && round == 2 {
             // Crash one replica (≤ f) that is not the next few leaders.
             let victim = ReplicaId(((view.0 as u32) + n as u32 - 1) % n as u32);
-            cl.crash(victim);
+            sim.crash(victim);
         }
     }
-    cl.assert_consistent();
+    assert_safe(&inv);
 
     // Healing phase: no more drops; liveness must return (Theorem 2).
-    cl.clear_filter();
-    let before = cl.committed_height(healthy_replica(&cl, n));
-    let target_view = cl.max_view();
+    sim.clear_filter();
+    let before = sim.committed_blocks(healthy_replica(&sim, n));
+    let target_view = max_view(&sim);
     let leader = ReplicaId::leader_of(target_view, n);
-    cl.submit_to(leader, 10, 50);
-    cl.run_until_idle();
+    submit(&mut sim, leader, 10, 50);
+    sim.run_until_idle();
     let mut fires = 0;
-    while cl.committed_height(healthy_replica(&cl, n)) <= before {
+    while sim.committed_blocks(healthy_replica(&sim, n)) <= before {
         assert!(
-            cl.fire_next_timer(),
+            sim.fire_next_timer(),
             "{kind:?} seed={seed}: no timers left while stalled"
         );
-        cl.run_until_idle();
+        sim.run_until_idle();
         fires += 1;
         assert!(
             fires < 300,
             "{kind:?} seed={seed}: liveness lost after healing"
         );
         // Keep the current leader supplied with transactions.
-        let v = cl.max_view();
-        cl.submit_to(ReplicaId::leader_of(v, n), 5, 0);
-        cl.run_until_idle();
+        let v = max_view(&sim);
+        submit(&mut sim, ReplicaId::leader_of(v, n), 5, 0);
+        sim.run_until_idle();
     }
-    cl.assert_consistent();
+    assert_safe(&inv);
 }
 
 /// Builds a random-but-healing fault schedule: one fault family
@@ -195,13 +201,13 @@ fn fuzz_schedule(kind: ProtocolKind, scenario: &Scenario, seed: u64, demand_live
     }
 }
 
-/// The first replica that is never crashed in this harness run (we only
+/// The first replica that is never crashed in this run (we only
 /// crash at most one, chosen away from low ids indirectly; fall back to
 /// scanning by view activity).
-fn healthy_replica(cl: &Cluster, n: usize) -> ReplicaId {
+fn healthy_replica(sim: &SimNet, n: usize) -> ReplicaId {
     for i in 0..n as u32 {
         let id = ReplicaId(i);
-        if cl.replica(id).current_view() >= View(1) && !cl.is_crashed(id) {
+        if sim.replica(id).current_view() >= View(1) && !sim.is_crashed(id) {
             return id;
         }
     }
