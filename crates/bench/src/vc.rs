@@ -86,8 +86,6 @@ pub fn measure_view_change_with_preload(
     // the next block's PREPARE from the f highest-id replicas.
     if force_unhappy {
         let hidden: Vec<ReplicaId> = ((n - f) as u32..n as u32).map(ReplicaId).collect();
-        let contested_after = sim.committed_txs(ReplicaId(0));
-        let _ = contested_after;
         sim.set_filter(Box::new(move |_from, to, msg: &Message| match &msg.body {
             MsgBody::Proposal(p) if p.phase == Phase::Prepare && !p.blocks.is_empty() => {
                 !hidden.contains(&to)
@@ -159,17 +157,4 @@ pub fn measure_view_change_with_preload(
         window: sim.accounting().clone(),
         took_happy_path,
     }
-}
-
-/// Returns the highest view reached in a measurement's simulation notes
-/// — helper kept for diagnostics.
-pub fn max_view(notes: &[(u64, ReplicaId, Note)]) -> View {
-    notes
-        .iter()
-        .filter_map(|(_, _, n)| match n {
-            Note::EnteredView { view, .. } => Some(*view),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(View(1))
 }

@@ -20,10 +20,9 @@ use marlin_core::{
 use marlin_crypto::QcFormat;
 use marlin_simnet::{Invariants, SimNet};
 use marlin_storage::SharedDisk;
-use marlin_telemetry::{SharedSink, TelemetrySink};
 use marlin_types::{
-    Batch, Block, BlockId, Decide, Height, Justify, Message, MsgBody, MsgClass, Phase, Proposal,
-    Qc, ReplicaId, VcCert, View, ViewChange, Vote,
+    Batch, Block, BlockId, Decide, Height, Justify, Message, MsgBody, Phase, Proposal, Qc,
+    ReplicaId, VcCert, View, ViewChange, Vote,
 };
 use std::sync::{Arc, Mutex};
 use support::{assert_safe, instant, min_view, submit, Ledger};
@@ -110,29 +109,17 @@ fn phases_per_block() {
     }
 }
 
-/// Counts transmitted message copies (per destination, self excluded).
-#[derive(Default)]
-struct Sent(u64);
-
-impl TelemetrySink for Sent {
-    fn note(&mut self, _at_ns: u64, _replica: ReplicaId, _note: &Note) {}
-
-    fn message_sent(&mut self, _at: u64, _from: ReplicaId, _class: MsgClass, _bytes: u64, _a: u64) {
-        self.0 += 1;
-    }
-}
-
 #[test]
 fn messages_per_block_differ_only_by_the_extra_round() {
     // What the rule sets may differ in on the failure-free path, pinned:
     // at n = 4 a two-phase block costs 2 × (broadcast + votes) + decide
     // = 15 message copies (the perf ledger's `core.msgs_per_block`),
     // and HotStuff's third phase adds exactly one broadcast + vote
-    // round: 21 (`twin.hotstuff.msgs_per_block`).
+    // round: 21 (`twin.hotstuff.msgs_per_block`). Copies are counted
+    // per destination, self excluded.
     for kind in LADDERED {
         let (mut sim, _, _) = cluster(kind, &[]);
-        let sent = SharedSink::new(Sent::default());
-        sim.set_telemetry(Box::new(sent.clone()));
+        sim.reset_accounting();
         let before = sim.committed_blocks(P0);
         for _ in 0..5 {
             submit(&mut sim, P1, 10, 150);
@@ -145,7 +132,8 @@ fn messages_per_block_differ_only_by_the_extra_round() {
         } else {
             15
         };
-        assert_eq!(sent.with(|s| s.0), expected * blocks, "{kind:?}");
+        let sent = sim.accounting().total().messages;
+        assert_eq!(sent, expected * blocks, "{kind:?}");
     }
 }
 
@@ -158,8 +146,7 @@ fn chained_rounds_are_one_broadcast_and_commit_k_rounds_late() {
     // the leader closes its own tail, so the last k rounds are empty.
     for (kind, depth) in CHAINED {
         let (mut sim, _, _) = cluster(kind, &[]);
-        let sent = SharedSink::new(Sent::default());
-        sim.set_telemetry(Box::new(sent.clone()));
+        sim.reset_accounting();
         let proposed = |sim: &SimNet| {
             sim.notes()
                 .iter()
@@ -172,7 +159,8 @@ fn chained_rounds_are_one_broadcast_and_commit_k_rounds_late() {
         assert_eq!(sim.committed_txs(P0), 10, "{kind:?}");
         let rounds = proposed(&sim) - rounds_before;
         assert_eq!(rounds, 1 + depth, "{kind:?}: payload block + tail");
-        assert_eq!(sent.with(|s| s.0), 6 * rounds as u64, "{kind:?}");
+        let sent = sim.accounting().total().messages;
+        assert_eq!(sent, 6 * rounds as u64, "{kind:?}");
         // Everything up to the payload block is committed; the `depth`
         // tail blocks behind it are certified, not committed.
         let all_rounds = proposed(&sim);

@@ -4,13 +4,14 @@
 #![allow(dead_code)]
 
 use marlin_core::{Config, Protocol, ProtocolKind};
-use marlin_simnet::{CommitObserver, Invariants, SimConfig, SimNet};
+use marlin_simnet::{Invariants, SimConfig, SimNet};
+use marlin_telemetry::{Telemetry, TelemetrySink};
 use marlin_types::{Block, ReplicaId, View};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Every block each replica committed, in commit order (genesis
-/// excluded) — read through the simulator's commit observer.
+/// excluded) — the simulator's telemetry sink.
 #[derive(Clone, Default)]
 pub struct Ledger(Rc<RefCell<Vec<Vec<Block>>>>);
 
@@ -21,8 +22,11 @@ impl Ledger {
     }
 }
 
-impl CommitObserver for Ledger {
-    fn on_commit(&mut self, replica: ReplicaId, _now_ns: u64, blocks: &[Block]) {
+impl TelemetrySink for Ledger {
+    fn record(&mut self, _at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        let Telemetry::Committed(blocks) = event else {
+            return;
+        };
         let mut chains = self.0.borrow_mut();
         if chains.len() <= replica.index() {
             chains.resize_with(replica.index() + 1, Vec::new);
@@ -56,7 +60,7 @@ pub fn instant_with(
 fn attach(mut sim: SimNet, byzantine: &[ReplicaId]) -> (SimNet, Ledger, Invariants) {
     let ledger = Ledger::default();
     let invariants = Invariants::new(byzantine, u64::MAX);
-    sim.set_observer(Box::new(ledger.clone()));
+    sim.set_telemetry(Box::new(ledger.clone()));
     sim.set_invariant_checker(Box::new(invariants.clone()));
     // Start-up traffic first: a client batch must not interleave with
     // the bootstrap block.

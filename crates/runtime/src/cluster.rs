@@ -7,8 +7,8 @@
 //! measures, where simnet models.
 
 use crate::node::{
-    spawn_node, Bootstrap, Clock, CommitObserverFn, NodeConfig, NodeHandle, NodeObservability,
-    NodeStatus, DEFAULT_QUEUE_DEPTH,
+    spawn_node, Bootstrap, Clock, NodeConfig, NodeHandle, NodeObservability, NodeStatus,
+    DEFAULT_QUEUE_DEPTH,
 };
 use crate::transport::{ChannelMesh, TcpMesh, Transport};
 use bytes::Bytes;
@@ -16,9 +16,9 @@ use marlin_core::{Config, ProtocolKind};
 use marlin_storage::SharedDisk;
 use marlin_telemetry::{
     install_panic_dump, register_panic_dump, FlightKind, FlightRecorder, Registry, SharedSink,
-    TelemetrySink, Trace, DEFAULT_FLIGHT_CAPACITY,
+    Telemetry, TelemetrySink, Trace, DEFAULT_FLIGHT_CAPACITY,
 };
-use marlin_types::{BlockId, ReplicaId, Transaction, View};
+use marlin_types::{Block, BlockId, ReplicaId, Transaction, View};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -129,6 +129,20 @@ impl ClusterConfig {
             priority_fee_threshold: 0,
             dissemination: false,
             observability: None,
+        }
+    }
+}
+
+/// A per-commit callback (reference-replica statistics, tests).
+pub type CommitObserverFn = Box<dyn FnMut(ReplicaId, u64, &[Block]) + Send>;
+
+/// A [`CommitObserverFn`] as a telemetry sink: it sees the commits.
+struct OnCommit(CommitObserverFn);
+
+impl TelemetrySink for OnCommit {
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        if let Telemetry::Committed(blocks) = event {
+            (self.0)(replica, at_ns, blocks);
         }
     }
 }
@@ -280,8 +294,8 @@ impl RuntimeCluster {
                 flight_dir: o.flight_dir.clone(),
             });
         }
-        let sink: Box<dyn TelemetrySink + Send> = Box::new(self.trace.clone());
-        spawn_node(node_cfg, transport, self.clock, Some(sink), observer)
+        let sink = (self.trace.clone(), observer.map(OnCommit));
+        spawn_node(node_cfg, transport, self.clock, Some(Box::new(sink)))
     }
 
     /// Replica `i`'s metrics registry, when observability is on.

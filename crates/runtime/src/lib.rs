@@ -37,12 +37,13 @@ pub mod transport;
 
 pub use channel::{metered_sync_channel, LaneMeter, MeteredReceiver, MeteredSender};
 pub use cluster::{
-    ClusterConfig, ClusterReport, JournalMode, ObservabilityConfig, RuntimeCluster, TransportKind,
+    ClusterConfig, ClusterReport, CommitObserverFn, JournalMode, ObservabilityConfig,
+    RuntimeCluster, TransportKind,
 };
 pub use journal::JournalWriter;
 pub use node::{
-    spawn_node, Bootstrap, Clock, CommitObserverFn, NodeConfig, NodeHandle, NodeObservability,
-    NodeStatus, DEFAULT_QUEUE_DEPTH,
+    spawn_node, Bootstrap, Clock, NodeConfig, NodeHandle, NodeObservability, NodeStatus,
+    DEFAULT_QUEUE_DEPTH,
 };
 pub use transport::{
     frame, ChannelMesh, ChannelTransport, FrameBuffer, TcpMesh, TcpTransport, Transport,

@@ -9,7 +9,7 @@
 //!                                             consensus driver
 //!       owns Box<dyn Protocol> and its Timers, dispatches actions:
 //!    Send/Broadcast → transport   SetTimer/SetHeartbeat → Timers slots
-//!    Commit → commit log + observer          Note → telemetry sink
+//!    Commit → commit log + telemetry sink    Note → telemetry sink
 //!    a due timer ──Timeout/Heartbeat──► the next step, ahead of the queue
 //!
 //!   journal writes are direct calls on the consensus thread, inside
@@ -46,10 +46,10 @@ use marlin_core::{
 use marlin_storage::{SharedDisk, SnapshotStore};
 use marlin_telemetry::{
     Counter, FlightKind, FlightRecorder, FlightSink, Gauge, Health, HealthFn, Registry,
-    RegistryRecorder, ScrapeServer, TelemetrySink,
+    RegistryRecorder, ScrapeServer, Telemetry, TelemetrySink,
 };
 use marlin_types::codec::{decode_message, encode_message};
-use marlin_types::{Block, BlockId, MsgClass, ReplicaId, Transaction, View};
+use marlin_types::{BlockId, MsgClass, ReplicaId, Transaction, View};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -263,9 +263,6 @@ impl Timers {
     }
 }
 
-/// A per-commit callback (reference-replica statistics, tests).
-pub type CommitObserverFn = Box<dyn FnMut(ReplicaId, u64, &[Block]) + Send>;
-
 /// A running replica: threads + channels around one consensus core.
 pub struct NodeHandle {
     id: ReplicaId,
@@ -372,15 +369,13 @@ fn build_core(
 /// Spawns a replica's threads.
 ///
 /// `transport` carries frames; `clock` stamps telemetry; `sink` (if
-/// any) receives notes/charges/traffic exactly as simnet would emit
-/// them, but with wall-clock timestamps; `observer` (if any) sees every
-/// commit at this replica.
+/// any) receives notes, charges, traffic, cache reports and commits
+/// exactly as simnet would emit them, but with wall-clock timestamps.
 pub fn spawn_node(
     mut node_cfg: NodeConfig,
     transport: Arc<dyn Transport>,
     clock: Clock,
     sink: Option<Box<dyn TelemetrySink + Send>>,
-    observer: Option<CommitObserverFn>,
 ) -> NodeHandle {
     let id = node_cfg.config.id;
     let status = Arc::new(NodeStatus::default());
@@ -490,9 +485,7 @@ pub fn spawn_node(
             std::thread::Builder::new()
                 .name(format!("consensus-{}", id.0))
                 .spawn(move || {
-                    consensus_loop(
-                        node_cfg, event_rx, transport, clock, sink, observer, status, meters,
-                    )
+                    consensus_loop(node_cfg, event_rx, transport, clock, sink, status, meters)
                 })
                 .expect("spawn consensus"),
         );
@@ -645,7 +638,6 @@ fn consensus_loop(
     transport: Arc<dyn Transport>,
     clock: Clock,
     mut sink: Option<Box<dyn TelemetrySink + Send>>,
-    mut observer: Option<CommitObserverFn>,
     status: Arc<NodeStatus>,
     meters: DriverMeters,
 ) {
@@ -663,8 +655,7 @@ fn consensus_loop(
         timers: Timers::default(),
         transport,
         clock,
-        sink: sink.as_deref_mut(),
-        observer: observer.as_mut(),
+        sink: &mut sink,
         status: &status,
         meters: &meters,
     };
@@ -699,15 +690,12 @@ fn consensus_loop(
         events += 1;
         if events.is_multiple_of(MAINTAIN_EVERY) {
             let stats = protocol.maintain_crypto(CryptoCtx::VERIFIED_CACHE_TARGET);
-            if let Some(sink) = ctx.sink.as_deref_mut() {
-                sink.crypto_cache(
-                    ctx.clock.now_ns(),
-                    protocol.id(),
-                    stats.seed_hits,
-                    stats.seed_misses,
-                    stats.verified_qcs as u64,
-                );
-            }
+            let report = Telemetry::CryptoCache {
+                seed_hits: stats.seed_hits,
+                seed_misses: stats.seed_misses,
+                verified_qcs: stats.verified_qcs as u64,
+            };
+            ctx.sink.record(ctx.clock.now_ns(), protocol.id(), report);
         }
     }
     // Stopped: no step and no timer from here on. Keep draining so
@@ -721,8 +709,7 @@ struct DriverCtx<'a> {
     timers: Timers,
     transport: Arc<dyn Transport>,
     clock: Clock,
-    sink: Option<&'a mut (dyn TelemetrySink + Send + 'static)>,
-    observer: Option<&'a mut CommitObserverFn>,
+    sink: &'a mut dyn TelemetrySink,
     status: &'a Arc<NodeStatus>,
     meters: &'a DriverMeters,
 }
@@ -731,30 +718,29 @@ impl DriverCtx<'_> {
     fn dispatch(&mut self, protocol: &dyn Protocol, out: StepOutput, timing: StepTiming) {
         let id = protocol.id();
         let at_ns = self.clock.now_ns();
-        if let Some(sink) = self.sink.as_deref_mut() {
-            // Measured lane charges, unlike simnet's modeled ones: the
-            // journal share is the durability-barrier wait the metered
-            // disk clocked inside this step, and the rest of the step's
-            // wall time ran on the consensus thread (protocol logic
-            // plus its inline crypto). The step's own modeled crypto
-            // charge rides along for runs with a nonzero cost model.
-            let consensus_ns = timing.wall_ns.saturating_sub(timing.journal_ns);
-            sink.step_charged(at_ns, id, out.crypto_ns, timing.journal_ns, consensus_ns);
-        }
+        // Measured lane charges, unlike simnet's modeled ones: the
+        // journal share is the durability-barrier wait the metered disk
+        // clocked inside this step, and the rest of the step's wall time
+        // ran on the consensus thread (protocol logic plus its inline
+        // crypto). The step's own modeled crypto charge rides along for
+        // runs with a nonzero cost model.
+        let charged = Telemetry::Charged {
+            crypto_ns: out.crypto_ns,
+            journal_ns: timing.journal_ns,
+            consensus_ns: timing.wall_ns.saturating_sub(timing.journal_ns),
+        };
+        self.sink.record(at_ns, id, charged);
         for action in out.actions {
             match action {
                 Action::Send { to, message } => {
                     debug_assert_ne!(to, id, "self-sends are resolved by step()");
                     let frame = encode_message(&message, SHADOW_BLOCKS);
-                    if let Some(sink) = self.sink.as_deref_mut() {
-                        sink.message_sent(
-                            at_ns,
-                            id,
-                            MsgClass::of(&message),
-                            frame.len() as u64,
-                            message.authenticator_count() as u64,
-                        );
-                    }
+                    let sent = Telemetry::Sent {
+                        class: MsgClass::of(&message),
+                        bytes: frame.len() as u64,
+                        authenticators: message.authenticator_count() as u64,
+                    };
+                    self.sink.record(at_ns, id, sent);
                     if self.transport.send(to, &frame).is_err() {
                         self.status.send_drops.fetch_add(1, Ordering::AcqRel);
                         self.meters.send_drops.inc();
@@ -764,16 +750,17 @@ impl DriverCtx<'_> {
                     // `step` already applied the broadcast locally:
                     // encode once, fan out to everyone else.
                     let frame = encode_message(&message, SHADOW_BLOCKS);
-                    let class = MsgClass::of(&message);
-                    let auth = message.authenticator_count() as u64;
+                    let sent = Telemetry::Sent {
+                        class: MsgClass::of(&message),
+                        bytes: frame.len() as u64,
+                        authenticators: message.authenticator_count() as u64,
+                    };
                     for i in 0..self.transport.n() {
                         let to = ReplicaId(i as u32);
                         if to == id {
                             continue;
                         }
-                        if let Some(sink) = self.sink.as_deref_mut() {
-                            sink.message_sent(at_ns, id, class, frame.len() as u64, auth);
-                        }
+                        self.sink.record(at_ns, id, sent);
                         if self.transport.send(to, &frame).is_err() {
                             self.status.send_drops.fetch_add(1, Ordering::AcqRel);
                             self.meters.send_drops.inc();
@@ -795,9 +782,7 @@ impl DriverCtx<'_> {
                     if let Some(b) = blocks.last() {
                         self.meters.commit_height.set(b.height().0 as i64);
                     }
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs(id, at_ns, &blocks);
-                    }
+                    self.sink.record(at_ns, id, Telemetry::Committed(&blocks));
                 }
                 Action::SetTimer { view, delay_ns } => {
                     let deadline = Instant::now() + Duration::from_nanos(delay_ns);
@@ -807,11 +792,7 @@ impl DriverCtx<'_> {
                     let deadline = Instant::now() + Duration::from_nanos(delay_ns);
                     self.timers.heartbeat = Some(deadline);
                 }
-                Action::Note(note) => {
-                    if let Some(sink) = self.sink.as_deref_mut() {
-                        sink.note(at_ns, id, &note);
-                    }
-                }
+                Action::Note(note) => self.sink.record(at_ns, id, Telemetry::Note(&note)),
             }
         }
         let view = protocol.current_view().0;
@@ -884,7 +865,6 @@ mod tests {
             Arc::new(ends.remove(0)),
             Clock::start(),
             Some(Box::new(trace.clone())),
-            None,
         );
         let status = node.status();
         let deadline = Instant::now() + Duration::from_secs(1);

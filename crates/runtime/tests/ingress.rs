@@ -60,7 +60,6 @@ fn frames_of_one_peer_reach_the_core_in_send_order() {
         Arc::new(ends.remove(0)),
         Clock::start(),
         None,
-        None,
     );
     let done = Arc::new(AtomicBool::new(false));
     watchdog(

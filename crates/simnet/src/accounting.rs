@@ -33,11 +33,11 @@ impl Accounting {
 
     /// Charges one transmitted message of `class`: its wire bytes and the
     /// authenticators it carries.
-    pub fn record(&mut self, class: MsgClass, bytes: usize, authenticators: usize) {
+    pub fn record(&mut self, class: MsgClass, bytes: u64, authenticators: u64) {
         let entry = self.per_class.entry(class).or_default();
         entry.messages += 1;
-        entry.bytes += bytes as u64;
-        entry.authenticators += authenticators as u64;
+        entry.bytes += bytes;
+        entry.authenticators += authenticators;
     }
 
     /// Total counters across all classes.
@@ -146,7 +146,7 @@ mod tests {
                 last_committed: Height(0),
             },
         );
-        acc.record(MsgClass::of(&req), 64, req.authenticator_count());
+        acc.record(MsgClass::of(&req), 64, req.authenticator_count() as u64);
         assert_eq!(MsgClass::of(&req), MsgClass::CatchUp);
         assert!(MsgClass::CatchUp.is_recovery());
         assert!(!MsgClass::CatchUp.is_view_change());

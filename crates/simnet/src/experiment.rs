@@ -1,13 +1,13 @@
 //! Full experiment assembly: the paper's testbed in one call.
 
-use crate::sim::{CommitObserver, SimConfig, SimNet};
+use crate::sim::{SimConfig, SimNet};
 use crate::stats::{Metrics, Stats};
 use crate::MsgClass;
 use marlin_core::{Config, ProtocolKind};
 use marlin_crypto::{CostModel, KeyStore, QcFormat};
-use marlin_telemetry::TelemetrySink;
+use marlin_telemetry::{SharedSink, TelemetrySink};
 use marlin_types::ReplicaId;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Everything one run needs.
 #[derive(Clone, Debug)]
@@ -143,38 +143,28 @@ fn reference_replica(cfg: &ExperimentConfig) -> ReplicaId {
 /// the current leader (re-targeted after view changes), measured after
 /// warmup.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Metrics {
-    run_inner(cfg, None).0
+    run_inner(cfg, None)
 }
 
-/// Like [`run_experiment`], but feeds every protocol note and message
-/// transmission into `sink` (stamped with the simulator clock); the
-/// sink is handed back alongside the metrics.
+/// Like [`run_experiment`], but also feeds every observation into
+/// `sink`, stamped with the simulator clock (hand in a
+/// [`SharedSink`] to read it afterwards).
 pub fn run_experiment_with_telemetry(
     cfg: &ExperimentConfig,
     sink: Box<dyn TelemetrySink>,
-) -> (Metrics, Box<dyn TelemetrySink>) {
-    let (metrics, sink) = run_inner(cfg, Some(sink));
-    (
-        metrics,
-        sink.expect("simulation returns the installed sink"),
-    )
+) -> Metrics {
+    run_inner(cfg, Some(sink))
 }
 
-fn run_inner(
-    cfg: &ExperimentConfig,
-    telemetry: Option<Box<dyn TelemetrySink>>,
-) -> (Metrics, Option<Box<dyn TelemetrySink>>) {
+fn run_inner(cfg: &ExperimentConfig, telemetry: Option<Box<dyn TelemetrySink>>) -> Metrics {
     let mut sim = cfg.build();
-    if let Some(sink) = telemetry {
-        sim.set_telemetry(sink);
-    }
     let reference = reference_replica(cfg);
-    let stats = Arc::new(Mutex::new(Stats::new(
+    let stats = SharedSink::new(Stats::new(
         reference,
         cfg.net.one_way_latency_ns,
         cfg.warmup_ns,
-    )));
-    sim.set_observer(Box::new(SharedStats(Arc::clone(&stats))));
+    ));
+    sim.set_telemetry(Box::new((stats.clone(), telemetry)));
 
     let total_ns = cfg.warmup_ns + cfg.duration_ns;
     // Client tick: submit the next arrivals to the current leader every
@@ -198,7 +188,7 @@ fn run_inner(
                     clients // the initial burst: every client submits
                 } else {
                     // Completions since the last tick release clients.
-                    let done = stats.lock().expect("single-threaded").total_observed_txs();
+                    let done = stats.with(|s| s.total_observed_txs());
                     let released = done.saturating_sub(completed_seen) as usize;
                     completed_seen = done;
                     released
@@ -233,35 +223,19 @@ fn run_inner(
     // Drain the pipeline.
     sim.run_until(total_ns + 500_000_000);
 
-    let notes = sim.notes().to_vec();
+    // The simulator's own accounting, not a sink's: start-up traffic
+    // is sent inside `SimNet::new`, before any sink exists.
     let proposal_wire_bytes = sim
         .accounting()
         .class(MsgClass::Proposal(marlin_types::Phase::Prepare))
         .bytes;
     let payload_wire_bytes = sim.accounting().class(MsgClass::Payload).bytes;
-    drop(sim.take_observer());
-    let sink = sim.take_telemetry();
-    let stats = Arc::try_unwrap(stats)
-        .unwrap_or_else(|_| panic!("simulation retained its observer handle"))
-        .into_inner()
-        .expect("single-threaded");
-    let mut metrics = stats.into_metrics(cfg.duration_ns, &notes);
+    drop(sim);
+    let stats = stats.into_inner().expect("the simulation is dropped");
+    let mut metrics = stats.into_metrics(cfg.duration_ns);
     metrics.proposal_wire_bytes = proposal_wire_bytes;
     metrics.payload_wire_bytes = payload_wire_bytes;
-    (metrics, sink)
-}
-
-/// Shares a [`Stats`] collector between the simulation (as observer)
-/// and the experiment driver (to extract the results).
-struct SharedStats(Arc<Mutex<Stats>>);
-
-impl CommitObserver for SharedStats {
-    fn on_commit(&mut self, replica: ReplicaId, now_ns: u64, blocks: &[marlin_types::Block]) {
-        self.0
-            .lock()
-            .expect("single-threaded")
-            .on_commit(replica, now_ns, blocks);
-    }
+    metrics
 }
 
 /// One point of a rate sweep.

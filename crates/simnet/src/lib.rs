@@ -20,6 +20,14 @@
 //!   message, and authenticator counters (the paper's complexity
 //!   metrics), with a resettable measurement window for Table I.
 //!
+//! Observation: every note, message send, lane charge, cache report and
+//! commit is one [`marlin_telemetry::Telemetry`] event, counted by the
+//! simulator itself (accounting, [`SimNet::notes`], commit counts) and
+//! forwarded, from the same call, to the one installed
+//! [`marlin_telemetry::TelemetrySink`] ([`SimNet::set_telemetry`]; a
+//! tuple of sinks fans out). Commit observers, [`Stats`] and the
+//! telemetry registry are all such sinks.
+//!
 //! Determinism: given the same configuration and seed, a simulation is
 //! bit-for-bit reproducible. [`SimConfig::instant`] turns the network
 //! model off: every test steps replicas through it one input at a time
@@ -34,7 +42,7 @@
 //! crash schedules, rotation, the paper's network parameters and the
 //! durable block log (each committed block is charged a database write,
 //! with checkpointing every 5000 blocks — the paper's setup), [`Stats`]
-//! measures end-to-end latency and throughput as a [`CommitObserver`],
+//! measures end-to-end latency, throughput and view changes as a sink,
 //! and [`sweep_peak_throughput`] is the rate sweep behind the
 //! peak-throughput figures.
 //!
@@ -83,8 +91,5 @@ pub use invariants::{Invariants, Violation};
 pub use scenario::{
     run_scenario, run_scenario_with_telemetry, BehaviorPhase, Scenario, ScenarioOutcome,
 };
-pub use sim::{
-    CommitObserver, InvariantChecker, LinkFault, Partition, RebuildFn, RecoveryMode, SimConfig,
-    SimNet,
-};
+pub use sim::{InvariantChecker, LinkFault, Partition, RebuildFn, RecoveryMode, SimConfig, SimNet};
 pub use stats::{CampaignReport, Metrics, Stats};

@@ -506,8 +506,8 @@ pub fn run_scenario(kind: ProtocolKind, scenario: &Scenario, seed: u64) -> Scena
     run_scenario_inner(kind, scenario, seed, None)
 }
 
-/// Like [`run_scenario`], additionally feeding every protocol note and
-/// message transmission into `sink` (use a
+/// Like [`run_scenario`], additionally feeding every observation into
+/// `sink` (use a
 /// [`marlin_telemetry::SharedSink`] to keep a handle across cells).
 pub fn run_scenario_with_telemetry(
     kind: ProtocolKind,

@@ -5,18 +5,11 @@ use crate::block_log::BlockLogCost;
 use marlin_core::harness::build_protocol;
 use marlin_core::{Action, Config, Event, Note, Protocol, ProtocolKind};
 use marlin_storage::SharedDisk;
-use marlin_telemetry::TelemetrySink;
-use marlin_types::{Block, Message, MsgBody, ReplicaId, Transaction, View};
+use marlin_telemetry::{Telemetry, TelemetrySink};
+use marlin_types::{Message, MsgBody, ReplicaId, Transaction, View};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
-
-/// Observer invoked on every commit at every replica.
-pub trait CommitObserver {
-    /// Called after `replica` commits `blocks` at simulated time
-    /// `now_ns`.
-    fn on_commit(&mut self, replica: ReplicaId, now_ns: u64, blocks: &[Block]);
-}
 
 /// Cross-replica observer invoked after *every* processed event, with
 /// read access to all replica state machines — the hook global
@@ -326,7 +319,6 @@ pub struct SimNet {
     committed_blocks: Vec<u64>,
     committed_txs: Vec<u64>,
     notes: Vec<(u64, ReplicaId, Note)>,
-    observer: Option<Box<dyn CommitObserver>>,
     checker: Option<Box<dyn InvariantChecker>>,
     partitions: Vec<Partition>,
     link_faults: Vec<LinkFault>,
@@ -340,8 +332,8 @@ pub struct SimNet {
     /// Per-replica block-log write costs; empty unless
     /// [`SimNet::charge_block_log`] turned them on.
     block_logs: Vec<BlockLogCost>,
-    /// Telemetry sink: notes and transmitted messages are forwarded
-    /// here, stamped with simulated time.
+    /// Telemetry sink: every observation [`SimNet::emit`] counts is
+    /// forwarded here, stamped with simulated time.
     telemetry: Option<Box<dyn TelemetrySink>>,
 }
 
@@ -381,7 +373,6 @@ impl SimNet {
             committed_blocks: vec![0; n],
             committed_txs: vec![0; n],
             notes: Vec::new(),
-            observer: None,
             checker: None,
             partitions: Vec::new(),
             link_faults: Vec::new(),
@@ -400,17 +391,13 @@ impl SimNet {
         net
     }
 
-    /// Installs a telemetry sink. Every protocol note and every message
-    /// handed to the transport (after link filters, before loss) is
+    /// Installs a telemetry sink (replacing any previous one). Every
+    /// protocol note, message handed to the transport (after link
+    /// filters, before loss), step charge, cache report and commit is
     /// forwarded, stamped with simulated time. Install before driving
     /// the simulation: earlier events are not replayed.
     pub fn set_telemetry(&mut self, sink: Box<dyn TelemetrySink>) {
         self.telemetry = Some(sink);
-    }
-
-    /// Removes and returns the installed telemetry sink, if any.
-    pub fn take_telemetry(&mut self) -> Option<Box<dyn TelemetrySink>> {
-        self.telemetry.take()
     }
 
     /// From here on every committed block is written to its replica's
@@ -419,16 +406,6 @@ impl SimNet {
     /// is charged to the committing step's journal lane.
     pub fn charge_block_log(&mut self) {
         self.block_logs = vec![BlockLogCost::default(); self.replicas.len()];
-    }
-
-    /// Installs a commit observer (replacing any previous one).
-    pub fn set_observer(&mut self, observer: Box<dyn CommitObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Removes and returns the commit observer.
-    pub fn take_observer(&mut self) -> Option<Box<dyn CommitObserver>> {
-        self.observer.take()
     }
 
     /// Installs an invariant checker, invoked after every processed
@@ -656,19 +633,39 @@ impl SimNet {
                 continue;
             }
             let stats = self.replicas[i].maintain_crypto(MAX_VERIFIED_QC_CACHE);
-            if let Some(sink) = self.telemetry.as_mut() {
-                sink.crypto_cache(
-                    self.now_ns,
-                    ReplicaId(i as u32),
-                    stats.seed_hits,
-                    stats.seed_misses,
-                    stats.verified_qcs as u64,
-                );
-            }
+            let report = Telemetry::CryptoCache {
+                seed_hits: stats.seed_hits,
+                seed_misses: stats.seed_misses,
+                verified_qcs: stats.verified_qcs as u64,
+            };
+            self.emit(self.now_ns, ReplicaId(i as u32), report);
         }
     }
 
     // ------------------------------------------------------ internal --
+
+    /// Where every observation goes: the simulator's own counters
+    /// (traffic accounting, notes, commit counts), then the installed
+    /// sink — one call site each, so the two cannot disagree.
+    fn emit(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        match event {
+            Telemetry::Note(note) => self.notes.push((at_ns, replica, note.clone())),
+            Telemetry::Sent {
+                class,
+                bytes,
+                authenticators,
+            } => self.accounting.record(class, bytes, authenticators),
+            Telemetry::Committed(blocks) => {
+                let txs = blocks.iter().map(|b| b.payload().len() as u64).sum::<u64>();
+                self.committed_blocks[replica.index()] += blocks.len() as u64;
+                self.committed_txs[replica.index()] += txs;
+            }
+            Telemetry::Charged { .. } | Telemetry::CryptoCache { .. } => {}
+        }
+        if let Some(sink) = self.telemetry.as_mut() {
+            sink.record(at_ns, replica, event);
+        }
+    }
 
     fn push(&mut self, at_ns: u64, ev: Ev) {
         self.tie += 1;
@@ -862,12 +859,15 @@ impl SimNet {
                 done
             }
         };
-        if let Some(sink) = self.telemetry.as_mut() {
-            // Stamped at `done`, like the step's notes: the charge for
-            // the verification that formed a QC carries the same
-            // timestamp as the QcFormed note it produced.
-            sink.step_charged(done, id, out.crypto_ns, out.journal_ns, consensus_ns);
-        }
+        // Stamped at `done`, like the step's notes: the charge for the
+        // verification that formed a QC carries the same timestamp as the
+        // QcFormed note it produced.
+        let charged = Telemetry::Charged {
+            crypto_ns: out.crypto_ns,
+            journal_ns: out.journal_ns,
+            consensus_ns,
+        };
+        self.emit(done, id, charged);
         for action in out.actions {
             self.dispatch_action(id, done, action);
         }
@@ -906,14 +906,7 @@ impl SimNet {
                     }
                 }
             }
-            Action::Commit { blocks } => {
-                self.committed_blocks[from.index()] += blocks.len() as u64;
-                self.committed_txs[from.index()] +=
-                    blocks.iter().map(|b| b.payload().len() as u64).sum::<u64>();
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.on_commit(from, at_ns, &blocks);
-                }
-            }
+            Action::Commit { blocks } => self.emit(at_ns, from, Telemetry::Committed(&blocks)),
             Action::SetTimer { view, delay_ns } => {
                 self.timer_seq += 1;
                 self.live_view_timer[from.index()] = self.timer_seq;
@@ -937,12 +930,7 @@ impl SimNet {
                     },
                 );
             }
-            Action::Note(note) => {
-                if let Some(sink) = self.telemetry.as_mut() {
-                    sink.note(at_ns, from, &note);
-                }
-                self.notes.push((at_ns, from, note));
-            }
+            Action::Note(note) => self.emit(at_ns, from, Telemetry::Note(&note)),
         }
     }
 
@@ -974,14 +962,13 @@ impl SimNet {
                 return;
             }
         }
-        // Single source of truth: telemetry sees exactly what the
-        // traffic accounting charges — same site, same values (counted
-        // per destination copy, after filters, before loss).
-        let class = MsgClass::of(&msg);
-        self.accounting.record(class, len, auths);
-        if let Some(sink) = self.telemetry.as_mut() {
-            sink.message_sent(at_ns, from, class, len as u64, auths as u64);
-        }
+        // Counted per destination copy, after filters, before loss.
+        let sent = Telemetry::Sent {
+            class: MsgClass::of(&msg),
+            bytes: len as u64,
+            authenticators: auths as u64,
+        };
+        self.emit(at_ns, from, sent);
         if self.partitions.iter().any(|p| p.blocks(at_ns, from, to)) {
             return;
         }

@@ -1,16 +1,15 @@
 //! Latency and throughput measurement, and fault-campaign reporting.
 
 use crate::scenario::ScenarioOutcome;
-use crate::sim::CommitObserver;
 use marlin_core::Note;
 // The histogram lives in `marlin-telemetry` so every latency-like
 // series in the workspace shares one bucket layout.
-use marlin_telemetry::{Histogram, LatencySummary};
+use marlin_telemetry::{Histogram, LatencySummary, Telemetry, TelemetrySink};
 use marlin_types::{Block, ReplicaId};
 use std::collections::HashSet;
 
-/// Commit observer measuring throughput and end-to-end latency at a
-/// reference replica.
+/// Telemetry sink measuring throughput and end-to-end latency at a
+/// reference replica, and counting view changes.
 ///
 /// Latency per transaction is `commit_time − submit_time + 2 ×
 /// client_leg_ns` (the client→leader and replica→client hops the paper's
@@ -30,16 +29,14 @@ pub struct Stats {
     client_leg_ns: u64,
     warmup_until_ns: u64,
     histogram: Histogram,
-    committed_txs: u64,
     total_observed_txs: u64,
-    committed_blocks: u64,
-    skew_clamped: u64,
     /// Transaction ids already counted: a transaction committed twice
     /// (a client resubmission landing in two leaders' batches) is
     /// *goodput* only once — the second commit is recorded under
     /// [`Metrics::duplicate_txs`] and excluded from throughput.
     seen_ids: HashSet<u64>,
-    duplicate_txs: u64,
+    /// The counters of the [`Metrics`] this collector finalizes into.
+    counts: Metrics,
 }
 
 impl Stats {
@@ -51,18 +48,10 @@ impl Stats {
             client_leg_ns,
             warmup_until_ns,
             histogram: Histogram::new(),
-            committed_txs: 0,
             total_observed_txs: 0,
-            committed_blocks: 0,
-            skew_clamped: 0,
             seen_ids: HashSet::new(),
-            duplicate_txs: 0,
+            counts: Metrics::default(),
         }
-    }
-
-    /// Transactions counted after warmup.
-    pub fn committed_txs(&self) -> u64 {
-        self.committed_txs
     }
 
     /// All transactions observed committing at the reference replica,
@@ -73,60 +62,34 @@ impl Stats {
 
     /// Finalizes into metrics for a run that observed `duration_ns` of
     /// post-warmup time.
-    pub fn into_metrics(self, duration_ns: u64, notes: &[(u64, ReplicaId, Note)]) -> Metrics {
-        let mut view_changes = 0;
-        let mut happy = 0;
-        let mut unhappy = 0;
-        for (_, id, note) in notes {
-            if *id == self.reference {
-                if let Note::ViewChangeStarted { .. } = note {
-                    view_changes += 1;
-                }
-            }
-            match note {
-                Note::HappyPathVc { .. } => happy += 1,
-                Note::UnhappyPathVc { .. } => unhappy += 1,
-                _ => {}
-            }
-        }
+    pub fn into_metrics(self, duration_ns: u64) -> Metrics {
+        let committed_txs = self.counts.committed_txs as f64;
         Metrics {
             duration_ns,
-            committed_txs: self.committed_txs,
-            committed_blocks: self.committed_blocks,
             throughput_tps: if duration_ns == 0 {
                 0.0
             } else {
-                self.committed_txs as f64 * 1e9 / duration_ns as f64
+                committed_txs * 1e9 / duration_ns as f64
             },
             latency: self.histogram.summary(),
-            skew_clamped: self.skew_clamped,
-            view_changes,
-            happy_path_vcs: happy,
-            unhappy_path_vcs: unhappy,
-            duplicate_txs: self.duplicate_txs,
-            proposal_wire_bytes: 0,
-            payload_wire_bytes: 0,
+            ..self.counts
         }
     }
-}
 
-impl CommitObserver for Stats {
-    fn on_commit(&mut self, replica: ReplicaId, now_ns: u64, blocks: &[Block]) {
-        if replica != self.reference {
-            return;
-        }
+    fn on_commit(&mut self, now_ns: u64, blocks: &[Block]) {
+        let counts = &mut self.counts;
         for block in blocks {
-            self.committed_blocks += 1;
+            counts.committed_blocks += 1;
             for tx in block.payload().iter() {
                 if !self.seen_ids.insert(tx.id) {
-                    self.duplicate_txs += 1;
+                    counts.duplicate_txs += 1;
                     continue;
                 }
                 self.total_observed_txs += 1;
                 if tx.submitted_at_ns < self.warmup_until_ns {
                     continue;
                 }
-                self.committed_txs += 1;
+                counts.committed_txs += 1;
                 let legs = if tx.is_local() {
                     0
                 } else {
@@ -136,12 +99,28 @@ impl CommitObserver for Stats {
                     // Clock skew: commit stamped before submit. Record
                     // the clamp instead of pretending the sample was a
                     // clean zero.
-                    self.skew_clamped += 1;
+                    counts.skew_clamped += 1;
                     self.histogram.record(legs);
                 } else {
                     self.histogram.record(now_ns - tx.submitted_at_ns + legs);
                 }
             }
+        }
+    }
+}
+
+impl TelemetrySink for Stats {
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        let reference = replica == self.reference;
+        let counts = &mut self.counts;
+        match event {
+            Telemetry::Committed(blocks) if reference => self.on_commit(at_ns, blocks),
+            Telemetry::Note(Note::ViewChangeStarted { .. }) if reference => {
+                counts.view_changes += 1
+            }
+            Telemetry::Note(Note::HappyPathVc { .. }) => counts.happy_path_vcs += 1,
+            Telemetry::Note(Note::UnhappyPathVc { .. }) => counts.unhappy_path_vcs += 1,
+            _ => {}
         }
     }
 }
@@ -296,15 +275,20 @@ mod tests {
         )
     }
 
+    fn commit(stats: &mut Stats, replica: u32, at_ns: u64, block: &Block) {
+        let committed = Telemetry::Committed(std::slice::from_ref(block));
+        stats.record(at_ns, ReplicaId(replica), committed);
+    }
+
     #[test]
     fn stats_measure_reference_replica_only() {
         let mut stats = Stats::new(ReplicaId(0), 40_000_000, 0);
         let block = block_with_txs(&[100, 200]);
-        stats.on_commit(ReplicaId(1), 1_000_000, std::slice::from_ref(&block));
-        assert_eq!(stats.committed_txs(), 0);
-        stats.on_commit(ReplicaId(0), 1_000_000, &[block]);
-        assert_eq!(stats.committed_txs(), 2);
-        let m = stats.into_metrics(1_000_000_000, &[]);
+        commit(&mut stats, 1, 1_000_000, &block);
+        assert_eq!(stats.counts.committed_txs, 0);
+        commit(&mut stats, 0, 1_000_000, &block);
+        assert_eq!(stats.counts.committed_txs, 2);
+        let m = stats.into_metrics(1_000_000_000);
         assert_eq!(m.committed_txs, 2);
         assert!((m.throughput_tps - 2.0).abs() < 1e-9);
         // Latency includes the two 40ms client legs.
@@ -316,8 +300,8 @@ mod tests {
     fn warmup_discards_early_transactions() {
         let mut stats = Stats::new(ReplicaId(0), 0, 1_000);
         let block = block_with_txs(&[500, 1_500]);
-        stats.on_commit(ReplicaId(0), 2_000, &[block]);
-        assert_eq!(stats.committed_txs(), 1);
+        commit(&mut stats, 0, 2_000, &block);
+        assert_eq!(stats.counts.committed_txs, 1);
     }
 
     #[test]
@@ -326,8 +310,8 @@ mod tests {
         // Submitted "in the future" relative to the commit stamp: a
         // skewed per-thread clock, not a real negative latency.
         let block = block_with_txs(&[5_000_000, 100]);
-        stats.on_commit(ReplicaId(0), 1_000_000, &[block]);
-        let m = stats.into_metrics(1_000_000_000, &[]);
+        commit(&mut stats, 0, 1_000_000, &block);
+        let m = stats.into_metrics(1_000_000_000);
         assert_eq!(m.committed_txs, 2);
         assert_eq!(m.skew_clamped, 1, "one clamped sample must be surfaced");
         // The clamped sample still carries the client legs (80ms).
@@ -352,8 +336,8 @@ mod tests {
             Batch::new(txs),
             Justify::One(Qc::genesis(g.id())),
         );
-        stats.on_commit(ReplicaId(0), 1_000_100, &[block]);
-        let m = stats.into_metrics(1_000_000_000, &[]);
+        commit(&mut stats, 0, 1_000_100, &block);
+        let m = stats.into_metrics(1_000_000_000);
         assert_eq!(m.skew_clamped, 0);
         // Local: 1ms exactly. Remote: 1ms + 80ms of legs. Were the legs
         // double-counted onto the local sample too, the mean would be
@@ -369,32 +353,27 @@ mod tests {
         // exactly once; the recommit is surfaced, not counted.
         let mut stats = Stats::new(ReplicaId(0), 0, 0);
         let block = block_with_txs(&[100, 200]);
-        stats.on_commit(ReplicaId(0), 1_000, std::slice::from_ref(&block));
-        stats.on_commit(ReplicaId(0), 2_000, &[block]);
-        assert_eq!(stats.committed_txs(), 2);
+        commit(&mut stats, 0, 1_000, &block);
+        commit(&mut stats, 0, 2_000, &block);
+        assert_eq!(stats.counts.committed_txs, 2);
         assert_eq!(stats.total_observed_txs(), 2);
-        let m = stats.into_metrics(1_000_000_000, &[]);
+        let m = stats.into_metrics(1_000_000_000);
         assert_eq!(m.committed_txs, 2);
         assert_eq!(m.duplicate_txs, 2);
     }
 
     #[test]
     fn metrics_count_view_changes() {
-        let stats = Stats::new(ReplicaId(0), 0, 0);
-        let notes = vec![
-            (
-                0,
-                ReplicaId(0),
-                Note::ViewChangeStarted { from_view: View(1) },
-            ),
-            (
-                0,
-                ReplicaId(1),
-                Note::ViewChangeStarted { from_view: View(1) },
-            ),
-            (0, ReplicaId(2), Note::HappyPathVc { view: View(2) }),
+        let mut stats = Stats::new(ReplicaId(0), 0, 0);
+        let notes = [
+            (0, Note::ViewChangeStarted { from_view: View(1) }),
+            (1, Note::ViewChangeStarted { from_view: View(1) }),
+            (2, Note::HappyPathVc { view: View(2) }),
         ];
-        let m = stats.into_metrics(1, &notes);
+        for (replica, note) in &notes {
+            stats.note(0, ReplicaId(*replica), note);
+        }
+        let m = stats.into_metrics(1);
         assert_eq!(m.view_changes, 1);
         assert_eq!(m.happy_path_vcs, 1);
         assert_eq!(m.unhappy_path_vcs, 0);

@@ -2,15 +2,16 @@
 //!
 //! [`Note`] is the trace-event vocabulary the protocol state machines
 //! emit (re-exported by `marlin-core` as `marlin_core::Note`); the
-//! machines are sans-io and clockless, so notes carry no timestamps —
-//! drivers (the simulator, the in-process cluster) stamp each note with
-//! their clock when forwarding it into a [`TelemetrySink`]. Two sinks
-//! ship here: [`Trace`] (an ordered event log, input to the timeline
-//! decomposition) and [`RegistryRecorder`] (folds every note into
-//! registry metrics).
+//! machines are sans-io and clockless, so notes carry no timestamps. A
+//! driver (the simulator, the threaded runtime) reports each note — and
+//! each send, lane charge, cache report and commit it observes — as one
+//! [`Telemetry`] event stamped with its clock, in one
+//! [`TelemetrySink::record`] call. Two sinks ship here: [`Trace`] (an
+//! ordered event log, input to the timeline decomposition) and
+//! [`RegistryRecorder`] (folds every event into registry metrics).
 
 use crate::registry::{Counter, HistogramHandle, Registry};
-use marlin_types::{BatchId, BlockId, Height, MsgClass, Phase, ReplicaId, View};
+use marlin_types::{BatchId, Block, BlockId, Height, MsgClass, Phase, ReplicaId, View};
 use std::collections::HashMap;
 
 /// Which leader case of the Marlin view-change pre-prepare phase ran
@@ -250,110 +251,71 @@ pub fn phase_label(phase: Phase) -> &'static str {
     }
 }
 
-/// A consumer of driver-timestamped consensus events.
-///
-/// Drivers call [`TelemetrySink::note`] for every [`Note`] a protocol
-/// emits (stamped with the driver clock and the emitting replica) and
-/// [`TelemetrySink::message_sent`] for every message transmission they
-/// charge to traffic accounting — at the same call site, so telemetry
-/// and accounting can never disagree.
-pub trait TelemetrySink {
-    /// A protocol trace note, stamped by the driver.
-    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note);
-
-    /// One message handed to the transport (same semantics as simnet
-    /// traffic accounting: counted per destination, after filters).
-    fn message_sent(
-        &mut self,
-        at_ns: u64,
-        from: ReplicaId,
+/// One observation a driver makes, borrowed for the duration of the
+/// [`TelemetrySink::record`] call that reports it.
+#[derive(Clone, Copy, Debug)]
+pub enum Telemetry<'a> {
+    /// A protocol trace note.
+    Note(&'a Note),
+    /// One message handed to the transport (counted per destination
+    /// copy, after filters, before loss).
+    Sent {
+        /// The message's class.
         class: MsgClass,
-        wire_bytes: u64,
+        /// Its wire bytes.
+        bytes: u64,
+        /// The authenticators it carries.
         authenticators: u64,
-    ) {
-        let _ = (at_ns, from, class, wire_bytes, authenticators);
-    }
-
-    /// Per-lane CPU charges of one replica step under the multi-lane
-    /// CPU model: `crypto_ns` ran on the crypto worker lanes,
+    },
+    /// Per-lane CPU charges of one replica step, stamped like the
+    /// step's notes: `crypto_ns` ran on the crypto worker lanes,
     /// `journal_ns` on the journal/IO lane, `consensus_ns` on the
-    /// consensus lane. Stamped at the time the step began executing.
-    /// Like `message_sent`, this is driver-side measurement, not
-    /// protocol vocabulary, so it is a sink method rather than a
-    /// [`Note`].
-    fn step_charged(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
+    /// consensus lane.
+    Charged {
+        /// Crypto worker lanes.
         crypto_ns: u64,
+        /// Journal/IO lane.
         journal_ns: u64,
+        /// Consensus lane.
         consensus_ns: u64,
-    ) {
-        let _ = (at_ns, replica, crypto_ns, journal_ns, consensus_ns);
-    }
-
+    },
     /// Periodic crypto-cache health report: cumulative seed-memo
     /// hits/misses since replica start and the current verified-QC
     /// cache size (after the driver's bounded trim).
-    fn crypto_cache(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
+    CryptoCache {
+        /// Seed-memo hits so far.
         seed_hits: u64,
+        /// Seed-memo misses so far.
         seed_misses: u64,
+        /// Verified-QC cache entries now.
         verified_qcs: u64,
-    ) {
-        let _ = (at_ns, replica, seed_hits, seed_misses, verified_qcs);
+    },
+    /// Blocks the replica committed, in commit order.
+    Committed(&'a [Block]),
+}
+
+/// A consumer of driver-timestamped observations.
+///
+/// A driver reports everything it observes — protocol notes, message
+/// sends, lane charges, cache health, commits — through one call,
+/// stamped with its clock and the replica concerned. Its own counters
+/// (the simulator's traffic accounting, say) consume the same event at
+/// the same call site, so they cannot disagree with a sink.
+pub trait TelemetrySink {
+    /// One observation at `at_ns` by or about `replica`.
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>);
+
+    /// Shorthand for recording a [`Telemetry::Note`].
+    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
+        self.record(at_ns, replica, Telemetry::Note(note));
     }
 }
 
 /// Fan-out: a pair of sinks both receive every event.
 impl<A: TelemetrySink, B: TelemetrySink> TelemetrySink for (A, B) {
-    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
-        self.0.note(at_ns, replica, note);
-        self.1.note(at_ns, replica, note);
-    }
-
-    fn message_sent(
-        &mut self,
-        at_ns: u64,
-        from: ReplicaId,
-        class: MsgClass,
-        wire_bytes: u64,
-        authenticators: u64,
-    ) {
-        self.0
-            .message_sent(at_ns, from, class, wire_bytes, authenticators);
-        self.1
-            .message_sent(at_ns, from, class, wire_bytes, authenticators);
-    }
-
-    fn step_charged(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        crypto_ns: u64,
-        journal_ns: u64,
-        consensus_ns: u64,
-    ) {
-        self.0
-            .step_charged(at_ns, replica, crypto_ns, journal_ns, consensus_ns);
-        self.1
-            .step_charged(at_ns, replica, crypto_ns, journal_ns, consensus_ns);
-    }
-
-    fn crypto_cache(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        seed_hits: u64,
-        seed_misses: u64,
-        verified_qcs: u64,
-    ) {
-        self.0
-            .crypto_cache(at_ns, replica, seed_hits, seed_misses, verified_qcs);
-        self.1
-            .crypto_cache(at_ns, replica, seed_hits, seed_misses, verified_qcs);
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        self.0.record(at_ns, replica, event);
+        self.1.record(at_ns, replica, event);
     }
 }
 
@@ -361,90 +323,18 @@ impl<A: TelemetrySink, B: TelemetrySink> TelemetrySink for (A, B) {
 /// (a registry here, a flight ring there) compose into one tuple
 /// without a combinatorial explosion of concrete sink types.
 impl<S: TelemetrySink> TelemetrySink for Option<S> {
-    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
         if let Some(s) = self {
-            s.note(at_ns, replica, note);
-        }
-    }
-
-    fn message_sent(
-        &mut self,
-        at_ns: u64,
-        from: ReplicaId,
-        class: MsgClass,
-        wire_bytes: u64,
-        authenticators: u64,
-    ) {
-        if let Some(s) = self {
-            s.message_sent(at_ns, from, class, wire_bytes, authenticators);
-        }
-    }
-
-    fn step_charged(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        crypto_ns: u64,
-        journal_ns: u64,
-        consensus_ns: u64,
-    ) {
-        if let Some(s) = self {
-            s.step_charged(at_ns, replica, crypto_ns, journal_ns, consensus_ns);
-        }
-    }
-
-    fn crypto_cache(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        seed_hits: u64,
-        seed_misses: u64,
-        verified_qcs: u64,
-    ) {
-        if let Some(s) = self {
-            s.crypto_cache(at_ns, replica, seed_hits, seed_misses, verified_qcs);
+            s.record(at_ns, replica, event);
         }
     }
 }
 
-/// Forwarding through a boxed sink, so runtimes can compose an owned
-/// `Box<dyn TelemetrySink + Send>` into tuple fan-outs.
-impl TelemetrySink for Box<dyn TelemetrySink + Send> {
-    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
-        (**self).note(at_ns, replica, note);
-    }
-
-    fn message_sent(
-        &mut self,
-        at_ns: u64,
-        from: ReplicaId,
-        class: MsgClass,
-        wire_bytes: u64,
-        authenticators: u64,
-    ) {
-        (**self).message_sent(at_ns, from, class, wire_bytes, authenticators);
-    }
-
-    fn step_charged(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        crypto_ns: u64,
-        journal_ns: u64,
-        consensus_ns: u64,
-    ) {
-        (**self).step_charged(at_ns, replica, crypto_ns, journal_ns, consensus_ns);
-    }
-
-    fn crypto_cache(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        seed_hits: u64,
-        seed_misses: u64,
-        verified_qcs: u64,
-    ) {
-        (**self).crypto_cache(at_ns, replica, seed_hits, seed_misses, verified_qcs);
+/// Forwarding through a boxed sink, so an owned `Box<dyn TelemetrySink>`
+/// composes into tuple fan-outs.
+impl<S: TelemetrySink + ?Sized> TelemetrySink for Box<S> {
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        (**self).record(at_ns, replica, event);
     }
 }
 
@@ -503,30 +393,25 @@ impl Trace {
 }
 
 impl TelemetrySink for Trace {
-    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
-        self.events.push(TraceEvent {
-            at_ns,
-            replica,
-            note: note.clone(),
-        });
-    }
-
-    fn step_charged(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        crypto_ns: u64,
-        journal_ns: u64,
-        consensus_ns: u64,
-    ) {
-        if crypto_ns | journal_ns | consensus_ns != 0 {
-            self.charges.push(ChargeEvent {
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        match event {
+            Telemetry::Note(note) => self.events.push(TraceEvent {
+                at_ns,
+                replica,
+                note: note.clone(),
+            }),
+            Telemetry::Charged {
+                crypto_ns,
+                journal_ns,
+                consensus_ns,
+            } if crypto_ns | journal_ns | consensus_ns != 0 => self.charges.push(ChargeEvent {
                 at_ns,
                 replica,
                 crypto_ns,
                 journal_ns,
                 consensus_ns,
-            });
+            }),
+            _ => {}
         }
     }
 }
@@ -547,6 +432,12 @@ impl<S> SharedSink<S> {
     pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.0.lock().expect("sink lock"))
     }
+
+    /// The wrapped sink, once every other clone is dropped.
+    pub fn into_inner(self) -> Option<S> {
+        let mutex = std::sync::Arc::into_inner(self.0)?;
+        Some(mutex.into_inner().expect("sink lock"))
+    }
 }
 
 impl<S> Clone for SharedSink<S> {
@@ -556,59 +447,11 @@ impl<S> Clone for SharedSink<S> {
 }
 
 impl<S: TelemetrySink> TelemetrySink for SharedSink<S> {
-    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
-        self.0.lock().expect("sink lock").note(at_ns, replica, note);
-    }
-
-    fn message_sent(
-        &mut self,
-        at_ns: u64,
-        from: ReplicaId,
-        class: MsgClass,
-        wire_bytes: u64,
-        authenticators: u64,
-    ) {
-        self.0.lock().expect("sink lock").message_sent(
-            at_ns,
-            from,
-            class,
-            wire_bytes,
-            authenticators,
-        );
-    }
-
-    fn step_charged(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        crypto_ns: u64,
-        journal_ns: u64,
-        consensus_ns: u64,
-    ) {
-        self.0.lock().expect("sink lock").step_charged(
-            at_ns,
-            replica,
-            crypto_ns,
-            journal_ns,
-            consensus_ns,
-        );
-    }
-
-    fn crypto_cache(
-        &mut self,
-        at_ns: u64,
-        replica: ReplicaId,
-        seed_hits: u64,
-        seed_misses: u64,
-        verified_qcs: u64,
-    ) {
-        self.0.lock().expect("sink lock").crypto_cache(
-            at_ns,
-            replica,
-            seed_hits,
-            seed_misses,
-            verified_qcs,
-        );
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        self.0
+            .lock()
+            .expect("sink lock")
+            .record(at_ns, replica, event);
     }
 }
 
@@ -646,9 +489,10 @@ impl<S: TelemetrySink> TelemetrySink for SharedSink<S> {
 /// | `PayloadQuorum` | `consensus_payload_quorum_total` + `consensus_payload_quorum_ns` |
 /// | `PayloadFetched` | `consensus_payload_fetches_total` |
 /// | `PayloadExpired` | `consensus_payload_expired_total` + `consensus_payload_expired_txs_total` |
-/// | `message_sent` | `net_{messages,bytes,authenticators}_total{class}` |
-/// | `step_charged` | `consensus_cpu_ns_total{lane="crypto"\|"journal"\|"consensus"}` |
-/// | `crypto_cache` | `crypto_seed_memo_{hits,misses}_total` + `crypto_verified_qc_cache_entries` (gauge) |
+/// | `Telemetry::Sent` | `net_{messages,bytes,authenticators}_total{class}` |
+/// | `Telemetry::Charged` | `consensus_cpu_ns_total{lane="crypto"\|"journal"\|"consensus"}` |
+/// | `Telemetry::CryptoCache` | `crypto_seed_memo_{hits,misses}_total` + `crypto_verified_qc_cache_entries` (gauge) |
+/// | `Telemetry::Committed` | nothing: `Note::Committed` carries the count |
 #[derive(Clone, Debug)]
 pub struct RegistryRecorder {
     registry: Registry,
@@ -693,7 +537,64 @@ impl RegistryRecorder {
 }
 
 impl TelemetrySink for RegistryRecorder {
-    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        match event {
+            Telemetry::Note(note) => self.fold_note(at_ns, replica, note),
+            Telemetry::Sent {
+                class,
+                bytes,
+                authenticators,
+            } => {
+                let class = class.to_string();
+                let labels: &[(&str, &str)] = &[("class", &class)];
+                self.counter("net_messages_total", labels).inc();
+                self.counter("net_bytes_total", labels).add(bytes);
+                self.counter("net_authenticators_total", labels)
+                    .add(authenticators);
+            }
+            Telemetry::Charged {
+                crypto_ns,
+                journal_ns,
+                consensus_ns,
+            } => {
+                for (lane, ns) in [
+                    ("crypto", crypto_ns),
+                    ("journal", journal_ns),
+                    ("consensus", consensus_ns),
+                ] {
+                    if ns > 0 {
+                        self.counter("consensus_cpu_ns_total", &[("lane", lane)])
+                            .add(ns);
+                    }
+                }
+            }
+            Telemetry::CryptoCache {
+                seed_hits,
+                seed_misses,
+                verified_qcs,
+            } => {
+                let (last_hits, last_misses) = self
+                    .cache_seen
+                    .insert(replica, (seed_hits, seed_misses))
+                    .unwrap_or((0, 0));
+                self.counter("crypto_seed_memo_hits_total", &[])
+                    .add(seed_hits.saturating_sub(last_hits));
+                self.counter("crypto_seed_memo_misses_total", &[])
+                    .add(seed_misses.saturating_sub(last_misses));
+                let id = replica.0.to_string();
+                self.registry
+                    .gauge_with("crypto_verified_qc_cache_entries", &[("replica", &id)])
+                    .set(verified_qcs as i64);
+            }
+            // The same commit emits `Note::Committed`, which carries the
+            // count this recorder exports.
+            Telemetry::Committed(_) => {}
+        }
+    }
+}
+
+impl RegistryRecorder {
+    fn fold_note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
         match note {
             Note::EnteredView { leader, .. } => {
                 let role = if *leader { "leader" } else { "follower" };
@@ -863,64 +764,6 @@ impl TelemetrySink for RegistryRecorder {
                     .add(*txs as u64);
             }
         }
-    }
-
-    fn message_sent(
-        &mut self,
-        _at_ns: u64,
-        _from: ReplicaId,
-        class: MsgClass,
-        wire_bytes: u64,
-        authenticators: u64,
-    ) {
-        let class = class.to_string();
-        let labels: &[(&str, &str)] = &[("class", &class)];
-        self.counter("net_messages_total", labels).inc();
-        self.counter("net_bytes_total", labels).add(wire_bytes);
-        self.counter("net_authenticators_total", labels)
-            .add(authenticators);
-    }
-
-    fn step_charged(
-        &mut self,
-        _at_ns: u64,
-        _replica: ReplicaId,
-        crypto_ns: u64,
-        journal_ns: u64,
-        consensus_ns: u64,
-    ) {
-        for (lane, ns) in [
-            ("crypto", crypto_ns),
-            ("journal", journal_ns),
-            ("consensus", consensus_ns),
-        ] {
-            if ns > 0 {
-                self.counter("consensus_cpu_ns_total", &[("lane", lane)])
-                    .add(ns);
-            }
-        }
-    }
-
-    fn crypto_cache(
-        &mut self,
-        _at_ns: u64,
-        replica: ReplicaId,
-        seed_hits: u64,
-        seed_misses: u64,
-        verified_qcs: u64,
-    ) {
-        let (last_hits, last_misses) = self
-            .cache_seen
-            .insert(replica, (seed_hits, seed_misses))
-            .unwrap_or((0, 0));
-        self.counter("crypto_seed_memo_hits_total", &[])
-            .add(seed_hits.saturating_sub(last_hits));
-        self.counter("crypto_seed_memo_misses_total", &[])
-            .add(seed_misses.saturating_sub(last_misses));
-        let id = replica.0.to_string();
-        self.registry
-            .gauge_with("crypto_verified_qc_cache_entries", &[("replica", &id)])
-            .set(verified_qcs as i64);
     }
 }
 
@@ -1149,19 +992,42 @@ mod tests {
         samples
     }
 
-    /// Every `Note` variant, fed alone into a fresh recorder, updates
-    /// at least one registry metric — no event can be silently dropped.
+    /// Every `Telemetry` variant, fed alone into a fresh recorder: `Sent`
+    /// lands in exactly its class's `net_*` counters, `Committed` in
+    /// nothing, and every other event — each note included — in at least
+    /// one metric, so no event is silently dropped.
+    ///
+    /// Nothing needs to check that two accountings agree. The simulator's
+    /// `Accounting` and the registry's `net_*` consume the same `Sent`
+    /// event; `Note::Committed` and `Action::Commit` are built from the
+    /// same newly committed blocks in `Core::try_commit`.
     #[test]
-    fn every_note_variant_updates_the_registry() {
-        for note in one_of_each_variant() {
+    fn every_telemetry_variant_updates_the_registry() {
+        let notes = one_of_each_variant();
+        let committed = [Block::genesis()];
+        let mut events: Vec<Telemetry<'_>> = notes.iter().map(Telemetry::Note).collect();
+        events.extend([
+            Telemetry::Sent {
+                class: MsgClass::Vote(Phase::Prepare),
+                bytes: 120,
+                authenticators: 1,
+            },
+            Telemetry::Charged {
+                crypto_ns: 300,
+                journal_ns: 40,
+                consensus_ns: 5,
+            },
+            Telemetry::CryptoCache {
+                seed_hits: 100,
+                seed_misses: 10,
+                verified_qcs: 7,
+            },
+            Telemetry::Committed(&committed),
+        ]);
+        for event in events {
             let reg = Registry::new();
-            let mut rec = RegistryRecorder::new(&reg);
-            rec.note(1_000, ReplicaId(0), &note);
+            RegistryRecorder::new(&reg).record(1_000, ReplicaId(0), event);
             let entries = reg.snapshot().entries;
-            assert!(
-                !entries.is_empty(),
-                "{note:?} updated no metric — extend RegistryRecorder"
-            );
             let touched: u64 = entries
                 .iter()
                 .map(|e| match &e.value {
@@ -1170,16 +1036,39 @@ mod tests {
                     crate::export::SnapshotValue::Histogram(h) => h.count(),
                 })
                 .sum();
-            assert!(touched > 0, "{note:?} created metrics but recorded nothing");
+            match event {
+                Telemetry::Sent { .. } => {
+                    let net = |name| reg.counter_with(name, &[("class", "vote/Prepare")]).get();
+                    assert_eq!(entries.len(), 3, "{entries:?}");
+                    assert_eq!(net("net_messages_total"), 1);
+                    assert_eq!(net("net_bytes_total"), 120);
+                    assert_eq!(net("net_authenticators_total"), 1);
+                }
+                Telemetry::Committed(_) => assert!(entries.is_empty(), "{entries:?}"),
+                Telemetry::Note(_) | Telemetry::Charged { .. } | Telemetry::CryptoCache { .. } => {
+                    assert!(
+                        touched > 0,
+                        "{event:?} recorded nothing — extend RegistryRecorder"
+                    )
+                }
+            }
+        }
+    }
+
+    fn charged(crypto_ns: u64, journal_ns: u64, consensus_ns: u64) -> Telemetry<'static> {
+        Telemetry::Charged {
+            crypto_ns,
+            journal_ns,
+            consensus_ns,
         }
     }
 
     #[test]
     fn trace_records_nonzero_step_charges() {
         let mut t = Trace::new();
-        t.step_charged(10, ReplicaId(1), 300, 0, 5);
-        t.step_charged(20, ReplicaId(2), 0, 0, 0); // all-zero: skipped
-        t.step_charged(30, ReplicaId(0), 0, 70, 0);
+        t.record(10, ReplicaId(1), charged(300, 0, 5));
+        t.record(20, ReplicaId(2), charged(0, 0, 0)); // all-zero: skipped
+        t.record(30, ReplicaId(0), charged(0, 70, 0));
         assert_eq!(t.charges.len(), 2);
         assert_eq!(t.charges[0].crypto_ns, 300);
         assert_eq!(t.charges[1].journal_ns, 70);
@@ -1189,8 +1078,8 @@ mod tests {
     fn recorder_folds_lane_charges_into_counters() {
         let reg = Registry::new();
         let mut rec = RegistryRecorder::new(&reg);
-        rec.step_charged(10, ReplicaId(0), 300, 40, 5);
-        rec.step_charged(20, ReplicaId(1), 100, 0, 0);
+        rec.record(10, ReplicaId(0), charged(300, 40, 5));
+        rec.record(20, ReplicaId(1), charged(100, 0, 0));
         let lane = |l: &str| {
             reg.counter_with("consensus_cpu_ns_total", &[("lane", l)])
                 .get()
@@ -1204,9 +1093,16 @@ mod tests {
     fn recorder_folds_cumulative_cache_reports_as_deltas() {
         let reg = Registry::new();
         let mut rec = RegistryRecorder::new(&reg);
-        rec.crypto_cache(10, ReplicaId(0), 100, 10, 7);
-        rec.crypto_cache(20, ReplicaId(1), 50, 5, 3);
-        rec.crypto_cache(30, ReplicaId(0), 180, 12, 4);
+        for (at_ns, replica, seed_hits, seed_misses, verified_qcs) in
+            [(10, 0, 100, 10, 7), (20, 1, 50, 5, 3), (30, 0, 180, 12, 4)]
+        {
+            let report = Telemetry::CryptoCache {
+                seed_hits,
+                seed_misses,
+                verified_qcs,
+            };
+            rec.record(at_ns, ReplicaId(replica), report);
+        }
         assert_eq!(reg.counter("crypto_seed_memo_hits_total").get(), 230);
         assert_eq!(reg.counter("crypto_seed_memo_misses_total").get(), 17);
         assert_eq!(
@@ -1222,5 +1118,7 @@ mod tests {
         let mut handle = shared.clone();
         handle.note(7, ReplicaId(1), &Note::HappyPathVc { view: View(2) });
         assert_eq!(shared.with(|t| t.len()), 1);
+        drop(handle);
+        assert_eq!(shared.into_inner().map(|t| t.len()), Some(1));
     }
 }

@@ -25,7 +25,7 @@
 //! safety journal, because dumps are written while the process is
 //! dying.
 
-use crate::event::{Note, TelemetrySink};
+use crate::event::{Note, Telemetry, TelemetrySink};
 use marlin_types::ReplicaId;
 use std::collections::VecDeque;
 use std::io;
@@ -235,7 +235,10 @@ impl FlightSink {
 }
 
 impl TelemetrySink for FlightSink {
-    fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
+    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        let Telemetry::Note(note) = event else {
+            return;
+        };
         let kind = match note {
             Note::EnteredView { .. }
             | Note::ViewChangeStarted { .. }

@@ -10,11 +10,13 @@
 //!   [`Counter`]s, [`Gauge`]s, and log-scale [`Histogram`]s, with
 //!   Prometheus-text ([`Snapshot::to_prometheus`]) and JSON
 //!   ([`Snapshot::to_json`]) exporters.
-//! * [`Note`] / [`TelemetrySink`] — the structured consensus-event
-//!   vocabulary (view lifecycle, per-phase vote→QC formation, happy vs.
-//!   unhappy view-change paths, journal write-ahead cost, catch-up
-//!   round trips) and the driver-side hook that stamps each event with
-//!   the driver clock. [`RegistryRecorder`] folds events into registry
+//! * [`Note`] / [`Telemetry`] / [`TelemetrySink`] — the structured
+//!   consensus-event vocabulary (view lifecycle, per-phase vote→QC
+//!   formation, happy vs. unhappy view-change paths, journal write-ahead
+//!   cost, catch-up round trips), the one observation stream a driver
+//!   reports it in (notes, sends, lane charges, cache reports, commits)
+//!   and the one-method consumer of that stream, fed stamped with the
+//!   driver clock. [`RegistryRecorder`] folds events into registry
 //!   metrics; [`Trace`] records them for offline analysis.
 //! * [`Decomposition`] — a cross-replica trace merger that rebuilds
 //!   per-committed-block timelines and splits commit latency into
@@ -36,8 +38,8 @@ pub mod serve;
 pub mod timeline;
 
 pub use event::{
-    phase_label, ChargeEvent, Note, RegistryRecorder, SharedSink, TelemetrySink, Trace, TraceEvent,
-    VcCase,
+    phase_label, ChargeEvent, Note, RegistryRecorder, SharedSink, Telemetry, TelemetrySink, Trace,
+    TraceEvent, VcCase,
 };
 pub use export::{check_prometheus_text, json_str, Snapshot, SnapshotEntry, SnapshotValue};
 pub use flight::{

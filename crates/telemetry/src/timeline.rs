@@ -392,7 +392,7 @@ fn hist_json(h: &Histogram) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{TelemetrySink, Trace};
+    use crate::event::{Telemetry, TelemetrySink, Trace};
     use marlin_types::{ReplicaId, View};
 
     /// Builds a synthetic two-phase (Marlin-shaped) trace: propose at
@@ -535,16 +535,30 @@ mod tests {
     /// The two-phase trace plus lane charges: verification work landing
     /// exactly when each QC forms, journal work mid-deliver, and one
     /// charge before the propose (outside every window).
+    fn charge(
+        t: &mut Trace,
+        at_ns: u64,
+        replica: u32,
+        [crypto_ns, journal_ns, consensus_ns]: [u64; 3],
+    ) {
+        let charged = Telemetry::Charged {
+            crypto_ns,
+            journal_ns,
+            consensus_ns,
+        };
+        t.record(at_ns, ReplicaId(replica), charged);
+    }
+
     fn charged_trace() -> Trace {
         let mut t = two_phase_trace();
         // Before propose: belongs to no segment.
-        t.step_charged(50, ReplicaId(1), 999, 999, 999);
+        charge(&mut t, 50, 1, [999, 999, 999]);
         // Batch verification that formed the prepare QC at t=300.
-        t.step_charged(300, ReplicaId(1), 80, 0, 5);
+        charge(&mut t, 300, 1, [80, 0, 5]);
         // Verification + combine forming the commit QC at t=500.
-        t.step_charged(500, ReplicaId(1), 60, 0, 0);
+        charge(&mut t, 500, 1, [60, 0, 0]);
         // Journal append during delivery (window (500, 620]).
-        t.step_charged(610, ReplicaId(0), 0, 40, 0);
+        charge(&mut t, 610, 0, [0, 40, 0]);
         t
     }
 
@@ -594,7 +608,7 @@ mod tests {
         let mut t = two_phase_trace();
         // More CPU than the window holds (parallel lanes / other-block
         // pipelining): wire clamps to zero instead of underflowing.
-        t.step_charged(300, ReplicaId(0), 100_000, 0, 0);
+        charge(&mut t, 300, 0, [100_000, 0, 0]);
         let d = Decomposition::from_trace(&t);
         let prep = d
             .lane_breakdown()

@@ -10,7 +10,8 @@
 
 use marlin_bft::core::{Config, Event, Note, ProtocolKind, VcCase};
 use marlin_bft::crypto::QcFormat;
-use marlin_bft::simnet::{CommitObserver, SimConfig, SimNet};
+use marlin_bft::simnet::{SimConfig, SimNet};
+use marlin_bft::telemetry::{Telemetry, TelemetrySink};
 use marlin_bft::types::{Block, Justify, Message, MsgBody, Phase, Qc, ReplicaId, View, ViewChange};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -29,9 +30,11 @@ impl Chains {
     }
 }
 
-impl CommitObserver for Chains {
-    fn on_commit(&mut self, replica: ReplicaId, _now_ns: u64, blocks: &[Block]) {
-        self.0.borrow_mut()[replica.index()].extend_from_slice(blocks);
+impl TelemetrySink for Chains {
+    fn record(&mut self, _at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        if let Telemetry::Committed(blocks) = event {
+            self.0.borrow_mut()[replica.index()].extend_from_slice(blocks);
+        }
     }
 }
 
@@ -41,7 +44,7 @@ impl CommitObserver for Chains {
 fn build_scenario(kind: ProtocolKind) -> (SimNet, Chains, u64) {
     let mut sim = SimNet::new(kind, Config::for_test(4, 1), SimConfig::instant());
     let chains = Chains::default();
-    sim.set_observer(Box::new(chains.clone()));
+    sim.set_telemetry(Box::new(chains.clone()));
     sim.run_until_idle(); // the start-up block
     sim.schedule_client_batch(P1, sim.now_ns(), 10, 0);
     sim.run_until_idle();

@@ -45,7 +45,7 @@ fn main() {
         cfg.warmup_ns = 1_000_000_000;
         let m = if telemetry_path.is_some() {
             let shared = SharedSink::new(Trace::new());
-            let (m, _) = run_experiment_with_telemetry(&cfg, Box::new(shared.clone()));
+            let m = run_experiment_with_telemetry(&cfg, Box::new(shared.clone()));
             let d = shared.with(|trace| Decomposition::from_trace(trace));
             decompositions.push((protocol, d));
             m

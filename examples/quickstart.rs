@@ -12,8 +12,10 @@
 //! written).
 
 use marlin_bft::core::{Config, Note, ProtocolKind};
-use marlin_bft::simnet::{CommitObserver, Invariants, SimConfig, SimNet};
-use marlin_bft::telemetry::{check_prometheus_text, Registry, RegistryRecorder};
+use marlin_bft::simnet::{Invariants, SimConfig, SimNet};
+use marlin_bft::telemetry::{
+    check_prometheus_text, Registry, RegistryRecorder, Telemetry, TelemetrySink,
+};
 use marlin_bft::types::{Block, ReplicaId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,9 +24,9 @@ use std::rc::Rc;
 #[derive(Clone, Default)]
 struct Chain(Rc<RefCell<Vec<Block>>>);
 
-impl CommitObserver for Chain {
-    fn on_commit(&mut self, replica: ReplicaId, _now_ns: u64, blocks: &[Block]) {
-        if replica == ReplicaId(0) {
+impl TelemetrySink for Chain {
+    fn record(&mut self, _at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        if let (ReplicaId(0), Telemetry::Committed(blocks)) = (replica, event) {
             self.0.borrow_mut().extend_from_slice(blocks);
         }
     }
@@ -41,13 +43,14 @@ fn main() {
     let config = Config::for_test(4, 1);
     let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::instant());
     let (chain, invariants) = (Chain::default(), Invariants::new(&[], u64::MAX));
-    sim.set_observer(Box::new(chain.clone()));
+    sim.set_telemetry(Box::new(chain.clone()));
     sim.set_invariant_checker(Box::new(invariants.clone()));
     sim.run_until_idle(); // the start-up block
     let registry = Registry::new();
-    if telemetry_path.is_some() {
-        sim.set_telemetry(Box::new(RegistryRecorder::new(&registry)));
-    }
+    let recorder = telemetry_path
+        .is_some()
+        .then(|| RegistryRecorder::new(&registry));
+    sim.set_telemetry(Box::new((chain.clone(), recorder)));
 
     println!("submitting 3 batches of 100 transactions to the view-1 leader…");
     for round in 1..=3 {

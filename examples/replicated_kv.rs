@@ -1,14 +1,15 @@
 //! A replicated key-value store on top of the Marlin consensus core:
 //! clients issue SET/DELETE commands, every replica applies committed
 //! blocks in order to its own copy of the state (as the simulator's
-//! commit observer), and reads hit local state.
+//! telemetry sink), and reads hit local state.
 //!
 //! ```text
 //! cargo run --example replicated_kv
 //! ```
 
 use marlin_bft::core::{Config, Event, ProtocolKind};
-use marlin_bft::simnet::{CommitObserver, Invariants, SimConfig, SimNet};
+use marlin_bft::simnet::{Invariants, SimConfig, SimNet};
+use marlin_bft::telemetry::{Telemetry, TelemetrySink};
 use marlin_bft::types::{Block, ReplicaId, Transaction};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -50,8 +51,11 @@ impl KvState {
 #[derive(Clone, Default)]
 struct Apps(Rc<RefCell<[KvState; 4]>>);
 
-impl CommitObserver for Apps {
-    fn on_commit(&mut self, replica: ReplicaId, _now_ns: u64, blocks: &[Block]) {
+impl TelemetrySink for Apps {
+    fn record(&mut self, _at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        let Telemetry::Committed(blocks) = event else {
+            return;
+        };
         let app = &mut self.0.borrow_mut()[replica.index()];
         for block in blocks {
             app.apply_block(block);
@@ -66,7 +70,7 @@ fn main() {
         SimConfig::instant(),
     );
     let (apps, invariants) = (Apps::default(), Invariants::new(&[], u64::MAX));
-    sim.set_observer(Box::new(apps.clone()));
+    sim.set_telemetry(Box::new(apps.clone()));
     sim.set_invariant_checker(Box::new(invariants.clone()));
     sim.run_until_idle(); // the start-up block
     let leader = ReplicaId(1);

@@ -28,14 +28,11 @@ use marlin_bft::core::ProtocolKind;
 use marlin_bft::runtime::{
     ClusterConfig, CommitObserverFn, ObservabilityConfig, RuntimeCluster, TransportKind,
 };
-use marlin_bft::simnet::{
-    run_experiment_with_telemetry, CommitObserver, ExperimentConfig, SimConfig, Stats,
-};
-use marlin_bft::telemetry::{json_str, Decomposition, SharedSink, Trace};
+use marlin_bft::simnet::{run_experiment_with_telemetry, ExperimentConfig, SimConfig, Stats};
+use marlin_bft::telemetry::{json_str, Decomposition, SharedSink, Telemetry, TelemetrySink, Trace};
 use marlin_bft::types::ReplicaId;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const WARMUP: Duration = Duration::from_millis(750);
@@ -97,18 +94,11 @@ fn race(protocol: ProtocolKind, opts: &Opts) -> RaceResult {
         });
     }
 
-    let stats = Arc::new(Mutex::new(Stats::new(
-        ReplicaId(0),
-        0,
-        WARMUP.as_nanos() as u64,
-    )));
+    let stats = SharedSink::new(Stats::new(ReplicaId(0), 0, WARMUP.as_nanos() as u64));
     let observer: CommitObserverFn = {
-        let stats = Arc::clone(&stats);
+        let mut stats = stats.clone();
         Box::new(move |replica, now_ns, blocks| {
-            stats
-                .lock()
-                .expect("stats lock")
-                .on_commit(replica, now_ns, blocks);
+            stats.record(now_ns, replica, Telemetry::Committed(blocks));
         })
     };
 
@@ -156,18 +146,14 @@ fn race(protocol: ProtocolKind, opts: &Opts) -> RaceResult {
         .expect("committed prefixes diverged");
     let report = cluster.shutdown();
 
-    let notes: Vec<_> = report
-        .trace
-        .events
-        .iter()
-        .map(|e| (e.at_ns, e.replica, e.note.clone()))
-        .collect();
-    let duration_ns = end_ns.saturating_sub(WARMUP.as_nanos() as u64);
-    let metrics = Arc::try_unwrap(stats)
-        .expect("all observer clones dropped at shutdown")
+    let mut stats = stats
         .into_inner()
-        .expect("stats lock")
-        .into_metrics(duration_ns, &notes);
+        .expect("all observer clones dropped at shutdown");
+    for e in &report.trace.events {
+        stats.note(e.at_ns, e.replica, &e.note);
+    }
+    let duration_ns = end_ns.saturating_sub(WARMUP.as_nanos() as u64);
+    let metrics = stats.into_metrics(duration_ns);
     let decomposition = Decomposition::from_trace(&report.trace);
 
     RaceResult {

@@ -5,23 +5,23 @@
 
 use marlin_bft::core::harness::build_protocol;
 use marlin_bft::core::{Config, Protocol, ProtocolKind};
-use marlin_bft::simnet::{Behavior, ByzantineReplica, CommitObserver, SimConfig, SimNet};
+use marlin_bft::simnet::{Behavior, ByzantineReplica, SimConfig, SimNet};
+use marlin_bft::telemetry::{SharedSink, Telemetry, TelemetrySink};
 use marlin_bft::types::{Block, BlockId, ReplicaId};
-use std::sync::{Arc, Mutex};
 
 /// Collects each replica's committed chain for consistency checking.
 #[derive(Default)]
 struct Chains(Vec<Vec<BlockId>>);
 
-struct ChainObserver(Arc<Mutex<Chains>>);
-
-impl CommitObserver for ChainObserver {
-    fn on_commit(&mut self, replica: ReplicaId, _now_ns: u64, blocks: &[Block]) {
-        let mut chains = self.0.lock().expect("single-threaded");
-        if chains.0.len() <= replica.index() {
-            chains.0.resize_with(replica.index() + 1, Vec::new);
+impl TelemetrySink for Chains {
+    fn record(&mut self, _at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
+        let Telemetry::Committed(blocks) = event else {
+            return;
+        };
+        if self.0.len() <= replica.index() {
+            self.0.resize_with(replica.index() + 1, Vec::new);
         }
-        chains.0[replica.index()].extend(blocks.iter().map(Block::id));
+        self.0[replica.index()].extend(blocks.iter().map(Block::id));
     }
 }
 
@@ -58,8 +58,8 @@ fn run_with_adversary(
         })
         .collect();
     let mut sim = SimNet::with_replicas(replicas, SimConfig::lan());
-    let chains = Arc::new(Mutex::new(Chains::default()));
-    sim.set_observer(Box::new(ChainObserver(Arc::clone(&chains))));
+    let chains = SharedSink::new(Chains::default());
+    sim.set_telemetry(Box::new(chains.clone()));
 
     // Keep the current leader supplied across views.
     let mut t = 0u64;
@@ -73,12 +73,11 @@ fn run_with_adversary(
         sim.run_until(t);
     }
     let committed = sim.committed_txs(ReplicaId(0));
-    drop(sim.take_observer());
-    let chains = Arc::try_unwrap(chains)
-        .unwrap_or_else(|_| panic!("observer retained"))
-        .into_inner()
-        .expect("single-threaded");
-    (committed, chains)
+    drop(sim);
+    (
+        committed,
+        chains.into_inner().expect("the simulation is dropped"),
+    )
 }
 
 #[test]

@@ -31,7 +31,7 @@ fn experiment(fast: bool) -> ExperimentConfig {
 
 fn run_with_trace(cfg: &ExperimentConfig) -> (u64, f64, Decomposition) {
     let shared = SharedSink::new(Trace::new());
-    let (metrics, _) = run_experiment_with_telemetry(cfg, Box::new(shared.clone()));
+    let metrics = run_experiment_with_telemetry(cfg, Box::new(shared.clone()));
     assert!(metrics.committed_txs > 0, "run never committed");
     let d = shared.with(|trace| Decomposition::from_trace(trace));
     (metrics.committed_txs, metrics.latency.mean_ms, d)

@@ -12,7 +12,7 @@ fn decompose(protocol: ProtocolKind) -> Decomposition {
     cfg.duration_ns = 2_000_000_000;
     cfg.warmup_ns = 500_000_000;
     let shared = SharedSink::new(Trace::new());
-    let (metrics, _) = run_experiment_with_telemetry(&cfg, Box::new(shared.clone()));
+    let metrics = run_experiment_with_telemetry(&cfg, Box::new(shared.clone()));
     assert!(metrics.committed_txs > 0, "{protocol:?} never committed");
     shared.with(|trace| {
         assert!(!trace.is_empty(), "{protocol:?} produced no trace events");
