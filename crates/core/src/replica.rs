@@ -385,7 +385,7 @@ pub(crate) fn child_of(qc: &Qc, view: View, batch: marlin_types::Batch, justify:
 /// must remember lives in [`Core`], per view in [`Rules::Round`].
 pub trait Rules: Clone + Debug {
     /// Per-view state beyond the collected `VIEW-CHANGE`s.
-    type Round: Clone + Debug + Default;
+    type Round: Clone + Debug + Default + Send;
 
     /// Protocol name, e.g. `"marlin"`.
     const NAME: &'static str;

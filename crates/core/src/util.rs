@@ -14,13 +14,13 @@ use marlin_types::{
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-/// A consensus protocol as a deterministic state machine.
+/// A consensus protocol as a deterministic state machine any thread may step.
 ///
 /// Implementations only define [`Protocol::on_event`]; drivers call
 /// [`Protocol::step`], which additionally routes self-addressed sends
 /// and the replica's own copy of broadcasts back into the machine (a
 /// leader is also a voter).
-pub trait Protocol {
+pub trait Protocol: Send {
     /// The replica's configuration.
     fn config(&self) -> &Config;
 

@@ -45,7 +45,7 @@ pub enum JournalMode {
     Memory,
     /// Real files under `<dir>/node-<i>/`. Differs from `Memory` only in
     /// which disk sits inside the replica's `SharedDisk`: either way the
-    /// consensus thread writes its own journal, inside `Protocol::step`.
+    /// stepping thread writes the journal, inside `Protocol::step`.
     Files(PathBuf),
 }
 
@@ -71,7 +71,7 @@ pub struct ClusterConfig {
     pub sync_snapshot_interval: u64,
     /// Committed-height gap that triggers a ranged sync run.
     pub sync_lag_threshold: u64,
-    /// Depth of each node's ingress → consensus event queue.
+    /// Bound of each node's mailbox (events delivered, not yet stepped).
     pub event_queue_depth: usize,
     /// Per-replica mempool capacity; `0` = legacy unbounded queue.
     pub mempool_capacity: usize,

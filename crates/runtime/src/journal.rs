@@ -2,10 +2,10 @@
 //!
 //! The consensus state machines call `SafetyJournal` synchronously and
 //! rely on write-before-vote: a vote is only emitted after its journal
-//! record is appended *and* synced. The consensus thread calls the disk
-//! itself, inside `Protocol::step`: program order on that thread is the
-//! write-before-vote barrier, and a thread here would be a relay the
-//! voter blocks on (DESIGN.md §13.1).
+//! record is appended *and* synced. The thread stepping the replica calls
+//! the disk itself, inside `Protocol::step`: program order on that thread
+//! is the write-before-vote barrier, and a thread here would be a relay
+//! the voter blocks on (DESIGN.md §13.1).
 //!
 //! This module is the measurement: [`MeteredDisk`] feeds the `journal`
 //! [`LaneMeter`] behind the lane's exported series, `/health`'s journal

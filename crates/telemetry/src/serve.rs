@@ -50,14 +50,14 @@ pub struct Health {
     pub committed_txs: u64,
     /// `"idle"` or `"syncing"`.
     pub sync_state: &'static str,
-    /// Journal operations in progress: 1 while the consensus thread is
+    /// Journal operations in progress: 1 while the stepping thread is
     /// inside a disk call, 0 otherwise.
     pub journal_lag: u64,
     /// Peers with a live connection right now.
     pub peers_connected: u64,
     /// Peers in the static mesh (n - 1).
     pub peers_total: u64,
-    /// Undecodable frames seen by the ingress thread.
+    /// Undecodable frames seen by the transport's readers.
     pub decode_errors: u64,
     /// Sends dropped at the transport.
     pub send_drops: u64,
