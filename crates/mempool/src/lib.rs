@@ -13,8 +13,10 @@
 //! * **Per-client sequencing** — transaction ids pack the client id in
 //!   the high 32 bits and a per-client sequence in the low 32 bits (the
 //!   workload convention). A client's admitted sequence numbers are
-//!   monotone: a replayed or reordered-below-watermark id is a
-//!   [`Admission::Duplicate`], as is any id currently resident.
+//!   monotone: an id at or below the client's watermark (its highest
+//!   admitted sequence, raised on admit) is a [`Admission::Duplicate`].
+//!   Every resident id is at or below its watermark, so that one map
+//!   lookup is also the resident-id check; the pool keeps no id set.
 //! * **Bounded admission** — at most `capacity` resident transactions
 //!   (0 = unbounded, the legacy configuration). An arrival over
 //!   capacity gets [`Admission::Full`] — the "try again" backpressure
@@ -31,7 +33,7 @@
 #![warn(missing_docs)]
 
 use marlin_types::Transaction;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{hash_map::Entry, HashMap, HashSet, VecDeque};
 
 /// Outcome of offering one transaction to the pool.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,8 +85,6 @@ pub struct Mempool {
     cfg: MempoolConfig,
     priority: VecDeque<Transaction>,
     normal: VecDeque<Transaction>,
-    /// Ids currently resident in either lane.
-    resident: HashSet<u64>,
     /// Per-client highest admitted sequence number (from the id's low
     /// 32 bits). Bounded by the number of distinct clients.
     watermark: HashMap<u32, u32>,
@@ -98,7 +98,6 @@ impl Mempool {
             cfg,
             priority: VecDeque::new(),
             normal: VecDeque::new(),
-            resident: HashSet::new(),
             watermark: HashMap::new(),
             stats: MempoolStats::default(),
         }
@@ -137,27 +136,22 @@ impl Mempool {
 
     /// Offers one transaction; see [`Admission`] for the outcomes.
     pub fn admit(&mut self, tx: Transaction) -> Admission {
-        if self.resident.contains(&tx.id) {
-            self.stats.duplicates += 1;
-            return Admission::Duplicate;
-        }
-        // Per-client monotone sequencing. The sentinel local client
-        // (runtime load generators) shares the convention: its ids come
-        // from one monotone counter.
-        let client = tx.client_of_id();
+        // One lookup: a resident id is at or below its watermark too.
+        let full = self.cfg.capacity > 0 && self.len() >= self.cfg.capacity;
         let seq = tx.seq_of_id();
-        if self.watermark.get(&client).is_some_and(|&hi| seq <= hi) {
-            self.stats.duplicates += 1;
-            return Admission::Duplicate;
+        match self.watermark.entry(tx.client_of_id()) {
+            Entry::Occupied(hi) if seq <= *hi.get() => {
+                self.stats.duplicates += 1;
+                return Admission::Duplicate;
+            }
+            _ if full => {
+                self.stats.rejected_full += 1;
+                return Admission::Full;
+            }
+            client => *client.or_insert(seq) = seq,
         }
-        if self.cfg.capacity > 0 && self.len() >= self.cfg.capacity {
-            self.stats.rejected_full += 1;
-            return Admission::Full;
-        }
-        self.watermark.insert(client, seq);
-        self.resident.insert(tx.id);
         self.stats.admitted += 1;
-        if self.cfg.priority_fee_threshold > 0 && tx.fee() >= self.cfg.priority_fee_threshold {
+        if self.is_priority(&tx) {
             self.stats.priority_admitted += 1;
             self.priority.push_back(tx);
         } else {
@@ -172,13 +166,16 @@ impl Mempool {
     /// would wrongly reject them. Used when a sealed dissemination
     /// batch expires without reaching its availability quorum — the
     /// transactions fall back to the inline-proposal path rather than
-    /// being dropped. Ids already resident again are skipped.
+    /// being dropped. Ids already resident (collected on this rare path
+    /// only) are skipped.
     pub fn requeue(&mut self, txs: Vec<Transaction>) {
+        let lanes = self.priority.iter().chain(&self.normal);
+        let mut resident: HashSet<u64> = lanes.map(|t| t.id).collect();
         for tx in txs.into_iter().rev() {
-            if !self.resident.insert(tx.id) {
+            if !resident.insert(tx.id) {
                 continue;
             }
-            if self.cfg.priority_fee_threshold > 0 && tx.fee() >= self.cfg.priority_fee_threshold {
+            if self.is_priority(&tx) {
                 self.priority.push_front(tx);
             } else {
                 self.normal.push_front(tx);
@@ -190,18 +187,15 @@ impl Mempool {
     /// the normal lane, FIFO within each.
     pub fn take(&mut self, max: usize) -> Vec<Transaction> {
         let mut out = Vec::with_capacity(max.min(self.len()));
-        while out.len() < max {
-            let Some(tx) = self
-                .priority
-                .pop_front()
-                .or_else(|| self.normal.pop_front())
-            else {
-                break;
-            };
-            self.resident.remove(&tx.id);
-            out.push(tx);
+        for lane in [&mut self.priority, &mut self.normal] {
+            let k = (max - out.len()).min(lane.len());
+            out.extend(lane.drain(..k));
         }
         out
+    }
+
+    fn is_priority(&self, tx: &Transaction) -> bool {
+        self.cfg.priority_fee_threshold > 0 && tx.fee() >= self.cfg.priority_fee_threshold
     }
 }
 

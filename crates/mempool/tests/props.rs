@@ -1,13 +1,14 @@
 //! Property tests for the mempool's three contracts: deduplication,
 //! per-client monotone sequencing, and priority-lane ordering — driven
 //! by randomized multi-client submission schedules with replays,
-//! reorders, and capacity pressure.
+//! reorders, and capacity pressure — plus a differential test against
+//! a reference model that tracks resident ids in a set of its own.
 
 use bytes::Bytes;
-use marlin_mempool::{Admission, Mempool, MempoolConfig};
+use marlin_mempool::{Admission, Mempool, MempoolConfig, MempoolStats};
 use marlin_types::Transaction;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// SplitMix64, so one `u64` seed drives a whole schedule (the vendored
 /// proptest draws only flat tuples).
@@ -149,8 +150,193 @@ fn run_priority_schedule(seed: u64, rounds: usize) {
     }
 }
 
+/// The reference model: a pool that keeps every resident id in a
+/// `HashSet` and checks it before the watermark on admit, clears it on
+/// take and consults it on requeue. `Mempool` must agree with it on
+/// every outcome, counter and drained order.
+struct ResidentSetPool {
+    cfg: MempoolConfig,
+    priority: VecDeque<Transaction>,
+    normal: VecDeque<Transaction>,
+    resident: HashSet<u64>,
+    watermark: HashMap<u32, u32>,
+    stats: MempoolStats,
+}
+
+impl ResidentSetPool {
+    fn new(cfg: MempoolConfig) -> Self {
+        ResidentSetPool {
+            cfg,
+            priority: VecDeque::new(),
+            normal: VecDeque::new(),
+            resident: HashSet::new(),
+            watermark: HashMap::new(),
+            stats: MempoolStats::default(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.priority.len() + self.normal.len()
+    }
+
+    fn is_priority(&self, tx: &Transaction) -> bool {
+        self.cfg.priority_fee_threshold > 0 && tx.fee() >= self.cfg.priority_fee_threshold
+    }
+
+    fn admit(&mut self, tx: Transaction) -> Admission {
+        if self.resident.contains(&tx.id) {
+            self.stats.duplicates += 1;
+            return Admission::Duplicate;
+        }
+        let (client, seq) = (tx.client_of_id(), tx.seq_of_id());
+        if self.watermark.get(&client).is_some_and(|&hi| seq <= hi) {
+            self.stats.duplicates += 1;
+            return Admission::Duplicate;
+        }
+        if self.cfg.capacity > 0 && self.len() >= self.cfg.capacity {
+            self.stats.rejected_full += 1;
+            return Admission::Full;
+        }
+        self.watermark.insert(client, seq);
+        self.resident.insert(tx.id);
+        self.stats.admitted += 1;
+        if self.is_priority(&tx) {
+            self.stats.priority_admitted += 1;
+            self.priority.push_back(tx);
+        } else {
+            self.normal.push_back(tx);
+        }
+        Admission::Admitted
+    }
+
+    fn requeue(&mut self, txs: Vec<Transaction>) {
+        for tx in txs.into_iter().rev() {
+            if !self.resident.insert(tx.id) {
+                continue;
+            }
+            if self.is_priority(&tx) {
+                self.priority.push_front(tx);
+            } else {
+                self.normal.push_front(tx);
+            }
+        }
+    }
+
+    fn take(&mut self, max: usize) -> Vec<Transaction> {
+        let mut out = Vec::new();
+        while out.len() < max {
+            let Some(tx) = self
+                .priority
+                .pop_front()
+                .or_else(|| self.normal.pop_front())
+            else {
+                break;
+            };
+            self.resident.remove(&tx.id);
+            out.push(tx);
+        }
+        out
+    }
+}
+
+/// Drives `Mempool` and the reference model through one randomized
+/// schedule — fresh, replayed and ahead-of-sequence admits from several
+/// clients, `Full` under a small capacity, takes of random sizes, and
+/// requeues of drained transactions (twice over, mixed with resident
+/// ids, with repeats inside one call) — and asserts after every call
+/// that both answer identically.
+fn run_differential(seed: u64, steps: usize, capacity: usize, threshold: u8) {
+    let mut rng = Rng(seed);
+    let cfg = MempoolConfig {
+        capacity,
+        priority_fee_threshold: threshold,
+    };
+    let (mut mp, mut model) = (Mempool::new(cfg), ResidentSetPool::new(cfg));
+    const CLIENTS: u32 = 4;
+    let mut next_seq = [0u32; CLIENTS as usize];
+    let mut drained: Vec<Transaction> = Vec::new();
+    for step in 0..steps {
+        let r = rng.next();
+        let client = (r % u64::from(CLIENTS)) as u32;
+        let fee = (r >> 40) as u8;
+        let next = &mut next_seq[client as usize];
+        match (r >> 8) % 16 {
+            // A fresh admit: the client's next sequence.
+            0..=5 => {
+                let t = tx(client, *next, fee);
+                let got = mp.admit(t.clone());
+                assert_eq!(got, model.admit(t), "step {step}: fresh admit");
+                if got == Admission::Admitted {
+                    *next += 1;
+                }
+            }
+            // A replay at or below the client's last sequence.
+            6..=7 => {
+                let seq = ((r >> 16) % u64::from(*next + 1)) as u32;
+                let t = tx(client, seq, fee);
+                assert_eq!(mp.admit(t.clone()), model.admit(t), "step {step}: replay");
+            }
+            // Out of order: a sequence ahead of the next one.
+            8 => {
+                let seq = *next + 1 + ((r >> 16) % 3) as u32;
+                let t = tx(client, seq, fee);
+                let got = mp.admit(t.clone());
+                assert_eq!(got, model.admit(t), "step {step}: ahead-of-sequence admit");
+                if got == Admission::Admitted {
+                    *next = seq + 1;
+                }
+            }
+            // A take of random size, zero and oversized included.
+            9..=11 => {
+                let max = ((r >> 16) % 10) as usize;
+                let got = mp.take(max);
+                assert_eq!(got, model.take(max), "step {step}: take({max})");
+                drained.extend(got);
+            }
+            // Requeue a suffix of what was drained; it stays in
+            // `drained`, so a later requeue of it finds it resident.
+            12..=13 => {
+                let k = ((r >> 16) as usize) % (drained.len() + 1);
+                let back = drained[drained.len() - k..].to_vec();
+                mp.requeue(back.clone());
+                model.requeue(back);
+            }
+            // Requeue resident ids (under either fee) mixed with drained
+            // ones, one of them twice.
+            _ => {
+                let mut back: Vec<Transaction> = model.normal.iter().take(2).cloned().collect();
+                back.extend(model.priority.iter().take(1).cloned());
+                back.extend(drained.last().cloned());
+                if let Some(t) = back.first() {
+                    back.push(tx(t.client_of_id(), t.seq_of_id(), fee));
+                }
+                mp.requeue(back.clone());
+                model.requeue(back);
+            }
+        }
+        assert_eq!(mp.stats(), model.stats, "step {step}: stats");
+        assert_eq!(mp.len(), model.len(), "step {step}: len");
+        assert_eq!(mp.priority_len(), model.priority.len(), "step {step}");
+        assert_eq!(mp.is_empty(), model.len() == 0, "step {step}");
+    }
+    assert_eq!(mp.take(usize::MAX), model.take(usize::MAX), "final drain");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Mempool` and the resident-set reference model agree on every
+    /// admission, counter, length and drained order, unbounded and
+    /// under a capacity small enough to answer `Full` often.
+    #[test]
+    fn matches_the_resident_set_reference_model(
+        seed in 0u64..1_000_000_000,
+        steps in 16usize..600,
+        capacity in 0usize..12,
+        threshold in 0u8..=255,
+    ) {
+        run_differential(seed, steps, capacity, threshold);
+    }
 
     /// Unbounded pool: dedup + sequencing + exactly-once drain.
     #[test]
