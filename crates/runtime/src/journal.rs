@@ -37,10 +37,6 @@ fn timed<R>(meter: &LaneMeter, call: impl FnOnce() -> R) -> R {
 }
 
 impl<D: Disk> Disk for MeteredDisk<D> {
-    fn write_file(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-        timed(&self.meter, || self.inner.write_file(name, data))
-    }
-
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
         timed(&self.meter, || self.inner.append(name, data))
     }
@@ -125,7 +121,7 @@ mod tests {
         assert!(disk.read_file("nope").is_err());
         assert!(disk.exists("wal") && !disk.exists("nope"));
         check(7);
-        disk.write_file("meta", b"m").unwrap();
+        disk.append("meta", b"m").unwrap();
         disk.remove("wal").unwrap();
         assert_eq!(disk.list().unwrap(), vec!["meta".to_string()]);
         check(10);

@@ -1,4 +1,4 @@
-//! The disk abstraction: named files with append/write/read/remove.
+//! The disk abstraction: named append-only files with read/remove.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -6,13 +6,12 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// A minimal filesystem interface: a flat namespace of named files.
+/// A file only grows until it is removed; there is no overwrite.
 ///
 /// Implementations must make `sync` a durability point: data written
 /// before a successful `sync` survives a crash; unsynced data may be
 /// partially lost (see [`MemDisk::crash`]).
 pub trait Disk {
-    /// Creates or truncates `name` with `data`.
-    fn write_file(&mut self, name: &str, data: &[u8]) -> io::Result<()>;
     /// Appends `data` to `name` (creating it if absent).
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()>;
     /// Reads the full contents of `name`.
@@ -29,15 +28,25 @@ pub trait Disk {
 
 /// An in-memory disk with crash-fault injection, for tests and for the
 /// discrete-event simulation (where durability is modeled, not real).
+///
+/// Each file's bytes are kept once, with its length at the last `sync`;
+/// a file removed since then keeps its synced bytes on the side. Files
+/// only grow between removals, so `sync` records lengths, not bytes.
 #[derive(Clone, Debug, Default)]
 pub struct MemDisk {
-    /// Synced (durable) state.
-    durable: BTreeMap<String, Vec<u8>>,
-    /// Current (possibly unsynced) state.
-    live: BTreeMap<String, Vec<u8>>,
-    /// If set, the next write/appends tear after this many bytes and
-    /// return an error (simulating a crash mid-write).
+    /// Current (possibly unsynced) files.
+    files: BTreeMap<String, MemFile>,
+    /// Synced contents of files removed since the last sync.
+    removed: BTreeMap<String, Vec<u8>>,
+    /// Armed by `tear_next_write_after`: the next append tears here.
     tear_after: Option<usize>,
+}
+
+#[derive(Clone, Debug, Default)]
+struct MemFile {
+    bytes: Vec<u8>,
+    /// Length at the last sync; `None` if created since.
+    synced: Option<usize>,
 }
 
 impl MemDisk {
@@ -46,46 +55,37 @@ impl MemDisk {
         MemDisk::default()
     }
 
-    /// Arms fault injection: the next write tears after `bytes` bytes.
+    /// Arms fault injection: the next append tears after `bytes` bytes.
     pub fn tear_next_write_after(&mut self, bytes: usize) {
         self.tear_after = Some(bytes);
     }
 
     /// Simulates a crash: all state reverts to the last synced state.
-    /// Returns the reverted disk (replay a [`crate::Wal`] from it to
-    /// test recovery).
-    pub fn crash(self) -> MemDisk {
-        MemDisk {
-            live: self.durable.clone(),
-            durable: self.durable,
-            tear_after: None,
+    /// Every file is cut back to its synced length, files created since
+    /// the sync vanish, and removed ones come back. Returns the reverted
+    /// disk (replay a [`crate::Wal`] from it to test recovery).
+    pub fn crash(mut self) -> MemDisk {
+        self.files.retain(|_, f| {
+            f.bytes.truncate(f.synced.unwrap_or(0));
+            f.synced.is_some()
+        });
+        for (name, bytes) in std::mem::take(&mut self.removed) {
+            let synced = Some(bytes.len());
+            self.files.insert(name, MemFile { bytes, synced });
         }
-    }
-
-    fn take_tear(&mut self, len: usize) -> (usize, bool) {
-        match self.tear_after.take() {
-            Some(limit) if limit < len => (limit, true),
-            Some(_) | None => (len, false),
-        }
+        self.tear_after = None;
+        self
     }
 }
 
 impl Disk for MemDisk {
-    fn write_file(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-        let (keep, torn) = self.take_tear(data.len());
-        self.live.insert(name.to_string(), data[..keep].to_vec());
-        if torn {
-            return Err(io::Error::new(io::ErrorKind::Interrupted, "torn write"));
-        }
-        Ok(())
-    }
-
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-        let (keep, torn) = self.take_tear(data.len());
-        self.live
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(&data[..keep]);
+        let (keep, torn) = match self.tear_after.take() {
+            Some(limit) if limit < data.len() => (limit, true),
+            Some(_) | None => (data.len(), false),
+        };
+        let file = self.files.entry(name.to_string()).or_default();
+        file.bytes.extend_from_slice(&data[..keep]);
         if torn {
             return Err(io::Error::new(io::ErrorKind::Interrupted, "torn append"));
         }
@@ -93,27 +93,35 @@ impl Disk for MemDisk {
     }
 
     fn read_file(&self, name: &str) -> io::Result<Vec<u8>> {
-        self.live
+        self.files
             .get(name)
-            .cloned()
+            .map(|f| f.bytes.clone())
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_string()))
     }
 
     fn exists(&self, name: &str) -> bool {
-        self.live.contains_key(name)
+        self.files.contains_key(name)
     }
 
     fn remove(&mut self, name: &str) -> io::Result<()> {
-        self.live.remove(name);
+        if let Some((name, mut file)) = self.files.remove_entry(name) {
+            if let Some(len) = file.synced {
+                file.bytes.truncate(len);
+                self.removed.insert(name, file.bytes);
+            }
+        }
         Ok(())
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
-        Ok(self.live.keys().cloned().collect())
+        Ok(self.files.keys().cloned().collect())
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.durable = self.live.clone();
+        for f in self.files.values_mut() {
+            f.synced = Some(f.bytes.len());
+        }
+        self.removed.clear();
         Ok(())
     }
 }
@@ -221,7 +229,7 @@ impl SharedDisk {
         }
     }
 
-    /// Arms fault injection: the next write tears after `bytes` bytes.
+    /// Arms fault injection: the next append tears after `bytes` bytes.
     /// No-op on non-memory backends.
     pub fn tear_next_write_after(&self, bytes: usize) {
         if let SharedBackend::Mem(disk) = &mut *self.inner() {
@@ -231,10 +239,6 @@ impl SharedDisk {
 }
 
 impl Disk for SharedDisk {
-    fn write_file(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-        self.inner().disk().write_file(name, data)
-    }
-
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
         self.inner().disk().append(name, data)
     }
@@ -284,10 +288,6 @@ impl FileDisk {
 }
 
 impl Disk for FileDisk {
-    fn write_file(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-        std::fs::write(self.path(name), data)
-    }
-
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
         use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn memdisk_basic_ops() {
         let mut d = MemDisk::new();
-        d.write_file("a", b"one").unwrap();
+        d.append("a", b"one").unwrap();
         d.append("a", b"two").unwrap();
         assert_eq!(d.read_file("a").unwrap(), b"onetwo");
         assert!(d.exists("a"));
@@ -352,10 +352,10 @@ mod tests {
     #[test]
     fn memdisk_crash_reverts_to_synced_state() {
         let mut d = MemDisk::new();
-        d.write_file("a", b"durable").unwrap();
+        d.append("a", b"durable").unwrap();
         d.sync().unwrap();
-        d.write_file("a", b"volatile").unwrap();
-        d.write_file("b", b"also volatile").unwrap();
+        d.append("a", b" volatile").unwrap();
+        d.append("b", b"also volatile").unwrap();
         let d = d.crash();
         assert_eq!(d.read_file("a").unwrap(), b"durable");
         assert!(!d.exists("b"));
@@ -377,7 +377,7 @@ mod tests {
     fn shared_disk_clones_alias_and_crash_in_place() {
         let a = SharedDisk::new();
         let mut b = a.clone();
-        b.write_file("j", b"durable").unwrap();
+        b.append("j", b"durable").unwrap();
         b.sync().unwrap();
         b.append("j", b" volatile").unwrap();
         assert_eq!(a.read_file("j").unwrap(), b"durable volatile");
@@ -397,7 +397,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let a = SharedDisk::open_dir(&dir).unwrap();
         let mut b = a.clone();
-        b.write_file("j", b"on real files").unwrap();
+        b.append("j", b"on real files").unwrap();
         b.sync().unwrap();
         assert_eq!(a.read_file("j").unwrap(), b"on real files");
         // Fault injection is memory-only: these must not disturb files.
@@ -415,7 +415,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("marlin-storage-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut d = FileDisk::open(&dir).unwrap();
-        d.write_file("seg-1", b"hello").unwrap();
+        d.append("seg-1", b"hello").unwrap();
         d.append("seg-1", b" world").unwrap();
         assert_eq!(d.read_file("seg-1").unwrap(), b"hello world");
         assert!(d.list().unwrap().contains(&"seg-1".to_string()));

@@ -2,12 +2,13 @@
 //! the state snapshots and the threaded runtime's files, plus the I/O
 //! price list the simulator charges from.
 //!
-//! * a [`Disk`] is a flat namespace of named files with a `sync`
-//!   durability point: [`MemDisk`] adds *fault injection* (a write torn
-//!   at a byte boundary, a crash that reverts to the last sync) so crash
-//!   recovery can be property-tested, [`SharedDisk`] is the clonable
-//!   handle a replica and its crash schedule both hold, [`FileDisk`] is
-//!   the real filesystem;
+//! * a [`Disk`] is a flat namespace of named append-only files with a
+//!   `sync` durability point: [`MemDisk`] adds *fault injection* (an
+//!   append torn at a byte boundary, a crash that cuts every file back
+//!   to its length at the last sync; a sync records lengths, not bytes)
+//!   so crash recovery can be property-tested, [`SharedDisk`] is the
+//!   clonable handle a replica and its crash schedule both hold,
+//!   [`FileDisk`] is the real filesystem;
 //! * a [`Wal`] is an append-only record log with per-record CRCs whose
 //!   replay discards a torn or corrupt tail — the framing under
 //!   `marlin-core`'s write-before-vote safety journal and under the

@@ -129,7 +129,8 @@ mod tests {
         let mut raw = d.read_file(LOG).unwrap();
         let idx = raw.len() - 1;
         raw[idx] ^= 0xFF;
-        d.write_file(LOG, &raw).unwrap();
+        d.remove(LOG).unwrap();
+        d.append(LOG, &raw).unwrap();
         assert_eq!(Wal::replay_named(&d, LOG).unwrap(), vec![b"first".to_vec()]);
     }
 
