@@ -38,9 +38,9 @@ fn anchor(txs: u64, payload: usize) -> Vec<u8> {
 fn bench_journal(c: &mut Criterion) {
     let anchor = anchor(400, 150);
     let mut g = c.benchmark_group("journal");
-    for (case, anchors) in [("empty", 0), ("anchor", 1)] {
+    for (case, with_anchor) in [("empty", false), ("anchor", true)] {
         let disk = SharedDisk::new();
-        if anchors > 0 {
+        if with_anchor {
             let mut store = SnapshotStore::open(disk.clone()).expect("snapshot store opens");
             store.save(&anchor).expect("anchor saves");
         }
