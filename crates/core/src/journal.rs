@@ -46,10 +46,10 @@
 //! intact generation. Recovery picks the newest generation with intact
 //! records and deletes empty or fully-torn stragglers.
 
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use marlin_storage::{Disk, IoCostModel, SharedDisk, Wal};
 use marlin_types::codec::{
-    get_block_meta, get_justify, get_qc, put_block_meta, put_justify, put_qc,
+    get_block_meta, get_justify, get_qc, put_block_meta, put_justify, put_qc, Decoder,
 };
 use marlin_types::rank::{block_rank_gt, qc_rank_cmp};
 use marlin_types::{BlockMeta, Height, Justify, Qc, View};
@@ -193,39 +193,24 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
 }
 
 fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
-    let (&tag, mut rest) = payload.split_first()?;
-    let buf = &mut rest;
+    let (&tag, rest) = payload.split_first()?;
+    let frame = Bytes::copy_from_slice(rest);
+    let mut dec = Decoder::new(&frame).ok()?;
+    let d = &mut dec;
     let rec = match tag {
-        0 => {
-            if buf.len() < 8 {
-                return None;
-            }
-            let v = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-            *buf = &buf[8..];
-            JournalRecord::EnteredView(View(v))
-        }
-        1 => JournalRecord::LastVoted(get_block_meta(buf).ok()?),
-        2 => JournalRecord::Lock(get_qc(buf).ok()?),
-        3 => JournalRecord::HighQc(get_justify(buf).ok()?),
+        0 => JournalRecord::EnteredView(View(u64::from_le_bytes(d.array().ok()?))),
+        1 => JournalRecord::LastVoted(get_block_meta(d).ok()?),
+        2 => JournalRecord::Lock(get_qc(d).ok()?),
+        3 => JournalRecord::HighQc(get_justify(d).ok()?),
         4 => {
-            if buf.len() < 8 {
-                return None;
-            }
-            let v = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-            *buf = &buf[8..];
-            let last_voted = get_block_meta(buf).ok()?;
-            let locked_qc = match buf.split_first()? {
-                (0, rest) => {
-                    *buf = rest;
-                    None
-                }
-                (1, rest) => {
-                    *buf = rest;
-                    Some(get_qc(buf).ok()?)
-                }
+            let v = u64::from_le_bytes(d.array().ok()?);
+            let last_voted = get_block_meta(d).ok()?;
+            let locked_qc = match d.array::<1>().ok()? {
+                [0] => None,
+                [1] => Some(get_qc(d).ok()?),
                 _ => return None,
             };
-            let high_qc = get_justify(buf).ok()?;
+            let high_qc = get_justify(d).ok()?;
             JournalRecord::Snapshot(SafetySnapshot {
                 view: View(v),
                 last_voted,
@@ -235,11 +220,8 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
         }
         _ => return None,
     };
-    if buf.is_empty() {
-        Some(rec)
-    } else {
-        None
-    }
+    dec.finish().ok()?;
+    Some(rec)
 }
 
 /// Accumulated write-ahead IO since the last [`SafetyJournal::take_io`]

@@ -50,9 +50,9 @@
 
 use crate::events::{Action, Note, StepOutput};
 use crate::util::Base;
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use marlin_storage::SnapshotStore;
-use marlin_types::codec::{get_block_full, get_qc, put_block_full, put_qc};
+use marlin_types::codec::{get_block_full, get_qc, put_block_full, put_qc, Decoder};
 use marlin_types::{Block, BlockId, BlockStore, Height, Message, MsgBody, Phase, Qc, ReplicaId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -146,10 +146,12 @@ fn encode_anchor(block: &Block, qc: &Qc) -> Vec<u8> {
 }
 
 fn decode_anchor(payload: &[u8]) -> Option<(Block, Qc)> {
-    let mut buf = payload;
-    let block = get_block_full(&mut buf).ok()?;
-    let qc = get_qc(&mut buf).ok()?;
-    buf.is_empty().then_some((block, qc))
+    let frame = Bytes::copy_from_slice(payload);
+    let mut d = Decoder::new(&frame).ok()?;
+    let block = get_block_full(&mut d).ok()?;
+    let qc = get_qc(&mut d).ok()?;
+    d.finish().ok()?;
+    Some((block, qc))
 }
 
 /// Absolute height of the committed tip (position equals height along

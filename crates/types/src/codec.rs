@@ -13,7 +13,7 @@ use crate::ids::{Height, ReplicaId, View};
 use crate::message::{Decide, Message, MsgBody, Proposal, VcCert, ViewChange, Vote};
 use crate::qc::{Phase, Qc, QcSeed};
 use crate::transaction::{Batch, BatchId, Transaction};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use marlin_crypto::{
     CombinedSig, Digest, PartialSig, QcFormat, Signature, SignerBitmap, SIGNATURE_LEN,
 };
@@ -95,18 +95,9 @@ pub fn encode_message(msg: &Message, shadow: bool) -> Bytes {
 /// `frame`, not a copy: nothing is allocated per transaction, and the
 /// message keeps `frame`'s storage alive while any payload of it lives.
 pub fn decode_message(frame: &Bytes) -> Result<Message> {
-    if frame.len() > MAX_FRAME_LEN {
-        return Err(DecodeError::FieldTooLarge {
-            what: "frame",
-            len: frame.len(),
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let mut buf = &frame[..];
-    let msg = get_message(frame, &mut buf)?;
-    if !buf.is_empty() {
-        return Err(DecodeError::TrailingBytes(buf.len()));
-    }
+    let mut d = Decoder::new(frame)?;
+    let msg = get_message(&mut d)?;
+    d.finish()?;
     Ok(msg)
 }
 
@@ -450,79 +441,142 @@ fn put_digest<W: Wire>(buf: &mut W, d: &Digest) {
 
 // ---------------------------------------------------------------- get --
 
-/// Validates an untrusted element count before it sizes an allocation:
-/// each element occupies at least `min_item` wire bytes, so any count
-/// whose minimum encoding exceeds the remaining buffer is a lie.
-fn bounded_count(buf: &&[u8], count: usize, min_item: usize, what: &'static str) -> Result<usize> {
-    let max = buf.len() / min_item.max(1);
-    if count > max {
-        return Err(DecodeError::FieldTooLarge {
-            what,
-            len: count,
-            max,
-        });
+/// A cursor over one frame: its bytes plus a read position. Every
+/// decode bound lives here — the frame ceiling, the end of input, a
+/// count checked against what the rest of the frame can back before it
+/// sizes an allocation, and trailing bytes — and payloads come out as
+/// slices of the frame, not copies.
+pub struct Decoder<'a> {
+    frame: &'a Bytes,
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Decoder<'a> {
+    /// A decoder at the start of `frame`.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::FieldTooLarge`] if `frame` exceeds
+    /// [`MAX_FRAME_LEN`].
+    pub fn new(frame: &'a Bytes) -> Result<Self> {
+        if frame.len() > MAX_FRAME_LEN {
+            return Err(DecodeError::FieldTooLarge {
+                what: "frame",
+                len: frame.len(),
+                max: MAX_FRAME_LEN,
+            });
+        }
+        Ok(Decoder {
+            frame,
+            bytes: frame,
+            pos: 0,
+        })
     }
-    Ok(count)
-}
 
-fn need(buf: &&[u8], n: usize) -> Result<()> {
-    if buf.len() < n {
-        Err(DecodeError::UnexpectedEnd)
-    } else {
-        Ok(())
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let rest = &self.bytes[self.pos..];
+        if rest.len() < n {
+            return Err(DecodeError::UnexpectedEnd);
+        }
+        self.pos += n;
+        Ok(&rest[..n])
+    }
+
+    /// The next `N` bytes.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// Skips `n` bytes (padding).
+    #[inline]
+    pub fn skip(&mut self, n: usize) -> Result<()> {
+        self.take(n).map(drop)
+    }
+
+    /// The next `len` bytes as a slice of the frame, sharing its storage.
+    #[inline]
+    pub fn slice(&mut self, len: usize) -> Result<Bytes> {
+        let start = self.pos;
+        self.take(len)?;
+        Ok(self.frame.slice(start..self.pos))
+    }
+
+    /// Refuses an untrusted element count before it sizes an
+    /// allocation: each element occupies at least `min_item` bytes, so
+    /// a count whose minimum encoding exceeds the rest of the frame is
+    /// a lie.
+    pub fn count(&self, count: usize, min_item: usize, what: &'static str) -> Result<usize> {
+        let max = (self.bytes.len() - self.pos) / min_item.max(1);
+        if count > max {
+            return Err(DecodeError::FieldTooLarge {
+                what,
+                len: count,
+                max,
+            });
+        }
+        Ok(count)
+    }
+
+    /// Ends the decode: every byte of the frame must have been read.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::TrailingBytes`] otherwise.
+    pub fn finish(self) -> Result<()> {
+        match self.bytes.len() - self.pos {
+            0 => Ok(()),
+            n => Err(DecodeError::TrailingBytes(n)),
+        }
+    }
+
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn u128(&mut self) -> Result<u128> {
+        Ok(u128::from_le_bytes(self.array()?))
+    }
+
+    fn digest(&mut self) -> Result<Digest> {
+        Ok(Digest::from_bytes(self.array()?))
     }
 }
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
-}
-
-fn get_u16(buf: &mut &[u8]) -> Result<u16> {
-    need(buf, 2)?;
-    Ok(buf.get_u16_le())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
-}
-
-fn get_u128(buf: &mut &[u8]) -> Result<u128> {
-    need(buf, 16)?;
-    Ok(buf.get_u128_le())
-}
-
-fn get_digest(buf: &mut &[u8]) -> Result<Digest> {
-    need(buf, 32)?;
-    let mut bytes = [0u8; 32];
-    buf.copy_to_slice(&mut bytes);
-    Ok(Digest::from_bytes(bytes))
-}
-
-fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
-    let from = ReplicaId(get_u32(buf)?);
-    let view = View(get_u64(buf)?);
-    let tag = get_u8(buf)?;
+fn get_message(d: &mut Decoder<'_>) -> Result<Message> {
+    let from = ReplicaId(d.u32()?);
+    let view = View(d.u64()?);
+    let tag = d.u8()?;
     let body = match tag {
-        0 => MsgBody::Proposal(get_proposal(frame, buf)?),
-        1 => MsgBody::Vote(get_vote(buf)?),
-        2 => MsgBody::ViewChange(get_view_change(buf)?),
+        0 => MsgBody::Proposal(get_proposal(d)?),
+        1 => MsgBody::Vote(get_vote(d)?),
+        2 => MsgBody::ViewChange(get_view_change(d)?),
         3 => MsgBody::Decide(Decide {
-            commit_qc: get_qc(buf)?,
+            commit_qc: get_qc(d)?,
         }),
         4 => MsgBody::FetchRequest {
-            block: BlockId::from_digest(get_digest(buf)?),
+            block: BlockId::from_digest(d.digest()?),
         },
         5 => {
-            let block = get_block(frame, buf, None)?;
-            let has_parent = get_u8(buf)?;
-            let digest = get_digest(buf)?;
+            let block = get_block(d, None)?;
+            let has_parent = d.u8()?;
+            let digest = d.digest()?;
             let virtual_parent = match has_parent {
                 0 => None,
                 1 => Some(BlockId::from_digest(digest)),
@@ -539,12 +593,12 @@ fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
             }
         }
         6 => MsgBody::CatchUpRequest {
-            last_committed: Height(get_u64(buf)?),
+            last_committed: Height(d.u64()?),
         },
         7 => MsgBody::CatchUpResponse {
-            commit_qc: match get_u8(buf)? {
+            commit_qc: match d.u8()? {
                 0 => None,
-                1 => Some(get_qc(buf)?),
+                1 => Some(get_qc(d)?),
                 t => {
                     return Err(DecodeError::BadTag {
                         what: "CatchUpResponse.commit_qc",
@@ -555,11 +609,11 @@ fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
         },
         8 => MsgBody::SnapshotRequest,
         9 => MsgBody::SnapshotResponse {
-            snapshot: match get_u8(buf)? {
+            snapshot: match d.u8()? {
                 0 => None,
                 1 => {
-                    let block = get_block(frame, buf, None)?;
-                    let qc = get_qc(buf)?;
+                    let block = get_block(d, None)?;
+                    let qc = get_qc(d)?;
                     Some((block, qc))
                 }
                 t => {
@@ -571,19 +625,19 @@ fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
             },
         },
         10 => MsgBody::BlockRangeRequest {
-            from_height: Height(get_u64(buf)?),
-            to_height: Height(get_u64(buf)?),
+            from_height: Height(d.u64()?),
+            to_height: Height(d.u64()?),
         },
         11 => {
-            let from_height = Height(get_u64(buf)?);
-            let count = get_u16(buf)? as usize;
+            let from_height = Height(d.u64()?);
+            let count = d.u16()? as usize;
             // A block occupies at least what genesis does: its fixed
             // header, an empty justify and an empty batch.
             let min = Block::genesis().wire_len();
-            let count = bounded_count(buf, count, min, "BlockRangeResponse.blocks")?;
+            let count = d.count(count, min, "BlockRangeResponse.blocks")?;
             let mut blocks = Vec::with_capacity(count);
             for _ in 0..count {
-                blocks.push(get_block(frame, buf, None)?);
+                blocks.push(get_block(d, None)?);
             }
             MsgBody::BlockRangeResponse {
                 from_height,
@@ -591,20 +645,20 @@ fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
             }
         }
         12 => MsgBody::PayloadPush {
-            digest: BatchId::from_digest(get_digest(buf)?),
-            batch: get_batch(frame, buf)?,
+            digest: BatchId::from_digest(d.digest()?),
+            batch: get_batch(d)?,
         },
         13 => MsgBody::PayloadAck {
-            digest: BatchId::from_digest(get_digest(buf)?),
+            digest: BatchId::from_digest(d.digest()?),
         },
         14 => MsgBody::PayloadRequest {
-            digest: BatchId::from_digest(get_digest(buf)?),
+            digest: BatchId::from_digest(d.digest()?),
         },
         15 => MsgBody::PayloadResponse {
-            digest: BatchId::from_digest(get_digest(buf)?),
-            batch: match get_u8(buf)? {
+            digest: BatchId::from_digest(d.digest()?),
+            batch: match d.u8()? {
                 0 => None,
-                1 => Some(get_batch(frame, buf)?),
+                1 => Some(get_batch(d)?),
                 t => {
                     return Err(DecodeError::BadTag {
                         what: "PayloadResponse.batch",
@@ -614,8 +668,8 @@ fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
             },
         },
         16 => MsgBody::DigestProposal {
-            digest: BatchId::from_digest(get_digest(buf)?),
-            justify: get_justify(buf)?,
+            digest: BatchId::from_digest(d.digest()?),
+            justify: get_justify(d)?,
         },
         t => {
             return Err(DecodeError::BadTag {
@@ -627,9 +681,9 @@ fn get_message(frame: &Bytes, buf: &mut &[u8]) -> Result<Message> {
     Ok(Message { from, view, body })
 }
 
-fn get_proposal(frame: &Bytes, buf: &mut &[u8]) -> Result<Proposal> {
-    let phase = get_phase(buf)?;
-    let count_byte = get_u8(buf)?;
+fn get_proposal(d: &mut Decoder<'_>) -> Result<Proposal> {
+    let phase = get_phase(d)?;
+    let count_byte = d.u8()?;
     let dedup = count_byte & 0x80 != 0;
     let count = (count_byte & 0x7f) as usize;
     if count > 2 {
@@ -641,23 +695,20 @@ fn get_proposal(frame: &Bytes, buf: &mut &[u8]) -> Result<Proposal> {
     let mut blocks: Vec<Block> = Vec::with_capacity(count);
     for i in 0..count {
         let shared = (dedup && i == 1).then(|| blocks[0].payload().clone());
-        blocks.push(get_block(frame, buf, shared)?);
+        blocks.push(get_block(d, shared)?);
     }
-    let justify = get_justify(buf)?;
-    let proof_len = get_u16(buf)? as usize;
+    let justify = get_justify(d)?;
+    let proof_len = d.u16()? as usize;
     // Each cert carries at least a replica id and a full signature.
-    let proof_len = bounded_count(buf, proof_len, 4 + SIGNATURE_LEN, "Proposal.vc_proof")?;
+    let proof_len = d.count(proof_len, 4 + SIGNATURE_LEN, "Proposal.vc_proof")?;
     let mut vc_proof = Vec::with_capacity(proof_len);
     for _ in 0..proof_len {
-        let from = ReplicaId(get_u32(buf)?);
-        let high_qc = get_qc(buf)?;
-        need(buf, SIGNATURE_LEN)?;
-        let mut sig_bytes = [0u8; SIGNATURE_LEN];
-        buf.copy_to_slice(&mut sig_bytes);
+        let from = ReplicaId(d.u32()?);
+        let high_qc = get_qc(d)?;
         vc_proof.push(VcCert {
             from,
             high_qc,
-            sig: Signature::from_bytes(sig_bytes),
+            sig: Signature::from_bytes(d.array()?),
         });
     }
     Ok(Proposal {
@@ -668,12 +719,12 @@ fn get_proposal(frame: &Bytes, buf: &mut &[u8]) -> Result<Proposal> {
     })
 }
 
-fn get_vote(buf: &mut &[u8]) -> Result<Vote> {
-    let seed = get_seed(buf)?;
-    let parsig = get_parsig(buf)?;
-    let locked_qc = match get_u8(buf)? {
+fn get_vote(d: &mut Decoder<'_>) -> Result<Vote> {
+    let seed = get_seed(d)?;
+    let parsig = get_parsig(d)?;
+    let locked_qc = match d.u8()? {
         0 => None,
-        1 => Some(get_qc(buf)?),
+        1 => Some(get_qc(d)?),
         t => {
             return Err(DecodeError::BadTag {
                 what: "Vote.locked_qc",
@@ -688,18 +739,13 @@ fn get_vote(buf: &mut &[u8]) -> Result<Vote> {
     })
 }
 
-fn get_view_change(buf: &mut &[u8]) -> Result<ViewChange> {
-    let last_voted = get_block_meta(buf)?;
-    let high_qc = get_justify(buf)?;
-    let parsig = get_parsig(buf)?;
-    let cert = match get_u8(buf)? {
+fn get_view_change(d: &mut Decoder<'_>) -> Result<ViewChange> {
+    let last_voted = get_block_meta(d)?;
+    let high_qc = get_justify(d)?;
+    let parsig = get_parsig(d)?;
+    let cert = match d.u8()? {
         0 => None,
-        1 => {
-            need(buf, SIGNATURE_LEN)?;
-            let mut bytes = [0u8; SIGNATURE_LEN];
-            buf.copy_to_slice(&mut bytes);
-            Some(Signature::from_bytes(bytes))
-        }
+        1 => Some(Signature::from_bytes(d.array()?)),
         t => {
             return Err(DecodeError::BadTag {
                 what: "ViewChange.cert",
@@ -717,16 +763,16 @@ fn get_view_change(buf: &mut &[u8]) -> Result<ViewChange> {
 
 /// `shared_payload` carries the first shadow block's batch when decoding
 /// the payload-less second block of a deduplicated proposal.
-fn get_block(frame: &Bytes, buf: &mut &[u8], shared_payload: Option<Batch>) -> Result<Block> {
-    let parent_tag = get_u8(buf)?;
-    let parent_digest = get_digest(buf)?;
-    let pview = View(get_u64(buf)?);
-    let view = View(get_u64(buf)?);
-    let height = Height(get_u64(buf)?);
-    let justify = get_justify(buf)?;
+fn get_block(d: &mut Decoder<'_>, shared_payload: Option<Batch>) -> Result<Block> {
+    let parent_tag = d.u8()?;
+    let parent_digest = d.digest()?;
+    let pview = View(d.u64()?);
+    let view = View(d.u64()?);
+    let height = Height(d.u64()?);
+    let justify = get_justify(d)?;
     let payload = match shared_payload {
         Some(p) => p,
-        None => get_batch(frame, buf)?,
+        None => get_batch(d)?,
     };
     let block = match parent_tag {
         1 => Block::new_normal(
@@ -754,19 +800,17 @@ fn get_block(frame: &Bytes, buf: &mut &[u8], shared_payload: Option<Batch>) -> R
     Ok(block)
 }
 
-/// Payloads come out as slices of `frame`, which `buf` must be walking.
-fn get_batch(frame: &Bytes, buf: &mut &[u8]) -> Result<Batch> {
-    let count = get_u32(buf)? as usize;
-    let count = bounded_count(buf, count, Transaction::HEADER_LEN, "Batch.count")?;
+/// Payloads come out as slices of the frame.
+fn get_batch(d: &mut Decoder<'_>) -> Result<Batch> {
+    let count = d.u32()? as usize;
+    let count = d.count(count, Transaction::HEADER_LEN, "Batch.count")?;
     let mut txs = Vec::with_capacity(count);
     for _ in 0..count {
-        let id = get_u64(buf)?;
-        let client = get_u32(buf)?;
-        let len = get_u32(buf)? as usize;
-        let submitted_at_ns = get_u64(buf)?;
-        need(buf, len)?;
-        let payload = frame.slice_ref(&buf[..len]);
-        buf.advance(len);
+        let id = d.u64()?;
+        let client = d.u32()?;
+        let len = d.u32()? as usize;
+        let submitted_at_ns = d.u64()?;
+        let payload = d.slice(len)?;
         txs.push(Transaction::new(id, client, payload, submitted_at_ns));
     }
     Ok(Batch::new(txs))
@@ -777,14 +821,14 @@ fn get_batch(frame: &Bytes, buf: &mut &[u8]) -> Result<Batch> {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on a truncated or malformed buffer.
-pub fn get_block_meta(buf: &mut &[u8]) -> Result<BlockMeta> {
+pub fn get_block_meta(d: &mut Decoder<'_>) -> Result<BlockMeta> {
     Ok(BlockMeta {
-        id: BlockId::from_digest(get_digest(buf)?),
-        view: View(get_u64(buf)?),
-        height: Height(get_u64(buf)?),
-        pview: View(get_u64(buf)?),
-        kind: get_kind(buf)?,
-        rank_boost: get_u8(buf)? != 0,
+        id: BlockId::from_digest(d.digest()?),
+        view: View(d.u64()?),
+        height: Height(d.u64()?),
+        pview: View(d.u64()?),
+        kind: get_kind(d)?,
+        rank_boost: d.u8()? != 0,
     })
 }
 
@@ -793,11 +837,11 @@ pub fn get_block_meta(buf: &mut &[u8]) -> Result<BlockMeta> {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on a truncated or malformed buffer.
-pub fn get_justify(buf: &mut &[u8]) -> Result<Justify> {
-    match get_u8(buf)? {
+pub fn get_justify(d: &mut Decoder<'_>) -> Result<Justify> {
+    match d.u8()? {
         0 => Ok(Justify::None),
-        1 => Ok(Justify::One(get_qc(buf)?)),
-        2 => Ok(Justify::Two(get_qc(buf)?, get_qc(buf)?)),
+        1 => Ok(Justify::One(get_qc(d)?)),
+        2 => Ok(Justify::Two(get_qc(d)?, get_qc(d)?)),
         t => Err(DecodeError::BadTag {
             what: "Justify",
             tag: t,
@@ -810,9 +854,9 @@ pub fn get_justify(buf: &mut &[u8]) -> Result<Justify> {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on a truncated or malformed buffer.
-pub fn get_qc(buf: &mut &[u8]) -> Result<Qc> {
-    let seed = get_seed(buf)?;
-    let sig = get_combined_sig(buf)?;
+pub fn get_qc(d: &mut Decoder<'_>) -> Result<Qc> {
+    let seed = get_seed(d)?;
+    let sig = get_combined_sig(d)?;
     Ok(Qc::new(seed, sig))
 }
 
@@ -821,30 +865,24 @@ pub fn get_qc(buf: &mut &[u8]) -> Result<Qc> {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on a truncated or malformed buffer.
-pub fn get_block_full(buf: &mut &[u8]) -> Result<Block> {
-    // Stored bytes have no refcounted frame behind them: copy them into
-    // one, once, and decode that like any wire frame.
-    let frame = Bytes::copy_from_slice(buf);
-    let mut rest = &frame[..];
-    let block = get_block(&frame, &mut rest, None);
-    buf.advance(frame.len() - rest.len());
-    block
+pub fn get_block_full(d: &mut Decoder<'_>) -> Result<Block> {
+    get_block(d, None)
 }
 
-fn get_seed(buf: &mut &[u8]) -> Result<QcSeed> {
+fn get_seed(d: &mut Decoder<'_>) -> Result<QcSeed> {
     Ok(QcSeed {
-        phase: get_phase(buf)?,
-        view: View(get_u64(buf)?),
-        block: BlockId::from_digest(get_digest(buf)?),
-        height: Height(get_u64(buf)?),
-        block_view: View(get_u64(buf)?),
-        pview: View(get_u64(buf)?),
-        block_kind: get_kind(buf)?,
+        phase: get_phase(d)?,
+        view: View(d.u64()?),
+        block: BlockId::from_digest(d.digest()?),
+        height: Height(d.u64()?),
+        block_view: View(d.u64()?),
+        pview: View(d.u64()?),
+        block_kind: get_kind(d)?,
     })
 }
 
-fn get_combined_sig(buf: &mut &[u8]) -> Result<CombinedSig> {
-    let format = match get_u8(buf)? {
+fn get_combined_sig(d: &mut Decoder<'_>) -> Result<CombinedSig> {
+    let format = match d.u8()? {
         0 => QcFormat::SigGroup,
         1 => QcFormat::Threshold,
         t => {
@@ -854,26 +892,24 @@ fn get_combined_sig(buf: &mut &[u8]) -> Result<CombinedSig> {
             })
         }
     };
-    let bitmap = SignerBitmap::from_bits(get_u128(buf)?);
-    let agg = get_digest(buf)?;
+    let bitmap = SignerBitmap::from_bits(d.u128()?);
+    let agg = d.digest()?;
     let sig = CombinedSig::from_parts(format, bitmap, agg);
     let pad = sig.wire_len() - CombinedSig::MIN_WIRE_LEN;
-    need(buf, pad)?;
-    buf.advance(pad);
+    d.skip(pad)?;
     Ok(sig)
 }
 
-fn get_parsig(buf: &mut &[u8]) -> Result<PartialSig> {
-    let signer = get_u64(buf)? as usize;
-    let tag = get_digest(buf)?;
+fn get_parsig(d: &mut Decoder<'_>) -> Result<PartialSig> {
+    let signer = d.u64()? as usize;
+    let tag = d.digest()?;
     let pad = PartialSig::WIRE_LEN - 8 - 32;
-    need(buf, pad)?;
-    buf.advance(pad);
+    d.skip(pad)?;
     Ok(PartialSig::from_parts(signer, tag))
 }
 
-fn get_phase(buf: &mut &[u8]) -> Result<Phase> {
-    match get_u8(buf)? {
+fn get_phase(d: &mut Decoder<'_>) -> Result<Phase> {
+    match d.u8()? {
         0 => Ok(Phase::PrePrepare),
         1 => Ok(Phase::Prepare),
         2 => Ok(Phase::PreCommit),
@@ -885,8 +921,8 @@ fn get_phase(buf: &mut &[u8]) -> Result<Phase> {
     }
 }
 
-fn get_kind(buf: &mut &[u8]) -> Result<BlockKind> {
-    match get_u8(buf)? {
+fn get_kind(d: &mut Decoder<'_>) -> Result<BlockKind> {
+    match d.u8()? {
         0 => Ok(BlockKind::Normal),
         1 => Ok(BlockKind::Virtual),
         t => Err(DecodeError::BadTag {
