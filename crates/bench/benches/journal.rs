@@ -10,12 +10,12 @@ use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, Criterion};
 use marlin_core::SafetyJournal;
 use marlin_storage::{SharedDisk, SnapshotStore};
-use marlin_types::codec::{put_block_full, put_qc};
+use marlin_types::codec;
 use marlin_types::{Batch, Block, Justify, Qc, Transaction, View};
 
 /// The snapshot payload block sync saves: a full block and its
 /// commit QC.
-fn anchor(txs: u64, payload: usize) -> Vec<u8> {
+fn anchor(txs: u64, payload: usize) -> BytesMut {
     let g = Block::genesis();
     let qc = Qc::genesis(g.id());
     let batch: Batch = (0..txs)
@@ -29,10 +29,7 @@ fn anchor(txs: u64, payload: usize) -> Vec<u8> {
         batch,
         Justify::One(qc),
     );
-    let mut buf = BytesMut::new();
-    put_block_full(&mut buf, &block);
-    put_qc(&mut buf, &qc);
-    buf.to_vec()
+    codec::encode(&(block, qc))
 }
 
 fn bench_journal(c: &mut Criterion) {

@@ -48,9 +48,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use marlin_storage::{Disk, IoCostModel, SharedDisk, Wal};
-use marlin_types::codec::{
-    get_block_meta, get_justify, get_qc, put_block_meta, put_justify, put_qc, Decoder,
-};
+use marlin_types::codec::{Codec, Decoder};
 use marlin_types::rank::{block_rank_gt, qc_rank_cmp};
 use marlin_types::{BlockMeta, Height, Justify, Qc, View};
 use std::cmp::Ordering;
@@ -165,28 +163,28 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
         }
         JournalRecord::LastVoted(meta) => {
             buf.put_u8(1);
-            put_block_meta(&mut buf, meta);
+            meta.put(&mut buf);
         }
         JournalRecord::Lock(qc) => {
             buf.put_u8(2);
-            put_qc(&mut buf, qc);
+            qc.put(&mut buf);
         }
         JournalRecord::HighQc(justify) => {
             buf.put_u8(3);
-            put_justify(&mut buf, justify);
+            justify.put(&mut buf);
         }
         JournalRecord::Snapshot(snap) => {
             buf.put_u8(4);
             buf.put_u64_le(snap.view.0);
-            put_block_meta(&mut buf, &snap.last_voted);
+            snap.last_voted.put(&mut buf);
             match &snap.locked_qc {
                 None => buf.put_u8(0),
                 Some(qc) => {
                     buf.put_u8(1);
-                    put_qc(&mut buf, qc);
+                    qc.put(&mut buf);
                 }
             }
-            put_justify(&mut buf, &snap.high_qc);
+            snap.high_qc.put(&mut buf);
         }
     }
     buf.to_vec()
@@ -199,18 +197,18 @@ fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
     let d = &mut dec;
     let rec = match tag {
         0 => JournalRecord::EnteredView(View(u64::from_le_bytes(d.array().ok()?))),
-        1 => JournalRecord::LastVoted(get_block_meta(d).ok()?),
-        2 => JournalRecord::Lock(get_qc(d).ok()?),
-        3 => JournalRecord::HighQc(get_justify(d).ok()?),
+        1 => JournalRecord::LastVoted(BlockMeta::get(d).ok()?),
+        2 => JournalRecord::Lock(Qc::get(d).ok()?),
+        3 => JournalRecord::HighQc(Justify::get(d).ok()?),
         4 => {
             let v = u64::from_le_bytes(d.array().ok()?);
-            let last_voted = get_block_meta(d).ok()?;
+            let last_voted = BlockMeta::get(d).ok()?;
             let locked_qc = match d.array::<1>().ok()? {
                 [0] => None,
-                [1] => Some(get_qc(d).ok()?),
+                [1] => Some(Qc::get(d).ok()?),
                 _ => return None,
             };
-            let high_qc = get_justify(d).ok()?;
+            let high_qc = Justify::get(d).ok()?;
             JournalRecord::Snapshot(SafetySnapshot {
                 view: View(v),
                 last_voted,

@@ -52,7 +52,7 @@ use crate::events::{Action, Note, StepOutput};
 use crate::util::Base;
 use bytes::{Bytes, BytesMut};
 use marlin_storage::SnapshotStore;
-use marlin_types::codec::{get_block_full, get_qc, put_block_full, put_qc, Decoder};
+use marlin_types::codec::{Codec, Decoder};
 use marlin_types::{Block, BlockId, BlockStore, Height, Message, MsgBody, Phase, Qc, ReplicaId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -140,16 +140,16 @@ struct PeerScore {
 
 fn encode_anchor(block: &Block, qc: &Qc) -> Vec<u8> {
     let mut buf = BytesMut::new();
-    put_block_full(&mut buf, block);
-    put_qc(&mut buf, qc);
+    block.put(&mut buf);
+    qc.put(&mut buf);
     buf.to_vec()
 }
 
 fn decode_anchor(payload: &[u8]) -> Option<(Block, Qc)> {
     let frame = Bytes::copy_from_slice(payload);
     let mut d = Decoder::new(&frame).ok()?;
-    let block = get_block_full(&mut d).ok()?;
-    let qc = get_qc(&mut d).ok()?;
+    let block = Block::get(&mut d).ok()?;
+    let qc = Qc::get(&mut d).ok()?;
     d.finish().ok()?;
     Some((block, qc))
 }

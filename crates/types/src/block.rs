@@ -10,7 +10,7 @@ use std::fmt;
 
 /// Identifies a block by the SHA-256 digest of its contents.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct BlockId(Digest);
+pub struct BlockId(pub(crate) Digest);
 
 impl BlockId {
     /// The well-known id of the genesis block (the zero digest).
@@ -386,7 +386,7 @@ impl Block {
     /// Wire bytes of the block, counting its full payload (a *shadow*
     /// block, Section IV-D, is this minus `payload().wire_len()`).
     pub fn wire_len(&self) -> usize {
-        codec::measure(|w| codec::put_block_full(w, self)).bytes
+        codec::measure(self, false).bytes
     }
 }
 

@@ -1,14 +1,13 @@
 //! Compact binary wire codec.
 //!
-//! The `put_*` functions are the one description of the wire layout: a
-//! [`BytesMut`] sink gets the bytes, a private meter counts the bytes and
-//! authenticators every `wire_len`/`authenticator_count` reports. Combined
-//! signatures are padded to their modeled format size (a real 96-byte BLS
-//! signature or `t × 64` bytes of ECDSA signatures carry more entropy than
-//! our simulated aggregates, so the encoder pads with zeros to keep byte
-//! counts faithful).
+//! Every wire type has one [`Codec`] impl, its two halves side by side:
+//! `put` writes into a [`Wire`] sink, `get` reads from a [`Decoder`]. A private meter runs the same `put` to count the bytes
+//! and authenticators every `wire_len`/`authenticator_count` reports.
+//! Combined signatures are padded to their modeled format size (a real
+//! 96-byte BLS signature or `t × 64` bytes of ECDSA signatures carry more
+//! entropy than our simulated aggregates).
 
-use crate::block::{Block, BlockId, BlockKind, BlockMeta, Justify, ParentLink};
+use crate::block::{Block, BlockId, BlockKind, BlockMeta, Justify};
 use crate::ids::{Height, ReplicaId, View};
 use crate::message::{Decide, Message, MsgBody, Proposal, VcCert, ViewChange, Vote};
 use crate::qc::{Phase, Qc, QcSeed};
@@ -19,14 +18,10 @@ use marlin_crypto::{
 };
 use std::fmt;
 
-/// Hard ceiling on a single wire frame, checked before any decoding.
-///
-/// Bytes are untrusted: a malicious or corrupt peer controls every
-/// length prefix, so no field may size an allocation beyond what the
-/// received buffer can actually back. The ceiling comfortably fits the
-/// paper's largest proposal (two 16k-transaction blocks at ~174 wire
-/// bytes each is ~5.6 MiB un-shadowed) while bounding what one frame
-/// can make a replica allocate.
+/// Hard ceiling on a single wire frame, checked before any decoding: it
+/// fits the paper's largest proposal (two 16k-transaction blocks at ~174
+/// wire bytes each is ~5.6 MiB un-shadowed) while bounding what one
+/// untrusted frame can make a replica allocate.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Errors produced by [`decode_message`].
@@ -43,9 +38,8 @@ pub enum DecodeError {
     },
     /// Trailing bytes remained after the message.
     TrailingBytes(usize),
-    /// A length prefix exceeded its bound (the frame ceiling, or more
-    /// than the remaining buffer could possibly back). Raised *before*
-    /// any allocation is sized from the untrusted value.
+    /// A length or count above what the frame can back (checked before
+    /// it sizes an allocation), or a frame above its ceiling.
     FieldTooLarge {
         /// What was being decoded.
         what: &'static str,
@@ -71,42 +65,66 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-type Result<T> = std::result::Result<T, DecodeError>;
+/// The result of a decode.
+pub type Result<T> = std::result::Result<T, DecodeError>;
+
+fn bad_tag<T>(what: &'static str, tag: u8) -> Result<T> {
+    Err(DecodeError::BadTag { what, tag })
+}
+
+fn too_large<T>(what: &'static str, len: usize, max: usize) -> Result<T> {
+    Err(DecodeError::FieldTooLarge { what, len, max })
+}
 
 /// Encodes a message into its wire form. With `shadow` enabled, the
 /// second block of a two-block proposal sharing the first's payload is
 /// serialized without its operations (the shadow-block optimisation).
 pub fn encode_message(msg: &Message, shadow: bool) -> Bytes {
-    let mut buf = BytesMut::with_capacity(msg.wire_len(shadow));
-    put_message(&mut buf, msg, shadow);
-    buf.freeze()
+    let buf = BytesMut::with_capacity(msg.wire_len(shadow));
+    let mut frame = Frame { buf, shadow };
+    msg.put(&mut frame);
+    frame.buf.freeze()
 }
 
 /// Decodes a message previously produced by [`encode_message`].
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] if the buffer is truncated, malformed,
-/// oversized (see [`MAX_FRAME_LEN`]), or has trailing bytes. Never
-/// panics and never allocates more than the input length can back, on
-/// any byte string.
-///
-/// Every non-empty transaction payload of the result is a slice of
-/// `frame`, not a copy: nothing is allocated per transaction, and the
-/// message keeps `frame`'s storage alive while any payload of it lives.
+/// A [`DecodeError`] if the buffer is truncated, malformed, oversized
+/// (see [`MAX_FRAME_LEN`]) or has trailing bytes. Never panics and never
+/// allocates more than the input can back, on any byte string. Every
+/// non-empty payload of the result is a slice of `frame`, not a copy.
 pub fn decode_message(frame: &Bytes) -> Result<Message> {
-    let mut d = Decoder::new(frame)?;
-    let msg = get_message(&mut d)?;
-    d.finish()?;
-    Ok(msg)
+    decode(frame)
 }
 
-// ---------------------------------------------------------------- put --
+/// Encodes `value` into a fresh buffer: the form durable records take.
+pub fn encode(value: &impl Codec) -> BytesMut {
+    let mut buf = BytesMut::new();
+    value.put(&mut buf);
+    buf
+}
 
-/// A sink the encoder writes into: raw bytes, plus two hooks whose
-/// defaults are what a writer does and which a counting sink overrides.
-/// Every `put_*` is generic over it and monomorphised, so writing a
-/// [`BytesMut`] costs what it did before the meter shared the encoder.
+/// Decodes one whole `T` from `frame`, under the same bounds and errors
+/// as [`decode_message`].
+pub fn decode<T: Codec>(frame: &Bytes) -> Result<T> {
+    let mut d = Decoder::new(frame)?;
+    let value = T::get(&mut d)?;
+    d.finish()?;
+    Ok(value)
+}
+
+/// A type's wire layout: both halves of it, side by side.
+pub trait Codec: Sized {
+    /// Writes the value.
+    fn put<W: Wire>(&self, w: &mut W);
+    /// Reads a value written by [`Codec::put`].
+    fn get(d: &mut Decoder<'_>) -> Result<Self>;
+}
+
+/// A sink the encoder writes into: raw bytes, plus hooks whose defaults
+/// are what a plain writer does. `put` is monomorphised per sink, so a
+/// [`BytesMut`] pays nothing for sharing the encoder with the meter.
 pub trait Wire: BufMut {
     /// Writes a transaction batch (count prefix, then each transaction).
     fn batch(&mut self, batch: &Batch) {
@@ -123,22 +141,50 @@ pub trait Wire: BufMut {
     /// Notes that `n` authenticators (the paper's metric, Section III)
     /// were just written.
     fn authenticators(&mut self, _n: usize) {}
+
+    /// Whether a two-block proposal whose blocks share one payload
+    /// writes it once (the shadow-block optimisation, Section IV-D).
+    fn shadow(&self) -> bool {
+        false
+    }
 }
 
 impl Wire for BytesMut {}
+
+/// A message being written: its bytes, and whether a two-block proposal
+/// takes its shadow form.
+struct Frame {
+    buf: BytesMut,
+    shadow: bool,
+}
+
+impl BufMut for Frame {
+    fn put_slice(&mut self, slice: &[u8]) {
+        self.buf.put_slice(slice);
+    }
+    fn put_bytes(&mut self, val: u8, count: usize) {
+        self.buf.put_bytes(val, count);
+    }
+}
+
+impl Wire for Frame {
+    fn shadow(&self) -> bool {
+        self.shadow
+    }
+}
 
 /// The counting sink: what the encoder would write, without writing it.
 #[derive(Default)]
 pub(crate) struct Meter {
     pub(crate) bytes: usize,
     pub(crate) authenticators: usize,
+    shadow: bool,
 }
 
 impl BufMut for Meter {
     fn put_slice(&mut self, slice: &[u8]) {
         self.bytes += slice.len();
     }
-
     fn put_bytes(&mut self, _val: u8, count: usize) {
         self.bytes += count;
     }
@@ -149,339 +195,51 @@ impl Wire for Meter {
     fn batch(&mut self, batch: &Batch) {
         self.bytes += batch.wire_len();
     }
-
     fn authenticators(&mut self, n: usize) {
         self.authenticators += n;
     }
+    fn shadow(&self) -> bool {
+        self.shadow
+    }
 }
 
-/// Runs `put` into a fresh [`Meter`].
-pub(crate) fn measure(put: impl FnOnce(&mut Meter)) -> Meter {
-    let mut meter = Meter::default();
-    put(&mut meter);
+/// What encoding `value` writes, counted.
+pub(crate) fn measure(value: &impl Codec, shadow: bool) -> Meter {
+    let mut meter = Meter {
+        shadow,
+        ..Meter::default()
+    };
+    value.put(&mut meter);
     meter
 }
 
-pub(crate) fn put_message<W: Wire>(buf: &mut W, msg: &Message, shadow: bool) {
-    buf.put_u32_le(msg.from.0);
-    buf.put_u64_le(msg.view.0);
-    match &msg.body {
-        MsgBody::Proposal(p) => {
-            buf.put_u8(0);
-            put_proposal(buf, p, shadow);
-        }
-        MsgBody::Vote(v) => {
-            buf.put_u8(1);
-            put_vote(buf, v);
-        }
-        MsgBody::ViewChange(vc) => {
-            buf.put_u8(2);
-            put_view_change(buf, vc);
-        }
-        MsgBody::Decide(d) => {
-            buf.put_u8(3);
-            put_qc(buf, &d.commit_qc);
-        }
-        MsgBody::FetchRequest { block } => {
-            buf.put_u8(4);
-            put_digest(buf, &block.digest());
-        }
-        MsgBody::FetchResponse {
-            block,
-            virtual_parent,
-        } => {
-            buf.put_u8(5);
-            put_block(buf, block, true);
-            match virtual_parent {
-                Some(pid) => {
-                    buf.put_u8(1);
-                    put_digest(buf, &pid.digest());
-                }
-                None => {
-                    buf.put_u8(0);
-                    buf.put_slice(&[0u8; 32]);
-                }
-            }
-        }
-        MsgBody::CatchUpRequest { last_committed } => {
-            buf.put_u8(6);
-            buf.put_u64_le(last_committed.0);
-        }
-        MsgBody::CatchUpResponse { commit_qc } => {
-            buf.put_u8(7);
-            match commit_qc {
-                None => buf.put_u8(0),
-                Some(qc) => {
-                    buf.put_u8(1);
-                    put_qc(buf, qc);
-                }
-            }
-        }
-        MsgBody::SnapshotRequest => {
-            buf.put_u8(8);
-        }
-        MsgBody::SnapshotResponse { snapshot } => {
-            buf.put_u8(9);
-            match snapshot {
-                None => buf.put_u8(0),
-                Some((block, qc)) => {
-                    buf.put_u8(1);
-                    put_block(buf, block, true);
-                    put_qc(buf, qc);
-                }
-            }
-        }
-        MsgBody::BlockRangeRequest {
-            from_height,
-            to_height,
-        } => {
-            buf.put_u8(10);
-            buf.put_u64_le(from_height.0);
-            buf.put_u64_le(to_height.0);
-        }
-        MsgBody::BlockRangeResponse {
-            from_height,
-            blocks,
-        } => {
-            buf.put_u8(11);
-            buf.put_u64_le(from_height.0);
-            buf.put_u16_le(blocks.len() as u16);
-            for b in blocks {
-                put_block(buf, b, true);
-            }
-        }
-        MsgBody::PayloadPush { digest, batch } => {
-            buf.put_u8(12);
-            put_digest(buf, &digest.digest());
-            buf.batch(batch);
-        }
-        MsgBody::PayloadAck { digest } => {
-            buf.put_u8(13);
-            put_digest(buf, &digest.digest());
-        }
-        MsgBody::PayloadRequest { digest } => {
-            buf.put_u8(14);
-            put_digest(buf, &digest.digest());
-        }
-        MsgBody::PayloadResponse { digest, batch } => {
-            buf.put_u8(15);
-            put_digest(buf, &digest.digest());
-            match batch {
-                None => buf.put_u8(0),
-                Some(b) => {
-                    buf.put_u8(1);
-                    buf.batch(b);
-                }
-            }
-        }
-        MsgBody::DigestProposal { digest, justify } => {
-            buf.put_u8(16);
-            put_digest(buf, &digest.digest());
-            put_justify(buf, justify);
-        }
-    }
-}
-
-fn put_proposal<W: Wire>(buf: &mut W, p: &Proposal, shadow: bool) {
-    put_phase(buf, p.phase);
-    let dedup = shadow && p.blocks.len() == 2 && p.blocks[0].payload() == p.blocks[1].payload();
-    let count_byte = p.blocks.len() as u8 | if dedup { 0x80 } else { 0 };
-    buf.put_u8(count_byte);
-    for (i, b) in p.blocks.iter().enumerate() {
-        put_block(buf, b, !(dedup && i == 1));
-    }
-    put_justify(buf, &p.justify);
-    buf.put_u16_le(p.vc_proof.len() as u16);
-    for cert in &p.vc_proof {
-        buf.put_u32_le(cert.from.0);
-        put_qc(buf, &cert.high_qc);
-        buf.put_slice(&cert.sig.to_bytes());
-        buf.authenticators(1);
-    }
-}
-
-fn put_vote<W: Wire>(buf: &mut W, v: &Vote) {
-    put_seed(buf, &v.seed);
-    put_parsig(buf, &v.parsig);
-    match &v.locked_qc {
-        None => buf.put_u8(0),
-        Some(qc) => {
-            buf.put_u8(1);
-            put_qc(buf, qc);
-        }
-    }
-}
-
-fn put_view_change<W: Wire>(buf: &mut W, vc: &ViewChange) {
-    put_block_meta(buf, &vc.last_voted);
-    put_justify(buf, &vc.high_qc);
-    put_parsig(buf, &vc.parsig);
-    match &vc.cert {
-        None => buf.put_u8(0),
-        Some(sig) => {
-            buf.put_u8(1);
-            buf.put_slice(&sig.to_bytes());
-            buf.authenticators(1);
-        }
-    }
-}
-
-fn put_block<W: Wire>(buf: &mut W, b: &Block, with_payload: bool) {
-    match b.parent() {
-        ParentLink::Hash(id) => {
-            buf.put_u8(1);
-            put_digest(buf, &id.digest());
-        }
-        ParentLink::Nil => {
-            buf.put_u8(0);
-            buf.put_slice(&[0u8; 32]);
-        }
-    }
-    buf.put_u64_le(b.pview().0);
-    buf.put_u64_le(b.view().0);
-    buf.put_u64_le(b.height().0);
-    put_justify(buf, b.justify());
-    if with_payload {
-        buf.batch(b.payload());
-    }
-}
-
-/// Serializes a [`BlockMeta`] (a fixed 58 bytes). Public so
-/// durable-state layers (e.g. the consensus safety journal) can reuse
-/// the wire encoding for their record payloads.
-pub fn put_block_meta<W: Wire>(buf: &mut W, m: &BlockMeta) {
-    put_digest(buf, &m.id.digest());
-    buf.put_u64_le(m.view.0);
-    buf.put_u64_le(m.height.0);
-    buf.put_u64_le(m.pview.0);
-    put_kind(buf, m.kind);
-    buf.put_u8(m.rank_boost as u8);
-}
-
-/// Serializes a [`Justify`] (1 tag byte plus its QCs). Public for
-/// durable-state record payloads.
-pub fn put_justify<W: Wire>(buf: &mut W, j: &Justify) {
-    match j {
-        Justify::None => buf.put_u8(0),
-        Justify::One(qc) => {
-            buf.put_u8(1);
-            put_qc(buf, qc);
-        }
-        Justify::Two(qc, vc) => {
-            buf.put_u8(2);
-            put_qc(buf, qc);
-            put_qc(buf, vc);
-        }
-    }
-}
-
-/// Serializes a [`Qc`] ([`Qc::wire_len`] bytes carrying
-/// [`Qc::authenticator_count`]). Public for durable-state records.
-pub fn put_qc<W: Wire>(buf: &mut W, qc: &Qc) {
-    put_seed(buf, qc.seed());
-    put_combined_sig(buf, qc.sig());
-    buf.authenticators(qc.authenticator_count());
-}
-
-/// Serializes a full [`Block`] (payload included) in its wire form.
-/// Public for durable-state record payloads (snapshot anchors).
-pub fn put_block_full<W: Wire>(buf: &mut W, b: &Block) {
-    put_block(buf, b, true);
-}
-
-fn put_seed<W: Wire>(buf: &mut W, s: &QcSeed) {
-    put_phase(buf, s.phase);
-    buf.put_u64_le(s.view.0);
-    put_digest(buf, &s.block.digest());
-    buf.put_u64_le(s.height.0);
-    buf.put_u64_le(s.block_view.0);
-    buf.put_u64_le(s.pview.0);
-    put_kind(buf, s.block_kind);
-}
-
-fn put_combined_sig<W: Wire>(buf: &mut W, sig: &CombinedSig) {
-    let total = sig.wire_len();
-    match sig.format() {
-        QcFormat::SigGroup => buf.put_u8(0),
-        QcFormat::Threshold => buf.put_u8(1),
-    }
-    buf.put_u128_le(sig.signers().to_bits());
-    put_digest(buf, &sig.agg());
-    // Pad to the modeled wire size of the real signature material.
-    buf.put_bytes(0, total - CombinedSig::MIN_WIRE_LEN);
-}
-
-fn put_parsig<W: Wire>(buf: &mut W, p: &PartialSig) {
-    buf.put_u64_le(p.signer() as u64);
-    put_digest(buf, &p.tag());
-    // Pad the 32-byte tag to a conventional 64-byte signature.
-    buf.put_bytes(0, PartialSig::WIRE_LEN - 8 - 32);
-    buf.authenticators(1);
-}
-
-fn put_phase<W: Wire>(buf: &mut W, p: Phase) {
-    buf.put_u8(match p {
-        Phase::PrePrepare => 0,
-        Phase::Prepare => 1,
-        Phase::PreCommit => 2,
-        Phase::Commit => 3,
-    });
-}
-
-fn put_kind<W: Wire>(buf: &mut W, k: BlockKind) {
-    buf.put_u8(match k {
-        BlockKind::Normal => 0,
-        BlockKind::Virtual => 1,
-    });
-}
-
-fn put_digest<W: Wire>(buf: &mut W, d: &Digest) {
-    buf.put_slice(d.as_bytes());
-}
-
-// ---------------------------------------------------------------- get --
-
-/// A cursor over one frame: its bytes plus a read position. Every
-/// decode bound lives here — the frame ceiling, the end of input, a
-/// count checked against what the rest of the frame can back before it
-/// sizes an allocation, and trailing bytes — and payloads come out as
-/// slices of the frame, not copies.
+/// A cursor over one frame: the frame, and the part of it not yet
+/// read. It owns every decode bound — the frame ceiling, the end of
+/// input, counts checked before they size an allocation, trailing bytes
+/// — and hands out payloads as slices of the frame.
 pub struct Decoder<'a> {
     frame: &'a Bytes,
-    bytes: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Decoder<'a> {
-    /// A decoder at the start of `frame`.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::FieldTooLarge`] if `frame` exceeds
-    /// [`MAX_FRAME_LEN`].
+    /// A decoder at the start of `frame`, if it fits [`MAX_FRAME_LEN`].
     pub fn new(frame: &'a Bytes) -> Result<Self> {
         if frame.len() > MAX_FRAME_LEN {
-            return Err(DecodeError::FieldTooLarge {
-                what: "frame",
-                len: frame.len(),
-                max: MAX_FRAME_LEN,
-            });
+            return too_large("frame", frame.len(), MAX_FRAME_LEN);
         }
-        Ok(Decoder {
-            frame,
-            bytes: frame,
-            pos: 0,
-        })
+        Ok(Decoder { frame, rest: frame })
     }
 
+    /// The next `n` bytes.
     #[inline]
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let rest = &self.bytes[self.pos..];
-        if rest.len() < n {
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if self.rest.len() < n {
             return Err(DecodeError::UnexpectedEnd);
         }
-        self.pos += n;
-        Ok(&rest[..n])
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
     }
 
     /// The next `N` bytes.
@@ -492,443 +250,721 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    /// Skips `n` bytes (padding).
-    #[inline]
-    pub fn skip(&mut self, n: usize) -> Result<()> {
-        self.take(n).map(drop)
-    }
-
     /// The next `len` bytes as a slice of the frame, sharing its storage.
     #[inline]
     pub fn slice(&mut self, len: usize) -> Result<Bytes> {
-        let start = self.pos;
+        let start = self.frame.len() - self.rest.len();
         self.take(len)?;
-        Ok(self.frame.slice(start..self.pos))
+        Ok(self.frame.slice(start..start + len))
     }
 
-    /// Refuses an untrusted element count before it sizes an
-    /// allocation: each element occupies at least `min_item` bytes, so
-    /// a count whose minimum encoding exceeds the rest of the frame is
-    /// a lie.
+    /// `count` elements of at least `min_item` bytes each, refused if
+    /// the rest of the frame cannot back them.
     pub fn count(&self, count: usize, min_item: usize, what: &'static str) -> Result<usize> {
-        let max = (self.bytes.len() - self.pos) / min_item.max(1);
-        if count > max {
-            return Err(DecodeError::FieldTooLarge {
-                what,
-                len: count,
-                max,
-            });
+        match self.rest.len() / min_item.max(1) {
+            max if count > max => too_large(what, count, max),
+            _ => Ok(count),
         }
-        Ok(count)
     }
 
-    /// Ends the decode: every byte of the frame must have been read.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::TrailingBytes`] otherwise.
+    /// Ends the decode, refusing unread bytes.
     pub fn finish(self) -> Result<()> {
-        match self.bytes.len() - self.pos {
+        match self.rest.len() {
             0 => Ok(()),
             n => Err(DecodeError::TrailingBytes(n)),
         }
     }
+}
 
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.array::<1>()?[0])
+impl Codec for ReplicaId {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.0.put(w);
     }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn u128(&mut self) -> Result<u128> {
-        Ok(u128::from_le_bytes(self.array()?))
-    }
-
-    fn digest(&mut self) -> Result<Digest> {
-        Ok(Digest::from_bytes(self.array()?))
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        u32::get(d).map(ReplicaId)
     }
 }
 
-fn get_message(d: &mut Decoder<'_>) -> Result<Message> {
-    let from = ReplicaId(d.u32()?);
-    let view = View(d.u64()?);
-    let tag = d.u8()?;
-    let body = match tag {
-        0 => MsgBody::Proposal(get_proposal(d)?),
-        1 => MsgBody::Vote(get_vote(d)?),
-        2 => MsgBody::ViewChange(get_view_change(d)?),
-        3 => MsgBody::Decide(Decide {
-            commit_qc: get_qc(d)?,
-        }),
-        4 => MsgBody::FetchRequest {
-            block: BlockId::from_digest(d.digest()?),
-        },
-        5 => {
-            let block = get_block(d, None)?;
-            let has_parent = d.u8()?;
-            let digest = d.digest()?;
-            let virtual_parent = match has_parent {
-                0 => None,
-                1 => Some(BlockId::from_digest(digest)),
-                t => {
-                    return Err(DecodeError::BadTag {
-                        what: "FetchResponse.virtual_parent",
-                        tag: t,
-                    })
-                }
-            };
+impl Codec for Height {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.0.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        u64::get(d).map(Height)
+    }
+}
+
+impl Codec for BlockId {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.0.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Digest::get(d).map(BlockId)
+    }
+}
+
+impl Codec for BatchId {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.0.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Digest::get(d).map(BatchId)
+    }
+}
+
+impl Codec for Phase {
+    fn put<W: Wire>(&self, w: &mut W) {
+        match self {
+            Phase::PrePrepare => {
+                w.put_u8(0);
+            }
+            Phase::Prepare => {
+                w.put_u8(1);
+            }
+            Phase::PreCommit => {
+                w.put_u8(2);
+            }
+            Phase::Commit => {
+                w.put_u8(3);
+            }
+        }
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(match u8::get(d)? {
+            0 => Phase::PrePrepare,
+            1 => Phase::Prepare,
+            2 => Phase::PreCommit,
+            3 => Phase::Commit,
+            tag => return bad_tag("Phase", tag),
+        })
+    }
+}
+
+impl Codec for BlockKind {
+    fn put<W: Wire>(&self, w: &mut W) {
+        match self {
+            BlockKind::Normal => {
+                w.put_u8(0);
+            }
+            BlockKind::Virtual => {
+                w.put_u8(1);
+            }
+        }
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(match u8::get(d)? {
+            0 => BlockKind::Normal,
+            1 => BlockKind::Virtual,
+            tag => return bad_tag("BlockKind", tag),
+        })
+    }
+}
+
+impl Codec for QcFormat {
+    fn put<W: Wire>(&self, w: &mut W) {
+        match self {
+            QcFormat::SigGroup => {
+                w.put_u8(0);
+            }
+            QcFormat::Threshold => {
+                w.put_u8(1);
+            }
+        }
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(match u8::get(d)? {
+            0 => QcFormat::SigGroup,
+            1 => QcFormat::Threshold,
+            tag => return bad_tag("QcFormat", tag),
+        })
+    }
+}
+
+impl Codec for Justify {
+    fn put<W: Wire>(&self, w: &mut W) {
+        match self {
+            Justify::None => {
+                w.put_u8(0);
+            }
+            Justify::One(qc) => {
+                w.put_u8(1);
+                qc.put(w);
+            }
+            Justify::Two(qc, vc) => {
+                w.put_u8(2);
+                qc.put(w);
+                vc.put(w);
+            }
+        }
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(match u8::get(d)? {
+            0 => Justify::None,
+            1 => {
+                let qc = Codec::get(d)?;
+                Justify::One(qc)
+            }
+            2 => {
+                let qc = Codec::get(d)?;
+                let vc = Codec::get(d)?;
+                Justify::Two(qc, vc)
+            }
+            tag => return bad_tag("Justify", tag),
+        })
+    }
+}
+
+impl Codec for QcSeed {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.phase.put(w);
+        self.view.put(w);
+        self.block.put(w);
+        self.height.put(w);
+        self.block_view.put(w);
+        self.pview.put(w);
+        self.block_kind.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(QcSeed {
+            phase: Codec::get(d)?,
+            view: Codec::get(d)?,
+            block: Codec::get(d)?,
+            height: Codec::get(d)?,
+            block_view: Codec::get(d)?,
+            pview: Codec::get(d)?,
+            block_kind: Codec::get(d)?,
+        })
+    }
+}
+
+impl Codec for BlockMeta {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.id.put(w);
+        self.view.put(w);
+        self.height.put(w);
+        self.pview.put(w);
+        self.kind.put(w);
+        self.rank_boost.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(BlockMeta {
+            id: Codec::get(d)?,
+            view: Codec::get(d)?,
+            height: Codec::get(d)?,
+            pview: Codec::get(d)?,
+            kind: Codec::get(d)?,
+            rank_boost: Codec::get(d)?,
+        })
+    }
+}
+
+impl Codec for Vote {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.seed.put(w);
+        self.parsig.put(w);
+        self.locked_qc.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Vote {
+            seed: Codec::get(d)?,
+            parsig: Codec::get(d)?,
+            locked_qc: Codec::get(d)?,
+        })
+    }
+}
+
+impl Codec for ViewChange {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.last_voted.put(w);
+        self.high_qc.put(w);
+        self.parsig.put(w);
+        self.cert.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(ViewChange {
+            last_voted: Codec::get(d)?,
+            high_qc: Codec::get(d)?,
+            parsig: Codec::get(d)?,
+            cert: Codec::get(d)?,
+        })
+    }
+}
+
+impl Codec for VcCert {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.from.put(w);
+        self.high_qc.put(w);
+        self.sig.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(VcCert {
+            from: Codec::get(d)?,
+            high_qc: Codec::get(d)?,
+            sig: Codec::get(d)?,
+        })
+    }
+}
+
+impl Codec for Decide {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.commit_qc.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Decide {
+            commit_qc: Codec::get(d)?,
+        })
+    }
+}
+
+impl Codec for Message {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.from.put(w);
+        self.view.put(w);
+        self.body.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Message {
+            from: Codec::get(d)?,
+            view: Codec::get(d)?,
+            body: Codec::get(d)?,
+        })
+    }
+}
+
+impl Codec for MsgBody {
+    fn put<W: Wire>(&self, w: &mut W) {
+        match self {
+            MsgBody::Proposal(p) => {
+                w.put_u8(0);
+                p.put(w);
+            }
+            MsgBody::Vote(v) => {
+                w.put_u8(1);
+                v.put(w);
+            }
+            MsgBody::ViewChange(vc) => {
+                w.put_u8(2);
+                vc.put(w);
+            }
+            MsgBody::Decide(x) => {
+                w.put_u8(3);
+                x.put(w);
+            }
+            MsgBody::FetchRequest { block } => {
+                w.put_u8(4);
+                block.put(w);
+            }
             MsgBody::FetchResponse {
                 block,
                 virtual_parent,
+            } => {
+                w.put_u8(5);
+                block.put(w);
+                FixedParent::put(virtual_parent, w);
             }
-        }
-        6 => MsgBody::CatchUpRequest {
-            last_committed: Height(d.u64()?),
-        },
-        7 => MsgBody::CatchUpResponse {
-            commit_qc: match d.u8()? {
-                0 => None,
-                1 => Some(get_qc(d)?),
-                t => {
-                    return Err(DecodeError::BadTag {
-                        what: "CatchUpResponse.commit_qc",
-                        tag: t,
-                    })
-                }
-            },
-        },
-        8 => MsgBody::SnapshotRequest,
-        9 => MsgBody::SnapshotResponse {
-            snapshot: match d.u8()? {
-                0 => None,
-                1 => {
-                    let block = get_block(d, None)?;
-                    let qc = get_qc(d)?;
-                    Some((block, qc))
-                }
-                t => {
-                    return Err(DecodeError::BadTag {
-                        what: "SnapshotResponse.snapshot",
-                        tag: t,
-                    })
-                }
-            },
-        },
-        10 => MsgBody::BlockRangeRequest {
-            from_height: Height(d.u64()?),
-            to_height: Height(d.u64()?),
-        },
-        11 => {
-            let from_height = Height(d.u64()?);
-            let count = d.u16()? as usize;
-            // A block occupies at least what genesis does: its fixed
-            // header, an empty justify and an empty batch.
-            let min = Block::genesis().wire_len();
-            let count = d.count(count, min, "BlockRangeResponse.blocks")?;
-            let mut blocks = Vec::with_capacity(count);
-            for _ in 0..count {
-                blocks.push(get_block(d, None)?);
+            MsgBody::CatchUpRequest { last_committed } => {
+                w.put_u8(6);
+                last_committed.put(w);
+            }
+            MsgBody::CatchUpResponse { commit_qc } => {
+                w.put_u8(7);
+                commit_qc.put(w);
+            }
+            MsgBody::SnapshotRequest => {
+                w.put_u8(8);
+            }
+            MsgBody::SnapshotResponse { snapshot } => {
+                w.put_u8(9);
+                snapshot.put(w);
+            }
+            MsgBody::BlockRangeRequest {
+                from_height,
+                to_height,
+            } => {
+                w.put_u8(10);
+                from_height.put(w);
+                to_height.put(w);
             }
             MsgBody::BlockRangeResponse {
                 from_height,
                 blocks,
+            } => {
+                w.put_u8(11);
+                from_height.put(w);
+                BlockRange::put(blocks, w);
+            }
+            MsgBody::PayloadPush { digest, batch } => {
+                w.put_u8(12);
+                digest.put(w);
+                batch.put(w);
+            }
+            MsgBody::PayloadAck { digest } => {
+                w.put_u8(13);
+                digest.put(w);
+            }
+            MsgBody::PayloadRequest { digest } => {
+                w.put_u8(14);
+                digest.put(w);
+            }
+            MsgBody::PayloadResponse { digest, batch } => {
+                w.put_u8(15);
+                digest.put(w);
+                batch.put(w);
+            }
+            MsgBody::DigestProposal { digest, justify } => {
+                w.put_u8(16);
+                digest.put(w);
+                justify.put(w);
             }
         }
-        12 => MsgBody::PayloadPush {
-            digest: BatchId::from_digest(d.digest()?),
-            batch: get_batch(d)?,
-        },
-        13 => MsgBody::PayloadAck {
-            digest: BatchId::from_digest(d.digest()?),
-        },
-        14 => MsgBody::PayloadRequest {
-            digest: BatchId::from_digest(d.digest()?),
-        },
-        15 => MsgBody::PayloadResponse {
-            digest: BatchId::from_digest(d.digest()?),
-            batch: match d.u8()? {
-                0 => None,
-                1 => Some(get_batch(d)?),
-                t => {
-                    return Err(DecodeError::BadTag {
-                        what: "PayloadResponse.batch",
-                        tag: t,
-                    })
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(match u8::get(d)? {
+            0 => {
+                let p = Codec::get(d)?;
+                MsgBody::Proposal(p)
+            }
+            1 => {
+                let v = Codec::get(d)?;
+                MsgBody::Vote(v)
+            }
+            2 => {
+                let vc = Codec::get(d)?;
+                MsgBody::ViewChange(vc)
+            }
+            3 => {
+                let x = Codec::get(d)?;
+                MsgBody::Decide(x)
+            }
+            4 => {
+                let block = Codec::get(d)?;
+                MsgBody::FetchRequest { block }
+            }
+            5 => {
+                let block = Codec::get(d)?;
+                let virtual_parent = FixedParent::get(d)?;
+                MsgBody::FetchResponse {
+                    block,
+                    virtual_parent,
                 }
-            },
-        },
-        16 => MsgBody::DigestProposal {
-            digest: BatchId::from_digest(d.digest()?),
-            justify: get_justify(d)?,
-        },
-        t => {
-            return Err(DecodeError::BadTag {
-                what: "MsgBody",
-                tag: t,
-            })
-        }
-    };
-    Ok(Message { from, view, body })
-}
-
-fn get_proposal(d: &mut Decoder<'_>) -> Result<Proposal> {
-    let phase = get_phase(d)?;
-    let count_byte = d.u8()?;
-    let dedup = count_byte & 0x80 != 0;
-    let count = (count_byte & 0x7f) as usize;
-    if count > 2 {
-        return Err(DecodeError::BadTag {
-            what: "Proposal.blocks",
-            tag: count_byte,
-        });
+            }
+            6 => {
+                let last_committed = Codec::get(d)?;
+                MsgBody::CatchUpRequest { last_committed }
+            }
+            7 => {
+                let commit_qc = Codec::get(d)?;
+                MsgBody::CatchUpResponse { commit_qc }
+            }
+            8 => MsgBody::SnapshotRequest,
+            9 => {
+                let snapshot = Codec::get(d)?;
+                MsgBody::SnapshotResponse { snapshot }
+            }
+            10 => {
+                let from_height = Codec::get(d)?;
+                let to_height = Codec::get(d)?;
+                MsgBody::BlockRangeRequest {
+                    from_height,
+                    to_height,
+                }
+            }
+            11 => {
+                let from_height = Codec::get(d)?;
+                let blocks = BlockRange::get(d)?;
+                MsgBody::BlockRangeResponse {
+                    from_height,
+                    blocks,
+                }
+            }
+            12 => {
+                let digest = Codec::get(d)?;
+                let batch = Codec::get(d)?;
+                MsgBody::PayloadPush { digest, batch }
+            }
+            13 => {
+                let digest = Codec::get(d)?;
+                MsgBody::PayloadAck { digest }
+            }
+            14 => {
+                let digest = Codec::get(d)?;
+                MsgBody::PayloadRequest { digest }
+            }
+            15 => {
+                let digest = Codec::get(d)?;
+                let batch = Codec::get(d)?;
+                MsgBody::PayloadResponse { digest, batch }
+            }
+            16 => {
+                let digest = Codec::get(d)?;
+                let justify = Codec::get(d)?;
+                MsgBody::DigestProposal { digest, justify }
+            }
+            tag => return bad_tag("MsgBody", tag),
+        })
     }
-    let mut blocks: Vec<Block> = Vec::with_capacity(count);
-    for i in 0..count {
-        let shared = (dedup && i == 1).then(|| blocks[0].payload().clone());
-        blocks.push(get_block(d, shared)?);
-    }
-    let justify = get_justify(d)?;
-    let proof_len = d.u16()? as usize;
-    // Each cert carries at least a replica id and a full signature.
-    let proof_len = d.count(proof_len, 4 + SIGNATURE_LEN, "Proposal.vc_proof")?;
-    let mut vc_proof = Vec::with_capacity(proof_len);
-    for _ in 0..proof_len {
-        let from = ReplicaId(d.u32()?);
-        let high_qc = get_qc(d)?;
-        vc_proof.push(VcCert {
-            from,
-            high_qc,
-            sig: Signature::from_bytes(d.array()?),
-        });
-    }
-    Ok(Proposal {
-        phase,
-        blocks,
-        justify,
-        vc_proof,
-    })
 }
 
-fn get_vote(d: &mut Decoder<'_>) -> Result<Vote> {
-    let seed = get_seed(d)?;
-    let parsig = get_parsig(d)?;
-    let locked_qc = match d.u8()? {
-        0 => None,
-        1 => Some(get_qc(d)?),
-        t => {
-            return Err(DecodeError::BadTag {
-                what: "Vote.locked_qc",
-                tag: t,
-            })
-        }
-    };
-    Ok(Vote {
-        seed,
-        parsig,
-        locked_qc,
-    })
-}
-
-fn get_view_change(d: &mut Decoder<'_>) -> Result<ViewChange> {
-    let last_voted = get_block_meta(d)?;
-    let high_qc = get_justify(d)?;
-    let parsig = get_parsig(d)?;
-    let cert = match d.u8()? {
-        0 => None,
-        1 => Some(Signature::from_bytes(d.array()?)),
-        t => {
-            return Err(DecodeError::BadTag {
-                what: "ViewChange.cert",
-                tag: t,
-            })
-        }
-    };
-    Ok(ViewChange {
-        last_voted,
-        high_qc,
-        parsig,
-        cert,
-    })
-}
-
-/// `shared_payload` carries the first shadow block's batch when decoding
-/// the payload-less second block of a deduplicated proposal.
-fn get_block(d: &mut Decoder<'_>, shared_payload: Option<Batch>) -> Result<Block> {
-    let parent_tag = d.u8()?;
-    let parent_digest = d.digest()?;
-    let pview = View(d.u64()?);
-    let view = View(d.u64()?);
-    let height = Height(d.u64()?);
-    let justify = get_justify(d)?;
-    let payload = match shared_payload {
-        Some(p) => p,
-        None => get_batch(d)?,
-    };
-    let block = match parent_tag {
-        1 => Block::new_normal(
-            BlockId::from_digest(parent_digest),
-            pview,
-            view,
-            height,
-            payload,
-            justify,
-        ),
-        0 => {
-            if view == View::GENESIS && height == Height::GENESIS {
-                Block::genesis()
-            } else {
-                Block::new_virtual(pview, view, height, payload, justify)
+macro_rules! little_endian {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            #[inline]
+            fn put<W: Wire>(&self, w: &mut W) {
+                w.put_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(d: &mut Decoder<'_>) -> Result<Self> {
+                Ok(<$t>::from_le_bytes(d.array()?))
             }
         }
-        t => {
-            return Err(DecodeError::BadTag {
-                what: "ParentLink",
-                tag: t,
-            })
+    )*};
+}
+
+little_endian!(u8, u16, u32, u64, u128);
+
+/// One byte; any non-zero byte reads as `true`.
+impl Codec for bool {
+    fn put<W: Wire>(&self, w: &mut W) {
+        (*self as u8).put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(u8::get(d)? != 0)
+    }
+}
+
+impl Codec for Digest {
+    fn put<W: Wire>(&self, w: &mut W) {
+        w.put_slice(self.as_bytes());
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Digest::from_bytes(d.array()?))
+    }
+}
+
+impl Codec for View {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.0.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        u64::get(d).map(View)
+    }
+}
+
+/// Tag 0, or tag 1 and the value.
+impl<T: Codec> Codec for Option<T> {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
         }
-    };
-    Ok(block)
-}
-
-/// Payloads come out as slices of the frame.
-fn get_batch(d: &mut Decoder<'_>) -> Result<Batch> {
-    let count = d.u32()? as usize;
-    let count = d.count(count, Transaction::HEADER_LEN, "Batch.count")?;
-    let mut txs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = d.u64()?;
-        let client = d.u32()?;
-        let len = d.u32()? as usize;
-        let submitted_at_ns = d.u64()?;
-        let payload = d.slice(len)?;
-        txs.push(Transaction::new(id, client, payload, submitted_at_ns));
     }
-    Ok(Batch::new(txs))
-}
-
-/// Deserializes a [`BlockMeta`] written by [`put_block_meta`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on a truncated or malformed buffer.
-pub fn get_block_meta(d: &mut Decoder<'_>) -> Result<BlockMeta> {
-    Ok(BlockMeta {
-        id: BlockId::from_digest(d.digest()?),
-        view: View(d.u64()?),
-        height: Height(d.u64()?),
-        pview: View(d.u64()?),
-        kind: get_kind(d)?,
-        rank_boost: d.u8()? != 0,
-    })
-}
-
-/// Deserializes a [`Justify`] written by [`put_justify`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on a truncated or malformed buffer.
-pub fn get_justify(d: &mut Decoder<'_>) -> Result<Justify> {
-    match d.u8()? {
-        0 => Ok(Justify::None),
-        1 => Ok(Justify::One(get_qc(d)?)),
-        2 => Ok(Justify::Two(get_qc(d)?, get_qc(d)?)),
-        t => Err(DecodeError::BadTag {
-            what: "Justify",
-            tag: t,
-        }),
-    }
-}
-
-/// Deserializes a [`Qc`] written by [`put_qc`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on a truncated or malformed buffer.
-pub fn get_qc(d: &mut Decoder<'_>) -> Result<Qc> {
-    let seed = get_seed(d)?;
-    let sig = get_combined_sig(d)?;
-    Ok(Qc::new(seed, sig))
-}
-
-/// Deserializes a full [`Block`] written by [`put_block_full`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on a truncated or malformed buffer.
-pub fn get_block_full(d: &mut Decoder<'_>) -> Result<Block> {
-    get_block(d, None)
-}
-
-fn get_seed(d: &mut Decoder<'_>) -> Result<QcSeed> {
-    Ok(QcSeed {
-        phase: get_phase(d)?,
-        view: View(d.u64()?),
-        block: BlockId::from_digest(d.digest()?),
-        height: Height(d.u64()?),
-        block_view: View(d.u64()?),
-        pview: View(d.u64()?),
-        block_kind: get_kind(d)?,
-    })
-}
-
-fn get_combined_sig(d: &mut Decoder<'_>) -> Result<CombinedSig> {
-    let format = match d.u8()? {
-        0 => QcFormat::SigGroup,
-        1 => QcFormat::Threshold,
-        t => {
-            return Err(DecodeError::BadTag {
-                what: "QcFormat",
-                tag: t,
-            })
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        match u8::get(d)? {
+            0 => Ok(None),
+            1 => T::get(d).map(Some),
+            tag => bad_tag("Option", tag),
         }
-    };
-    let bitmap = SignerBitmap::from_bits(d.u128()?);
-    let agg = d.digest()?;
-    let sig = CombinedSig::from_parts(format, bitmap, agg);
-    let pad = sig.wire_len() - CombinedSig::MIN_WIRE_LEN;
-    d.skip(pad)?;
-    Ok(sig)
-}
-
-fn get_parsig(d: &mut Decoder<'_>) -> Result<PartialSig> {
-    let signer = d.u64()? as usize;
-    let tag = d.digest()?;
-    let pad = PartialSig::WIRE_LEN - 8 - 32;
-    d.skip(pad)?;
-    Ok(PartialSig::from_parts(signer, tag))
-}
-
-fn get_phase(d: &mut Decoder<'_>) -> Result<Phase> {
-    match d.u8()? {
-        0 => Ok(Phase::PrePrepare),
-        1 => Ok(Phase::Prepare),
-        2 => Ok(Phase::PreCommit),
-        3 => Ok(Phase::Commit),
-        t => Err(DecodeError::BadTag {
-            what: "Phase",
-            tag: t,
-        }),
     }
 }
 
-fn get_kind(d: &mut Decoder<'_>) -> Result<BlockKind> {
-    match d.u8()? {
-        0 => Ok(BlockKind::Normal),
-        1 => Ok(BlockKind::Virtual),
-        t => Err(DecodeError::BadTag {
-            what: "BlockKind",
-            tag: t,
-        }),
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+/// 64 signature bytes, one authenticator.
+impl Codec for Signature {
+    fn put<W: Wire>(&self, w: &mut W) {
+        w.put_slice(&self.to_bytes());
+        w.authenticators(1);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Signature::from_bytes(d.array()?))
+    }
+}
+
+/// Signer and tag padded to a 64-byte signature; one authenticator.
+impl Codec for PartialSig {
+    fn put<W: Wire>(&self, w: &mut W) {
+        (self.signer() as u64).put(w);
+        self.tag().put(w);
+        w.put_bytes(0, PartialSig::WIRE_LEN - 40);
+        w.authenticators(1);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        let (signer, tag) = (u64::get(d)? as usize, Digest::get(d)?);
+        d.take(PartialSig::WIRE_LEN - 40)?;
+        Ok(PartialSig::from_parts(signer, tag))
+    }
+}
+
+/// Format, signers and aggregate, padded to the format's modeled size;
+/// the enclosing [`Qc`] counts its authenticators.
+impl Codec for CombinedSig {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.format().put(w);
+        self.signers().to_bits().put(w);
+        self.agg().put(w);
+        w.put_bytes(0, self.wire_len() - CombinedSig::MIN_WIRE_LEN);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        let (format, signers) = (QcFormat::get(d)?, SignerBitmap::from_bits(u128::get(d)?));
+        let sig = CombinedSig::from_parts(format, signers, Digest::get(d)?);
+        d.take(sig.wire_len() - CombinedSig::MIN_WIRE_LEN)?;
+        Ok(sig)
+    }
+}
+
+/// Seed and signature, counted as [`Qc::authenticator_count`] says.
+impl Codec for Qc {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.seed().put(w);
+        self.sig().put(w);
+        w.authenticators(self.authenticator_count());
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Qc::new(QcSeed::get(d)?, CombinedSig::get(d)?))
+    }
+}
+
+/// Writes through [`Wire::batch`], so the meter reads the memoised
+/// length; reads each payload as a slice of the frame.
+impl Codec for Batch {
+    fn put<W: Wire>(&self, w: &mut W) {
+        w.batch(self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        let count = u32::get(d)? as usize;
+        let count = d.count(count, Transaction::HEADER_LEN, "Batch.count")?;
+        let mut txs = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (id, client, len) = (u64::get(d)?, u32::get(d)?, u32::get(d)?);
+            let at = u64::get(d)?;
+            txs.push(Transaction::new(id, client, d.slice(len as usize)?, at));
+        }
+        Ok(Batch::new(txs))
+    }
+}
+
+/// The id is not on the wire: the decoder recomputes it from the
+/// fields, which is what makes a peer's block the one it names.
+impl Codec for Block {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.write(w, true);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Block::read(d, None)
+    }
+}
+
+impl Block {
+    /// The block's wire form; a shadow block's (`payload` false) stops
+    /// before the payload.
+    fn write<W: Wire>(&self, w: &mut W, payload: bool) {
+        FixedParent::put(&self.parent_id(), w);
+        self.pview().put(w);
+        self.view().put(w);
+        self.height().put(w);
+        self.justify().put(w);
+        if payload {
+            self.payload().put(w);
+        }
+    }
+
+    /// Reads a block; a shadow block's payload is `shared`, not read.
+    fn read(d: &mut Decoder<'_>, shared: Option<Batch>) -> Result<Block> {
+        let parent = FixedParent::get(d)?;
+        let (pview, view, height) = (View::get(d)?, View::get(d)?, Height::get(d)?);
+        let justify = Justify::get(d)?;
+        let payload = shared.map_or_else(|| Batch::get(d), Ok)?;
+        Ok(match parent {
+            Some(p) => Block::new_normal(p, pview, view, height, payload, justify),
+            None if view == View::GENESIS && height == Height::GENESIS => Block::genesis(),
+            None => Block::new_virtual(pview, view, height, payload, justify),
+        })
+    }
+}
+
+/// The block count's high bit marks a shadow pair: the second block
+/// shares the first one's payload, written once (see [`Wire::shadow`]).
+impl Codec for Proposal {
+    fn put<W: Wire>(&self, w: &mut W) {
+        let b = &self.blocks;
+        let shadow = w.shadow() && b.len() == 2 && b[0].payload() == b[1].payload();
+        self.phase.put(w);
+        (b.len() as u8 | if shadow { 0x80 } else { 0 }).put(w);
+        for (i, block) in b.iter().enumerate() {
+            block.write(w, !(shadow && i == 1));
+        }
+        self.justify.put(w);
+        (self.vc_proof.len() as u16).put(w);
+        self.vc_proof.iter().for_each(|cert| cert.put(w));
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        let phase = Phase::get(d)?;
+        let count = u8::get(d)?;
+        if count & 0x7f > 2 {
+            return bad_tag("Proposal.blocks", count);
+        }
+        let mut blocks: Vec<Block> = Vec::with_capacity((count & 0x7f) as usize);
+        for i in 0..count & 0x7f {
+            let shared = (count & 0x80 != 0 && i == 1).then(|| blocks[0].payload().clone());
+            blocks.push(Block::read(d, shared)?);
+        }
+        let justify = Justify::get(d)?;
+        let proofs = u16::get(d)? as usize;
+        // Each cert carries at least a replica id and a full signature.
+        let proofs = d.count(proofs, 4 + SIGNATURE_LEN, "Proposal.vc_proof")?;
+        let vc_proof = (0..proofs).map(|_| VcCert::get(d)).collect::<Result<_>>()?;
+        Ok(Proposal {
+            phase,
+            blocks,
+            justify,
+            vc_proof,
+        })
+    }
+}
+
+/// A block's parent link, and `FetchResponse.virtual_parent`: a tag,
+/// then always 32 bytes, the zero digest for ⊥.
+struct FixedParent;
+
+impl FixedParent {
+    fn put<W: Wire>(parent: &Option<BlockId>, w: &mut W) {
+        parent.is_some().put(w);
+        parent.map_or(Digest::ZERO, |p| p.0).put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Option<BlockId>> {
+        let (tag, id) = (u8::get(d)?, BlockId::get(d)?);
+        match tag {
+            0 => Ok(None),
+            1 => Ok(Some(id)),
+            tag => bad_tag("ParentLink", tag),
+        }
+    }
+}
+
+/// `BlockRangeResponse.blocks`: a `u16` count, bounded before it sizes
+/// the vector, then the blocks.
+struct BlockRange;
+
+impl BlockRange {
+    fn put<W: Wire>(blocks: &[Block], w: &mut W) {
+        (blocks.len() as u16).put(w);
+        blocks.iter().for_each(|b| b.put(w));
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Vec<Block>> {
+        let count = u16::get(d)? as usize;
+        // A block occupies at least what genesis does: its fixed
+        // header, an empty justify and an empty batch.
+        let min = Block::genesis().wire_len();
+        let count = d.count(count, min, "BlockRangeResponse.blocks")?;
+        (0..count).map(|_| Block::get(d)).collect()
     }
 }
 

@@ -35,14 +35,14 @@ impl Message {
     /// the second block of a two-proposal `PRE-PREPARE` is charged only
     /// its header (the shadow-block optimisation of Section IV-D).
     pub fn wire_len(&self, shadow: bool) -> usize {
-        codec::measure(|w| codec::put_message(w, self, shadow)).bytes
+        codec::measure(self, shadow).bytes
     }
 
     /// Authenticators the encoder writes for this message, under the
     /// paper's metric (Section III): each partial or conventional
     /// signature is one authenticator; QCs count per their format.
     pub fn authenticator_count(&self) -> usize {
-        codec::measure(|w| codec::put_message(w, self, false)).authenticators
+        codec::measure(self, false).authenticators
     }
 }
 

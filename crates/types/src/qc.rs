@@ -225,7 +225,7 @@ impl Qc {
     /// Bytes this certificate occupies on the wire (seed metadata plus
     /// the format-dependent signature size).
     pub fn wire_len(&self) -> usize {
-        crate::codec::measure(|w| crate::codec::put_qc(w, self)).bytes
+        crate::codec::measure(self, false).bytes
     }
 
     /// Authenticators this certificate counts as under the paper's

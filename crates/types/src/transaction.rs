@@ -108,7 +108,7 @@ impl fmt::Debug for Transaction {
 /// byte-identical block id on every replica regardless of when each
 /// replica first saw the transactions.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct BatchId(Digest);
+pub struct BatchId(pub(crate) Digest);
 
 impl BatchId {
     /// Wraps a digest as a batch id.
