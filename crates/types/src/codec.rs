@@ -1,7 +1,10 @@
 //! Compact binary wire codec.
 //!
 //! Every wire type has one [`Codec`] impl, its two halves side by side:
-//! `put` writes into a [`Wire`] sink, `get` reads from a [`Decoder`]. A private meter runs the same `put` to count the bytes
+//! `put` writes into a [`Wire`] sink, `get` reads from a [`Decoder`].
+//! Field walks and tag tables get both halves from one list through
+//! [`codec!`](crate::codec!); the rest are hand-written pairs, each with
+//! its reason. A private meter runs the same `put` to count the bytes
 //! and authenticators every `wire_len`/`authenticator_count` reports.
 //! Combined signatures are padded to their modeled format size (a real
 //! 96-byte BLS signature or `t × 64` bytes of ECDSA signatures carry more
@@ -276,434 +279,101 @@ impl<'a> Decoder<'a> {
     }
 }
 
-impl Codec for ReplicaId {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.0.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        u32::get(d).map(ReplicaId)
-    }
-}
-
-impl Codec for Height {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.0.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        u64::get(d).map(Height)
-    }
-}
-
-impl Codec for BlockId {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.0.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Digest::get(d).map(BlockId)
-    }
-}
-
-impl Codec for BatchId {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.0.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Digest::get(d).map(BatchId)
-    }
-}
-
-impl Codec for Phase {
-    fn put<W: Wire>(&self, w: &mut W) {
-        match self {
-            Phase::PrePrepare => {
-                w.put_u8(0);
+/// Writes both halves of [`Codec`] for a type from one list:
+/// `struct T { a, b }` and the newtype `struct T(U)` walk their fields;
+/// `enum T { 0 => A, 1 => B(x, y), 2 => C { a, b: Via } }` writes the
+/// tag byte, then the variant's fields, and refuses any other tag with
+/// [`DecodeError::BadTag`] naming `T`. A field `b: Via` is not a walk:
+/// it goes through the hand-written pair `Via::put(&b, w)`/`Via::get(d)`.
+#[macro_export]
+macro_rules! codec {
+    (struct $ty:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::codec::Codec for $ty {
+            fn put<W: $crate::codec::Wire>(&self, w: &mut W) {
+                $($crate::codec::Codec::put(&self.$f, w);)*
             }
-            Phase::Prepare => {
-                w.put_u8(1);
-            }
-            Phase::PreCommit => {
-                w.put_u8(2);
-            }
-            Phase::Commit => {
-                w.put_u8(3);
+            fn get(d: &mut $crate::codec::Decoder<'_>) -> $crate::codec::Result<Self> {
+                Ok($ty { $($f: $crate::codec::Codec::get(d)?,)* })
             }
         }
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match u8::get(d)? {
-            0 => Phase::PrePrepare,
-            1 => Phase::Prepare,
-            2 => Phase::PreCommit,
-            3 => Phase::Commit,
-            tag => return bad_tag("Phase", tag),
-        })
-    }
-}
-
-impl Codec for BlockKind {
-    fn put<W: Wire>(&self, w: &mut W) {
-        match self {
-            BlockKind::Normal => {
-                w.put_u8(0);
+    };
+    (struct $ty:ident($inner:ty)) => {
+        impl $crate::codec::Codec for $ty {
+            fn put<W: $crate::codec::Wire>(&self, w: &mut W) {
+                $crate::codec::Codec::put(&self.0, w);
             }
-            BlockKind::Virtual => {
-                w.put_u8(1);
+            fn get(d: &mut $crate::codec::Decoder<'_>) -> $crate::codec::Result<Self> {
+                <$inner as $crate::codec::Codec>::get(d).map($ty)
             }
         }
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match u8::get(d)? {
-            0 => BlockKind::Normal,
-            1 => BlockKind::Virtual,
-            tag => return bad_tag("BlockKind", tag),
-        })
-    }
-}
-
-impl Codec for QcFormat {
-    fn put<W: Wire>(&self, w: &mut W) {
-        match self {
-            QcFormat::SigGroup => {
-                w.put_u8(0);
-            }
-            QcFormat::Threshold => {
-                w.put_u8(1);
-            }
-        }
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match u8::get(d)? {
-            0 => QcFormat::SigGroup,
-            1 => QcFormat::Threshold,
-            tag => return bad_tag("QcFormat", tag),
-        })
-    }
-}
-
-impl Codec for Justify {
-    fn put<W: Wire>(&self, w: &mut W) {
-        match self {
-            Justify::None => {
-                w.put_u8(0);
-            }
-            Justify::One(qc) => {
-                w.put_u8(1);
-                qc.put(w);
-            }
-            Justify::Two(qc, vc) => {
-                w.put_u8(2);
-                qc.put(w);
-                vc.put(w);
-            }
-        }
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match u8::get(d)? {
-            0 => Justify::None,
-            1 => {
-                let qc = Codec::get(d)?;
-                Justify::One(qc)
-            }
-            2 => {
-                let qc = Codec::get(d)?;
-                let vc = Codec::get(d)?;
-                Justify::Two(qc, vc)
-            }
-            tag => return bad_tag("Justify", tag),
-        })
-    }
-}
-
-impl Codec for QcSeed {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.phase.put(w);
-        self.view.put(w);
-        self.block.put(w);
-        self.height.put(w);
-        self.block_view.put(w);
-        self.pview.put(w);
-        self.block_kind.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(QcSeed {
-            phase: Codec::get(d)?,
-            view: Codec::get(d)?,
-            block: Codec::get(d)?,
-            height: Codec::get(d)?,
-            block_view: Codec::get(d)?,
-            pview: Codec::get(d)?,
-            block_kind: Codec::get(d)?,
-        })
-    }
-}
-
-impl Codec for BlockMeta {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.id.put(w);
-        self.view.put(w);
-        self.height.put(w);
-        self.pview.put(w);
-        self.kind.put(w);
-        self.rank_boost.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(BlockMeta {
-            id: Codec::get(d)?,
-            view: Codec::get(d)?,
-            height: Codec::get(d)?,
-            pview: Codec::get(d)?,
-            kind: Codec::get(d)?,
-            rank_boost: Codec::get(d)?,
-        })
-    }
-}
-
-impl Codec for Vote {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.seed.put(w);
-        self.parsig.put(w);
-        self.locked_qc.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Vote {
-            seed: Codec::get(d)?,
-            parsig: Codec::get(d)?,
-            locked_qc: Codec::get(d)?,
-        })
-    }
-}
-
-impl Codec for ViewChange {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.last_voted.put(w);
-        self.high_qc.put(w);
-        self.parsig.put(w);
-        self.cert.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(ViewChange {
-            last_voted: Codec::get(d)?,
-            high_qc: Codec::get(d)?,
-            parsig: Codec::get(d)?,
-            cert: Codec::get(d)?,
-        })
-    }
-}
-
-impl Codec for VcCert {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.from.put(w);
-        self.high_qc.put(w);
-        self.sig.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(VcCert {
-            from: Codec::get(d)?,
-            high_qc: Codec::get(d)?,
-            sig: Codec::get(d)?,
-        })
-    }
-}
-
-impl Codec for Decide {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.commit_qc.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Decide {
-            commit_qc: Codec::get(d)?,
-        })
-    }
-}
-
-impl Codec for Message {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.from.put(w);
-        self.view.put(w);
-        self.body.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Message {
-            from: Codec::get(d)?,
-            view: Codec::get(d)?,
-            body: Codec::get(d)?,
-        })
-    }
-}
-
-impl Codec for MsgBody {
-    fn put<W: Wire>(&self, w: &mut W) {
-        match self {
-            MsgBody::Proposal(p) => {
-                w.put_u8(0);
-                p.put(w);
-            }
-            MsgBody::Vote(v) => {
-                w.put_u8(1);
-                v.put(w);
-            }
-            MsgBody::ViewChange(vc) => {
-                w.put_u8(2);
-                vc.put(w);
-            }
-            MsgBody::Decide(x) => {
-                w.put_u8(3);
-                x.put(w);
-            }
-            MsgBody::FetchRequest { block } => {
-                w.put_u8(4);
-                block.put(w);
-            }
-            MsgBody::FetchResponse {
-                block,
-                virtual_parent,
-            } => {
-                w.put_u8(5);
-                block.put(w);
-                FixedParent::put(virtual_parent, w);
-            }
-            MsgBody::CatchUpRequest { last_committed } => {
-                w.put_u8(6);
-                last_committed.put(w);
-            }
-            MsgBody::CatchUpResponse { commit_qc } => {
-                w.put_u8(7);
-                commit_qc.put(w);
-            }
-            MsgBody::SnapshotRequest => {
-                w.put_u8(8);
-            }
-            MsgBody::SnapshotResponse { snapshot } => {
-                w.put_u8(9);
-                snapshot.put(w);
-            }
-            MsgBody::BlockRangeRequest {
-                from_height,
-                to_height,
-            } => {
-                w.put_u8(10);
-                from_height.put(w);
-                to_height.put(w);
-            }
-            MsgBody::BlockRangeResponse {
-                from_height,
-                blocks,
-            } => {
-                w.put_u8(11);
-                from_height.put(w);
-                BlockRange::put(blocks, w);
-            }
-            MsgBody::PayloadPush { digest, batch } => {
-                w.put_u8(12);
-                digest.put(w);
-                batch.put(w);
-            }
-            MsgBody::PayloadAck { digest } => {
-                w.put_u8(13);
-                digest.put(w);
-            }
-            MsgBody::PayloadRequest { digest } => {
-                w.put_u8(14);
-                digest.put(w);
-            }
-            MsgBody::PayloadResponse { digest, batch } => {
-                w.put_u8(15);
-                digest.put(w);
-                batch.put(w);
-            }
-            MsgBody::DigestProposal { digest, justify } => {
-                w.put_u8(16);
-                digest.put(w);
-                justify.put(w);
-            }
-        }
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        Ok(match u8::get(d)? {
-            0 => {
-                let p = Codec::get(d)?;
-                MsgBody::Proposal(p)
-            }
-            1 => {
-                let v = Codec::get(d)?;
-                MsgBody::Vote(v)
-            }
-            2 => {
-                let vc = Codec::get(d)?;
-                MsgBody::ViewChange(vc)
-            }
-            3 => {
-                let x = Codec::get(d)?;
-                MsgBody::Decide(x)
-            }
-            4 => {
-                let block = Codec::get(d)?;
-                MsgBody::FetchRequest { block }
-            }
-            5 => {
-                let block = Codec::get(d)?;
-                let virtual_parent = FixedParent::get(d)?;
-                MsgBody::FetchResponse {
-                    block,
-                    virtual_parent,
+    };
+    (enum $ty:ident {
+        $($tag:literal => $var:ident $(($($t:ident),*))? $({ $($f:ident $(: $via:ty)?),* })?),*
+        $(,)?
+    }) => {
+        impl $crate::codec::Codec for $ty {
+            fn put<W: $crate::codec::Wire>(&self, w: &mut W) {
+                match self {
+                    $($ty::$var $(($($t),*))? $({ $($f),* })? => {
+                        w.put_u8($tag);
+                        $($($crate::codec::Codec::put($t, w);)*)?
+                        $($($crate::codec!(@put w, $f $(, $via)?);)*)?
+                    })*
                 }
             }
-            6 => {
-                let last_committed = Codec::get(d)?;
-                MsgBody::CatchUpRequest { last_committed }
+            fn get(d: &mut $crate::codec::Decoder<'_>) -> $crate::codec::Result<Self> {
+                Ok(match <u8 as $crate::codec::Codec>::get(d)? {
+                    $($tag => {
+                        $($(let $t = $crate::codec::Codec::get(d)?;)*)?
+                        $($(let $f = $crate::codec!(@get d $(, $via)?);)*)?
+                        $ty::$var $(($($t),*))? $({ $($f),* })?
+                    })*
+                    tag => return Err($crate::codec::DecodeError::BadTag { what: stringify!($ty), tag }),
+                })
             }
-            7 => {
-                let commit_qc = Codec::get(d)?;
-                MsgBody::CatchUpResponse { commit_qc }
-            }
-            8 => MsgBody::SnapshotRequest,
-            9 => {
-                let snapshot = Codec::get(d)?;
-                MsgBody::SnapshotResponse { snapshot }
-            }
-            10 => {
-                let from_height = Codec::get(d)?;
-                let to_height = Codec::get(d)?;
-                MsgBody::BlockRangeRequest {
-                    from_height,
-                    to_height,
-                }
-            }
-            11 => {
-                let from_height = Codec::get(d)?;
-                let blocks = BlockRange::get(d)?;
-                MsgBody::BlockRangeResponse {
-                    from_height,
-                    blocks,
-                }
-            }
-            12 => {
-                let digest = Codec::get(d)?;
-                let batch = Codec::get(d)?;
-                MsgBody::PayloadPush { digest, batch }
-            }
-            13 => {
-                let digest = Codec::get(d)?;
-                MsgBody::PayloadAck { digest }
-            }
-            14 => {
-                let digest = Codec::get(d)?;
-                MsgBody::PayloadRequest { digest }
-            }
-            15 => {
-                let digest = Codec::get(d)?;
-                let batch = Codec::get(d)?;
-                MsgBody::PayloadResponse { digest, batch }
-            }
-            16 => {
-                let digest = Codec::get(d)?;
-                let justify = Codec::get(d)?;
-                MsgBody::DigestProposal { digest, justify }
-            }
-            tag => return bad_tag("MsgBody", tag),
-        })
-    }
+        }
+    };
+    (@put $w:ident, $x:expr) => { $crate::codec::Codec::put($x, $w) };
+    (@put $w:ident, $x:expr, $via:ty) => { <$via>::put($x, $w) };
+    (@get $d:ident) => { $crate::codec::Codec::get($d)? };
+    (@get $d:ident, $via:ty) => { <$via>::get($d)? };
 }
+
+codec!(struct ReplicaId(u32));
+codec!(struct Height(u64));
+codec!(struct View(u64));
+codec!(struct BlockId(Digest));
+codec!(struct BatchId(Digest));
+codec!(enum Phase { 0 => PrePrepare, 1 => Prepare, 2 => PreCommit, 3 => Commit });
+codec!(enum BlockKind { 0 => Normal, 1 => Virtual });
+codec!(enum QcFormat { 0 => SigGroup, 1 => Threshold });
+codec!(enum Justify { 0 => None, 1 => One(qc), 2 => Two(qc, vc) });
+codec!(struct QcSeed { phase, view, block, height, block_view, pview, block_kind });
+codec!(struct BlockMeta { id, view, height, pview, kind, rank_boost });
+codec!(struct Vote { seed, parsig, locked_qc });
+codec!(struct ViewChange { last_voted, high_qc, parsig, cert });
+codec!(struct VcCert { from, high_qc, sig });
+codec!(struct Decide { commit_qc });
+codec!(struct Message { from, view, body });
+codec!(enum MsgBody {
+    0 => Proposal(p),
+    1 => Vote(v),
+    2 => ViewChange(vc),
+    3 => Decide(x),
+    4 => FetchRequest { block },
+    5 => FetchResponse { block, virtual_parent: FixedParent },
+    6 => CatchUpRequest { last_committed },
+    7 => CatchUpResponse { commit_qc },
+    8 => SnapshotRequest,
+    9 => SnapshotResponse { snapshot },
+    10 => BlockRangeRequest { from_height, to_height },
+    11 => BlockRangeResponse { from_height, blocks: BlockRange },
+    12 => PayloadPush { digest, batch },
+    13 => PayloadAck { digest },
+    14 => PayloadRequest { digest },
+    15 => PayloadResponse { digest, batch },
+    16 => DigestProposal { digest, justify },
+});
 
 macro_rules! little_endian {
     ($($t:ty),*) => {$(
@@ -738,15 +408,6 @@ impl Codec for Digest {
     }
     fn get(d: &mut Decoder<'_>) -> Result<Self> {
         Ok(Digest::from_bytes(d.array()?))
-    }
-}
-
-impl Codec for View {
-    fn put<W: Wire>(&self, w: &mut W) {
-        self.0.put(w);
-    }
-    fn get(d: &mut Decoder<'_>) -> Result<Self> {
-        u64::get(d).map(View)
     }
 }
 
