@@ -17,8 +17,9 @@
 //! Records ride on the [`Wal`] framing (`len: u32 LE | crc: u32 LE |
 //! payload`) in a journal-owned log file, so a torn tail — a crash
 //! mid-append — loses only the record being written, never acknowledged
-//! state. Each payload is a 1-byte tag followed by the field's wire
-//! encoding (shared with the network codec):
+//! state. A payload is one [`JournalRecord`] in its `Codec` form, which
+//! `codec!` writes from the tag table below over the network codec's
+//! impls: a 1-byte tag, then the field's wire form.
 //!
 //! | tag | record | payload |
 //! |-----|--------|---------|
@@ -26,7 +27,9 @@
 //! | 1 | `LastVoted` | [`BlockMeta`] wire form |
 //! | 2 | `Lock` | [`Qc`] wire form |
 //! | 3 | `HighQc` | [`Justify`] wire form |
-//! | 4 | `Snapshot` | view + meta + optional lock + justify |
+//! | 4 | `Snapshot` | view, meta, lock as an `Option` (tag 0, or 1 and the QC), justify |
+//!
+//! `crates/core/tests/disk_layout.rs` pins each kind as golden bytes.
 //!
 //! # Monotone replay
 //!
@@ -46,9 +49,9 @@
 //! intact generation. Recovery picks the newest generation with intact
 //! records and deletes empty or fully-torn stragglers.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use marlin_storage::{Disk, IoCostModel, SharedDisk, Wal};
-use marlin_types::codec::{Codec, Decoder};
+use marlin_types::codec;
 use marlin_types::rank::{block_rank_gt, qc_rank_cmp};
 use marlin_types::{BlockMeta, Height, Justify, Qc, View};
 use std::cmp::Ordering;
@@ -154,73 +157,15 @@ impl SafetySnapshot {
     }
 }
 
-fn encode_record(rec: &JournalRecord) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    match rec {
-        JournalRecord::EnteredView(v) => {
-            buf.put_u8(0);
-            buf.put_u64_le(v.0);
-        }
-        JournalRecord::LastVoted(meta) => {
-            buf.put_u8(1);
-            meta.put(&mut buf);
-        }
-        JournalRecord::Lock(qc) => {
-            buf.put_u8(2);
-            qc.put(&mut buf);
-        }
-        JournalRecord::HighQc(justify) => {
-            buf.put_u8(3);
-            justify.put(&mut buf);
-        }
-        JournalRecord::Snapshot(snap) => {
-            buf.put_u8(4);
-            buf.put_u64_le(snap.view.0);
-            snap.last_voted.put(&mut buf);
-            match &snap.locked_qc {
-                None => buf.put_u8(0),
-                Some(qc) => {
-                    buf.put_u8(1);
-                    qc.put(&mut buf);
-                }
-            }
-            snap.high_qc.put(&mut buf);
-        }
-    }
-    buf.to_vec()
-}
-
-fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
-    let (&tag, rest) = payload.split_first()?;
-    let frame = Bytes::copy_from_slice(rest);
-    let mut dec = Decoder::new(&frame).ok()?;
-    let d = &mut dec;
-    let rec = match tag {
-        0 => JournalRecord::EnteredView(View(u64::from_le_bytes(d.array().ok()?))),
-        1 => JournalRecord::LastVoted(BlockMeta::get(d).ok()?),
-        2 => JournalRecord::Lock(Qc::get(d).ok()?),
-        3 => JournalRecord::HighQc(Justify::get(d).ok()?),
-        4 => {
-            let v = u64::from_le_bytes(d.array().ok()?);
-            let last_voted = BlockMeta::get(d).ok()?;
-            let locked_qc = match d.array::<1>().ok()? {
-                [0] => None,
-                [1] => Some(Qc::get(d).ok()?),
-                _ => return None,
-            };
-            let high_qc = Justify::get(d).ok()?;
-            JournalRecord::Snapshot(SafetySnapshot {
-                view: View(v),
-                last_voted,
-                locked_qc,
-                high_qc,
-            })
-        }
-        _ => return None,
-    };
-    dec.finish().ok()?;
-    Some(rec)
-}
+// The record layouts of the module docs' table.
+codec!(enum JournalRecord {
+    0 => EnteredView(view),
+    1 => LastVoted(meta),
+    2 => Lock(qc),
+    3 => HighQc(justify),
+    4 => Snapshot(snap),
+});
+codec!(struct SafetySnapshot { view, last_voted, locked_qc, high_qc });
 
 /// Accumulated write-ahead IO since the last [`SafetyJournal::take_io`]
 /// call: what the journal cost, for telemetry.
@@ -299,11 +244,12 @@ impl SafetyJournal {
             if records.is_empty() {
                 continue;
             }
+            let total = records.len();
             let mut applied = 0usize;
             let mut low = None;
-            for payload in &records {
-                match decode_record(payload) {
-                    Some(rec) => {
+            for payload in records {
+                match codec::decode::<JournalRecord>(&Bytes::from(payload)) {
+                    Ok(rec) => {
                         state.apply(&rec);
                         low = min_opt(low, record_low_height(&rec));
                         applied += 1;
@@ -311,12 +257,12 @@ impl SafetyJournal {
                     // An intact-CRC record that fails to decode means a
                     // format change or corruption; stop conservatively
                     // (everything before it is already folded in).
-                    None => break,
+                    Err(_) => break,
                 }
             }
             if applied > 0 {
                 gen_low_height = low;
-                chosen = Some((g, applied, tail_clean && applied == records.len()));
+                chosen = Some((g, applied, tail_clean && applied == total));
                 break;
             }
         }
@@ -438,7 +384,7 @@ impl SafetyJournal {
             // state into a fresh generation first.
             self.compact()?;
         }
-        let payload = encode_record(&rec);
+        let payload = codec::encode(&rec);
         let file = gen_file(self.gen);
         match Wal::append_named(&mut self.disk, &file, &payload) {
             Ok(()) => {
@@ -473,7 +419,7 @@ impl SafetyJournal {
         // would hide the snapshot from replay (the CRC scan stops at
         // the first bad frame), so truncate the target first.
         self.disk.remove(&target)?;
-        let snap = encode_record(&JournalRecord::Snapshot(self.state));
+        let snap = codec::encode(&JournalRecord::Snapshot(self.state));
         Wal::append_named(&mut self.disk, &target, &snap)?;
         self.disk.sync()?;
         self.io.charge(snap.len(), &self.cost);
@@ -562,11 +508,12 @@ mod tests {
             JournalRecord::Snapshot(SafetySnapshot::genesis()),
         ];
         for rec in recs {
-            let enc = encode_record(&rec);
-            assert_eq!(decode_record(&enc), Some(rec.clone()), "{rec:?}");
+            let enc = codec::encode(&rec).freeze();
+            assert_eq!(codec::decode(&enc), Ok(rec.clone()), "{rec:?}");
         }
-        assert_eq!(decode_record(&[]), None);
-        assert_eq!(decode_record(&[99]), None);
+        let decode = |bytes: &[u8]| codec::decode::<JournalRecord>(&Bytes::copy_from_slice(bytes));
+        assert!(decode(&[]).is_err());
+        assert!(decode(&[99]).is_err());
     }
 
     #[test]

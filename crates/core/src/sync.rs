@@ -50,9 +50,9 @@
 
 use crate::events::{Action, Note, StepOutput};
 use crate::util::Base;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marlin_storage::SnapshotStore;
-use marlin_types::codec::{Codec, Decoder};
+use marlin_types::codec;
 use marlin_types::{Block, BlockId, BlockStore, Height, Message, MsgBody, Phase, Qc, ReplicaId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -138,22 +138,6 @@ struct PeerScore {
     banned_until: u64,
 }
 
-fn encode_anchor(block: &Block, qc: &Qc) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    block.put(&mut buf);
-    qc.put(&mut buf);
-    buf.to_vec()
-}
-
-fn decode_anchor(payload: &[u8]) -> Option<(Block, Qc)> {
-    let frame = Bytes::copy_from_slice(payload);
-    let mut d = Decoder::new(&frame).ok()?;
-    let block = Block::get(&mut d).ok()?;
-    let qc = Qc::get(&mut d).ok()?;
-    d.finish().ok()?;
-    Some((block, qc))
-}
-
 /// Absolute height of the committed tip (position equals height along
 /// the committed chain).
 fn tip_of(store: &BlockStore) -> u64 {
@@ -190,7 +174,8 @@ impl Base {
     /// ahead of the (journal-rebuilt) committed tip. Called on the
     /// recovery path before `Event::Recovered`.
     pub fn attach_snapshot_store(&mut self, snapshots: SnapshotStore) {
-        if let Some((block, qc)) = snapshots.latest().and_then(decode_anchor) {
+        let stored = snapshots.latest().map(Bytes::copy_from_slice);
+        if let Some((block, qc)) = stored.and_then(|p| codec::decode::<(Block, Qc)>(&p).ok()) {
             if block.height().0 > tip_of(&self.store) {
                 self.store.install_anchor(block.clone());
             }
@@ -363,12 +348,13 @@ impl Base {
             return;
         };
         debug_assert_eq!(qc.block(), block.id());
+        let anchor = (block, *qc);
         if let Some(s) = self.sync.snapshots.as_mut() {
             // Persistence failure is not fatal: recovery just falls
             // back to the previous generation (or the journal replay).
-            let _ = s.save(&encode_anchor(&block, qc));
+            let _ = s.save(&codec::encode(&anchor));
         }
-        self.sync.latest_anchor = Some((block, *qc));
+        self.sync.latest_anchor = Some(anchor);
         // Prune a full interval behind the anchor, not at it: honest
         // peers up to one interval behind can still be served ranges,
         // and resident state stays bounded to about two intervals.
@@ -451,10 +437,11 @@ impl Base {
         self.crypto.charge_hash(block.wire_len());
         self.store.install_anchor(block.clone());
         self.raise_latest_commit_qc(qc);
+        let anchor = (block.clone(), *qc);
         if let Some(s) = self.sync.snapshots.as_mut() {
-            let _ = s.save(&encode_anchor(block, qc));
+            let _ = s.save(&codec::encode(&anchor));
         }
-        self.sync.latest_anchor = Some((block.clone(), *qc));
+        self.sync.latest_anchor = Some(anchor);
         out.actions.push(Action::Note(Note::SyncSnapshotInstalled {
             height: block.height(),
             bytes,
