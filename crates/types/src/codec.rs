@@ -27,6 +27,11 @@ use std::fmt;
 /// untrusted frame can make a replica allocate.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
+/// The highest view a decoder accepts. 2^48 views last 89 years at one
+/// view change per 10 µs, and the bound keeps every view a peer or a
+/// disk can claim far from overflowing [`View::next`].
+const MAX_VIEW: u64 = (1 << 48) - 1;
+
 /// Errors produced by [`decode_message`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DecodeError {
@@ -42,7 +47,7 @@ pub enum DecodeError {
     /// Trailing bytes remained after the message.
     TrailingBytes(usize),
     /// A length or count above what the frame can back (checked before
-    /// it sizes an allocation), or a frame above its ceiling.
+    /// it sizes an allocation), or a frame or a view above its ceiling.
     FieldTooLarge {
         /// What was being decoded.
         what: &'static str,
@@ -341,7 +346,6 @@ macro_rules! codec {
 
 codec!(struct ReplicaId(u32));
 codec!(struct Height(u64));
-codec!(struct View(u64));
 codec!(struct BlockId(Digest));
 codec!(struct BatchId(Digest));
 codec!(enum Phase { 0 => PrePrepare, 1 => Prepare, 2 => PreCommit, 3 => Commit });
@@ -408,6 +412,20 @@ impl Codec for Digest {
     }
     fn get(d: &mut Decoder<'_>) -> Result<Self> {
         Ok(Digest::from_bytes(d.array()?))
+    }
+}
+
+/// A `u64`, refused above [`MAX_VIEW`] wherever it is read: in a frame
+/// header, a QC seed, a block, or a journal record on replay.
+impl Codec for View {
+    fn put<W: Wire>(&self, w: &mut W) {
+        self.0.put(w);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        match u64::get(d)? {
+            v if v <= MAX_VIEW => Ok(View(v)),
+            v => too_large("View", v as usize, MAX_VIEW as usize),
+        }
     }
 }
 
