@@ -5,13 +5,9 @@
 //! shared `Arc<[Transaction]>` and `wire_len` memoized, both costs are
 //! flat in batch size — the `clone_per_recipient` and `wire_len` series
 //! below should show the same time at 1, 100, and 1000 transactions.
-//! The `fig10_peak_n16` group times a full near-peak experiment at
-//! n = 16 (f = 5), where fan-out dominates the event loop.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use marlin_bench::{figures, Effort};
-use marlin_core::ProtocolKind;
 use marlin_types::{
     Batch, Block, Justify, Message, MsgBody, Phase, Proposal, Qc, ReplicaId, Transaction, View,
 };
@@ -59,26 +55,6 @@ fn bench_fanout(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("wire_len", txs), &msg, |b, msg| {
             b.iter(|| msg.wire_len(true));
         });
-    }
-    g.finish();
-
-    // A full experiment at n = 16, near peak load: the event loop clones
-    // each broadcast n − 1 = 15 times, so fan-out cost shows up directly
-    // in wall-clock time.
-    let mut g = c.benchmark_group("fig10_peak_n16");
-    g.sample_size(10);
-    for protocol in [ProtocolKind::Marlin, ProtocolKind::HotStuff] {
-        let mut cfg = figures::paper_config(protocol, 5, Effort::Quick);
-        cfg.rate_tps = 16_000;
-        cfg.duration_ns = 1_000_000_000;
-        cfg.warmup_ns = 500_000_000;
-        g.bench_with_input(
-            BenchmarkId::from_parameter(protocol.name()),
-            &cfg,
-            |b, cfg| {
-                b.iter(|| marlin_simnet::run_experiment(cfg));
-            },
-        );
     }
     g.finish();
 }

@@ -1,11 +1,14 @@
 //! Microbenchmarks for the wire codec: proposals with realistic batches
-//! in both directions, plus the structural length computation.
+//! in both directions, plus the structural length computation, and one
+//! vote (a fixed-size message: the per-field cost with no payload).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use marlin_crypto::KeyStore;
 use marlin_types::codec::{decode_message, encode_message};
 use marlin_types::{
     Batch, Block, Justify, Message, MsgBody, Phase, Proposal, Qc, ReplicaId, Transaction, View,
+    Vote,
 };
 
 fn proposal_message(txs: usize, payload: usize) -> Message {
@@ -51,6 +54,27 @@ fn bench_codec(c: &mut Criterion) {
             b.iter(|| msg.wire_len(false));
         });
     }
+    let block = Block::genesis();
+    let seed = block.vote_seed(Phase::Prepare, View(1));
+    let vote = Message::new(
+        ReplicaId(2),
+        View(1),
+        MsgBody::Vote(Vote {
+            seed,
+            parsig: KeyStore::generate(4, 1, 7)
+                .signer(2)
+                .sign_partial(&seed.signing_bytes()),
+            locked_qc: None,
+        }),
+    );
+    g.throughput(Throughput::Elements(1));
+    g.bench_with_input(BenchmarkId::new("encode", "vote"), &vote, |b, msg| {
+        b.iter(|| encode_message(msg, false));
+    });
+    let encoded = encode_message(&vote, false);
+    g.bench_with_input(BenchmarkId::new("decode", "vote"), &encoded, |b, enc| {
+        b.iter(|| decode_message(enc).unwrap());
+    });
     g.finish();
 }
 

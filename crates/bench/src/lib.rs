@@ -1,6 +1,6 @@
 //! Benchmark harness for the `marlin-bft` reproduction: the logic that
 //! regenerates every table and figure of the paper's evaluation
-//! (Section VI), shared by the `eval` binary and the criterion benches.
+//! (Section VI), run by the `eval` binary.
 //!
 //! | paper artifact | function |
 //! |----------------|----------|
@@ -23,8 +23,8 @@ pub mod vc;
 /// How thorough a run should be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Effort {
-    /// Short simulated durations and few sweep points — for criterion
-    /// benches and CI.
+    /// Short simulated durations and few sweep points — for CI and the
+    /// golden `eval` output.
     Quick,
     /// Paper-scale durations and sweeps (minutes of wall clock).
     Full,
