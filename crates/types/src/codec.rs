@@ -80,7 +80,8 @@ fn bad_tag<T>(what: &'static str, tag: u8) -> Result<T> {
     Err(DecodeError::BadTag { what, tag })
 }
 
-fn too_large<T>(what: &'static str, len: usize, max: usize) -> Result<T> {
+fn too_large<T>(what: &'static str, len: impl TryInto<usize>, max: usize) -> Result<T> {
+    let len = len.try_into().unwrap_or(usize::MAX);
     Err(DecodeError::FieldTooLarge { what, len, max })
 }
 
@@ -232,7 +233,7 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// A decoder at the start of `frame`, if it fits [`MAX_FRAME_LEN`].
-    pub fn new(frame: &'a Bytes) -> Result<Self> {
+    pub(crate) fn new(frame: &'a Bytes) -> Result<Self> {
         if frame.len() > MAX_FRAME_LEN {
             return too_large("frame", frame.len(), MAX_FRAME_LEN);
         }
@@ -241,7 +242,7 @@ impl<'a> Decoder<'a> {
 
     /// The next `n` bytes.
     #[inline]
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.rest.len() < n {
             return Err(DecodeError::UnexpectedEnd);
         }
@@ -252,7 +253,7 @@ impl<'a> Decoder<'a> {
 
     /// The next `N` bytes.
     #[inline]
-    pub fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N)?);
         Ok(out)
@@ -260,7 +261,7 @@ impl<'a> Decoder<'a> {
 
     /// The next `len` bytes as a slice of the frame, sharing its storage.
     #[inline]
-    pub fn slice(&mut self, len: usize) -> Result<Bytes> {
+    pub(crate) fn slice(&mut self, len: usize) -> Result<Bytes> {
         let start = self.frame.len() - self.rest.len();
         self.take(len)?;
         Ok(self.frame.slice(start..start + len))
@@ -268,7 +269,7 @@ impl<'a> Decoder<'a> {
 
     /// `count` elements of at least `min_item` bytes each, refused if
     /// the rest of the frame cannot back them.
-    pub fn count(&self, count: usize, min_item: usize, what: &'static str) -> Result<usize> {
+    pub(crate) fn count(&self, count: usize, min_item: usize, what: &'static str) -> Result<usize> {
         match self.rest.len() / min_item.max(1) {
             max if count > max => too_large(what, count, max),
             _ => Ok(count),
@@ -276,7 +277,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Ends the decode, refusing unread bytes.
-    pub fn finish(self) -> Result<()> {
+    pub(crate) fn finish(self) -> Result<()> {
         match self.rest.len() {
             0 => Ok(()),
             n => Err(DecodeError::TrailingBytes(n)),
@@ -285,30 +286,23 @@ impl<'a> Decoder<'a> {
 }
 
 /// Writes both halves of [`Codec`] for a type from one list:
-/// `struct T { a, b }` and the newtype `struct T(U)` walk their fields;
+/// `struct T { a, b }` (or `{ 0 }` for a newtype) walks its fields;
 /// `enum T { 0 => A, 1 => B(x, y), 2 => C { a, b: Via } }` writes the
 /// tag byte, then the variant's fields, and refuses any other tag with
 /// [`DecodeError::BadTag`] naming `T`. A field `b: Via` is not a walk:
 /// it goes through the hand-written pair `Via::put(&b, w)`/`Via::get(d)`.
+/// `get` is `#[inline]`: the walks are small and not generic, and without
+/// the hint decoding a vote crossed codegen units and took 1.4× as long.
 #[macro_export]
 macro_rules! codec {
-    (struct $ty:ident { $($f:ident),* $(,)? }) => {
+    (struct $ty:ident { $($f:tt),* $(,)? }) => {
         impl $crate::codec::Codec for $ty {
             fn put<W: $crate::codec::Wire>(&self, w: &mut W) {
                 $($crate::codec::Codec::put(&self.$f, w);)*
             }
+            #[inline]
             fn get(d: &mut $crate::codec::Decoder<'_>) -> $crate::codec::Result<Self> {
                 Ok($ty { $($f: $crate::codec::Codec::get(d)?,)* })
-            }
-        }
-    };
-    (struct $ty:ident($inner:ty)) => {
-        impl $crate::codec::Codec for $ty {
-            fn put<W: $crate::codec::Wire>(&self, w: &mut W) {
-                $crate::codec::Codec::put(&self.0, w);
-            }
-            fn get(d: &mut $crate::codec::Decoder<'_>) -> $crate::codec::Result<Self> {
-                <$inner as $crate::codec::Codec>::get(d).map($ty)
             }
         }
     };
@@ -326,6 +320,7 @@ macro_rules! codec {
                     })*
                 }
             }
+            #[inline]
             fn get(d: &mut $crate::codec::Decoder<'_>) -> $crate::codec::Result<Self> {
                 Ok(match <u8 as $crate::codec::Codec>::get(d)? {
                     $($tag => {
@@ -344,10 +339,10 @@ macro_rules! codec {
     (@get $d:ident, $via:ty) => { <$via>::get($d)? };
 }
 
-codec!(struct ReplicaId(u32));
-codec!(struct Height(u64));
-codec!(struct BlockId(Digest));
-codec!(struct BatchId(Digest));
+codec!(struct ReplicaId { 0 });
+codec!(struct Height { 0 });
+codec!(struct BlockId { 0 });
+codec!(struct BatchId { 0 });
 codec!(enum Phase { 0 => PrePrepare, 1 => Prepare, 2 => PreCommit, 3 => Commit });
 codec!(enum BlockKind { 0 => Normal, 1 => Virtual });
 codec!(enum QcFormat { 0 => SigGroup, 1 => Threshold });
@@ -424,7 +419,7 @@ impl Codec for View {
     fn get(d: &mut Decoder<'_>) -> Result<Self> {
         match u64::get(d)? {
             v if v <= MAX_VIEW => Ok(View(v)),
-            v => too_large("View", v as usize, MAX_VIEW as usize),
+            v => too_large("View", v, MAX_VIEW as usize),
         }
     }
 }
