@@ -410,7 +410,7 @@ impl Codec for Digest {
     }
 }
 
-/// A `u64`, refused above [`MAX_VIEW`] wherever it is read: in a frame
+/// A `u64`, refused above `MAX_VIEW` wherever it is read: in a frame
 /// header, a QC seed, a block, or a journal record on replay.
 impl Codec for View {
     fn put<W: Wire>(&self, w: &mut W) {

@@ -13,7 +13,7 @@
 //!   the block rank rules of Section V-A;
 //! * [`Message`] — the union wire format used by Marlin and every
 //!   baseline protocol in this workspace;
-//! * [`codec`] — a compact binary wire codec whose byte counts drive the
+//! * [`mod@codec`] — a compact binary wire codec whose byte counts drive the
 //!   network simulator's bandwidth model;
 //! * [`BlockStore`] — each replica's tree of blocks.
 //!
