@@ -517,23 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_refuses_a_view_past_the_ceiling() {
-        // A record claiming a view no honest replica reaches stops the
-        // replay (as a corrupt record does) instead of moving the view
-        // to where `View::next` would overflow.
-        let mut disk = SharedDisk::new();
-        let file = format!("{JOURNAL_FILE}.0");
-        let record = |view: u64| codec::encode(&JournalRecord::EnteredView(View(view)));
-        Wal::append_named(&mut disk, &file, &record((1 << 48) - 1)).unwrap();
-        let j = SafetyJournal::open(disk.clone()).unwrap();
-        assert_eq!(j.state().view, View((1 << 48) - 1));
-        disk.remove(&file).unwrap();
-        Wal::append_named(&mut disk, &file, &record(1 << 48)).unwrap();
-        let j = SafetyJournal::open(disk).unwrap();
-        assert_eq!(j.state().view, View::GENESIS);
-    }
-
-    #[test]
     fn take_io_reports_appends_and_drains() {
         let disk = SharedDisk::new();
         let mut j = SafetyJournal::open(disk).unwrap();

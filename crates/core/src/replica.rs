@@ -653,8 +653,13 @@ impl<R: Rules> Replica<R> {
         }
     }
 
-    /// Enters `view` and reprocesses any buffered messages.
-    fn enter_view(&mut self, view: View, out: &mut StepOutput) {
+    /// Enters `view` and reprocesses any buffered messages; refuses
+    /// (`false`) a view above [`View::MAX`], which the journal could not
+    /// replay, so a replica at the ceiling stays there.
+    fn enter_view(&mut self, view: View, out: &mut StepOutput) -> bool {
+        if view > View::MAX {
+            return false;
+        }
         self.core.votes.clear();
         self.core.in_flight = None;
         // Durable before actionable: a replica recovering from its
@@ -673,11 +678,15 @@ impl<R: Rules> Replica<R> {
             let sub = self.on_event(Event::Message(msg));
             out.merge(sub);
         }
+        true
     }
 
     /// Times out of the current view and joins the view change for
     /// `target` (normally `cview + 1`).
     fn start_view_change(&mut self, target: View, out: &mut StepOutput) {
+        if target > View::MAX {
+            return; // `enter_view` refuses it
+        }
         out.actions.push(Action::Note(Note::ViewChangeStarted {
             from_view: self.core.base.cview,
         }));
@@ -831,8 +840,10 @@ impl<R: Rules> Replica<R> {
         }
         if msg.view > self.core.base.cview {
             if R::proves_view(&mut self.core, &msg) {
-                self.enter_view(msg.view, out);
-                return self.on_message(msg, out);
+                if self.enter_view(msg.view, out) {
+                    self.on_message(msg, out);
+                }
+                return;
             }
             self.core.base.buffer_future(msg);
             // f+1 join rule: if a quorum minority is already view

@@ -27,11 +27,6 @@ use std::fmt;
 /// untrusted frame can make a replica allocate.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
-/// The highest view a decoder accepts. 2^48 views last 89 years at one
-/// view change per 10 µs, and the bound keeps every view a peer or a
-/// disk can claim far from overflowing [`View::next`].
-const MAX_VIEW: u64 = (1 << 48) - 1;
-
 /// Errors produced by [`decode_message`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DecodeError {
@@ -410,16 +405,17 @@ impl Codec for Digest {
     }
 }
 
-/// A `u64`, refused above `MAX_VIEW` wherever it is read: in a frame
-/// header, a QC seed, a block, or a journal record on replay.
+/// A `u64`, refused above [`View::MAX`] wherever it is read: in a frame
+/// header, a QC seed, a block, or a journal record on replay (a replica
+/// never enters, so never journals, a view above it).
 impl Codec for View {
     fn put<W: Wire>(&self, w: &mut W) {
         self.0.put(w);
     }
     fn get(d: &mut Decoder<'_>) -> Result<Self> {
         match u64::get(d)? {
-            v if v <= MAX_VIEW => Ok(View(v)),
-            v => too_large("View", v, MAX_VIEW as usize),
+            v if v <= View::MAX.0 => Ok(View(v)),
+            v => too_large("View", v, View::MAX.0 as usize),
         }
     }
 }

@@ -23,6 +23,13 @@ impl View {
     /// The genesis view (0); real operation starts at view 1.
     pub const GENESIS: View = View(0);
 
+    /// The highest view a replica enters and a decoder accepts. 2^48
+    /// views last 89 years at one view change per 10 µs; bounding both
+    /// what a replica journals and what a peer or a disk can claim keeps
+    /// [`View::next`] far from overflowing, and lets a journal replay
+    /// every view it wrote.
+    pub const MAX: View = View((1 << 48) - 1);
+
     /// The view after this one.
     pub fn next(self) -> View {
         View(self.0 + 1)

@@ -227,6 +227,7 @@ fn view_refused(frame: Vec<u8>, view: u64) {
 /// round-trips.
 #[test]
 fn views_above_the_ceiling_are_refused() {
+    assert_eq!(View::MAX, View(MAX_VIEW));
     let fetch = MsgBody::FetchRequest {
         block: BlockId::GENESIS,
     };
