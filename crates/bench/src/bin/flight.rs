@@ -13,7 +13,7 @@
 //! tear. `check-prom` runs the strict exposition-format validator over
 //! a scraped `/metrics` body and reports the sample count.
 
-use marlin_telemetry::{check_prometheus_text, merge_dumps, parse_dump, FlightEvent, FlightKind};
+use marlin_telemetry::{check_prometheus_text, merge_dumps, parse_dump, Entry, Record};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -30,7 +30,7 @@ fn main() -> ExitCode {
 }
 
 fn print_dumps(paths: &[String]) -> ExitCode {
-    let mut dumps: Vec<Vec<FlightEvent>> = Vec::new();
+    let mut dumps: Vec<Vec<Entry>> = Vec::new();
     let mut failed = false;
     for path in paths {
         let bytes = match std::fs::read(path) {
@@ -42,9 +42,9 @@ fn print_dumps(paths: &[String]) -> ExitCode {
             }
         };
         match parse_dump(&bytes) {
-            Ok(events) => {
-                eprintln!("{path}: {} events", events.len());
-                dumps.push(events);
+            Ok(entries) => {
+                eprintln!("{path}: {} entries", entries.len());
+                dumps.push(entries);
             }
             Err(why) => {
                 eprintln!("{path}: not a flight dump: {why}");
@@ -58,22 +58,26 @@ fn print_dumps(paths: &[String]) -> ExitCode {
 
     let timeline = merge_dumps(dumps);
     let base = timeline.first().map_or(0, |e| e.at_ns);
-    let fatals = timeline
-        .iter()
-        .filter(|e| e.kind == FlightKind::Fatal)
-        .count();
+    let mut fatals = 0;
     println!("{:>14}  {:>7}  {:<9}  detail", "t+", "replica", "kind");
     for e in &timeline {
+        let (kind, detail) = match &e.record {
+            Record::Note(note) => ("note", format!("{note:?}")),
+            Record::Transport(text) => ("transport", text.clone()),
+            Record::Fatal(text) => {
+                fatals += 1;
+                ("FATAL", text.clone())
+            }
+        };
         println!(
-            "{:>12.3}ms  {:>7}  {:<9}  {}",
+            "{:>12.3}ms  {:>7}  {:<9}  {detail}",
             (e.at_ns.saturating_sub(base)) as f64 / 1e6,
-            e.replica,
-            e.kind.label(),
-            e.detail
+            e.replica.0,
+            kind,
         );
     }
     println!(
-        "-- {} events across {} dump(s), {} fatal",
+        "-- {} entries across {} dump(s), {} fatal",
         timeline.len(),
         paths.len(),
         fatals

@@ -132,16 +132,16 @@ pub fn measure_view_change_with_preload(
     let mut committed_at = None;
     let mut took_happy_path = false;
     for (at, id, note) in sim.notes() {
-        if *at < crash_at {
+        if at < crash_at {
             continue;
         }
         match note {
-            Note::ViewChangeStarted { .. } if *id == ReplicaId(0) && vc_started.is_none() => {
-                vc_started = Some(*at)
+            Note::ViewChangeStarted { .. } if id == ReplicaId(0) && vc_started.is_none() => {
+                vc_started = Some(at)
             }
             Note::HappyPathVc { .. } => took_happy_path = true,
-            Note::Committed { .. } if *id == ReplicaId(0) && committed_at.is_none() => {
-                committed_at = Some(*at)
+            Note::Committed { .. } if id == ReplicaId(0) && committed_at.is_none() => {
+                committed_at = Some(at)
             }
             _ => {}
         }

@@ -64,10 +64,9 @@ fn cluster(kind: ProtocolKind, byzantine: &[ReplicaId]) -> (SimNet, Ledger, Inva
 /// Phases of the QCs `leader` formed, optionally restricted to `view`.
 fn qc_phases(sim: &SimNet, leader: ReplicaId, in_view: Option<View>) -> Vec<Phase> {
     sim.notes()
-        .iter()
         .filter_map(|(_, p, n)| match n {
             Note::QcFormed { phase, view, .. }
-                if *p == leader && in_view.is_none_or(|v| v == *view) =>
+                if p == leader && in_view.is_none_or(|v| v == *view) =>
             {
                 Some(*phase)
             }
@@ -149,7 +148,6 @@ fn chained_rounds_are_one_broadcast_and_commit_k_rounds_late() {
         sim.reset_accounting();
         let proposed = |sim: &SimNet| {
             sim.notes()
-                .iter()
                 .filter(|(_, _, n)| matches!(n, Note::Proposed { .. }))
                 .count()
         };

@@ -208,7 +208,6 @@ fn three_chain_commits_one_block_later_than_two_chain() {
     assert_eq!(hotstuff.committed_txs(P0), 30);
     let proposals = |sim: &SimNet| {
         sim.notes()
-            .iter()
             .filter(|(_, _, n)| matches!(n, Note::Proposed { .. }))
             .count()
     };

@@ -84,10 +84,9 @@ fn leader_crash_triggers_happy_path_view_change() {
     sim.run_until_idle();
     assert!(
         sim.notes()
-            .iter()
-            .any(|(_, p, n)| *p == P2 && matches!(n, Note::HappyPathVc { view: View(2) })),
+            .any(|(_, p, n)| p == P2 && matches!(n, Note::HappyPathVc { view: View(2) })),
         "expected a happy-path view change at p2; notes: {:?}",
-        sim.notes()
+        sim.notes().collect::<Vec<_>>()
     );
 
     // The new leader makes progress.
@@ -216,8 +215,8 @@ fn figure2c_unsafe_snapshot_case_v1_recovers() {
 
     // Case V1 must have run, and the contested block must commit.
     assert!(
-        sim.notes().iter().any(|(_, p, n)| {
-            *p == P2
+        sim.notes().any(|(_, p, n)| {
+            p == P2
                 && matches!(
                     n,
                     Note::UnhappyPathVc {
@@ -227,7 +226,7 @@ fn figure2c_unsafe_snapshot_case_v1_recovers() {
                 )
         }),
         "expected Case V1; notes: {:?}",
-        sim.notes()
+        sim.notes().collect::<Vec<_>>()
     );
     assert_safe(&inv);
     for p in [P0, P2, P3] {
@@ -311,8 +310,8 @@ fn figure2_safe_snapshot_case_v2() {
     );
 
     assert!(
-        sim.notes().iter().any(|(_, p, n)| {
-            *p == P2
+        sim.notes().any(|(_, p, n)| {
+            p == P2
                 && matches!(
                     n,
                     Note::UnhappyPathVc {
@@ -322,7 +321,7 @@ fn figure2_safe_snapshot_case_v2() {
                 )
         }),
         "expected Case V2; notes: {:?}",
-        sim.notes()
+        sim.notes().collect::<Vec<_>>()
     );
     assert_safe(&inv);
     for p in [P0, P2, P3] {
@@ -404,7 +403,6 @@ fn rotating_leader_mode_rotates_and_commits() {
     // Rotations under no failures take the happy path.
     let happy = sim
         .notes()
-        .iter()
         .filter(|(_, _, n)| matches!(n, Note::HappyPathVc { .. }))
         .count();
     assert!(happy >= 5, "expected happy-path rotations, got {happy}");
@@ -525,12 +523,10 @@ fn dissemination_commits_via_digest_proposals() {
     // The payload plane reported its lifecycle: pushes and ack quorums.
     let pushed = sim
         .notes()
-        .iter()
         .filter(|(_, _, n)| matches!(n, Note::PayloadPushed { .. }))
         .count();
     let quorums = sim
         .notes()
-        .iter()
         .filter(|(_, _, n)| matches!(n, Note::PayloadQuorum { .. }))
         .count();
     assert!(pushed > 0, "expected PayloadPushed notes");
@@ -561,8 +557,7 @@ fn dissemination_fetch_fallback_recovers_missing_payload() {
     }
     assert!(
         sim.notes()
-            .iter()
-            .any(|(_, id, n)| *id == P3 && matches!(n, Note::PayloadFetched { .. })),
+            .any(|(_, id, n)| id == P3 && matches!(n, Note::PayloadFetched { .. })),
         "p3 should have fetched the missing batch by digest"
     );
 }
@@ -596,8 +591,7 @@ fn lost_payload_pushes_do_not_wedge_the_leader() {
     }
     assert!(
         sim.notes()
-            .iter()
-            .any(|(_, id, n)| *id == P1 && matches!(n, Note::PayloadExpired { .. })),
+            .any(|(_, id, n)| id == P1 && matches!(n, Note::PayloadExpired { .. })),
         "the unacked seal should have been expired"
     );
 }
@@ -635,13 +629,11 @@ fn transient_push_loss_is_healed_by_retransmission() {
     }
     assert!(
         sim.notes()
-            .iter()
             .any(|(_, _, n)| matches!(n, Note::PayloadQuorum { .. })),
         "the re-push should have completed the availability quorum"
     );
     assert!(
         !sim.notes()
-            .iter()
             .any(|(_, _, n)| matches!(n, Note::PayloadExpired { .. })),
         "a healed seal must not expire"
     );

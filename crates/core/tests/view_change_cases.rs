@@ -143,7 +143,7 @@ fn case_v3(kind: ProtocolKind) {
 
     // Case V3 ran, and the cluster commits again.
     assert!(
-        sim.notes().iter().any(|(_, p, n)| *p == P3
+        sim.notes().any(|(_, p, n)| p == P3
             && matches!(
                 n,
                 Note::UnhappyPathVc {
@@ -153,7 +153,6 @@ fn case_v3(kind: ProtocolKind) {
             )),
         "{kind:?}: expected Case V3; notes: {:?}",
         sim.notes()
-            .iter()
             .filter(|(_, _, n)| matches!(n, Note::UnhappyPathVc { .. } | Note::HappyPathVc { .. }))
             .collect::<Vec<_>>()
     );
@@ -210,7 +209,6 @@ fn chained_marlin_unhappy_view_change() {
     // Happy path is impossible (lbs diverge): either V1 or V2 ran.
     assert!(
         sim.notes()
-            .iter()
             .any(|(_, _, n)| matches!(n, Note::UnhappyPathVc { .. })),
         "expected an unhappy-path view change"
     );
@@ -244,7 +242,6 @@ fn chained_marlin_happy_view_change() {
     sim.run_until_idle();
     assert!(sim
         .notes()
-        .iter()
         .any(|(_, _, n)| matches!(n, Note::HappyPathVc { view: View(2) })));
     submit(&mut sim, P2, 20, 0);
     sim.run_until_idle();

@@ -170,7 +170,7 @@ fn r2_lock_attachment_must_resolve(kind: ProtocolKind) {
     sim.inject(P3, Event::Message(vc_msg(P2, Justify::One(qc_old), &b_old)));
     sim.run_until_idle();
     assert!(
-        sim.notes().iter().any(|(_, p, n)| *p == P3
+        sim.notes().any(|(_, p, n)| p == P3
             && matches!(
                 n,
                 Note::UnhappyPathVc {
@@ -295,14 +295,12 @@ fn happy_path_requires_resolvable(kind: ProtocolKind) {
     // The leader refused the happy path and ran the unhappy pre-prepare.
     assert!(
         !sim.notes()
-            .iter()
-            .any(|(_, p, n)| *p == P3 && matches!(n, Note::HappyPathVc { view: View(3) })),
+            .any(|(_, p, n)| p == P3 && matches!(n, Note::HappyPathVc { view: View(3) })),
         "{kind:?}: leader took the happy path over an unresolvable virtual lb"
     );
     assert!(
         sim.notes()
-            .iter()
-            .any(|(_, p, n)| *p == P3 && matches!(n, Note::UnhappyPathVc { view: View(3), .. })),
+            .any(|(_, p, n)| p == P3 && matches!(n, Note::UnhappyPathVc { view: View(3), .. })),
         "{kind:?}: leader never ran the unhappy pre-prepare fallback"
     );
 

@@ -15,8 +15,8 @@ use bytes::Bytes;
 use marlin_core::{Config, ProtocolKind};
 use marlin_storage::SharedDisk;
 use marlin_telemetry::{
-    install_panic_dump, register_panic_dump, FlightKind, FlightRecorder, Registry, SharedSink,
-    Telemetry, TelemetrySink, Trace, DEFAULT_FLIGHT_CAPACITY,
+    install_panic_dump, register_panic_dump, FlightRecorder, Record, Registry, SharedSink,
+    Telemetry, TelemetrySink, Trace,
 };
 use marlin_types::{Block, BlockId, ReplicaId, Transaction, View};
 use std::io;
@@ -91,8 +91,6 @@ pub struct ClusterConfig {
 pub struct ObservabilityConfig {
     /// Serve a loopback HTTP scrape endpoint per node.
     pub scrape: bool,
-    /// Flight-ring capacity per node (`0` disables flight recording).
-    pub flight_capacity: usize,
     /// Directory flight rings are dumped to on node stop, invariant
     /// violation, and panic. `None` keeps rings in memory only
     /// (`/debug/flight` still serves them).
@@ -103,7 +101,6 @@ impl Default for ObservabilityConfig {
     fn default() -> Self {
         ObservabilityConfig {
             scrape: true,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             flight_dir: None,
         }
     }
@@ -163,7 +160,7 @@ pub struct RuntimeCluster {
     statuses: Vec<Arc<NodeStatus>>,
     disks: Vec<Option<SharedDisk>>,
     registries: Vec<Registry>,
-    flights: Vec<Option<FlightRecorder>>,
+    flights: Vec<FlightRecorder>,
     next_tx_id: u64,
 }
 
@@ -189,21 +186,12 @@ impl RuntimeCluster {
             c
         };
 
-        let registries: Vec<Registry> = match &cfg.observability {
-            Some(_) => (0..cfg.n).map(|_| Registry::new()).collect(),
-            None => Vec::new(),
-        };
-        let flights: Vec<Option<FlightRecorder>> = (0..cfg.n)
+        let observed = cfg.observability.as_ref().map_or(0, |_| cfg.n);
+        let registries: Vec<Registry> = (0..observed).map(|_| Registry::new()).collect();
+        let flights: Vec<FlightRecorder> = (0..observed)
             .map(|i| {
-                let o = cfg.observability.as_ref()?;
-                if o.flight_capacity == 0 {
-                    return None;
-                }
-                Some(FlightRecorder::new(
-                    format!("node-{i}"),
-                    o.flight_capacity,
-                    Arc::new(move || clock.now_ns()),
-                ))
+                let clock = Arc::new(move || clock.now_ns());
+                FlightRecorder::new(format!("node-{i}"), ReplicaId(i as u32), clock)
             })
             .collect();
         if let Some(dir) = cfg
@@ -212,9 +200,7 @@ impl RuntimeCluster {
             .and_then(|o| o.flight_dir.clone())
         {
             install_panic_dump(dir);
-            for flight in flights.iter().flatten() {
-                register_panic_dump(flight);
-            }
+            flights.iter().for_each(register_panic_dump);
         }
 
         let mut disks: Vec<Option<SharedDisk>> = Vec::with_capacity(cfg.n);
@@ -309,9 +295,9 @@ impl RuntimeCluster {
         self.nodes[i].as_ref()?.scrape_addr()
     }
 
-    /// Replica `i`'s flight recorder, when observability attached one.
+    /// Replica `i`'s flight recorder, when observability is on.
     pub fn flight(&self, i: usize) -> Option<&FlightRecorder> {
-        self.flights[i].as_ref()
+        self.flights.get(i)
     }
 
     /// The shared run clock.
@@ -454,13 +440,8 @@ impl RuntimeCluster {
                 .observability
                 .as_ref()
                 .and_then(|o| o.flight_dir.as_ref());
-            for (i, flight) in self.flights.iter().enumerate() {
-                let Some(flight) = flight else { continue };
-                flight.record_now(
-                    ReplicaId(i as u32),
-                    FlightKind::Fatal,
-                    format!("invariant violated: {why}"),
-                );
+            for flight in &self.flights {
+                flight.record_now(Record::Fatal(format!("invariant violated: {why}")));
                 if let Some(dir) = dump_dir {
                     let _ = flight.dump_to_dir(dir);
                 }

@@ -38,8 +38,8 @@ use marlin_core::{
 };
 use marlin_storage::{SharedDisk, SnapshotStore};
 use marlin_telemetry::{
-    Counter, FlightKind, FlightRecorder, FlightSink, Gauge, Health, HealthFn, Registry,
-    RegistryRecorder, ScrapeServer, Telemetry, TelemetrySink,
+    Counter, FlightRecorder, Gauge, Health, HealthFn, Record, Registry, RegistryRecorder,
+    ScrapeServer, Telemetry, TelemetrySink,
 };
 use marlin_types::codec::{decode_message, encode_message};
 use marlin_types::{BlockId, Message, MsgClass, ReplicaId, Transaction, View};
@@ -139,7 +139,7 @@ impl NodeConfig {
 /// With this attached, the node folds its telemetry into `registry`
 /// (consensus notes via [`RegistryRecorder`], lane backpressure and the
 /// journal's disk-call time via [`LaneMeter`], promoted error counters,
-/// view/commit gauges), mirrors notes into `flight` for post-mortem
+/// view/commit gauges), keeps notes in `flight` for post-mortem
 /// dumps, and — with `scrape` on — serves `/metrics`, `/metrics.json`,
 /// `/health`, and `/debug/flight` over a loopback HTTP listener that
 /// never touches the consensus driver.
@@ -147,9 +147,8 @@ impl NodeConfig {
 pub struct NodeObservability {
     /// The node's metrics registry.
     pub registry: Registry,
-    /// Flight ring for crash autopsies (`None` disables recording and
-    /// `/debug/flight`).
-    pub flight: Option<FlightRecorder>,
+    /// Flight ring for crash autopsies.
+    pub flight: FlightRecorder,
     /// Serve the HTTP scrape endpoint.
     pub scrape: bool,
     /// Directory the flight ring is dumped to on [`NodeHandle::stop`]
@@ -315,7 +314,6 @@ impl Node {
 /// A running replica: its mailbox, its timer thread, and the transport
 /// whose threads deliver to it.
 pub struct NodeHandle {
-    id: ReplicaId,
     status: Arc<NodeStatus>,
     node: Arc<Node>,
     transport: Arc<dyn Transport>,
@@ -349,12 +347,11 @@ impl NodeHandle {
     /// handle for post-mortem inspection. Abrupt by design — also used
     /// to "kill" a replica mid-run; durability must come from the
     /// journal, not the shutdown. If a flight recorder (and dump
-    /// directory) is attached, the ring — ending in a `FATAL node
-    /// stopped` marker — is written out before the handle is released,
+    /// directory) is attached, the ring — ending in a `Fatal("node
+    /// stopped")` entry — is written out before the handle is released,
     /// so a "killed" node always leaves an autopsy.
     pub fn stop(self) -> Arc<NodeStatus> {
         let NodeHandle {
-            id,
             status,
             node,
             transport,
@@ -382,7 +379,7 @@ impl NodeHandle {
             server.stop();
         }
         if let Some(flight) = flight {
-            flight.record_now(id, FlightKind::Fatal, "node stopped");
+            flight.record_now(Record::Fatal("node stopped".into()));
             if let Some(dir) = flight_dir {
                 let _ = flight.dump_to_dir(&dir);
             }
@@ -452,9 +449,9 @@ pub fn spawn_node(
     });
 
     // Transport connection lifecycle lands in the flight ring.
-    if let Some(flight) = obs.as_ref().and_then(|o| o.flight.clone()) {
+    if let Some(flight) = obs.as_ref().map(|o| o.flight.clone()) {
         transport.set_event_hook(Arc::new(move |detail: &str| {
-            flight.record_now(id, FlightKind::Transport, detail);
+            flight.record_now(Record::Transport(detail.into()));
         }));
     }
 
@@ -471,7 +468,7 @@ pub fn spawn_node(
     let sink: Option<Box<dyn TelemetrySink + Send>> = match &obs {
         Some(o) => Some(Box::new((
             RegistryRecorder::new(&o.registry),
-            (o.flight.clone().map(FlightSink::new), sink),
+            (o.flight.clone(), sink),
         ))),
         None => sink,
     };
@@ -577,14 +574,13 @@ pub fn spawn_node(
     });
 
     NodeHandle {
-        id,
         status,
         node,
         transport,
         threads,
         sampler_stop,
         scrape,
-        flight: obs.as_ref().and_then(|o| o.flight.clone()),
+        flight: obs.as_ref().map(|o| o.flight.clone()),
         flight_dir: obs.and_then(|o| o.flight_dir),
     }
 }

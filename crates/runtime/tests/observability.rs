@@ -5,7 +5,8 @@
 
 use marlin_core::ProtocolKind;
 use marlin_runtime::{ClusterConfig, JournalMode, ObservabilityConfig, RuntimeCluster};
-use marlin_telemetry::{check_prometheus_text, parse_dump, FlightKind};
+use marlin_telemetry::{check_prometheus_text, parse_dump, Record};
+use marlin_types::ReplicaId;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -208,9 +209,11 @@ fn consensus_lane_stalls_attribute_backpressure() {
     cluster.shutdown();
 }
 
-/// Tentpole (3): killing a node dumps its flight ring — CRC-framed,
-/// parseable, ending in the FATAL stop marker with real history before
-/// it — and `/debug/flight` serves the live ring of a running node.
+/// Killing a node dumps its flight ring — CRC-framed, parseable, ending
+/// in the fatal stop entry with real history before it — and
+/// `/debug/flight` serves the live ring of a running node. The dump's
+/// notes are the same typed records the run's trace holds: the last
+/// ones the killed replica emitted, with the same timestamps.
 #[test]
 fn killed_node_leaves_a_parseable_flight_dump() {
     let dir = scratch_dir("flight");
@@ -244,28 +247,39 @@ fn killed_node_leaves_a_parseable_flight_dump() {
     cluster.kill(2);
     let dump_path = dir.join("flight").join("node-2.flight");
     let bytes = std::fs::read(&dump_path).expect("flight dump written on kill");
-    let events = parse_dump(&bytes).expect("dump parses");
-    let last = events.last().expect("dump has events");
+    let entries = parse_dump(&bytes).expect("dump parses");
+    let last = entries.last().expect("dump has entries");
+    assert_eq!(last.record, Record::Fatal("node stopped".into()));
     assert_eq!(
-        last.kind,
-        FlightKind::Fatal,
-        "dump ends in the fatal marker"
+        last.replica,
+        ReplicaId(2),
+        "the fatal entry names its replica"
     );
-    assert!(last.detail.contains("node stopped"), "{}", last.detail);
-    assert!(
-        events.len() > 1,
-        "fatal marker has no preceding ring history"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == FlightKind::Journal || e.kind == FlightKind::Note),
-        "ring carries no consensus history"
-    );
+    let dumped: Vec<_> = entries
+        .iter()
+        .filter_map(|e| match &e.record {
+            Record::Note(note) => Some((e.at_ns, note.clone())),
+            _ => None,
+        })
+        .collect();
+    assert!(!dumped.is_empty(), "ring carries no consensus history");
     // The journal lane metered the replica's disk calls while it ran.
     assert!(journal_ops(&cluster, 2) > 0, "journal lane never metered");
 
     cluster.check_prefix_consistency().expect("no divergence");
-    cluster.shutdown();
+    let report = cluster.shutdown();
+    let traced: Vec<_> = report
+        .trace
+        .events
+        .iter()
+        .filter(|e| e.replica == ReplicaId(2))
+        .map(|e| (e.at_ns, e.note.clone()))
+        .collect();
+    assert!(
+        traced.ends_with(&dumped),
+        "the dump's {} notes are not the last of replica 2's {} traced notes",
+        dumped.len(),
+        traced.len()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -207,7 +207,6 @@ fn dissemination_soak_commits_with_bounded_mempool() {
     cfg.dissemination = true;
     cfg.observability = Some(ObservabilityConfig {
         scrape: false,
-        flight_capacity: 0,
         ..ObservabilityConfig::default()
     });
     let mut cluster = RuntimeCluster::launch(cfg, None).expect("launch");

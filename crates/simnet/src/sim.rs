@@ -5,7 +5,7 @@ use crate::block_log::BlockLogCost;
 use marlin_core::harness::build_protocol;
 use marlin_core::{Action, Config, Event, Note, Protocol, ProtocolKind};
 use marlin_storage::SharedDisk;
-use marlin_telemetry::{Telemetry, TelemetrySink};
+use marlin_telemetry::{Ring, Telemetry, TelemetrySink};
 use marlin_types::{Message, MsgBody, ReplicaId, Transaction, View};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -318,7 +318,8 @@ pub struct SimNet {
     accounting: Accounting,
     committed_blocks: Vec<u64>,
     committed_txs: Vec<u64>,
-    notes: Vec<(u64, ReplicaId, Note)>,
+    /// Every note so far: the recorder a runtime replica keeps bounded.
+    notes: Ring,
     checker: Option<Box<dyn InvariantChecker>>,
     partitions: Vec<Partition>,
     link_faults: Vec<LinkFault>,
@@ -372,7 +373,7 @@ impl SimNet {
             accounting: Accounting::new(),
             committed_blocks: vec![0; n],
             committed_txs: vec![0; n],
-            notes: Vec::new(),
+            notes: Ring::unbounded(),
             checker: None,
             partitions: Vec::new(),
             link_faults: Vec::new(),
@@ -465,7 +466,12 @@ impl SimNet {
     }
 
     /// All trace notes `(time, replica, note)` so far.
-    pub fn notes(&self) -> &[(u64, ReplicaId, Note)] {
+    pub fn notes(&self) -> impl Iterator<Item = (u64, ReplicaId, &Note)> {
+        self.notes.notes()
+    }
+
+    /// The ring the notes are kept in (its entries, its dump).
+    pub fn ring(&self) -> &Ring {
         &self.notes
     }
 
@@ -649,7 +655,7 @@ impl SimNet {
     /// sink — one call site each, so the two cannot disagree.
     fn emit(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
         match event {
-            Telemetry::Note(note) => self.notes.push((at_ns, replica, note.clone())),
+            Telemetry::Note(_) => self.notes.record(at_ns, replica, event),
             Telemetry::Sent {
                 class,
                 bytes,
@@ -1085,6 +1091,13 @@ mod tests {
         assert!(sim.committed_txs(ReplicaId(1)) >= 10);
     }
 
+    /// When the first transaction commit was noted, at any replica.
+    fn first_tx_commit_ns(sim: &SimNet) -> u64 {
+        sim.notes()
+            .find_map(|(t, _, n)| matches!(n, Note::Committed { txs, .. } if *txs > 0).then_some(t))
+            .expect("committed")
+    }
+
     #[test]
     fn hotstuff_needs_more_hops_than_marlin() {
         // First commit time: three-phase HotStuff (6 one-way hops) must
@@ -1095,13 +1108,7 @@ mod tests {
             let mut sim = SimNet::new(kind, Config::for_test(4, 1), cfg);
             sim.schedule_client_batch(ReplicaId(1), 0, 10, 150);
             sim.run_until(3_000_000_000);
-            sim.notes()
-                .iter()
-                .find_map(|(t, _, n)| match n {
-                    marlin_core::Note::Committed { txs, .. } if *txs > 0 => Some(*t),
-                    _ => None,
-                })
-                .expect("committed")
+            first_tx_commit_ns(&sim)
         };
         let marlin = first_commit_ns(ProtocolKind::Marlin);
         let hotstuff = first_commit_ns(ProtocolKind::HotStuff);
@@ -1131,13 +1138,7 @@ mod tests {
             sim.schedule_client_batch(ReplicaId(1), 0, 100, 1500);
             sim.run_until(5_000_000_000);
             assert!(sim.committed_txs(ReplicaId(0)) >= 100);
-            sim.notes()
-                .iter()
-                .find_map(|(t, _, n)| match n {
-                    marlin_core::Note::Committed { txs, .. } if *txs > 0 => Some(*t),
-                    _ => None,
-                })
-                .unwrap()
+            first_tx_commit_ns(&sim)
         };
         let fast_t = commit_time(SimConfig::lan());
         let slow_t = commit_time(slow);
@@ -1156,13 +1157,7 @@ mod tests {
             sim.schedule_client_batch(ReplicaId(1), 0, 50, 150);
             sim.run_until(3_000_000_000);
             assert!(sim.committed_txs(ReplicaId(0)) >= 50);
-            sim.notes()
-                .iter()
-                .find_map(|(t, _, n)| match n {
-                    marlin_core::Note::Committed { txs, .. } if *txs > 0 => Some(*t),
-                    _ => None,
-                })
-                .unwrap()
+            first_tx_commit_ns(&sim)
         };
         assert!(run(CostModel::bls_like()) > run(CostModel::zero()));
     }
@@ -1189,7 +1184,6 @@ mod tests {
         // A view change happened.
         assert!(sim
             .notes()
-            .iter()
             .any(|(_, _, n)| matches!(n, Note::HappyPathVc { .. } | Note::UnhappyPathVc { .. })));
     }
 

@@ -70,7 +70,6 @@ fn even_split_halts_until_healed() {
         net.committed_txs(ReplicaId(0)) > before,
         "commits did not resume after healing (views: {:?})",
         net.notes()
-            .iter()
             .filter_map(|(_, _, n)| match n {
                 Note::EnteredView { view, .. } => Some(view.0),
                 _ => None,

@@ -12,7 +12,9 @@
 //! * a [`Wal`] is an append-only record log with per-record CRCs whose
 //!   replay discards a torn or corrupt tail — the framing under
 //!   `marlin-core`'s write-before-vote safety journal and under the
-//!   generational, torn-write-tolerant [`SnapshotStore`];
+//!   generational, torn-write-tolerant [`SnapshotStore`]; its framing
+//!   is two pure functions, [`frame_record`] and [`split_records`], so
+//!   `marlin-telemetry`'s flight dumps reuse it;
 //! * an [`IoCostModel`] prices appends, segment writes and syncs in
 //!   simulated nanoseconds.
 //!
@@ -50,4 +52,4 @@ pub use cost::IoCostModel;
 pub use crc::crc32;
 pub use disk::{Disk, FileDisk, MemDisk, SharedDisk};
 pub use snapshot::{SnapshotStore, SNAPSHOT_FILE};
-pub use wal::Wal;
+pub use wal::{frame_record, split_records, Wal};

@@ -27,9 +27,7 @@ impl Wal {
         payload: &[u8],
     ) -> io::Result<()> {
         let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
+        frame_record(&mut rec, payload);
         disk.append(name, &rec)
     }
 
@@ -63,25 +61,45 @@ impl Wal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), true)),
             Err(e) => return Err(e),
         };
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while pos + 8 <= data.len() {
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            let start = pos + 8;
-            let end = match start.checked_add(len) {
-                Some(e) if e <= data.len() => e,
-                _ => break, // torn tail
-            };
-            let payload = &data[start..end];
-            if crc32(payload) != crc {
-                break; // corrupt tail
-            }
-            records.push(payload.to_vec());
-            pos = end;
-        }
-        Ok((records, pos == data.len()))
+        let (records, intact) = split_records(&data);
+        let records = records.into_iter().map(<[u8]>::to_vec).collect();
+        Ok((records, intact == data.len()))
     }
+}
+
+/// Appends one record to `out` in the log's framing:
+/// `len: u32 LE | crc: u32 LE | payload`, where `crc` is the CRC-32 of
+/// the payload. Pure, so a non-disk byte stream (a flight dump) can
+/// share the framing.
+pub fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Splits `data` written by [`frame_record`] into its record payloads,
+/// oldest first, stopping at the first torn or corrupt frame. Also
+/// returns the length of the intact prefix: `data.len()` when every
+/// byte belonged to an intact record.
+pub fn split_records(data: &[u8]) -> (Vec<&[u8]>, usize) {
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while pos + 8 <= data.len() {
+        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        let start = pos + 8;
+        let end = match start.checked_add(len) {
+            Some(e) if e <= data.len() => e,
+            _ => break, // torn tail
+        };
+        let payload = &data[start..end];
+        if crc32(payload) != crc {
+            break; // corrupt tail
+        }
+        records.push(payload);
+        pos = end;
+    }
+    (records, pos)
 }
 
 #[cfg(test)]

@@ -768,7 +768,7 @@ impl RegistryRecorder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -871,9 +871,9 @@ mod tests {
 
     /// One sample of every `Note` variant. The match below is
     /// exhaustive without a wildcard, so adding a variant without adding
-    /// a sample here (and a mapping in `RegistryRecorder`) fails to
-    /// compile.
-    fn one_of_each_variant() -> Vec<Note> {
+    /// a sample here (and a mapping in `RegistryRecorder`, and a case in
+    /// the flight dump's tag table) fails to compile.
+    pub(crate) fn one_of_each_variant() -> Vec<Note> {
         let samples = vec![
             Note::EnteredView {
                 view: View(1),

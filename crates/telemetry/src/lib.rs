@@ -23,8 +23,12 @@
 //!   propose → vote → QC → deliver segments, with the protocol's phase
 //!   count measured from the trace.
 //!
-//! Self-contained by design: the only dependency is `marlin-types`
-//! (vendored-offline policy — no external crates).
+//! * [`Ring`] / [`FlightRecorder`] — the one typed recorder of stamped
+//!   notes (the simulator's, and each runtime node's flight ring) and
+//!   its dumps, framed as the safety journal frames its records.
+//!
+//! Dependencies: `marlin-types` and `marlin-storage` (the record
+//! framing), vendored-offline policy — no external crates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +47,8 @@ pub use event::{
 };
 pub use export::{check_prometheus_text, json_str, Snapshot, SnapshotEntry, SnapshotValue};
 pub use flight::{
-    encode_dump, install_panic_dump, merge_dumps, parse_dump, register_panic_dump, FlightEvent,
-    FlightKind, FlightRecorder, FlightSink, DEFAULT_FLIGHT_CAPACITY, FLIGHT_MAGIC,
+    install_panic_dump, merge_dumps, parse_dump, register_panic_dump, Entry, FlightRecorder,
+    Record, Ring, FLIGHT_CAPACITY, FLIGHT_MAGIC,
 };
 pub use hist::{Histogram, LatencySummary, BUCKET_COUNT};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};

@@ -111,7 +111,7 @@ impl ScrapeServer {
     pub fn start(
         registry: Registry,
         health: HealthFn,
-        flight: Option<FlightRecorder>,
+        flight: FlightRecorder,
     ) -> io::Result<ScrapeServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
@@ -125,7 +125,7 @@ impl ScrapeServer {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let _ = serve_one(stream, &registry, &health, flight.as_ref());
+                    let _ = serve_one(stream, &registry, &health, &flight);
                 }
             })
             .expect("spawn scrape thread");
@@ -162,7 +162,7 @@ fn serve_one(
     mut stream: TcpStream,
     registry: &Registry,
     health: &HealthFn,
-    flight: Option<&FlightRecorder>,
+    flight: &FlightRecorder,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
@@ -192,15 +192,10 @@ fn serve_one(
             let doc = health().to_json();
             respond(&mut stream, 200, "application/json", doc.as_bytes())
         }
-        "/debug/flight" => match flight {
-            Some(rec) => respond(
-                &mut stream,
-                200,
-                "application/octet-stream",
-                &rec.encode_dump(),
-            ),
-            None => respond(&mut stream, 404, "text/plain", b"no flight recorder"),
-        },
+        "/debug/flight" => {
+            let dump = flight.encode_dump();
+            respond(&mut stream, 200, "application/octet-stream", &dump)
+        }
         _ => respond(&mut stream, 404, "text/plain", b"unknown path"),
     }
 }
@@ -256,7 +251,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::{parse_dump, FlightKind};
+    use crate::flight::{parse_dump, Record};
     use marlin_types::ReplicaId;
 
     /// Minimal scrape client: one GET, returns (status, body bytes).
@@ -284,8 +279,8 @@ mod tests {
         let registry = Registry::new();
         registry.counter("consensus_commits_total").add(7);
         registry.gauge("runtime_channel_depth").set(3);
-        let flight = FlightRecorder::new("test", 8, Arc::new(|| 5));
-        flight.record(1, ReplicaId(0), FlightKind::Note, "hello");
+        let flight = FlightRecorder::new("test", ReplicaId(0), Arc::new(|| 5));
+        flight.record_now(Record::Transport("hello".into()));
         let health: HealthFn = Arc::new(|| Health {
             replica: 2,
             view: 9,
@@ -294,8 +289,7 @@ mod tests {
             peers_total: 3,
             ..Health::default()
         });
-        let server =
-            ScrapeServer::start(registry.clone(), health, Some(flight.clone())).expect("bind");
+        let server = ScrapeServer::start(registry.clone(), health, flight.clone()).expect("bind");
         (server, registry, flight)
     }
 

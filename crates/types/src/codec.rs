@@ -235,9 +235,9 @@ impl<'a> Decoder<'a> {
         Ok(Decoder { frame, rest: frame })
     }
 
-    /// The next `n` bytes.
+    /// The next `n` bytes, or `UnexpectedEnd` (before any allocation).
     #[inline]
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.rest.len() < n {
             return Err(DecodeError::UnexpectedEnd);
         }
@@ -282,9 +282,9 @@ impl<'a> Decoder<'a> {
 
 /// Writes both halves of [`Codec`] for a type from one list:
 /// `struct T { a, b }` (or `{ 0 }` for a newtype) walks its fields;
-/// `enum T { 0 => A, 1 => B(x, y), 2 => C { a, b: Via } }` writes the
-/// tag byte, then the variant's fields, and refuses any other tag with
-/// [`DecodeError::BadTag`] naming `T`. A field `b: Via` is not a walk:
+/// `enum T { 0 => A, 1 => B(x, y: Via), 2 => C { a, b: Via } }` writes
+/// the tag byte, then the variant's fields, and refuses any other tag
+/// with [`DecodeError::BadTag`] naming `T`. A field `b: Via` is not a walk:
 /// it goes through the hand-written pair `Via::put(&b, w)`/`Via::get(d)`.
 /// `get` is `#[inline]`: the walks are small and not generic, and without
 /// the hint decoding a vote crossed codegen units and took 1.4× as long.
@@ -302,7 +302,7 @@ macro_rules! codec {
         }
     };
     (enum $ty:ident {
-        $($tag:literal => $var:ident $(($($t:ident),*))? $({ $($f:ident $(: $via:ty)?),* })?),*
+        $($tag:literal => $var:ident $(($($t:ident $(: $tvia:ty)?),*))? $({ $($f:ident $(: $via:ty)?),* })?),*
         $(,)?
     }) => {
         impl $crate::codec::Codec for $ty {
@@ -310,7 +310,7 @@ macro_rules! codec {
                 match self {
                     $($ty::$var $(($($t),*))? $({ $($f),* })? => {
                         w.put_u8($tag);
-                        $($($crate::codec::Codec::put($t, w);)*)?
+                        $($($crate::codec!(@put w, $t $(, $tvia)?);)*)?
                         $($($crate::codec!(@put w, $f $(, $via)?);)*)?
                     })*
                 }
@@ -319,7 +319,7 @@ macro_rules! codec {
             fn get(d: &mut $crate::codec::Decoder<'_>) -> $crate::codec::Result<Self> {
                 Ok(match <u8 as $crate::codec::Codec>::get(d)? {
                     $($tag => {
-                        $($(let $t = $crate::codec::Codec::get(d)?;)*)?
+                        $($(let $t = $crate::codec!(@get d $(, $tvia)?);)*)?
                         $($(let $f = $crate::codec!(@get d $(, $via)?);)*)?
                         $ty::$var $(($($t),*))? $({ $($f),* })?
                     })*

@@ -111,7 +111,7 @@ fn run(kind: ProtocolKind) -> (u64, bool, bool) {
     sim.inject(P2, Event::Message(stale));
     let committed = sim.committed_txs(P2);
     let contested_committed = chains.of(P2).iter().any(|b| b.height().0 == contested);
-    let used_virtual = sim.notes().iter().any(|(_, _, n)| {
+    let used_virtual = sim.notes().any(|(_, _, n)| {
         matches!(
             n,
             Note::UnhappyPathVc {

@@ -76,7 +76,6 @@ fn main() {
 
     let qcs_formed = sim
         .notes()
-        .iter()
         .filter(|(_, _, n)| matches!(n, Note::QcFormed { .. }))
         .count();
     println!("\n{qcs_formed} quorum certificates were formed — two per block (prepare + commit):");

@@ -14,7 +14,7 @@ use marlin_bft::types::{Message, MsgBody, Phase, ReplicaId};
 fn trace(sim: &SimNet, from_ns: u64) {
     let mut lines = 0;
     for (at, id, note) in sim.notes() {
-        if *at < from_ns {
+        if at < from_ns {
             continue;
         }
         lines += 1;
@@ -87,7 +87,7 @@ fn trace(sim: &SimNet, from_ns: u64) {
             | Note::PayloadFetched { .. }
             | Note::PayloadExpired { .. } => continue,
         };
-        println!("  {:>8.1} ms  {}  {}", *at as f64 / 1e6, id, what);
+        println!("  {:>8.1} ms  {}  {}", at as f64 / 1e6, id, what);
     }
 }
 

@@ -47,13 +47,13 @@ fn crash_and_measure(protocol: ProtocolKind, f: usize, format: QcFormat) -> (u64
     let mut t1 = None;
     let mut happy = false;
     for (at, id, note) in sim.notes() {
-        if *at < crash_at {
+        if at < crash_at {
             continue;
         }
         match note {
-            Note::ViewChangeStarted { .. } if *id == ReplicaId(0) && t0.is_none() => t0 = Some(*at),
+            Note::ViewChangeStarted { .. } if id == ReplicaId(0) && t0.is_none() => t0 = Some(at),
             Note::HappyPathVc { .. } => happy = true,
-            Note::Committed { .. } if *id == ReplicaId(0) && t1.is_none() => t1 = Some(*at),
+            Note::Committed { .. } if id == ReplicaId(0) && t1.is_none() => t1 = Some(at),
             _ => {}
         }
     }
