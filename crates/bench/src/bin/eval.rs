@@ -502,7 +502,7 @@ horizon; `rejoin` is sim time from `SyncStarted` to `SyncCompleted`.\n"
                 Scenario::long_lag_rejoin_scaled(factor)
             };
             if !sync_on {
-                scenario.sync_snapshot_interval = 0;
+                scenario.config.sync_snapshot_interval = 0;
             }
             let trace = SharedSink::new(Trace::new());
             let out = run_scenario_with_telemetry(

@@ -78,12 +78,12 @@ pub fn rotating_under_failures(
 ) -> Metrics {
     let f = 3;
     let mut cfg = paper_config(protocol, f, effort);
-    cfg.rotation_interval_ns = Some(1_000_000_000); // the paper's 1 s timer
-    cfg.base_timeout_ns = 1_000_000_000;
+    cfg.config.rotation_interval_ns = Some(1_000_000_000); // the paper's 1 s timer
+    cfg.config.base_timeout_ns = 1_000_000_000;
     cfg.rate_tps = rate_tps;
     // Smaller batches so several blocks fit into each 1 s leader slot
     // (less per-view quantization).
-    cfg.batch_size = 4_000;
+    cfg.config.batch_size = 4_000;
     // Make sure the run covers enough rotations that crashed leaders'
     // slots fall inside the measurement window.
     cfg.duration_ns = cfg.duration_ns.max(6_000_000_000);
@@ -178,7 +178,7 @@ pub fn ablate_qc_format(f: usize) -> (crate::vc::VcMeasurement, crate::vc::VcMea
 pub fn ablate_batch_crypto(f: usize, effort: Effort) -> (Metrics, Metrics) {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Marlin, f);
     cfg.net = SimConfig::lan();
-    cfg.batch_size = 32;
+    cfg.config.batch_size = 32;
     cfg.duration_ns = effort.duration_ns();
     cfg.warmup_ns = effort.warmup_ns();
     let rates: Vec<u64> = match effort {
@@ -195,11 +195,11 @@ pub fn ablate_batch_crypto(f: usize, effort: Effort) -> (Metrics, Metrics) {
             .expect("sweep is nonempty")
     };
     let mut serial = cfg.clone();
-    serial.batch_verify = false;
-    serial.crypto_workers = 1;
+    serial.config.batch_verify = false;
+    serial.config.crypto_workers = 1;
     let mut batched = cfg;
-    batched.batch_verify = true;
-    batched.crypto_workers = 4;
+    batched.config.batch_verify = true;
+    batched.config.crypto_workers = 4;
     (peak(&serial), peak(&batched))
 }
 
@@ -231,8 +231,8 @@ impl OverloadPoint {
 /// unbounded queue and inline payloads.
 pub fn client_path_config(f: usize, effort: Effort) -> ExperimentConfig {
     let mut cfg = paper_config(ProtocolKind::Marlin, f, effort);
-    cfg.mempool_capacity = cfg.batch_size;
-    cfg.dissemination = true;
+    cfg.config.mempool_capacity = cfg.config.batch_size;
+    cfg.config.dissemination = true;
     cfg
 }
 

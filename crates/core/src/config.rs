@@ -157,9 +157,6 @@ pub struct Config {
     /// rejected with a retryable backpressure signal instead of being
     /// queued, which is what keeps goodput at its peak past saturation.
     pub mempool_capacity: usize,
-    /// Minimum fee bid (the first payload byte) for the mempool's
-    /// priority lane; `0` disables fee lanes.
-    pub priority_fee_threshold: u8,
     /// Decouple payload dissemination from proposals: admitted
     /// transactions are sealed into digest-addressed batches and pushed
     /// to all replicas ahead of the proposal, and the leader proposes a
@@ -188,7 +185,6 @@ impl Config {
             sync_snapshot_interval: 0,
             sync_lag_threshold: 64,
             mempool_capacity: 0,
-            priority_fee_threshold: 0,
             dissemination: false,
         }
     }
@@ -197,7 +193,7 @@ impl Config {
     /// synthetic-workload defaults. Admission telemetry is only emitted
     /// when this holds, so legacy traces stay byte-identical.
     pub fn mempool_configured(&self) -> bool {
-        self.mempool_capacity > 0 || self.priority_fee_threshold > 0 || self.dissemination
+        self.mempool_capacity > 0 || self.dissemination
     }
 
     /// The same configuration bound to replica `id`.

@@ -162,7 +162,7 @@ impl Base {
         let pacemaker = Pacemaker::new(&cfg);
         let mempool = Mempool::new(MempoolConfig {
             capacity: cfg.mempool_capacity,
-            priority_fee_threshold: cfg.priority_fee_threshold,
+            priority_fee_threshold: 0,
         });
         Base {
             cfg,
@@ -291,7 +291,7 @@ impl Base {
     }
 
     /// Offers transactions to the mempool under its admission rules
-    /// (dedup, capacity, fee lanes). With any mempool knob configured,
+    /// (dedup, capacity). With any mempool knob configured,
     /// the admission outcome is emitted as a note — legacy
     /// configurations stay note-free so their deterministic traces are
     /// byte-identical to before admission control existed.

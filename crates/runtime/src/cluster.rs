@@ -37,8 +37,8 @@ pub enum TransportKind {
 /// Where safety journals live.
 #[derive(Clone, Debug)]
 pub enum JournalMode {
-    /// No journaling (protocols without journal support, throughput
-    /// ceilings).
+    /// No journaling (throughput ceilings without the write-before-vote
+    /// cost).
     None,
     /// Shared in-memory disks (fast, survives kill/recover within the
     /// process).
@@ -75,8 +75,6 @@ pub struct ClusterConfig {
     pub event_queue_depth: usize,
     /// Per-replica mempool capacity; `0` = legacy unbounded queue.
     pub mempool_capacity: usize,
-    /// Fee threshold of the mempool priority lane; `0` = off.
-    pub priority_fee_threshold: u8,
     /// Decoupled digest dissemination: batches pushed ahead of
     /// proposals, proposals carry digests (Marlin only).
     pub dissemination: bool,
@@ -123,7 +121,6 @@ impl ClusterConfig {
             sync_lag_threshold: 64,
             event_queue_depth: DEFAULT_QUEUE_DEPTH,
             mempool_capacity: 0,
-            priority_fee_threshold: 0,
             dissemination: false,
             observability: None,
         }
@@ -181,7 +178,6 @@ impl RuntimeCluster {
             c.sync_snapshot_interval = cfg.sync_snapshot_interval;
             c.sync_lag_threshold = cfg.sync_lag_threshold;
             c.mempool_capacity = cfg.mempool_capacity;
-            c.priority_fee_threshold = cfg.priority_fee_threshold;
             c.dissemination = cfg.dissemination;
             c
         };

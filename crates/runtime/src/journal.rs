@@ -7,7 +7,7 @@
 //! is the write-before-vote barrier, and a thread here would be a relay
 //! the voter blocks on (DESIGN.md §13.1).
 //!
-//! This module is the measurement: [`MeteredDisk`] feeds the `journal`
+//! This module is the measurement: `MeteredDisk` feeds the `journal`
 //! [`LaneMeter`] behind the lane's exported series, `/health`'s journal
 //! lag and the step-time attribution.
 

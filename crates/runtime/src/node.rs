@@ -22,7 +22,7 @@
 //!
 //! The state machine is exactly the one simnet drives. Broadcasts are
 //! already applied locally by `step`, so egress never loops a frame back
-//! to its sender; [`Timers`] keeps simnet's latest-wins semantics with
+//! to its sender; `Timers` keeps simnet's latest-wins semantics with
 //! one slot per timer kind. One reader per TCP connection (one delivery
 //! thread per peer on a channel mesh) decodes and delivers its frames in
 //! arrival order into the FIFO mailbox: per-peer FIFO from socket to
@@ -106,8 +106,8 @@ pub struct NodeConfig {
     pub kind: ProtocolKind,
     /// Fresh start or journal recovery.
     pub bootstrap: Bootstrap,
-    /// Disk to journal on (`None` = run without a safety journal; only
-    /// Marlin and the chained variants support journaling).
+    /// Disk to journal on (`None` = run without a safety journal;
+    /// every protocol kind journals).
     pub journal_disk: Option<SharedDisk>,
     /// Bound of the replica's mailbox: events delivered but not yet
     /// stepped, the one being stepped included (at least two). A

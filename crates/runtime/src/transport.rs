@@ -143,11 +143,12 @@ fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// bytes arrive at `tail`, a complete frame is copied out from `head`,
 /// and consumed space is reclaimed when the buffer drains, or by moving
 /// the unconsumed bytes down once the consumed prefix is at least as
-/// long as they are. A frame longer than [`READ_CHUNK`] leaves staging
-/// once its header is known: what has arrived of it moves into an
-/// allocation of exactly its length, the socket is read straight into
-/// the rest, and that allocation *is* the frame handed out — a block's
-/// payload is written once, by the kernel, and not copied again.
+/// long as they are. A frame longer than the 8 KiB read chunk leaves
+/// staging once its header is known: what has arrived of it moves into
+/// an allocation of exactly its length, the socket is read straight
+/// into the rest, and that allocation *is* the frame handed out — a
+/// block's payload is written once, by the kernel, and not copied
+/// again.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     /// `buf[head..tail]` is the unconsumed stream (after `own`, if

@@ -14,8 +14,10 @@ use std::sync::Arc;
 pub struct ExperimentConfig {
     /// Protocol under test.
     pub protocol: ProtocolKind,
-    /// Fault tolerance; `n = 3f + 1`.
-    pub f: usize,
+    /// Every replica's configuration (`n`, `f`, crypto costs, QC
+    /// format, batch size, timers, mempool); replica `i` runs it
+    /// re-bound to id `i`.
+    pub config: Config,
     /// Transaction payload bytes (150 in the paper; 0 = no-op).
     pub payload_len: usize,
     /// Open-loop offered load, transactions per second.
@@ -26,37 +28,16 @@ pub struct ExperimentConfig {
     pub warmup_ns: u64,
     /// Network parameters.
     pub net: SimConfig,
-    /// Crypto cost model.
-    pub cost: CostModel,
-    /// QC wire format.
-    pub qc_format: QcFormat,
-    /// Max transactions per block.
-    pub batch_size: usize,
     /// Whether committed blocks are persisted to the database.
     pub storage: bool,
-    /// Rotating-leader interval (the paper's failure experiment).
-    pub rotation_interval_ns: Option<u64>,
     /// Crash schedule `(replica, at_ns)`.
     pub crashes: Vec<(ReplicaId, u64)>,
-    /// View timeout.
-    pub base_timeout_ns: u64,
     /// Closed-loop mode: this many clients each keep exactly one
     /// request outstanding (each commit at the reference replica
     /// releases the next request after the two client legs). When set,
     /// `rate_tps` is ignored. This is the workload shape BFT
     /// evaluations typically sweep to draw throughput/latency curves.
     pub closed_loop_clients: Option<usize>,
-    /// Stage vote shares and verify them in one amortized batch pass
-    /// at quorum time instead of per-arrival.
-    pub batch_verify: bool,
-    /// Size of each replica's simulated crypto worker pool; `1` means
-    /// inline synchronous verification (the legacy CPU model).
-    pub crypto_workers: usize,
-    /// Per-replica mempool capacity; `0` = legacy unbounded queue.
-    pub mempool_capacity: usize,
-    /// Decoupled digest dissemination (batches pushed ahead of
-    /// proposals; proposals carry digests). Marlin only; off = legacy.
-    pub dissemination: bool,
 }
 
 impl ExperimentConfig {
@@ -64,61 +45,39 @@ impl ExperimentConfig {
     /// `f`: 200 Mbps, 40 ms latency, 150-byte transactions, ECDSA-like
     /// crypto costs, database persistence on.
     pub fn paper(protocol: ProtocolKind, f: usize) -> Self {
+        let n = 3 * f + 1;
         ExperimentConfig {
             protocol,
-            f,
+            config: Config {
+                keys: Arc::new(KeyStore::generate(n, f, 0x4D41524C)),
+                cost: CostModel::ecdsa_like(),
+                qc_format: QcFormat::SigGroup,
+                batch_size: 16_000,
+                base_timeout_ns: 1_000_000_000,
+                batch_verify: true,
+                crypto_workers: 4,
+                ..Config::for_test(n, f)
+            },
             payload_len: 150,
             rate_tps: 10_000,
             duration_ns: 10_000_000_000,
             warmup_ns: 2_000_000_000,
             net: SimConfig::paper_testbed(),
-            cost: CostModel::ecdsa_like(),
-            qc_format: QcFormat::SigGroup,
-            batch_size: 16_000,
             storage: true,
-            rotation_interval_ns: None,
             crashes: Vec::new(),
-            base_timeout_ns: 1_000_000_000,
             closed_loop_clients: None,
-            batch_verify: true,
-            crypto_workers: 4,
-            mempool_capacity: 0,
-            dissemination: false,
         }
     }
 
     /// Number of replicas.
     pub fn n(&self) -> usize {
-        3 * self.f + 1
-    }
-
-    /// Builds the per-replica protocol configuration.
-    pub fn replica_config(&self) -> Config {
-        let n = self.n();
-        Config {
-            id: ReplicaId(0),
-            n,
-            f: self.f,
-            keys: Arc::new(KeyStore::generate(n, self.f, 0x4D41524C)),
-            cost: self.cost,
-            qc_format: self.qc_format,
-            batch_size: self.batch_size,
-            base_timeout_ns: self.base_timeout_ns,
-            rotation_interval_ns: self.rotation_interval_ns,
-            batch_verify: self.batch_verify,
-            crypto_workers: self.crypto_workers,
-            sync_snapshot_interval: 0,
-            sync_lag_threshold: 64,
-            mempool_capacity: self.mempool_capacity,
-            priority_fee_threshold: 0,
-            dissemination: self.dissemination,
-        }
+        self.config.n
     }
 
     /// Builds the simulation (with the durable block log charged when
     /// `storage` is set).
     pub fn build(&self) -> SimNet {
-        let mut sim = SimNet::new(self.protocol, self.replica_config(), self.net.clone());
+        let mut sim = SimNet::new(self.protocol, self.config.clone(), self.net.clone());
         if self.storage {
             sim.charge_block_log();
         }

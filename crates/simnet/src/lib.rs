@@ -38,8 +38,9 @@
 //! Byzantine schedule under the [`Invariants`] checker, judged into a
 //! [`ScenarioOutcome`]; [`CampaignReport`] tabulates them), and
 //! [`run_experiment`] is a load run — the paper's testbed (Section VI)
-//! in one call: [`ExperimentConfig`] sets open- or closed-loop clients,
-//! crash schedules, rotation, the paper's network parameters and the
+//! in one call: [`ExperimentConfig`] carries the replicas' `Config`
+//! (rotation, batch size, crypto costs) and sets open- or closed-loop
+//! clients, crash schedules, the paper's network parameters and the
 //! durable block log (each committed block is charged a database write,
 //! with checkpointing every 5000 blocks — the paper's setup), [`Stats`]
 //! measures end-to-end latency, throughput and view changes as a sink,

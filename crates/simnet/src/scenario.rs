@@ -35,7 +35,8 @@ pub struct BehaviorPhase {
     pub behavior: Behavior,
 }
 
-/// A composable deterministic fault schedule for a 4-replica cluster.
+/// A composable deterministic fault schedule and the cluster
+/// configuration it runs on.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Schedule name (used in verdict reporting).
@@ -59,17 +60,9 @@ pub struct Scenario {
     /// journal write after `at_ns` keeps only `keep_bytes` bytes and
     /// fails (a crash-truncated record).
     pub disk_tears: Vec<(ReplicaId, u64, usize)>,
-    /// Snapshot-anchor interval in blocks for the sync subsystem
-    /// (`Config::sync_snapshot_interval`); 0 leaves sync disabled and
-    /// the cell bit-identical to the pre-sync campaign.
-    pub sync_snapshot_interval: u64,
-    /// Commit-height lag that triggers a sync run
-    /// (`Config::sync_lag_threshold`); only read when sync is enabled.
-    pub sync_lag_threshold: u64,
-    /// Per-replica mempool capacity (`Config::mempool_capacity`); 0
-    /// keeps the legacy unbounded queue and the cell bit-identical to
-    /// the pre-mempool campaign.
-    pub mempool_capacity: usize,
+    /// Every replica's configuration, re-bound to each replica's id
+    /// (sync cadence, mempool capacity and the rest live here).
+    pub config: Config,
     /// Client batch interval (batches follow the current leader).
     pub batch_every_ns: u64,
     /// Transactions per client batch.
@@ -85,7 +78,11 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    fn base(name: &'static str, quiet_ns: u64, horizon_ns: u64) -> Self {
+    /// A fault-free schedule named `name`: a 4-replica cluster on the
+    /// test configuration with a 500 ms view timeout, 20-transaction
+    /// no-op batches every 250 ms until `quiet_ns`, judged at
+    /// `horizon_ns`. The presets below start from it.
+    pub fn new(name: &'static str, quiet_ns: u64, horizon_ns: u64) -> Self {
         Scenario {
             name,
             crashes: Vec::new(),
@@ -95,9 +92,10 @@ impl Scenario {
             behaviors: Vec::new(),
             recovery_mode: RecoveryMode::WithMemory,
             disk_tears: Vec::new(),
-            sync_snapshot_interval: 0,
-            sync_lag_threshold: 64,
-            mempool_capacity: 0,
+            config: Config {
+                base_timeout_ns: 500_000_000,
+                ..Config::for_test(4, 1)
+            },
             batch_every_ns: 250_000_000,
             batch_txs: 20,
             payload_len: 0,
@@ -109,7 +107,7 @@ impl Scenario {
     /// Two leaders crash in turn and recover: p1 down 0.4–1.6 s, p2
     /// down 2.0–3.2 s.
     pub fn crash_recover_leaders() -> Self {
-        let mut s = Self::base("crash-recover-leaders", 4_000_000_000, 7_000_000_000);
+        let mut s = Self::new("crash-recover-leaders", 4_000_000_000, 7_000_000_000);
         s.crashes = vec![(ReplicaId(1), 400_000_000), (ReplicaId(2), 2_000_000_000)];
         s.recoveries = vec![(ReplicaId(1), 1_600_000_000), (ReplicaId(2), 3_200_000_000)];
         s
@@ -118,7 +116,7 @@ impl Scenario {
     /// A 2/2 split (no quorum on either side) from 0.5 s that heals at
     /// 2.0 s.
     pub fn partition_heal() -> Self {
-        let mut s = Self::base("partition-heal", 3_500_000_000, 6_500_000_000);
+        let mut s = Self::new("partition-heal", 3_500_000_000, 6_500_000_000);
         s.partitions = vec![Partition {
             from_ns: 500_000_000,
             until_ns: 2_000_000_000,
@@ -133,7 +131,7 @@ impl Scenario {
     /// A lossy, laggy window: 15 % loss on every link 0.3–2.3 s, plus
     /// 2 ms extra delay and duplication on all vote traffic into p0.
     pub fn lossy_links() -> Self {
-        let mut s = Self::base("lossy-links", 3_500_000_000, 6_500_000_000);
+        let mut s = Self::new("lossy-links", 3_500_000_000, 6_500_000_000);
         s.link_faults = vec![
             LinkFault {
                 from_ns: 300_000_000,
@@ -161,7 +159,7 @@ impl Scenario {
 
     /// The view-1 leader equivocates every proposal for the whole run.
     pub fn equivocating_leader() -> Self {
-        let mut s = Self::base("equivocating-leader", 3_000_000_000, 6_000_000_000);
+        let mut s = Self::new("equivocating-leader", 3_000_000_000, 6_000_000_000);
         s.behaviors = vec![BehaviorPhase {
             replica: ReplicaId(1),
             at_ns: 0,
@@ -173,7 +171,7 @@ impl Scenario {
     /// The view-1 leader equivocates, then goes silent at 2 s —
     /// exercises runtime behavior switching.
     pub fn equivocate_then_silent() -> Self {
-        let mut s = Self::base("equivocate-then-silent", 3_500_000_000, 6_500_000_000);
+        let mut s = Self::new("equivocate-then-silent", 3_500_000_000, 6_500_000_000);
         s.behaviors = vec![
             BehaviorPhase {
                 replica: ReplicaId(1),
@@ -195,7 +193,7 @@ impl Scenario {
     /// p0's lock from p0 itself. Two-phase HotStuff without Marlin's
     /// pre-prepare phase wedges here; Marlin must recover.
     pub fn unsafe_snapshot() -> Self {
-        let mut s = Self::base("unsafe-snapshot", 3_000_000_000, 9_000_000_000);
+        let mut s = Self::new("unsafe-snapshot", 3_000_000_000, 9_000_000_000);
         s.behaviors = vec![BehaviorPhase {
             replica: ReplicaId(1),
             at_ns: 0,
@@ -273,7 +271,7 @@ impl Scenario {
             RecoveryMode::FromDisk => "restart-fork/from-disk",
             RecoveryMode::Amnesia => "restart-fork/amnesia",
         };
-        let mut s = Self::base(name, 3_000_000_000, 6_000_000_000);
+        let mut s = Self::new(name, 3_000_000_000, 6_000_000_000);
         s.recovery_mode = mode;
         s.crashes = vec![
             (ReplicaId(3), 1),
@@ -335,10 +333,10 @@ impl Scenario {
     /// 10k-block version lives in the ignored soak test and drives the
     /// same schedule shape with `scaled_by`.
     pub fn long_lag_rejoin() -> Self {
-        let mut s = Self::base("long-lag-rejoin", 6_000_000_000, 9_000_000_000);
+        let mut s = Self::new("long-lag-rejoin", 6_000_000_000, 9_000_000_000);
         s.recovery_mode = RecoveryMode::FromDisk;
-        s.sync_snapshot_interval = 64;
-        s.sync_lag_threshold = 32;
+        s.config.sync_snapshot_interval = 64;
+        s.config.sync_lag_threshold = 32;
         s.batch_every_ns = 2_000_000;
         s.crashes = vec![(ReplicaId(3), 50_000_000)];
         s.recoveries = vec![(ReplicaId(3), 4_000_000_000)];
@@ -382,8 +380,8 @@ impl Scenario {
     /// view change, and no replica's mempool may ever exceed its
     /// configured capacity.
     pub fn overload() -> Self {
-        let mut s = Self::base("overload", 4_000_000_000, 7_000_000_000);
-        s.mempool_capacity = 600;
+        let mut s = Self::new("overload", 4_000_000_000, 7_000_000_000);
+        s.config.mempool_capacity = 600;
         s.batch_every_ns = 50_000_000;
         s.batch_txs = 2_000; // > capacity: every batch trips admission
         s.payload_len = 150;
@@ -500,8 +498,9 @@ impl ScenarioOutcome {
     }
 }
 
-/// Runs one `(protocol, scenario, seed)` cell on a 4-replica LAN
-/// cluster with the global invariant checker attached.
+/// Runs one `(protocol, scenario, seed)` cell on a LAN cluster of
+/// `scenario.config.n` replicas with the global invariant checker
+/// attached.
 pub fn run_scenario(kind: ProtocolKind, scenario: &Scenario, seed: u64) -> ScenarioOutcome {
     run_scenario_inner(kind, scenario, seed, None)
 }
@@ -524,15 +523,11 @@ fn run_scenario_inner(
     seed: u64,
     telemetry: Option<Box<dyn TelemetrySink>>,
 ) -> ScenarioOutcome {
-    let n = 4usize;
-    let mut cfg = Config::for_test(n, 1);
-    cfg.base_timeout_ns = 500_000_000;
-    cfg.sync_snapshot_interval = scenario.sync_snapshot_interval;
-    cfg.sync_lag_threshold = scenario.sync_lag_threshold;
-    cfg.mempool_capacity = scenario.mempool_capacity;
+    let cfg = &scenario.config;
+    let n = cfg.n;
     // Snapshot anchors persist on the same per-replica durable disk as
     // the safety journal.
-    let sync_interval = scenario.sync_snapshot_interval;
+    let sync_interval = cfg.sync_snapshot_interval;
     let snaps_for = move |disk: &SharedDisk| {
         (sync_interval > 0).then(|| SnapshotStore::open(disk.clone()).expect("snapshot store"))
     };

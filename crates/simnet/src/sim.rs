@@ -138,20 +138,11 @@ pub struct SimConfig {
     /// pipe; the paper's "200 Mbps network bandwidth" on 1000 MB NICs).
     /// `0` disables the link model.
     pub link_bandwidth_bps: u64,
-    /// Probability of dropping any given message.
-    pub drop_rate: f64,
     /// Whether the shadow-block wire optimisation is active (affects the
     /// byte accounting and bandwidth costs of two-block proposals).
     pub shadow_blocks: bool,
-    /// RNG seed (jitter and drops).
+    /// RNG seed (jitter and link-fault drops).
     pub seed: u64,
-    /// Number of distinct client processes generating the workload.
-    /// `0` keeps the legacy single anonymous stream (client id 0, one
-    /// global id counter); `> 0` round-robins submissions over that
-    /// many clients, packing ids as `client << 32 | seq` with a
-    /// per-client monotone sequence — the convention the mempool's
-    /// dedup and sequencing rules key on.
-    pub clients: u32,
 }
 
 impl SimConfig {
@@ -164,10 +155,8 @@ impl SimConfig {
             // "1000 MB NIC" ≈ 1 Gbps egress; 200 Mbps per network link.
             bandwidth_bps: 1_000_000_000,
             link_bandwidth_bps: 200_000_000,
-            drop_rate: 0.0,
             shadow_blocks: true,
             seed: 2022,
-            clients: 0,
         }
     }
 
@@ -178,10 +167,8 @@ impl SimConfig {
             jitter_ns: 1_000,
             bandwidth_bps: 10_000_000_000,
             link_bandwidth_bps: 0,
-            drop_rate: 0.0,
             shadow_blocks: true,
             seed: 7,
-            clients: 0,
         }
     }
 
@@ -724,27 +711,11 @@ impl SimNet {
             } => {
                 if !self.crashed[to.index()] {
                     let now = self.now_ns;
-                    let clients = u64::from(self.cfg.clients);
                     let txs: Vec<Transaction> = (0..count)
                         .map(|_| {
                             self.next_tx_id += 1;
-                            let (id, client) = if clients > 0 {
-                                // Round-robin client processes with the
-                                // `client << 32 | seq` packing; both
-                                // halves are 1-based so the mempool's
-                                // zero watermark never eats seq 0.
-                                let client = (self.next_tx_id % clients) as u32 + 1;
-                                let seq = (self.next_tx_id / clients) as u32 + 1;
-                                ((u64::from(client) << 32) | u64::from(seq), client)
-                            } else {
-                                (self.next_tx_id, 0)
-                            };
-                            Transaction::new(
-                                id,
-                                client,
-                                bytes::Bytes::from(vec![0u8; payload_len]),
-                                now,
-                            )
+                            let payload = bytes::Bytes::from(vec![0u8; payload_len]);
+                            Transaction::new(self.next_tx_id, 0, payload, now)
                         })
                         .collect();
                     self.step_replica(to, Event::NewTransactions(txs));
@@ -1001,9 +972,6 @@ impl SimNet {
                 }
             }
         }
-        if self.cfg.drop_rate > 0.0 && self.rng.gen_bool(self.cfg.drop_rate) {
-            return;
-        }
         // Egress NIC: all outgoing copies serialize through it in turn.
         let nic_done = if self.cfg.bandwidth_bps == 0 {
             at_ns
@@ -1189,9 +1157,11 @@ mod tests {
 
     #[test]
     fn message_drops_are_survived() {
-        let mut cfg = SimConfig::lan();
-        cfg.drop_rate = 0.02;
-        let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), cfg);
+        let mut sim = lan_sim(ProtocolKind::Marlin);
+        sim.add_link_fault(LinkFault {
+            drop_prob: 0.02,
+            ..LinkFault::drop_all(0, u64::MAX)
+        });
         for k in 0..10 {
             sim.schedule_client_batch(ReplicaId(1), k * 10_000_000, 10, 0);
         }

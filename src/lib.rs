@@ -21,8 +21,9 @@
 //! * [`storage`] — the disk abstraction, CRC-framed write-ahead log,
 //!   snapshots, and the I/O cost model;
 //! * [`runtime`] — the threaded wall-clock runtime: channel/TCP
-//!   transports, two threads per replica, and multi-core cluster
-//!   harness driving the same state machines;
+//!   transports, one timer thread per replica (a replica steps on the
+//!   threads that deliver to it), and multi-core cluster harness
+//!   driving the same state machines;
 //! * [`telemetry`] — metrics registry, structured consensus tracing,
 //!   exporters, and the commit-latency decomposition.
 //!

@@ -20,12 +20,12 @@ use marlin_bft::types::ReplicaId;
 /// the serial baseline (per-share verification, 1 inline worker).
 fn experiment(fast: bool) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::paper(ProtocolKind::Marlin, 1);
-    cfg.cost = CostModel::ecdsa_like();
+    cfg.config.cost = CostModel::ecdsa_like();
     cfg.rate_tps = 4_000;
     cfg.duration_ns = 2_000_000_000;
     cfg.warmup_ns = 500_000_000;
-    cfg.batch_verify = fast;
-    cfg.crypto_workers = if fast { 4 } else { 1 };
+    cfg.config.batch_verify = fast;
+    cfg.config.crypto_workers = if fast { 4 } else { 1 };
     cfg
 }
 
@@ -156,7 +156,7 @@ fn verified_qc_cache_stays_bounded_on_long_chained_runs() {
 fn worker_pool_never_delays_commits() {
     let commits = |workers: usize| {
         let mut cfg = experiment(true);
-        cfg.crypto_workers = workers;
+        cfg.config.crypto_workers = workers;
         run_experiment(&cfg).committed_txs
     };
     assert!(commits(4) >= commits(1));

@@ -63,7 +63,7 @@ fn marlin_latency_beats_hotstuff_under_light_load() {
 #[test]
 fn leader_crash_mid_run_is_survived() {
     let mut cfg = short(ProtocolKind::Marlin);
-    cfg.base_timeout_ns = 600_000_000;
+    cfg.config.base_timeout_ns = 600_000_000;
     cfg.crashes = vec![(ReplicaId(1), 1_200_000_000)];
     cfg.duration_ns = 4_000_000_000;
     let m = run_experiment(&cfg);

@@ -246,7 +246,7 @@ fn assert_caught_up(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
     // of the canonical tip, not thousands of blocks behind it.
     let canonical_tip = out.committed as u64 - 1;
     assert!(
-        out.min_honest_tip + scenario.sync_lag_threshold + 16 >= canonical_tip,
+        out.min_honest_tip + scenario.config.sync_lag_threshold + 16 >= canonical_tip,
         "{} (seed {seed}): a replica is wedged at height {} with the tip at {}",
         scenario.name,
         out.min_honest_tip,
@@ -262,7 +262,7 @@ fn assert_rejoined(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
     // Storage boundedness: the snapshot horizon keeps about two
     // intervals of committed blocks resident (plus uncommitted
     // in-flight forks); the chain itself is several times longer.
-    let bound = (3 * scenario.sync_snapshot_interval + 64) as usize;
+    let bound = (3 * scenario.config.sync_snapshot_interval + 64) as usize;
     assert!(
         out.max_resident_blocks < bound,
         "{} (seed {seed}): {} resident blocks exceeds the horizon bound {bound} \
@@ -640,10 +640,10 @@ fn overload_sheds_load_without_losing_liveness_or_memory() {
         // Memory boundedness, sampled mid-flood at every batch point:
         // residency never exceeds the configured admission capacity.
         assert!(
-            out.max_mempool_txs <= scenario.mempool_capacity,
+            out.max_mempool_txs <= scenario.config.mempool_capacity,
             "overload (seed {seed}): mempool grew to {} txs past the {} cap",
             out.max_mempool_txs,
-            scenario.mempool_capacity
+            scenario.config.mempool_capacity
         );
         assert!(
             out.max_mempool_txs > 0,

@@ -14,8 +14,8 @@ fn config(rate_tps: u64, bounded: bool, duration_ns: u64, warmup_ns: u64) -> Exp
     cfg.warmup_ns = warmup_ns;
     cfg.rate_tps = rate_tps;
     if bounded {
-        cfg.mempool_capacity = cfg.batch_size;
-        cfg.dissemination = true;
+        cfg.config.mempool_capacity = cfg.config.batch_size;
+        cfg.config.dissemination = true;
     }
     cfg
 }

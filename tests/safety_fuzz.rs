@@ -97,24 +97,7 @@ fn random_schedule(
     byz_kind: u8,
     byz: u32,
 ) -> Scenario {
-    let mut s = Scenario {
-        name: "fuzz-random",
-        crashes: Vec::new(),
-        recoveries: Vec::new(),
-        partitions: Vec::new(),
-        link_faults: Vec::new(),
-        behaviors: Vec::new(),
-        recovery_mode: RecoveryMode::WithMemory,
-        disk_tears: Vec::new(),
-        sync_snapshot_interval: 0,
-        sync_lag_threshold: 64,
-        batch_every_ns: 250_000_000,
-        batch_txs: 20,
-        payload_len: 0,
-        mempool_capacity: 0,
-        quiet_ns: 3_000_000_000,
-        horizon_ns: 6_000_000_000,
-    };
+    let mut s = Scenario::new("fuzz-random", 3_000_000_000, 6_000_000_000);
     let from_ns = start_ms * 1_000_000;
     let until_ns = from_ns + dur_ms * 1_000_000;
     match fault_kind % 3 {
