@@ -1,10 +1,12 @@
 //! Microbenchmark for the write-before-vote barrier: one appending
 //! safety-journal record plus its sync (`log_view` of a rising view,
 //! compactions every 64 records included), on an otherwise empty
-//! in-memory disk and on one that also holds a snapshot anchor of a
+//! in-memory disk, on one that also holds a snapshot anchor of a
 //! 400 × 150 B block, as a replica's disk does once block sync has
-//! saved one. A sync whose cost grows with the bytes on the disk shows
-//! here as a gap between the two rows.
+//! saved one, and on real files in a temporary directory (the
+//! runtime's `JournalMode::Files`). A sync whose cost grows with the
+//! bytes on the disk shows here as a gap between the first two rows;
+//! the third is what one record costs on the filesystem.
 
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -35,8 +37,14 @@ fn anchor(txs: u64, payload: usize) -> BytesMut {
 fn bench_journal(c: &mut Criterion) {
     let anchor = anchor(400, 150);
     let mut g = c.benchmark_group("journal");
-    for (case, with_anchor) in [("empty", false), ("anchor", true)] {
-        let disk = SharedDisk::new();
+    let dir = std::env::temp_dir().join(format!("marlin-journal-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let files = SharedDisk::open_dir(&dir).expect("bench dir opens");
+    for (case, disk, with_anchor) in [
+        ("empty", SharedDisk::new(), false),
+        ("anchor", SharedDisk::new(), true),
+        ("files", files, false),
+    ] {
         if with_anchor {
             let mut store = SnapshotStore::open(disk.clone()).expect("snapshot store opens");
             store.save(&anchor).expect("anchor saves");
@@ -46,13 +54,12 @@ fn bench_journal(c: &mut Criterion) {
         g.bench_function(format!("log_view_sync/{case}"), |b| {
             b.iter(|| {
                 view += 1;
-                journal
-                    .log_view(View(view))
-                    .expect("memory journal appends");
+                journal.log_view(View(view)).expect("journal appends");
             })
         });
     }
     g.finish();
+    std::fs::remove_dir_all(&dir).expect("bench dir removes");
     println!("anchor payload: {} B", anchor.len());
 }
 

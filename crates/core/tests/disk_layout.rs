@@ -148,28 +148,38 @@ const SNAPSHOT_LOCKED: &str = "
 
 /// The newest record of journal generation `gen`.
 fn last_record(disk: &SharedDisk, gen: u64) -> Vec<u8> {
-    let records = Wal::replay_named(disk, &format!("safety-journal.{gen}")).expect("replays");
+    let (records, _) =
+        Wal::replay_named_checked(disk, &format!("safety-journal.{gen}")).expect("replays");
     records.last().cloned().expect("a record")
 }
 
 /// What the journal writes: each record kind in turn, the two
-/// snapshots by compacting below the voted block's height.
+/// snapshots by compacting below the voted block's height. On real
+/// files each compaction removes a generation and recreates the next
+/// one through `FileDisk`'s held handles.
 #[test]
 fn journal_writes_the_pinned_records() {
-    let disk = SharedDisk::new();
-    let mut journal = SafetyJournal::open(disk.clone()).expect("opens");
-    journal.log_view(View(9)).expect("appends");
-    assert_eq!(hex(&last_record(&disk, 0)), hex(&unhex(ENTERED_VIEW)));
-    journal.log_last_voted(&last_voted()).expect("appends");
-    assert_eq!(hex(&last_record(&disk, 0)), hex(&unhex(LAST_VOTED)));
-    assert!(journal.gc_below(Height(6)).expect("compacts"));
-    assert_eq!(hex(&last_record(&disk, 1)), hex(&unhex(SNAPSHOT_UNLOCKED)));
-    journal.log_lock(&lock()).expect("appends");
-    assert_eq!(hex(&last_record(&disk, 1)), hex(&unhex(LOCK)));
-    journal.log_high_qc(&high_qc()).expect("appends");
-    assert_eq!(hex(&last_record(&disk, 1)), hex(&unhex(HIGH_QC)));
-    assert!(journal.gc_below(Height(6)).expect("compacts"));
-    assert_eq!(hex(&last_record(&disk, 2)), hex(&unhex(SNAPSHOT_LOCKED)));
+    let dir = std::env::temp_dir().join(format!("marlin-disk-layout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for disk in [
+        SharedDisk::new(),
+        SharedDisk::open_dir(&dir).expect("opens dir"),
+    ] {
+        let mut journal = SafetyJournal::open(disk.clone()).expect("opens");
+        journal.log_view(View(9)).expect("appends");
+        assert_eq!(hex(&last_record(&disk, 0)), hex(&unhex(ENTERED_VIEW)));
+        journal.log_last_voted(&last_voted()).expect("appends");
+        assert_eq!(hex(&last_record(&disk, 0)), hex(&unhex(LAST_VOTED)));
+        assert!(journal.gc_below(Height(6)).expect("compacts"));
+        assert_eq!(hex(&last_record(&disk, 1)), hex(&unhex(SNAPSHOT_UNLOCKED)));
+        journal.log_lock(&lock()).expect("appends");
+        assert_eq!(hex(&last_record(&disk, 1)), hex(&unhex(LOCK)));
+        journal.log_high_qc(&high_qc()).expect("appends");
+        assert_eq!(hex(&last_record(&disk, 1)), hex(&unhex(HIGH_QC)));
+        assert!(journal.gc_below(Height(6)).expect("compacts"));
+        assert_eq!(hex(&last_record(&disk, 2)), hex(&unhex(SNAPSHOT_LOCKED)));
+    }
+    std::fs::remove_dir_all(&dir).expect("cleans up");
 }
 
 /// What a journal holding one pinned record replays to.
@@ -271,7 +281,7 @@ fn sync_saves_the_pinned_anchor() {
             snapshot: Some((block, qc)),
         },
     ));
-    let saved = Wal::replay_named(&disk, "state-snapshot.1").expect("replays");
+    let (saved, _) = Wal::replay_named_checked(&disk, "state-snapshot.1").expect("replays");
     assert_eq!(saved.len(), 1);
     assert_eq!(hex(&saved[0]), hex(&unhex(ANCHOR)));
 }

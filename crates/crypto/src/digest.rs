@@ -52,11 +52,6 @@ impl Digest {
     pub fn short(&self) -> String {
         self.to_hex()[..8].to_string()
     }
-
-    /// Whether this is the all-zero digest.
-    pub fn is_zero(&self) -> bool {
-        *self == Self::ZERO
-    }
 }
 
 impl fmt::Debug for Digest {
@@ -95,7 +90,6 @@ mod tests {
 
     #[test]
     fn zero_round_trip() {
-        assert!(Digest::ZERO.is_zero());
         assert_eq!(Digest::from_bytes([0u8; 32]), Digest::ZERO);
         assert_eq!(Digest::default(), Digest::ZERO);
     }

@@ -65,8 +65,8 @@ impl<D: Disk> Disk for MeteredDisk<D> {
 /// The two signatures `perf/src/layers.rs` (frozen outside `benchmark`
 /// PRs) names, kept so it compiles. There is no thread: `spawn` is
 /// [`SharedDisk::from_disk`], so `runtime.journal_writer.ack_us` reads
-/// what a journal record costs the voter. ROADMAP.md item 5 tracks the
-/// removal, for the next `benchmark` PR.
+/// what a journal record costs the voter. ROADMAP.md item 3(c) queues
+/// the removal for the next `benchmark` PR.
 pub struct JournalWriter;
 
 impl JournalWriter {

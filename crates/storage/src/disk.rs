@@ -1,6 +1,6 @@
 //! The disk abstraction: named append-only files with read/remove.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -264,10 +264,18 @@ impl Disk for SharedDisk {
     }
 }
 
-/// A real directory-backed disk.
+/// A real directory-backed disk. It holds one append handle per live
+/// file: the first `append` to a name opens it (`create` + `append`),
+/// later ones are one write on that handle, and `remove` or a failed
+/// append closes it. One `FileDisk` per directory. The handles are in
+/// append mode, so an append lands at the file's end even after an
+/// outside truncation (ROADMAP.md item 2(d)'s power-cut cell relies on
+/// it). [`sync`](Disk::sync) is not yet the durability point [`Disk`]
+/// requires: it returns `Ok(())` until item 2(b) makes it `sync_data`.
 #[derive(Debug)]
 pub struct FileDisk {
     dir: PathBuf,
+    open: HashMap<String, std::fs::File>,
 }
 
 impl FileDisk {
@@ -279,7 +287,10 @@ impl FileDisk {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(FileDisk { dir })
+        Ok(FileDisk {
+            dir,
+            open: HashMap::new(),
+        })
     }
 
     fn path(&self, name: &str) -> PathBuf {
@@ -290,11 +301,18 @@ impl FileDisk {
 impl Disk for FileDisk {
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
         use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))?;
-        f.write_all(data)
+        if !self.open.contains_key(name) {
+            let file = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.path(name))?;
+            self.open.insert(name.to_string(), file);
+        }
+        let written = (&self.open[name]).write_all(data);
+        if written.is_err() {
+            self.open.remove(name);
+        }
+        written
     }
 
     fn read_file(&self, name: &str) -> io::Result<Vec<u8>> {
@@ -306,6 +324,7 @@ impl Disk for FileDisk {
     }
 
     fn remove(&mut self, name: &str) -> io::Result<()> {
+        self.open.remove(name);
         match std::fs::remove_file(self.path(name)) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             other => other,
@@ -326,8 +345,6 @@ impl Disk for FileDisk {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        // Directory-level fsync is best-effort and platform-specific;
-        // individual writes above already hit the page cache.
         Ok(())
     }
 }

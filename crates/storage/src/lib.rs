@@ -36,7 +36,7 @@
 //! disk.sync().unwrap();
 //! Wal::append_named(&mut disk, "journal", b"never synced").unwrap();
 //! let disk = disk.crash(); // power loss: back to the last sync
-//! assert_eq!(Wal::replay_named(&disk, "journal").unwrap(), vec![b"voted view 7".to_vec()]);
+//! assert_eq!(Wal::replay_named_checked(&disk, "journal").unwrap().0, vec![b"voted view 7".to_vec()]);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -32,19 +32,9 @@ impl Wal {
     }
 
     /// Replays all intact records of the log under `name`, oldest
-    /// first. A missing log yields an empty list; a corrupt/torn tail
-    /// is silently discarded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates disk read errors other than "not found".
-    pub fn replay_named<D: Disk + ?Sized>(disk: &D, name: &str) -> io::Result<Vec<Vec<u8>>> {
-        Ok(Self::replay_named_checked(disk, name)?.0)
-    }
-
-    /// Replays the log under `name`, additionally reporting whether the
-    /// scan consumed the whole file. `false` means a torn or corrupt
-    /// tail remains on disk *after* the intact prefix — anything
+    /// first, and reports whether the scan consumed the whole file. A
+    /// missing log yields an empty list. `false` means a torn or
+    /// corrupt tail remains on disk *after* the intact prefix — anything
     /// appended to the raw file after that point would be invisible to
     /// replay, so callers that keep appending must first truncate or
     /// switch files.
@@ -115,15 +105,15 @@ mod tests {
         Wal::append_named(&mut d, LOG, b"one").unwrap();
         Wal::append_named(&mut d, LOG, b"two").unwrap();
         Wal::append_named(&mut d, LOG, b"").unwrap();
-        assert_eq!(
-            Wal::replay_named(&d, LOG).unwrap(),
-            vec![b"one".to_vec(), b"two".to_vec(), vec![]]
-        );
+        let (records, intact) = Wal::replay_named_checked(&d, LOG).unwrap();
+        assert_eq!(records, vec![b"one".to_vec(), b"two".to_vec(), vec![]]);
+        assert!(intact);
     }
 
     #[test]
     fn replay_of_missing_log_is_empty() {
-        assert!(Wal::replay_named(&MemDisk::new(), LOG).unwrap().is_empty());
+        let replayed = Wal::replay_named_checked(&MemDisk::new(), LOG).unwrap();
+        assert_eq!(replayed, (vec![], true));
     }
 
     #[test]
@@ -132,10 +122,8 @@ mod tests {
         Wal::append_named(&mut d, LOG, b"intact").unwrap();
         d.tear_next_write_after(5); // header is 8 bytes: record torn
         let _ = Wal::append_named(&mut d, LOG, b"lost");
-        assert_eq!(
-            Wal::replay_named(&d, LOG).unwrap(),
-            vec![b"intact".to_vec()]
-        );
+        let replayed = Wal::replay_named_checked(&d, LOG).unwrap();
+        assert_eq!(replayed, (vec![b"intact".to_vec()], false));
     }
 
     #[test]
@@ -149,7 +137,8 @@ mod tests {
         raw[idx] ^= 0xFF;
         d.remove(LOG).unwrap();
         d.append(LOG, &raw).unwrap();
-        assert_eq!(Wal::replay_named(&d, LOG).unwrap(), vec![b"first".to_vec()]);
+        let replayed = Wal::replay_named_checked(&d, LOG).unwrap();
+        assert_eq!(replayed, (vec![b"first".to_vec()], false));
     }
 
     #[test]
@@ -158,10 +147,9 @@ mod tests {
         Wal::append_named(&mut d, LOG, b"kv").unwrap();
         Wal::append_named(&mut d, "safety", b"lock").unwrap();
         Wal::append_named(&mut d, "safety", b"vote").unwrap();
-        assert_eq!(Wal::replay_named(&d, LOG).unwrap(), vec![b"kv".to_vec()]);
-        assert_eq!(
-            Wal::replay_named(&d, "safety").unwrap(),
-            vec![b"lock".to_vec(), b"vote".to_vec()]
-        );
+        let (kv, _) = Wal::replay_named_checked(&d, LOG).unwrap();
+        assert_eq!(kv, vec![b"kv".to_vec()]);
+        let (safety, _) = Wal::replay_named_checked(&d, "safety").unwrap();
+        assert_eq!(safety, vec![b"lock".to_vec(), b"vote".to_vec()]);
     }
 }
