@@ -1,9 +1,9 @@
 //! Per-recipient broadcast fan-out cost.
 //!
 //! A leader's broadcast clones its proposal once per recipient and the
-//! simulator charges each copy's wire length. With `Batch` backed by a
-//! shared `Arc<[Transaction]>` and `wire_len` memoized, both costs are
-//! flat in batch size — the `clone_per_recipient` and `wire_len` series
+//! simulator charges each copy's wire length. With `Batch` being one
+//! shared buffer of its wire bytes, whose length is `wire_len`, both
+//! costs are flat in batch size — the `clone_per_recipient` and `wire_len` series
 //! below should show the same time at 1, 100, and 1000 transactions.
 
 use bytes::Bytes;
@@ -15,9 +15,11 @@ use marlin_types::{
 fn proposal_message(txs: usize, payload: usize) -> Message {
     let g = Block::genesis();
     let qc = Qc::genesis(g.id());
-    let batch: Batch = (0..txs as u64)
-        .map(|i| Transaction::new(i, 0, Bytes::from(vec![0u8; payload]), i))
-        .collect();
+    let batch = Batch::new(
+        (0..txs as u64)
+            .map(|i| Transaction::new(i, 0, Bytes::from(vec![0u8; payload]), i))
+            .collect(),
+    );
     let block = Block::new_normal(
         g.id(),
         g.view(),

@@ -1,6 +1,7 @@
 //! Microbenchmarks for the wire codec: proposals with realistic batches
-//! in both directions, plus the structural length computation, and one
-//! vote (a fixed-size message: the per-field cost with no payload).
+//! in both directions, plus the structural length computation, the
+//! decode of a 400-request no-op proposal, and one vote (a fixed-size
+//! message: the per-field cost with no payload).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -14,9 +15,11 @@ use marlin_types::{
 fn proposal_message(txs: usize, payload: usize) -> Message {
     let g = Block::genesis();
     let qc = Qc::genesis(g.id());
-    let batch: Batch = (0..txs as u64)
-        .map(|i| Transaction::new(i, 0, Bytes::from(vec![0u8; payload]), i))
-        .collect();
+    let batch = Batch::new(
+        (0..txs as u64)
+            .map(|i| Transaction::new(i, 0, Bytes::from(vec![0u8; payload]), i))
+            .collect(),
+    );
     let block = Block::new_normal(
         g.id(),
         g.view(),
@@ -54,6 +57,13 @@ fn bench_codec(c: &mut Criterion) {
             b.iter(|| msg.wire_len(false));
         });
     }
+    // No-op requests: the decoder's walk over 400 headers, which the
+    // block-id hash of 150-byte payloads otherwise hides.
+    let noop = encode_message(&proposal_message(400, 0), false);
+    g.throughput(Throughput::Bytes(noop.len() as u64));
+    g.bench_with_input(BenchmarkId::new("decode", "400-noop"), &noop, |b, enc| {
+        b.iter(|| decode_message(enc).unwrap());
+    });
     let block = Block::genesis();
     let seed = block.vote_seed(Phase::Prepare, View(1));
     let vote = Message::new(

@@ -25,9 +25,11 @@ fn bench_sha256(c: &mut Criterion) {
 /// what one hash of that many contiguous bytes does.
 fn bench_block_id(c: &mut Criterion) {
     let mut g = c.benchmark_group("block_id");
-    let batch: Batch = (0..400u64)
-        .map(|i| Transaction::new(i, 7, Bytes::from(vec![i as u8; 150]), 0))
-        .collect();
+    let batch = Batch::new(
+        (0..400u64)
+            .map(|i| Transaction::new(i, 7, Bytes::from(vec![i as u8; 150]), 0))
+            .collect(),
+    );
     let genesis = Block::genesis();
     let justify = Justify::One(Qc::genesis(genesis.id()));
     g.throughput(Throughput::Bytes(400 * 150));

@@ -20,9 +20,11 @@ use marlin_types::{Batch, Block, Justify, Qc, Transaction, View};
 fn anchor(txs: u64, payload: usize) -> BytesMut {
     let g = Block::genesis();
     let qc = Qc::genesis(g.id());
-    let batch: Batch = (0..txs)
-        .map(|i| Transaction::new(i, 0, Bytes::from(vec![0u8; payload]), i))
-        .collect();
+    let batch = Batch::new(
+        (0..txs)
+            .map(|i| Transaction::new(i, 0, Bytes::from(vec![0u8; payload]), i))
+            .collect(),
+    );
     let block = Block::new_normal(
         g.id(),
         g.view(),

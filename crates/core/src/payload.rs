@@ -271,9 +271,8 @@ mod tests {
     use marlin_types::{Transaction, View};
 
     fn batch(tag: u8) -> Batch {
-        (0..3)
-            .map(|i| Transaction::new(u64::from(tag) << 8 | i, 0, Bytes::from(vec![tag; 4]), 0))
-            .collect()
+        let tx = |i| Transaction::new(u64::from(tag) << 8 | i, 0, Bytes::from(vec![tag; 4]), 0);
+        Batch::new((0..3).map(tx).collect())
     }
 
     fn push(from: u32, b: &Batch) -> Message {

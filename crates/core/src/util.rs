@@ -10,7 +10,7 @@ use crate::payload::{PayloadOutcome, PayloadPlane};
 use marlin_mempool::{Mempool, MempoolConfig};
 use marlin_types::{
     Batch, BatchId, Block, BlockId, BlockStore, CommitError, Message, MsgBody, Qc, ReplicaId,
-    Transaction, View,
+    Transaction, TxView, View,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
@@ -287,7 +287,7 @@ impl Base {
 
     /// Drains up to `batch_size` transactions for a new proposal.
     pub fn take_batch(&mut self) -> Batch {
-        self.mempool.take(self.cfg.batch_size).into_iter().collect()
+        Batch::new(self.mempool.take(self.cfg.batch_size))
     }
 
     /// Offers transactions to the mempool under its admission rules
@@ -384,11 +384,11 @@ impl Base {
             });
         }
         for (digest, batch) in tick.expired {
-            out.actions.push(Action::Note(Note::PayloadExpired {
-                batch: digest,
-                txs: batch.len(),
-            }));
-            self.mempool.requeue(batch.into_iter().collect());
+            let txs = batch.len();
+            out.actions
+                .push(Action::Note(Note::PayloadExpired { batch: digest, txs }));
+            let owned = batch.iter().map(TxView::to_transaction);
+            self.mempool.requeue(owned.collect());
         }
     }
 

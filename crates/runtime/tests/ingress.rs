@@ -18,9 +18,11 @@ use std::time::{Duration, Instant};
 
 /// The paper's block: 400 requests of 150 bytes.
 fn block_batch(first_id: u64) -> Batch {
-    (0..400)
-        .map(|i| Transaction::new(first_id + i, 7, Bytes::from(vec![i as u8; 150]), i))
-        .collect()
+    Batch::new(
+        (0..400)
+            .map(|i| Transaction::new(first_id + i, 7, Bytes::from(vec![i as u8; 150]), i))
+            .collect(),
+    )
 }
 
 /// Closes `transport` if `done` is not set within `limit`, so a lost
@@ -114,7 +116,7 @@ fn frames_of_one_peer_reach_the_core_in_send_order() {
     peer.close();
 }
 
-fn inside(frame: &Bytes, payload: &Bytes) -> bool {
+fn inside(frame: &Bytes, payload: &[u8]) -> bool {
     let (frame, payload) = (frame.as_ptr_range(), payload.as_ptr_range());
     frame.start <= payload.start && payload.end <= frame.end
 }
@@ -180,9 +182,9 @@ fn payload_bytes_are_not_copied_between_the_socket_and_the_block_tree() {
             tree.insert(block);
             let held = tree.get(&sent.id()).expect("just inserted");
             assert_eq!(held.payload().len(), 400);
-            for tx in held.payload() {
-                assert!(Bytes::ptr_eq(&tx.payload, &frame));
-                assert!(inside(&frame, &tx.payload));
+            for tx in held.payload().iter() {
+                assert!(Bytes::ptr_eq(&tx.to_transaction().payload, &frame));
+                assert!(inside(&frame, tx.payload));
             }
         }
     }

@@ -309,7 +309,11 @@ fn equivocate(id: ReplicaId, n: usize, message: Message, out: &mut Vec<Action>) 
 /// transaction. Virtual blocks (no parent link) twin through the
 /// virtual constructor so the twin keeps their kind.
 fn twin_of(block: &Block) -> Block {
-    let mut payload: Vec<Transaction> = block.payload().iter().cloned().collect();
+    let mut payload: Vec<_> = block
+        .payload()
+        .iter()
+        .map(|tx| tx.to_transaction())
+        .collect();
     payload.push(Transaction::no_op(u64::MAX, u32::MAX, 0));
     let batch = Batch::new(payload);
     match block.parent_id() {

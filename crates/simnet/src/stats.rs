@@ -5,7 +5,7 @@ use marlin_core::Note;
 // The histogram lives in `marlin-telemetry` so every latency-like
 // series in the workspace shares one bucket layout.
 use marlin_telemetry::{Histogram, LatencySummary, Telemetry, TelemetrySink};
-use marlin_types::{Block, ReplicaId};
+use marlin_types::{Block, ReplicaId, Transaction};
 use std::collections::HashSet;
 
 /// Telemetry sink measuring throughput and end-to-end latency at a
@@ -16,7 +16,7 @@ use std::collections::HashSet;
 /// end-to-end numbers include). Two real-clock corrections:
 ///
 /// - Transactions submitted locally at a replica
-///   ([`marlin_types::Transaction::is_local`]) never crossed a client
+///   ([`Transaction::LOCAL_CLIENT`]) never crossed a client
 ///   link, so no client legs are added for them.
 /// - Under per-thread wall clocks the commit timestamp can read
 ///   *earlier* than the submit timestamp (clock skew). Such samples are
@@ -90,7 +90,7 @@ impl Stats {
                     continue;
                 }
                 counts.committed_txs += 1;
-                let legs = if tx.is_local() {
+                let legs = if tx.client == Transaction::LOCAL_CLIENT {
                     0
                 } else {
                     2 * self.client_leg_ns

@@ -287,7 +287,7 @@ impl Block {
         p.put(&self.pview.0.to_le_bytes());
         p.put(&self.view.0.to_le_bytes());
         p.put(&self.height.0.to_le_bytes());
-        p.put_transactions(self.payload.transactions());
+        p.put_transactions(&self.payload);
         self.justify.hash_into(&mut p);
         BlockId::from_digest(p.finish())
     }

@@ -45,5 +45,5 @@ pub use block::{Block, BlockId, BlockKind, BlockMeta, Justify, ParentLink};
 pub use ids::{Height, ReplicaId, View};
 pub use message::{Decide, Message, MsgBody, MsgClass, Proposal, VcCert, ViewChange, Vote};
 pub use qc::{Phase, Qc, QcSeed};
-pub use transaction::{Batch, BatchId, Transaction};
+pub use transaction::{Batch, BatchId, BatchIter, Transaction, TxView};
 pub use tree::{BlockStore, CommitError};

@@ -1,6 +1,6 @@
 //! Hash preimages assembled from many small fields.
 
-use crate::transaction::Transaction;
+use crate::transaction::Batch;
 use marlin_crypto::{Digest, Sha256};
 
 /// Staging bytes: large enough that the hasher sees runs of dozens of
@@ -55,15 +55,12 @@ impl Preimage {
     /// it the boundary between one payload and the next transaction's
     /// fixed fields is ambiguous, and two different lists could share a
     /// byte stream (and so a digest).
-    pub(crate) fn put_transactions(&mut self, txs: &[Transaction]) {
-        self.put(&(txs.len() as u64).to_le_bytes());
-        for tx in txs {
-            let mut fixed = [0u8; 16];
-            fixed[..8].copy_from_slice(&tx.id.to_le_bytes());
-            fixed[8..12].copy_from_slice(&tx.client.to_le_bytes());
-            fixed[12..].copy_from_slice(&(tx.payload.len() as u32).to_le_bytes());
-            self.put(&fixed);
-            self.put(&tx.payload);
+    pub(crate) fn put_transactions(&mut self, batch: &Batch) {
+        self.put(&(batch.len() as u64).to_le_bytes());
+        for tx in batch.iter() {
+            // `id ‖ client ‖ len`: the wire header up to its timestamp.
+            self.put(&tx.header[..16]);
+            self.put(tx.payload);
         }
     }
 

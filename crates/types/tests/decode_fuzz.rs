@@ -174,6 +174,72 @@ fn batch_count_bomb_rejected() {
     }
 }
 
+/// A `PayloadPush` frame whose batch — the last field, so its bytes end
+/// the frame — claims `count` transactions and holds `txs`.
+fn push_frame(count: u32, txs: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&1u32.to_le_bytes()); // from
+    frame.extend_from_slice(&2u64.to_le_bytes()); // view
+    frame.push(12); // PayloadPush
+    frame.extend_from_slice(&[0u8; 32]); // digest
+    frame.extend_from_slice(&count.to_le_bytes());
+    frame.extend_from_slice(txs);
+    frame
+}
+
+/// A transaction's wire header claiming a `len`-byte payload.
+fn tx_header(len: u32) -> Vec<u8> {
+    let mut header = 7u64.to_le_bytes().to_vec(); // id
+    header.extend_from_slice(&3u32.to_le_bytes()); // client
+    header.extend_from_slice(&len.to_le_bytes());
+    header.extend_from_slice(&9u64.to_le_bytes()); // submitted_at_ns
+    header
+}
+
+/// Two transactions claimed, enough bytes for the count bound (two
+/// headers' worth), but the second header stops after 10 of its 24
+/// bytes: the walk ends there.
+#[test]
+fn batch_header_cut_short() {
+    let mut txs = tx_header(30);
+    txs.extend_from_slice(&[0xAB; 30]);
+    let second = tx_header(0);
+    txs.extend_from_slice(&second[..10]);
+    assert_eq!(
+        decode(&push_frame(2, &txs)),
+        Err(DecodeError::UnexpectedEnd)
+    );
+    txs.extend_from_slice(&second[10..]);
+    assert!(decode(&push_frame(2, &txs)).is_ok());
+}
+
+/// The last payload claims one byte more than the frame holds.
+#[test]
+fn batch_last_payload_one_byte_past_the_frame() {
+    let mut txs = tx_header(5);
+    txs.extend_from_slice(&[1; 5]);
+    txs.extend_from_slice(&tx_header(31));
+    txs.extend_from_slice(&[0xAB; 30]);
+    assert_eq!(
+        decode(&push_frame(2, &txs)),
+        Err(DecodeError::UnexpectedEnd)
+    );
+    txs.push(0xAB);
+    assert!(decode(&push_frame(2, &txs)).is_ok());
+}
+
+/// A `u32::MAX` payload length is refused by the walk's bound, not
+/// sliced or allocated.
+#[test]
+fn batch_payload_length_u32_max() {
+    let mut txs = tx_header(u32::MAX);
+    txs.extend_from_slice(&[0xAB; 64]);
+    assert_eq!(
+        decode(&push_frame(1, &txs)),
+        Err(DecodeError::UnexpectedEnd)
+    );
+}
+
 /// A proposal claiming a `u16::MAX`-certificate view-change proof with
 /// an empty tail: rejected by the per-item lower bound.
 #[test]

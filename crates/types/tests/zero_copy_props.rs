@@ -150,11 +150,11 @@ proptest! {
             let spans = decodes.each_ref().map(|decoded| {
                 batches(decoded)
                     .into_iter()
-                    .flatten()
+                    .flat_map(Batch::iter)
                     .filter(|tx| !tx.payload.is_empty())
                     .map(|tx| {
-                        assert!(Bytes::ptr_eq(&tx.payload, &frame));
-                        span(&tx.payload)
+                        assert!(Bytes::ptr_eq(&tx.to_transaction().payload, &frame));
+                        span(tx.payload)
                     })
                     .collect::<Vec<_>>()
             });
@@ -181,7 +181,7 @@ proptest! {
         }
     }
 
-    /// Cloning a batch shares the backing allocation (`Arc::ptr_eq`) —
+    /// Cloning a batch shares the backing bytes (`Batch::ptr_eq`) —
     /// what makes per-recipient broadcast cost O(1) — and the clone is
     /// indistinguishable from the original.
     #[test]

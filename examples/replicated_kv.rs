@@ -28,7 +28,7 @@ impl KvState {
     fn apply_block(&mut self, block: &Block) {
         for tx in block.payload().iter() {
             self.applied_txs += 1;
-            let text = String::from_utf8_lossy(&tx.payload);
+            let text = String::from_utf8_lossy(tx.payload);
             let mut words = text.split(' ');
             match (words.next(), words.next(), words.next()) {
                 (Some("SET"), Some(key), Some(value)) => {
