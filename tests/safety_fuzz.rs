@@ -9,7 +9,8 @@ mod support;
 
 use marlin_bft::core::{Config, ProtocolKind};
 use marlin_bft::simnet::{
-    run_scenario, Behavior, BehaviorPhase, LinkFault, Partition, RecoveryMode, Scenario, SimNet,
+    run_scenario, Behavior, BehaviorPhase, Invariants, LinkFault, Partition, RecoveryMode,
+    Scenario, SimNet,
 };
 use marlin_bft::types::{Message, ReplicaId, View};
 use proptest::prelude::*;
@@ -30,7 +31,14 @@ fn drops(seed: u64, from: ReplicaId, to: ReplicaId, msg: &Message, rate_pct: u64
     h % 100 < rate_pct
 }
 
-fn fuzz_one(kind: ProtocolKind, seed: u64, drop_pct: u64, crash_one: bool, n: usize, f: usize) {
+fn fuzz_one(
+    kind: ProtocolKind,
+    seed: u64,
+    drop_pct: u64,
+    crash_one: bool,
+    n: usize,
+    f: usize,
+) -> Invariants {
     // The checker sees every vote before the drop filter does: no
     // replica may vote twice in one slot, whatever the network loses.
     let (mut sim, _, inv) = instant(kind, Config::for_test(n, f), &[]);
@@ -82,6 +90,7 @@ fn fuzz_one(kind: ProtocolKind, seed: u64, drop_pct: u64, crash_one: bool, n: us
         sim.run_until_idle();
     }
     assert_safe(&inv);
+    inv
 }
 
 /// Builds a random-but-healing fault schedule: one fault family
@@ -195,6 +204,58 @@ fn healthy_replica(sim: &SimNet, n: usize) -> ReplicaId {
         }
     }
     ReplicaId(0)
+}
+
+/// Every kind the fuzz runs.
+const KINDS: [ProtocolKind; 7] = [
+    ProtocolKind::Marlin,
+    ProtocolKind::HotStuff,
+    ProtocolKind::ChainedMarlin,
+    ProtocolKind::ChainedHotStuff,
+    ProtocolKind::Jolteon,
+    ProtocolKind::TwoPhaseInsecure,
+    ProtocolKind::MarlinFourPhase,
+];
+
+/// Fixed seeds through [`fuzz_one`]: the checker's fingerprint and
+/// violations of every `(kind, seed, crash)` run, one row each, must
+/// equal `tests/golden/fuzz_fingerprints.tsv` byte for byte (the
+/// proptests below draw random seeds, so nothing else pins them). A
+/// deliberate change re-blesses it by copying the recomputed table
+/// (path printed on failure) over the golden file.
+#[test]
+fn fixed_seeds_match_the_golden_fingerprints() {
+    let mut actual = String::from("protocol\tseed\tcrash\tfingerprint\tviolations\n");
+    for kind in KINDS {
+        for seed in 0..8u64 {
+            for crash in [false, true] {
+                let inv = fuzz_one(kind, seed, seed * 4 % 30, crash, 4, 1);
+                actual.push_str(&format!(
+                    "{kind:?}\t{seed}\t{crash}\t{:016x}\t{:?}\n",
+                    inv.fingerprint(),
+                    inv.violations()
+                ));
+            }
+        }
+    }
+    let golden = include_str!("golden/fuzz_fingerprints.tsv");
+    if actual != golden {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fuzz_fingerprints.tsv");
+        std::fs::write(&path, &actual).expect("write recomputed table");
+        let rows = actual.lines().count().abs_diff(golden.lines().count());
+        let differing = rows
+            + golden
+                .lines()
+                .zip(actual.lines())
+                .filter(|(g, a)| g != a)
+                .inspect(|(g, a)| eprintln!("row differs:\n  golden {g}\n  actual {a}"))
+                .count();
+        panic!(
+            "{differing} fuzz rows differ from tests/golden/fuzz_fingerprints.tsv; \
+             recomputed table written to {}",
+            path.display()
+        );
+    }
 }
 
 proptest! {
