@@ -155,14 +155,6 @@ impl<X: Default> Core<X> {
         self.rounds.entry(view).or_default()
     }
 
-    /// Raises the lock to `qc` if it outranks the current lock.
-    pub(crate) fn raise_lock(&mut self, qc: &Qc) {
-        let cur = self.locked_qc.as_ref();
-        if cur.is_none_or(|cur| qc_rank_cmp(qc, cur) == Ordering::Greater) {
-            self.locked_qc = Some(*qc);
-        }
-    }
-
     /// Raises `highQC` to `qc` if it outranks the current one.
     pub(crate) fn raise_high(&mut self, qc: &Qc) {
         let cur = self.high_qc.qc();
@@ -204,6 +196,9 @@ impl<X: Default> Core<X> {
             parsig,
             locked_qc,
         };
+        if to != self.base.cfg.id {
+            out.actions.push(Action::Note(Note::voted(&seed)));
+        }
         out.actions.push(Action::Send {
             to,
             message: Message::new(self.base.cfg.id, seed.view, MsgBody::Vote(vote)),
@@ -293,8 +288,11 @@ impl<X: Default> Core<X> {
         if let Some(high) = high {
             R::adopt_high(self, high);
         }
-        if let Some(lock) = lock {
-            self.raise_lock(&lock);
+        let cur = self.locked_qc;
+        if let Some(lock) = lock.filter(|l| cur.is_none_or(|c| qc_rank_cmp(l, &c).is_gt())) {
+            self.locked_qc = Some(lock);
+            let lock = marlin_telemetry::Lock::of(&lock);
+            out.actions.push(Action::Note(Note::Locked { lock }));
         }
         R::after_vote(self, &justify, to, out);
         // A valid proposal is progress: keep the view timer fresh.
@@ -605,11 +603,6 @@ impl<R: Rules> Replica<R> {
     /// The attached safety journal, if any.
     pub fn journal(&self) -> Option<&SafetyJournal> {
         self.core.journal.as_ref()
-    }
-
-    /// Whether a catch-up sync run is currently in progress.
-    pub fn sync_active(&self) -> bool {
-        self.core.base.sync_active()
     }
 
     /// The current lock, if any.
@@ -1137,10 +1130,6 @@ impl<R: Rules> Protocol for Replica<R> {
         self.core.base.maintain_crypto(max_verified)
     }
 
-    fn locked_qc(&self) -> Option<&Qc> {
-        self.core.locked_qc.as_ref()
-    }
-
     fn name(&self) -> &'static str {
         R::NAME
     }
@@ -1227,6 +1216,9 @@ impl<R: Rules> Protocol for Replica<R> {
                 // Pre-crash timers died with the process: re-arm the view
                 // timer so the replica can time out of a stale view.
                 let view = self.core.base.cview;
+                let lock = self.core.locked_qc.as_ref().map(marlin_telemetry::Lock::of);
+                out.actions
+                    .push(Action::Note(Note::Recovered { view, lock }));
                 out.actions.push(Action::SetTimer {
                     view,
                     delay_ns: self.core.base.pacemaker.delay_for(view),

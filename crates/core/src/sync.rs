@@ -164,11 +164,6 @@ impl Base {
         self.cfg.sync_snapshot_interval > 0
     }
 
-    /// Whether a sync run is currently in progress.
-    pub fn sync_active(&self) -> bool {
-        self.sync.run.is_some()
-    }
-
     /// Attaches durable anchor storage and — trusted, it is the
     /// replica's own disk — installs the persisted anchor if it is
     /// ahead of the (journal-rebuilt) committed tip. Called on the
@@ -444,6 +439,7 @@ impl Base {
         self.sync.latest_anchor = Some(anchor);
         out.actions.push(Action::Note(Note::SyncSnapshotInstalled {
             height: block.height(),
+            block: block.id(),
             bytes,
         }));
         let anchor_h = block.height().0;

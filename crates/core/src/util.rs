@@ -30,13 +30,6 @@ pub trait Protocol: Send {
     /// The replica's block tree.
     fn store(&self) -> &BlockStore;
 
-    /// The replica's current lock, if the protocol keeps one. Exposed
-    /// so cross-replica invariant checkers can relate locks to the
-    /// committed chain; the default is lock-free.
-    fn locked_qc(&self) -> Option<&Qc> {
-        None
-    }
-
     /// Transactions currently resident in the replica's mempool.
     /// Exposed so overload campaigns can assert memory boundedness;
     /// wrapper shims delegate to the wrapped replica.

@@ -18,8 +18,9 @@ use marlin_core::{
     build_replica, Action, Config, Event, Note, Protocol, ProtocolKind, SafetyJournal, StepOutput,
 };
 use marlin_crypto::QcFormat;
-use marlin_simnet::{Invariants, SimNet};
+use marlin_simnet::SimNet;
 use marlin_storage::SharedDisk;
+use marlin_telemetry::Invariants;
 use marlin_types::{
     Batch, Block, BlockId, Decide, Height, Justify, Message, MsgBody, Phase, Proposal, Qc,
     ReplicaId, VcCert, View, ViewChange, Vote,

@@ -7,7 +7,8 @@
 mod support;
 
 use marlin_core::{Config, Note, ProtocolKind};
-use marlin_simnet::{Invariants, SimNet};
+use marlin_simnet::SimNet;
+use marlin_telemetry::Invariants;
 use marlin_types::{ReplicaId, View};
 use support::{assert_safe, instant, min_view, submit};
 

@@ -7,7 +7,8 @@ mod support;
 use marlin_core::ProtocolKind;
 use marlin_core::{Config, Event, Note, VcCase};
 use marlin_crypto::QcFormat;
-use marlin_simnet::{Invariants, SimNet};
+use marlin_simnet::SimNet;
+use marlin_telemetry::Invariants;
 use marlin_types::{Message, MsgBody, Phase, Qc, ReplicaId, View, ViewChange};
 use support::{assert_safe, instant, max_view, min_view, submit, Ledger};
 

@@ -1,11 +1,12 @@
 //! The zero-latency simulator profile the protocol tests drive: a
 //! `SimNet` under `SimConfig::instant()`, start-up traffic drained, the
-//! global invariant checker attached, and a ledger of committed blocks.
+//! safety oracle and a ledger of committed blocks installed as its
+//! telemetry sinks.
 #![allow(dead_code)]
 
 use marlin_core::{Config, Protocol, ProtocolKind};
-use marlin_simnet::{Invariants, SimConfig, SimNet};
-use marlin_telemetry::{Telemetry, TelemetrySink};
+use marlin_simnet::{SimConfig, SimNet};
+use marlin_telemetry::{Invariants, Telemetry, TelemetrySink};
 use marlin_types::{Block, ReplicaId, View};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -36,7 +37,7 @@ impl TelemetrySink for Ledger {
 }
 
 /// A started `config.n`-replica cluster of `kind` on the instant
-/// profile; the checker ignores the `byzantine` replicas.
+/// profile; the oracle ignores the `byzantine` replicas.
 pub fn instant(
     kind: ProtocolKind,
     config: Config,
@@ -59,9 +60,8 @@ pub fn instant_with(
 
 fn attach(mut sim: SimNet, byzantine: &[ReplicaId]) -> (SimNet, Ledger, Invariants) {
     let ledger = Ledger::default();
-    let invariants = Invariants::new(byzantine, u64::MAX);
-    sim.set_telemetry(Box::new(ledger.clone()));
-    sim.set_invariant_checker(Box::new(invariants.clone()));
+    let invariants = Invariants::new(byzantine);
+    sim.set_telemetry(Box::new((ledger.clone(), invariants.clone())));
     // Start-up traffic first: a client batch must not interleave with
     // the bootstrap block.
     sim.run_until_idle();
@@ -75,8 +75,8 @@ pub fn submit(sim: &mut SimNet, to: ReplicaId, count: usize, payload_len: usize)
     sim.run_until_idle();
 }
 
-/// Asserts the checker has seen no agreement, prefix, lock or
-/// double-vote violation so far (liveness is the test's own business).
+/// Asserts the oracle has seen no agreement, order, lock or double-vote
+/// violation so far (liveness is the test's own business).
 pub fn assert_safe(invariants: &Invariants) {
     let violations = invariants.violations();
     assert!(

@@ -15,10 +15,10 @@ use bytes::Bytes;
 use marlin_core::{Config, ProtocolKind};
 use marlin_storage::SharedDisk;
 use marlin_telemetry::{
-    install_panic_dump, register_panic_dump, FlightRecorder, Record, Registry, SharedSink,
-    Telemetry, TelemetrySink, Trace,
+    install_panic_dump, register_panic_dump, FlightRecorder, Invariants, Record, Registry,
+    SharedSink, Telemetry, TelemetrySink, Trace, Violation,
 };
-use marlin_types::{Block, BlockId, ReplicaId, Transaction, View};
+use marlin_types::{Block, ReplicaId, Transaction, View};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -151,7 +151,9 @@ pub struct RuntimeCluster {
     cfg: ClusterConfig,
     base: Config,
     clock: Clock,
-    trace: SharedSink<Trace>,
+    /// Every node's records, and the safety oracle judging them, under
+    /// one lock.
+    trace: SharedSink<(Trace, Invariants)>,
     mesh: MeshControl,
     nodes: Vec<Option<NodeHandle>>,
     statuses: Vec<Arc<NodeStatus>>,
@@ -170,7 +172,7 @@ impl RuntimeCluster {
     /// Propagates socket/filesystem errors from mesh and journal setup.
     pub fn launch(cfg: ClusterConfig, observer: Option<CommitObserverFn>) -> io::Result<Self> {
         let clock = Clock::start();
-        let trace = SharedSink::new(Trace::new());
+        let trace = SharedSink::new((Trace::new(), Invariants::new(&[])));
         let base = {
             let mut c = Config::for_test(cfg.n, cfg.f);
             c.batch_size = cfg.batch_size;
@@ -291,11 +293,6 @@ impl RuntimeCluster {
         self.nodes[i].as_ref()?.scrape_addr()
     }
 
-    /// Replica `i`'s flight recorder, when observability is on.
-    pub fn flight(&self, i: usize) -> Option<&FlightRecorder> {
-        self.flights.get(i)
-    }
-
     /// The shared run clock.
     pub fn clock(&self) -> Clock {
         self.clock
@@ -413,24 +410,21 @@ impl RuntimeCluster {
         Ok(())
     }
 
-    /// Checks cross-replica safety: within each commit log heights must
-    /// be strictly increasing (no double commits), and any height
-    /// committed by two replicas must carry the same block id. For
-    /// replicas started fresh this is exactly the identical-committed-
-    /// prefix property; for a `FromDisk`-recovered replica (whose new
-    /// log begins mid-chain) it checks agreement over the overlap.
-    /// Returns the shortest log length on success.
+    /// Checks cross-replica safety with the simulator's oracle, which
+    /// judged every record: agreement per height (a recovered replica's
+    /// pre-kill commits included), commit order within an incarnation,
+    /// locks and votes. Returns the fewest blocks any replica's current
+    /// incarnation has committed.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first divergence or
-    /// ordering violation found. A violation is also stamped as a
-    /// `FATAL` event into every flight ring (and the rings are dumped,
-    /// when a dump directory is configured): a broken safety invariant
-    /// is precisely the autopsy the recorder exists for.
+    /// The first safety violation, rendered; it is also stamped as a
+    /// `FATAL` event into every flight ring (dumped when a dump
+    /// directory is configured), the autopsy the recorder exists for.
     pub fn check_prefix_consistency(&self) -> Result<usize, String> {
-        let result = self.prefix_consistency_inner();
-        if let Err(why) = &result {
+        let violations = self.trace.with(|(_, oracle)| oracle.violations());
+        if let Some(v) = violations.into_iter().find(Violation::is_safety) {
+            let why = format!("{v:?}");
             let dump_dir = self
                 .cfg
                 .observability
@@ -442,41 +436,10 @@ impl RuntimeCluster {
                     let _ = flight.dump_to_dir(dir);
                 }
             }
+            return Err(why);
         }
-        result
-    }
-
-    fn prefix_consistency_inner(&self) -> Result<usize, String> {
-        let logs: Vec<Vec<(u64, BlockId)>> = self.statuses.iter().map(|s| s.commit_log()).collect();
-        let mut by_height: Vec<std::collections::HashMap<u64, BlockId>> = Vec::new();
-        for (i, log) in logs.iter().enumerate() {
-            let mut map = std::collections::HashMap::with_capacity(log.len());
-            let mut last = None;
-            for &(h, id) in log {
-                if last.is_some_and(|prev| h <= prev) {
-                    return Err(format!(
-                        "replica {i} committed height {h} out of order (after {last:?})"
-                    ));
-                }
-                last = Some(h);
-                map.insert(h, id);
-            }
-            by_height.push(map);
-        }
-        for i in 0..by_height.len() {
-            for j in i + 1..by_height.len() {
-                for (h, id_i) in &by_height[i] {
-                    if let Some(id_j) = by_height[j].get(h) {
-                        if id_i != id_j {
-                            return Err(format!(
-                                "commit divergence at height {h}: replica {i} has {id_i:?}, replica {j} has {id_j:?}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(logs.iter().map(Vec::len).min().unwrap_or(0))
+        let blocks = self.statuses.iter().map(|s| s.committed_blocks() as usize);
+        Ok(blocks.min().unwrap_or(0))
     }
 
     /// Stops every replica and returns the final report.
@@ -486,7 +449,7 @@ impl RuntimeCluster {
                 node.stop();
             }
         }
-        let trace = self.trace.with(std::mem::take);
+        let trace = self.trace.with(|(trace, _)| std::mem::take(trace));
         ClusterReport {
             trace,
             statuses: self.statuses,

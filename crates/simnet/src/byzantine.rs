@@ -6,7 +6,7 @@
 
 use marlin_core::{Action, Config, Event, Protocol, StepOutput};
 use marlin_types::{
-    Batch, Block, BlockId, BlockMeta, BlockStore, Justify, Message, MsgBody, Phase, Proposal, Qc,
+    Batch, Block, BlockId, BlockMeta, BlockStore, Justify, Message, MsgBody, Phase, Proposal,
     ReplicaId, Transaction, View,
 };
 use std::sync::{Arc, Mutex};
@@ -89,11 +89,6 @@ impl ByzantineReplica {
     /// The current behavior.
     pub fn behavior(&self) -> Behavior {
         *self.behavior.lock().expect("behavior lock")
-    }
-
-    /// Whether the `UnsafeSnapshot` adversary has withheld its QC yet.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
     }
 
     fn corrupt(&mut self, actions: Vec<Action>) -> Vec<Action> {
@@ -338,10 +333,6 @@ fn twin_of(block: &Block) -> Block {
 impl Protocol for ByzantineReplica {
     fn config(&self) -> &Config {
         self.inner.config()
-    }
-
-    fn locked_qc(&self) -> Option<&Qc> {
-        self.inner.locked_qc()
     }
 
     fn current_view(&self) -> View {

@@ -225,23 +225,26 @@ pub fn sweep_peak_throughput(base: &ExperimentConfig, rates: &[u64]) -> Vec<Swee
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Invariants;
+    use marlin_core::Note;
+    use marlin_telemetry::Invariants;
 
     /// Storage is charged by the simulator, not by a `Protocol` wrapper
-    /// around each replica — a wrapper that forgot to forward
-    /// `locked_qc` once showed every checker a lock-free cluster.
+    /// around each replica — a wrapper that forgot to forward the lock
+    /// once showed the checker a lock-free cluster.
     #[test]
     fn storage_on_replicas_show_their_locks_to_the_invariant_checker() {
         let cfg = ExperimentConfig::paper(ProtocolKind::Marlin, 1);
         assert!(cfg.storage);
         let reference = reference_replica(&cfg);
         let mut sim = cfg.build();
-        let checker = Invariants::new(&[], 0);
-        sim.set_invariant_checker(Box::new(checker.clone()));
+        let checker = Invariants::new(&[]);
+        sim.set_telemetry(Box::new(checker.clone()));
+        checker.mark_quiet();
         sim.schedule_client_batch(ReplicaId(1), 0, 100, cfg.payload_len);
         sim.run_until(2_000_000_000);
         assert!(sim.committed_txs(reference) > 0, "nothing committed");
-        assert!(sim.replica(reference).locked_qc().is_some());
+        let mut notes = sim.notes().filter(|(_, id, _)| *id == reference);
+        assert!(notes.any(|(_, _, note)| matches!(note, Note::Locked { .. })));
         assert_eq!(checker.finish(), []);
     }
 }

@@ -25,8 +25,8 @@
 //! simulator itself (accounting, [`SimNet::notes`], commit counts) and
 //! forwarded, from the same call, to the one installed
 //! [`marlin_telemetry::TelemetrySink`] ([`SimNet::set_telemetry`]; a
-//! tuple of sinks fans out). Commit observers, [`Stats`] and the
-//! telemetry registry are all such sinks.
+//! tuple of sinks fans out). Commit observers, [`Stats`], the registry
+//! and the safety oracle ([`marlin_telemetry::Invariants`]) are sinks.
 //!
 //! Determinism: given the same configuration and seed, a simulation is
 //! bit-for-bit reproducible. [`SimConfig::instant`] turns the network
@@ -35,8 +35,9 @@
 //!
 //! Two drivers assemble whole runs on top of [`SimNet`]: [`run_scenario`]
 //! is a fault run (a [`Scenario`]'s crash, partition, link-fault and
-//! Byzantine schedule under the [`Invariants`] checker, judged into a
-//! [`ScenarioOutcome`]; [`CampaignReport`] tabulates them), and
+//! Byzantine schedule under the [`marlin_telemetry::Invariants`] oracle,
+//! judged into a [`ScenarioOutcome`]; [`CampaignReport`] tabulates
+//! them), and
 //! [`run_experiment`] is a load run — the paper's testbed (Section VI)
 //! in one call: [`ExperimentConfig`] carries the replicas' `Config`
 //! (rotation, batch size, crypto costs) and sets open- or closed-loop
@@ -77,7 +78,6 @@ mod accounting;
 mod block_log;
 mod byzantine;
 mod experiment;
-mod invariants;
 mod scenario;
 mod sim;
 mod stats;
@@ -88,9 +88,8 @@ pub use experiment::{
     run_experiment, run_experiment_with_telemetry, sweep_peak_throughput, ExperimentConfig,
     SweepPoint,
 };
-pub use invariants::{Invariants, Violation};
 pub use scenario::{
     run_scenario, run_scenario_with_telemetry, BehaviorPhase, Scenario, ScenarioOutcome,
 };
-pub use sim::{InvariantChecker, LinkFault, Partition, RebuildFn, RecoveryMode, SimConfig, SimNet};
+pub use sim::{LinkFault, Partition, RebuildFn, RecoveryMode, SimConfig, SimNet};
 pub use stats::{CampaignReport, Metrics, Stats};

@@ -5,20 +5,20 @@
 //! Byzantine [`Behavior`] assignments that can change over time — plus
 //! a *quiet point* after which the schedule stops interfering and a
 //! *horizon* by which liveness must have resumed. [`run_scenario`]
-//! executes one (protocol, scenario, seed) cell under the global
-//! [`Invariants`] checker and returns a [`ScenarioOutcome`] verdict.
+//! executes one (protocol, scenario, seed) cell under the safety
+//! oracle ([`Invariants`], installed as a telemetry sink; the runner
+//! marks the quiet point) and returns a [`ScenarioOutcome`] verdict.
 //!
 //! Identical `(protocol, scenario, seed)` cells are bit-for-bit
 //! reproducible: outcomes carry a fingerprint the test matrix compares
 //! across repeated runs.
 
 use crate::byzantine::{Behavior, ByzantineReplica};
-use crate::invariants::{Invariants, Violation};
 use crate::sim::{LinkFault, Partition, RecoveryMode, SimConfig, SimNet};
 use crate::MsgClass;
 use marlin_core::{build_replica, Config, Protocol, ProtocolKind, SafetyJournal};
 use marlin_storage::{Disk, SharedDisk, SnapshotStore};
-use marlin_telemetry::TelemetrySink;
+use marlin_telemetry::{Invariants, TelemetrySink, Violation};
 use marlin_types::{ReplicaId, View};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -499,8 +499,7 @@ impl ScenarioOutcome {
 }
 
 /// Runs one `(protocol, scenario, seed)` cell on a LAN cluster of
-/// `scenario.config.n` replicas with the global invariant checker
-/// attached.
+/// `scenario.config.n` replicas with the safety oracle attached.
 pub fn run_scenario(kind: ProtocolKind, scenario: &Scenario, seed: u64) -> ScenarioOutcome {
     run_scenario_inner(kind, scenario, seed, None)
 }
@@ -574,11 +573,8 @@ fn run_scenario_inner(
     let mut sim_cfg = SimConfig::lan();
     sim_cfg.seed = seed;
     let mut sim = SimNet::with_replicas(replicas, sim_cfg);
-    if let Some(sink) = telemetry {
-        sim.set_telemetry(sink);
-    }
-    let checker = Invariants::new(&byzantine, scenario.quiet_ns);
-    sim.set_invariant_checker(Box::new(checker.clone()));
+    let checker = Invariants::new(&byzantine);
+    sim.set_telemetry(Box::new((checker.clone(), telemetry)));
     for p in &scenario.partitions {
         sim.add_partition(p.clone());
     }
@@ -668,6 +664,7 @@ fn run_scenario_inner(
             }
         }
     }
+    checker.mark_quiet();
     apply_flips(scenario.quiet_ns, &mut next_flip);
     sim.run_until(scenario.horizon_ns);
 

@@ -6,26 +6,10 @@ use marlin_core::harness::build_protocol;
 use marlin_core::{Action, Config, Event, Note, Protocol, ProtocolKind};
 use marlin_storage::SharedDisk;
 use marlin_telemetry::{Ring, Telemetry, TelemetrySink};
-use marlin_types::{Message, MsgBody, ReplicaId, Transaction, View};
+use marlin_types::{Message, ReplicaId, Transaction, View};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
-
-/// Cross-replica observer invoked after *every* processed event, with
-/// read access to all replica state machines — the hook global
-/// invariant checkers attach to.
-pub trait InvariantChecker {
-    /// Called after each simulation event; `crashed[i]` tells whether
-    /// replica `i` is currently down.
-    fn after_event(&mut self, now_ns: u64, replicas: &[Box<dyn Protocol>], crashed: &[bool]);
-
-    /// Called for every vote-carrying message a live replica hands to
-    /// the network (before drops/partitions), so checkers can detect
-    /// equivocation that network faults would otherwise hide.
-    fn on_vote(&mut self, now_ns: u64, from: ReplicaId, msg: &Message) {
-        let _ = (now_ns, from, msg);
-    }
-}
 
 /// How a replica's state is reconstituted when a scheduled `Recover`
 /// fires (see [`SimNet::configure_recovery`]).
@@ -307,7 +291,6 @@ pub struct SimNet {
     committed_txs: Vec<u64>,
     /// Every note so far: the recorder a runtime replica keeps bounded.
     notes: Ring,
-    checker: Option<Box<dyn InvariantChecker>>,
     partitions: Vec<Partition>,
     link_faults: Vec<LinkFault>,
     filter: Option<FilterFn>,
@@ -361,7 +344,6 @@ impl SimNet {
             committed_blocks: vec![0; n],
             committed_txs: vec![0; n],
             notes: Ring::unbounded(),
-            checker: None,
             partitions: Vec::new(),
             link_faults: Vec::new(),
             filter: None,
@@ -394,12 +376,6 @@ impl SimNet {
     /// is charged to the committing step's journal lane.
     pub fn charge_block_log(&mut self) {
         self.block_logs = vec![BlockLogCost::default(); self.replicas.len()];
-    }
-
-    /// Installs an invariant checker, invoked after every processed
-    /// event (replacing any previous one).
-    pub fn set_invariant_checker(&mut self, checker: Box<dyn InvariantChecker>) {
-        self.checker = Some(checker);
     }
 
     /// Adds a timed network partition window.
@@ -670,12 +646,11 @@ impl SimNet {
     }
 
     /// Every entry point's path through an event: clock, dispatch,
-    /// invariant check, cache maintenance.
+    /// cache maintenance.
     fn process(&mut self, entry: Entry) {
         self.now_ns = self.now_ns.max(entry.at_ns);
         self.events_processed += 1;
         self.dispatch_entry(entry);
-        self.run_checker();
         self.maybe_maintain_crypto();
     }
 
@@ -761,16 +736,6 @@ impl SimNet {
         }
     }
 
-    /// Invokes the invariant checker (if any) against the current
-    /// global state. Take/put-back keeps the borrow checker happy while
-    /// the checker reads `self.replicas`.
-    fn run_checker(&mut self) {
-        if let Some(mut checker) = self.checker.take() {
-            checker.after_event(self.now_ns, &self.replicas, &self.crashed);
-            self.checker = Some(checker);
-        }
-    }
-
     fn step_replica(&mut self, id: ReplicaId, event: Event) {
         // CPU model: each replica runs a consensus event loop plus a
         // pool of crypto worker lanes and a journal/IO lane. The loop
@@ -850,28 +815,14 @@ impl SimNet {
         }
     }
 
-    /// Surfaces a vote-carrying message to the invariant checker before
-    /// the network model can drop or delay it.
-    fn observe_vote(&mut self, from: ReplicaId, msg: &Message) {
-        if !matches!(msg.body, MsgBody::Vote(_)) || self.crashed[from.index()] {
-            return;
-        }
-        if let Some(mut checker) = self.checker.take() {
-            checker.on_vote(self.now_ns, from, msg);
-            self.checker = Some(checker);
-        }
-    }
-
     fn dispatch_action(&mut self, from: ReplicaId, at_ns: u64, action: Action) {
         match action {
             Action::Send { to, message } => {
                 debug_assert_ne!(to, from, "self-sends are resolved by step()");
-                self.observe_vote(from, &message);
                 let cost = self.wire_cost(&message);
                 self.transmit(from, to, message, cost, at_ns);
             }
             Action::Broadcast { message } => {
-                self.observe_vote(from, &message);
                 // Per-broadcast work happens once: the message is measured
                 // here, not per recipient. Each recipient then costs a
                 // batch refcount bump plus the network model.
@@ -1173,8 +1124,8 @@ mod tests {
     fn instant_profile_steps_one_input_at_a_time() {
         let cfg = Config::for_test(4, 1);
         let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::instant());
-        let checker = crate::Invariants::new(&[], u64::MAX);
-        sim.set_invariant_checker(Box::new(checker.clone()));
+        let checker = marlin_telemetry::Invariants::new(&[]);
+        sim.set_telemetry(Box::new(checker.clone()));
         // The start-up block commits; no timer fires, the clock stands.
         sim.run_until_idle();
         assert_eq!((sim.now_ns(), checker.committed_len()), (0, 2));

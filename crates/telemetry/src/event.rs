@@ -11,7 +11,7 @@
 //! [`RegistryRecorder`] (folds every event into registry metrics).
 
 use crate::registry::{Counter, HistogramHandle, Registry};
-use marlin_types::{BatchId, Block, BlockId, Height, MsgClass, Phase, ReplicaId, View};
+use marlin_types::{BatchId, Block, BlockId, Height, MsgClass, Phase, Qc, QcSeed, ReplicaId, View};
 use std::collections::HashMap;
 
 /// Which leader case of the Marlin view-change pre-prepare phase ran
@@ -163,6 +163,8 @@ pub enum Note {
     SyncSnapshotInstalled {
         /// The anchor's height.
         height: Height,
+        /// The anchor block, now the committed tip.
+        block: BlockId,
         /// Wire bytes of the transferred snapshot anchor.
         bytes: usize,
     },
@@ -239,6 +241,64 @@ pub enum Note {
         /// Transactions returned to the mempool.
         txs: usize,
     },
+    /// The replica sent a vote to another replica (a leader's vote for
+    /// its own proposal never leaves it and is not noted).
+    Voted {
+        /// View of the vote.
+        view: View,
+        /// Voted phase.
+        phase: Phase,
+        /// Height of the voted block.
+        height: Height,
+        /// The voted block.
+        block: BlockId,
+    },
+    /// The replica raised its lock.
+    Locked {
+        /// The new lock.
+        lock: Lock,
+    },
+    /// The replica restarted after a crash, in `view` holding `lock`.
+    Recovered {
+        /// The view it resumes in.
+        view: View,
+        /// The lock it resumes with.
+        lock: Option<Lock>,
+    },
+}
+
+impl Note {
+    /// The [`Note::Voted`] for a vote on `seed`.
+    pub fn voted(seed: &QcSeed) -> Note {
+        Note::Voted {
+            view: seed.view,
+            phase: seed.phase,
+            height: seed.height,
+            block: seed.block,
+        }
+    }
+}
+
+/// A lock as notes report it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Lock {
+    /// The certificate's view.
+    pub view: View,
+    /// The locked block's height.
+    pub height: Height,
+    /// The locked block.
+    pub block: BlockId,
+}
+
+impl Lock {
+    /// The lock `qc` sets.
+    pub fn of(qc: &Qc) -> Self {
+        Lock {
+            view: qc.view(),
+            height: qc.height(),
+            block: qc.block(),
+        }
+    }
 }
 
 /// Stable lower-case label for a phase.
@@ -489,6 +549,9 @@ impl<S: TelemetrySink> TelemetrySink for SharedSink<S> {
 /// | `PayloadQuorum` | `consensus_payload_quorum_total` + `consensus_payload_quorum_ns` |
 /// | `PayloadFetched` | `consensus_payload_fetches_total` |
 /// | `PayloadExpired` | `consensus_payload_expired_total` + `consensus_payload_expired_txs_total` |
+/// | `Voted` | `consensus_votes_sent_total{phase}` |
+/// | `Locked` | `consensus_locks_raised_total` |
+/// | `Recovered` | `consensus_recoveries_total` |
 /// | `Telemetry::Sent` | `net_{messages,bytes,authenticators}_total{class}` |
 /// | `Telemetry::Charged` | `consensus_cpu_ns_total{lane="crypto"\|"journal"\|"consensus"}` |
 /// | `Telemetry::CryptoCache` | `crypto_seed_memo_{hits,misses}_total` + `crypto_verified_qc_cache_entries` (gauge) |
@@ -763,6 +826,15 @@ impl RegistryRecorder {
                 self.counter("consensus_payload_expired_txs_total", &[])
                     .add(*txs as u64);
             }
+            Note::Voted { phase, .. } => {
+                self.counter(
+                    "consensus_votes_sent_total",
+                    &[("phase", phase_label(*phase))],
+                )
+                .inc();
+            }
+            Note::Locked { .. } => self.counter("consensus_locks_raised_total", &[]).inc(),
+            Note::Recovered { .. } => self.counter("consensus_recoveries_total", &[]).inc(),
         }
     }
 }
@@ -869,6 +941,12 @@ pub(crate) mod tests {
         assert_eq!(pair.1.len(), 1);
     }
 
+    const LOCK: Lock = Lock {
+        view: View(3),
+        height: Height(2),
+        block: BlockId::GENESIS,
+    };
+
     /// One sample of every `Note` variant. The match below is
     /// exhaustive without a wildcard, so adding a variant without adding
     /// a sample here (and a mapping in `RegistryRecorder`, and a case in
@@ -927,6 +1005,7 @@ pub(crate) mod tests {
             },
             Note::SyncSnapshotInstalled {
                 height: Height(480),
+                block: BlockId::GENESIS,
                 bytes: 256,
             },
             Note::SyncRangeFetched {
@@ -959,6 +1038,17 @@ pub(crate) mod tests {
                 batch: BatchId::default(),
                 txs: 16,
             },
+            Note::Voted {
+                view: View(2),
+                phase: Phase::Commit,
+                height: Height(3),
+                block: BlockId::GENESIS,
+            },
+            Note::Locked { lock: LOCK },
+            Note::Recovered {
+                view: View(4),
+                lock: Some(LOCK),
+            },
         ];
         for note in &samples {
             match note {
@@ -986,7 +1076,10 @@ pub(crate) mod tests {
                 | Note::PayloadPushed { .. }
                 | Note::PayloadQuorum { .. }
                 | Note::PayloadFetched { .. }
-                | Note::PayloadExpired { .. } => {}
+                | Note::PayloadExpired { .. }
+                | Note::Voted { .. }
+                | Note::Locked { .. }
+                | Note::Recovered { .. } => {}
             }
         }
         samples

@@ -26,7 +26,7 @@
 //! first torn, corrupt or undecodable frame, returning everything
 //! intact before it: dumps are written while the process is dying.
 
-use crate::event::{Note, SharedSink, Telemetry, TelemetrySink, VcCase};
+use crate::event::{Lock, Note, SharedSink, Telemetry, TelemetrySink, VcCase};
 use bytes::Bytes;
 use marlin_storage::{frame_record, split_records};
 use marlin_types::codec::{self, Codec, Decoder, Wire};
@@ -275,7 +275,7 @@ marlin_types::codec!(enum Note {
     12 => CatchUpServed { view, newer },
     13 => CatchUpCompleted { view },
     14 => SyncStarted { from, target },
-    15 => SyncSnapshotInstalled { height, bytes: Usize },
+    // 15 was SyncSnapshotInstalled before it carried its anchor block.
     16 => SyncRangeFetched { from, count: Usize },
     17 => SyncPeerDemoted { peer },
     18 => SyncCompleted { height },
@@ -285,7 +285,12 @@ marlin_types::codec!(enum Note {
     22 => PayloadQuorum { batch },
     23 => PayloadFetched { batch },
     24 => PayloadExpired { batch, txs: Usize },
+    25 => Voted { view, phase, height, block },
+    26 => Locked { lock },
+    27 => Recovered { view, lock },
+    28 => SyncSnapshotInstalled { height, block, bytes: Usize },
 });
+marlin_types::codec!(struct Lock { view, height, block });
 
 /// A `usize` field, written as a `u64`; one the reading platform cannot
 /// hold is refused rather than truncated.

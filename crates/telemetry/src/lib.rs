@@ -23,6 +23,9 @@
 //!   propose → vote → QC → deliver segments, with the protocol's phase
 //!   count measured from the trace.
 //!
+//! * [`Invariants`] — the safety oracle: a sink judging agreement,
+//!   commit order, locks, votes and liveness from the stream alone, for
+//!   the simulator and the threaded runtime alike.
 //! * [`Ring`] / [`FlightRecorder`] — the one typed recorder of stamped
 //!   notes (the simulator's, and each runtime node's flight ring) and
 //!   its dumps, framed as the safety journal frames its records.
@@ -37,13 +40,14 @@ pub mod event;
 pub mod export;
 pub mod flight;
 pub mod hist;
+pub mod invariants;
 pub mod registry;
 pub mod serve;
 pub mod timeline;
 
 pub use event::{
-    phase_label, ChargeEvent, Note, RegistryRecorder, SharedSink, Telemetry, TelemetrySink, Trace,
-    TraceEvent, VcCase,
+    phase_label, ChargeEvent, Lock, Note, RegistryRecorder, SharedSink, Telemetry, TelemetrySink,
+    Trace, TraceEvent, VcCase,
 };
 pub use export::{check_prometheus_text, json_str, Snapshot, SnapshotEntry, SnapshotValue};
 pub use flight::{
@@ -51,6 +55,7 @@ pub use flight::{
     Record, Ring, FLIGHT_CAPACITY, FLIGHT_MAGIC,
 };
 pub use hist::{Histogram, LatencySummary, BUCKET_COUNT};
+pub use invariants::{Invariants, Violation};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
 pub use serve::{Health, HealthFn, ScrapeServer};
 pub use timeline::{BlockTimeline, Decomposition, LaneBreakdown, PhasePoint, SegmentStat};

@@ -12,9 +12,9 @@
 //! written).
 
 use marlin_bft::core::{Config, Note, ProtocolKind};
-use marlin_bft::simnet::{Invariants, SimConfig, SimNet};
+use marlin_bft::simnet::{SimConfig, SimNet};
 use marlin_bft::telemetry::{
-    check_prometheus_text, Registry, RegistryRecorder, Telemetry, TelemetrySink,
+    check_prometheus_text, Invariants, Registry, RegistryRecorder, Telemetry, TelemetrySink,
 };
 use marlin_bft::types::{Block, ReplicaId};
 use std::cell::RefCell;
@@ -42,15 +42,14 @@ fn main() {
     // n = 4 replicas tolerating f = 1 Byzantine fault.
     let config = Config::for_test(4, 1);
     let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::instant());
-    let (chain, invariants) = (Chain::default(), Invariants::new(&[], u64::MAX));
-    sim.set_telemetry(Box::new(chain.clone()));
-    sim.set_invariant_checker(Box::new(invariants.clone()));
+    let (chain, invariants) = (Chain::default(), Invariants::new(&[]));
+    sim.set_telemetry(Box::new((chain.clone(), invariants.clone())));
     sim.run_until_idle(); // the start-up block
     let registry = Registry::new();
     let recorder = telemetry_path
         .is_some()
         .then(|| RegistryRecorder::new(&registry));
-    sim.set_telemetry(Box::new((chain.clone(), recorder)));
+    sim.set_telemetry(Box::new(((chain.clone(), invariants.clone()), recorder)));
 
     println!("submitting 3 batches of 100 transactions to the view-1 leader…");
     for round in 1..=3 {

@@ -8,8 +8,8 @@
 //! ```
 
 use marlin_bft::core::{Config, Event, ProtocolKind};
-use marlin_bft::simnet::{Invariants, SimConfig, SimNet};
-use marlin_bft::telemetry::{Telemetry, TelemetrySink};
+use marlin_bft::simnet::{SimConfig, SimNet};
+use marlin_bft::telemetry::{Invariants, Telemetry, TelemetrySink};
 use marlin_bft::types::{Block, ReplicaId, Transaction};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -69,9 +69,8 @@ fn main() {
         Config::for_test(4, 1),
         SimConfig::instant(),
     );
-    let (apps, invariants) = (Apps::default(), Invariants::new(&[], u64::MAX));
-    sim.set_telemetry(Box::new(apps.clone()));
-    sim.set_invariant_checker(Box::new(invariants.clone()));
+    let (apps, invariants) = (Apps::default(), Invariants::new(&[]));
+    sim.set_telemetry(Box::new((apps.clone(), invariants.clone())));
     sim.run_until_idle(); // the start-up block
     let leader = ReplicaId(1);
 

@@ -13,8 +13,16 @@ use marlin_bft::types::{Message, MsgBody, Phase, ReplicaId};
 
 fn trace(sim: &SimNet, from_ns: u64) {
     let mut lines = 0;
+    // Votes sent, lock raises and recoveries are the safety oracle's
+    // inputs, not part of the story told here.
+    let oracle_input = |n: &Note| {
+        matches!(
+            n,
+            Note::Voted { .. } | Note::Locked { .. } | Note::Recovered { .. }
+        )
+    };
     for (at, id, note) in sim.notes() {
-        if at < from_ns {
+        if at < from_ns || oracle_input(note) {
             continue;
         }
         lines += 1;
@@ -85,7 +93,10 @@ fn trace(sim: &SimNet, from_ns: u64) {
             | Note::PayloadPushed { .. }
             | Note::PayloadQuorum { .. }
             | Note::PayloadFetched { .. }
-            | Note::PayloadExpired { .. } => continue,
+            | Note::PayloadExpired { .. }
+            | Note::Voted { .. }
+            | Note::Locked { .. }
+            | Note::Recovered { .. } => continue,
         };
         println!("  {:>8.1} ms  {}  {}", at as f64 / 1e6, id, what);
     }

@@ -19,8 +19,9 @@
 
 use marlin_bft::core::ProtocolKind;
 use marlin_bft::simnet::{
-    run_scenario, LinkFault, MsgClass, RecoveryMode, Scenario, ScenarioOutcome, Violation,
+    run_scenario, LinkFault, MsgClass, RecoveryMode, Scenario, ScenarioOutcome,
 };
+use marlin_bft::telemetry::Violation;
 use marlin_bft::types::ReplicaId;
 
 const SEEDS: [u64; 3] = [7, 42, 2022];

@@ -9,9 +9,9 @@ mod support;
 
 use marlin_bft::core::{Config, ProtocolKind};
 use marlin_bft::simnet::{
-    run_scenario, Behavior, BehaviorPhase, Invariants, LinkFault, Partition, RecoveryMode,
-    Scenario, SimNet,
+    run_scenario, Behavior, BehaviorPhase, LinkFault, Partition, RecoveryMode, Scenario, SimNet,
 };
+use marlin_bft::telemetry::Invariants;
 use marlin_bft::types::{Message, ReplicaId, View};
 use proptest::prelude::*;
 use support::{assert_safe, instant, max_view, submit};
