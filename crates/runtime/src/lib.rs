@@ -18,9 +18,9 @@
 //! mesh for soak tests and a localhost-TCP mesh whose streaming frame
 //! reader tolerates arbitrarily split reads. [`cluster::RuntimeCluster`]
 //! wires n replicas together, feeds load, kills and recovers nodes, and
-//! checks committed-prefix agreement. Telemetry sinks plug in unchanged,
-//! so the commit-latency decomposition works on wall-clock runs exactly
-//! as it does on simulated ones.
+//! judges the run with the simulator's safety oracle. Telemetry sinks
+//! plug in unchanged, so the commit-latency decomposition works on
+//! wall-clock runs exactly as it does on simulated ones.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

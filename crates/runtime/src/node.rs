@@ -194,8 +194,8 @@ impl NodeStatus {
     }
 
     /// Snapshot of the committed chain as `(height, block id)` pairs,
-    /// in commit order — the safety artifact cross-replica checks
-    /// compare.
+    /// in commit order (safety is judged by the cluster's oracle, not
+    /// from these logs).
     pub fn commit_log(&self) -> Vec<(u64, BlockId)> {
         self.commit_log.lock().expect("commit log lock").clone()
     }

@@ -236,7 +236,7 @@ impl State {
 #[derive(Clone)]
 pub struct Invariants {
     state: Arc<Mutex<State>>,
-    byzantine: Arc<HashSet<ReplicaId>>,
+    byzantine: Vec<ReplicaId>,
 }
 
 impl Invariants {
@@ -245,7 +245,7 @@ impl Invariants {
     pub fn new(byzantine: &[ReplicaId]) -> Self {
         Invariants {
             state: Arc::default(),
-            byzantine: Arc::new(byzantine.iter().copied().collect()),
+            byzantine: byzantine.to_vec(),
         }
     }
 
