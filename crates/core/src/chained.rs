@@ -93,12 +93,28 @@ fn link_below(store: &BlockStore, qc: &Qc, depth: usize) -> Option<Qc> {
     (0..depth).try_fold(*qc, |qc, _| direct_link(store, &qc))
 }
 
+/// The commit evidence in a certified chain for a rule needing `links`
+/// direct links ([`Rules::COMMIT_LINKS`]): down from `qc` through each
+/// block's justify `prepareQC`, the highest certificate at or above
+/// height `floor` with `links` direct links above it (a ladder's: `qc`).
+pub(crate) fn commit_evidence(store: &BlockStore, qc: &Qc, links: usize, floor: u64) -> Option<Qc> {
+    let mut cursor = *qc;
+    while cursor.height().0 >= floor + links as u64 {
+        if let Some(proven) = link_below(store, &cursor, links) {
+            return Some(proven);
+        }
+        let below = store.get(&cursor.block())?.justify().qc();
+        cursor = *below.filter(|b| b.phase() == Phase::Prepare && b.height() < cursor.height())?;
+    }
+    None
+}
+
 /// The k-chain commit rule, run on the justify of the block just voted
 /// for: the justify advances the chain, so the certificate one direct
-/// link below it per rung of `chain` — if the links are there — commits.
-fn chain_commit(
+/// link below it per rung of `R`'s chain — if the links are there — is
+/// a commit certificate, committed like a disseminated one.
+fn chain_commit<R: Rules>(
     base: &mut Base,
-    chain: Chain,
     justify: &Justify,
     from: ReplicaId,
     out: &mut StepOutput,
@@ -106,8 +122,8 @@ fn chain_commit(
     let Some(qc) = justify.qc().filter(|qc| qc.phase() == Phase::Prepare) else {
         return;
     };
-    if let Some(committing) = link_below(&base.store, qc, chain.len()) {
-        base.try_commit(committing, from, out);
+    if let Some(committing) = link_below(&base.store, qc, R::COMMIT_LINKS) {
+        base.commit_or_sync(committing, from, out);
     }
 }
 
@@ -183,6 +199,7 @@ impl Rules for ChainedMarlinRules {
 
     const NAME: &'static str = "chained-marlin";
     const COMMIT_CERT: Phase = Phase::Prepare;
+    const COMMIT_LINKS: usize = TWO_CHAIN.len();
     const IDLE_BEATS_PER_BLOCK: u32 = IDLE_BEATS_PER_BLOCK;
     const CLOSED_ROUND_BEAT: u64 = CLOSED_ROUND_BEAT;
 
@@ -212,7 +229,7 @@ impl Rules for ChainedMarlinRules {
         leader: ReplicaId,
         out: &mut StepOutput,
     ) {
-        chain_commit(&mut core.base, TWO_CHAIN, justify, leader, out);
+        chain_commit::<Self>(&mut core.base, justify, leader, out);
     }
 
     fn adopt_high(core: &mut Core<MarlinRound>, justify: Justify) {
@@ -264,6 +281,7 @@ impl Rules for ChainedHotStuffRules {
 
     const NAME: &'static str = "chained-hotstuff";
     const COMMIT_CERT: Phase = Phase::Prepare;
+    const COMMIT_LINKS: usize = THREE_CHAIN.len();
     const IDLE_BEATS_PER_BLOCK: u32 = IDLE_BEATS_PER_BLOCK;
     const CLOSED_ROUND_BEAT: u64 = CLOSED_ROUND_BEAT;
 
@@ -291,7 +309,7 @@ impl Rules for ChainedHotStuffRules {
     }
 
     fn after_vote(core: &mut Core<()>, justify: &Justify, leader: ReplicaId, out: &mut StepOutput) {
-        chain_commit(&mut core.base, THREE_CHAIN, justify, leader, out);
+        chain_commit::<Self>(&mut core.base, justify, leader, out);
     }
 
     /// Chained `highQC` is the justify of the latest vote (the tip of

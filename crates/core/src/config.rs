@@ -55,9 +55,8 @@ impl ProtocolKind {
 /// journals its safety state to it, and `recovered` additionally
 /// rebuilds that state from the journal's replay (amnesia-safe
 /// restart; feed [`crate::Event::Recovered`] afterwards). `snapshots`
-/// attaches durable sync-anchor storage, which only Marlin uses: it is
-/// the only protocol that initiates sync runs today, so the other
-/// kinds drop that handle.
+/// attaches durable sync-anchor storage, again to every kind; a
+/// persisted anchor ahead of the journal-rebuilt tip is installed.
 pub fn build_replica(
     kind: ProtocolKind,
     config: Config,
@@ -65,40 +64,32 @@ pub fn build_replica(
     recovered: bool,
     snapshots: Option<SnapshotStore>,
 ) -> Box<dyn Protocol> {
-    fn build<R: Rules>(
+    fn build<R: Rules + 'static>(
         config: Config,
         journal: Option<SafetyJournal>,
         recovered: bool,
-    ) -> Replica<R> {
-        match journal {
+        snapshots: Option<SnapshotStore>,
+    ) -> Box<dyn Protocol> {
+        let mut replica: Replica<R> = match journal {
             Some(j) if recovered => Replica::recover(config, j),
             Some(j) => Replica::with_journal(config, j),
             None => Replica::new(config),
+        };
+        if let Some(s) = snapshots {
+            replica.core.base.attach_snapshot_store(s);
         }
+        Box::new(replica)
     }
-    match kind {
-        ProtocolKind::Marlin => {
-            let replica = build::<MarlinRules>(config, journal, recovered);
-            Box::new(match snapshots {
-                Some(s) => replica.with_snapshots(s),
-                None => replica,
-            })
-        }
-        ProtocolKind::HotStuff => Box::new(build::<HotStuffRules>(config, journal, recovered)),
-        ProtocolKind::ChainedMarlin => {
-            Box::new(build::<ChainedMarlinRules>(config, journal, recovered))
-        }
-        ProtocolKind::ChainedHotStuff => {
-            Box::new(build::<ChainedHotStuffRules>(config, journal, recovered))
-        }
-        ProtocolKind::Jolteon => Box::new(build::<JolteonRules>(config, journal, recovered)),
-        ProtocolKind::TwoPhaseInsecure => {
-            Box::new(build::<TwoPhaseInsecureRules>(config, journal, recovered))
-        }
-        ProtocolKind::MarlinFourPhase => {
-            Box::new(build::<FourPhaseRules>(config, journal, recovered))
-        }
-    }
+    let build = match kind {
+        ProtocolKind::Marlin => build::<MarlinRules>,
+        ProtocolKind::HotStuff => build::<HotStuffRules>,
+        ProtocolKind::ChainedMarlin => build::<ChainedMarlinRules>,
+        ProtocolKind::ChainedHotStuff => build::<ChainedHotStuffRules>,
+        ProtocolKind::Jolteon => build::<JolteonRules>,
+        ProtocolKind::TwoPhaseInsecure => build::<TwoPhaseInsecureRules>,
+        ProtocolKind::MarlinFourPhase => build::<FourPhaseRules>,
+    };
+    build(config, journal, recovered, snapshots)
 }
 
 /// Static configuration shared by all protocol implementations.

@@ -26,13 +26,11 @@
 //! under cases R1/R2/R3; the resulting `pre-prepareQC` unlocks any
 //! locked replica with linear communication.
 //!
-//! ## Marlin-only rules
+//! ## Rules beyond the paper's cases
 //!
-//! Beyond the paper's cases, this rule set is the only one that hands
-//! deep commit lag to the sync engine (and keeps durable snapshot
-//! anchors, [`Marlin::with_snapshots`]) and proposes digests when
-//! `Config::dissemination` is on; it shares soliciting `CATCH-UP` on
-//! recovery with the chained rule sets only. None of that is
+//! This rule set is the only one that proposes digests when
+//! `Config::dissemination` is on, and it shares soliciting `CATCH-UP`
+//! on recovery with the chained rule sets only. Neither is
 //! Marlin-specific in principle; DESIGN.md §18 records why each is
 //! still a rule rather than the skeleton's. The view change below is
 //! also chained Marlin's: [`crate::chained::ChainedMarlinRules`]
@@ -40,7 +38,6 @@
 
 use crate::events::{Action, Note, StepOutput, VcCase};
 use crate::replica::{child_of, extends, Adopt, Core, DigestEvent, Next, Replica, Rules};
-use marlin_storage::SnapshotStore;
 use marlin_types::rank::{block_rank_gt, highest_block, qc_rank_cmp, qc_rank_ge};
 use marlin_types::{
     BatchId, Block, BlockId, BlockKind, BlockMeta, Justify, Message, MsgBody, Phase, Proposal, Qc,
@@ -103,20 +100,6 @@ pub struct MarlinRound {
 pub struct MarlinRules;
 
 type MarlinCore = Core<MarlinRound>;
-
-impl Marlin {
-    /// Attaches durable snapshot-anchor storage: the replica records
-    /// its periodic sync anchors there and, on construction, installs
-    /// the persisted anchor if it is ahead of the journal-rebuilt tip
-    /// (a cold or long-crashed replica rejoins from the anchor instead
-    /// of replaying the whole chain). Chain with [`Replica::recover`]
-    /// for crash recovery.
-    #[must_use]
-    pub fn with_snapshots(mut self, snapshots: SnapshotStore) -> Self {
-        self.core.base.attach_snapshot_store(snapshots);
-        self
-    }
-}
 
 /// Block metadata reconstructed from a QC (rank_boost is only needed
 /// on the left of `block_rank_gt`, so `false` is conservative here).
@@ -665,10 +648,6 @@ impl Rules for MarlinRules {
                 None
             }
         }
-    }
-
-    fn on_lagging_commit(core: &mut MarlinCore, qc: &Qc, out: &mut StepOutput) -> bool {
-        core.base.maybe_start_sync(qc, out)
     }
 
     fn on_recovered(core: &mut MarlinCore, out: &mut StepOutput) -> Next {

@@ -395,6 +395,13 @@ pub trait Rules: Clone + Debug {
     /// `prepareQC` that completed the k-chain.
     const COMMIT_CERT: Phase = Phase::Commit;
 
+    /// The direct links (consecutive height, same view) a commit
+    /// certificate needs above it before its block counts as committed:
+    /// 0 for a ladder, whose `commitQC` proves the commit alone; k − 1
+    /// for a k-chain, whose `prepareQC` proves only certification. The
+    /// sync engine installs and commits on nothing less (DESIGN.md §14.1).
+    const COMMIT_LINKS: usize = 0;
+
     /// Idle pacing: a leader with nothing to propose keeps its
     /// heartbeat armed and emits one keep-alive block per this many
     /// idle beats.
@@ -542,12 +549,6 @@ pub trait Rules: Clone + Debug {
         _out: &mut StepOutput,
     ) -> Option<(ReplicaId, View, Proposal)> {
         None
-    }
-
-    /// A verified commit certificate is about to be committed; returns
-    /// `true` if a catch-up sync run consumed it instead.
-    fn on_lagging_commit(_core: &mut Core<Self::Round>, _qc: &Qc, _out: &mut StepOutput) -> bool {
-        false
     }
 
     /// The replica rejoined after a crash (its view timer is already
@@ -779,7 +780,7 @@ impl<R: Rules> Replica<R> {
         }
         // Sync traffic (snapshot/range requests and responses) is
         // view-independent on both the serving and the fetching side.
-        if self.core.base.handle_sync(&msg, out) {
+        if self.core.base.handle_sync::<R>(&msg, out) {
             return;
         }
         // Payload-plane traffic (push/ack/fetch) is view-independent:
@@ -1000,12 +1001,7 @@ impl<R: Rules> Replica<R> {
         if qc.view() > self.core.base.cview {
             self.enter_view(qc.view(), out);
         }
-        // Deep lag goes through the sync engine (snapshot + ranged
-        // fetch) rather than the one-block-at-a-time commit path.
-        if R::on_lagging_commit(&mut self.core, &qc, out) {
-            return;
-        }
-        self.core.base.try_commit(qc, from, out);
+        self.core.base.commit_or_sync(qc, from, out);
     }
 
     // --------------------------------------------------- view change --

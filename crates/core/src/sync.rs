@@ -1,54 +1,52 @@
-//! Ranged block sync for lagging replicas: snapshot anchors, pipelined
-//! range requests across peers, certified-prefix verification, and peer
-//! scoring.
+//! Ranged block sync for lagging replicas of every rule set: snapshot
+//! anchors, pipelined range requests across peers, certified-prefix
+//! verification, and peer scoring.
 //!
 //! A replica that falls far behind the committed tip (a long crash, a
 //! cold start) cannot rejoin through the one-block-at-a-time fetch path
 //! — and every replica's block tree would grow without bound while it
 //! tried. This module gives [`Base`] a sync engine:
 //!
-//! * **Snapshot anchors.** Every `sync_snapshot_interval` commits whose
-//!   tip height is a multiple of the interval, [`Base::try_commit`]
-//!   records a *self-certifying anchor* — the tip block together with
-//!   the commit-phase QC that certifies exactly that block — persists
-//!   it through a [`SnapshotStore`], and prunes the committed prefix
-//!   **one full interval behind** the anchor. The lag keeps every
-//!   honest replica able to serve ranges to peers whose anchor is up to
-//!   one interval older, and bounds resident state to about two
-//!   intervals.
-//! * **The sync run.** When a verified `commitQC` arrives whose height
-//!   exceeds the replica's tip by more than `sync_lag_threshold`, the
-//!   replica stops committing block-by-block and starts a run: first
-//!   (if the gap exceeds one snapshot interval) it broadcasts a
-//!   [`MsgBody::SnapshotRequest`] and verifies the returned anchor with
-//!   one QC check, then it splits the remaining gap into
-//!   `SYNC_RANGE_SIZE`-block chunks and pipelines
-//!   [`MsgBody::BlockRangeRequest`]s across all peers.
-//! * **Certified-prefix verification.** Fetched blocks are staged, not
-//!   applied. Once every chunk is in, the run walks **top-down from the
-//!   target QC**: the QC binds the tip block's id, and each block's id
-//!   covers its parent link and justify, so one signature check
-//!   authenticates the whole prefix. Committed chains can contain
-//!   *virtual* blocks (no parent hash); the block above a virtual block
-//!   carries `Justify::Two(_, vc)` whose `vc` is a verifiable
-//!   `prepareQC` binding the virtual block's parent, so the walk stays
-//!   cryptographically grounded across them. The first mismatching
-//!   height identifies the chunk — and therefore the peer — that lied.
+//! * **Snapshot anchors.** Whenever a commit lands the tip on a multiple
+//!   of `sync_snapshot_interval`, [`Base::try_commit`] records an
+//!   *anchor* — the tip block with the commit certificate that
+//!   committed it — persists it through a [`SnapshotStore`], and prunes
+//!   the committed prefix **one full interval behind** it, so honest
+//!   peers can serve ranges to rejoiners up to one interval older and
+//!   resident state stays about two intervals.
+//! * **Commit evidence.** A ladder's anchor carries a `commitQC`, which
+//!   proves the commit alone. A pipeline's carries its block's
+//!   `prepareQC`, which proves certification only: the run holds it as
+//!   the floor of its walk until the walked chain shows the direct links
+//!   above it ([`Rules::COMMIT_LINKS`], [`crate::chained::commit_evidence`]).
+//! * **The sync run.** A verified commit certificate more than
+//!   `sync_lag_threshold` above the tip starts a run instead of a
+//!   commit: a [`MsgBody::SnapshotRequest`] first if the gap exceeds one
+//!   interval, then `SYNC_RANGE_SIZE`-block chunks of the rest as
+//!   [`MsgBody::BlockRangeRequest`]s pipelined across all peers.
+//! * **Certified-prefix verification.** Fetched blocks are staged. Once
+//!   every chunk is in, the run walks **top-down from the target QC**:
+//!   the QC binds the top block's id, and each id covers its parent link
+//!   and justify, so one signature check authenticates the prefix (a
+//!   virtual block's parent is bound by the verified `vc` its child
+//!   carries). The first mismatching height names the lying peer. The
+//!   run then commits what the chain proves committed — for a pipeline
+//!   never the target on its own `prepareQC`.
 //! * **Peer scoring.** A peer that misses a chunk deadline, serves a
-//!   short range, or serves blocks that fail verification is demoted:
-//!   its demerit count rises and it is banned for exponentially longer
-//!   (capped). Its chunks return to the pending pool and are re-issued
-//!   to other peers; if every peer is banned, bans are ignored rather
-//!   than wedging the node. Once every peer has answered one chunk
-//!   short — all pruned it — the run is abandoned instead, and the next
-//!   commit certificate starts a fresh one.
+//!   short range or a chain that fails verification is demoted and
+//!   banned for exponentially longer (capped); its chunks go to other
+//!   peers, and if every peer is banned the bans are ignored rather than
+//!   wedging the node. Once every peer has answered one chunk short —
+//!   all pruned it — the run is abandoned, and the next commit
+//!   certificate starts a fresh one.
 //!
 //! The engine is driven by the same clockless [`Action::SetHeartbeat`]
-//! tick the idle-leader path uses: while a run is active the replica
-//! re-arms a fast heartbeat and counts deadlines in ticks, so the state
-//! machine stays sans-io and deterministic under simulation.
+//! tick the idle-leader path uses, so it stays sans-io and deterministic
+//! under simulation.
 
+use crate::chained::commit_evidence;
 use crate::events::{Action, Note, StepOutput};
+use crate::replica::Rules;
 use crate::util::Base;
 use bytes::Bytes;
 use marlin_storage::SnapshotStore;
@@ -110,7 +108,11 @@ struct SyncRun {
     awaiting_snapshot: bool,
     /// Tick by which the snapshot phase gives up.
     snapshot_deadline: u64,
-    /// The gap partition; covers `(tip, target]` once built.
+    /// A pipeline's anchor and the peer that served it: the bottom of
+    /// the certified walk, installed only once the walk proves it
+    /// committed (its `prepareQC` proves only certification).
+    held: Option<(Block, Qc, ReplicaId)>,
+    /// The gap partition; covers `(floor, target]` once built.
     chunks: Vec<Chunk>,
     /// Fetched blocks by height, staged until the certified walk.
     staged: BTreeMap<u64, Block>,
@@ -174,13 +176,7 @@ impl Base {
             if block.height().0 > tip_of(&self.store) {
                 self.store.install_anchor(block.clone());
             }
-            if self
-                .latest_commit_qc
-                .as_ref()
-                .is_none_or(|cur| qc.height() > cur.height())
-            {
-                self.latest_commit_qc = Some(qc);
-            }
+            self.raise_latest_commit_qc(&qc);
             self.sync.latest_anchor = Some((block, qc));
         }
         self.sync.snapshots = Some(snapshots);
@@ -189,7 +185,7 @@ impl Base {
     /// Handles the four sync wire messages (serving side for everyone,
     /// requester side when a run is active). Returns `true` if the
     /// message was consumed.
-    pub fn handle_sync(&mut self, msg: &Message, out: &mut StepOutput) -> bool {
+    pub fn handle_sync<R: Rules>(&mut self, msg: &Message, out: &mut StepOutput) -> bool {
         match &msg.body {
             MsgBody::SnapshotRequest => {
                 // Own broadcast copies loop back through `step`; never
@@ -209,7 +205,8 @@ impl Base {
                 true
             }
             MsgBody::SnapshotResponse { snapshot } => {
-                self.on_snapshot_response(msg.from, snapshot.as_ref(), out);
+                let evidence = (R::COMMIT_CERT, R::COMMIT_LINKS);
+                self.on_snapshot_response(msg.from, snapshot.as_ref(), evidence, out);
                 true
             }
             MsgBody::BlockRangeRequest {
@@ -223,45 +220,45 @@ impl Base {
                 from_height,
                 blocks,
             } => {
-                self.on_range_response(msg.from, from_height.0, blocks, out);
+                self.on_range_response(msg.from, from_height.0, blocks, R::COMMIT_LINKS, out);
                 true
             }
             _ => false,
         }
     }
 
-    /// Considers starting (or feeding) a sync run for a **verified**
-    /// commit QC. Returns `true` if the certificate was consumed by the
-    /// sync engine — the caller must then skip its normal commit path.
-    pub fn maybe_start_sync(&mut self, qc: &Qc, out: &mut StepOutput) -> bool {
-        if !self.sync_enabled() || qc.phase() != Phase::Commit {
-            return false;
+    /// Commits the chain a **verified** commit certificate (of the rule
+    /// set's `COMMIT_CERT` phase) certifies — unless a sync run is
+    /// active, which chases it, or it lies more than
+    /// `sync_lag_threshold` above the tip, which starts one toward it.
+    pub(crate) fn commit_or_sync(&mut self, qc: Qc, from: ReplicaId, out: &mut StepOutput) {
+        let tip = tip_of(&self.store);
+        let lagging = qc.height().0.saturating_sub(tip) > self.cfg.sync_lag_threshold;
+        if !self.sync_enabled() || (self.sync.run.is_none() && !lagging) {
+            return self.try_commit(qc, from, out);
         }
         if let Some(run) = self.sync.run.as_mut() {
             // Already syncing: chase a higher tip instead of committing.
             if qc.height() > run.target.height() {
-                let old = run.target.height().0;
-                run.target = *qc;
+                let held = run.held.as_ref().map_or(0, |(b, ..)| b.height().0);
+                let covered = run.target.height().0.max(held);
+                run.target = qc;
                 if !run.awaiting_snapshot {
-                    push_chunks(&mut run.chunks, old + 1, qc.height().0);
+                    push_chunks(&mut run.chunks, covered + 1, qc.height().0);
                 }
             }
-            self.raise_latest_commit_qc(qc);
-            self.dispatch(out);
-            return true;
+            self.raise_latest_commit_qc(&qc);
+            return self.dispatch(out);
         }
-        let tip = tip_of(&self.store);
-        if qc.height().0.saturating_sub(tip) <= self.cfg.sync_lag_threshold {
-            return false;
-        }
-        self.raise_latest_commit_qc(qc);
+        self.raise_latest_commit_qc(&qc);
         // A gap deeper than one snapshot interval is worth a snapshot
         // jump; shallower gaps go straight to ranged fetch.
         let wants_snapshot = qc.height().0 - tip > self.cfg.sync_snapshot_interval;
         let mut run = SyncRun {
-            target: *qc,
+            target: qc,
             awaiting_snapshot: wants_snapshot,
             snapshot_deadline: self.sync.tick + SNAPSHOT_DEADLINE_TICKS,
+            held: None,
             chunks: Vec::new(),
             staged: BTreeMap::new(),
         };
@@ -279,7 +276,6 @@ impl Base {
         self.sync.run = Some(run);
         self.dispatch(out);
         self.arm_tick(out);
-        true
     }
 
     /// Advances the sync engine by one heartbeat tick: snapshot-phase
@@ -325,7 +321,7 @@ impl Base {
     /// crosses a snapshot-interval boundary, persists it, and prunes
     /// the committed prefix one interval behind it. Called from
     /// [`Base::try_commit`] with the QC that certified the new tip.
-    pub(crate) fn record_anchor_if_due(&mut self, qc: &Qc, _out: &mut StepOutput) {
+    pub(crate) fn record_anchor_if_due(&mut self, qc: &Qc) {
         let interval = self.cfg.sync_snapshot_interval;
         let h = qc.height().0;
         if interval == 0 || h == 0 || !h.is_multiple_of(interval) {
@@ -343,13 +339,7 @@ impl Base {
             return;
         };
         debug_assert_eq!(qc.block(), block.id());
-        let anchor = (block, *qc);
-        if let Some(s) = self.sync.snapshots.as_mut() {
-            // Persistence failure is not fatal: recovery just falls
-            // back to the previous generation (or the journal replay).
-            let _ = s.save(&codec::encode(&anchor));
-        }
-        self.sync.latest_anchor = Some(anchor);
+        self.keep_anchor(block, *qc);
         // Prune a full interval behind the anchor, not at it: honest
         // peers up to one interval behind can still be served ranges,
         // and resident state stays bounded to about two intervals.
@@ -361,7 +351,7 @@ impl Base {
         self.journal_gc_due = Some(Height(h.saturating_sub(interval)));
     }
 
-    fn raise_latest_commit_qc(&mut self, qc: &Qc) {
+    pub(crate) fn raise_latest_commit_qc(&mut self, qc: &Qc) {
         if self
             .latest_commit_qc
             .as_ref()
@@ -405,6 +395,7 @@ impl Base {
         &mut self,
         from: ReplicaId,
         snapshot: Option<&(Block, Qc)>,
+        (cert, links): (Phase, usize),
         out: &mut StepOutput,
     ) {
         let awaiting = self
@@ -419,7 +410,7 @@ impl Base {
         // simply be young) and costs it nothing.
         let Some((block, qc)) = snapshot else { return };
         let tip = tip_of(&self.store);
-        let valid = qc.phase() == Phase::Commit
+        let valid = qc.phase() == cert
             && qc.block() == block.id()
             && qc.height() == block.height()
             && block.height().0 > tip
@@ -428,42 +419,50 @@ impl Base {
             self.demote(from, out);
             return;
         }
-        let bytes = block.wire_len() + qc.wire_len();
         self.crypto.charge_hash(block.wire_len());
+        // A ladder's anchor is its own commit evidence; a pipeline's
+        // waits for the certified walk above it.
+        let self_certifying = links == 0;
+        if self_certifying {
+            self.install_snapshot(block, qc, out);
+        }
+        let anchor_h = block.height().0;
+        let run = self.sync.run.as_mut().expect("awaiting implies run");
+        run.awaiting_snapshot = false;
+        if self_certifying && anchor_h >= run.target.height().0 {
+            // The anchor alone reached (or passed) the target tip.
+            self.sync.run = None;
+            return out.actions.push(Action::Note(Note::SyncCompleted {
+                height: Height(anchor_h),
+            }));
+        }
+        run.held = (!self_certifying).then(|| (block.clone(), *qc, from));
+        run.chunks.clear();
+        run.staged.clear();
+        push_chunks(&mut run.chunks, anchor_h + 1, run.target.height().0);
+        self.dispatch(out);
+    }
+
+    /// Re-roots the block tree at a proven anchor and keeps it.
+    fn install_snapshot(&mut self, block: &Block, qc: &Qc, out: &mut StepOutput) {
         self.store.install_anchor(block.clone());
         self.raise_latest_commit_qc(qc);
-        let anchor = (block.clone(), *qc);
+        self.keep_anchor(block.clone(), *qc);
+        out.actions.push(Action::Note(Note::SyncSnapshotInstalled {
+            height: block.height(),
+            block: block.id(),
+            bytes: block.wire_len() + qc.wire_len(),
+        }));
+    }
+
+    /// Persists an anchor and serves it from now on (a failed save is
+    /// not fatal: recovery falls back to the previous generation).
+    fn keep_anchor(&mut self, block: Block, qc: Qc) {
+        let anchor = (block, qc);
         if let Some(s) = self.sync.snapshots.as_mut() {
             let _ = s.save(&codec::encode(&anchor));
         }
         self.sync.latest_anchor = Some(anchor);
-        out.actions.push(Action::Note(Note::SyncSnapshotInstalled {
-            height: block.height(),
-            block: block.id(),
-            bytes,
-        }));
-        let anchor_h = block.height().0;
-        let finished = {
-            let run = self.sync.run.as_mut().expect("awaiting implies run");
-            run.awaiting_snapshot = false;
-            if anchor_h >= run.target.height().0 {
-                true
-            } else {
-                run.chunks.clear();
-                run.staged.clear();
-                push_chunks(&mut run.chunks, anchor_h + 1, run.target.height().0);
-                false
-            }
-        };
-        if finished {
-            // The anchor alone reached (or passed) the target tip.
-            self.sync.run = None;
-            out.actions.push(Action::Note(Note::SyncCompleted {
-                height: Height(anchor_h),
-            }));
-        } else {
-            self.dispatch(out);
-        }
     }
 
     fn on_range_response(
@@ -471,6 +470,7 @@ impl Base {
         from: ReplicaId,
         lo: u64,
         blocks: &[Block],
+        links: usize,
         out: &mut StepOutput,
     ) {
         let n = self.cfg.n;
@@ -522,24 +522,29 @@ impl Base {
             count: blocks.len(),
         }));
         if complete {
-            self.finish_run(out);
+            self.finish_run(links, out);
         } else {
             self.dispatch(out);
         }
     }
 
     /// Every chunk is staged: verify the whole prefix top-down against
-    /// the target QC, then apply and commit it. On a verification
-    /// failure the offending chunk's supplier is demoted and the chunk
-    /// re-fetched; the rest of the staging area survives.
-    fn finish_run(&mut self, out: &mut StepOutput) {
+    /// the target QC, apply it, and commit what it proves committed. On
+    /// a verification failure the offending chunk's supplier is demoted
+    /// and the chunk re-fetched; the rest of the staging area survives.
+    /// A held anchor the walk cannot prove costs its sender a demerit.
+    fn finish_run(&mut self, links: usize, out: &mut StepOutput) {
         let Some(run) = self.sync.run.take() else {
             return;
         };
         let tip_h = tip_of(&self.store);
-        let tip_id = self.store.last_committed();
+        let held = run.held.clone().filter(|(b, ..)| b.height().0 > tip_h);
+        let (floor_h, floor_id) = match &held {
+            Some((b, ..)) => (b.height().0, b.id()),
+            None => (tip_h, self.store.last_committed()),
+        };
         let target_h = run.target.height().0;
-        if target_h <= tip_h {
+        if target_h <= floor_h {
             // The tip moved past the target while chunks were in
             // flight (e.g. a newer anchor): nothing left to apply.
             return;
@@ -552,7 +557,7 @@ impl Base {
         let mut bad_height: Option<u64> = None;
         let mut abort = false;
         let mut h = target_h;
-        while h > tip_h {
+        while h > floor_h {
             let Some(b) = run.staged.get(&h) else {
                 // Coverage hole (tip moved under the run): abort and
                 // let the next decide restart cleanly.
@@ -592,12 +597,13 @@ impl Base {
             } else {
                 b.parent_id().expect("normal blocks carry a hash link")
             };
-            if h == tip_h + 1 {
-                if parent != tip_id {
+            if h == floor_h + 1 {
+                if parent != floor_id {
                     // An authenticated prefix that does not extend our
                     // committed tip would mean our own chain forked —
-                    // impossible under an honest quorum. Conservative
-                    // abort.
+                    // impossible under an honest quorum — and one that
+                    // does not extend a held anchor disproves it.
+                    // Conservative abort.
                     abort = true;
                 }
                 break;
@@ -631,18 +637,33 @@ impl Base {
             self.arm_tick(out);
             return;
         }
-        if abort {
+        if !abort {
+            for b in run.staged.values() {
+                self.store.insert(b.clone());
+            }
+            for (virtual_id, parent_id) in resolutions {
+                self.store.resolve_virtual_parent(virtual_id, parent_id);
+            }
+        }
+        let proven = commit_evidence(&self.store, &run.target, links, floor_h).filter(|_| !abort);
+        let Some(proven) = proven else {
+            if !abort && target_h < floor_h + links as u64 {
+                // Too short to hold the links yet: the next commit
+                // certificate extends the run.
+                self.sync.run = Some(run);
+            } else if let Some((_, _, peer)) = held {
+                self.demote(peer, out);
+                out.actions.push(Action::Note(Note::SyncAbandoned {
+                    from: Height(floor_h),
+                }));
+            }
             return;
-        }
-
-        for b in run.staged.values() {
-            self.store.insert(b.clone());
-        }
-        for (virtual_id, parent_id) in resolutions {
-            self.store.resolve_virtual_parent(virtual_id, parent_id);
+        };
+        if let Some((block, qc, _)) = held {
+            self.install_snapshot(&block, &qc, out);
         }
         let me = self.cfg.id;
-        self.try_commit(run.target, me, out);
+        self.try_commit(proven, me, out);
         out.actions.push(Action::Note(Note::SyncCompleted {
             height: Height(tip_of(&self.store)),
         }));

@@ -448,13 +448,7 @@ impl Base {
     /// Attempts to commit the chain certified by `qc`, fetching missing
     /// blocks from `from` when necessary.
     pub fn try_commit(&mut self, qc: Qc, from: ReplicaId, out: &mut StepOutput) {
-        if self
-            .latest_commit_qc
-            .as_ref()
-            .is_none_or(|cur| qc.height() > cur.height())
-        {
-            self.latest_commit_qc = Some(qc);
-        }
+        self.raise_latest_commit_qc(&qc);
         let block = qc.block();
         match self.store.commit(&block) {
             Ok(newly) if newly.is_empty() => {}
@@ -469,7 +463,7 @@ impl Base {
                 // Progress: keep the failure timer fresh (no-op when
                 // rotating — see `progress_timer`).
                 self.progress_timer(out);
-                self.record_anchor_if_due(&qc, out);
+                self.record_anchor_if_due(&qc);
                 if self.commits_since_prune >= PRUNE_INTERVAL {
                     self.commits_since_prune = 0;
                     let keep_from = self

@@ -67,7 +67,7 @@ pub struct ClusterConfig {
     /// Base view timeout (real time).
     pub base_timeout: Duration,
     /// Snapshot anchor cadence in blocks; `0` disables block sync,
-    /// snapshots, and committed-prefix pruning (Marlin only).
+    /// snapshots, and committed-prefix pruning (every kind).
     pub sync_snapshot_interval: u64,
     /// Committed-height gap that triggers a ranged sync run.
     pub sync_lag_threshold: u64,

@@ -124,16 +124,24 @@ fn kill_and_recover_from_disk_rejoins_via_catch_up() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The wall-clock twin of the simnet rejoin cells: a journaled Marlin
-/// cluster over real TCP with block sync enabled, one replica killed
-/// long enough to fall past the lag threshold, then recovered from
-/// disk. The transport's dial backoff absorbs the dead peer, and the
+/// The wall-clock twin of the simnet rejoin cells: a journaled cluster
+/// over real TCP with block sync enabled, one replica killed long
+/// enough to fall past the lag threshold, then recovered from disk.
+/// The transport's dial backoff absorbs the dead peer, and the
 /// recovered replica must rejoin through the sync engine (snapshot or
-/// ranged fetch over real sockets), not just timeout-driven fetch.
+/// ranged fetch over real sockets), not just timeout-driven fetch. It
+/// runs for Marlin and for chained HotStuff, whose three-chain is the
+/// deepest commit evidence a pipeline's anchor must carry.
 #[test]
 fn tcp_kill_and_reconnect_rejoins_via_sync() {
-    let dir = scratch_dir("tcp-rejoin");
-    let mut cfg = ClusterConfig::new(ProtocolKind::Marlin, 4, 1);
+    for kind in [ProtocolKind::Marlin, ProtocolKind::ChainedHotStuff] {
+        kill_and_reconnect_rejoins_via_sync(kind);
+    }
+}
+
+fn kill_and_reconnect_rejoins_via_sync(kind: ProtocolKind) {
+    let dir = scratch_dir(&format!("tcp-rejoin-{}", kind.name()));
+    let mut cfg = ClusterConfig::new(kind, 4, 1);
     cfg.transport = TransportKind::Tcp;
     cfg.journal = JournalMode::Files(dir.clone());
     cfg.sync_snapshot_interval = 16;
@@ -142,7 +150,7 @@ fn tcp_kill_and_reconnect_rejoins_via_sync() {
 
     assert!(
         drive(&mut cluster, 30, Duration::from_secs(20)),
-        "no progress before the kill"
+        "{kind:?}: no progress before the kill"
     );
 
     // Kill a follower and commit well past the lag threshold while it
@@ -152,7 +160,7 @@ fn tcp_kill_and_reconnect_rejoins_via_sync() {
     let before = cluster.status(0).committed_blocks();
     assert!(
         drive(&mut cluster, before + 60, Duration::from_secs(25)),
-        "cluster stalled after losing one replica"
+        "{kind:?}: cluster stalled after losing one replica"
     );
 
     cluster.recover_from_disk(2).expect("recovery");
@@ -161,7 +169,7 @@ fn tcp_kill_and_reconnect_rejoins_via_sync() {
         drive_until(&mut cluster, Duration::from_secs(30), |c| {
             c.status(0).committed_blocks() >= target && c.status(2).committed_blocks() >= 10
         }),
-        "recovered replica never caught back up over TCP"
+        "{kind:?}: recovered replica never caught back up over TCP"
     );
     cluster
         .check_prefix_consistency()
@@ -173,7 +181,7 @@ fn tcp_kill_and_reconnect_rejoins_via_sync() {
             .events
             .iter()
             .any(|e| matches!(e.note, Note::SyncCompleted { .. })),
-        "rejoin never went through the sync engine"
+        "{kind:?}: rejoin never went through the sync engine"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

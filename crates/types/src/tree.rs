@@ -268,9 +268,10 @@ impl BlockStore {
     }
 
     /// Re-roots the committed chain at a snapshot `anchor` (a block a
-    /// sync run verified against a commit-phase QC). The anchor becomes
-    /// the committed tip at its own height; everything below it is
-    /// treated as pruned. Subsequent commits must extend the anchor.
+    /// sync run proved committed): it becomes the committed tip at its
+    /// own height, and everything else at or below that height leaves
+    /// the store — the prefix it replaces and the uncommitted proposals
+    /// there, which can never commit now. Later commits must extend it.
     pub fn install_anchor(&mut self, anchor: Block) {
         let id = anchor.id();
         let height = anchor.height().0 as usize;
@@ -278,13 +279,12 @@ impl BlockStore {
             height >= self.committed_trimmed + self.committed.len(),
             "anchor must be ahead of the committed tip"
         );
-        for old in self.committed.drain(..) {
-            if old != BlockId::GENESIS {
-                self.blocks.remove(&old);
-                self.virtual_parents.remove(&old);
-                self.committed_set.remove(&old);
-            }
-        }
+        self.committed.clear();
+        self.committed_set.retain(|b| *b == BlockId::GENESIS);
+        self.blocks
+            .retain(|b, block| *b == BlockId::GENESIS || block.height().0 as usize > height);
+        let blocks = &self.blocks;
+        self.virtual_parents.retain(|b, _| blocks.contains_key(b));
         self.blocks.insert(id, anchor);
         self.committed.push(id);
         self.committed_trimmed = height;

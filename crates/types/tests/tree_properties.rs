@@ -115,4 +115,32 @@ proptest! {
         prop_assert!(store.contains(&store.last_committed()));
         prop_assert_eq!(store.last_committed(), tip.id());
     }
+
+    /// Installing a snapshot anchor at height `h` leaves nothing at or
+    /// below `h` but genesis and the anchor: the uncommitted proposals
+    /// a lagging replica stored there can never commit. Every block
+    /// above `h` stays, and a dropped virtual block's parent resolution
+    /// goes with it.
+    #[test]
+    fn install_anchor_drops_blocks_it_makes_uncommittable(
+        choices in prop::collection::vec(any::<u8>(), 1..24),
+        h in 1u64..8,
+    ) {
+        let (mut store, blocks) = build_tree(&choices);
+        let stale_virtual = Block::new_virtual(View(0), View(99), Height(h), Batch::empty(), Justify::None);
+        store.insert(stale_virtual.clone());
+        store.resolve_virtual_parent(stale_virtual.id(), BlockId::GENESIS);
+        let anchor = Block::new_normal(
+            BlockId::GENESIS, View(0), View(100), Height(h), Batch::empty(), Justify::None,
+        );
+        store.install_anchor(anchor.clone());
+        prop_assert_eq!(store.last_committed(), anchor.id());
+        for b in &blocks[1..] {
+            prop_assert_eq!(store.contains(&b.id()), b.height().0 > h);
+        }
+        prop_assert!(store.contains(&BlockId::GENESIS));
+        prop_assert!(!store.contains(&stale_virtual.id()));
+        store.insert(stale_virtual.clone());
+        prop_assert_eq!(store.parent_id_of(&stale_virtual.id()), None);
+    }
 }

@@ -19,9 +19,10 @@
 
 use marlin_bft::core::ProtocolKind;
 use marlin_bft::simnet::{
-    run_scenario, LinkFault, MsgClass, RecoveryMode, Scenario, ScenarioOutcome,
+    run_scenario, run_scenario_with_telemetry, LinkFault, MsgClass, RecoveryMode, Scenario,
+    ScenarioOutcome,
 };
-use marlin_bft::telemetry::Violation;
+use marlin_bft::telemetry::{Registry, RegistryRecorder, SharedSink, Violation};
 use marlin_bft::types::ReplicaId;
 
 const SEEDS: [u64; 3] = [7, 42, 2022];
@@ -224,23 +225,26 @@ fn assert_caught_up(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
     assert_eq!(
         out.safety_violations(),
         0,
-        "{} (seed {seed}): safety violations {:?}",
+        "{} {} (seed {seed}): safety violations {:?}",
         scenario.name,
+        out.protocol,
         out.violations
     );
     assert!(
         !out.has_liveness_stall(),
-        "{} (seed {seed}): stalled {:?}",
+        "{} {} (seed {seed}): stalled {:?}",
         scenario.name,
+        out.protocol,
         out.violations
     );
     // The trio must have committed far past the lag threshold while p3
     // was down, or the cell is not exercising sync at all.
     assert!(
         out.committed > 300,
-        "{} (seed {seed}): only {} blocks committed — the schedule no longer \
+        "{} {} (seed {seed}): only {} blocks committed — the schedule no longer \
          creates a deep lag",
         scenario.name,
+        out.protocol,
         out.committed
     );
     // Rejoin: the worst honest tip (p3's) is within one sync pipeline
@@ -248,8 +252,9 @@ fn assert_caught_up(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
     let canonical_tip = out.committed as u64 - 1;
     assert!(
         out.min_honest_tip + scenario.config.sync_lag_threshold + 16 >= canonical_tip,
-        "{} (seed {seed}): a replica is wedged at height {} with the tip at {}",
+        "{} {} (seed {seed}): a replica is wedged at height {} with the tip at {}",
         scenario.name,
+        out.protocol,
         out.min_honest_tip,
         canonical_tip
     );
@@ -266,9 +271,10 @@ fn assert_rejoined(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
     let bound = (3 * scenario.config.sync_snapshot_interval + 64) as usize;
     assert!(
         out.max_resident_blocks < bound,
-        "{} (seed {seed}): {} resident blocks exceeds the horizon bound {bound} \
+        "{} {} (seed {seed}): {} resident blocks exceeds the horizon bound {bound} \
          (chain length {})",
         scenario.name,
+        out.protocol,
         out.max_resident_blocks,
         out.committed
     );
@@ -279,40 +285,84 @@ fn assert_rejoined(out: &ScenarioOutcome, scenario: &Scenario, seed: u64) {
     // thousands of committed blocks would blow through immediately.
     assert!(
         out.max_journal_bytes > 0,
-        "{} (seed {seed}): journaled scenario reported no journal bytes",
-        scenario.name
+        "{} {} (seed {seed}): journaled scenario reported no journal bytes",
+        scenario.name,
+        out.protocol
     );
     assert!(
         out.max_journal_bytes < 64 * 1024,
-        "{} (seed {seed}): journal footprint {} bytes is unbounded in chain \
+        "{} {} (seed {seed}): journal footprint {} bytes is unbounded in chain \
          length {}",
         scenario.name,
+        out.protocol,
         out.max_journal_bytes,
         out.committed
     );
 }
 
+/// The rejoin cells' grid: every kind syncs. Marlin runs every seed,
+/// the other six the first only (a seven-kind long-lag cell takes
+/// about 30 s in a debug build).
+fn rejoin_grid() -> impl Iterator<Item = (ProtocolKind, u64)> {
+    ALL_PROTOCOLS.into_iter().flat_map(|kind| {
+        let seeds = if kind == ProtocolKind::Marlin {
+            &SEEDS[..]
+        } else {
+            &SEEDS[..1]
+        };
+        seeds.iter().map(move |&seed| (kind, seed))
+    })
+}
+
+/// Runs one rejoin cell with a registry attached and asserts the
+/// rejoin contract ([`assert_rejoined`]) and that the sync engine did
+/// it: a snapshot anchor installed (no genesis replay) and a run
+/// completed. Returns the registry for cell-specific checks.
+fn assert_rejoin_cell(kind: ProtocolKind, scenario: &Scenario, seed: u64) -> Registry {
+    let registry = Registry::new();
+    let recorder = SharedSink::new(RegistryRecorder::new(&registry));
+    let out = run_scenario_with_telemetry(kind, scenario, seed, Box::new(recorder));
+    assert_rejoined(&out, scenario, seed);
+    let count = |name| registry.counter_with(name, &[]).get();
+    assert!(
+        count("consensus_sync_snapshots_installed_total") >= 1,
+        "{} {kind:?} (seed {seed}) never installed a snapshot anchor",
+        scenario.name
+    );
+    assert!(
+        count("consensus_sync_completed_total") >= 1,
+        "{} {kind:?} (seed {seed}): sync never completed",
+        scenario.name
+    );
+    registry
+}
+
 #[test]
 fn long_lag_rejoin_via_snapshot_and_ranged_sync() {
-    // The sync tentpole: p3 is down while ~2k blocks commit, recovers
-    // FromDisk, and must rejoin via snapshot + pipelined ranges with
-    // bounded storage on every replica.
+    // The sync tentpole: p3 is down while thousands of blocks commit,
+    // recovers FromDisk, and must rejoin via snapshot + pipelined
+    // ranges with bounded storage on every replica, for every kind.
     let scenario = Scenario::long_lag_rejoin();
-    for seed in SEEDS {
-        let out = run_scenario(ProtocolKind::Marlin, &scenario, seed);
-        assert_rejoined(&out, &scenario, seed);
+    for (kind, seed) in rejoin_grid() {
+        assert_rejoin_cell(kind, &scenario, seed);
     }
 }
 
 #[test]
 fn byzantine_sync_peer_cannot_block_rejoin() {
     // Same schedule, but p1 serves conflicting twins in every sync
-    // response. The certified-prefix walk must reject them, demote p1,
-    // and complete the rejoin from honest peers.
+    // response. The anchor check and the certified-prefix walk must
+    // reject them, demote p1, and complete the rejoin from honest peers.
     let scenario = Scenario::byzantine_sync_peer();
-    for seed in SEEDS {
-        let out = run_scenario(ProtocolKind::Marlin, &scenario, seed);
-        assert_rejoined(&out, &scenario, seed);
+    for (kind, seed) in rejoin_grid() {
+        let registry = assert_rejoin_cell(kind, &scenario, seed);
+        assert!(
+            registry
+                .counter_with("consensus_sync_peer_demotions_total", &[("peer", "1")])
+                .get()
+                >= 1,
+            "{kind:?} (seed {seed}): the corrupt sync peer p1 was never demoted"
+        );
     }
 }
 
@@ -326,9 +376,9 @@ fn sync_run_abandons_a_chunk_every_peer_pruned() {
     // answers flow, every peer serves those chunks short: the run must
     // give up, and the next commit certificate restart sync with a
     // fresh snapshot decision. A run that re-requests such a chunk
-    // forever never rejoins. (Not asserted: the storage bound. The
-    // proposals p3 stores while it waits are uncommitted blocks below
-    // the anchor it then installs, and nothing prunes those.)
+    // forever never rejoins. The proposals p3 stores while it waits sit
+    // below the anchor it then installs, which drops them, so the
+    // storage bound holds too.
     let mut scenario = Scenario::long_lag_rejoin();
     scenario.name = "unservable-sync-chunk";
     scenario.link_faults = vec![LinkFault {
@@ -338,7 +388,7 @@ fn sync_run_abandons_a_chunk_every_peer_pruned() {
     }];
     for seed in SEEDS {
         let out = run_scenario(ProtocolKind::Marlin, &scenario, seed);
-        assert_caught_up(&out, &scenario, seed);
+        assert_rejoined(&out, &scenario, seed);
     }
 }
 
@@ -348,9 +398,6 @@ fn sync_telemetry_proves_the_engine_ran() {
     // path: the telemetry stream must show a sync run starting, a
     // snapshot anchor installing, ranges arriving, completion — and,
     // with the corrupt peer, at least one demotion of p1 specifically.
-    use marlin_bft::simnet::run_scenario_with_telemetry;
-    use marlin_bft::telemetry::{Registry, RegistryRecorder, SharedSink};
-
     let registry = Registry::new();
     let recorder = SharedSink::new(RegistryRecorder::new(&registry));
     let scenario = Scenario::byzantine_sync_peer();
@@ -408,17 +455,19 @@ fn long_lag_rejoin_10k_blocks() {
 #[test]
 fn sync_cells_are_deterministic() {
     for scenario in [Scenario::long_lag_rejoin(), Scenario::byzantine_sync_peer()] {
-        let a = run_scenario(ProtocolKind::Marlin, &scenario, SEEDS[0]);
-        let b = run_scenario(ProtocolKind::Marlin, &scenario, SEEDS[0]);
-        assert_eq!(
-            a.fingerprint, b.fingerprint,
-            "{} is nondeterministic",
-            scenario.name
-        );
-        assert_eq!(a.committed, b.committed);
-        assert_eq!(a.max_resident_blocks, b.max_resident_blocks);
-        assert_eq!(a.max_journal_bytes, b.max_journal_bytes);
-        assert_eq!(a.violations, b.violations);
+        for kind in ALL_PROTOCOLS {
+            let a = run_scenario(kind, &scenario, SEEDS[0]);
+            let b = run_scenario(kind, &scenario, SEEDS[0]);
+            assert_eq!(
+                a.fingerprint, b.fingerprint,
+                "{} {kind:?} is nondeterministic",
+                scenario.name
+            );
+            assert_eq!(a.committed, b.committed);
+            assert_eq!(a.max_resident_blocks, b.max_resident_blocks);
+            assert_eq!(a.max_journal_bytes, b.max_journal_bytes);
+            assert_eq!(a.violations, b.violations);
+        }
     }
 }
 
@@ -611,9 +660,6 @@ fn overload_sheds_load_without_losing_liveness_or_memory() {
     // cluster must shed the excess through explicit rejections (not
     // queue growth), keep committing through the view change, and no
     // honest replica's mempool may ever exceed its configured bound.
-    use marlin_bft::simnet::run_scenario_with_telemetry;
-    use marlin_bft::telemetry::{Registry, RegistryRecorder, SharedSink};
-
     let scenario = Scenario::overload();
     for seed in SEEDS {
         let registry = Registry::new();
@@ -672,27 +718,10 @@ fn cold_start_joins_from_snapshot_anchor_not_genesis() {
     // hundreds of blocks. The rejoin must install a peer's snapshot
     // anchor (bounded catch-up) rather than replaying the chain from
     // genesis, and every replica's resident block tree stays bounded
-    // by the snapshot horizon.
-    use marlin_bft::simnet::run_scenario_with_telemetry;
-    use marlin_bft::telemetry::{Registry, RegistryRecorder, SharedSink};
-
+    // by the snapshot horizon, for every kind.
     let scenario = Scenario::cold_start_join();
-    for seed in SEEDS {
-        let registry = Registry::new();
-        let recorder = SharedSink::new(RegistryRecorder::new(&registry));
-        let out =
-            run_scenario_with_telemetry(ProtocolKind::Marlin, &scenario, seed, Box::new(recorder));
-        assert_rejoined(&out, &scenario, seed);
-        let count = |name| registry.counter_with(name, &[]).get();
-        assert!(
-            count("consensus_sync_snapshots_installed_total") >= 1,
-            "cold start (seed {seed}) never installed a snapshot anchor — \
-             it replayed from genesis instead"
-        );
-        assert!(
-            count("consensus_sync_completed_total") >= 1,
-            "cold start (seed {seed}): sync never completed"
-        );
+    for (kind, seed) in rejoin_grid() {
+        assert_rejoin_cell(kind, &scenario, seed);
     }
 }
 
