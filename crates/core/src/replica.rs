@@ -110,13 +110,12 @@ pub struct Core<X> {
     pub(crate) in_flight: Option<BlockId>,
     /// Leader: view-change rounds by view.
     pub(crate) rounds: HashMap<View, VcRound<X>>,
-    /// Highest view each peer attested in a `CATCH-UP` response. With
-    /// linear view changes a lagging replica never overhears
-    /// `VIEW-CHANGE` traffic (it flows only to the new leader), so
-    /// rejoining after a crash needs explicit view attestations: once
-    /// `f + 1` distinct peers claim views above ours, at least one of
-    /// them is honest and that view is safe to join.
-    peer_views: HashMap<ReplicaId, View>,
+    /// Highest view each member has attested, indexed by replica id
+    /// (length `n`, so an id outside the cluster has no slot). A future
+    /// `VIEW-CHANGE` attests its view by a share that verifies for its
+    /// sender; a `CATCH-UP` response's header view rests on the link's
+    /// binding of its sender. The f+1 view join reads only this map.
+    peer_views: Vec<View>,
     /// A broadcast `CATCH-UP` request is awaiting its first response
     /// (drives the catch-up round-trip telemetry).
     pub(crate) catch_up_outstanding: bool,
@@ -132,6 +131,7 @@ pub struct Core<X> {
 impl<X: Default> Core<X> {
     fn new(config: Config) -> Self {
         Core {
+            peer_views: vec![View::GENESIS; config.n],
             base: Base::new(config),
             lb: BlockMeta::genesis(),
             locked_qc: None,
@@ -139,7 +139,6 @@ impl<X: Default> Core<X> {
             votes: VoteCollector::new(),
             in_flight: None,
             rounds: HashMap::new(),
-            peer_views: HashMap::new(),
             catch_up_outstanding: false,
             idle_beats: 0,
             journal: None,
@@ -839,14 +838,20 @@ impl<R: Rules> Replica<R> {
                 }
                 return;
             }
-            self.core.base.buffer_future(msg);
-            // f+1 join rule: if a quorum minority is already view
-            // changing above us, join them without waiting for our timer.
-            let f = self.core.cfg().f;
-            if let Some(target) = self.core.base.future_view_change_senders(f + 1) {
-                if target > self.core.base.cview {
-                    self.start_view_change(target, out);
+            // A VIEW-CHANGE whose share verifies for its sender attests
+            // that sender's view to the f+1 join (`note_peer_view`).
+            let attested = match &msg.body {
+                MsgBody::ViewChange(vc) => {
+                    let seed = ViewChange::happy_seed(&vc.last_voted, msg.view);
+                    vc.parsig.signer() == msg.from.index()
+                        && self.core.base.crypto.verify_partial(&seed, &vc.parsig)
                 }
+                _ => false,
+            };
+            let (from, view) = (msg.from, msg.view);
+            self.core.base.buffer_future(msg);
+            if attested {
+                self.note_peer_view(from, view, out);
             }
             return;
         }
@@ -1072,27 +1077,30 @@ impl<R: Rules> Replica<R> {
         });
     }
 
-    /// Records a peer's attested view and joins the highest view that
-    /// `f + 1` distinct peers have reached, if it is above ours.
+    /// The f+1 view join: records a member's attested view (a verified
+    /// future `VIEW-CHANGE`, or a `CATCH-UP` response header) and joins
+    /// the highest view that `f + 1` distinct members have reached, if
+    /// it is above ours. An id outside the cluster is dropped.
     ///
-    /// Taking the `(f + 1)`-th highest claim bounds the jump to a view
-    /// some *honest* replica actually entered — up to `f` Byzantine
-    /// responders can inflate their own claims but cannot drag us past
-    /// every honest peer. This closes the post-crash resynchronization
-    /// gap: with linear view changes there is no overheard
-    /// `VIEW-CHANGE` traffic to trigger the f+1 join rule, so a
-    /// recovered replica would otherwise trail its peers' timer backoff
-    /// forever.
+    /// Taking the `(f + 1)`-th highest attestation bounds the jump to a
+    /// view some *honest* replica actually entered — up to `f`
+    /// Byzantine members can inflate their own claims but cannot drag
+    /// us past every honest peer. With linear view changes this is how
+    /// the next leader enters its view before its own timer fires, and
+    /// how a recovered replica, which overhears no `VIEW-CHANGE`
+    /// traffic, stops trailing its peers' timer backoff.
     fn note_peer_view(&mut self, from: ReplicaId, view: View, out: &mut StepOutput) {
         let core = &mut self.core;
         if from == core.cfg().id {
             return;
         }
-        let slot = core.peer_views.entry(from).or_default();
+        let Some(slot) = core.peer_views.get_mut(from.index()) else {
+            return;
+        };
         *slot = (*slot).max(view);
         let mut above: Vec<View> = core
             .peer_views
-            .values()
+            .iter()
             .copied()
             .filter(|v| *v > core.base.cview)
             .collect();

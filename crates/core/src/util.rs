@@ -12,7 +12,7 @@ use marlin_types::{
     Batch, BatchId, Block, BlockId, BlockStore, CommitError, Message, MsgBody, Qc, ReplicaId,
     Transaction, TxView, View,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A consensus protocol as a deterministic state machine any thread may step.
 ///
@@ -260,22 +260,6 @@ impl Base {
     /// Buffers a message for a future view.
     pub fn buffer_future(&mut self, msg: Message) {
         self.pending_msgs.entry(msg.view).or_default().push(msg);
-    }
-
-    /// Whether at least `threshold` distinct replicas have buffered
-    /// view-change messages for a view above ours — the f+1 join rule.
-    pub fn future_view_change_senders(&self, threshold: usize) -> Option<View> {
-        let mut senders: HashSet<ReplicaId> = HashSet::new();
-        let mut lowest: Option<View> = None;
-        for (view, msgs) in self.pending_msgs.iter() {
-            for m in msgs {
-                if matches!(m.body, MsgBody::ViewChange(_)) {
-                    senders.insert(m.from);
-                    lowest = Some(lowest.map_or(*view, |l: View| l.min(*view)));
-                }
-            }
-        }
-        (senders.len() >= threshold).then_some(lowest.unwrap_or(self.cview.next()))
     }
 
     /// Drains up to `batch_size` transactions for a new proposal.
@@ -758,30 +742,5 @@ mod tests {
             &out.actions[0],
             Action::Send { to: ReplicaId(2), message } if matches!(message.body, MsgBody::FetchResponse { .. })
         ));
-    }
-
-    #[test]
-    fn future_vc_join_rule_counts_distinct_senders() {
-        let mut b = base();
-        b.cview = View(1);
-        let keys = std::sync::Arc::clone(&b.cfg.keys);
-        let vc = move |from: u32, view: u64| {
-            Message::new(
-                ReplicaId(from),
-                View(view),
-                MsgBody::ViewChange(marlin_types::ViewChange {
-                    last_voted: marlin_types::BlockMeta::genesis(),
-                    high_qc: Justify::None,
-                    parsig: keys.signer(from as usize).sign_partial(b"x"),
-                    cert: None,
-                }),
-            )
-        };
-        b.buffer_future(vc(1, 2));
-        assert!(b.future_view_change_senders(2).is_none());
-        b.buffer_future(vc(1, 2)); // duplicate sender does not count twice
-        assert!(b.future_view_change_senders(2).is_none());
-        b.buffer_future(vc(2, 3));
-        assert_eq!(b.future_view_change_senders(2), Some(View(2)));
     }
 }

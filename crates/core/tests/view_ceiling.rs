@@ -1,9 +1,8 @@
 //! A replica never enters, so never journals, a view above
 //! [`View::MAX`], the ceiling the journal's replay refuses to read past.
 //!
-//! Two VIEW-CHANGEs at the ceiling that claim two senders move a
-//! journaled replica there: the f+1 join counts claimed senders whose
-//! signatures it has not checked (ROADMAP 14(b) is still open). Its
+//! Two VIEW-CHANGEs at the ceiling whose shares members 0 and 3 signed
+//! move a journaled replica there through the f+1 view join. Its
 //! timeouts there must then enter nothing more. A replica that went on
 //! to `View::MAX + 1` would journal it, the next compaction would fold
 //! it into the generation's only record, and replay would refuse that
@@ -37,13 +36,13 @@ fn journaled(kind: ProtocolKind, disk: &SharedDisk, recovered: bool) -> Box<dyn 
 }
 
 #[test]
-fn a_forged_move_to_the_ceiling_keeps_the_journal_replayable() {
+fn an_attested_move_to_the_ceiling_keeps_the_journal_replayable() {
     for kind in KINDS {
-        forged_move_to_the_ceiling(kind);
+        attested_move_to_the_ceiling(kind);
     }
 }
 
-fn forged_move_to_the_ceiling(kind: ProtocolKind) {
+fn attested_move_to_the_ceiling(kind: ProtocolKind) {
     let cfg = Config::for_test(4, 1);
     let disk = SharedDisk::new();
     let replicas = (0..4)
@@ -66,8 +65,9 @@ fn forged_move_to_the_ceiling(kind: ProtocolKind) {
     assert!(before.last_voted.height > Height(0), "{kind:?}: no vote");
     sim.restart(VICTIM, journaled(kind, &disk, true));
 
-    let forged = |from: ReplicaId| {
-        let parsig = cfg.keys.signer(0).sign_partial(b"forged");
+    let attested = |from: ReplicaId| {
+        let seed = ViewChange::happy_seed(&BlockMeta::genesis(), View::MAX).signing_bytes();
+        let parsig = cfg.keys.signer(from.index()).sign_partial(&seed);
         let body = MsgBody::ViewChange(ViewChange {
             last_voted: BlockMeta::genesis(),
             high_qc: Justify::None,
@@ -76,8 +76,8 @@ fn forged_move_to_the_ceiling(kind: ProtocolKind) {
         });
         Event::Message(Message::new(from, View::MAX, body))
     };
-    sim.inject(VICTIM, forged(ReplicaId(0)));
-    sim.inject(VICTIM, forged(ReplicaId(3)));
+    sim.inject(VICTIM, attested(ReplicaId(0)));
+    sim.inject(VICTIM, attested(ReplicaId(3)));
     assert_eq!(sim.replica(VICTIM).current_view(), View::MAX, "{kind:?}");
     // Enough timeouts to compact twice, had each journaled a view.
     for _ in 0..2 * SNAPSHOT_EVERY {
