@@ -24,12 +24,12 @@ const KINDS: [ProtocolKind; 7] = [
 ];
 
 /// A genesis-state VIEW-CHANGE for `view` that claims sender `from`,
-/// carrying a share key `key` signed over `signed`.
-fn view_change(keys: &Config, key: usize, from: u32, view: View, signed: &[u8]) -> Event {
+/// carrying a share that key `key` signed over `signed`.
+fn view_change(cfg: &Config, key: usize, from: u32, view: View, signed: &[u8]) -> Event {
     let body = MsgBody::ViewChange(ViewChange {
         last_voted: BlockMeta::genesis(),
         high_qc: Justify::None,
-        parsig: keys.keys.signer(key).sign_partial(signed),
+        parsig: cfg.keys.signer(key).sign_partial(signed),
         cert: None,
     });
     Event::Message(Message::new(ReplicaId(from), view, body))
