@@ -10,7 +10,7 @@ use marlin_types::{ReplicaId, View};
 /// A started four-replica cluster of `kind`, its start-up traffic
 /// drained.
 fn instant(kind: ProtocolKind) -> SimNet {
-    let mut sim = SimNet::new(kind, Config::for_test(4, 1), SimConfig::instant());
+    let mut sim = SimNet::new(kind, Config::for_test(4, 1), SimConfig::instant(), ());
     sim.run_until_idle();
     sim
 }

@@ -127,7 +127,7 @@ protocol traffic from the leader crash to the first commit of the new view \
                     format,
                     SimConfig::paper_testbed(),
                 );
-                let w = m.window.protocol_total();
+                let w = m.window.traffic.protocol_total();
                 table.row(vec![
                     protocol.name().to_string(),
                     m.n.to_string(),
@@ -256,7 +256,7 @@ fn fig10i(rep: &mut JsonReport) {
             QcFormat::SigGroup,
             SimConfig::paper_testbed(),
         );
-        assert!(happy.took_happy_path, "expected the happy path at f={f}");
+        assert!(happy.window.happy, "expected the happy path at f={f}");
         let unhappy = vc::measure_view_change(
             ProtocolKind::Marlin,
             f,
@@ -264,10 +264,7 @@ fn fig10i(rep: &mut JsonReport) {
             QcFormat::SigGroup,
             SimConfig::paper_testbed(),
         );
-        assert!(
-            !unhappy.took_happy_path,
-            "expected the unhappy path at f={f}"
-        );
+        assert!(!unhappy.window.happy, "expected the unhappy path at f={f}");
         let hotstuff = vc::measure_view_change(
             ProtocolKind::HotStuff,
             f,
@@ -350,8 +347,8 @@ fn ablate_sig(_effort: Effort, rep: &mut JsonReport) {
     for f in [1usize, 5, 10] {
         let (group, threshold) = figures::ablate_qc_format(f);
         let (gw, tw) = (
-            group.window.protocol_total(),
-            threshold.window.protocol_total(),
+            group.window.traffic.protocol_total(),
+            threshold.window.traffic.protocol_total(),
         );
         table.row(vec![
             f.to_string(),

@@ -111,11 +111,8 @@ pub fn ablate_shadow_blocks(f: usize) -> (u64, u64) {
             net,
             4_000,
         );
-        assert!(
-            !m.took_happy_path,
-            "shadow ablation requires the unhappy path"
-        );
-        m.window.protocol_total().bytes
+        assert!(!m.window.happy, "shadow ablation requires the unhappy path");
+        m.window.traffic.protocol_total().bytes
     };
     (run(true), run(false))
 }

@@ -1,14 +1,12 @@
 //! View-change measurement: latency (Fig. 10i) and communication /
 //! authenticator complexity (Table I) from one instrumented run.
 
-use marlin_core::{Config, Note, ProtocolKind};
+use marlin_core::{Config, ProtocolKind};
 use marlin_crypto::{CostModel, KeyStore, QcFormat};
-use marlin_simnet::{Accounting, SimConfig, SimNet};
+use marlin_simnet::{SimConfig, SimNet};
+use marlin_telemetry::{ViewChanges, Window};
 use marlin_types::{Message, MsgBody, Phase, ReplicaId, View};
 use std::sync::Arc;
-
-/// Counter triple re-exported for reports.
-pub use marlin_simnet::MsgClass;
 
 /// The result of one instrumented view change.
 #[derive(Clone, Debug)]
@@ -20,13 +18,13 @@ pub struct VcMeasurement {
     /// Whether the snapshot was forced non-unanimous (Marlin's unhappy
     /// path; irrelevant for HotStuff/Jolteon).
     pub forced_unhappy: bool,
-    /// Time from the measuring replica's `ViewChangeStarted` to its
-    /// first commit in the new view (the paper's Fig. 10i metric).
+    /// Time from the measuring replica's (p0's) `ViewChangeStarted` to
+    /// its first commit after the crash (the paper's Fig. 10i metric).
     pub latency_ns: u64,
-    /// All traffic from the crash until that first commit.
-    pub window: Accounting,
-    /// Whether the new leader took Marlin's happy path.
-    pub took_happy_path: bool,
+    /// The meter's window marked at the crash: all traffic from the
+    /// crash until the run stops, at the first 100 ms poll that sees
+    /// p0 commit, and whether the new leader took the happy path.
+    pub window: Window,
 }
 
 /// Crashes the view-1 leader and measures the resulting view change.
@@ -66,7 +64,8 @@ pub fn measure_view_change_with_preload(
     cfg.cost = CostModel::ecdsa_like();
     cfg.qc_format = qc_format;
     cfg.base_timeout_ns = 400_000_000;
-    let mut sim = SimNet::new(protocol, cfg, net);
+    let meter = ViewChanges::new();
+    let mut sim = SimNet::new(protocol, cfg, net, meter.clone());
 
     let leader = ReplicaId(1); // leader of view 1
                                // Phase 1: commit a first batch so every replica has state.
@@ -114,7 +113,7 @@ pub fn measure_view_change_with_preload(
     let crash_at = t + 1_000_000;
     sim.schedule_crash(leader, crash_at);
     sim.run_until(crash_at);
-    sim.reset_accounting();
+    let window = meter.mark();
     let commits_before = sim.committed_blocks(ReplicaId(0));
 
     let mut deadline = crash_at;
@@ -126,35 +125,14 @@ pub fn measure_view_change_with_preload(
         );
         sim.run_until(deadline);
     }
-
-    // Extract the timeline from the notes.
-    let mut vc_started = None;
-    let mut committed_at = None;
-    let mut took_happy_path = false;
-    for (at, id, note) in sim.notes() {
-        if at < crash_at {
-            continue;
-        }
-        match note {
-            Note::ViewChangeStarted { .. } if id == ReplicaId(0) && vc_started.is_none() => {
-                vc_started = Some(at)
-            }
-            Note::HappyPathVc { .. } => took_happy_path = true,
-            Note::Committed { .. } if id == ReplicaId(0) && committed_at.is_none() => {
-                committed_at = Some(at)
-            }
-            _ => {}
-        }
-    }
-    let t0 = vc_started.expect("a view change must have started");
-    let t1 = committed_at.expect("a commit was observed");
-
+    let window = meter.windows().swap_remove(window);
     VcMeasurement {
         protocol,
         n,
         forced_unhappy: force_unhappy,
-        latency_ns: t1.saturating_sub(t0),
-        window: sim.accounting().clone(),
-        took_happy_path,
+        latency_ns: window
+            .latency_ns(ReplicaId(0))
+            .expect("p0 timed out and then committed"),
+        window,
     }
 }

@@ -29,7 +29,7 @@ use marlin_types::{Block, Justify, Phase, Proposal, Qc, ReplicaId, VcCert, View,
 /// use marlin_core::{Config, ProtocolKind};
 /// use marlin_simnet::{SimConfig, SimNet};
 ///
-/// let mut sim = SimNet::new(ProtocolKind::HotStuff, Config::for_test(4, 1), SimConfig::instant());
+/// let mut sim = SimNet::new(ProtocolKind::HotStuff, Config::for_test(4, 1), SimConfig::instant(), ());
 /// sim.schedule_client_batch(1u32.into(), 0, 20, 0);
 /// sim.run_until_idle();
 /// assert_eq!(sim.committed_txs(0u32.into()), 20);

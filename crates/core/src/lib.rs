@@ -35,7 +35,7 @@
 //! use marlin_simnet::{SimConfig, SimNet};
 //!
 //! // Four replicas running Marlin over an instantly-delivering network.
-//! let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), SimConfig::instant());
+//! let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), SimConfig::instant(), ());
 //! sim.schedule_client_batch(1u32.into(), 0, 100, 0);
 //! sim.run_until_idle();
 //! assert!(sim.committed_blocks(0u32.into()) > 0);

@@ -18,9 +18,9 @@ use marlin_core::{
     build_replica, Action, Config, Event, Note, Protocol, ProtocolKind, SafetyJournal, StepOutput,
 };
 use marlin_crypto::QcFormat;
-use marlin_simnet::SimNet;
+use marlin_simnet::{SimConfig, SimNet};
 use marlin_storage::SharedDisk;
-use marlin_telemetry::Invariants;
+use marlin_telemetry::{Invariants, ViewChanges};
 use marlin_types::{
     Batch, Block, BlockId, Decide, Height, Justify, Message, MsgBody, Phase, Proposal, Qc,
     ReplicaId, VcCert, View, ViewChange, Vote,
@@ -60,6 +60,25 @@ const FAMILY: [ProtocolKind; 7] = [
 
 fn cluster(kind: ProtocolKind, byzantine: &[ReplicaId]) -> (SimNet, Ledger, Invariants) {
     instant(kind, Config::for_test(4, 1), byzantine)
+}
+
+/// A started cluster observed by a traffic meter whose one window,
+/// marked once start-up traffic is drained, counts every copy sent
+/// from here on.
+fn metered(kind: ProtocolKind) -> (SimNet, ViewChanges) {
+    let meter = ViewChanges::new();
+    let config = Config::for_test(4, 1);
+    let mut sim = SimNet::new(kind, config, SimConfig::instant(), meter.clone());
+    sim.run_until_idle();
+    meter.mark();
+    (sim, meter)
+}
+
+/// Message copies the meter counted (its one window).
+fn sent(meter: &ViewChanges) -> u64 {
+    let windows = meter.windows();
+    assert_eq!(windows.len(), 1, "no view change on the normal path");
+    windows[0].traffic.total().messages
 }
 
 /// Phases of the QCs `leader` formed, optionally restricted to `view`.
@@ -118,8 +137,7 @@ fn messages_per_block_differ_only_by_the_extra_round() {
     // round: 21 (`twin.hotstuff.msgs_per_block`). Copies are counted
     // per destination, self excluded.
     for kind in LADDERED {
-        let (mut sim, _, _) = cluster(kind, &[]);
-        sim.reset_accounting();
+        let (mut sim, meter) = metered(kind);
         let before = sim.committed_blocks(P0);
         for _ in 0..5 {
             submit(&mut sim, P1, 10, 150);
@@ -132,8 +150,7 @@ fn messages_per_block_differ_only_by_the_extra_round() {
         } else {
             15
         };
-        let sent = sim.accounting().total().messages;
-        assert_eq!(sent, expected * blocks, "{kind:?}");
+        assert_eq!(sent(&meter), expected * blocks, "{kind:?}");
     }
 }
 
@@ -145,8 +162,7 @@ fn chained_rounds_are_one_broadcast_and_commit_k_rounds_late() {
     // proposal after it arrives (its justify completes the k-chain) —
     // the leader closes its own tail, so the last k rounds are empty.
     for (kind, depth) in CHAINED {
-        let (mut sim, _, _) = cluster(kind, &[]);
-        sim.reset_accounting();
+        let (mut sim, meter) = metered(kind);
         let proposed = |sim: &SimNet| {
             sim.notes()
                 .filter(|(_, _, n)| matches!(n, Note::Proposed { .. }))
@@ -158,8 +174,7 @@ fn chained_rounds_are_one_broadcast_and_commit_k_rounds_late() {
         assert_eq!(sim.committed_txs(P0), 10, "{kind:?}");
         let rounds = proposed(&sim) - rounds_before;
         assert_eq!(rounds, 1 + depth, "{kind:?}: payload block + tail");
-        let sent = sim.accounting().total().messages;
-        assert_eq!(sent, 6 * rounds as u64, "{kind:?}");
+        assert_eq!(sent(&meter), 6 * rounds as u64, "{kind:?}");
         // Everything up to the payload block is committed; the `depth`
         // tail blocks behind it are certified, not committed.
         let all_rounds = proposed(&sim);

@@ -1,9 +1,9 @@
 //! The zero-latency simulator profile the protocol tests drive: a
-//! `SimNet` under `SimConfig::instant()`, start-up traffic drained, the
-//! safety oracle and a ledger of committed blocks installed as its
-//! telemetry sinks.
+//! `SimNet` under `SimConfig::instant()`, observed by the safety oracle
+//! and a ledger of committed blocks, start-up traffic drained.
 #![allow(dead_code)]
 
+use marlin_core::harness::build_protocol;
 use marlin_core::{Config, Protocol, ProtocolKind};
 use marlin_simnet::{SimConfig, SimNet};
 use marlin_telemetry::{Invariants, Telemetry, TelemetrySink};
@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Every block each replica committed, in commit order (genesis
-/// excluded) — the simulator's telemetry sink.
+/// excluded) — one of the simulator's telemetry sinks.
 #[derive(Clone, Default)]
 pub struct Ledger(Rc<RefCell<Vec<Vec<Block>>>>);
 
@@ -43,8 +43,10 @@ pub fn instant(
     config: Config,
     byzantine: &[ReplicaId],
 ) -> (SimNet, Ledger, Invariants) {
-    let sim = SimNet::new(kind, config, SimConfig::instant());
-    attach(sim, byzantine)
+    let replicas = (0..config.n)
+        .map(|i| build_protocol(kind, config.with_id(ReplicaId(i as u32))))
+        .collect();
+    instant_with(replicas, byzantine)
 }
 
 /// [`instant`] over caller-built replicas (e.g. journal-backed ones).
@@ -52,16 +54,10 @@ pub fn instant_with(
     replicas: Vec<Box<dyn Protocol>>,
     byzantine: &[ReplicaId],
 ) -> (SimNet, Ledger, Invariants) {
-    attach(
-        SimNet::with_replicas(replicas, SimConfig::instant()),
-        byzantine,
-    )
-}
-
-fn attach(mut sim: SimNet, byzantine: &[ReplicaId]) -> (SimNet, Ledger, Invariants) {
     let ledger = Ledger::default();
     let invariants = Invariants::new(byzantine);
-    sim.set_telemetry(Box::new((ledger.clone(), invariants.clone())));
+    let sinks = (ledger.clone(), invariants.clone());
+    let mut sim = SimNet::with_replicas(replicas, SimConfig::instant(), sinks);
     // Start-up traffic first: a client batch must not interleave with
     // the bootstrap block.
     sim.run_until_idle();

@@ -2,7 +2,6 @@
 
 use crate::sim::{SimConfig, SimNet};
 use crate::stats::{Metrics, Stats};
-use crate::MsgClass;
 use marlin_core::{Config, ProtocolKind};
 use marlin_crypto::{CostModel, KeyStore, QcFormat};
 use marlin_telemetry::{SharedSink, TelemetrySink};
@@ -74,10 +73,11 @@ impl ExperimentConfig {
         self.config.n
     }
 
-    /// Builds the simulation (with the durable block log charged when
-    /// `storage` is set).
-    pub fn build(&self) -> SimNet {
-        let mut sim = SimNet::new(self.protocol, self.config.clone(), self.net.clone());
+    /// Builds the simulation, observed by `sink` (with the durable
+    /// block log charged when `storage` is set).
+    pub fn build(&self, sink: impl TelemetrySink + 'static) -> SimNet {
+        let config = self.config.clone();
+        let mut sim = SimNet::new(self.protocol, config, self.net.clone(), sink);
         if self.storage {
             sim.charge_block_log();
         }
@@ -102,7 +102,7 @@ fn reference_replica(cfg: &ExperimentConfig) -> ReplicaId {
 /// the current leader (re-targeted after view changes), measured after
 /// warmup.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Metrics {
-    run_inner(cfg, None)
+    run_experiment_with_telemetry(cfg, Box::new(()))
 }
 
 /// Like [`run_experiment`], but also feeds every observation into
@@ -112,18 +112,13 @@ pub fn run_experiment_with_telemetry(
     cfg: &ExperimentConfig,
     sink: Box<dyn TelemetrySink>,
 ) -> Metrics {
-    run_inner(cfg, Some(sink))
-}
-
-fn run_inner(cfg: &ExperimentConfig, telemetry: Option<Box<dyn TelemetrySink>>) -> Metrics {
-    let mut sim = cfg.build();
     let reference = reference_replica(cfg);
     let stats = SharedSink::new(Stats::new(
         reference,
         cfg.net.one_way_latency_ns,
         cfg.warmup_ns,
     ));
-    sim.set_telemetry(Box::new((stats.clone(), telemetry)));
+    let mut sim = cfg.build((stats.clone(), sink));
 
     let total_ns = cfg.warmup_ns + cfg.duration_ns;
     // Client tick: submit the next arrivals to the current leader every
@@ -182,19 +177,9 @@ fn run_inner(cfg: &ExperimentConfig, telemetry: Option<Box<dyn TelemetrySink>>) 
     // Drain the pipeline.
     sim.run_until(total_ns + 500_000_000);
 
-    // The simulator's own accounting, not a sink's: start-up traffic
-    // is sent inside `SimNet::new`, before any sink exists.
-    let proposal_wire_bytes = sim
-        .accounting()
-        .class(MsgClass::Proposal(marlin_types::Phase::Prepare))
-        .bytes;
-    let payload_wire_bytes = sim.accounting().class(MsgClass::Payload).bytes;
     drop(sim);
     let stats = stats.into_inner().expect("the simulation is dropped");
-    let mut metrics = stats.into_metrics(cfg.duration_ns);
-    metrics.proposal_wire_bytes = proposal_wire_bytes;
-    metrics.payload_wire_bytes = payload_wire_bytes;
-    metrics
+    stats.into_metrics(cfg.duration_ns)
 }
 
 /// One point of a rate sweep.
@@ -236,9 +221,8 @@ mod tests {
         let cfg = ExperimentConfig::paper(ProtocolKind::Marlin, 1);
         assert!(cfg.storage);
         let reference = reference_replica(&cfg);
-        let mut sim = cfg.build();
         let checker = Invariants::new(&[]);
-        sim.set_telemetry(Box::new(checker.clone()));
+        let mut sim = cfg.build(checker.clone());
         checker.mark_quiet();
         sim.schedule_client_batch(ReplicaId(1), 0, 100, cfg.payload_len);
         sim.run_until(2_000_000_000);

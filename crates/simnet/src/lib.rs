@@ -15,18 +15,18 @@
 //!   simulated crypto/storage cost of handling an event keeps it busy,
 //!   delaying both its outputs and its next input;
 //! * **faults** — replicas can crash at scheduled times, and message
-//!   filters model partitions or Byzantine message suppression;
-//! * **accounting** — every transmitted message is charged to byte,
-//!   message, and authenticator counters (the paper's complexity
-//!   metrics), with a resettable measurement window for Table I.
+//!   filters model partitions or Byzantine message suppression.
 //!
 //! Observation: every note, message send, lane charge, cache report and
 //! commit is one [`marlin_telemetry::Telemetry`] event, counted by the
-//! simulator itself (accounting, [`SimNet::notes`], commit counts) and
-//! forwarded, from the same call, to the one installed
-//! [`marlin_telemetry::TelemetrySink`] ([`SimNet::set_telemetry`]; a
-//! tuple of sinks fans out). Commit observers, [`Stats`], the registry
-//! and the safety oracle ([`marlin_telemetry::Invariants`]) are sinks.
+//! simulator itself ([`SimNet::notes`], commit counts) and forwarded,
+//! from the same call, to the one [`marlin_telemetry::TelemetrySink`]
+//! given to [`SimNet::new`] (`()` for none; a tuple of sinks fans
+//! out), start-up steps included. Commit observers, [`Stats`], the
+//! registry, the safety oracle ([`marlin_telemetry::Invariants`]) and
+//! the traffic meter ([`marlin_telemetry::ViewChanges`]: every message
+//! charged to byte, message and authenticator counters per view-change
+//! window — the paper's complexity metrics, Table I) are sinks.
 //!
 //! Determinism: given the same configuration and seed, a simulation is
 //! bit-for-bit reproducible. [`SimConfig::instant`] turns the network
@@ -44,7 +44,7 @@
 //! clients, crash schedules, the paper's network parameters and the
 //! durable block log (each committed block is charged a database write,
 //! with checkpointing every 5000 blocks — the paper's setup), [`Stats`]
-//! measures end-to-end latency, throughput and view changes as a sink,
+//! measures end-to-end latency, throughput and wire bytes as a sink,
 //! and [`sweep_peak_throughput`] is the rate sweep behind the
 //! peak-throughput figures.
 //!
@@ -54,7 +54,7 @@
 //! use marlin_core::{Config, ProtocolKind};
 //! use marlin_simnet::{SimConfig, SimNet};
 //!
-//! let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), SimConfig::lan());
+//! let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), SimConfig::lan(), ());
 //! sim.schedule_client_batch(1u32.into(), 0, 100, 150);
 //! sim.run_until(2_000_000_000); // two simulated seconds
 //! assert!(sim.committed_txs(0u32.into()) >= 100);
@@ -74,7 +74,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod accounting;
 mod block_log;
 mod byzantine;
 mod experiment;
@@ -82,12 +81,12 @@ mod scenario;
 mod sim;
 mod stats;
 
-pub use accounting::{Accounting, MsgClass};
 pub use byzantine::{Behavior, ByzantineReplica};
 pub use experiment::{
     run_experiment, run_experiment_with_telemetry, sweep_peak_throughput, ExperimentConfig,
     SweepPoint,
 };
+pub use marlin_types::MsgClass;
 pub use scenario::{
     run_scenario, run_scenario_with_telemetry, BehaviorPhase, Scenario, ScenarioOutcome,
 };

@@ -501,7 +501,7 @@ impl ScenarioOutcome {
 /// Runs one `(protocol, scenario, seed)` cell on a LAN cluster of
 /// `scenario.config.n` replicas with the safety oracle attached.
 pub fn run_scenario(kind: ProtocolKind, scenario: &Scenario, seed: u64) -> ScenarioOutcome {
-    run_scenario_inner(kind, scenario, seed, None)
+    run_scenario_with_telemetry(kind, scenario, seed, Box::new(()))
 }
 
 /// Like [`run_scenario`], additionally feeding every observation into
@@ -512,15 +512,6 @@ pub fn run_scenario_with_telemetry(
     scenario: &Scenario,
     seed: u64,
     sink: Box<dyn TelemetrySink>,
-) -> ScenarioOutcome {
-    run_scenario_inner(kind, scenario, seed, Some(sink))
-}
-
-fn run_scenario_inner(
-    kind: ProtocolKind,
-    scenario: &Scenario,
-    seed: u64,
-    telemetry: Option<Box<dyn TelemetrySink>>,
 ) -> ScenarioOutcome {
     let cfg = &scenario.config;
     let n = cfg.n;
@@ -572,9 +563,8 @@ fn run_scenario_inner(
 
     let mut sim_cfg = SimConfig::lan();
     sim_cfg.seed = seed;
-    let mut sim = SimNet::with_replicas(replicas, sim_cfg);
     let checker = Invariants::new(&byzantine);
-    sim.set_telemetry(Box::new((checker.clone(), telemetry)));
+    let mut sim = SimNet::with_replicas(replicas, sim_cfg, (checker.clone(), sink));
     for p in &scenario.partitions {
         sim.add_partition(p.clone());
     }

@@ -1,12 +1,11 @@
 //! The discrete-event simulation core.
 
-use crate::accounting::{Accounting, MsgClass};
 use crate::block_log::BlockLogCost;
 use marlin_core::harness::build_protocol;
 use marlin_core::{Action, Config, Event, Note, Protocol, ProtocolKind};
 use marlin_storage::SharedDisk;
 use marlin_telemetry::{Ring, Telemetry, TelemetrySink};
-use marlin_types::{Message, ReplicaId, Transaction, View};
+use marlin_types::{Message, MsgClass, ReplicaId, Transaction, View};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
@@ -286,7 +285,6 @@ pub struct SimNet {
     live_heartbeat: Vec<u64>,
     timer_seq: u64,
     rng: StdRng,
-    accounting: Accounting,
     committed_blocks: Vec<u64>,
     committed_txs: Vec<u64>,
     /// Every note so far: the recorder a runtime replica keeps bounded.
@@ -305,21 +303,34 @@ pub struct SimNet {
     block_logs: Vec<BlockLogCost>,
     /// Telemetry sink: every observation [`SimNet::emit`] counts is
     /// forwarded here, stamped with simulated time.
-    telemetry: Option<Box<dyn TelemetrySink>>,
+    telemetry: Box<dyn TelemetrySink>,
 }
 
 impl SimNet {
-    /// Builds a simulation of `config.n` replicas running `kind`.
-    pub fn new(kind: ProtocolKind, config: Config, sim: SimConfig) -> Self {
+    /// Builds a simulation of `config.n` replicas running `kind`,
+    /// observed by `sink` (`()` for none).
+    pub fn new(
+        kind: ProtocolKind,
+        config: Config,
+        sim: SimConfig,
+        sink: impl TelemetrySink + 'static,
+    ) -> Self {
         let replicas = (0..config.n)
             .map(|i| build_protocol(kind, config.with_id(ReplicaId(i as u32))))
             .collect();
-        Self::with_replicas(replicas, sim)
+        Self::with_replicas(replicas, sim, sink)
     }
 
-    /// Builds a simulation over pre-constructed replicas (e.g. protocol
-    /// instances wrapped in a [`crate::ByzantineReplica`]).
-    pub fn with_replicas(replicas: Vec<Box<dyn Protocol>>, sim: SimConfig) -> Self {
+    /// Builds a simulation over pre-constructed replicas (e.g. wrapped
+    /// in a [`crate::ByzantineReplica`]), observed by `sink`: every note,
+    /// message handed to the transport (after link filters, before
+    /// loss), step charge, cache report and commit, stamped with
+    /// simulated time, from the replicas' start-up steps on.
+    pub fn with_replicas(
+        replicas: Vec<Box<dyn Protocol>>,
+        sim: SimConfig,
+        sink: impl TelemetrySink + 'static,
+    ) -> Self {
         let n = replicas.len();
         let rng = StdRng::seed_from_u64(sim.seed);
         let lanes = replicas
@@ -340,7 +351,6 @@ impl SimNet {
             live_heartbeat: vec![0; n],
             timer_seq: 0,
             rng,
-            accounting: Accounting::new(),
             committed_blocks: vec![0; n],
             committed_txs: vec![0; n],
             notes: Ring::unbounded(),
@@ -353,21 +363,12 @@ impl SimNet {
             disks: Vec::new(),
             rebuild: None,
             block_logs: Vec::new(),
-            telemetry: None,
+            telemetry: Box::new(sink),
         };
         for i in 0..n {
             net.step_replica(ReplicaId(i as u32), Event::Start);
         }
         net
-    }
-
-    /// Installs a telemetry sink (replacing any previous one). Every
-    /// protocol note, message handed to the transport (after link
-    /// filters, before loss), step charge, cache report and commit is
-    /// forwarded, stamped with simulated time. Install before driving
-    /// the simulation: earlier events are not replayed.
-    pub fn set_telemetry(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.telemetry = Some(sink);
     }
 
     /// From here on every committed block is written to its replica's
@@ -406,16 +407,6 @@ impl SimNet {
     /// Read access to a replica.
     pub fn replica(&self, id: ReplicaId) -> &dyn Protocol {
         self.replicas[id.index()].as_ref()
-    }
-
-    /// Traffic accounting.
-    pub fn accounting(&self) -> &Accounting {
-        &self.accounting
-    }
-
-    /// Clears the accounting window.
-    pub fn reset_accounting(&mut self) {
-        self.accounting.reset();
     }
 
     /// Blocks committed by `id` so far.
@@ -614,26 +605,19 @@ impl SimNet {
     // ------------------------------------------------------ internal --
 
     /// Where every observation goes: the simulator's own counters
-    /// (traffic accounting, notes, commit counts), then the installed
-    /// sink — one call site each, so the two cannot disagree.
+    /// (notes, commit counts), then the sink — one call site each, so
+    /// the two cannot disagree.
     fn emit(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
         match event {
             Telemetry::Note(_) => self.notes.record(at_ns, replica, event),
-            Telemetry::Sent {
-                class,
-                bytes,
-                authenticators,
-            } => self.accounting.record(class, bytes, authenticators),
             Telemetry::Committed(blocks) => {
                 let txs = blocks.iter().map(|b| b.payload().len() as u64).sum::<u64>();
                 self.committed_blocks[replica.index()] += blocks.len() as u64;
                 self.committed_txs[replica.index()] += txs;
             }
-            Telemetry::Charged { .. } | Telemetry::CryptoCache { .. } => {}
+            Telemetry::Sent { .. } | Telemetry::Charged { .. } | Telemetry::CryptoCache { .. } => {}
         }
-        if let Some(sink) = self.telemetry.as_mut() {
-            sink.record(at_ns, replica, event);
-        }
+        self.telemetry.record(at_ns, replica, event);
     }
 
     fn push(&mut self, at_ns: u64, ev: Ev) {
@@ -965,9 +949,10 @@ mod tests {
     use super::*;
     use marlin_core::{Config, ProtocolKind};
     use marlin_crypto::CostModel;
+    use marlin_telemetry::ViewChanges;
 
     fn lan_sim(kind: ProtocolKind) -> SimNet {
-        SimNet::new(kind, Config::for_test(4, 1), SimConfig::lan())
+        SimNet::new(kind, Config::for_test(4, 1), SimConfig::lan(), ())
     }
 
     #[test]
@@ -983,13 +968,19 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_outcome() {
         let run = || {
-            let mut sim = lan_sim(ProtocolKind::Marlin);
+            // A window marked before start-up counts every message.
+            let meter = ViewChanges::new();
+            let window = meter.mark();
+            let cfg = Config::for_test(4, 1);
+            let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::lan(), meter.clone());
             sim.schedule_client_batch(ReplicaId(1), 0, 50, 150);
             sim.schedule_client_batch(ReplicaId(1), 5_000_000, 50, 150);
             sim.run_until(500_000_000);
+            let total = meter.windows()[window].traffic.total();
+            assert!(total.messages > 0 && total.bytes > 0 && total.authenticators > 0);
             (
                 sim.committed_txs(ReplicaId(0)),
-                sim.accounting().total(),
+                total,
                 sim.events_processed(),
             )
         };
@@ -1002,7 +993,7 @@ mod tests {
         // 4 one-way hops to commit: nothing commits before ~160ms.
         let mut cfg = SimConfig::paper_testbed();
         cfg.bandwidth_bps = 0; // isolate latency
-        let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), cfg);
+        let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), cfg, ());
         sim.schedule_client_batch(ReplicaId(1), 0, 10, 150);
         sim.run_until(159_000_000);
         assert_eq!(sim.committed_txs(ReplicaId(1)), 0);
@@ -1024,7 +1015,7 @@ mod tests {
         let first_commit_ns = |kind| {
             let mut cfg = SimConfig::paper_testbed();
             cfg.bandwidth_bps = 0;
-            let mut sim = SimNet::new(kind, Config::for_test(4, 1), cfg);
+            let mut sim = SimNet::new(kind, Config::for_test(4, 1), cfg, ());
             sim.schedule_client_batch(ReplicaId(1), 0, 10, 150);
             sim.run_until(3_000_000_000);
             first_tx_commit_ns(&sim)
@@ -1053,7 +1044,7 @@ mod tests {
             // the slow-NIC run free of spurious view changes.
             let mut rcfg = Config::for_test(4, 1);
             rcfg.base_timeout_ns = 5_000_000_000;
-            let mut sim = SimNet::new(ProtocolKind::Marlin, rcfg, cfg);
+            let mut sim = SimNet::new(ProtocolKind::Marlin, rcfg, cfg, ());
             sim.schedule_client_batch(ReplicaId(1), 0, 100, 1500);
             sim.run_until(5_000_000_000);
             assert!(sim.committed_txs(ReplicaId(0)) >= 100);
@@ -1072,7 +1063,7 @@ mod tests {
         let run = |cost: CostModel| {
             let mut cfg = Config::for_test(4, 1);
             cfg.cost = cost;
-            let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::lan());
+            let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::lan(), ());
             sim.schedule_client_batch(ReplicaId(1), 0, 50, 150);
             sim.run_until(3_000_000_000);
             assert!(sim.committed_txs(ReplicaId(0)) >= 50);
@@ -1083,11 +1074,7 @@ mod tests {
 
     #[test]
     fn crash_and_view_change_in_simulation() {
-        let mut sim = SimNet::new(
-            ProtocolKind::Marlin,
-            Config::for_test(4, 1),
-            SimConfig::lan(),
-        );
+        let mut sim = lan_sim(ProtocolKind::Marlin);
         sim.schedule_client_batch(ReplicaId(1), 0, 20, 0);
         sim.schedule_crash(ReplicaId(1), 50_000_000);
         // Submit to the next leader after the view change.
@@ -1123,9 +1110,9 @@ mod tests {
     #[test]
     fn instant_profile_steps_one_input_at_a_time() {
         let cfg = Config::for_test(4, 1);
-        let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::instant());
         let checker = marlin_telemetry::Invariants::new(&[]);
-        sim.set_telemetry(Box::new(checker.clone()));
+        let sink = checker.clone();
+        let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::instant(), sink);
         // The start-up block commits; no timer fires, the clock stands.
         sim.run_until_idle();
         assert_eq!((sim.now_ns(), checker.committed_len()), (0, 2));
@@ -1157,18 +1144,5 @@ mod tests {
         assert!(checker.violations().is_empty());
         (0..4).for_each(|i| sim.crash(ReplicaId(i)));
         assert!(!sim.fire_next_timer());
-    }
-
-    #[test]
-    fn accounting_records_traffic() {
-        let mut sim = lan_sim(ProtocolKind::Marlin);
-        sim.schedule_client_batch(ReplicaId(1), 0, 10, 150);
-        sim.run_until(500_000_000);
-        let total = sim.accounting().total();
-        assert!(total.messages > 0);
-        assert!(total.bytes > 0);
-        assert!(total.authenticators > 0);
-        sim.reset_accounting();
-        assert_eq!(sim.accounting().total().messages, 0);
     }
 }

@@ -1,15 +1,15 @@
 //! Latency and throughput measurement, and fault-campaign reporting.
 
 use crate::scenario::ScenarioOutcome;
-use marlin_core::Note;
 // The histogram lives in `marlin-telemetry` so every latency-like
 // series in the workspace shares one bucket layout.
 use marlin_telemetry::{Histogram, LatencySummary, Telemetry, TelemetrySink};
-use marlin_types::{Block, ReplicaId, Transaction};
+use marlin_types::{Block, MsgClass, Phase, ReplicaId, Transaction};
 use std::collections::HashSet;
 
 /// Telemetry sink measuring throughput and end-to-end latency at a
-/// reference replica, and counting view changes.
+/// reference replica, and the cluster's proposal and payload wire
+/// bytes.
 ///
 /// Latency per transaction is `commit_time − submit_time + 2 ×
 /// client_leg_ns` (the client→leader and replica→client hops the paper's
@@ -111,15 +111,16 @@ impl Stats {
 
 impl TelemetrySink for Stats {
     fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
-        let reference = replica == self.reference;
         let counts = &mut self.counts;
         match event {
-            Telemetry::Committed(blocks) if reference => self.on_commit(at_ns, blocks),
-            Telemetry::Note(Note::ViewChangeStarted { .. }) if reference => {
-                counts.view_changes += 1
+            Telemetry::Committed(blocks) if replica == self.reference => {
+                self.on_commit(at_ns, blocks)
             }
-            Telemetry::Note(Note::HappyPathVc { .. }) => counts.happy_path_vcs += 1,
-            Telemetry::Note(Note::UnhappyPathVc { .. }) => counts.unhappy_path_vcs += 1,
+            Telemetry::Sent { class, bytes, .. } => match class {
+                MsgClass::Proposal(Phase::Prepare) => counts.proposal_wire_bytes += bytes,
+                MsgClass::Payload => counts.payload_wire_bytes += bytes,
+                _ => {}
+            },
             _ => {}
         }
     }
@@ -143,22 +144,15 @@ pub struct Metrics {
     /// values mean the latency floor is not trustworthy at that
     /// resolution.
     pub skew_clamped: u64,
-    /// View changes started at the reference replica.
-    pub view_changes: usize,
-    /// Happy-path view changes observed anywhere.
-    pub happy_path_vcs: usize,
-    /// Unhappy-path (pre-prepare) view changes observed anywhere.
-    pub unhappy_path_vcs: usize,
     /// Re-committed transactions excluded from the throughput numbers
     /// (goodput counts each transaction id once).
     pub duplicate_txs: u64,
-    /// Prepare-proposal bytes put on the wire across the run — the
-    /// leader egress that digest dissemination shrinks from O(batch)
-    /// to O(digest) per block. Filled by the experiment driver from
-    /// the simulator's traffic accounting.
+    /// Prepare-proposal bytes every replica put on the wire across the
+    /// run, start-up proposal included — the leader egress that digest
+    /// dissemination shrinks from O(batch) to O(digest) per block.
     pub proposal_wire_bytes: u64,
-    /// Payload-plane bytes (pushes, acks, digest fetches) put on the
-    /// wire across the run.
+    /// Payload-plane bytes (pushes, acks, digest fetches) every replica
+    /// put on the wire across the run.
     pub payload_wire_bytes: u64,
 }
 
@@ -363,19 +357,27 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_view_changes() {
+    fn metrics_count_every_replicas_proposal_and_payload_bytes() {
         let mut stats = Stats::new(ReplicaId(0), 0, 0);
-        let notes = [
-            (0, Note::ViewChangeStarted { from_view: View(1) }),
-            (1, Note::ViewChangeStarted { from_view: View(1) }),
-            (2, Note::HappyPathVc { view: View(2) }),
-        ];
-        for (replica, note) in &notes {
-            stats.note(0, ReplicaId(*replica), note);
-        }
+        let sent = |class, bytes| Telemetry::Sent {
+            class,
+            bytes,
+            authenticators: 1,
+        };
+        stats.record(
+            0,
+            ReplicaId(1),
+            sent(MsgClass::Proposal(Phase::Prepare), 400),
+        );
+        stats.record(
+            0,
+            ReplicaId(2),
+            sent(MsgClass::Proposal(Phase::Prepare), 300),
+        );
+        stats.record(0, ReplicaId(0), sent(MsgClass::Payload, 50));
+        stats.record(0, ReplicaId(0), sent(MsgClass::Proposal(Phase::Commit), 90));
+        stats.record(0, ReplicaId(0), sent(MsgClass::Vote(Phase::Prepare), 70));
         let m = stats.into_metrics(1);
-        assert_eq!(m.view_changes, 1);
-        assert_eq!(m.happy_path_vcs, 1);
-        assert_eq!(m.unhappy_path_vcs, 0);
+        assert_eq!((m.proposal_wire_bytes, m.payload_wire_bytes), (700, 50));
     }
 }

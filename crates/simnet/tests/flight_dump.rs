@@ -12,6 +12,7 @@ fn a_runs_notes_survive_a_dump_of_its_ring() {
         ProtocolKind::Marlin,
         Config::for_test(4, 1),
         SimConfig::lan(),
+        (),
     );
     sim.schedule_client_batch(ReplicaId(1), 0, 20, 150);
     sim.schedule_crash(ReplicaId(1), 50_000_000);

@@ -2,12 +2,17 @@
 
 use marlin_core::{Config, Note, ProtocolKind};
 use marlin_simnet::{MsgClass, SimConfig, SimNet};
+use marlin_telemetry::{TelemetrySink, ViewChanges};
 use marlin_types::{Message, Phase, ReplicaId, View};
 
 fn sim(kind: ProtocolKind) -> SimNet {
+    sim_observed_by(kind, ())
+}
+
+fn sim_observed_by(kind: ProtocolKind, sink: impl TelemetrySink + 'static) -> SimNet {
     let mut cfg = Config::for_test(4, 1);
     cfg.base_timeout_ns = 500_000_000;
-    SimNet::new(kind, cfg, SimConfig::lan())
+    SimNet::new(kind, cfg, SimConfig::lan(), sink)
 }
 
 /// A minority partition {p3} cannot commit; the majority {p0,p1,p2}
@@ -78,23 +83,26 @@ fn even_split_halts_until_healed() {
     );
 }
 
-/// Accounting classifies traffic per message class; a failure-free run
-/// has proposals/votes/decides but no view-change traffic.
+/// The meter classifies traffic per message class; a failure-free run
+/// (one window, marked before start-up) has proposals/votes/decides
+/// but no view-change traffic.
 #[test]
-fn accounting_breaks_down_by_class() {
-    let mut net = sim(ProtocolKind::Marlin);
+fn traffic_breaks_down_by_class() {
+    let meter = ViewChanges::new();
+    let window = meter.mark();
+    let mut net = sim_observed_by(ProtocolKind::Marlin, meter.clone());
     net.schedule_client_batch(ReplicaId(1), 0, 50, 150);
     net.run_until(1_000_000_000);
-    let acc = net.accounting();
+    let windows = meter.windows();
+    assert_eq!(windows.len(), 1, "no view change expected");
+    let acc = &windows[window].traffic;
     assert!(acc.class(MsgClass::Proposal(Phase::Prepare)).messages > 0);
     assert!(acc.class(MsgClass::Vote(Phase::Prepare)).messages > 0);
     assert!(acc.class(MsgClass::Vote(Phase::Commit)).messages > 0);
     assert!(acc.class(MsgClass::Decide).messages > 0);
-    assert_eq!(
-        acc.view_change_total().messages,
-        0,
-        "no VC traffic expected"
-    );
+    for class in [MsgClass::ViewChange, MsgClass::Proposal(Phase::PrePrepare)] {
+        assert_eq!(acc.class(class).messages, 0, "no VC traffic expected");
+    }
     // Proposals carry the payload bytes: they dominate.
     assert!(
         acc.class(MsgClass::Proposal(Phase::Prepare)).bytes
@@ -109,7 +117,7 @@ fn different_seeds_both_commit() {
     for seed in [1u64, 2] {
         let mut cfg = SimConfig::lan();
         cfg.seed = seed;
-        let mut net = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), cfg);
+        let mut net = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), cfg, ());
         net.schedule_client_batch(ReplicaId(1), 0, 50, 150);
         net.run_until(1_000_000_000);
         assert!(net.committed_txs(ReplicaId(2)) >= 50, "seed {seed}");

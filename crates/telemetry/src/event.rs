@@ -359,8 +359,8 @@ pub enum Telemetry<'a> {
 /// A driver reports everything it observes — protocol notes, message
 /// sends, lane charges, cache health, commits — through one call,
 /// stamped with its clock and the replica concerned. Its own counters
-/// (the simulator's traffic accounting, say) consume the same event at
-/// the same call site, so they cannot disagree with a sink.
+/// (the simulator's notes and commit counts, say) consume the same
+/// event at the same call site, so they cannot disagree with a sink.
 pub trait TelemetrySink {
     /// One observation at `at_ns` by or about `replica`.
     fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>);
@@ -369,6 +369,11 @@ pub trait TelemetrySink {
     fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
         self.record(at_ns, replica, Telemetry::Note(note));
     }
+}
+
+/// No observer: every event is dropped.
+impl TelemetrySink for () {
+    fn record(&mut self, _at_ns: u64, _replica: ReplicaId, _event: Telemetry<'_>) {}
 }
 
 /// Fan-out: a pair of sinks both receive every event.
@@ -1090,8 +1095,8 @@ pub(crate) mod tests {
     /// nothing, and every other event — each note included — in at least
     /// one metric, so no event is silently dropped.
     ///
-    /// Nothing needs to check that two accountings agree. The simulator's
-    /// `Accounting` and the registry's `net_*` consume the same `Sent`
+    /// Nothing needs to check that two accountings agree. The meter's
+    /// `Traffic` and the registry's `net_*` consume the same `Sent`
     /// event; `Note::Committed` and `Action::Commit` are built from the
     /// same newly committed blocks in `Core::try_commit`.
     #[test]

@@ -15,8 +15,8 @@
 //! Timing (DESIGN.md §8): a step's commits, the view bound that dates
 //! them and the lock check are evaluated when the step closes — at the
 //! next `Charged` record, or at any query. A replica not heard from is
-//! in view 1 (a simulator steps start-up before any sink exists), and
-//! genesis is seeded at height 0 when the first step closes. The
+//! in view 1 (a stream may open mid-run; the simulator's shows
+//! start-up), and genesis is seeded when the first step closes. The
 //! oracle keeps no clock; it is `Clone` (shared state), so a driver
 //! keeps a handle while the installed copy records.
 

@@ -26,6 +26,8 @@
 //! * [`Invariants`] — the safety oracle: a sink judging agreement,
 //!   commit order, locks, votes and liveness from the stream alone, for
 //!   the simulator and the threaded runtime alike.
+//! * [`ViewChanges`] — the traffic meter: one [`Window`] per view change,
+//!   its per-class [`Traffic`] (Table I) and each replica's latency.
 //! * [`Ring`] / [`FlightRecorder`] — the one typed recorder of stamped
 //!   notes (the simulator's, and each runtime node's flight ring) and
 //!   its dumps, framed as the safety journal frames its records.
@@ -41,6 +43,7 @@ pub mod export;
 pub mod flight;
 pub mod hist;
 pub mod invariants;
+pub mod meter;
 pub mod registry;
 pub mod serve;
 pub mod timeline;
@@ -56,6 +59,7 @@ pub use flight::{
 };
 pub use hist::{Histogram, LatencySummary, BUCKET_COUNT};
 pub use invariants::{Invariants, Violation};
+pub use meter::{Counters, Traffic, ViewChanges, Window};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
 pub use serve::{Health, HealthFn, ScrapeServer};
 pub use timeline::{BlockTimeline, Decomposition, LaneBreakdown, PhasePoint, SegmentStat};

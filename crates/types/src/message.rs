@@ -284,17 +284,6 @@ impl MsgClass {
         }
     }
 
-    /// Whether this class belongs to the view-change protocol (used for
-    /// the Table I measurement window).
-    pub fn is_view_change(&self) -> bool {
-        matches!(
-            self,
-            MsgClass::ViewChange
-                | MsgClass::Proposal(Phase::PrePrepare)
-                | MsgClass::Vote(Phase::PrePrepare)
-        )
-    }
-
     /// Whether this class is crash-recovery traffic, excluded from
     /// protocol-cost measurement windows.
     pub fn is_recovery(&self) -> bool {

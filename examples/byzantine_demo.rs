@@ -42,9 +42,9 @@ impl TelemetrySink for Chains {
 /// returned height has a `prepareQC` that only p0 ever saw (p0 is
 /// locked on it); the view-1 leader p1 then crashes.
 fn build_scenario(kind: ProtocolKind) -> (SimNet, Chains, u64) {
-    let mut sim = SimNet::new(kind, Config::for_test(4, 1), SimConfig::instant());
     let chains = Chains::default();
-    sim.set_telemetry(Box::new(chains.clone()));
+    let config = Config::for_test(4, 1);
+    let mut sim = SimNet::new(kind, config, SimConfig::instant(), chains.clone());
     sim.run_until_idle(); // the start-up block
     sim.schedule_client_batch(P1, sim.now_ns(), 10, 0);
     sim.run_until_idle();

@@ -41,15 +41,14 @@ fn main() {
 
     // n = 4 replicas tolerating f = 1 Byzantine fault.
     let config = Config::for_test(4, 1);
-    let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::instant());
     let (chain, invariants) = (Chain::default(), Invariants::new(&[]));
-    sim.set_telemetry(Box::new((chain.clone(), invariants.clone())));
-    sim.run_until_idle(); // the start-up block
     let registry = Registry::new();
     let recorder = telemetry_path
         .is_some()
         .then(|| RegistryRecorder::new(&registry));
-    sim.set_telemetry(Box::new(((chain.clone(), invariants.clone()), recorder)));
+    let sinks = ((chain.clone(), invariants.clone()), recorder);
+    let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::instant(), sinks);
+    sim.run_until_idle(); // the start-up block
 
     println!("submitting 3 batches of 100 transactions to the view-1 leader…");
     for round in 1..=3 {

@@ -64,13 +64,13 @@ impl TelemetrySink for Apps {
 }
 
 fn main() {
+    let (apps, invariants) = (Apps::default(), Invariants::new(&[]));
     let mut sim = SimNet::new(
         ProtocolKind::Marlin,
         Config::for_test(4, 1),
         SimConfig::instant(),
+        (apps.clone(), invariants.clone()),
     );
-    let (apps, invariants) = (Apps::default(), Invariants::new(&[]));
-    sim.set_telemetry(Box::new((apps.clone(), invariants.clone())));
     sim.run_until_idle(); // the start-up block
     let leader = ReplicaId(1);
 

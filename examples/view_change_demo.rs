@@ -108,7 +108,7 @@ fn run(title: &str, force_unhappy: bool) {
     // A view timeout comfortably above the 40 ms-per-hop view-change
     // round trip, as any deployment on this network would use.
     config.base_timeout_ns = 500_000_000;
-    let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::paper_testbed());
+    let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::paper_testbed(), ());
     let leader = ReplicaId(1);
     sim.schedule_client_batch(leader, 0, 20, 150);
     sim.run_until(1_000_000_000);

@@ -34,9 +34,9 @@
 //! use marlin_bft::simnet::{SimConfig, SimNet};
 //! use marlin_bft::telemetry::Invariants;
 //!
-//! let mut sim = SimNet::new(ProtocolKind::Marlin, Config::for_test(4, 1), SimConfig::instant());
 //! let invariants = Invariants::new(&[]);
-//! sim.set_telemetry(Box::new(invariants.clone()));
+//! let config = Config::for_test(4, 1);
+//! let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::instant(), invariants.clone());
 //! sim.run_until_idle(); // the start-up block
 //! sim.schedule_client_batch(1u32.into(), sim.now_ns(), 100, 0);
 //! sim.run_until_idle();

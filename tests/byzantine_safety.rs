@@ -57,9 +57,8 @@ fn run_with_adversary(
             }
         })
         .collect();
-    let mut sim = SimNet::with_replicas(replicas, SimConfig::lan());
     let chains = SharedSink::new(Chains::default());
-    sim.set_telemetry(Box::new(chains.clone()));
+    let mut sim = SimNet::with_replicas(replicas, SimConfig::lan(), chains.clone());
 
     // Keep the current leader supplied across views.
     let mut t = 0u64;

@@ -103,9 +103,9 @@ fn lane_breakdown_accounts_journal_and_wire_separately() {
 fn verified_qc_cache_stays_bounded_on_long_chained_runs() {
     let mut cfg = Config::for_test(4, 1);
     cfg.batch_verify = true;
-    let mut sim = SimNet::new(ProtocolKind::ChainedMarlin, cfg, SimConfig::lan());
     let registry = Registry::new();
-    sim.set_telemetry(Box::new(RegistryRecorder::new(&registry)));
+    let recorder = RegistryRecorder::new(&registry);
+    let mut sim = SimNet::new(ProtocolKind::ChainedMarlin, cfg, SimConfig::lan(), recorder);
     // Enough load that the run crosses several maintenance ticks.
     for round in 0u64..200 {
         sim.schedule_client_batch(ReplicaId(1), round * 50_000_000, 20, 32);

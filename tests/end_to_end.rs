@@ -3,7 +3,10 @@
 //! benchmark harness uses it.
 
 use marlin_bft::core::ProtocolKind;
-use marlin_bft::simnet::{run_experiment, ExperimentConfig};
+use marlin_bft::simnet::{
+    run_experiment, run_experiment_with_telemetry, ExperimentConfig, Metrics,
+};
+use marlin_bft::telemetry::{ViewChanges, Window};
 use marlin_bft::types::ReplicaId;
 
 fn short(protocol: ProtocolKind) -> ExperimentConfig {
@@ -12,6 +15,13 @@ fn short(protocol: ProtocolKind) -> ExperimentConfig {
     cfg.duration_ns = 2_000_000_000;
     cfg.warmup_ns = 1_000_000_000;
     cfg
+}
+
+/// Runs `cfg` with the view-change meter attached.
+fn metered(cfg: &ExperimentConfig) -> (Metrics, Vec<Window>) {
+    let meter = ViewChanges::new();
+    let metrics = run_experiment_with_telemetry(cfg, Box::new(meter.clone()));
+    (metrics, meter.windows())
 }
 
 #[test]
@@ -23,7 +33,7 @@ fn every_protocol_commits_on_the_paper_testbed() {
         ProtocolKind::ChainedMarlin,
         ProtocolKind::ChainedHotStuff,
     ] {
-        let m = run_experiment(&short(protocol));
+        let (m, view_changes) = metered(&short(protocol));
         assert!(
             m.committed_txs > 5_000,
             "{protocol:?} committed only {} txs",
@@ -33,7 +43,7 @@ fn every_protocol_commits_on_the_paper_testbed() {
             m.latency.mean_ms > 80.0,
             "{protocol:?} latency below physics"
         );
-        assert_eq!(m.view_changes, 0, "{protocol:?} should be failure-free");
+        assert_eq!(view_changes, [], "{protocol:?} should be failure-free");
     }
 }
 
@@ -66,11 +76,11 @@ fn leader_crash_mid_run_is_survived() {
     cfg.config.base_timeout_ns = 600_000_000;
     cfg.crashes = vec![(ReplicaId(1), 1_200_000_000)];
     cfg.duration_ns = 4_000_000_000;
-    let m = run_experiment(&cfg);
+    let (m, view_changes) = metered(&cfg);
     assert!(m.committed_txs > 0, "no post-crash commits");
     assert!(
-        m.happy_path_vcs + m.unhappy_path_vcs >= 1,
-        "a view change should have happened"
+        view_changes.iter().any(|w| w.at_first_commit.is_some()),
+        "a view change should have happened and committed: {view_changes:?}"
     );
 }
 

@@ -10,8 +10,9 @@ use marlin_bft::simnet::SimConfig;
 // tests re-derive the two cheap ones inline to avoid a dev-dependency
 // cycle, using the same construction as `marlin-bench::vc`.
 
-use marlin_bft::core::{Config, Note};
+use marlin_bft::core::Config;
 use marlin_bft::simnet::SimNet;
+use marlin_bft::telemetry::ViewChanges;
 use marlin_bft::types::ReplicaId;
 
 /// Crash the view-1 leader after one committed batch; return
@@ -21,7 +22,8 @@ fn crash_and_measure(protocol: ProtocolKind, f: usize, format: QcFormat) -> (u64
     let mut cfg = Config::for_test(n, f);
     cfg.qc_format = format;
     cfg.base_timeout_ns = 400_000_000;
-    let mut sim = SimNet::new(protocol, cfg, SimConfig::paper_testbed());
+    let meter = ViewChanges::new();
+    let mut sim = SimNet::new(protocol, cfg, SimConfig::paper_testbed(), meter.clone());
     sim.schedule_client_batch(ReplicaId(1), 0, 50, 150);
     let mut t = 0;
     while sim.committed_txs(ReplicaId(0)) < 50 {
@@ -32,7 +34,7 @@ fn crash_and_measure(protocol: ProtocolKind, f: usize, format: QcFormat) -> (u64
     let crash_at = t + 1_000_000;
     sim.schedule_crash(ReplicaId(1), crash_at);
     sim.run_until(crash_at);
-    sim.reset_accounting();
+    let window = meter.mark();
     let before = sim.committed_blocks(ReplicaId(0));
     let mut deadline = crash_at;
     while sim.committed_blocks(ReplicaId(0)) == before {
@@ -43,26 +45,15 @@ fn crash_and_measure(protocol: ProtocolKind, f: usize, format: QcFormat) -> (u64
         );
         sim.run_until(deadline);
     }
-    let mut t0 = None;
-    let mut t1 = None;
-    let mut happy = false;
-    for (at, id, note) in sim.notes() {
-        if at < crash_at {
-            continue;
-        }
-        match note {
-            Note::ViewChangeStarted { .. } if id == ReplicaId(0) && t0.is_none() => t0 = Some(at),
-            Note::HappyPathVc { .. } => happy = true,
-            Note::Committed { .. } if id == ReplicaId(0) && t1.is_none() => t1 = Some(at),
-            _ => {}
-        }
-    }
-    let total = sim.accounting().total();
+    let window = meter.windows().swap_remove(window);
+    let total = window.traffic.total();
     (
-        t1.unwrap().saturating_sub(t0.unwrap()),
+        window
+            .latency_ns(ReplicaId(0))
+            .expect("p0 timed out and committed"),
         total.bytes,
         total.authenticators,
-        happy,
+        window.happy,
     )
 }
 
