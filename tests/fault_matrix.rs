@@ -18,12 +18,15 @@
 //!   snapshot adversary, on every seed.
 
 use marlin_bft::core::ProtocolKind;
+use marlin_bft::crypto::Digest;
 use marlin_bft::simnet::{
     run_scenario, run_scenario_with_telemetry, LinkFault, MsgClass, RecoveryMode, Scenario,
     ScenarioOutcome,
 };
-use marlin_bft::telemetry::{Registry, RegistryRecorder, SharedSink, ViewChanges, Violation};
-use marlin_bft::types::ReplicaId;
+use marlin_bft::telemetry::{
+    Note, Registry, RegistryRecorder, SharedSink, Telemetry, TelemetrySink, ViewChanges, Violation,
+};
+use marlin_bft::types::{BatchId, BlockId, Justify, Message, MsgBody, Phase, Qc, ReplicaId, View};
 
 const SEEDS: [u64; 3] = [7, 42, 2022];
 const HONEST_QUORUM_PROTOCOLS: [ProtocolKind; 4] = [
@@ -708,6 +711,80 @@ fn overload_sheds_load_without_losing_liveness_or_memory() {
             "overload (seed {seed}): admission control never rejected — \
              the flood is not exceeding capacity"
         );
+    }
+}
+
+/// What the payload plane put on the record in one cell: batches
+/// pushed, availability quorums reached, and `DIGEST-PROPOSAL` frames
+/// sent (counted per destination copy).
+#[derive(Default)]
+struct DigestPlane {
+    pushed: usize,
+    quorums: usize,
+    digest_frames: usize,
+}
+
+impl TelemetrySink for DigestPlane {
+    fn record(&mut self, _at_ns: u64, _replica: ReplicaId, event: Telemetry<'_>) {
+        match event {
+            Telemetry::Note(Note::PayloadPushed { .. }) => self.pushed += 1,
+            Telemetry::Note(Note::PayloadQuorum { .. }) => self.quorums += 1,
+            // A digest proposal classifies as a prepare proposal; it is
+            // the one such frame of its fixed length (a full proposal
+            // carries a block, and the block its own justify).
+            Telemetry::Sent { class, bytes, .. }
+                if class == MsgClass::Proposal(Phase::Prepare)
+                    && bytes == digest_proposal_len() =>
+            {
+                self.digest_frames += 1
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The wire length of a `DIGEST-PROPOSAL` under threshold QCs (every
+/// field is fixed-width, so any digest, view and QC give the same).
+fn digest_proposal_len() -> u64 {
+    let body = MsgBody::DigestProposal {
+        digest: BatchId::from_digest(Digest::ZERO),
+        justify: Justify::One(Qc::genesis(BlockId::GENESIS)),
+    };
+    Message::new(ReplicaId(0), View(1), body).wire_len(false) as u64
+}
+
+#[test]
+fn overload_with_dissemination_proposes_digests_for_every_kind() {
+    // The overload cell with the payload plane on: admitted
+    // transactions are sealed and pushed ahead of consensus, and the
+    // leader proposes quorum-acked digests. Dissemination is the
+    // replica's, not one rule set's: every kind must stay safe and
+    // live, keep its mempool bounded, and show the digest path ran.
+    let mut scenario = Scenario::overload();
+    scenario.config.dissemination = true;
+    for kind in [ProtocolKind::Marlin] {
+        for seed in SEEDS {
+            let plane = SharedSink::new(DigestPlane::default());
+            let out = run_scenario_with_telemetry(kind, &scenario, seed, Box::new(plane.clone()));
+            let cell = format!("{kind:?} overload+dissemination (seed {seed})");
+            assert_eq!(out.verdict(), "OK", "{cell}: {:?}", out.violations);
+            assert!(
+                out.committed > 50,
+                "{cell}: only {} blocks committed",
+                out.committed
+            );
+            assert!(
+                out.max_mempool_txs <= scenario.config.mempool_capacity,
+                "{cell}: mempool grew to {} txs past the {} cap",
+                out.max_mempool_txs,
+                scenario.config.mempool_capacity
+            );
+            plane.with(|p| {
+                assert!(p.pushed > 0, "{cell}: no batch was pushed");
+                assert!(p.quorums > 0, "{cell}: no availability quorum");
+                assert!(p.digest_frames > 0, "{cell}: no digest proposal sent");
+            });
+        }
     }
 }
 
