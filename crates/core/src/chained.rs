@@ -149,14 +149,17 @@ fn note_ancestor_phases(store: &BlockStore, chain: Chain, qc: &Qc, out: &mut Ste
     }
 }
 
-/// View proof: a proposal whose justify is a verified `prepareQC`
-/// formed in the proposal's own view shows that view started. (Chained
-/// replicas have no `DECIDE` to synchronise views on.)
+/// View proof: a proposal (full or by digest) whose justify is a
+/// verified `prepareQC` formed in the proposal's own view shows that
+/// view started. (Chained replicas have no `DECIDE` to synchronise
+/// views on.)
 fn carries_in_view_prepare_qc<X>(core: &mut Core<X>, msg: &Message) -> bool {
-    let MsgBody::Proposal(p) = &msg.body else {
-        return false;
+    let justify = match &msg.body {
+        MsgBody::Proposal(p) => p.justify,
+        MsgBody::DigestProposal { justify, .. } => *justify,
+        _ => return false,
     };
-    p.justify.qc().is_some_and(|qc| {
+    justify.qc().is_some_and(|qc| {
         qc.view() == msg.view && qc.phase() == Phase::Prepare && core.base.crypto.verify_qc(qc)
     })
 }

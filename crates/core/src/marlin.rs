@@ -28,23 +28,20 @@
 //!
 //! ## Rules beyond the paper's cases
 //!
-//! This rule set is the only one that proposes digests when
-//! `Config::dissemination` is on, and it shares soliciting `CATCH-UP`
-//! on recovery with the chained rule sets only. Neither is
-//! Marlin-specific in principle; DESIGN.md §18 records why each is
-//! still a rule rather than the skeleton's. The view change below is
-//! also chained Marlin's: [`crate::chained::ChainedMarlinRules`]
-//! delegates to it.
+//! This rule set shares soliciting `CATCH-UP` on recovery with the
+//! chained rule sets only. That is not Marlin-specific in principle;
+//! DESIGN.md §18 records why it is still a rule rather than the
+//! skeleton's. The view change below is also chained Marlin's:
+//! [`crate::chained::ChainedMarlinRules`] delegates to it.
 
 use crate::events::{Action, Note, StepOutput, VcCase};
-use crate::replica::{child_of, extends, Adopt, Core, DigestEvent, Next, Replica, Rules};
+use crate::replica::{child_of, extends, Adopt, Core, Next, Replica, Rules};
 use marlin_types::rank::{block_rank_gt, highest_block, qc_rank_cmp, qc_rank_ge};
 use marlin_types::{
-    BatchId, Block, BlockId, BlockKind, BlockMeta, Justify, Message, MsgBody, Phase, Proposal, Qc,
-    ReplicaId, View, ViewChange, Vote,
+    Block, BlockId, BlockKind, BlockMeta, Justify, Phase, Proposal, Qc, ReplicaId, View,
+    ViewChange, Vote,
 };
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// A replica running Marlin.
 ///
@@ -61,20 +58,7 @@ use std::collections::HashMap;
 /// ```
 pub type Marlin = Replica<MarlinRules>;
 
-/// A digest proposal parked while its batch is fetched.
-#[derive(Clone, Debug)]
-struct PendingDigest {
-    /// The proposing leader (and first fetch target).
-    from: ReplicaId,
-    /// The proposal's justify, replayed once the batch resolves.
-    justify: Justify,
-    /// The fetch was already fanned out to all replicas after the
-    /// proposer answered `None` — don't broadcast again per response.
-    fanned_out: bool,
-}
-
-/// Per-view state: the leader's view-change pre-prepare phase, and the
-/// digest proposals a replica parked in the view.
+/// Per-view state: the leader's view-change pre-prepare phase.
 #[derive(Clone, Debug, Default)]
 pub struct MarlinRound {
     /// Blocks proposed in the pre-prepare phase (normal first).
@@ -87,12 +71,6 @@ pub struct MarlinRound {
     stashed_virtual_qc: Option<Qc>,
     /// Set once the leader moved on to the prepare phase.
     advanced: bool,
-    /// Digest proposals whose batch is still being fetched, replayed
-    /// when the `PAYLOAD-RESPONSE` arrives. Bounded: one per digest,
-    /// and — like the rest of the round — purged on leaving the view:
-    /// those fetches will never be replayed, and their slots must not
-    /// crowd out future ones.
-    pending_digests: HashMap<BatchId, PendingDigest>,
 }
 
 /// Marlin's rule set.
@@ -133,78 +111,6 @@ fn find_virtual_vc(lb: &BlockMeta, msgs: &[(ReplicaId, ViewChange)]) -> Option<Q
 }
 
 impl MarlinRules {
-    /// Leader: proposes the next quorum-acked digest (Case N1 with
-    /// dissemination on). The full block is reconstructed and stored
-    /// locally — only the broadcast shrinks to digest size. Returns
-    /// `false` when no digest is ready.
-    fn propose_ready_digest(core: &mut MarlinCore, qc: Qc, out: &mut StepOutput) -> bool {
-        let view = core.base.cview;
-        let Some(digest) = core.base.payloads.pop_ready() else {
-            return false;
-        };
-        let batch = core.base.payloads.batch(&digest).cloned();
-        let batch = batch.expect("ready digests are pinned in the payload store");
-        let block = child_of(&qc, view, batch, Justify::One(qc));
-        core.base.store_block(&block);
-        core.in_flight = Some(block.id());
-        out.actions.push(Action::Note(Note::Proposed {
-            view,
-            height: block.height(),
-            phase: Phase::Prepare,
-        }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                core.cfg().id,
-                view,
-                MsgBody::DigestProposal {
-                    digest,
-                    justify: Justify::One(qc),
-                },
-            ),
-        });
-        true
-    }
-
-    /// Replica: resolves a digest proposal into the full block (the
-    /// batch was pushed ahead of the proposal) for the normal Case N1
-    /// validation. A digest we cannot resolve is fetched from the
-    /// proposer and the proposal replayed on response.
-    fn resolve_digest(
-        core: &mut MarlinCore,
-        from: ReplicaId,
-        view: View,
-        digest: BatchId,
-        justify: Justify,
-        out: &mut StepOutput,
-    ) -> Option<(ReplicaId, View, Proposal)> {
-        if from != core.cfg().leader_of(view) {
-            return None;
-        }
-        let Some(batch) = core.base.payloads.batch(&digest).cloned() else {
-            let pending = &mut core.round_mut(view).ext.pending_digests;
-            if pending.len() < 32 {
-                let parked = PendingDigest {
-                    from,
-                    justify,
-                    fanned_out: false,
-                };
-                pending.insert(digest, parked);
-                core.base.request_payload(digest, from, out);
-            }
-            return None;
-        };
-        let Justify::One(qc) = justify else {
-            return None;
-        };
-        let proposal = Proposal {
-            phase: Phase::Prepare,
-            blocks: vec![child_of(&qc, view, batch, justify)],
-            justify,
-            vc_proof: Vec::new(),
-        };
-        Some((from, view, proposal))
-    }
-
     /// The leader's unhappy-path pre-prepare proposal (Cases V1/V2/V3).
     /// Returns the blocks to propose; empty if nothing valid was
     /// reported (the next timeout retries).
@@ -577,77 +483,6 @@ impl Rules for MarlinRules {
         }
         core.high_qc = high;
         Next::Propose
-    }
-
-    fn on_new_transactions(core: &mut MarlinCore, out: &mut StepOutput) {
-        // Push freshly admitted payloads ahead of leadership:
-        // dissemination overlaps with whatever is in flight.
-        core.base.seal_payloads(out);
-    }
-
-    /// Case N1 with dissemination: propose a digest the availability
-    /// quorum already holds, not the batch.
-    fn propose_digest(core: &mut MarlinCore, qc: Qc, out: &mut StepOutput) -> bool {
-        if !core.base.cfg.dissemination {
-            return false;
-        }
-        core.base.seal_payloads(out);
-        if Self::propose_ready_digest(core, qc, out) {
-            return true;
-        }
-        if core.base.payloads.has_work() {
-            // Sealed batches are still collecting acks; proposing their
-            // transactions inline now would double-spend the batch. The
-            // quorum ack re-triggers this proposal — and the heartbeat
-            // keeps the payload tick (retransmit, expiry) running so
-            // lost pushes cannot leave the leader silent until the view
-            // times out.
-            out.actions.push(Action::SetHeartbeat {
-                delay_ns: core.base.cfg.base_timeout_ns / 4,
-            });
-            return true;
-        }
-        false
-    }
-
-    fn on_digest(
-        core: &mut MarlinCore,
-        event: DigestEvent,
-        out: &mut StepOutput,
-    ) -> Option<(ReplicaId, View, Proposal)> {
-        // Parked proposals are always for the current view.
-        let cview = core.base.cview;
-        fn parked(core: &mut MarlinCore) -> Option<&mut HashMap<BatchId, PendingDigest>> {
-            let round = core.rounds.get_mut(&core.base.cview)?;
-            Some(&mut round.ext.pending_digests)
-        }
-        match event {
-            DigestEvent::Proposed {
-                from,
-                view,
-                digest,
-                justify,
-            } => Self::resolve_digest(core, from, view, digest, justify, out),
-            DigestEvent::Fetched(digest) => {
-                let p = parked(core)?.remove(&digest)?;
-                Self::resolve_digest(core, p.from, cview, digest, p.justify, out)
-            }
-            DigestEvent::Unavailable(digest) => {
-                // The fetch target no longer holds the batch (evicted,
-                // or crashed and restarted). The proposer is not the
-                // only replica that can serve it — every member of the
-                // availability quorum stored the push — so fan the
-                // fetch out to all replicas once instead of wedging
-                // this digest (and, at 32 wedged entries, the whole
-                // fallback path) until the view changes.
-                let p = parked(core)?.get_mut(&digest)?;
-                if !p.fanned_out {
-                    p.fanned_out = true;
-                    core.base.broadcast_payload_request(digest, out);
-                }
-                None
-            }
-        }
     }
 
     fn on_recovered(core: &mut MarlinCore, out: &mut StepOutput) -> Next {

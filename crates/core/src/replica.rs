@@ -8,7 +8,8 @@
 //! proof. [`Replica`] owns the shared machine — the pacemaker and
 //! message buffering ([`Base`]), `lb` / `lockedQC` / `highQC`, vote
 //! collection, the optional write-ahead journal, per-view `VIEW-CHANGE`
-//! collection, and the event loop — and is statically generic over a
+//! collection, digest proposals when `Config::dissemination` is on, and
+//! the event loop — and is statically generic over a
 //! [`Rules`] implementation holding only what is the protocol's own
 //! (DESIGN.md §18 tabulates the seven rule sets).
 //!
@@ -58,27 +59,20 @@ pub enum Adopt {
     Both,
 }
 
-/// A payload-plane event concerning a digest proposal (Marlin's
-/// dissemination rule; see [`Rules::on_digest`]). Like [`Event`], it is
-/// consumed in place, never queued, so the justify is not boxed.
-#[derive(Clone, Copy, Debug)]
-#[allow(clippy::large_enum_variant)]
-pub enum DigestEvent {
-    /// The leader proposed `digest` instead of a full block.
-    Proposed {
-        /// The proposer.
-        from: ReplicaId,
-        /// View of the proposal.
-        view: View,
-        /// The proposed batch digest.
-        digest: BatchId,
-        /// The proposal's justify.
-        justify: Justify,
-    },
-    /// A fetched batch arrived.
-    Fetched(BatchId),
-    /// The fetch target no longer holds the batch.
-    Unavailable(BatchId),
+/// Digest proposals a replica parks at once while their batches are
+/// fetched; further ones are dropped until the view changes.
+const MAX_PARKED_DIGESTS: usize = 32;
+
+/// A digest proposal parked while its batch is fetched.
+#[derive(Clone, Debug)]
+struct ParkedDigest {
+    /// The proposing leader (and first fetch target).
+    from: ReplicaId,
+    /// The proposal's justify, replayed once the batch resolves.
+    justify: Justify,
+    /// The fetch was already fanned out to all replicas after the
+    /// proposer answered `None` — don't broadcast again per response.
+    fanned_out: bool,
 }
 
 /// Per-view state: the `VIEW-CHANGE` messages a leader collected plus
@@ -110,6 +104,12 @@ pub struct Core<X> {
     pub(crate) in_flight: Option<BlockId>,
     /// Leader: view-change rounds by view.
     pub(crate) rounds: HashMap<View, VcRound<X>>,
+    /// Digest proposals of the current view whose batch is still being
+    /// fetched, replayed when the `PAYLOAD-RESPONSE` arrives. Bounded:
+    /// one per digest, at most `MAX_PARKED_DIGESTS`, and purged on
+    /// leaving the view: those fetches will never be replayed, and
+    /// their slots must not crowd out future ones.
+    parked_digests: HashMap<BatchId, ParkedDigest>,
     /// Highest view each member has attested, indexed by replica id
     /// (length `n`, so an id outside the cluster has no slot). A future
     /// `VIEW-CHANGE` attests its view by a share that verifies for its
@@ -139,6 +139,7 @@ impl<X: Default> Core<X> {
             votes: VoteCollector::new(),
             in_flight: None,
             rounds: HashMap::new(),
+            parked_digests: HashMap::new(),
             catch_up_outstanding: false,
             idle_beats: 0,
             journal: None,
@@ -529,27 +530,6 @@ pub trait Rules: Clone + Debug {
         false
     }
 
-    /// Transactions were admitted to the mempool.
-    fn on_new_transactions(_core: &mut Core<Self::Round>, _out: &mut StepOutput) {}
-
-    /// Case N1 with dissemination: proposes a digest (or waits for an
-    /// availability quorum) instead of an inline block. Returns `true`
-    /// when the inline proposal must not go ahead.
-    fn propose_digest(_core: &mut Core<Self::Round>, _qc: Qc, _out: &mut StepOutput) -> bool {
-        false
-    }
-
-    /// A digest proposal arrived or its fetch made progress. Returns
-    /// the reconstructed proposal to run through the normal `PREPARE`
-    /// path, if it is ready.
-    fn on_digest(
-        _core: &mut Core<Self::Round>,
-        _event: DigestEvent,
-        _out: &mut StepOutput,
-    ) -> Option<(ReplicaId, View, Proposal)> {
-        None
-    }
-
     /// The replica rejoined after a crash (its view timer is already
     /// re-armed).
     fn on_recovered(_core: &mut Core<Self::Round>, _out: &mut StepOutput) -> Next {
@@ -664,6 +644,7 @@ impl<R: Rules> Replica<R> {
         }
         let drained = self.core.base.enter_view(view, out);
         self.core.rounds.retain(|v, _| *v >= view);
+        self.core.parked_digests.clear();
         // View entry is also a retransmission opportunity for sealed
         // batches whose availability quorum stalled in the old view.
         self.core.base.payload_tick(out);
@@ -736,6 +717,7 @@ impl<R: Rules> Replica<R> {
             return;
         };
         let justify = core.high_qc;
+        let mut digest = None;
         let block = if let Some(id) = R::reproposed_block(core) {
             // Case N2: re-broadcast the pre-prepared block. (Only a
             // leader recovered from its journal can lack it: the
@@ -745,11 +727,35 @@ impl<R: Rules> Replica<R> {
             };
             block
         } else {
-            if R::propose_digest(core, qc, out) {
-                return;
+            // Case N1: extend the block of highQC. With dissemination
+            // on, the broadcast names a digest the availability quorum
+            // already holds; the full block is still built and stored
+            // here. A view-change proof rides only in a full proposal.
+            if core.base.cfg.dissemination && vc_proof.is_empty() {
+                core.base.seal_payloads(out);
+                digest = core.base.payloads.pop_ready();
+                if digest.is_none() && core.base.payloads.has_work() {
+                    // Sealed batches are still collecting acks; proposing
+                    // their transactions inline now would double-spend
+                    // the batch. The quorum ack re-triggers this proposal
+                    // — and the heartbeat keeps the payload tick
+                    // (retransmit, expiry) running so lost pushes cannot
+                    // leave the leader silent until the view times out.
+                    out.actions.push(Action::SetHeartbeat {
+                        delay_ns: core.base.cfg.base_timeout_ns / 4,
+                    });
+                    return;
+                }
             }
-            // Case N1: extend the block of highQC.
-            let batch = core.base.take_batch();
+            let batch = match &digest {
+                Some(d) => core
+                    .base
+                    .payloads
+                    .batch(d)
+                    .cloned()
+                    .expect("ready digests are pinned"),
+                None => core.base.take_batch(),
+            };
             let block = child_of(&qc, view, batch, justify);
             core.base.store_block(&block);
             block
@@ -760,15 +766,17 @@ impl<R: Rules> Replica<R> {
             height: block.height(),
             phase: Phase::Prepare,
         }));
-        core.broadcast_proposal(
-            Proposal {
+        let body = match digest {
+            Some(digest) => MsgBody::DigestProposal { digest, justify },
+            None => MsgBody::Proposal(Proposal {
                 phase: Phase::Prepare,
                 blocks: vec![block],
                 justify,
                 vc_proof,
-            },
-            out,
-        );
+            }),
+        };
+        let message = Message::new(core.cfg().id, view, body);
+        out.actions.push(Action::Broadcast { message });
     }
 
     // ------------------------------------------------- message paths --
@@ -795,10 +803,28 @@ impl<R: Rules> Replica<R> {
                 return;
             }
             PayloadOutcome::Resolved(digest) => {
-                return self.on_digest(DigestEvent::Fetched(digest), out);
+                // Parked proposals are always for the current view.
+                if let Some(p) = self.core.parked_digests.remove(&digest) {
+                    let view = self.core.base.cview;
+                    self.on_digest_proposal(p.from, view, digest, p.justify, out);
+                }
+                return;
             }
             PayloadOutcome::Unavailable(digest) => {
-                return self.on_digest(DigestEvent::Unavailable(digest), out);
+                // The fetch target no longer holds the batch (evicted,
+                // or crashed and restarted). The proposer is not the
+                // only replica that can serve it — every member of the
+                // availability quorum stored the push — so fan the
+                // fetch out to all replicas once instead of wedging
+                // this digest (and, with every parking slot wedged, the
+                // whole fallback path) until the view changes.
+                if let Some(p) = self.core.parked_digests.get_mut(&digest) {
+                    if !p.fanned_out {
+                        p.fanned_out = true;
+                        self.core.base.broadcast_payload_request(digest, out);
+                    }
+                }
+                return;
             }
         }
         // Decides are valid whenever the commitQC verifies (a DECIDE
@@ -868,13 +894,7 @@ impl<R: Rules> Replica<R> {
             MsgBody::Vote(v) => self.on_vote(v, out),
             MsgBody::ViewChange(vc) => self.on_view_change(from, view, vc, out),
             MsgBody::DigestProposal { digest, justify } => {
-                let event = DigestEvent::Proposed {
-                    from,
-                    view,
-                    digest,
-                    justify,
-                };
-                self.on_digest(event, out);
+                self.on_digest_proposal(from, view, digest, justify, out);
             }
             MsgBody::Decide(_)
             | MsgBody::FetchRequest { .. }
@@ -894,12 +914,48 @@ impl<R: Rules> Replica<R> {
         }
     }
 
-    fn on_digest(&mut self, event: DigestEvent, out: &mut StepOutput) {
-        if let Some((from, view, p)) = R::on_digest(&mut self.core, event, out) {
-            // The leader loops its own broadcast back through this path;
-            // `on_prepare` applies the full vote rule.
-            self.on_prepare(from, view, p, out);
+    /// Replica handling of a `DIGEST-PROPOSAL`: resolves the digest
+    /// into the full block (the batch was pushed ahead of the proposal)
+    /// for the normal Case N1 path. A digest it cannot resolve is
+    /// fetched from the proposer and the proposal parked until the
+    /// batch arrives.
+    fn on_digest_proposal(
+        &mut self,
+        from: ReplicaId,
+        view: View,
+        digest: BatchId,
+        justify: Justify,
+        out: &mut StepOutput,
+    ) {
+        let core = &mut self.core;
+        if from != core.cfg().leader_of(view) {
+            return;
         }
+        let Some(batch) = core.base.payloads.batch(&digest).cloned() else {
+            if core.parked_digests.len() < MAX_PARKED_DIGESTS {
+                let fanned_out = false;
+                let parked = ParkedDigest {
+                    from,
+                    justify,
+                    fanned_out,
+                };
+                core.parked_digests.insert(digest, parked);
+                core.base.request_payload(digest, from, out);
+            }
+            return;
+        };
+        let Justify::One(qc) = justify else {
+            return;
+        };
+        let proposal = Proposal {
+            phase: Phase::Prepare,
+            blocks: vec![child_of(&qc, view, batch, justify)],
+            justify,
+            vc_proof: Vec::new(),
+        };
+        // The leader loops its own broadcast back through this path;
+        // `on_prepare` applies the full vote rule.
+        self.on_prepare(from, view, proposal, out);
     }
 
     /// Replica handling of a normal-case `PREPARE` proposal.
@@ -1164,7 +1220,9 @@ impl<R: Rules> Protocol for Replica<R> {
             }
             Event::NewTransactions(txs) => {
                 self.core.base.add_transactions(txs, &mut out);
-                R::on_new_transactions(&mut self.core, &mut out);
+                // Push freshly admitted payloads ahead of leadership:
+                // dissemination overlaps with whatever is in flight.
+                self.core.base.seal_payloads(&mut out);
                 if self.idle_leader() {
                     self.core.idle_beats = 0;
                     self.propose(&mut out);

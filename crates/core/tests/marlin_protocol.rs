@@ -1,6 +1,7 @@
 //! End-to-end protocol tests for Marlin on the simulator's zero-latency
 //! profile, including reconstructions of the paper's Figure 2
-//! view-change snapshot scenarios.
+//! view-change snapshot scenarios. The payload-dissemination cases run
+//! for every kind: the digest path is the replica skeleton's.
 
 mod support;
 
@@ -10,7 +11,7 @@ use marlin_crypto::QcFormat;
 use marlin_simnet::SimNet;
 use marlin_telemetry::Invariants;
 use marlin_types::{Message, MsgBody, Phase, Qc, ReplicaId, View, ViewChange};
-use support::{assert_safe, instant, max_view, min_view, submit, Ledger};
+use support::{assert_safe, instant, max_view, min_view, submit, Ledger, KINDS};
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
@@ -471,19 +472,30 @@ fn catch_up_responses_resynchronize_a_lagging_replica() {
     );
 }
 
+/// A started cluster of `kind` with the payload plane on.
+fn disseminating(kind: ProtocolKind) -> (SimNet, Ledger, Invariants) {
+    let mut cfg = Config::for_test(4, 1);
+    cfg.dissemination = true;
+    instant(kind, cfg, &[])
+}
+
 /// With decoupled dissemination enabled, the leader pushes batches as
 /// digest-addressed payloads ahead of consensus and the prepare phase
 /// carries only `DIGEST-PROPOSAL` messages — no full-batch `PROPOSAL`
-/// ever crosses the wire, yet every replica commits the payload.
+/// ever crosses the wire, yet every replica commits the payload. The
+/// digest path is the replica skeleton's, so every kind takes it.
 #[test]
 fn dissemination_commits_via_digest_proposals() {
+    for kind in KINDS {
+        commits_via_digest_proposals(kind);
+    }
+}
+
+fn commits_via_digest_proposals(kind: ProtocolKind) {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    let mut cfg = Config::for_test(4, 1);
-    cfg.dissemination = true;
-    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
-
+    let (mut sim, _, inv) = disseminating(kind);
     let digest_proposals = Arc::new(AtomicUsize::new(0));
     let full_prepare_proposals = Arc::new(AtomicUsize::new(0));
     let (d, p) = (
@@ -510,16 +522,16 @@ fn dissemination_commits_via_digest_proposals() {
     sim.run_until_idle();
     assert_safe(&inv);
     for replica in [P0, P1, P2, P3] {
-        assert_eq!(sim.committed_txs(replica), 60, "{replica}");
+        assert_eq!(sim.committed_txs(replica), 60, "{kind:?} {replica}");
     }
     assert!(
         digest_proposals.load(Ordering::Relaxed) > 0,
-        "payload batches should be proposed by digest"
+        "{kind:?}: payload batches should be proposed by digest"
     );
     assert_eq!(
         full_prepare_proposals.load(Ordering::Relaxed),
         0,
-        "no full-batch prepare proposal should cross the wire"
+        "{kind:?}: no full-batch prepare proposal should cross the wire"
     );
     // The payload plane reported its lifecycle: pushes and ack quorums.
     let pushed = sim
@@ -530,8 +542,8 @@ fn dissemination_commits_via_digest_proposals() {
         .notes()
         .filter(|(_, _, n)| matches!(n, Note::PayloadQuorum { .. }))
         .count();
-    assert!(pushed > 0, "expected PayloadPushed notes");
-    assert!(quorums > 0, "expected PayloadQuorum notes");
+    assert!(pushed > 0, "{kind:?}: expected PayloadPushed notes");
+    assert!(quorums > 0, "{kind:?}: expected PayloadQuorum notes");
 }
 
 /// A replica that missed the payload push still follows the chain: it
@@ -539,10 +551,13 @@ fn dissemination_commits_via_digest_proposals() {
 /// digest, and commits the same payload as everyone else.
 #[test]
 fn dissemination_fetch_fallback_recovers_missing_payload() {
-    let mut cfg = Config::for_test(4, 1);
-    cfg.dissemination = true;
-    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
+    for kind in KINDS {
+        fetch_fallback_recovers_missing_payload(kind);
+    }
+}
 
+fn fetch_fallback_recovers_missing_payload(kind: ProtocolKind) {
+    let (mut sim, _, inv) = disseminating(kind);
     // p3 never receives the payload push; acks from p0/p1/p2 (plus the
     // leader's own) still clear the availability quorum of n - f = 3.
     sim.set_filter(Box::new(|_from, to, msg: &Message| {
@@ -554,12 +569,12 @@ fn dissemination_fetch_fallback_recovers_missing_payload() {
     sim.run_until_idle();
     assert_safe(&inv);
     for replica in [P0, P1, P2, P3] {
-        assert_eq!(sim.committed_txs(replica), 40, "{replica}");
+        assert_eq!(sim.committed_txs(replica), 40, "{kind:?} {replica}");
     }
     assert!(
         sim.notes()
             .any(|(_, id, n)| id == P3 && matches!(n, Note::PayloadFetched { .. })),
-        "p3 should have fetched the missing batch by digest"
+        "{kind:?}: p3 should have fetched the missing batch by digest"
     );
 }
 
@@ -570,10 +585,13 @@ fn dissemination_fetch_fallback_recovers_missing_payload() {
 /// inline — all before the view times out.
 #[test]
 fn lost_payload_pushes_do_not_wedge_the_leader() {
-    let mut cfg = Config::for_test(4, 1);
-    cfg.dissemination = true;
-    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
+    for kind in KINDS {
+        lost_pushes_do_not_wedge_the_leader(kind);
+    }
+}
 
+fn lost_pushes_do_not_wedge_the_leader(kind: ProtocolKind) {
+    let (mut sim, _, inv) = disseminating(kind);
     // Every push is lost; the leader's self-ack alone can never reach
     // the n - f = 3 availability quorum.
     sim.set_filter(Box::new(|_from, _to, msg: &Message| {
@@ -582,18 +600,18 @@ fn lost_payload_pushes_do_not_wedge_the_leader() {
     submit(&mut sim, P1, 40, 150);
     sim.run_until_idle();
     // Nothing can commit while the seal occupies its window slot.
-    assert_eq!(sim.committed_txs(P1), 0);
+    assert_eq!(sim.committed_txs(P1), 0, "{kind:?}");
     // Heartbeats age the seal to expiry, then the inline path takes over.
     sim.run_until(1_000_000_000);
     sim.run_until_idle();
     assert_safe(&inv);
     for replica in [P0, P1, P2, P3] {
-        assert_eq!(sim.committed_txs(replica), 40, "{replica}");
+        assert_eq!(sim.committed_txs(replica), 40, "{kind:?} {replica}");
     }
     assert!(
         sim.notes()
             .any(|(_, id, n)| id == P1 && matches!(n, Note::PayloadExpired { .. })),
-        "the unacked seal should have been expired"
+        "{kind:?}: the unacked seal should have been expired"
     );
 }
 
@@ -603,13 +621,16 @@ fn lost_payload_pushes_do_not_wedge_the_leader() {
 /// inline fallback.
 #[test]
 fn transient_push_loss_is_healed_by_retransmission() {
+    for kind in KINDS {
+        transient_push_loss_is_healed(kind);
+    }
+}
+
+fn transient_push_loss_is_healed(kind: ProtocolKind) {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    let mut cfg = Config::for_test(4, 1);
-    cfg.dissemination = true;
-    let (mut sim, _, inv) = instant(ProtocolKind::Marlin, cfg, &[]);
-
+    let (mut sim, _, inv) = disseminating(kind);
     // Drop exactly the first push fan-out (one broadcast = 3 sends).
     let dropped = Arc::new(AtomicUsize::new(0));
     let d = Arc::clone(&dropped);
@@ -621,22 +642,22 @@ fn transient_push_loss_is_healed_by_retransmission() {
     }));
     submit(&mut sim, P1, 40, 150);
     sim.run_until_idle();
-    assert_eq!(sim.committed_txs(P1), 0, "first fan-out was lost");
+    assert_eq!(sim.committed_txs(P1), 0, "{kind:?}: first fan-out was lost");
     sim.run_until(1_000_000_000);
     sim.run_until_idle();
     assert_safe(&inv);
     for replica in [P0, P1, P2, P3] {
-        assert_eq!(sim.committed_txs(replica), 40, "{replica}");
+        assert_eq!(sim.committed_txs(replica), 40, "{kind:?} {replica}");
     }
     assert!(
         sim.notes()
             .any(|(_, _, n)| matches!(n, Note::PayloadQuorum { .. })),
-        "the re-push should have completed the availability quorum"
+        "{kind:?}: the re-push should have completed the availability quorum"
     );
     assert!(
         !sim.notes()
             .any(|(_, _, n)| matches!(n, Note::PayloadExpired { .. })),
-        "a healed seal must not expire"
+        "{kind:?}: a healed seal must not expire"
     );
 }
 
@@ -647,14 +668,19 @@ fn transient_push_loss_is_healed_by_retransmission() {
 /// replica votes as normal.
 #[test]
 fn unresolvable_fetch_fans_out_and_recovers() {
+    for kind in KINDS {
+        unresolvable_fetch_fans_out(kind);
+    }
+}
+
+fn unresolvable_fetch_fans_out(kind: ProtocolKind) {
     use bytes::Bytes;
-    use marlin_core::marlin::Marlin;
-    use marlin_core::{Action, Event, Protocol};
+    use marlin_core::{build_replica, Action};
     use marlin_types::{Batch, BlockId, Justify, Transaction};
 
     let mut cfg = Config::for_test(4, 1);
     cfg.dissemination = true;
-    let mut p3 = Marlin::new(cfg.with_id(P3));
+    let mut p3 = build_replica(kind, cfg.with_id(P3), None, false, None);
     p3.step(Event::Start);
 
     let batch = Batch::new(
@@ -674,7 +700,7 @@ fn unresolvable_fetch_fans_out_and_recovers() {
             Action::Send { to, message } if *to == P1
                 && matches!(&message.body, MsgBody::PayloadRequest { .. })
         )),
-        "expected a targeted fetch to the proposer: {:?}",
+        "{kind:?}: expected a targeted fetch to the proposer: {:?}",
         out.actions
     );
 
@@ -694,7 +720,7 @@ fn unresolvable_fetch_fans_out_and_recovers() {
             Action::Broadcast { message }
                 if matches!(&message.body, MsgBody::PayloadRequest { .. })
         )),
-        "expected a broadcast fetch after the miss: {:?}",
+        "{kind:?}: expected a broadcast fetch after the miss: {:?}",
         out.actions
     );
 
@@ -715,7 +741,44 @@ fn unresolvable_fetch_fans_out_and_recovers() {
             Action::Send { to, message } if *to == P1
                 && matches!(&message.body, MsgBody::Vote(v) if v.seed.phase == Phase::Prepare)
         )),
-        "expected a prepare vote to the leader after resolution: {:?}",
+        "{kind:?}: expected a prepare vote to the leader after resolution: {:?}",
         out.actions
     );
+}
+
+/// A pipelined replica has no `DECIDE` to follow views by: a proposal
+/// whose justify is a `prepareQC` formed in its own view proves that
+/// view started. A digest proposal carries the same justify, so it
+/// proves the view as well instead of waiting in the future buffer.
+#[test]
+fn dissemination_digest_proposal_proves_its_view_to_a_pipelined_replica() {
+    use marlin_core::build_replica;
+    use marlin_types::{BatchId, BlockId, BlockKind, Height, Justify, QcSeed};
+
+    let mut cfg = Config::for_test(4, 1);
+    cfg.dissemination = true;
+    let seed = QcSeed {
+        phase: Phase::Prepare,
+        view: View(2),
+        block: BlockId::GENESIS,
+        height: Height(1),
+        block_view: View(2),
+        pview: View::GENESIS,
+        block_kind: BlockKind::Normal,
+    };
+    let partials: Vec<_> = (0..3)
+        .map(|i| cfg.keys.signer(i).sign_partial(&seed.signing_bytes()))
+        .collect();
+    let qc = Qc::combine(seed, &partials, &cfg.keys, QcFormat::Threshold).expect("quorum");
+    let digest = BatchId::from_digest(marlin_crypto::Digest::ZERO);
+    let body = MsgBody::DigestProposal {
+        digest,
+        justify: Justify::One(qc),
+    };
+    for kind in [ProtocolKind::ChainedMarlin, ProtocolKind::ChainedHotStuff] {
+        let mut p3 = build_replica(kind, cfg.with_id(P3), None, false, None);
+        p3.step(Event::Start);
+        p3.step(Event::Message(Message::new(P2, View(2), body.clone())));
+        assert_eq!(p3.current_view(), View(2), "{kind:?}");
+    }
 }

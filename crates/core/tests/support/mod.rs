@@ -11,6 +11,17 @@ use marlin_types::{Block, ReplicaId, View};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Every rule set, for the tests that run one case per kind.
+pub const KINDS: [ProtocolKind; 7] = [
+    ProtocolKind::Marlin,
+    ProtocolKind::HotStuff,
+    ProtocolKind::ChainedMarlin,
+    ProtocolKind::ChainedHotStuff,
+    ProtocolKind::Jolteon,
+    ProtocolKind::TwoPhaseInsecure,
+    ProtocolKind::MarlinFourPhase,
+];
+
 /// Every block each replica committed, in commit order (genesis
 /// excluded) — one of the simulator's telemetry sinks.
 #[derive(Clone, Default)]

@@ -15,19 +15,9 @@ use marlin_core::journal::SNAPSHOT_EVERY;
 use marlin_core::{build_replica, Config, Event, Protocol, ProtocolKind, SafetyJournal};
 use marlin_storage::SharedDisk;
 use marlin_types::{BlockMeta, Height, Justify, Message, MsgBody, ReplicaId, View, ViewChange};
-use support::{assert_safe, instant_with, max_view, submit};
+use support::{assert_safe, instant_with, max_view, submit, KINDS};
 
 const VICTIM: ReplicaId = ReplicaId(2);
-
-const KINDS: [ProtocolKind; 7] = [
-    ProtocolKind::Marlin,
-    ProtocolKind::HotStuff,
-    ProtocolKind::ChainedMarlin,
-    ProtocolKind::ChainedHotStuff,
-    ProtocolKind::Jolteon,
-    ProtocolKind::TwoPhaseInsecure,
-    ProtocolKind::MarlinFourPhase,
-];
 
 fn journaled(kind: ProtocolKind, disk: &SharedDisk, recovered: bool) -> Box<dyn Protocol> {
     let cfg = Config::for_test(4, 1).with_id(VICTIM);

@@ -28,17 +28,24 @@ fn craft_qc(cfg: &Config, seed: QcSeed) -> Qc {
 /// `pre-prepareQC`s — one for a normal candidate, one for a virtual
 /// candidate — and crashed. The view-3 leader receives both in its
 /// view-change snapshot, proposes two blocks (Case V3), and the system
-/// recovers.
+/// recovers — with payloads inline or proposed by digest, the path
+/// after a snapshot that carries a `(pre-prepareQC, vc)` pair.
 #[test]
 fn case_v3_two_equal_rank_pre_prepare_qcs() {
     // Basic and chained Marlin run the same view change.
     for kind in [ProtocolKind::Marlin, ProtocolKind::ChainedMarlin] {
-        case_v3(kind);
+        for dissemination in [false, true] {
+            case_v3(kind, dissemination);
+        }
     }
 }
 
-fn case_v3(kind: ProtocolKind) {
-    let cfg = Config::for_test(4, 1);
+fn case_v3(kind: ProtocolKind, dissemination: bool) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let mut cfg = Config::for_test(4, 1);
+    cfg.dissemination = dissemination;
     // p1 "was" the Byzantine view-2 leader; the crafted blocks and
     // snapshot are forged in its name.
     let (mut sim, ledger, inv) = instant(kind, cfg.clone(), &[P1]);
@@ -103,7 +110,7 @@ fn case_v3(kind: ProtocolKind) {
     // Drop all view-2 traffic (so nobody locks beyond view 1) and every
     // honest view-3 VIEW-CHANGE (the crafted snapshot replaces them).
     sim.set_filter(Box::new(|_from, _to, msg: &Message| match &msg.body {
-        MsgBody::Proposal(_) if msg.view == View(2) => false,
+        MsgBody::Proposal(_) | MsgBody::DigestProposal { .. } if msg.view == View(2) => false,
         MsgBody::ViewChange(_) if msg.view == View(2) => false,
         MsgBody::ViewChange(_) if msg.view == View(3) => false,
         _ => true,
@@ -126,7 +133,15 @@ fn case_v3(kind: ProtocolKind) {
             }),
         )
     };
-    sim.clear_filter();
+    // From here on the filter only counts digest proposals.
+    let digests = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&digests);
+    sim.set_filter(Box::new(move |_from, _to, msg: &Message| {
+        if matches!(msg.body, MsgBody::DigestProposal { .. }) {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        true
+    }));
     sim.inject(
         P3,
         Event::Message(vc_msg(
@@ -151,7 +166,7 @@ fn case_v3(kind: ProtocolKind) {
                     ..
                 }
             )),
-        "{kind:?}: expected Case V3; notes: {:?}",
+        "{kind:?} (dissemination {dissemination}): expected Case V3; notes: {:?}",
         sim.notes()
             .filter(|(_, _, n)| matches!(n, Note::UnhappyPathVc { .. } | Note::HappyPathVc { .. }))
             .collect::<Vec<_>>()
@@ -162,13 +177,19 @@ fn case_v3(kind: ProtocolKind) {
     assert_safe(&inv);
     assert!(
         sim.committed_txs(P0) >= 20,
-        "{kind:?}: no recovery after Case V3"
+        "{kind:?} (dissemination {dissemination}): no recovery after Case V3"
     );
     // One of the two crafted candidates was committed.
     let chain: Vec<_> = ledger.blocks(P0).iter().map(Block::id).collect();
     assert!(
         chain.contains(&normal_cand.id()) || chain.contains(&virtual_cand.id()),
-        "{kind:?}: neither V3 candidate committed"
+        "{kind:?} (dissemination {dissemination}): neither V3 candidate committed"
+    );
+    let digests = digests.load(Ordering::Relaxed);
+    assert_eq!(
+        digests > 0,
+        dissemination,
+        "{kind:?}: {digests} digest proposals after Case V3"
     );
 }
 

@@ -8,20 +8,13 @@
 //! Each case steps one victim (n = 4, f = 1) directly, with frames
 //! signed by `Config::for_test`'s keys.
 
+mod support;
+
 use marlin_core::{build_replica, Config, Event, ProtocolKind};
 use marlin_types::{BlockMeta, Justify, Message, MsgBody, ReplicaId, View, ViewChange};
+use support::KINDS;
 
 const VICTIM: ReplicaId = ReplicaId(2);
-
-const KINDS: [ProtocolKind; 7] = [
-    ProtocolKind::Marlin,
-    ProtocolKind::HotStuff,
-    ProtocolKind::ChainedMarlin,
-    ProtocolKind::ChainedHotStuff,
-    ProtocolKind::Jolteon,
-    ProtocolKind::TwoPhaseInsecure,
-    ProtocolKind::MarlinFourPhase,
-];
 
 /// A genesis-state VIEW-CHANGE for `view` that claims sender `from`,
 /// carrying a share that key `key` signed over `signed`.

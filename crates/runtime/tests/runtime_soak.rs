@@ -207,10 +207,17 @@ fn dissemination_soak_commits_with_bounded_mempool() {
     // cluster must commit and agree exactly as with inline batches,
     // and the observability plane must show the payload plane working
     // (pushes, ack quorums) and admission accounting for every
-    // submitted transaction.
+    // submitted transaction. The payload plane is the replica
+    // skeleton's, so a pipelined kind runs it as well as Marlin.
+    for kind in [ProtocolKind::Marlin, ProtocolKind::ChainedHotStuff] {
+        dissemination_soak(kind);
+    }
+}
+
+fn dissemination_soak(kind: ProtocolKind) {
     use marlin_runtime::ObservabilityConfig;
 
-    let mut cfg = ClusterConfig::new(ProtocolKind::Marlin, 4, 1);
+    let mut cfg = ClusterConfig::new(kind, 4, 1);
     cfg.mempool_capacity = 4096;
     cfg.dissemination = true;
     cfg.observability = Some(ObservabilityConfig {
@@ -220,13 +227,19 @@ fn dissemination_soak_commits_with_bounded_mempool() {
     let mut cluster = RuntimeCluster::launch(cfg, None).expect("launch");
     assert!(
         drive(&mut cluster, 120, Duration::from_secs(30)),
-        "dissemination cluster failed to commit 120 blocks in time"
+        "{kind:?}: dissemination cluster failed to commit 120 blocks in time"
     );
     let prefix = cluster.check_prefix_consistency().expect("no divergence");
-    assert!(prefix >= 120, "shortest commit log only {prefix} blocks");
+    assert!(
+        prefix >= 120,
+        "{kind:?}: shortest commit log only {prefix} blocks"
+    );
     for i in 0..4 {
-        assert_eq!(cluster.status(i).decode_errors(), 0, "replica {i}");
-        assert!(cluster.status(i).committed_txs() > 0, "replica {i}");
+        assert_eq!(cluster.status(i).decode_errors(), 0, "{kind:?} replica {i}");
+        assert!(
+            cluster.status(i).committed_txs() > 0,
+            "{kind:?} replica {i}"
+        );
     }
     let count = |i: usize, name: &str| {
         cluster
@@ -242,12 +255,15 @@ fn dissemination_soak_commits_with_bounded_mempool() {
     let quorums: u64 = (0..4)
         .map(|i| count(i, "consensus_payload_quorum_total"))
         .sum();
-    assert!(pushed > 0, "no payload batches were pushed");
-    assert!(quorums > 0, "no payload batch reached an ack quorum");
+    assert!(pushed > 0, "{kind:?}: no payload batches were pushed");
+    assert!(
+        quorums > 0,
+        "{kind:?}: no payload batch reached an ack quorum"
+    );
     // Every submitted transaction went through admission accounting.
     let admitted: u64 = (0..4)
         .map(|i| count(i, "consensus_mempool_admitted_total"))
         .sum();
-    assert!(admitted > 0, "admission counters never moved");
+    assert!(admitted > 0, "{kind:?}: admission counters never moved");
     cluster.shutdown();
 }

@@ -762,7 +762,7 @@ fn overload_with_dissemination_proposes_digests_for_every_kind() {
     // live, keep its mempool bounded, and show the digest path ran.
     let mut scenario = Scenario::overload();
     scenario.config.dissemination = true;
-    for kind in [ProtocolKind::Marlin] {
+    for kind in ALL_PROTOCOLS {
         for seed in SEEDS {
             let plane = SharedSink::new(DigestPlane::default());
             let out = run_scenario_with_telemetry(kind, &scenario, seed, Box::new(plane.clone()));
