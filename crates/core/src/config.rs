@@ -148,12 +148,13 @@ pub struct Config {
     /// rejected with a retryable backpressure signal instead of being
     /// queued, which is what keeps goodput at its peak past saturation.
     pub mempool_capacity: usize,
-    /// Decouple payload dissemination from proposals: admitted
-    /// transactions are sealed into digest-addressed batches and pushed
-    /// to all replicas ahead of the proposal, and the leader proposes a
-    /// digest (with a fetch-by-digest fallback) only once a quorum has
-    /// acknowledged holding the batch. Off by default; when off, the
-    /// normal case proposes whole blocks exactly as before.
+    /// Decouple payload dissemination from proposals, for every rule
+    /// set: admitted transactions are sealed into digest-addressed
+    /// batches and pushed to all replicas ahead of the proposal, and
+    /// the leader proposes a digest (with a fetch-by-digest fallback)
+    /// only once a quorum has acknowledged holding the batch. Off by
+    /// default; when off, the normal case proposes whole blocks exactly
+    /// as before.
     pub dissemination: bool,
 }
 

@@ -933,11 +933,10 @@ impl<R: Rules> Replica<R> {
         }
         let Some(batch) = core.base.payloads.batch(&digest).cloned() else {
             if core.parked_digests.len() < MAX_PARKED_DIGESTS {
-                let fanned_out = false;
                 let parked = ParkedDigest {
                     from,
                     justify,
-                    fanned_out,
+                    fanned_out: false,
                 };
                 core.parked_digests.insert(digest, parked);
                 core.base.request_payload(digest, from, out);
