@@ -110,7 +110,7 @@ fn case_v3(kind: ProtocolKind, dissemination: bool) {
     // Drop all view-2 traffic (so nobody locks beyond view 1) and every
     // honest view-3 VIEW-CHANGE (the crafted snapshot replaces them).
     sim.set_filter(Box::new(|_from, _to, msg: &Message| match &msg.body {
-        MsgBody::Proposal(_) | MsgBody::DigestProposal { .. } if msg.view == View(2) => false,
+        MsgBody::Proposal(_) if msg.view == View(2) => false,
         MsgBody::ViewChange(_) if msg.view == View(2) => false,
         MsgBody::ViewChange(_) if msg.view == View(3) => false,
         _ => true,

@@ -76,7 +76,7 @@ pub struct ClusterConfig {
     /// Per-replica mempool capacity; `0` = legacy unbounded queue.
     pub mempool_capacity: usize,
     /// Decoupled digest dissemination: batches pushed ahead of
-    /// proposals, proposals carry digests (Marlin only).
+    /// proposals, proposals carry digests (every kind).
     pub dissemination: bool,
     /// Live-observability plane (per-node registries, scrape endpoints,
     /// flight recorders); `None` runs bare.
