@@ -273,10 +273,6 @@ impl Rules for ChainedMarlinRules {
     fn tail_open(core: &Core<MarlinRound>, qc: &Qc) -> bool {
         tail_open(&core.base.store, qc)
     }
-
-    fn on_recovered(core: &mut Core<MarlinRound>, out: &mut StepOutput) -> Next {
-        core.solicit_catch_up(out)
-    }
 }
 
 impl Rules for ChainedHotStuffRules {
@@ -340,9 +336,5 @@ impl Rules for ChainedHotStuffRules {
 
     fn tail_open(core: &Core<()>, qc: &Qc) -> bool {
         tail_open(&core.base.store, qc)
-    }
-
-    fn on_recovered(core: &mut Core<()>, out: &mut StepOutput) -> Next {
-        core.solicit_catch_up(out)
     }
 }

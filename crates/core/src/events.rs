@@ -32,8 +32,8 @@ pub enum Event {
     /// The replica rejoined after a crash (its state either survived in
     /// memory, was reconstructed from a durable journal, or was lost).
     /// Handlers re-arm the view timer for the *current* view — any
-    /// pre-crash timer is dead — and may solicit state they missed
-    /// (Marlin broadcasts a `CATCH-UP` request).
+    /// pre-crash timer is dead — and broadcast a `CATCH-UP` request for
+    /// the commits they missed.
     Recovered,
 }
 

@@ -26,12 +26,7 @@
 //! under cases R1/R2/R3; the resulting `pre-prepareQC` unlocks any
 //! locked replica with linear communication.
 //!
-//! ## Rules beyond the paper's cases
-//!
-//! This rule set shares soliciting `CATCH-UP` on recovery with the
-//! chained rule sets only. That is not Marlin-specific in principle;
-//! DESIGN.md §18 records why it is still a rule rather than the
-//! skeleton's. The view change below is also chained Marlin's:
+//! The view change below is also chained Marlin's:
 //! [`crate::chained::ChainedMarlinRules`] delegates to it.
 
 use crate::events::{Action, Note, StepOutput, VcCase};
@@ -483,9 +478,5 @@ impl Rules for MarlinRules {
         }
         core.high_qc = high;
         Next::Propose
-    }
-
-    fn on_recovered(core: &mut MarlinCore, out: &mut StepOutput) -> Next {
-        core.solicit_catch_up(out)
     }
 }

@@ -118,7 +118,7 @@ pub struct Core<X> {
     peer_views: Vec<View>,
     /// A broadcast `CATCH-UP` request is awaiting its first response
     /// (drives the catch-up round-trip telemetry).
-    pub(crate) catch_up_outstanding: bool,
+    catch_up_outstanding: bool,
     /// Consecutive heartbeats on which this replica, as an idle leader,
     /// had nothing to propose; paces keep-alive blocks
     /// ([`Rules::IDLE_BEATS_PER_BLOCK`]). Deliberately not per-view: a
@@ -325,37 +325,6 @@ impl<X: Default> Core<X> {
         }
         best
     }
-
-    /// [`Rules::on_recovered`] for the rule sets that solicit catch-up:
-    /// asks peers for commit certificates formed while this replica
-    /// was down, and — when it leads the current view with a snapshot
-    /// usable without crash-lost blocks — re-proposes.
-    pub(crate) fn solicit_catch_up(&mut self, out: &mut StepOutput) -> Next {
-        let view = self.base.cview;
-        let store = &self.base.store;
-        let last_committed = store
-            .get(&store.last_committed())
-            .map(|b| b.height())
-            .unwrap_or_default();
-        self.catch_up_outstanding = true;
-        out.actions
-            .push(Action::Note(Note::CatchUpRequested { view }));
-        out.actions.push(Action::Broadcast {
-            message: Message::new(
-                self.cfg().id,
-                view,
-                MsgBody::CatchUpRequest { last_committed },
-            ),
-        });
-        // Case N1 needs only the QC's metadata; Case N2 would need the
-        // pre-prepared block itself, which did not survive the crash.
-        let plain = matches!(self.high_qc, Justify::One(qc) if qc.phase() == Phase::Prepare);
-        if self.cfg().is_leader(view) && plain {
-            Next::Propose
-        } else {
-            Next::Idle
-        }
-    }
 }
 
 /// Whether `block` is a well-formed child of the block `qc` certifies.
@@ -529,12 +498,6 @@ pub trait Rules: Clone + Debug {
     fn tail_open(_core: &Core<Self::Round>, _qc: &Qc) -> bool {
         false
     }
-
-    /// The replica rejoined after a crash (its view timer is already
-    /// re-armed).
-    fn on_recovered(_core: &mut Core<Self::Round>, _out: &mut StepOutput) -> Next {
-        Next::Idle
-    }
 }
 
 /// A replica running rule set `R`.
@@ -564,8 +527,8 @@ impl<R: Rules> Replica<R> {
     /// durable journal (amnesia-safe restart): it resumes in the
     /// journaled view with the journaled `lb`, lock and `highQC`, so it
     /// cannot re-vote in a slot it voted in before the crash. Feed
-    /// [`Event::Recovered`] to re-arm timers (and, for the rule sets
-    /// that do, solicit commits formed while the replica was down).
+    /// [`Event::Recovered`] to re-arm timers and solicit commits formed
+    /// while the replica was down.
     pub fn recover(config: Config, journal: SafetyJournal) -> Self {
         let snapshot = *journal.state();
         let mut replica = Self::with_journal(config, journal);
@@ -1275,17 +1238,43 @@ impl<R: Rules> Protocol for Replica<R> {
             }
             Event::Recovered => {
                 // Pre-crash timers died with the process: re-arm the view
-                // timer so the replica can time out of a stale view.
-                let view = self.core.base.cview;
-                let lock = self.core.locked_qc.as_ref().map(marlin_telemetry::Lock::of);
-                out.actions
-                    .push(Action::Note(Note::Recovered { view, lock }));
-                out.actions.push(Action::SetTimer {
-                    view,
-                    delay_ns: self.core.base.pacemaker.delay_for(view),
-                });
-                let next = R::on_recovered(&mut self.core, &mut out);
-                self.follow(next, &mut out);
+                // timer so the replica can time out of a stale view. Then
+                // ask peers for commit certificates formed while this
+                // replica was down; each response's header also feeds
+                // the f+1 view join.
+                let core = &mut self.core;
+                let view = core.base.cview;
+                let lock = core.locked_qc.as_ref().map(marlin_telemetry::Lock::of);
+                let store = &core.base.store;
+                let last_committed = store
+                    .get(&store.last_committed())
+                    .map(|b| b.height())
+                    .unwrap_or_default();
+                core.catch_up_outstanding = true;
+                out.actions.extend([
+                    Action::Note(Note::Recovered { view, lock }),
+                    Action::SetTimer {
+                        view,
+                        delay_ns: core.base.pacemaker.delay_for(view),
+                    },
+                    Action::Note(Note::CatchUpRequested { view }),
+                    Action::Broadcast {
+                        message: Message::new(
+                            core.cfg().id,
+                            view,
+                            MsgBody::CatchUpRequest { last_committed },
+                        ),
+                    },
+                ]);
+                // The view's leader re-proposes on a plain prepareQC:
+                // Case N1 needs only the QC's metadata; Case N2 would
+                // need the pre-prepared block itself, which did not
+                // survive the crash.
+                let plain =
+                    matches!(core.high_qc, Justify::One(qc) if qc.phase() == Phase::Prepare);
+                if core.cfg().is_leader(view) && plain {
+                    self.propose(&mut out);
+                }
             }
         }
         self.core.base.finish(self.core.journal.as_mut(), out)

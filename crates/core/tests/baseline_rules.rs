@@ -26,7 +26,7 @@ use marlin_types::{
     ReplicaId, VcCert, View, ViewChange, Vote,
 };
 use std::sync::{Arc, Mutex};
-use support::{assert_safe, instant, min_view, submit, Ledger};
+use support::{assert_safe, instant, min_view, submit, Ledger, KINDS};
 
 const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
@@ -46,16 +46,6 @@ const LADDERED: [ProtocolKind; 5] = [
 const CHAINED: [(ProtocolKind, usize); 2] = [
     (ProtocolKind::ChainedMarlin, 2),
     (ProtocolKind::ChainedHotStuff, 3),
-];
-
-const FAMILY: [ProtocolKind; 7] = [
-    ProtocolKind::Marlin,
-    ProtocolKind::HotStuff,
-    ProtocolKind::Jolteon,
-    ProtocolKind::TwoPhaseInsecure,
-    ProtocolKind::MarlinFourPhase,
-    ProtocolKind::ChainedMarlin,
-    ProtocolKind::ChainedHotStuff,
 ];
 
 fn cluster(kind: ProtocolKind, byzantine: &[ReplicaId]) -> (SimNet, Ledger, Invariants) {
@@ -97,7 +87,7 @@ fn qc_phases(sim: &SimNet, leader: ReplicaId, in_view: Option<View>) -> Vec<Phas
 
 #[test]
 fn normal_case_commits() {
-    for kind in FAMILY {
+    for kind in KINDS {
         let (mut sim, _, inv) = cluster(kind, &[]);
         submit(&mut sim, P1, 40, 150);
         sim.run_until_idle();
@@ -112,7 +102,7 @@ fn phases_per_block() {
     // the rest of the family commits in two phases. A chained leader
     // forms one QC per block and reports the later phase points it
     // represents for the ancestors: the same two or three phases.
-    for kind in FAMILY {
+    for kind in KINDS {
         let (mut sim, _, _) = cluster(kind, &[]);
         submit(&mut sim, P1, 5, 0);
         sim.run_until_idle();
@@ -189,7 +179,7 @@ fn chained_rounds_are_one_broadcast_and_commit_k_rounds_late() {
 
 #[test]
 fn leader_crash_view_change_recovers() {
-    for kind in FAMILY {
+    for kind in KINDS {
         let (mut sim, _, inv) = cluster(kind, &[]);
         // Every transmitted new-view PREPARE proposal's proof bundle.
         let proofs: Arc<Mutex<Vec<Vec<VcCert>>>> = Arc::default();
@@ -473,7 +463,7 @@ fn only_the_rule_sets_commit_certificate_commits() {
         let body = MsgBody::Decide(Decide { commit_qc });
         Event::Message(Message::new(P2, View(1), body))
     };
-    for kind in FAMILY {
+    for kind in KINDS {
         let chained = CHAINED.iter().any(|(k, _)| *k == kind);
         let (accepted, refused) = if chained {
             (prepare_qc, commit_qc)
@@ -604,4 +594,42 @@ fn four_phase_pre_prepare_vote_is_write_ahead() {
     let sent = votes(&out);
     assert_eq!(sent.len(), 1, "abstention must be transient");
     assert_eq!(sent[0].seed.phase, Phase::PrePrepare);
+}
+
+// ------------------------------------------------ catch-up on recovery --
+
+#[test]
+fn every_kind_solicits_catch_up_on_recovery() {
+    // Catch-up is the skeleton's: a replica of any rule set that
+    // rejoins after a crash broadcasts one CATCH-UP request, and the
+    // first response (here one with no newer commit to serve) closes
+    // the round trip.
+    let cfg = Config::for_test(4, 1);
+    for kind in KINDS {
+        let mut rep = build_replica(kind, cfg.with_id(P2), None, false, None);
+        rep.on_event(Event::Start);
+        let out = rep.on_event(Event::Recovered);
+        let requested = out
+            .notes()
+            .filter(|n| matches!(n, Note::CatchUpRequested { .. }))
+            .count();
+        let requests = out
+            .actions
+            .iter()
+            .filter(|a| {
+                matches!(a, Action::Broadcast { message }
+                    if matches!(message.body, MsgBody::CatchUpRequest { .. }))
+            })
+            .count();
+        assert_eq!((requested, requests), (1, 1), "{kind:?}: {:?}", out.actions);
+
+        let response = Message::new(P0, View(1), MsgBody::CatchUpResponse { commit_qc: None });
+        let out = rep.on_event(Event::Message(response));
+        assert!(
+            out.notes()
+                .any(|n| matches!(n, Note::CatchUpCompleted { .. })),
+            "{kind:?}: {:?}",
+            out.actions
+        );
+    }
 }

@@ -87,16 +87,26 @@ fn tcp_soak_five_hundred_blocks_identical_prefixes() {
     cluster.shutdown();
 }
 
+/// A journaled follower killed mid-run and recovered from disk asks its
+/// peers for what it missed: the shutdown trace must hold its
+/// `CatchUpCompleted`. Catch-up is the replica skeleton's, so HotStuff
+/// rejoins through it as Marlin does.
 #[test]
 fn kill_and_recover_from_disk_rejoins_via_catch_up() {
-    let dir = scratch_dir("recovery");
-    let mut cfg = ClusterConfig::new(ProtocolKind::Marlin, 4, 1);
+    for kind in [ProtocolKind::Marlin, ProtocolKind::HotStuff] {
+        kill_and_recover_from_disk(kind);
+    }
+}
+
+fn kill_and_recover_from_disk(kind: ProtocolKind) {
+    let dir = scratch_dir(&format!("recovery-{}", kind.name()));
+    let mut cfg = ClusterConfig::new(kind, 4, 1);
     cfg.journal = JournalMode::Files(dir.clone());
     let mut cluster = RuntimeCluster::launch(cfg, None).expect("launch journaled cluster");
 
     assert!(
         drive(&mut cluster, 30, Duration::from_secs(20)),
-        "no progress before the kill"
+        "{kind:?}: no progress before the kill"
     );
 
     // Kill a follower mid-run; n=4 f=1 keeps quorum with 3 live nodes.
@@ -104,7 +114,7 @@ fn kill_and_recover_from_disk_rejoins_via_catch_up() {
     let before = cluster.status(0).committed_blocks();
     assert!(
         drive(&mut cluster, before + 30, Duration::from_secs(20)),
-        "cluster stalled after losing one replica"
+        "{kind:?}: cluster stalled after losing one replica"
     );
 
     // FromDisk: the replica replays its journal, rejoins the mesh, and
@@ -115,12 +125,20 @@ fn kill_and_recover_from_disk_rejoins_via_catch_up() {
         drive_until(&mut cluster, Duration::from_secs(30), |c| {
             c.status(0).committed_blocks() >= target && c.status(2).committed_blocks() >= 10
         }),
-        "recovered replica never caught up"
+        "{kind:?}: recovered replica never caught up"
     );
     cluster
         .check_prefix_consistency()
         .expect("no divergence across recovery");
-    cluster.shutdown();
+    let report = cluster.shutdown();
+    assert!(
+        report
+            .trace
+            .events
+            .iter()
+            .any(|e| e.replica.0 == 2 && matches!(e.note, Note::CatchUpCompleted { .. })),
+        "{kind:?}: the recovered replica never completed a catch-up"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

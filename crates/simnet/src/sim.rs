@@ -445,7 +445,7 @@ impl SimNet {
     /// reconstituted depends on the configured [`RecoveryMode`]
     /// (default: in-memory state survives); in every mode the replica
     /// is handed [`Event::Recovered`] so it re-arms its view timer and
-    /// solicits whatever it missed.
+    /// broadcasts a `CATCH-UP` request for the commits it missed.
     pub fn schedule_recover(&mut self, replica: ReplicaId, at_ns: u64) {
         self.push(at_ns, Ev::Recover { replica });
     }
@@ -698,7 +698,7 @@ impl SimNet {
                         }
                     };
                     // In every mode the protocol re-arms its own view
-                    // timer (and may solicit missed state) — no
+                    // timer and asks for the commits it missed — no
                     // synthetic timeout injection.
                     match rebuilt {
                         Some(fresh) => self.restart(replica, fresh),
