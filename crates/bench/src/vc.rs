@@ -4,7 +4,7 @@
 use marlin_core::{Config, ProtocolKind};
 use marlin_crypto::{CostModel, KeyStore, QcFormat};
 use marlin_simnet::{SimConfig, SimNet};
-use marlin_telemetry::{ViewChanges, Window};
+use marlin_telemetry::{SharedSink, ViewChanges, Window};
 use marlin_types::{Message, MsgBody, Phase, ReplicaId, View};
 use std::sync::Arc;
 
@@ -64,7 +64,7 @@ pub fn measure_view_change_with_preload(
     cfg.cost = CostModel::ecdsa_like();
     cfg.qc_format = qc_format;
     cfg.base_timeout_ns = 400_000_000;
-    let meter = ViewChanges::new();
+    let meter = SharedSink::new(ViewChanges::new());
     let mut sim = SimNet::new(protocol, cfg, net, meter.clone());
 
     let leader = ReplicaId(1); // leader of view 1
@@ -113,7 +113,7 @@ pub fn measure_view_change_with_preload(
     let crash_at = t + 1_000_000;
     sim.schedule_crash(leader, crash_at);
     sim.run_until(crash_at);
-    let window = meter.mark();
+    let window = meter.with(ViewChanges::mark);
     let commits_before = sim.committed_blocks(ReplicaId(0));
 
     let mut deadline = crash_at;
@@ -125,7 +125,7 @@ pub fn measure_view_change_with_preload(
         );
         sim.run_until(deadline);
     }
-    let window = meter.windows().swap_remove(window);
+    let window = meter.with(|meter| meter.windows()[window].clone());
     VcMeasurement {
         protocol,
         n,

@@ -20,7 +20,7 @@ use marlin_core::{
 use marlin_crypto::QcFormat;
 use marlin_simnet::{SimConfig, SimNet};
 use marlin_storage::SharedDisk;
-use marlin_telemetry::{Invariants, ViewChanges};
+use marlin_telemetry::{Invariants, SharedSink, ViewChanges};
 use marlin_types::{
     Batch, Block, BlockId, Decide, Height, Justify, Message, MsgBody, Phase, Proposal, Qc,
     ReplicaId, VcCert, View, ViewChange, Vote,
@@ -48,27 +48,32 @@ const CHAINED: [(ProtocolKind, usize); 2] = [
     (ProtocolKind::ChainedHotStuff, 3),
 ];
 
-fn cluster(kind: ProtocolKind, byzantine: &[ReplicaId]) -> (SimNet, Ledger, Invariants) {
+fn cluster(
+    kind: ProtocolKind,
+    byzantine: &[ReplicaId],
+) -> (SimNet, Ledger, SharedSink<Invariants>) {
     instant(kind, Config::for_test(4, 1), byzantine)
 }
 
 /// A started cluster observed by a traffic meter whose one window,
 /// marked once start-up traffic is drained, counts every copy sent
 /// from here on.
-fn metered(kind: ProtocolKind) -> (SimNet, ViewChanges) {
-    let meter = ViewChanges::new();
+fn metered(kind: ProtocolKind) -> (SimNet, SharedSink<ViewChanges>) {
+    let meter = SharedSink::new(ViewChanges::new());
     let config = Config::for_test(4, 1);
     let mut sim = SimNet::new(kind, config, SimConfig::instant(), meter.clone());
     sim.run_until_idle();
-    meter.mark();
+    meter.with(ViewChanges::mark);
     (sim, meter)
 }
 
 /// Message copies the meter counted (its one window).
-fn sent(meter: &ViewChanges) -> u64 {
-    let windows = meter.windows();
-    assert_eq!(windows.len(), 1, "no view change on the normal path");
-    windows[0].traffic.total().messages
+fn sent(meter: &SharedSink<ViewChanges>) -> u64 {
+    meter.with(|meter| {
+        let windows = meter.windows();
+        assert_eq!(windows.len(), 1, "no view change on the normal path");
+        windows[0].traffic.total().messages
+    })
 }
 
 /// Phases of the QCs `leader` formed, optionally restricted to `view`.
@@ -269,7 +274,7 @@ fn unsafe_snapshot(
     kind: ProtocolKind,
     hide: Hide,
     with_cert: bool,
-) -> (SimNet, Ledger, Invariants, u64) {
+) -> (SimNet, Ledger, SharedSink<Invariants>, u64) {
     // p1 is the Byzantine replica whose stale VIEW-CHANGE is forged.
     let (mut sim, ledger, inv) = cluster(kind, &[P1]);
     submit(&mut sim, P1, 10, 0);

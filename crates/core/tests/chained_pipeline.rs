@@ -8,7 +8,7 @@ mod support;
 
 use marlin_core::{Config, Note, ProtocolKind};
 use marlin_simnet::SimNet;
-use marlin_telemetry::Invariants;
+use marlin_telemetry::{Invariants, SharedSink};
 use marlin_types::{ReplicaId, View};
 use support::{assert_safe, instant, min_view, submit};
 
@@ -16,7 +16,7 @@ const P0: ReplicaId = ReplicaId(0);
 const P1: ReplicaId = ReplicaId(1);
 const P2: ReplicaId = ReplicaId(2);
 
-fn run_pipeline(kind: ProtocolKind) -> (SimNet, Invariants) {
+fn run_pipeline(kind: ProtocolKind) -> (SimNet, SharedSink<Invariants>) {
     let (mut sim, _, inv) = instant(kind, Config::for_test(4, 1), &[]);
     // Several batches' worth. No timer scaffolding: the leader itself
     // closes the pipeline tail with empty blocks once the mempool

@@ -9,7 +9,7 @@ use marlin_core::ProtocolKind;
 use marlin_core::{Config, Event, Note, VcCase};
 use marlin_crypto::QcFormat;
 use marlin_simnet::SimNet;
-use marlin_telemetry::Invariants;
+use marlin_telemetry::{Invariants, SharedSink};
 use marlin_types::{Message, MsgBody, Phase, Qc, ReplicaId, View, ViewChange};
 use support::{assert_safe, instant, max_view, min_view, submit, Ledger, KINDS};
 
@@ -18,7 +18,7 @@ const P1: ReplicaId = ReplicaId(1);
 const P2: ReplicaId = ReplicaId(2);
 const P3: ReplicaId = ReplicaId(3);
 
-fn marlin_cluster(n: usize, f: usize) -> (SimNet, Ledger, Invariants) {
+fn marlin_cluster(n: usize, f: usize) -> (SimNet, Ledger, SharedSink<Invariants>) {
     instant(ProtocolKind::Marlin, Config::for_test(n, f), &[])
 }
 
@@ -125,7 +125,7 @@ fn consecutive_leader_crashes_are_survived() {
 /// `contested_height` has a `prepareQC` known only to p0 (p0 is locked
 /// on it), p2/p3 voted for it but never saw its QC, and the view-1
 /// leader p1 has crashed.
-fn build_figure2_scenario(insecure: bool) -> (SimNet, Ledger, Invariants, u64) {
+fn build_figure2_scenario(insecure: bool) -> (SimNet, Ledger, SharedSink<Invariants>, u64) {
     let kind = if insecure {
         ProtocolKind::TwoPhaseInsecure
     } else {
@@ -473,7 +473,7 @@ fn catch_up_responses_resynchronize_a_lagging_replica() {
 }
 
 /// A started cluster of `kind` with the payload plane on.
-fn disseminating(kind: ProtocolKind) -> (SimNet, Ledger, Invariants) {
+fn disseminating(kind: ProtocolKind) -> (SimNet, Ledger, SharedSink<Invariants>) {
     let mut cfg = Config::for_test(4, 1);
     cfg.dissemination = true;
     instant(kind, cfg, &[])

@@ -6,7 +6,7 @@
 use marlin_core::harness::build_protocol;
 use marlin_core::{Config, Protocol, ProtocolKind};
 use marlin_simnet::{SimConfig, SimNet};
-use marlin_telemetry::{Invariants, Telemetry, TelemetrySink};
+use marlin_telemetry::{Invariants, SharedSink, Telemetry, TelemetrySink};
 use marlin_types::{Block, ReplicaId, View};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -53,7 +53,7 @@ pub fn instant(
     kind: ProtocolKind,
     config: Config,
     byzantine: &[ReplicaId],
-) -> (SimNet, Ledger, Invariants) {
+) -> (SimNet, Ledger, SharedSink<Invariants>) {
     let replicas = (0..config.n)
         .map(|i| build_protocol(kind, config.with_id(ReplicaId(i as u32))))
         .collect();
@@ -64,9 +64,9 @@ pub fn instant(
 pub fn instant_with(
     replicas: Vec<Box<dyn Protocol>>,
     byzantine: &[ReplicaId],
-) -> (SimNet, Ledger, Invariants) {
+) -> (SimNet, Ledger, SharedSink<Invariants>) {
     let ledger = Ledger::default();
-    let invariants = Invariants::new(byzantine);
+    let invariants = SharedSink::new(Invariants::new(byzantine));
     let sinks = (ledger.clone(), invariants.clone());
     let mut sim = SimNet::with_replicas(replicas, SimConfig::instant(), sinks);
     // Start-up traffic first: a client batch must not interleave with
@@ -84,8 +84,8 @@ pub fn submit(sim: &mut SimNet, to: ReplicaId, count: usize, payload_len: usize)
 
 /// Asserts the oracle has seen no agreement, order, lock or double-vote
 /// violation so far (liveness is the test's own business).
-pub fn assert_safe(invariants: &Invariants) {
-    let violations = invariants.violations();
+pub fn assert_safe(invariants: &SharedSink<Invariants>) {
+    let violations = invariants.with(Invariants::violations);
     assert!(
         violations.is_empty(),
         "invariant violations: {violations:?}"

@@ -16,7 +16,7 @@ use marlin_core::{Config, ProtocolKind};
 use marlin_storage::SharedDisk;
 use marlin_telemetry::{
     install_panic_dump, register_panic_dump, FlightRecorder, Invariants, Record, Registry,
-    SharedSink, Telemetry, TelemetrySink, Trace, Violation,
+    SharedSink, Telemetry, TelemetrySink, Trace, ViewChanges, Violation,
 };
 use marlin_types::{Block, ReplicaId, Transaction, View};
 use std::io;
@@ -130,13 +130,13 @@ impl ClusterConfig {
 /// A per-commit callback (reference-replica statistics, tests).
 pub type CommitObserverFn = Box<dyn FnMut(ReplicaId, u64, &[Block]) + Send>;
 
-/// A [`CommitObserverFn`] as a telemetry sink: it sees the commits.
-struct OnCommit(CommitObserverFn);
+/// The commit observer, if any, as a telemetry sink.
+struct OnCommit(Option<CommitObserverFn>);
 
 impl TelemetrySink for OnCommit {
     fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
-        if let Telemetry::Committed(blocks) = event {
-            (self.0)(replica, at_ns, blocks);
+        if let (Some(observer), Telemetry::Committed(blocks)) = (&mut self.0, event) {
+            observer(replica, at_ns, blocks);
         }
     }
 }
@@ -151,9 +151,9 @@ pub struct RuntimeCluster {
     cfg: ClusterConfig,
     base: Config,
     clock: Clock,
-    /// Every node's records, and the safety oracle judging them, under
-    /// one lock.
-    trace: SharedSink<(Trace, Invariants)>,
+    /// Every node's records, the safety oracle judging them and the
+    /// view-change meter, under one lock taken once per step.
+    trace: SharedSink<(Trace, (Invariants, ViewChanges))>,
     mesh: MeshControl,
     nodes: Vec<Option<NodeHandle>>,
     statuses: Vec<Arc<NodeStatus>>,
@@ -172,7 +172,7 @@ impl RuntimeCluster {
     /// Propagates socket/filesystem errors from mesh and journal setup.
     pub fn launch(cfg: ClusterConfig, observer: Option<CommitObserverFn>) -> io::Result<Self> {
         let clock = Clock::start();
-        let trace = SharedSink::new((Trace::new(), Invariants::new(&[])));
+        let trace = SharedSink::new((Trace::new(), (Invariants::new(&[]), ViewChanges::new())));
         let base = {
             let mut c = Config::for_test(cfg.n, cfg.f);
             c.batch_size = cfg.batch_size;
@@ -278,8 +278,8 @@ impl RuntimeCluster {
                 flight_dir: o.flight_dir.clone(),
             });
         }
-        let sink = (self.trace.clone(), observer.map(OnCommit));
-        spawn_node(node_cfg, transport, self.clock, Some(Box::new(sink)))
+        let sink = (self.trace.clone(), OnCommit(observer));
+        spawn_node(node_cfg, transport, self.clock, Box::new(sink))
     }
 
     /// Replica `i`'s metrics registry, when observability is on.
@@ -422,7 +422,7 @@ impl RuntimeCluster {
     /// `FATAL` event into every flight ring (dumped when a dump
     /// directory is configured), the autopsy the recorder exists for.
     pub fn check_prefix_consistency(&self) -> Result<usize, String> {
-        let violations = self.trace.with(|(_, oracle)| oracle.violations());
+        let violations = self.trace.with(|(_, (oracle, _))| oracle.violations());
         if let Some(v) = violations.into_iter().find(Violation::is_safety) {
             let why = format!("{v:?}");
             let dump_dir = self
@@ -449,21 +449,18 @@ impl RuntimeCluster {
                 node.stop();
             }
         }
-        let trace = self.trace.with(|(trace, _)| std::mem::take(trace));
+        let (trace, (_, view_changes)) = self.trace.with(std::mem::take);
         ClusterReport {
             trace,
-            statuses: self.statuses,
-            duration_ns: self.clock.now_ns(),
+            view_changes,
         }
     }
 }
 
 /// What a finished cluster run leaves behind.
 pub struct ClusterReport {
-    /// Every telemetry note/charge/traffic record, wall-clock stamped.
+    /// Every note and nonzero lane charge, wall-clock stamped.
     pub trace: Trace,
-    /// Final per-replica counters.
-    pub statuses: Vec<Arc<NodeStatus>>,
-    /// Total run duration on the shared clock.
-    pub duration_ns: u64,
+    /// The run's view changes: one window each, with its traffic.
+    pub view_changes: ViewChanges,
 }

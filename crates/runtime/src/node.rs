@@ -412,14 +412,14 @@ fn build_core(
 /// the calling thread, spawns its timer thread and routes `transport`
 /// to its mailbox.
 ///
-/// `transport` carries frames; `clock` stamps telemetry; `sink` (if
-/// any) receives notes, charges, traffic, cache reports and commits
-/// exactly as simnet would emit them, but with wall-clock timestamps.
+/// `transport` carries frames; `clock` stamps telemetry; `sink` (`()`
+/// for none) receives simnet's records, wall-clock stamped and each
+/// step's in one `record_step`.
 pub fn spawn_node(
     mut node_cfg: NodeConfig,
     transport: Arc<dyn Transport>,
     clock: Clock,
-    sink: Option<Box<dyn TelemetrySink + Send>>,
+    sink: Box<dyn TelemetrySink + Send>,
 ) -> NodeHandle {
     let id = node_cfg.config.id;
     let status = Arc::new(NodeStatus::default());
@@ -465,11 +465,8 @@ pub fn spawn_node(
     // Compose the telemetry fan-out: registry fold + flight mirror +
     // whatever the caller provided. Bare nodes keep the caller's sink
     // unwrapped.
-    let sink: Option<Box<dyn TelemetrySink + Send>> = match &obs {
-        Some(o) => Some(Box::new((
-            RegistryRecorder::new(&o.registry),
-            (o.flight.clone(), sink),
-        ))),
+    let sink: Box<dyn TelemetrySink + Send> = match &obs {
+        Some(o) => Box::new((RegistryRecorder::new(&o.registry), (o.flight.clone(), sink))),
         None => sink,
     };
 
@@ -626,7 +623,7 @@ struct Driver {
     timers: Timers,
     transport: Arc<dyn Transport>,
     clock: Clock,
-    sink: Option<Box<dyn TelemetrySink + Send>>,
+    sink: Box<dyn TelemetrySink + Send>,
     status: Arc<NodeStatus>,
     send_drops: Counter,
     view: Gauge,
@@ -656,24 +653,24 @@ impl Driver {
         // draining thread (protocol logic plus its inline crypto). The
         // step's own modeled crypto charge rides along for runs with a
         // nonzero cost model.
-        let charged = Telemetry::Charged {
+        let mut records = vec![Telemetry::Charged {
             crypto_ns: out.crypto_ns,
             journal_ns,
             consensus_ns: wall_ns.saturating_sub(journal_ns),
-        };
-        self.sink.record(at_ns, id, charged);
+        }];
         let after = |ns| Instant::now() + Duration::from_nanos(ns);
-        for action in out.actions {
+        for action in &out.actions {
             match action {
                 Action::Send { to, message } => {
-                    debug_assert_ne!(to, id, "self-sends are resolved by step()");
-                    self.send(at_ns, &message, [to].into_iter());
+                    debug_assert_ne!(*to, id, "self-sends are resolved by step()");
+                    records.push(self.send(message, [*to].into_iter()));
                 }
                 // `step` already applied the broadcast locally: encode
                 // once, fan out to everyone else.
                 Action::Broadcast { message } => {
                     let others = (0..self.transport.n() as u32).map(ReplicaId);
-                    self.send(at_ns, &message, others.filter(|&to| to != id));
+                    let sent = self.send(message, others.filter(|&to| to != id));
+                    records.extend(std::iter::repeat_n(sent, self.transport.n() - 1));
                 }
                 Action::Commit { blocks } => {
                     self.status
@@ -687,15 +684,18 @@ impl Driver {
                     if let Some(b) = blocks.last() {
                         self.commit_height.set(b.height().0 as i64);
                     }
-                    self.sink.record(at_ns, id, Telemetry::Committed(&blocks));
+                    records.push(Telemetry::Committed(blocks));
                 }
                 Action::SetTimer { view, delay_ns } => {
-                    self.timers.view = Some((after(delay_ns), view));
+                    self.timers.view = Some((after(*delay_ns), *view));
                 }
-                Action::SetHeartbeat { delay_ns } => self.timers.heartbeat = Some(after(delay_ns)),
-                Action::Note(note) => self.sink.record(at_ns, id, Telemetry::Note(&note)),
+                Action::SetHeartbeat { delay_ns } => self.timers.heartbeat = Some(after(*delay_ns)),
+                Action::Note(note) => records.push(Telemetry::Note(note)),
             }
         }
+        // One hand-over per step: a shared sink locks once for it, so no
+        // other replica's record lands inside the step (oracle rule 1).
+        self.sink.record_step(at_ns, id, &records);
         let view = self.protocol.current_view().0;
         self.status.view.store(view, Ordering::Release);
         self.view.set(view as i64);
@@ -713,20 +713,20 @@ impl Driver {
         }
     }
 
-    /// Encodes `message` once and sends it to each of `to`.
-    fn send(&mut self, at_ns: u64, message: &Message, to: impl Iterator<Item = ReplicaId>) {
-        let (id, frame) = (self.protocol.id(), encode_message(message, SHADOW_BLOCKS));
-        let sent = Telemetry::Sent {
-            class: MsgClass::of(message),
-            bytes: frame.len() as u64,
-            authenticators: message.authenticator_count() as u64,
-        };
+    /// Encodes `msg` once and sends it to each of `to`; returns the
+    /// `Sent` record of one copy.
+    fn send(&mut self, msg: &Message, to: impl Iterator<Item = ReplicaId>) -> Telemetry<'static> {
+        let frame = encode_message(msg, SHADOW_BLOCKS);
         for to in to {
-            self.sink.record(at_ns, id, sent);
             if self.transport.send(to, &frame).is_err() {
                 self.status.send_drops.fetch_add(1, Ordering::AcqRel);
                 self.send_drops.inc();
             }
+        }
+        Telemetry::Sent {
+            class: MsgClass::of(msg),
+            bytes: frame.len() as u64,
+            authenticators: msg.authenticator_count() as u64,
         }
     }
 }
@@ -792,7 +792,7 @@ mod tests {
             NodeConfig::new(config, ProtocolKind::Marlin),
             Arc::new(ends.remove(0)),
             Clock::start(),
-            Some(Box::new(trace.clone())),
+            Box::new(trace.clone()),
         );
         let status = node.status();
         let deadline = Instant::now() + Duration::from_secs(1);

@@ -70,7 +70,7 @@ fn frames_sent_before_the_route_are_stepped_first_and_in_order() {
         ),
         Arc::new(endpoint),
         Clock::start(),
-        None,
+        Box::new(()),
     );
     for i in BEFORE..BEFORE + AFTER {
         send(i);

@@ -61,7 +61,7 @@ fn frames_of_one_peer_reach_the_core_in_send_order() {
         ),
         Arc::new(ends.remove(0)),
         Clock::start(),
-        None,
+        Box::new(()),
     );
     let done = Arc::new(AtomicBool::new(false));
     watchdog(

@@ -4,7 +4,9 @@
 
 use marlin_core::ProtocolKind;
 use marlin_runtime::{ClusterConfig, JournalMode, RuntimeCluster, TransportKind};
+use marlin_telemetry::meter::TABLE1_AUTHS_PER_REPLICA;
 use marlin_telemetry::Note;
+use marlin_types::ReplicaId;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -202,6 +204,90 @@ fn kill_and_reconnect_rejoins_via_sync(kind: ProtocolKind) {
         "{kind:?}: rejoin never went through the sync engine"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Table I on the wall clock: the current leader is killed, and the
+/// view change the survivors run is metered from the first timeout to
+/// the first commit after it. Marlin's and HotStuff's stay within
+/// `TABLE1_AUTHS_PER_REPLICA · n` authenticators; Jolteon's quadratic
+/// view change is printed, not bounded.
+#[test]
+fn leader_kill_view_change_is_linear_on_the_wall_clock() {
+    for n in [4, 7] {
+        for kind in [
+            ProtocolKind::Marlin,
+            ProtocolKind::HotStuff,
+            ProtocolKind::Jolteon,
+        ] {
+            leader_kill_view_change(kind, n, TransportKind::Channel);
+        }
+    }
+}
+
+/// [`leader_kill_view_change_is_linear_on_the_wall_clock`] over real
+/// sockets, at n = 4.
+#[test]
+fn tcp_leader_kill_view_change_is_linear_on_the_wall_clock() {
+    for kind in [
+        ProtocolKind::Marlin,
+        ProtocolKind::HotStuff,
+        ProtocolKind::Jolteon,
+    ] {
+        leader_kill_view_change(kind, 4, TransportKind::Tcp);
+    }
+}
+
+fn leader_kill_view_change(kind: ProtocolKind, n: usize, transport: TransportKind) {
+    let mut cfg = ClusterConfig::new(kind, n, (n - 1) / 3);
+    cfg.transport = transport;
+    cfg.base_timeout = Duration::from_millis(200);
+    let mut cluster = RuntimeCluster::launch(cfg, None).expect("launch");
+    assert!(
+        drive(&mut cluster, 20, Duration::from_secs(20)),
+        "{kind:?} n={n}: no progress before the kill"
+    );
+    let view = cluster.max_view();
+    let leader = ReplicaId::leader_of(view, n).index();
+    cluster.kill(leader);
+    let survivors: Vec<usize> = (0..n).filter(|&i| i != leader).collect();
+    let target = survivors
+        .iter()
+        .map(|&i| cluster.status(i).committed_blocks() + 5)
+        .max()
+        .unwrap_or_default();
+    assert!(
+        drive_until(&mut cluster, Duration::from_secs(30), |c| {
+            survivors
+                .iter()
+                .all(|&i| c.status(i).committed_blocks() >= target)
+        }),
+        "{kind:?} n={n} {transport:?}: no commits after the leader was killed"
+    );
+    cluster.check_prefix_consistency().expect("no divergence");
+    let report = cluster.shutdown();
+
+    let windows = report.view_changes.windows();
+    let window = windows
+        .iter()
+        .find(|w| w.view == Some(view) && w.at_first_commit.is_some())
+        .unwrap_or_else(|| panic!("{kind:?} n={n}: no view change from {view:?} committed"));
+    let traffic = window.at_first_commit.as_ref().expect("found committed");
+    let auths = traffic.protocol_total().authenticators;
+    let bound = TABLE1_AUTHS_PER_REPLICA * n as u64;
+    let latencies: Vec<Option<u64>> = (survivors.iter())
+        .map(|&i| window.latency_ns(ReplicaId(i as u32)))
+        .collect();
+    println!("{kind:?}\tn={n}\t{transport:?}\t{auths} auths (bound {bound})\t{latencies:?} ns");
+    assert!(
+        latencies.iter().all(Option::is_some),
+        "{kind:?} n={n}: a survivor has no view-change latency: {latencies:?}"
+    );
+    if kind != ProtocolKind::Jolteon {
+        assert!(
+            auths <= bound,
+            "{kind:?} n={n} {transport:?}: {auths} > {bound} authenticators: {traffic:?}"
+        );
+    }
 }
 
 #[test]

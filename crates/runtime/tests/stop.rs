@@ -44,7 +44,7 @@ fn stop_returns_while_the_timer_thread_drains() {
             NodeConfig::new(config, ProtocolKind::Marlin),
             Arc::new(ends.remove(0)),
             Clock::start(),
-            Some(Box::new(Gate { entered, open })),
+            Box::new(Gate { entered, open }),
         );
         let fired = entered_rx.recv_timeout(Duration::from_secs(5));
         fired.expect("the view timer fires");

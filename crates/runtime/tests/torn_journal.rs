@@ -54,7 +54,7 @@ fn torn_journal_append_withholds_one_vote_and_the_replica_recovers() {
             );
             cfg.journal_disk = Some(disk.clone());
             let sink = Box::new(trace.clone());
-            spawn_node(cfg, Arc::new(end), clock, Some(sink))
+            spawn_node(cfg, Arc::new(end), clock, sink)
         })
         .collect();
     let statuses: Vec<Arc<NodeStatus>> = nodes.iter().map(NodeHandle::status).collect();

@@ -211,7 +211,7 @@ pub fn sweep_peak_throughput(base: &ExperimentConfig, rates: &[u64]) -> Vec<Swee
 mod tests {
     use super::*;
     use marlin_core::Note;
-    use marlin_telemetry::Invariants;
+    use marlin_telemetry::{Invariants, SharedSink};
 
     /// Storage is charged by the simulator, not by a `Protocol` wrapper
     /// around each replica — a wrapper that forgot to forward the lock
@@ -221,14 +221,14 @@ mod tests {
         let cfg = ExperimentConfig::paper(ProtocolKind::Marlin, 1);
         assert!(cfg.storage);
         let reference = reference_replica(&cfg);
-        let checker = Invariants::new(&[]);
+        let checker = SharedSink::new(Invariants::new(&[]));
         let mut sim = cfg.build(checker.clone());
-        checker.mark_quiet();
+        checker.with(Invariants::mark_quiet);
         sim.schedule_client_batch(ReplicaId(1), 0, 100, cfg.payload_len);
         sim.run_until(2_000_000_000);
         assert!(sim.committed_txs(reference) > 0, "nothing committed");
         let mut notes = sim.notes().filter(|(_, id, _)| *id == reference);
         assert!(notes.any(|(_, _, note)| matches!(note, Note::Locked { .. })));
-        assert_eq!(checker.finish(), []);
+        assert_eq!(checker.with(Invariants::finish), []);
     }
 }

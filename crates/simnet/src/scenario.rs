@@ -18,7 +18,7 @@ use crate::sim::{LinkFault, Partition, RecoveryMode, SimConfig, SimNet};
 use crate::MsgClass;
 use marlin_core::{build_replica, Config, Protocol, ProtocolKind, SafetyJournal};
 use marlin_storage::{Disk, SharedDisk, SnapshotStore};
-use marlin_telemetry::{Invariants, TelemetrySink, Violation};
+use marlin_telemetry::{Invariants, SharedSink, TelemetrySink, Violation};
 use marlin_types::{ReplicaId, View};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -563,7 +563,7 @@ pub fn run_scenario_with_telemetry(
 
     let mut sim_cfg = SimConfig::lan();
     sim_cfg.seed = seed;
-    let checker = Invariants::new(&byzantine);
+    let checker = SharedSink::new(Invariants::new(&byzantine));
     let mut sim = SimNet::with_replicas(replicas, sim_cfg, (checker.clone(), sink));
     for p in &scenario.partitions {
         sim.add_partition(p.clone());
@@ -654,11 +654,11 @@ pub fn run_scenario_with_telemetry(
             }
         }
     }
-    checker.mark_quiet();
+    checker.with(Invariants::mark_quiet);
     apply_flips(scenario.quiet_ns, &mut next_flip);
     sim.run_until(scenario.horizon_ns);
 
-    let violations = checker.finish();
+    let violations = checker.with(Invariants::finish);
     let mut max_view = View(0);
     let mut max_resident_blocks = 0usize;
     let mut min_honest_tip = u64::MAX;
@@ -682,7 +682,7 @@ pub fn run_scenario_with_telemetry(
         protocol: format!("{kind:?}"),
         scenario: scenario.name,
         seed,
-        committed: checker.committed_len(),
+        committed: checker.with(Invariants::committed_len),
         max_view: max_view.0,
         violations,
         max_resident_blocks,
@@ -693,7 +693,7 @@ pub fn run_scenario_with_telemetry(
         },
         max_journal_bytes,
         max_mempool_txs,
-        fingerprint: checker.fingerprint(),
+        fingerprint: checker.with(Invariants::fingerprint),
     }
 }
 

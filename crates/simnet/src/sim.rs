@@ -949,7 +949,7 @@ mod tests {
     use super::*;
     use marlin_core::{Config, ProtocolKind};
     use marlin_crypto::CostModel;
-    use marlin_telemetry::ViewChanges;
+    use marlin_telemetry::{Invariants, SharedSink, ViewChanges};
 
     fn lan_sim(kind: ProtocolKind) -> SimNet {
         SimNet::new(kind, Config::for_test(4, 1), SimConfig::lan(), ())
@@ -969,14 +969,14 @@ mod tests {
     fn determinism_same_seed_same_outcome() {
         let run = || {
             // A window marked before start-up counts every message.
-            let meter = ViewChanges::new();
-            let window = meter.mark();
+            let meter = SharedSink::new(ViewChanges::new());
+            let window = meter.with(ViewChanges::mark);
             let cfg = Config::for_test(4, 1);
             let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::lan(), meter.clone());
             sim.schedule_client_batch(ReplicaId(1), 0, 50, 150);
             sim.schedule_client_batch(ReplicaId(1), 5_000_000, 50, 150);
             sim.run_until(500_000_000);
-            let total = meter.windows()[window].traffic.total();
+            let total = meter.with(|meter| meter.windows()[window].traffic.total());
             assert!(total.messages > 0 && total.bytes > 0 && total.authenticators > 0);
             (
                 sim.committed_txs(ReplicaId(0)),
@@ -1110,22 +1110,22 @@ mod tests {
     #[test]
     fn instant_profile_steps_one_input_at_a_time() {
         let cfg = Config::for_test(4, 1);
-        let checker = marlin_telemetry::Invariants::new(&[]);
-        let sink = checker.clone();
+        let checker = SharedSink::new(Invariants::new(&[]));
+        let (sink, len) = (checker.clone(), || checker.with(Invariants::committed_len));
         let mut sim = SimNet::new(ProtocolKind::Marlin, cfg, SimConfig::instant(), sink);
         // The start-up block commits; no timer fires, the clock stands.
         sim.run_until_idle();
-        assert_eq!((sim.now_ns(), checker.committed_len()), (0, 2));
+        assert_eq!((sim.now_ns(), len()), (0, 2));
         // An injected event lands now, and what it causes runs.
         let tx = Transaction::new(1, 0, bytes::Bytes::new(), 0);
         sim.inject(ReplicaId(1), Event::NewTransactions(vec![tx]));
-        assert_eq!((sim.now_ns(), checker.committed_len()), (0, 3));
+        assert_eq!((sim.now_ns(), len()), (0, 3));
         // Heartbeats pace empty blocks; each commit re-arms (supersedes)
         // every view timer.
         for _ in 0..6 {
             assert!(sim.fire_next_timer());
         }
-        assert!(checker.committed_len() > 3);
+        assert!(len() > 3);
         assert!(sim
             .heap
             .iter()
@@ -1141,7 +1141,7 @@ mod tests {
         let (due, one) = (sim.now_ns(), moved(&sim));
         assert!(sim.fire_next_timer());
         assert_eq!((one, sim.now_ns(), moved(&sim)), (1, due, 2));
-        assert!(checker.violations().is_empty());
+        assert!(checker.with(Invariants::violations).is_empty());
         (0..4).for_each(|i| sim.crash(ReplicaId(i)));
         assert!(!sim.fire_next_timer());
     }

@@ -2,7 +2,7 @@
 
 use marlin_core::{Config, Note, ProtocolKind};
 use marlin_simnet::{MsgClass, SimConfig, SimNet};
-use marlin_telemetry::{TelemetrySink, ViewChanges};
+use marlin_telemetry::{SharedSink, TelemetrySink, ViewChanges};
 use marlin_types::{Message, Phase, ReplicaId, View};
 
 fn sim(kind: ProtocolKind) -> SimNet {
@@ -88,11 +88,13 @@ fn even_split_halts_until_healed() {
 /// but no view-change traffic.
 #[test]
 fn traffic_breaks_down_by_class() {
-    let meter = ViewChanges::new();
-    let window = meter.mark();
+    let meter = SharedSink::new(ViewChanges::new());
+    let window = meter.with(ViewChanges::mark);
     let mut net = sim_observed_by(ProtocolKind::Marlin, meter.clone());
     net.schedule_client_batch(ReplicaId(1), 0, 50, 150);
     net.run_until(1_000_000_000);
+    drop(net);
+    let meter = meter.into_inner().expect("the simulator is dropped");
     let windows = meter.windows();
     assert_eq!(windows.len(), 1, "no view change expected");
     let acc = &windows[window].traffic;

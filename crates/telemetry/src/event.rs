@@ -369,6 +369,15 @@ pub trait TelemetrySink {
     fn note(&mut self, at_ns: u64, replica: ReplicaId, note: &Note) {
         self.record(at_ns, replica, Telemetry::Note(note));
     }
+
+    /// One whole step of `replica`, its records in order (the `Charged`
+    /// that opens it first). A sink that shares itself takes its lock
+    /// once here, so no other replica's record lands inside the step.
+    fn record_step(&mut self, at_ns: u64, replica: ReplicaId, events: &[Telemetry<'_>]) {
+        for &event in events {
+            self.record(at_ns, replica, event);
+        }
+    }
 }
 
 /// No observer: every event is dropped.
@@ -382,16 +391,10 @@ impl<A: TelemetrySink, B: TelemetrySink> TelemetrySink for (A, B) {
         self.0.record(at_ns, replica, event);
         self.1.record(at_ns, replica, event);
     }
-}
 
-/// A disabled sink slot: `None` drops every event, so optional stages
-/// (a registry here, a flight ring there) compose into one tuple
-/// without a combinatorial explosion of concrete sink types.
-impl<S: TelemetrySink> TelemetrySink for Option<S> {
-    fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
-        if let Some(s) = self {
-            s.record(at_ns, replica, event);
-        }
+    fn record_step(&mut self, at_ns: u64, replica: ReplicaId, events: &[Telemetry<'_>]) {
+        self.0.record_step(at_ns, replica, events);
+        self.1.record_step(at_ns, replica, events);
     }
 }
 
@@ -400,6 +403,10 @@ impl<S: TelemetrySink> TelemetrySink for Option<S> {
 impl<S: TelemetrySink + ?Sized> TelemetrySink for Box<S> {
     fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
         (**self).record(at_ns, replica, event);
+    }
+
+    fn record_step(&mut self, at_ns: u64, replica: ReplicaId, events: &[Telemetry<'_>]) {
+        (**self).record_step(at_ns, replica, events);
     }
 }
 
@@ -481,9 +488,9 @@ impl TelemetrySink for Trace {
     }
 }
 
-/// A sink shared between a driver and an observer: both hold clones,
-/// the driver feeds events, the observer reads the wrapped sink out at
-/// the end.
+/// The one way to share a sink: drivers and observers each hold a
+/// clone, a driver feeds a whole step under one lock, an observer reads
+/// the wrapped sink with [`SharedSink::with`].
 #[derive(Debug, Default)]
 pub struct SharedSink<S>(std::sync::Arc<std::sync::Mutex<S>>);
 
@@ -513,10 +520,11 @@ impl<S> Clone for SharedSink<S> {
 
 impl<S: TelemetrySink> TelemetrySink for SharedSink<S> {
     fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
-        self.0
-            .lock()
-            .expect("sink lock")
-            .record(at_ns, replica, event);
+        self.with(|sink| sink.record(at_ns, replica, event));
+    }
+
+    fn record_step(&mut self, at_ns: u64, replica: ReplicaId, events: &[Telemetry<'_>]) {
+        self.with(|sink| sink.record_step(at_ns, replica, events));
     }
 }
 

@@ -219,6 +219,10 @@ impl TelemetrySink for FlightRecorder {
     fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
         self.ring.record(at_ns, replica, event);
     }
+
+    fn record_step(&mut self, at_ns: u64, replica: ReplicaId, events: &[Telemetry<'_>]) {
+        self.ring.record_step(at_ns, replica, events);
+    }
 }
 
 /// Parses a dump back into its entries.

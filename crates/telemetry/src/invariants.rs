@@ -17,13 +17,11 @@
 //! next `Charged` record, or at any query. A replica not heard from is
 //! in view 1 (a stream may open mid-run; the simulator's shows
 //! start-up), and genesis is seeded when the first step closes. The
-//! oracle keeps no clock; it is `Clone` (shared state), so a driver
-//! keeps a handle while the installed copy records.
+//! oracle keeps no clock.
 
 use crate::event::{Lock, Note, Telemetry, TelemetrySink};
 use marlin_types::{BlockId, Height, Phase, ReplicaId, View};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A detected invariant violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,8 +117,11 @@ struct Seen {
     tip: Option<Height>,
 }
 
+/// The safety oracle (see the module docs).
 #[derive(Default)]
-struct State {
+pub struct Invariants {
+    /// Replicas whose state is adversary-controlled, ignored.
+    byzantine: Vec<ReplicaId>,
     /// The canonical committed chain: the union of all honest chains
     /// (they must agree position by position).
     canonical: Vec<BlockId>,
@@ -143,7 +144,16 @@ struct State {
 
 type VoteSlot = (ReplicaId, View, Phase, Height);
 
-impl State {
+impl Invariants {
+    /// An oracle that ignores the `byzantine` replicas (their state is
+    /// adversary-controlled).
+    pub fn new(byzantine: &[ReplicaId]) -> Self {
+        Invariants {
+            byzantine: byzantine.to_vec(),
+            ..Invariants::default()
+        }
+    }
+
     fn seen(&mut self, replica: ReplicaId) -> &mut Seen {
         if self.seen.len() <= replica.index() {
             self.seen.resize(replica.index() + 1, Seen::default());
@@ -230,77 +240,54 @@ impl State {
             }
         }
     }
-}
-
-/// The safety oracle (see the module docs).
-#[derive(Clone)]
-pub struct Invariants {
-    state: Arc<Mutex<State>>,
-    byzantine: Vec<ReplicaId>,
-}
-
-impl Invariants {
-    /// An oracle that ignores the `byzantine` replicas (their state is
-    /// adversary-controlled).
-    pub fn new(byzantine: &[ReplicaId]) -> Self {
-        Invariants {
-            state: Arc::default(),
-            byzantine: byzantine.to_vec(),
-        }
-    }
-
-    /// The state with the open step closed: what every query reads.
-    fn closed(&self) -> MutexGuard<'_, State> {
-        let mut st = self.state.lock().expect("oracle lock");
-        st.close();
-        st
-    }
 
     /// All violations recorded so far.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.closed().violations.clone()
+    pub fn violations(&mut self) -> Vec<Violation> {
+        self.close();
+        self.violations.clone()
     }
 
     /// Length of the canonical committed chain (including genesis).
-    pub fn committed_len(&self) -> usize {
-        self.closed().canonical.len()
+    pub fn committed_len(&mut self) -> usize {
+        self.close();
+        self.canonical.len()
     }
 
     /// Marks the quiet point: the fault schedule is over, so the
     /// committed chain must grow from here until [`Self::finish`]. The
     /// first mark counts.
-    pub fn mark_quiet(&self) {
-        let mut st = self.closed();
-        st.len_at_quiet = st.len_at_quiet.or(Some(st.canonical.len()));
+    pub fn mark_quiet(&mut self) {
+        self.close();
+        self.len_at_quiet = self.len_at_quiet.or(Some(self.canonical.len()));
     }
 
     /// Closes the run: records a [`Violation::LivenessStall`] if the
     /// canonical chain did not grow after the quiet point (or, without
     /// one, at all), then returns all violations. Call once.
-    pub fn finish(&self) -> Vec<Violation> {
-        let mut st = self.closed();
-        let at_end = st.canonical.len();
-        let at_quiet = st.len_at_quiet.unwrap_or(at_end);
+    pub fn finish(&mut self) -> Vec<Violation> {
+        self.close();
+        let at_end = self.canonical.len();
+        let at_quiet = self.len_at_quiet.unwrap_or(at_end);
         if at_end <= at_quiet {
-            st.violations.push(Violation::LivenessStall {
+            self.violations.push(Violation::LivenessStall {
                 committed_at_quiet: at_quiet,
                 committed_at_end: at_end,
             });
         }
-        st.violations.clone()
+        self.violations.clone()
     }
 
     /// A deterministic fingerprint of everything the oracle saw:
     /// identical runs produce identical fingerprints (FNV-1a over the
     /// canonical chain, per-height commits, and violations).
-    pub fn fingerprint(&self) -> u64 {
-        let st = self.closed();
-        let chain = st.canonical.iter().map(|id| format!("{id:?}"));
-        let heights = st
+    pub fn fingerprint(&mut self) -> u64 {
+        self.close();
+        let chain = self.canonical.iter().map(|id| format!("{id:?}"));
+        let heights = self
             .by_height
             .iter()
             .map(|(h, (id, v))| format!("{}:{id:?}:{}", h.0, v.0));
-        let violations = st.violations.iter().map(|v| format!("{v:?}"));
+        let violations = self.violations.iter().map(|v| format!("{v:?}"));
         (chain.chain(heights).chain(violations))
             .flat_map(String::into_bytes)
             .fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -311,10 +298,9 @@ impl Invariants {
 
 impl TelemetrySink for Invariants {
     fn record(&mut self, _at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
-        let mut st = self.state.lock().expect("oracle lock");
         // Every step's first record: the previous step is over.
         if let Telemetry::Charged { .. } = event {
-            st.close();
+            self.close();
             return;
         }
         if self.byzantine.contains(&replica) {
@@ -323,24 +309,24 @@ impl TelemetrySink for Invariants {
         match event {
             Telemetry::Committed(blocks) => {
                 for b in blocks {
-                    st.commit(replica, b.height(), b.id());
+                    self.commit(replica, b.height(), b.id());
                 }
             }
             Telemetry::Note(note) => match *note {
-                Note::EnteredView { view, .. } => st.seen(replica).view = view,
+                Note::EnteredView { view, .. } => self.seen(replica).view = view,
                 Note::Voted {
                     view,
                     phase,
                     height,
                     block,
-                } => st.vote((replica, view, phase, height), block),
-                Note::Locked { lock } => st.seen(replica).lock = Some(lock),
+                } => self.vote((replica, view, phase, height), block),
+                Note::Locked { lock } => self.seen(replica).lock = Some(lock),
                 Note::Recovered { view, lock } => {
                     let tip = None;
-                    *st.seen(replica) = Seen { view, lock, tip };
+                    *self.seen(replica) = Seen { view, lock, tip };
                 }
                 Note::SyncSnapshotInstalled { height, block, .. } => {
-                    st.commit(replica, height, block);
+                    self.commit(replica, height, block);
                 }
                 _ => {}
             },

@@ -6,12 +6,15 @@
 //! [`Note::ViewChangeStarted`] for a view above the last window's, or at
 //! [`ViewChanges::mark`] (a marked window takes the view of the first
 //! timeout after it); traffic before the first window is not counted.
-//! Like the safety oracle, the meter is `Clone` (shared state).
 
 use crate::event::{Note, Telemetry, TelemetrySink};
 use marlin_types::{MsgClass, ReplicaId, View};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+
+/// Table I's bound on a linear view change, in authenticators per
+/// replica from a window's opening timeout to its first commit (Table
+/// I's threshold rows: Marlin 354 at n = 31 is 11.4·n, HotStuff 10.5·n).
+pub const TABLE1_AUTHS_PER_REPLICA: u64 = 12;
 
 /// Counter triple for one class (the paper's Section III metrics).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,8 +91,8 @@ impl Window {
 }
 
 /// The view-change meter (see the module docs).
-#[derive(Clone, Debug, Default)]
-pub struct ViewChanges(Arc<Mutex<Vec<Window>>>);
+#[derive(Debug, Default)]
+pub struct ViewChanges(Vec<Window>);
 
 impl ViewChanges {
     /// A meter with no window open.
@@ -98,21 +101,20 @@ impl ViewChanges {
     }
 
     /// Opens a window now; returns its index in [`ViewChanges::windows`].
-    pub fn mark(&self) -> usize {
-        let mut windows = self.0.lock().expect("meter lock");
-        windows.push(Window::default());
-        windows.len() - 1
+    pub fn mark(&mut self) -> usize {
+        self.0.push(Window::default());
+        self.0.len() - 1
     }
 
     /// Every window so far, oldest first.
-    pub fn windows(&self) -> Vec<Window> {
-        self.0.lock().expect("meter lock").clone()
+    pub fn windows(&self) -> &[Window] {
+        &self.0
     }
 }
 
 impl TelemetrySink for ViewChanges {
     fn record(&mut self, at_ns: u64, replica: ReplicaId, event: Telemetry<'_>) {
-        let mut windows = self.0.lock().expect("meter lock");
+        let windows = &mut self.0;
         if let Telemetry::Note(Note::ViewChangeStarted { from_view }) = event {
             let older = |w: &Window| w.view.is_some_and(|v| v < *from_view);
             if windows.last().is_none_or(older) {

@@ -21,17 +21,18 @@ fn block(height: u64, tag: u64) -> Block {
     )
 }
 
-/// One step of `replica`: the charge that opens it, then `events`.
+/// One step of `replica`, handed over whole: the charge that opens it,
+/// then `events`.
 fn step(oracle: &mut Invariants, replica: u32, events: &[Telemetry<'_>]) {
     let charge = Telemetry::Charged {
         crypto_ns: 0,
         journal_ns: 0,
         consensus_ns: 0,
     };
-    oracle.record(0, ReplicaId(replica), charge);
-    for &event in events {
-        oracle.record(0, ReplicaId(replica), event);
-    }
+    let step: Vec<_> = std::iter::once(charge)
+        .chain(events.iter().copied())
+        .collect();
+    oracle.record_step(0, ReplicaId(replica), &step);
 }
 
 fn commit(oracle: &mut Invariants, replica: u32, blocks: &[Block]) {
@@ -150,10 +151,9 @@ fn a_chain_that_stops_at_the_quiet_point_stalls() {
             committed_at_end: 2,
         }]
     );
-    let growing = Invariants::new(&[]);
+    let mut growing = Invariants::new(&[]);
     growing.mark_quiet();
-    let mut sink = growing.clone();
-    commit(&mut sink, 0, &[block(1, 0)]);
+    commit(&mut growing, 0, &[block(1, 0)]);
     assert_eq!(growing.finish(), []);
 }
 

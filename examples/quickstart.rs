@@ -14,7 +14,8 @@
 use marlin_bft::core::{Config, Note, ProtocolKind};
 use marlin_bft::simnet::{SimConfig, SimNet};
 use marlin_bft::telemetry::{
-    check_prometheus_text, Invariants, Registry, RegistryRecorder, Telemetry, TelemetrySink,
+    check_prometheus_text, Invariants, Registry, RegistryRecorder, SharedSink, Telemetry,
+    TelemetrySink,
 };
 use marlin_bft::types::{Block, ReplicaId};
 use std::cell::RefCell;
@@ -41,11 +42,9 @@ fn main() {
 
     // n = 4 replicas tolerating f = 1 Byzantine fault.
     let config = Config::for_test(4, 1);
-    let (chain, invariants) = (Chain::default(), Invariants::new(&[]));
+    let (chain, invariants) = (Chain::default(), SharedSink::new(Invariants::new(&[])));
     let registry = Registry::new();
-    let recorder = telemetry_path
-        .is_some()
-        .then(|| RegistryRecorder::new(&registry));
+    let recorder = RegistryRecorder::new(&registry);
     let sinks = ((chain.clone(), invariants.clone()), recorder);
     let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::instant(), sinks);
     sim.run_until_idle(); // the start-up block
@@ -60,7 +59,7 @@ fn main() {
         );
     }
 
-    assert_eq!(invariants.violations(), []);
+    assert_eq!(invariants.with(Invariants::violations), []);
     println!("\ncommitted chain (as seen by p0):");
     for block in chain.0.borrow().iter() {
         println!(

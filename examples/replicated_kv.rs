@@ -9,7 +9,7 @@
 
 use marlin_bft::core::{Config, Event, ProtocolKind};
 use marlin_bft::simnet::{SimConfig, SimNet};
-use marlin_bft::telemetry::{Invariants, Telemetry, TelemetrySink};
+use marlin_bft::telemetry::{Invariants, SharedSink, Telemetry, TelemetrySink};
 use marlin_bft::types::{Block, ReplicaId, Transaction};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -64,7 +64,7 @@ impl TelemetrySink for Apps {
 }
 
 fn main() {
-    let (apps, invariants) = (Apps::default(), Invariants::new(&[]));
+    let (apps, invariants) = (Apps::default(), SharedSink::new(Invariants::new(&[])));
     let mut sim = SimNet::new(
         ProtocolKind::Marlin,
         Config::for_test(4, 1),
@@ -90,7 +90,7 @@ fn main() {
         .collect();
     sim.inject(leader, Event::NewTransactions(txs));
     sim.run_until_idle();
-    assert_eq!(invariants.violations(), []);
+    assert_eq!(invariants.with(Invariants::violations), []);
 
     // Every replica applied its committed chain to its own state
     // machine — they all converge on the same state.

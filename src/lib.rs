@@ -32,15 +32,15 @@
 //! ```
 //! use marlin_bft::core::{Config, ProtocolKind};
 //! use marlin_bft::simnet::{SimConfig, SimNet};
-//! use marlin_bft::telemetry::Invariants;
+//! use marlin_bft::telemetry::{Invariants, SharedSink};
 //!
-//! let invariants = Invariants::new(&[]);
+//! let invariants = SharedSink::new(Invariants::new(&[]));
 //! let config = Config::for_test(4, 1);
 //! let mut sim = SimNet::new(ProtocolKind::Marlin, config, SimConfig::instant(), invariants.clone());
 //! sim.run_until_idle(); // the start-up block
 //! sim.schedule_client_batch(1u32.into(), sim.now_ns(), 100, 0);
 //! sim.run_until_idle();
-//! assert!(invariants.violations().is_empty());
+//! assert!(invariants.with(Invariants::violations).is_empty());
 //! assert_eq!(sim.committed_txs(0u32.into()), 100);
 //! ```
 //!

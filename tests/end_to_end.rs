@@ -6,7 +6,7 @@ use marlin_bft::core::ProtocolKind;
 use marlin_bft::simnet::{
     run_experiment, run_experiment_with_telemetry, ExperimentConfig, Metrics,
 };
-use marlin_bft::telemetry::{ViewChanges, Window};
+use marlin_bft::telemetry::{SharedSink, ViewChanges, Window};
 use marlin_bft::types::ReplicaId;
 
 fn short(protocol: ProtocolKind) -> ExperimentConfig {
@@ -19,9 +19,9 @@ fn short(protocol: ProtocolKind) -> ExperimentConfig {
 
 /// Runs `cfg` with the view-change meter attached.
 fn metered(cfg: &ExperimentConfig) -> (Metrics, Vec<Window>) {
-    let meter = ViewChanges::new();
+    let meter = SharedSink::new(ViewChanges::new());
     let metrics = run_experiment_with_telemetry(cfg, Box::new(meter.clone()));
-    (metrics, meter.windows())
+    (metrics, meter.with(|meter| meter.windows().to_vec()))
 }
 
 #[test]

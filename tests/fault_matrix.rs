@@ -23,6 +23,7 @@ use marlin_bft::simnet::{
     run_scenario, run_scenario_with_telemetry, LinkFault, MsgClass, RecoveryMode, Scenario,
     ScenarioOutcome,
 };
+use marlin_bft::telemetry::meter::TABLE1_AUTHS_PER_REPLICA;
 use marlin_bft::telemetry::{
     Note, Registry, RegistryRecorder, SharedSink, Telemetry, TelemetrySink, ViewChanges, Violation,
 };
@@ -813,21 +814,15 @@ const ALL_PROTOCOLS: [ProtocolKind; 7] = [
     ProtocolKind::ChainedHotStuff,
 ];
 
-/// Table I's linearity, as a bound on every view change of the
-/// campaign: the authenticators a linear kind sends from a window's
-/// opening timeout to the first commit after it stay within
-/// `TABLE1_AUTHS_PER_REPLICA · n`. The constant comes from Table I's
-/// threshold rows (Marlin 354 at n = 31 is 11.4·n, HotStuff 325 is
-/// 10.5·n). Jolteon is measured but not bounded: its O(n²) term only
-/// shows as n grows, which `paper_claims.rs` pins from n = 4 to 16.
-const TABLE1_AUTHS_PER_REPLICA: u64 = 12;
-
 /// Recomputes the campaign table: one `(preset, protocol, seed)` row
 /// per cell with its verdict, fingerprint and committed chain length.
 /// Every cell also runs under the view-change meter, and each window
-/// that reached a commit is held to the Table I bound; the per-kind
-/// coverage (windows, windows that committed, the largest count and
-/// its cell) is printed.
+/// that reached a commit is held to the Table I bound
+/// (`TABLE1_AUTHS_PER_REPLICA · n` authenticators). Jolteon is measured
+/// but not bounded: its O(n²) term only shows as n grows, which
+/// `paper_claims.rs` pins from n = 4 to 16. The per-kind coverage
+/// (windows, windows that committed, the largest count and its cell) is
+/// printed.
 fn campaign_table() -> String {
     // Every kind runs the restart cells; they are two groups only
     // because the table grows by appending (the second group is the
@@ -860,11 +855,12 @@ fn campaign_table() -> String {
     for (scenario, kinds) in &grids {
         for &kind in *kinds {
             for seed in SEEDS {
-                let meter = ViewChanges::new();
+                let meter = SharedSink::new(ViewChanges::new());
                 let out =
                     run_scenario_with_telemetry(kind, scenario, seed, Box::new(meter.clone()));
                 let bound = TABLE1_AUTHS_PER_REPLICA * scenario.config.n as u64;
                 let row = &mut coverage[ALL_PROTOCOLS.iter().position(|k| *k == kind).unwrap()];
+                let meter = meter.into_inner().expect("the run dropped its sink");
                 for window in meter.windows() {
                     row.0 += 1;
                     let Some(traffic) = &window.at_first_commit else {

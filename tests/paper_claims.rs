@@ -12,7 +12,7 @@ use marlin_bft::simnet::SimConfig;
 
 use marlin_bft::core::Config;
 use marlin_bft::simnet::SimNet;
-use marlin_bft::telemetry::ViewChanges;
+use marlin_bft::telemetry::{SharedSink, ViewChanges};
 use marlin_bft::types::ReplicaId;
 
 /// Crash the view-1 leader after one committed batch; return
@@ -22,7 +22,7 @@ fn crash_and_measure(protocol: ProtocolKind, f: usize, format: QcFormat) -> (u64
     let mut cfg = Config::for_test(n, f);
     cfg.qc_format = format;
     cfg.base_timeout_ns = 400_000_000;
-    let meter = ViewChanges::new();
+    let meter = SharedSink::new(ViewChanges::new());
     let mut sim = SimNet::new(protocol, cfg, SimConfig::paper_testbed(), meter.clone());
     sim.schedule_client_batch(ReplicaId(1), 0, 50, 150);
     let mut t = 0;
@@ -34,7 +34,7 @@ fn crash_and_measure(protocol: ProtocolKind, f: usize, format: QcFormat) -> (u64
     let crash_at = t + 1_000_000;
     sim.schedule_crash(ReplicaId(1), crash_at);
     sim.run_until(crash_at);
-    let window = meter.mark();
+    let window = meter.with(ViewChanges::mark);
     let before = sim.committed_blocks(ReplicaId(0));
     let mut deadline = crash_at;
     while sim.committed_blocks(ReplicaId(0)) == before {
@@ -45,7 +45,7 @@ fn crash_and_measure(protocol: ProtocolKind, f: usize, format: QcFormat) -> (u64
         );
         sim.run_until(deadline);
     }
-    let window = meter.windows().swap_remove(window);
+    let window = meter.with(|meter| meter.windows()[window].clone());
     let total = window.traffic.total();
     (
         window

@@ -11,7 +11,7 @@ use marlin_bft::core::{Config, ProtocolKind};
 use marlin_bft::simnet::{
     run_scenario, Behavior, BehaviorPhase, LinkFault, Partition, RecoveryMode, Scenario, SimNet,
 };
-use marlin_bft::telemetry::Invariants;
+use marlin_bft::telemetry::{Invariants, SharedSink};
 use marlin_bft::types::{Message, ReplicaId, View};
 use proptest::prelude::*;
 use support::{assert_safe, instant, max_view, submit};
@@ -38,7 +38,7 @@ fn fuzz_one(
     crash_one: bool,
     n: usize,
     f: usize,
-) -> Invariants {
+) -> SharedSink<Invariants> {
     // The checker sees every vote before the drop filter does: no
     // replica may vote twice in one slot, whatever the network loses.
     let (mut sim, _, inv) = instant(kind, Config::for_test(n, f), &[]);
@@ -229,11 +229,10 @@ fn fixed_seeds_match_the_golden_fingerprints() {
     for kind in KINDS {
         for seed in 0..8u64 {
             for crash in [false, true] {
-                let inv = fuzz_one(kind, seed, seed * 4 % 30, crash, 4, 1);
+                let (fingerprint, violations) = fuzz_one(kind, seed, seed * 4 % 30, crash, 4, 1)
+                    .with(|inv| (inv.fingerprint(), inv.violations()));
                 actual.push_str(&format!(
-                    "{kind:?}\t{seed}\t{crash}\t{:016x}\t{:?}\n",
-                    inv.fingerprint(),
-                    inv.violations()
+                    "{kind:?}\t{seed}\t{crash}\t{fingerprint:016x}\t{violations:?}\n"
                 ));
             }
         }
